@@ -9,6 +9,7 @@
 use crate::extension::CitrusExtension;
 use crate::metadata::{Metadata, NodeId};
 use netsim::fault::{FaultDecision, FaultInjector, FaultOp, FaultPhase, FaultPlan};
+use netsim::pipeline::WireRound;
 use netsim::VirtualClock;
 use parking_lot::{Mutex, RwLock};
 use pgmini::cost::SimCost;
@@ -53,10 +54,10 @@ pub struct ClusterConfig {
     /// CRUD skips the planner (Citus's prepared-statement fast path,
     /// §3.5.1). Invalidation is by metadata generation.
     pub plan_cache: bool,
-    /// Real microseconds each remote statement blocks the executing thread,
-    /// modelling wire time that parallel fan-out can overlap. `0` (default)
-    /// keeps the fabric purely virtual-time; benches set it to measure
-    /// wall-clock overlap honestly.
+    /// Real microseconds each wire round (see [`netsim::pipeline::WireRound`])
+    /// blocks the executing thread, modelling wire time that parallel
+    /// fan-out can overlap. `0` (default) keeps the fabric purely
+    /// virtual-time; benches set it to measure wall-clock wire cost honestly.
     pub real_rtt_us: u64,
     /// Virtual ms one full distributed planning pass costs the coordinator
     /// (table classification, tier cascade, shard pruning, rewrite).
@@ -69,11 +70,11 @@ pub struct ClusterConfig {
     /// gated here because they clone statement text and task detail.
     pub tracing: bool,
     /// Pipelined statement batching (see [`netsim::pipeline`]): a
-    /// statement's per-worker task stream is one wire exchange, and
-    /// consecutive same-worker statements inside a transaction ride one open
-    /// exchange instead of paying a round trip each. Off forces the legacy
-    /// one-RTT-per-statement wire model (the differential suites compare
-    /// both).
+    /// statement's per-worker task stream is one wire exchange, consecutive
+    /// same-worker statements inside a transaction ride one open exchange
+    /// instead of paying a round trip each, and each protocol step is one
+    /// wire round. Off forces the legacy one-RTT-per-message wire model (the
+    /// differential suites compare both).
     pub pipeline: bool,
     /// Execute tasks whose placement lives on the coordinating node directly
     /// in the client's backend instead of over a loopback connection —
@@ -508,14 +509,14 @@ impl Cluster {
             used_for_writes: false,
             assigned_groups: Vec::new(),
             fault_scope: scope.to_string(),
-            ride_exchange: false,
             snapshot_token: None,
         })
     }
 }
 
-/// An internal connection from a coordinating node to a worker node,
-/// accounting one RTT per statement executed over it.
+/// An internal connection from a coordinating node to a worker node. Every
+/// message over it belongs to a [`WireRound`]; the round's first message
+/// pays the round trip.
 pub struct WorkerConn {
     pub node: NodeId,
     cluster: Arc<Cluster>,
@@ -535,12 +536,6 @@ pub struct WorkerConn {
     /// connection (the executor sets it to the current task's shard set;
     /// `""` for unscoped fabric work).
     pub fault_scope: String,
-    /// The next statement rides an already-open pipelined wire exchange: its
-    /// request went out with an earlier statement's batch, so no real wire
-    /// time (`real_rtt_us`) is slept for it. The executor sets this per
-    /// statement; it resets to paying after every execution so retries and
-    /// per-statement replay always pay their own round trip.
-    pub ride_exchange: bool,
     /// Distributed snapshot token to evaluate reads under (piggybacked on
     /// the task by the executor; `None` = the worker's latest snapshot).
     pub snapshot_token: Option<u64>,
@@ -574,36 +569,75 @@ pub fn stmt_tag(stmt: &Statement) -> &'static str {
 }
 
 impl WorkerConn {
-    /// Execute a statement remotely. Returns the result and the *remote*
-    /// service cost (the RTT is returned separately in `net_ms`).
-    ///
-    /// Fault interception happens here, in two windows: a *before* fault
-    /// means the request never reached the node; an *after* fault means the
-    /// node executed the statement but the reply was lost — the caller sees
-    /// a connection failure either way and cannot tell which (the 2PC
-    /// in-doubt window of §3.7.2).
+    /// Execute a statement remotely in a wire round of its own. Returns the
+    /// result and the *remote* service cost (the RTT is returned separately
+    /// in `net_ms`).
     pub fn execute_stmt(&mut self, stmt: &Statement) -> PgResult<(QueryResult, SimCost)> {
-        let tag = stmt_tag(stmt);
-        self.intercept(tag, FaultPhase::Before).inspect_err(|_| self.ride_exchange = false)?;
-        self.check_alive().inspect_err(|_| self.ride_exchange = false)?;
-        self.wire_delay();
-        self.session.set_snapshot_token(self.snapshot_token);
-        let result = self.session.execute_stmt(stmt)?;
-        let cost = self.session.last_cost();
-        self.intercept(tag, FaultPhase::After)?;
-        Ok((result, cost))
+        self.execute_in(&mut WireRound::new(), stmt)
     }
 
-    /// Block the calling thread for the configured real wire time (off by
-    /// default; benches opt in to measure fan-out overlap in wall-clock).
-    /// A statement riding an open pipelined exchange skips the sleep — its
-    /// batch already paid the round trip — and the flag self-clears so the
-    /// per-statement replay fallback always pays.
-    fn wire_delay(&mut self) {
-        let ride = std::mem::take(&mut self.ride_exchange);
-        let us = self.cluster.config.real_rtt_us;
-        if us > 0 && !ride {
-            std::thread::sleep(std::time::Duration::from_micros(us));
+    /// Execute a statement remotely as one message of `round`.
+    pub fn execute_in(
+        &mut self,
+        round: &mut WireRound,
+        stmt: &Statement,
+    ) -> PgResult<(QueryResult, SimCost)> {
+        let token = self.snapshot_token;
+        self.message(round, stmt_tag(stmt), |session| {
+            session.set_snapshot_token(token);
+            session.execute_stmt(stmt)
+        })
+    }
+
+    /// Attach the coordinator's distributed transaction id to the remote
+    /// session as one message of `round` — what the
+    /// `assign_distributed_transaction_id` UDF does for SQL callers, without
+    /// the SQL text. It is still a message (fault rules address it as a
+    /// `"select"`, the statement kind Citus sends).
+    pub fn assign_dist_txn_id(
+        &mut self,
+        round: &mut WireRound,
+        d: pgmini::lock::DistTxnId,
+    ) -> PgResult<()> {
+        self.message(round, "select", |session| {
+            session.assign_dist_txn_id(d);
+            Ok(())
+        })
+        .map(|_| ())
+    }
+
+    /// One message to the remote session. Fault interception happens here,
+    /// in two windows: a *before* fault means the request never reached the
+    /// node; an *after* fault means the node ran it but the reply was lost —
+    /// the caller sees a connection failure either way and cannot tell which
+    /// (the 2PC in-doubt window of §3.7.2).
+    fn message<T>(
+        &mut self,
+        round: &mut WireRound,
+        tag: &str,
+        run: impl FnOnce(&mut Session) -> PgResult<T>,
+    ) -> PgResult<(T, SimCost)> {
+        self.intercept(tag, FaultPhase::Before)?;
+        self.check_alive()?;
+        self.wire_delay(round);
+        let out = run(&mut self.session)?;
+        let cost = self.session.last_cost();
+        self.intercept(tag, FaultPhase::After)?;
+        Ok((out, cost))
+    }
+
+    /// The one place a round trip is paid: the first message of a round —
+    /// every message with `pipeline` off — counts in `Metrics::wire_rounds`
+    /// and blocks the calling thread for the configured real wire time (off
+    /// by default; benches opt in to measure wall-clock wire cost).
+    fn wire_delay(&self, round: &mut WireRound) {
+        let first = round.send();
+        if first || !self.cluster.config.pipeline {
+            self.cluster.metrics.wire_rounds.fetch_add(1, Ordering::Relaxed);
+            let us = self.cluster.config.real_rtt_us;
+            if us > 0 {
+                std::thread::sleep(std::time::Duration::from_micros(us));
+            }
         }
     }
 
@@ -653,13 +687,9 @@ impl WorkerConn {
         columns: &[String],
         rows: Vec<Row>,
     ) -> PgResult<(u64, SimCost)> {
-        self.intercept("copy", FaultPhase::Before)?;
-        self.check_alive()?;
-        self.wire_delay();
-        let n = self.session.copy_rows_local(table, columns, rows)?;
-        let cost = self.session.last_cost();
-        self.intercept("copy", FaultPhase::After)?;
-        Ok((n, cost))
+        self.message(&mut WireRound::new(), "copy", |session| {
+            session.copy_rows_local(table, columns, rows)
+        })
     }
 
     /// Direct access to the remote session (transaction control, UDFs).

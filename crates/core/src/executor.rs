@@ -27,6 +27,7 @@ use crate::metadata::NodeId;
 use crate::planner::join_order::PrepStep;
 use crate::planner::{merge, DistPlan, Merge, SortCol, Task};
 use netsim::makespan;
+use netsim::pipeline::WireRound;
 use pgmini::error::{ErrorCode, PgError, PgResult};
 use pgmini::session::QueryResult;
 use pgmini::types::{Row, SortKey};
@@ -144,11 +145,47 @@ impl SessionState {
         reads.sort();
         (writes, reads)
     }
+
+    /// Send one transaction-control message over the pooled connection `key`
+    /// as part of `round`; returns the remote service cost. The commit
+    /// protocol sends every message of a phase through here.
+    ///
+    /// A connection failure drops the connection — a broken socket never
+    /// goes back to the pool, and dropping aborts whatever its remote block
+    /// still holds. Any other outcome ends the remote block and returns the
+    /// connection. The one exception is a refused `PREPARE TRANSACTION`: the
+    /// connection stays, block open, for the `ROLLBACK` the caller answers
+    /// it with.
+    pub fn send(
+        &mut self,
+        round: &mut WireRound,
+        key: ConnKey,
+        stmt: &Statement,
+    ) -> PgResult<pgmini::cost::SimCost> {
+        let mut conn = self
+            .conns
+            .remove(&key)
+            .ok_or_else(|| PgError::internal("pooled connection vanished"))?;
+        let result = conn.execute_in(round, stmt);
+        let refused_prepare = result.is_err() && matches!(stmt, Statement::PrepareTransaction(_));
+        if refused_prepare {
+            self.conns.insert(key, conn);
+        } else if result.as_ref().is_err_and(is_connection_failure) {
+            self.affinity.retain(|_, k| *k != key);
+        } else {
+            conn.in_txn_block = false;
+            conn.used_for_writes = false;
+            self.conns.insert(key, conn);
+        }
+        result.map(|(_, cost)| cost)
+    }
 }
 
 /// Acquire (or open) a connection for a task, honouring affinity and the
 /// shared connection limit. Also opens the remote transaction block when the
-/// local session is in a transaction.
+/// local session is in a transaction: `BEGIN` and the transaction-id
+/// assignment go out in `round`, the round of the statement that needs the
+/// block (libpq pipeline mode — nothing waits for their replies).
 #[allow(clippy::too_many_arguments)]
 fn task_conn(
     cluster: &Arc<Cluster>,
@@ -157,6 +194,7 @@ fn task_conn(
     group: Option<(u32, usize)>,
     in_txn: bool,
     dist_txn: Option<pgmini::lock::DistTxnId>,
+    round: &mut WireRound,
     cost: &mut DistCost,
 ) -> PgResult<(ConnKey, WorkerConn, bool)> {
     let (key, mut conn, fresh) = match state.checkout(node, group) {
@@ -168,13 +206,9 @@ fn task_conn(
         }
     };
     if in_txn && !conn.in_txn_block {
-        conn.execute_stmt(&Statement::Begin)?;
+        conn.execute_in(round, &Statement::Begin)?;
         if let Some(d) = dist_txn {
-            let (_, c) = conn.execute(&format!(
-                "SELECT assign_distributed_transaction_id({}, {}, {})",
-                d.origin_node, d.number, d.timestamp
-            ))?;
-            let _ = c;
+            conn.assign_dist_txn_id(round, d)?;
         }
         conn.in_txn_block = true;
         cost.net_ms += conn.rtt_ms();
@@ -297,8 +331,7 @@ fn execute_plan_inner(
     let mut task_traces: Vec<(NodeId, u64, f64, f64, bool, u64)> = Vec::new();
     let tracing = state.trace.is_some();
     // a statement whose single remote target still has the transaction's
-    // pipelined exchange open rides it: no new round trip, and no real wire
-    // sleep for any of its tasks
+    // pipelined exchange open rides it: no new round trip
     let stmt_remote: Vec<NodeId> = {
         let mut v: Vec<NodeId> = Vec::new();
         for t in &plan.tasks {
@@ -331,7 +364,7 @@ fn execute_plan_inner(
             .map(|(t, _)| t.clone())
             .collect();
         let per_task =
-            fan_out_read_tasks(cluster, state, &remote_tasks, pipelined, token, &mut cost)?;
+            fan_out_read_tasks(cluster, state, &remote_tasks, token, &mut cost)?;
         let mut remote_iter = per_task.into_iter();
         for (task, local) in plan.tasks.iter().zip(&is_local) {
             if *local {
@@ -364,7 +397,6 @@ fn execute_plan_inner(
                             cluster,
                             state,
                             std::slice::from_ref(task),
-                            false,
                             token,
                             &mut cost,
                         )?;
@@ -424,7 +456,10 @@ fn execute_plan_inner(
         // session-thread path: writes and in-transaction statements, where
         // placement affinity binds shard groups to connections and a lost
         // reply must surface immediately (never re-tried)
-        let mut wire_paid: Vec<NodeId> = Vec::new();
+        // the statement is one wire round however many workers its tasks
+        // land on (`stmt_rtt` below charges the same); riding the
+        // transaction's open exchange, it pays none
+        let mut round = if riding { WireRound::riding() } else { WireRound::new() };
         for task in &plan.tasks {
             let target = task.node;
             if local_exec && target == self_node {
@@ -453,21 +488,12 @@ fn execute_plan_inner(
             }
             let bind_group = if in_txn { task.group } else { None };
             let (key, mut conn, _fresh) = task_conn(
-                cluster, state, target, task.group, in_txn, state.dist_txn, &mut cost,
+                cluster, state, target, task.group, in_txn, state.dist_txn, &mut round, &mut cost,
             )?;
             conn.fault_scope = task_scope(task);
             conn.snapshot_token = if task.is_write { None } else { token };
-            // one real wire sleep per worker per statement batch; a
-            // statement riding the transaction's open exchange pays none
-            if pipelined {
-                conn.ride_exchange = riding || wire_paid.contains(&target);
-                if !wire_paid.contains(&target) {
-                    wire_paid.push(target);
-                }
-            }
-            let outcome = conn.execute_stmt(&task.stmt);
+            let outcome = conn.execute_in(&mut round, &task.stmt);
             conn.fault_scope.clear();
-            conn.ride_exchange = false;
             conn.snapshot_token = None;
             if task.is_write {
                 conn.used_for_writes = true;
@@ -875,7 +901,8 @@ enum TaskRun {
 /// surviving placement when the target node is down. Runs to completion on
 /// any thread; never touches the virtual clock or shared counters (the
 /// post-pass owns those, in task order). With `defer_failover`, the task
-/// pauses instead of switching nodes.
+/// pauses instead of switching nodes. `round` is the wire round of the node
+/// batch the task belongs to.
 fn run_read_task(
     cluster: &Arc<Cluster>,
     pool: &FanOutPool,
@@ -883,7 +910,7 @@ fn run_read_task(
     max_attempts: u32,
     resume: TaskResume,
     defer_failover: bool,
-    ride: bool,
+    round: &mut WireRound,
     token: Option<u64>,
 ) -> TaskRun {
     let scope = task_scope(task);
@@ -903,10 +930,7 @@ fn run_read_task(
             Ok((origin, mut conn)) => {
                 conn.fault_scope = scope.clone();
                 conn.snapshot_token = token;
-                // later tasks of a node's batch ride the batch's wire
-                // exchange; any retry replays per-statement and pays
-                conn.ride_exchange = ride && attempt == 1;
-                match conn.execute_stmt(&task.stmt) {
+                match conn.execute_in(round, &task.stmt) {
                     Ok(ok) => {
                         conn.fault_scope.clear();
                         conn.snapshot_token = None;
@@ -944,6 +968,9 @@ fn run_read_task(
             return TaskRun::Done(TaskOutcome { result: Err(err), target, retries, backoff_ms });
         }
         retries += 1;
+        // the batch's exchange died with the failure: the retry replays
+        // per-statement and pays its own round trip
+        *round = WireRound::new();
         backoff_ms += (cluster.config.retry_backoff_ms * (1u64 << (attempt - 1).min(16)) as f64)
             .min(cluster.config.retry_backoff_cap_ms);
         if let Some(alt) = surviving_placement(cluster, task, target) {
@@ -971,7 +998,6 @@ fn fan_out_read_tasks(
     cluster: &Arc<Cluster>,
     state: &mut SessionState,
     tasks: &[Task],
-    pipelined: bool,
     token: Option<u64>,
     cost: &mut DistCost,
 ) -> PgResult<Vec<(QueryResult, pgmini::cost::SimCost, NodeId, u64, f64)>> {
@@ -1033,7 +1059,8 @@ fn fan_out_read_tasks(
     let mut runs: Vec<Option<TaskRun>> = (0..tasks.len()).map(|_| None).collect();
     if threads <= 1 {
         for (_, idxs) in &groups {
-            for (pos, &i) in idxs.iter().enumerate() {
+            let mut round = WireRound::new();
+            for &i in idxs {
                 runs[i] = Some(run_read_task(
                     cluster,
                     &pool,
@@ -1041,7 +1068,7 @@ fn fan_out_read_tasks(
                     max_attempts,
                     fresh(&tasks[i]),
                     true,
-                    pipelined && pos > 0,
+                    &mut round,
                     token,
                 ));
             }
@@ -1057,7 +1084,8 @@ fn fan_out_read_tasks(
                     if g >= groups.len() {
                         break;
                     }
-                    for (pos, &i) in groups[g].1.iter().enumerate() {
+                    let mut round = WireRound::new();
+                    for &i in &groups[g].1 {
                         let run = run_read_task(
                             cluster,
                             &pool,
@@ -1065,7 +1093,7 @@ fn fan_out_read_tasks(
                             max_attempts,
                             fresh(&tasks[i]),
                             true,
-                            pipelined && pos > 0,
+                            &mut round,
                             token,
                         );
                         slots.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(run);
@@ -1083,8 +1111,9 @@ fn fan_out_read_tasks(
         outcomes.push(match run {
             Some(TaskRun::Done(o)) => Some(o),
             Some(TaskRun::Deferred(resume)) => {
+                let mut round = WireRound::new();
                 match run_read_task(
-                    cluster, &pool, &tasks[i], max_attempts, resume, false, false, token,
+                    cluster, &pool, &tasks[i], max_attempts, resume, false, &mut round, token,
                 ) {
                     TaskRun::Done(o) => Some(o),
                     TaskRun::Deferred(_) => unreachable!("defer_failover=false never defers"),
@@ -1253,7 +1282,8 @@ fn create_and_load(
     rows: Vec<Row>,
     cost: &mut DistCost,
 ) -> PgResult<()> {
-    let (key, mut conn, _) = task_conn(cluster, state, node, None, false, None, cost)?;
+    let (key, mut conn, _) =
+        task_conn(cluster, state, node, None, false, None, &mut WireRound::new(), cost)?;
     let create = Statement::CreateTable(Box::new(CreateTable {
         name: table.to_string(),
         if_not_exists: false,

@@ -14,13 +14,14 @@ use crate::cost::DistCost;
 use crate::executor::{self, SessionState};
 use crate::metadata::NodeId;
 use crate::planner::{self, DistPlan, PlannerKind, SubplanExecutor};
+use netsim::pipeline::WireRound;
 use parking_lot::Mutex;
 use pgmini::engine::Engine;
 use pgmini::error::{ErrorCode, PgError, PgResult};
 use pgmini::hooks::Extension;
 use pgmini::session::{QueryResult, Session};
 use pgmini::types::{Datum, Row};
-use sqlparse::ast::Statement;
+use sqlparse::ast::{BinaryOp, Delete, Expr, Insert, InsertSource, Statement};
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
@@ -502,16 +503,16 @@ impl CitrusExtension {
         // transaction left open is closed by the commit round trips below
         state.pipeline.sync();
         let (write_keys, read_keys) = state.txn_conn_keys();
+        // first-phase round: read-only COMMITs, then the delegated COMMIT or
+        // every PREPARE TRANSACTION, all on the wire before any reply is
+        // awaited
+        let mut round = WireRound::new();
         // close read-only remote transactions
         let mut remote_reads = false;
         for key in read_keys {
-            if let Some(mut conn) = state.conns.remove(&key) {
-                if let Ok((_, c)) = conn.execute_stmt(&Statement::Commit) {
-                    state.commit_cost.add_node(conn.node, &c);
-                }
-                remote_reads |= conn.node != self.node;
-                conn.in_txn_block = false;
-                state.conns.insert(key, conn);
+            remote_reads |= key.0 != self.node;
+            if let Ok(c) = state.send(&mut round, key, &Statement::Commit) {
+                state.commit_cost.add_node(key.0, &c);
             }
         }
         if write_keys.is_empty() {
@@ -535,17 +536,8 @@ impl CitrusExtension {
             // A transaction that also wrote through local execution cannot
             // delegate — its local half commits with the session, so the
             // remote half needs a prepared transaction to stay atomic.
-            let key = write_keys[0];
-            let mut conn = state
-                .conns
-                .remove(&key)
-                .ok_or_else(|| PgError::internal("write connection vanished"))?;
-            let result = conn.execute_stmt(&Statement::Commit);
-            conn.in_txn_block = false;
-            conn.used_for_writes = false;
-            let node = conn.node;
-            state.conns.insert(key, conn);
-            let (_, c) = result?;
+            let node = write_keys[0].0;
+            let c = state.send(&mut round, write_keys[0], &Statement::Commit)?;
             cluster.metrics.delegated_commits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             if let Some(root) = &mut state.trace {
                 root.child(
@@ -566,24 +558,18 @@ impl CitrusExtension {
         self.active_txn_numbers.lock().insert(d.number);
         let mut prepared: Vec<(executor::ConnKey, String)> = Vec::new();
         let mut failure: Option<PgError> = None;
+        // abort round, used only on failure: ROLLBACK for the participant
+        // that refused, ROLLBACK PREPARED for those already prepared
+        let mut abort_round = WireRound::new();
         for (i, key) in write_keys.iter().enumerate() {
             let gid = format!("citrus_{}_{}_{}", d.origin_node, d.number, i);
-            let Some(mut conn) = state.conns.remove(key) else {
-                failure = Some(PgError::internal("write connection vanished"));
-                break;
-            };
-            let r = conn.execute_stmt(&Statement::PrepareTransaction(gid.clone()));
-            let node = conn.node;
-            match r {
-                Ok((_, c)) => {
-                    conn.in_txn_block = false;
-                    conn.used_for_writes = false;
-                    state.conns.insert(*key, conn);
-                    state.commit_cost.add_node(node, &c);
+            match state.send(&mut round, *key, &Statement::PrepareTransaction(gid.clone())) {
+                Ok(c) => {
+                    state.commit_cost.add_node(key.0, &c);
                     if let Some(root) = &mut state.trace {
                         root.child(
                             crate::trace::Span::new("2pc.prepare")
-                                .with("node", executor::node_label(&cluster, node))
+                                .with("node", executor::node_label(&cluster, key.0))
                                 .with("gid", &gid),
                         );
                     }
@@ -592,10 +578,7 @@ impl CitrusExtension {
                 Err(e) => {
                     // the remote transaction may still be open: roll it back
                     // now so the pooled connection is reusable
-                    let _ = conn.execute_stmt(&Statement::Rollback);
-                    conn.in_txn_block = false;
-                    conn.used_for_writes = false;
-                    state.conns.insert(*key, conn);
+                    let _ = state.send(&mut abort_round, *key, &Statement::Rollback);
                     failure = Some(e);
                     break;
                 }
@@ -612,10 +595,7 @@ impl CitrusExtension {
             // roll back everything: prepared ones via ROLLBACK PREPARED, the
             // rest via plain ROLLBACK (post_abort will catch stragglers)
             for (key, gid) in prepared {
-                if let Some(mut conn) = state.conns.remove(&key) {
-                    let _ = conn.execute_stmt(&Statement::RollbackPrepared(gid));
-                    state.conns.insert(key, conn);
-                }
+                let _ = state.send(&mut abort_round, key, &Statement::RollbackPrepared(gid));
             }
             self.active_txn_numbers.lock().remove(&d.number);
             return Err(e);
@@ -626,9 +606,7 @@ impl CitrusExtension {
         {
             let _guard = cluster.commit_record_lock.lock();
             for (_, gid) in &prepared {
-                session.execute_local(&sqlparse::parse(&format!(
-                    "INSERT INTO {COMMIT_RECORDS_TABLE} (gid) VALUES ('{gid}')"
-                ))?)?;
+                session.execute_local(&commit_record_insert(gid))?;
                 let local = session.last_cost();
                 state.commit_cost.coordinator.add(&local);
                 state.commit_cost.elapsed_ms += local.total_ms();
@@ -669,21 +647,18 @@ impl CitrusExtension {
         // that fail, §3.7.2)
         let pending = std::mem::take(&mut state.pending_prepared);
         let mut finished_numbers: Vec<u64> = Vec::new();
+        // second-phase round: every COMMIT PREPARED goes out before any
+        // reply is awaited
+        let mut round = WireRound::new();
         for (node, gid) in pending {
             let node_name = executor::node_label(&cluster, node);
+            let commit = Statement::CommitPrepared(gid.clone());
             let committed = match find_conn_to(state, node) {
-                Some(key) => {
-                    let mut conn = state.conns.remove(&key).expect("key present");
-                    let r = conn.execute_stmt(&Statement::CommitPrepared(gid.clone()));
-                    state.conns.insert(key, conn);
-                    r.is_ok()
-                }
-                None => match cluster.connect(node) {
-                    Ok(mut conn) => {
-                        conn.execute_stmt(&Statement::CommitPrepared(gid.clone())).is_ok()
-                    }
-                    Err(_) => false,
-                },
+                Some(key) => state.send(&mut round, key, &commit).is_ok(),
+                None => cluster
+                    .connect(node)
+                    .and_then(|mut conn| conn.execute_in(&mut round, &commit))
+                    .is_ok(),
             };
             if let Some(root) = &mut state.trace {
                 root.child(
@@ -698,11 +673,7 @@ impl CitrusExtension {
                     state.commit_cost.net_ms += cluster.config.engine.cost.net_rtt_ms;
                 }
                 // the commit record has served its purpose
-                if let Ok(stmt) = sqlparse::parse(&format!(
-                    "DELETE FROM {COMMIT_RECORDS_TABLE} WHERE gid = '{gid}'"
-                )) {
-                    let _ = session.execute_local(&stmt);
-                }
+                let _ = session.execute_local(&commit_record_delete(&gid));
                 if let Some(n) = parse_gid_number(&gid) {
                     finished_numbers.push(n);
                 }
@@ -755,13 +726,9 @@ impl CitrusExtension {
             .filter(|(_, c)| c.in_txn_block)
             .map(|(k, _)| *k)
             .collect();
+        let mut round = WireRound::new();
         for key in keys {
-            if let Some(mut conn) = state.conns.remove(&key) {
-                let _ = conn.execute_stmt(&Statement::Rollback);
-                conn.in_txn_block = false;
-                conn.used_for_writes = false;
-                state.conns.insert(key, conn);
-            }
+            let _ = state.send(&mut round, key, &Statement::Rollback);
         }
         if let Some(d) = state.dist_txn.take() {
             self.active_txn_numbers.lock().remove(&d.number);
@@ -785,6 +752,30 @@ impl CitrusExtension {
 
 fn find_conn_to(state: &SessionState, node: NodeId) -> Option<executor::ConnKey> {
     state.conns.keys().find(|(n, _)| *n == node).copied()
+}
+
+/// `INSERT INTO pg_dist_transaction (gid) VALUES ('<gid>')`, built as the AST
+/// the parser would produce: the commit path runs one per participant.
+fn commit_record_insert(gid: &str) -> Statement {
+    Statement::Insert(Box::new(Insert {
+        table: COMMIT_RECORDS_TABLE.to_string(),
+        columns: vec!["gid".to_string()],
+        source: InsertSource::Values(vec![vec![Expr::string(gid)]]),
+        on_conflict: None,
+    }))
+}
+
+/// `DELETE FROM pg_dist_transaction WHERE gid = '<gid>'`.
+fn commit_record_delete(gid: &str) -> Statement {
+    Statement::Delete(Box::new(Delete {
+        table: COMMIT_RECORDS_TABLE.to_string(),
+        alias: None,
+        where_clause: Some(Expr::Binary {
+            left: Box::new(Expr::col("gid")),
+            op: BinaryOp::Eq,
+            right: Box::new(Expr::string(gid)),
+        }),
+    }))
 }
 
 /// Statement kinds worth hashing for the plan cache: CRUD only (DDL and
@@ -1270,5 +1261,19 @@ impl crate::planner::join_order::JoinOrderEnv for PlannerEnv<'_> {
         let cluster = self.ext.cluster()?;
         let engine = cluster.node(self.ext.node)?.engine();
         Ok(engine.table_meta(table)?.column_names())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn commit_record_statements_are_what_the_parser_builds() {
+        let gid = "citrus_0_7_1";
+        let insert = format!("INSERT INTO {COMMIT_RECORDS_TABLE} (gid) VALUES ('{gid}')");
+        assert_eq!(commit_record_insert(gid), sqlparse::parse(&insert).unwrap());
+        let delete = format!("DELETE FROM {COMMIT_RECORDS_TABLE} WHERE gid = '{gid}'");
+        assert_eq!(commit_record_delete(gid), sqlparse::parse(&delete).unwrap());
     }
 }

@@ -100,6 +100,10 @@ pub struct Metrics {
     /// Tasks/statements that rode an already-open exchange instead of
     /// paying their own round trip (the batching savings).
     pub pipeline_coalesced: AtomicU64,
+    /// Wire round trips paid (see [`netsim::pipeline::WireRound`]): counted
+    /// where the fabric decides to pay, whether or not `real_rtt_us` makes
+    /// the payment a real sleep.
+    pub wire_rounds: AtomicU64,
     /// Tasks executed in the client's own backend via local execution (the
     /// worker half of MX mode).
     pub local_exec_tasks: AtomicU64,

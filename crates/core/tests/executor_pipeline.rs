@@ -14,7 +14,10 @@
 //!   remote transactions — so force-disabling the fast path into divergence
 //!   makes this suite fail, not silently pass;
 //! * clean per-statement fallback when a fault plan errors or crashes a
-//!   node mid-batch.
+//!   node mid-batch;
+//! * the protocol's shape in exact wire-round counts (`Metrics::wire_rounds`,
+//!   never timings): one round per protocol step pipelined, one per message
+//!   with pipelining off.
 
 use citrus::cluster::{Cluster, ClusterConfig};
 use citrus::metadata::NodeId;
@@ -378,6 +381,160 @@ fn mid_batch_crash_fails_over_identically() {
         answers.push(row_keys(&r, false));
     }
     assert_eq!(answers[0], answers[1], "failover rows agree across wire modes");
+}
+
+/// The worker holding the shard for `t.k = key`.
+fn node_of_key(c: &Arc<Cluster>, key: i64) -> NodeId {
+    let meta = c.metadata.read();
+    let b = meta.shard_index_for_value("t", &Datum::Int(key)).unwrap();
+    let dt = meta.table("t").unwrap();
+    meta.shard(dt.shards[b]).unwrap().placements[0]
+}
+
+/// Two seeded keys on worker 1 and one on worker 2.
+fn keys_by_worker(c: &Arc<Cluster>) -> (i64, i64, i64) {
+    let on = |n: u32| (0..SEED_ROWS).filter(move |k| node_of_key(c, *k) == NodeId(n));
+    let mut w1 = on(1);
+    (w1.next().unwrap(), w1.next().unwrap(), on(2).next().unwrap())
+}
+
+/// Run `stmts` on a fresh session and return the wire rounds each one paid.
+fn rounds_per_statement(c: &Arc<Cluster>, stmts: &[String]) -> Vec<u64> {
+    let mut s = c.session().unwrap();
+    stmts
+        .iter()
+        .map(|sql| {
+            let before = c.metrics.wire_rounds.load(Ordering::Relaxed);
+            s.execute(sql).unwrap_or_else(|e| panic!("`{sql}`: {e:?}"));
+            c.metrics.wire_rounds.load(Ordering::Relaxed) - before
+        })
+        .collect()
+}
+
+/// The three transaction shapes the wire-round contract is stated on: two
+/// updates on two workers (2PC), two on one worker (delegated commit), and
+/// one in-transaction update whose tasks land on both workers.
+fn wire_shapes(c: &Arc<Cluster>) -> [Vec<String>; 3] {
+    let (k1, k1b, k2) = keys_by_worker(c);
+    let upd = |k: i64| format!("UPDATE t SET v = v + 1 WHERE k = {k}");
+    let txn = |body: Vec<String>| {
+        let mut v = vec!["BEGIN".to_string()];
+        v.extend(body);
+        v.push("COMMIT".to_string());
+        v
+    };
+    [
+        txn(vec![upd(k1), upd(k2)]),
+        txn(vec![upd(k1), upd(k1b)]),
+        txn(vec!["UPDATE t SET v = v + 1".to_string()]),
+    ]
+}
+
+/// One wire round per protocol step. Pipelined, BEGIN and the transaction-id
+/// assignment ride the statement that opens a worker's block, a statement is
+/// one round however many workers its tasks reach, and each commit phase is
+/// one round: a two-worker transaction pays 4 round trips and a delegated
+/// one 2. With pipelining off every message pays: 10 and 5.
+#[test]
+fn a_protocol_step_is_one_wire_round() {
+    let fast = build(1, true, false);
+    let [two_pc, delegated, fan_out] = wire_shapes(&fast);
+    assert_eq!(rounds_per_statement(&fast, &two_pc), [0, 1, 1, 2], "2PC, pipelined");
+    assert_eq!(rounds_per_statement(&fast, &delegated), [0, 1, 0, 1], "delegated, pipelined");
+    assert_eq!(rounds_per_statement(&fast, &fan_out), [0, 1, 2], "multi-worker update, pipelined");
+    assert_eq!(fast.metrics.twopc_commits.load(Ordering::Relaxed), 2);
+    assert_eq!(fast.metrics.delegated_commits.load(Ordering::Relaxed), 1);
+
+    // per message: BEGIN + assignment + UPDATE per new participant, one
+    // PREPARE and one COMMIT PREPARED each; 8 shard tasks behind 2 BEGINs
+    // and 2 assignments
+    let legacy = build(1, false, false);
+    assert_eq!(rounds_per_statement(&legacy, &two_pc), [0, 3, 3, 4], "2PC, per message");
+    assert_eq!(rounds_per_statement(&legacy, &delegated), [0, 3, 1, 1], "delegated, per message");
+    assert_eq!(rounds_per_statement(&legacy, &fan_out), [0, 12, 4], "multi-worker update, per message");
+}
+
+/// The round shapes change only where wall-clock wire time is spent: on the
+/// three contract shapes both wire modes return the same results and final
+/// state, and each mode's virtual cost and trace are thread-invariant.
+#[test]
+fn wire_rounds_are_invisible_to_results_costs_and_traces() {
+    for shape in wire_shapes(&build(1, true, false)) {
+        let stmts: Vec<(String, bool, bool)> =
+            shape.into_iter().map(|sql| (sql, false, true)).collect();
+        let fast1 = run_stream(1, true, &stmts).unwrap();
+        let fast8 = run_stream(8, true, &stmts).unwrap();
+        let legacy1 = run_stream(1, false, &stmts).unwrap();
+        let legacy8 = run_stream(8, false, &stmts).unwrap();
+        assert_eq!(fast1.outcomes, legacy1.outcomes);
+        assert_eq!(fast1.final_state, legacy1.final_state);
+        assert_eq!(fast1.final_state, fast8.final_state);
+        assert_eq!(legacy1.final_state, legacy8.final_state);
+        assert_eq!(fast1.elapsed_ms, fast8.elapsed_ms);
+        assert_eq!(legacy1.elapsed_ms, legacy8.elapsed_ms);
+        assert_eq!(fast1.fingerprint, fast8.fingerprint);
+        assert_eq!(legacy1.fingerprint, legacy8.fingerprint);
+        assert!(fast1.elapsed_ms < legacy1.elapsed_ms);
+    }
+}
+
+/// Faults on the second participant's PREPARE TRANSACTION — the message
+/// that now rides the first one's round. A lost request aborts the whole
+/// transaction (first participant rolled back from prepared, nothing left
+/// behind); a crash after the remote PREPARE leaves one orphan that recovery
+/// rolls back. Same outcome in both wire modes, and the abort is one round.
+#[test]
+fn a_fault_on_the_riding_prepare_aborts_and_recovers_as_before() {
+    for fast in [true, false] {
+        for crash in [false, true] {
+            let c = build(1, fast, false);
+            let (k1, _, k2) = keys_by_worker(&c);
+            let mut s = c.session().unwrap();
+            let rule = if crash {
+                FaultRule::crash_after(2, "prepare_transaction")
+            } else {
+                FaultRule::stmt_error(2, "prepare_transaction")
+            };
+            let inj = c.install_faults(FaultPlan::new().with(rule), 0);
+            s.execute("BEGIN").unwrap();
+            s.execute(&format!("UPDATE t SET v = 777 WHERE k = {k1}")).unwrap();
+            s.execute(&format!("UPDATE t SET v = 777 WHERE k = {k2}")).unwrap();
+            let before = c.metrics.wire_rounds.load(Ordering::Relaxed);
+            let err = s.execute("COMMIT").unwrap_err();
+            let paid = c.metrics.wire_rounds.load(Ordering::Relaxed) - before;
+            let ctx = format!("fast={fast} crash={crash}");
+            assert_eq!(err.code, ErrorCode::ConnectionFailure, "{ctx}");
+            assert_eq!(inj.fired(), 1, "{ctx}");
+            // first-phase round (PREPARE to worker 1, plus worker 2's when it
+            // got out), then the abort round: ROLLBACK to worker 2 — which a
+            // crashed node never receives — and ROLLBACK PREPARED to worker 1
+            assert_eq!(paid, if fast { 2 } else { 3 }, "{ctx}");
+
+            let prepared =
+                |n: u32| c.node(NodeId(n)).unwrap().engine().txns.prepared_gids().len();
+            assert_eq!(prepared(1), 0, "{ctx}: first participant rolled back from prepared");
+            assert_eq!(prepared(2), usize::from(crash), "{ctx}");
+            if crash {
+                citrus::ha::heal_node(&c, NodeId(2)).unwrap();
+                let stats = citrus::recovery::recover_once(&c).unwrap();
+                assert_eq!((stats.rolled_back, stats.committed), (1, 0), "{ctx}");
+                assert_eq!(prepared(2), 0, "{ctx}");
+            }
+            let r = s.execute(&format!("SELECT v FROM t WHERE k IN ({k1}, {k2})")).unwrap();
+            let mut vs: Vec<i64> = r.rows().iter().map(|r| r[0].as_i64().unwrap()).collect();
+            vs.sort();
+            let mut seeded = [k1 * 10, k2 * 10];
+            seeded.sort();
+            assert_eq!(vs, seeded, "{ctx}: neither write survived");
+
+            // the session keeps committing two-worker transactions
+            s.execute("BEGIN").unwrap();
+            s.execute(&format!("UPDATE t SET v = 1 WHERE k = {k1}")).unwrap();
+            s.execute(&format!("UPDATE t SET v = 1 WHERE k = {k2}")).unwrap();
+            s.execute("COMMIT").unwrap();
+            assert_eq!(c.metrics.twopc_commits.load(Ordering::Relaxed), 1, "{ctx}");
+        }
+    }
 }
 
 /// The MX half: a routed tenant transaction plans, executes, and commits on

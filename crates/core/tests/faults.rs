@@ -139,6 +139,46 @@ fn crash_between_prepare_and_commit_prepared_rolls_back() {
     assert_eq!(v_of(&mut s, k2), 1);
 }
 
+/// A connection that died under a commit-protocol message is a broken
+/// socket and must not go back to the session's pool: after the worker is
+/// promoted, the same session's next write to it succeeds first try (writes
+/// are never retried, so a pooled dead connection would fail it once).
+#[test]
+fn connection_lost_in_the_commit_protocol_is_not_pooled() {
+    // (message that loses its reply to a crash, transaction that sends it;
+    // K1 / K2 stand for a key on worker 1 / worker 2)
+    let scenarios: [(&str, &[&str]); 3] = [
+        // second phase of a two-worker 2PC
+        (
+            "commit_prepared",
+            &["BEGIN", "UPDATE t SET v = 2 WHERE k = K1", "UPDATE t SET v = 2 WHERE k = K2", "COMMIT"],
+        ),
+        // COMMIT of a read-only participant beside a delegated write
+        (
+            "commit",
+            &["BEGIN", "SELECT v FROM t WHERE k = K1", "UPDATE t SET v = 2 WHERE k = K2", "COMMIT"],
+        ),
+        // abort path
+        ("rollback", &["BEGIN", "UPDATE t SET v = 2 WHERE k = K1", "ROLLBACK"]),
+    ];
+    for (tag, txn) in scenarios {
+        let c = dist_table_cluster(2);
+        let (w1, w2) = (NodeId(1), NodeId(2));
+        let (k1, k2) = (key_on_node(&c, w1), key_on_node(&c, w2));
+        let mut s = c.session().unwrap();
+        let inj = c.install_faults(FaultPlan::new().with(FaultRule::crash_after(w1.0, tag)), 0);
+        for template in txn {
+            let sql = template.replace("K1", &k1.to_string()).replace("K2", &k2.to_string());
+            s.execute(&sql).unwrap_or_else(|e| panic!("{tag}: `{sql}`: {e:?}"));
+        }
+        assert_eq!(inj.fired(), 1, "{tag}");
+        citrus::ha::promote_standby(&c, w1).unwrap();
+        s.execute(&format!("UPDATE t SET v = 3 WHERE k = {k1}"))
+            .unwrap_or_else(|e| panic!("{tag}: first statement after the loss: {e:?}"));
+        assert_eq!(v_of(&mut s, k1), 3, "{tag}");
+    }
+}
+
 // ---------------- executor retry / backoff ----------------
 
 /// A one-shot statement error on a read task is absorbed by a retry, with

@@ -8,8 +8,13 @@
 //! replies stream back, so a run of k same-worker statements costs one
 //! round trip of latency, not k.
 //!
-//! Two layers use this module:
+//! Three layers use this module:
 //!
+//! * **Within a protocol step**: [`WireRound`] is every message the sender
+//!   puts on the wire before it waits for a reply — a statement's tasks with
+//!   the `BEGIN` that opens their remote block, all `PREPARE TRANSACTION`s
+//!   of a commit, all `COMMIT PREPARED`s. The first message of a round pays
+//!   the round trip; the rest ride it.
 //! * **Within a statement**: [`plan_batches`] groups a statement's task
 //!   targets so each worker is charged one exchange per step regardless of
 //!   how many shard tasks land on it (the per-node request batch goes out as
@@ -58,6 +63,38 @@ pub fn plan_batches(targets: &[u32]) -> BatchPlan {
         }
     }
     BatchPlan { per_node }
+}
+
+/// One wire round: the messages a protocol step sends before it waits for
+/// any reply. Real Citus writes a phase's commands to every participant's
+/// socket and only then collects results, and libpq pipeline mode does the
+/// same for the `BEGIN` that precedes a statement, so the step costs one
+/// round trip of latency however many messages it carries. The round only
+/// remembers whether that round trip was paid; the fabric asks it per
+/// message *after* the message's send-side fault window, so a request that
+/// never reached the wire pays nothing and opens nothing.
+#[derive(Debug, Default)]
+pub struct WireRound {
+    open: bool,
+}
+
+impl WireRound {
+    /// A round nothing has been sent in yet: its first message pays.
+    pub fn new() -> WireRound {
+        WireRound::default()
+    }
+
+    /// A round an earlier statement already paid for: the statement rides
+    /// its transaction's open exchange ([`SessionPipeline::rides`]).
+    pub fn riding() -> WireRound {
+        WireRound { open: true }
+    }
+
+    /// Put one message on the wire. True when it is the round's first and
+    /// so pays the round trip.
+    pub fn send(&mut self) -> bool {
+        !std::mem::replace(&mut self.open, true)
+    }
 }
 
 /// Cross-statement pipeline state for one client session.
@@ -134,6 +171,16 @@ mod tests {
         let b = plan_batches(&[]);
         assert_eq!(b.exchanges(), 0);
         assert_eq!(b.coalesced(), 0);
+    }
+
+    #[test]
+    fn only_the_first_message_of_a_round_pays() {
+        let mut r = WireRound::new();
+        assert!(r.send());
+        assert!(!r.send());
+        assert!(!r.send());
+        let mut riding = WireRound::riding();
+        assert!(!riding.send(), "the open exchange already paid");
     }
 
     #[test]

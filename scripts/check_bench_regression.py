@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Bench regression gate (ci.sh step 15).
+"""Bench regression gate (ci.sh step 8).
 
 Compares the freshly generated smoke bench artifacts against the committed
 baselines. The virtual-time fields in the smoke artifacts are deterministic

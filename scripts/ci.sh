@@ -1,52 +1,26 @@
 #!/usr/bin/env sh
 # Tier-1 CI gate. Mirrors what the driver runs, plus a warnings-as-errors
-# pass over the paper-contribution crate and the fault-injection suite.
+# pass over the paper-contribution crate, the bench smokes and one run of
+# the wall-clock benchmark.
 #
 #   1. release build of the whole workspace
-#   2. full test suite (quiet)
+#   2. full test suite (quiet). The root manifest's `default-members` is the
+#      whole workspace, so this one command runs every suite (~500 tests):
+#      fault injection, parallel-executor equivalence, the pipelining /
+#      wire-round wall, trace goldens + the differential oracle, the
+#      vectorized wall, rebalancer crash drills, the snapshot-isolation
+#      anomaly wall, MX fence drills, the rollup recompute differential and
+#      the seeded sim chaos corpus. There is no filter to skip one by.
 #   3. crates/core must compile warning-free (tests included)
-#   4. deterministic fault-injection suite, run explicitly so a partial
-#      test filter in step 2 can never silently skip it
-#   5. parallel-executor equivalence + plan-cache suite, same reasoning
-#   6. observability suite: golden EXPLAIN/trace snapshots (including the
-#      executor_threads=1 vs =8 trace-fingerprint diff) + the differential
-#      oracle against single-node pgmini under an active fault plan
-#   7. vectorized-execution differential wall: batched columnar kernels vs
-#      the volcano path on identical clusters (results, error codes, fault
-#      fingerprints, and 1-vs-8-thread cost/trace invariance per mode)
-#   8. rebalancer crash-safety drills: a move killed at every phase boundary
-#      (error and crash+promote), move-journal recovery, and the
-#      concurrent-writes-during-faulted-move oracle proptest
-#   9. snapshot-isolation anomaly wall: the interleaver-driven read-skew
-#      demonstrator/mirror pair (tests/semantics.rs) and the mode x thread
-#      differential + MX frozen-window suite (mx_snapshot.rs), run
-#      explicitly so a partial filter can never skip the anomaly tests
-#  10. MX generation-fence escalation drills: concurrent DDL / frozen DDL /
-#      shard moves / failover interleaved into open MX transactions
-#      (mx_ddl_escalation.rs, with the pre-fix hang and silent-commit
-#      anomalies kept as negative demonstrators), plus the sim's
-#      mx_ddl_interleave drill mode under the full chaos plan — run
-#      explicitly so a partial filter can never skip the fence wall
-#  11. workloads suite, run explicitly: seeded-chaos sim corpus (every seed
-#      oracle-checked with >= 1 move, failover, and faulted statement;
-#      even seeds run with snapshot isolation on and the read-skew
-#      invariant active), seed-determinism of the workload drivers, and the
-#      INSERT..SELECT / stored-procedure differential tests
-#  12. rollup/changefeed recompute-differential wall + chaos drills
-#      (rollup_differential.rs, rollup_drills.rs): incremental maintenance
-#      vs full recompute under proptest op streams at 1 and 8 threads with
-#      and without a fault plan, plus crash+promote, per-phase faulted
-#      moves with cursor handoff, and the frozen-2PC window — run
-#      explicitly so a partial filter can never skip the differential wall
-#  13. one-iteration smoke of the executor bench (exercises the wall-clock
+#   4. one-iteration smoke of the executor bench (exercises the wall-clock
 #      fan-out and plan-cache paths end to end; no thresholds)
-#  14. one-iteration smoke of the §4 workloads evaluation (also writes the
+#   5. one-iteration smoke of the §4 workloads evaluation (also writes the
 #      snapshot-isolation mode-off vs mode-on overhead artifact; the
 #      distributed real-time-analytics arm serves its dashboard from the
 #      incrementally maintained commit rollup)
-#  15. smoke of the columnar vectorized-vs-volcano bench
-#  16. smoke of the incremental-rollup-vs-recompute bench
-#  17. bench regression gate: the smoke artifacts' virtual-time numbers are
+#   6. smoke of the columnar vectorized-vs-volcano bench
+#   7. smoke of the incremental-rollup-vs-recompute bench
+#   8. bench regression gate: the smoke artifacts' virtual-time numbers are
 #      deterministic, so they are compared against the committed
 #      BENCH_*_smoke.json baselines — TPC-C / YCSB / columnar-vectorized
 #      units_per_vsec must not regress more than 10%, the warm plan-cache arm
@@ -55,6 +29,11 @@
 #      nothing when off (mode-off vs committed baseline) and <=10% when on
 #      (mode-on vs fresh mode-off); the incremental rollup arm must beat
 #      recompute and not regress more than 10% against its baseline
+#   9. the wall-clock benchmark (benchmark/, see BENCHMARK.json) for
+#      `dtxn_wire` and `tpcc` at --seconds 1: the two workloads through the
+#      commit protocol, with and without real wire time. No timing is
+#      gated; the run must pass its correctness check with no failed
+#      operation
 #
 # Usage: scripts/ci.sh [--long]
 #   --long   widen the sim chaos corpus (CITRUS_SIM_SEEDS=60; default 25)
@@ -70,58 +49,39 @@ for arg in "$@"; do
     esac
 done
 
-echo "==> [1/17] cargo build --release"
+echo "==> [1/9] cargo build --release"
 cargo build --release
 
-echo "==> [2/17] cargo test -q"
-cargo test -q
+echo "==> [2/9] cargo test -q (whole workspace; sim chaos corpus: ${SIM_SEEDS} seeds)"
+CITRUS_SIM_SEEDS="$SIM_SEEDS" cargo test -q
 
-echo "==> [3/17] warnings-as-errors check of crates/core"
+echo "==> [3/9] warnings-as-errors check of crates/core"
 RUSTFLAGS="-Dwarnings" cargo check -p citrus --all-targets
 
-echo "==> [4/17] fault-injection suite"
-cargo test -q -p citrus --test faults
-
-echo "==> [5/17] parallel-executor equivalence suite"
-cargo test -q -p citrus --test executor_parallel
-
-echo "==> [6/17] trace-golden + differential-oracle suite (1 vs 8 threads)"
-cargo test -q -p citrus --test trace_golden --test oracle_differential
-
-echo "==> [7/17] vectorized-vs-volcano differential wall"
-cargo test -q -p citrus --test executor_vectorized
-
-echo "==> [8/17] rebalancer crash-safety drill suite"
-cargo test -q -p citrus --test rebalance_faults
-
-echo "==> [9/17] snapshot-isolation anomaly wall (demonstrator/mirror + MX differential)"
-cargo test -q --test semantics
-cargo test -q -p citrus --test mx_snapshot
-
-echo "==> [10/17] MX generation-fence escalation drills"
-cargo test -q -p citrus --test mx_ddl_escalation
-cargo test -q -p workloads --test sim_chaos mx_ddl_interleave_drill_corpus
-cargo test -q -p workloads --test sim_chaos drill_
-
-echo "==> [11/17] workloads suite: sim chaos corpus (${SIM_SEEDS} seeds) + oracle tests"
-CITRUS_SIM_SEEDS="$SIM_SEEDS" cargo test -q -p workloads
-
-echo "==> [12/17] rollup recompute-differential wall + chaos drills"
-cargo test -q -p citrus --test rollup_differential --test rollup_drills
-
-echo "==> [13/17] executor bench smoke"
+echo "==> [4/9] executor bench smoke"
 sh scripts/bench.sh --smoke
 
-echo "==> [14/17] workloads bench smoke"
+echo "==> [5/9] workloads bench smoke"
 sh scripts/bench_workloads.sh --smoke
 
-echo "==> [15/17] columnar vectorized bench smoke"
+echo "==> [6/9] columnar vectorized bench smoke"
 sh scripts/bench_columnar.sh --smoke
 
-echo "==> [16/17] rollup incremental-vs-recompute bench smoke"
+echo "==> [7/9] rollup incremental-vs-recompute bench smoke"
 sh scripts/bench_rollup.sh --smoke
 
-echo "==> [17/17] bench regression gate (vs committed smoke baselines)"
+echo "==> [8/9] bench regression gate (vs committed smoke baselines)"
 python3 scripts/check_bench_regression.py
+
+echo "==> [9/9] wall-clock benchmark: dtxn_wire and tpcc, correctness only"
+for workload in dtxn_wire tpcc; do
+    result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 42 --seconds 1 --trace 0 | tail -n 1)
+    echo "$result"
+    case "$result" in
+        *'"correct": true'*'"failed": 0,'*) ;;
+        *) echo "benchmark $workload: wrong output or failed operations" >&2; exit 1 ;;
+    esac
+done
 
 echo "==> CI green"
