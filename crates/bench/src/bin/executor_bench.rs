@@ -1,7 +1,7 @@
 //! Executor benchmark: real wall-clock fan-out speedup and plan-cache
 //! effectiveness. Emits `BENCH_executor.json`.
 //!
-//! Two measurements:
+//! Three measurements:
 //!
 //! 1. **Fan-out speedup** — a 32-shard pushdown aggregate on an 8-worker
 //!    cluster with `real_rtt_us` set, so every remote statement carries a
@@ -16,6 +16,12 @@
 //!    per-statement latency and the warm hit rate. Measured by
 //!    [`citrus_bench::plan_cache`]: median-round wall clock, so warm ≤ cold
 //!    holds on the wall clock as well as the virtual one.
+//!
+//! 3. **Worker plan** — the engine's local plan cache on a bare engine: the
+//!    YCSB point read and update, cache cleared before every statement
+//!    (cold: shape, plan, insert, bind, run) vs. left warm (shape, bind,
+//!    run), in wall nanoseconds per statement. This is the worker half of
+//!    the §3.5.1 prepared-statement path ([`citrus_bench::plan_cache::worker_plan`]).
 //!
 //! `--smoke` runs a reduced iteration count with no thresholds, for CI.
 
@@ -118,9 +124,27 @@ fn main() {
         pcts[0], pcts[1], pcts[2]
     );
 
+    let (wp_rows, wp_stmts, wp_rounds) = if smoke { (2_000, 500, 3) } else { (12_500, 4_000, 5) };
+    eprintln!("worker plan: YCSB read/update x{wp_stmts} per round, {wp_rounds} rounds, {wp_rows} rows");
+    let wp = plan_cache::worker_plan(wp_rows, wp_stmts, wp_rounds);
+    eprintln!(
+        "  read cold={:.0}ns warm={:.0}ns; update cold={:.0}ns warm={:.0}ns",
+        wp.read_cold_ns, wp.read_warm_ns, wp.update_cold_ns, wp.update_warm_ns
+    );
+
     let json = format!(
-        "{{\n  \"bench\": \"executor\",\n  \"smoke\": {smoke},\n  \"fanout\": {{\n    \"shards\": 32,\n    \"workers\": 8,\n    \"rtt_us\": {rtt_us},\n    \"iters\": {fan_iters},\n    \"wall_secs\": {{\"t1\": {:.6}, \"t4\": {:.6}, \"t8\": {:.6}}},\n    \"speedup_t4\": {speedup_4:.3},\n    \"speedup_t8\": {speedup_8:.3}\n  }},\n  \"plan_cache\": {{\n    \"iters\": {},\n    \"rounds\": {crud_rounds},\n    \"cold_ms_per_stmt\": {cold_ms:.5},\n    \"warm_ms_per_stmt\": {warm_ms:.5},\n    \"cold_wall_us_per_stmt\": {cold_wall_us:.3},\n    \"warm_wall_us_per_stmt\": {warm_wall_us:.3},\n    \"warm_hit_rate\": {hit_rate:.4}\n  }},\n  \"latency_ms\": {{\n    \"source\": \"metrics statement histogram (virtual time, warm arm)\",\n    \"statements\": {stmt_count},\n    \"p50\": {:.3},\n    \"p95\": {:.3},\n    \"p99\": {:.3}\n  }}\n}}\n",
-        fanout[0].1, fanout[1].1, fanout[2].1, crud_iters * 4, pcts[0], pcts[1], pcts[2],
+        "{{\n  \"bench\": \"executor\",\n  \"smoke\": {smoke},\n  \"fanout\": {{\n    \"shards\": 32,\n    \"workers\": 8,\n    \"rtt_us\": {rtt_us},\n    \"iters\": {fan_iters},\n    \"wall_secs\": {{\"t1\": {:.6}, \"t4\": {:.6}, \"t8\": {:.6}}},\n    \"speedup_t4\": {speedup_4:.3},\n    \"speedup_t8\": {speedup_8:.3}\n  }},\n  \"plan_cache\": {{\n    \"iters\": {},\n    \"rounds\": {crud_rounds},\n    \"cold_ms_per_stmt\": {cold_ms:.5},\n    \"warm_ms_per_stmt\": {warm_ms:.5},\n    \"cold_wall_us_per_stmt\": {cold_wall_us:.3},\n    \"warm_wall_us_per_stmt\": {warm_wall_us:.3},\n    \"warm_hit_rate\": {hit_rate:.4}\n  }},\n  \"worker_plan\": {{\n    \"rows\": {wp_rows},\n    \"stmts_per_round\": {wp_stmts},\n    \"rounds\": {wp_rounds},\n    \"read_cold_ns_per_stmt\": {:.0},\n    \"read_warm_ns_per_stmt\": {:.0},\n    \"update_cold_ns_per_stmt\": {:.0},\n    \"update_warm_ns_per_stmt\": {:.0}\n  }},\n  \"latency_ms\": {{\n    \"source\": \"metrics statement histogram (virtual time, warm arm)\",\n    \"statements\": {stmt_count},\n    \"p50\": {:.3},\n    \"p95\": {:.3},\n    \"p99\": {:.3}\n  }}\n}}\n",
+        fanout[0].1,
+        fanout[1].1,
+        fanout[2].1,
+        crud_iters * 4,
+        wp.read_cold_ns,
+        wp.read_warm_ns,
+        wp.update_cold_ns,
+        wp.update_warm_ns,
+        pcts[0],
+        pcts[1],
+        pcts[2],
     );
     // Smoke runs write their own artifact: it doubles as the committed CI
     // regression baseline (virtual-time fields are deterministic) and must
@@ -143,6 +167,10 @@ fn main() {
             warm_wall_us <= cold_wall_us,
             "warm wall clock ({warm_wall_us:.1}us/stmt) regressed past cold \
              ({cold_wall_us:.1}us/stmt)"
+        );
+        assert!(
+            wp.read_warm_ns < wp.read_cold_ns && wp.update_warm_ns < wp.update_cold_ns,
+            "a warm shard plan must be cheaper than planning: {wp:?}"
         );
         eprintln!("PASS: speedup_t8={speedup_8:.2}x hit_rate={hit_rate:.3} warm={warm_ms:.4}ms<cold={cold_ms:.4}ms");
     }

@@ -11,8 +11,11 @@
 
 use citrus::cluster::{Cluster, ClusterConfig};
 use citrus::metadata::NodeId;
+use pgmini::engine::Engine;
+use sqlparse::ast::Statement;
 use std::sync::Arc;
 use std::time::Instant;
+use workloads::ycsb;
 
 /// One arm (cache on or off) of the repeated-CRUD measurement.
 #[derive(Debug, Clone)]
@@ -108,5 +111,67 @@ pub fn crud_loop(plan_cache: bool, iters: u32, rounds: u32) -> CrudStats {
             hist.percentile(0.99),
         ],
         statements: hist.count(),
+    }
+}
+
+/// Cold vs warm wall nanoseconds per statement of the engine's *local* plan
+/// cache (`pgmini::plancache`), for the two YCSB shapes a worker sees.
+#[derive(Debug, Clone, Copy)]
+pub struct WorkerPlanStats {
+    pub read_cold_ns: f64,
+    pub read_warm_ns: f64,
+    pub update_cold_ns: f64,
+    pub update_warm_ns: f64,
+}
+
+/// Median-round ns/statement of `stmts` on `engine`, with the plan cache
+/// cleared before every statement (`cold`) or left warm.
+fn engine_ns_per_stmt(engine: &Arc<Engine>, stmts: &[Statement], rounds: u32, cold: bool) -> f64 {
+    let mut s = engine.session().unwrap();
+    let mut per_round = Vec::new();
+    for _ in 0..rounds {
+        // every round meets the same heap: no version chains left by the last
+        engine.vacuum_all().unwrap();
+        let mut ns = 0u128;
+        for stmt in stmts {
+            if cold {
+                engine.clear_plan_cache();
+            }
+            let t0 = Instant::now();
+            s.execute_stmt(std::hint::black_box(stmt)).unwrap();
+            ns += t0.elapsed().as_nanos();
+        }
+        per_round.push(ns as f64 / stmts.len() as f64);
+    }
+    per_round.sort_by(|a, b| a.total_cmp(b));
+    per_round[per_round.len() / 2]
+}
+
+/// The YCSB point read and single-field update on a bare engine holding
+/// `rows` usertable rows: parsed up front, so the difference between the arms
+/// is the local planning a warm shape skips.
+pub fn worker_plan(rows: u64, stmts_per_round: u32, rounds: u32) -> WorkerPlanStats {
+    let engine = Engine::new_default();
+    let mut s = engine.session().unwrap();
+    s.execute(&ycsb::schema_statement()).unwrap();
+    let field = "x".repeat(100);
+    for id in 0..rows {
+        let fields = vec![format!("'{field}'"); ycsb::FIELD_COUNT].join(", ");
+        s.execute(&format!("INSERT INTO usertable VALUES ('{}', {fields})", ycsb::key_name(id)))
+            .unwrap();
+    }
+    let key = |i: u32| ycsb::key_name((i as u64 * 7919) % rows);
+    let parse_all = |sql: &dyn Fn(u32) -> String| -> Vec<Statement> {
+        (0..stmts_per_round).map(|i| sqlparse::parse(&sql(i)).unwrap()).collect()
+    };
+    let reads = parse_all(&|i| format!("SELECT * FROM usertable WHERE ycsb_key = '{}'", key(i)));
+    let updates = parse_all(&|i| {
+        format!("UPDATE usertable SET field{} = '{field}' WHERE ycsb_key = '{}'", i % 10, key(i))
+    });
+    WorkerPlanStats {
+        read_cold_ns: engine_ns_per_stmt(&engine, &reads, rounds, true),
+        read_warm_ns: engine_ns_per_stmt(&engine, &reads, rounds, false),
+        update_cold_ns: engine_ns_per_stmt(&engine, &updates, rounds, true),
+        update_warm_ns: engine_ns_per_stmt(&engine, &updates, rounds, false),
     }
 }

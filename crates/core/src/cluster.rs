@@ -466,6 +466,16 @@ impl Cluster {
         self.task_retries.load(Ordering::SeqCst)
     }
 
+    /// The nodes' local plan caches (generic plans of shard statements,
+    /// `pgmini::plancache`), summed: the worker-side counterpart of each
+    /// extension's `plan_cache_stats`.
+    pub fn shard_plan_cache_stats(&self) -> pgmini::plancache::ShapeCacheStats {
+        self.nodes()
+            .iter()
+            .map(|n| n.engine().plan_cache_stats())
+            .fold(Default::default(), pgmini::plancache::ShapeCacheStats::merged)
+    }
+
     /// Open an internal connection to a node (workers talk to each other and
     /// to the coordinator over the same path).
     pub fn connect(self: &Arc<Self>, to: NodeId) -> PgResult<WorkerConn> {

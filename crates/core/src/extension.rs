@@ -64,7 +64,7 @@ impl CitrusExtension {
             node,
             sessions: Mutex::new(HashMap::new()),
             active_txn_numbers: Mutex::new(std::collections::HashSet::new()),
-            plan_cache: planner::cache::PlanCache::new(),
+            plan_cache: planner::cache::PlanCache::new(planner::cache::MAX_ENTRIES),
         });
         engine.hooks.install(ext.clone());
         // every node's commits draw timestamps from the one cluster clock,
@@ -332,7 +332,7 @@ impl CitrusExtension {
             };
             let mut cached = None;
             if let Some(key) = cache_key {
-                if let Some(tier) = self.plan_cache.lookup(key, meta.generation()) {
+                if let Some(tier) = self.plan_cache.lookup(key, meta.generation(), |t| Some(*t)) {
                     cached = match tier {
                         planner::cache::CachedTier::FastPath => {
                             planner::try_fast_path(stmt, &meta)?

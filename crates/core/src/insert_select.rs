@@ -15,7 +15,7 @@ use crate::extension::CitrusExtension;
 use crate::planner::{self, rewrite, Merge, PlannerKind, Task};
 use pgmini::error::{ErrorCode, PgError, PgResult};
 use pgmini::session::{QueryResult, Session};
-use pgmini::types::{Datum, Row};
+use pgmini::types::Row;
 use sqlparse::ast::{Expr, Insert, InsertSource, SelectItem, Statement};
 use std::sync::Arc;
 
@@ -199,7 +199,7 @@ fn load_rows_into_target(
         let _ = oc;
         let mut n = 0;
         for row in rows {
-            let values: Vec<Expr> = row.iter().map(datum_expr).collect();
+            let values: Vec<Expr> = row.iter().map(pgmini::expr::datum_expr).collect();
             let stmt = Statement::Insert(Box::new(Insert {
                 table: ins.table.clone(),
                 columns: ins.columns.clone(),
@@ -212,22 +212,4 @@ fn load_rows_into_target(
     }
     let _ = strategy;
     crate::copy::distributed_copy(cluster, session, &ins.table, &ins.columns, rows)
-}
-
-fn datum_expr(d: &Datum) -> Expr {
-    match d {
-        Datum::Null => Expr::Literal(sqlparse::ast::Literal::Null),
-        Datum::Bool(b) => Expr::Literal(sqlparse::ast::Literal::Bool(*b)),
-        Datum::Int(v) => Expr::Literal(sqlparse::ast::Literal::Int(*v)),
-        Datum::Float(v) => Expr::Literal(sqlparse::ast::Literal::Float(*v)),
-        Datum::Timestamp(_) => Expr::Cast {
-            expr: Box::new(Expr::Literal(sqlparse::ast::Literal::String(d.to_text()))),
-            ty: sqlparse::ast::TypeName::Timestamp,
-        },
-        Datum::Json(_) => Expr::Cast {
-            expr: Box::new(Expr::Literal(sqlparse::ast::Literal::String(d.to_text()))),
-            ty: sqlparse::ast::TypeName::Json,
-        },
-        Datum::Text(s) => Expr::Literal(sqlparse::ast::Literal::String(s.clone())),
-    }
 }

@@ -22,10 +22,10 @@
 //! [`Metadata::generation`](crate::metadata::Metadata::generation), and a
 //! lookup whose stored generation no longer matches is evicted as a miss.
 
-use sqlparse::ast::{self, Statement};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+/// The cache key: a statement's structure with its value literals elided.
+pub use sqlparse::shape::shape_hash;
+
+pub use pgmini::plancache::ShapeCacheStats as PlanCacheStats;
 
 /// Which single-shard planner tier to re-run on a cache hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,564 +34,17 @@ pub enum CachedTier {
     Router,
 }
 
-struct CachedEntry {
-    generation: u64,
-    tier: CachedTier,
-}
+/// Per-extension distributed plan cache: shape → tier, valid for one
+/// metadata generation. The same bounded map the engine keeps its local
+/// generic plans in.
+pub type PlanCache = pgmini::plancache::ShapeCache<CachedTier>;
 
 /// Cache-size bound; the whole map is cleared when full (shape churn at
 /// this scale means the workload is not CRUD-shaped anyway).
-const MAX_ENTRIES: usize = 1024;
-
-/// Hit/miss counters plus current size, for benches and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub entries: usize,
-}
-
-impl PlanCacheStats {
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Per-extension distributed plan cache. All methods take `&self`; the map
-/// serialises internally and the counters are atomic.
-#[derive(Default)]
-pub struct PlanCache {
-    entries: Mutex<HashMap<u64, CachedEntry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl PlanCache {
-    pub fn new() -> PlanCache {
-        PlanCache::default()
-    }
-
-    /// Look up a statement shape under the current metadata generation.
-    /// Counts a hit or miss; a stale entry (older generation) is evicted
-    /// and reported as a miss.
-    pub fn lookup(&self, key: u64, generation: u64) -> Option<CachedTier> {
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        match entries.get(&key) {
-            Some(e) if e.generation == generation => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.tier)
-            }
-            Some(_) => {
-                entries.remove(&key);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Record the tier that successfully planned a statement shape.
-    pub fn insert(&self, key: u64, generation: u64, tier: CachedTier) {
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        if entries.len() >= MAX_ENTRIES {
-            entries.clear();
-        }
-        entries.insert(key, CachedEntry { generation, tier });
-    }
-
-    pub fn stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.entries.lock().unwrap_or_else(|e| e.into_inner()).len(),
-        }
-    }
-
-    pub fn clear(&self) {
-        self.entries.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-const MARKER: &[u8] = b"Literal(";
-
-/// Streaming shape hasher: consumes the AST's `Debug` rendering chunk by
-/// chunk (no intermediate `String`), hashing every byte except `Literal(…)`
-/// spans, which collapse to a `?` placeholder. The span skip is quote-aware
-/// so parentheses inside string literals do not derail matching, and the
-/// marker match survives chunk boundaries (`Debug` emits many small writes).
-struct ShapeHasher {
-    h: u64,
-    /// Paren depth inside a `Literal(` span being elided; 0 = hashing.
-    skip_depth: usize,
-    in_str: bool,
-    escaped: bool,
-    /// Bytes of `MARKER` matched so far while hashing.
-    matched: usize,
-}
-
-impl ShapeHasher {
-    fn new() -> ShapeHasher {
-        ShapeHasher { h: FNV_OFFSET, skip_depth: 0, in_str: false, escaped: false, matched: 0 }
-    }
-
-    fn hash_byte(&mut self, b: u8) {
-        self.h ^= b as u64;
-        self.h = self.h.wrapping_mul(FNV_PRIME);
-    }
-
-    fn feed(&mut self, b: u8) {
-        if self.skip_depth > 0 {
-            if self.escaped {
-                self.escaped = false;
-                return;
-            }
-            match b {
-                b'\\' if self.in_str => self.escaped = true,
-                b'"' => self.in_str = !self.in_str,
-                b'(' if !self.in_str => self.skip_depth += 1,
-                b')' if !self.in_str => {
-                    self.skip_depth -= 1;
-                    if self.skip_depth == 0 {
-                        self.hash_byte(b'?');
-                    }
-                }
-                _ => {}
-            }
-            return;
-        }
-        if b == MARKER[self.matched] {
-            self.matched += 1;
-            if self.matched == MARKER.len() {
-                for i in 0..MARKER.len() {
-                    self.hash_byte(MARKER[i]);
-                }
-                self.matched = 0;
-                self.skip_depth = 1;
-                self.in_str = false;
-            }
-            return;
-        }
-        // mismatch: flush the partial marker, then retry this byte from the
-        // start of the pattern (no byte of MARKER recurs as a proper border,
-        // so a plain restart is exact)
-        for i in 0..self.matched {
-            self.hash_byte(MARKER[i]);
-        }
-        self.matched = 0;
-        if b == MARKER[0] {
-            self.matched = 1;
-        } else {
-            self.hash_byte(b);
-        }
-    }
-
-    fn finish(mut self) -> u64 {
-        for i in 0..self.matched {
-            self.hash_byte(MARKER[i]);
-        }
-        self.h
-    }
-}
-
-impl std::fmt::Write for ShapeHasher {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for &b in s.as_bytes() {
-            self.feed(b);
-        }
-        Ok(())
-    }
-}
-
-/// Hash a statement's shape: its full AST structure (tables, columns,
-/// operators, clauses) with every literal constant elided. Two statements
-/// differing only in constants hash equal; anything structural — another
-/// column, a flipped operator, an extra conjunct — changes the hash.
-///
-/// CRUD statements (the only cacheable shapes, and the per-execution hot
-/// path) hash through a direct AST visitor — one allocation-free pass that
-/// must stay cheaper than the planning preamble it lets a cache hit skip.
-/// Everything else falls back to hashing the `Debug` rendering with
-/// `Literal(…)` spans elided, which tracks the AST definition automatically.
-pub fn shape_hash(stmt: &Statement) -> u64 {
-    let mut v = StructuralHasher { h: FNV_OFFSET };
-    match stmt {
-        Statement::Select(s) => {
-            v.code(1);
-            v.select(s);
-        }
-        Statement::Insert(i) => {
-            v.code(2);
-            v.insert(i);
-        }
-        Statement::Update(u) => {
-            v.code(3);
-            v.update(u);
-        }
-        Statement::Delete(d) => {
-            v.code(4);
-            v.delete(d);
-        }
-        other => {
-            use std::fmt::Write;
-            let mut hasher = ShapeHasher::new();
-            let _ = write!(hasher, "{other:?}");
-            return hasher.finish();
-        }
-    }
-    v.h
-}
-
-/// Allocation-free FNV-1a walk over the CRUD AST. Every variant gets a
-/// distinct code, identifiers hash with a terminator byte, and literal
-/// *values* collapse to their code alone.
-struct StructuralHasher {
-    h: u64,
-}
-
-impl StructuralHasher {
-    fn code(&mut self, c: u8) {
-        self.h ^= c as u64;
-        self.h = self.h.wrapping_mul(FNV_PRIME);
-    }
-
-    fn num(&mut self, n: u64) {
-        for b in n.to_le_bytes() {
-            self.code(b);
-        }
-    }
-
-    fn str(&mut self, s: &str) {
-        for &b in s.as_bytes() {
-            self.code(b);
-        }
-        self.code(0xFF);
-    }
-
-    fn opt_str(&mut self, s: &Option<String>) {
-        match s {
-            Some(s) => {
-                self.code(1);
-                self.str(s);
-            }
-            None => self.code(0),
-        }
-    }
-
-    fn flag(&mut self, b: bool) {
-        self.code(b as u8);
-    }
-
-    fn opt_expr(&mut self, e: &Option<ast::Expr>) {
-        match e {
-            Some(e) => {
-                self.code(1);
-                self.expr(e);
-            }
-            None => self.code(0),
-        }
-    }
-
-    fn select(&mut self, s: &ast::Select) {
-        self.flag(s.distinct);
-        self.num(s.projection.len() as u64);
-        for item in &s.projection {
-            match item {
-                ast::SelectItem::Wildcard => self.code(10),
-                ast::SelectItem::QualifiedWildcard(t) => {
-                    self.code(11);
-                    self.str(t);
-                }
-                ast::SelectItem::Expr { expr, alias } => {
-                    self.code(12);
-                    self.expr(expr);
-                    self.opt_str(alias);
-                }
-            }
-        }
-        self.num(s.from.len() as u64);
-        for f in &s.from {
-            self.table_ref(f);
-        }
-        self.opt_expr(&s.where_clause);
-        self.num(s.group_by.len() as u64);
-        for g in &s.group_by {
-            self.expr(g);
-        }
-        self.opt_expr(&s.having);
-        self.num(s.order_by.len() as u64);
-        for o in &s.order_by {
-            self.expr(&o.expr);
-            self.flag(o.desc);
-        }
-        self.opt_expr(&s.limit);
-        self.opt_expr(&s.offset);
-        self.flag(s.for_update);
-    }
-
-    fn table_ref(&mut self, t: &ast::TableRef) {
-        match t {
-            ast::TableRef::Table { name, alias } => {
-                self.code(20);
-                self.str(name);
-                self.opt_str(alias);
-            }
-            ast::TableRef::Subquery { query, alias } => {
-                self.code(21);
-                self.select(query);
-                self.str(alias);
-            }
-            ast::TableRef::Join { left, right, kind, on } => {
-                self.code(22);
-                self.table_ref(left);
-                self.table_ref(right);
-                self.code(*kind as u8);
-                self.opt_expr(on);
-            }
-        }
-    }
-
-    fn expr(&mut self, e: &ast::Expr) {
-        use ast::Expr;
-        match e {
-            // the point of the exercise: the literal's value does not hash
-            Expr::Literal(_) => self.code(30),
-            Expr::Param(i) => {
-                self.code(31);
-                self.num(*i as u64);
-            }
-            Expr::Column { table, name } => {
-                self.code(32);
-                self.opt_str(table);
-                self.str(name);
-            }
-            Expr::Unary { op, expr } => {
-                self.code(33);
-                self.code(*op as u8);
-                self.expr(expr);
-            }
-            Expr::Binary { left, op, right } => {
-                self.code(34);
-                self.expr(left);
-                self.code(*op as u8);
-                self.expr(right);
-            }
-            Expr::Like { expr, pattern, negated, case_insensitive } => {
-                self.code(35);
-                self.expr(expr);
-                self.expr(pattern);
-                self.flag(*negated);
-                self.flag(*case_insensitive);
-            }
-            Expr::Between { expr, low, high, negated } => {
-                self.code(36);
-                self.expr(expr);
-                self.expr(low);
-                self.expr(high);
-                self.flag(*negated);
-            }
-            Expr::InList { expr, list, negated } => {
-                self.code(37);
-                self.expr(expr);
-                self.num(list.len() as u64);
-                for e in list {
-                    self.expr(e);
-                }
-                self.flag(*negated);
-            }
-            Expr::InSubquery { expr, subquery, negated } => {
-                self.code(38);
-                self.expr(expr);
-                self.select(subquery);
-                self.flag(*negated);
-            }
-            Expr::Exists { subquery, negated } => {
-                self.code(39);
-                self.select(subquery);
-                self.flag(*negated);
-            }
-            Expr::ScalarSubquery(q) => {
-                self.code(40);
-                self.select(q);
-            }
-            Expr::Case { operand, branches, else_result } => {
-                self.code(41);
-                match operand {
-                    Some(o) => {
-                        self.code(1);
-                        self.expr(o);
-                    }
-                    None => self.code(0),
-                }
-                self.num(branches.len() as u64);
-                for (w, t) in branches {
-                    self.expr(w);
-                    self.expr(t);
-                }
-                match else_result {
-                    Some(e) => {
-                        self.code(1);
-                        self.expr(e);
-                    }
-                    None => self.code(0),
-                }
-            }
-            Expr::Cast { expr, ty } => {
-                self.code(42);
-                self.expr(expr);
-                self.code(*ty as u8);
-            }
-            Expr::Func(fc) => {
-                self.code(43);
-                self.str(&fc.name);
-                self.num(fc.args.len() as u64);
-                for a in &fc.args {
-                    self.expr(a);
-                }
-                self.flag(fc.distinct);
-                self.flag(fc.star);
-            }
-            Expr::IsNull { expr, negated } => {
-                self.code(44);
-                self.expr(expr);
-                self.flag(*negated);
-            }
-        }
-    }
-
-    fn insert(&mut self, i: &ast::Insert) {
-        self.str(&i.table);
-        self.num(i.columns.len() as u64);
-        for c in &i.columns {
-            self.str(c);
-        }
-        match &i.source {
-            ast::InsertSource::Values(rows) => {
-                self.code(50);
-                self.num(rows.len() as u64);
-                for row in rows {
-                    self.num(row.len() as u64);
-                    for e in row {
-                        self.expr(e);
-                    }
-                }
-            }
-            ast::InsertSource::Query(q) => {
-                self.code(51);
-                self.select(q);
-            }
-        }
-        match &i.on_conflict {
-            None => self.code(0),
-            Some(oc) => {
-                self.code(1);
-                self.num(oc.target.len() as u64);
-                for t in &oc.target {
-                    self.str(t);
-                }
-                match &oc.action {
-                    ast::ConflictAction::Nothing => self.code(52),
-                    ast::ConflictAction::Update(assigns) => {
-                        self.code(53);
-                        self.assignments(assigns);
-                    }
-                }
-            }
-        }
-    }
-
-    fn assignments(&mut self, assigns: &[ast::Assignment]) {
-        self.num(assigns.len() as u64);
-        for a in assigns {
-            self.str(&a.column);
-            self.expr(&a.value);
-        }
-    }
-
-    fn update(&mut self, u: &ast::Update) {
-        self.str(&u.table);
-        self.opt_str(&u.alias);
-        self.assignments(&u.assignments);
-        self.opt_expr(&u.where_clause);
-    }
-
-    fn delete(&mut self, d: &ast::Delete) {
-        self.str(&d.table);
-        self.opt_str(&d.alias);
-        self.opt_expr(&d.where_clause);
-    }
-}
+pub const MAX_ENTRIES: usize = 1024;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn parse(sql: &str) -> Statement {
-        sqlparse::parse(sql).unwrap()
-    }
-
-    #[test]
-    fn constants_are_parameterized_away() {
-        let a = shape_hash(&parse("SELECT v FROM t WHERE k = 1"));
-        let b = shape_hash(&parse("SELECT v FROM t WHERE k = 42"));
-        let c = shape_hash(&parse("SELECT v FROM t WHERE k = 'x(y)'"));
-        assert_eq!(a, b, "differing int constants share a shape");
-        assert_eq!(a, c, "string constants (with parens) share the shape too");
-    }
-
-    #[test]
-    fn structure_changes_the_shape() {
-        let base = shape_hash(&parse("SELECT v FROM t WHERE k = 1"));
-        assert_ne!(base, shape_hash(&parse("SELECT v FROM u WHERE k = 1")), "table");
-        assert_ne!(base, shape_hash(&parse("SELECT w FROM t WHERE k = 1")), "column");
-        assert_ne!(base, shape_hash(&parse("SELECT v FROM t WHERE k > 1")), "operator");
-        assert_ne!(
-            base,
-            shape_hash(&parse("SELECT v FROM t WHERE k = 1 AND v = 2")),
-            "extra conjunct"
-        );
-        assert_ne!(
-            shape_hash(&parse("INSERT INTO t VALUES (1, 'a')")),
-            shape_hash(&parse("UPDATE t SET v = 'a' WHERE k = 1")),
-            "statement kind"
-        );
-        assert_eq!(
-            shape_hash(&parse("INSERT INTO t VALUES (1, 'a')")),
-            shape_hash(&parse("INSERT INTO t VALUES (2, 'b')")),
-            "same insert shape"
-        );
-    }
-
-    #[test]
-    fn stale_generation_is_evicted_as_miss() {
-        let cache = PlanCache::new();
-        cache.insert(7, 1, CachedTier::FastPath);
-        assert_eq!(cache.lookup(7, 1), Some(CachedTier::FastPath));
-        assert_eq!(cache.lookup(7, 2), None, "generation bump invalidates");
-        assert_eq!(cache.lookup(7, 2), None, "entry was evicted, not retried");
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 2, 0));
-    }
-
-    #[test]
-    fn cache_bounds_its_size() {
-        let cache = PlanCache::new();
-        for k in 0..(MAX_ENTRIES as u64 + 5) {
-            cache.insert(k, 0, CachedTier::Router);
-        }
-        assert!(cache.stats().entries <= MAX_ENTRIES);
-    }
-
     /// Regression: propagated DDL issued on the *coordinator* must
     /// invalidate the plan caches of MX workers. Every node's cache entries
     /// are stamped with the shared metadata generation, so the bug was that

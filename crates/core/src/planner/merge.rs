@@ -429,10 +429,10 @@ pub fn execute_merge(plan: &MergePlan, worker_rows: Vec<Row>) -> PgResult<(Vec<R
     let bound_final: Vec<pgmini::expr::BExpr> = plan
         .final_exprs
         .iter()
-        .map(|e| bind(e, &scope, &[]))
+        .map(|e| bind(e, &scope))
         .collect::<PgResult<_>>()?;
     let bound_having =
-        plan.having.as_ref().map(|h| bind(h, &scope, &[])).transpose()?;
+        plan.having.as_ref().map(|h| bind(h, &scope)).transpose()?;
     let ctx = EvalCtx::default();
 
     let mut out: Vec<Row> = Vec::with_capacity(groups.len());

@@ -360,7 +360,7 @@ pub fn parse_definition(
             _ => Ok(()),
         })?;
         // resolve columns now so CREATE fails instead of the first refresh
-        expr::bind(e, &scope, &[]).map(|_| ())
+        expr::bind(e, &scope).map(|_| ())
     };
 
     if let Some(w) = &query.where_clause {
@@ -805,17 +805,17 @@ fn bind_def(cluster: &Arc<Cluster>, def: &RollupDef) -> PgResult<BoundDef> {
         where_clause: def
             .where_clause
             .as_ref()
-            .map(|w| expr::bind(w, &scope, &[]))
+            .map(|w| expr::bind(w, &scope))
             .transpose()?,
         groups: def
             .groups
             .iter()
-            .map(|g| expr::bind(&g.expr, &scope, &[]))
+            .map(|g| expr::bind(&g.expr, &scope))
             .collect::<PgResult<_>>()?,
         args: def
             .aggs
             .iter()
-            .map(|a| a.arg.as_ref().map(|e| expr::bind(e, &scope, &[])).transpose())
+            .map(|a| a.arg.as_ref().map(|e| expr::bind(e, &scope)).transpose())
             .collect::<PgResult<_>>()?,
     })
 }

@@ -115,7 +115,18 @@ fn dist_execute(
 }
 
 fn run_case(threads: usize, seed: u64, ops: &[Op]) -> Result<(), TestCaseError> {
-    let c = dist_cluster(threads);
+    run_case_on(&dist_cluster(threads), threads, seed, ops, false)
+}
+
+/// `cold_oracle` clears the oracle's plan cache before every statement, so
+/// the workers' warm generic plans are compared against from-scratch planning.
+fn run_case_on(
+    c: &Arc<Cluster>,
+    threads: usize,
+    seed: u64,
+    ops: &[Op],
+    cold_oracle: bool,
+) -> Result<(), TestCaseError> {
     let e = oracle_engine();
     // reads randomly error (executor absorbs them via retry/failover) and
     // every statement can pick up virtual latency — neither may change results
@@ -139,6 +150,9 @@ fn run_case(threads: usize, seed: u64, ops: &[Op]) -> Result<(), TestCaseError> 
     for (i, op) in ops.iter().enumerate() {
         let (sql, ordered, write) = op_sql(op, i);
         let dist = dist_execute(&mut ds, &sql, write)?;
+        if cold_oracle {
+            e.clear_plan_cache();
+        }
         let oracle = os
             .execute(&sql)
             .map_err(|e| TestCaseError::fail(format!("oracle `{sql}` failed: {e:?}")))?;
@@ -181,4 +195,16 @@ proptest! {
             run_case(threads, seed, &ops)?;
         }
     }
+}
+
+/// The oracle bar holds for *warm* shard plans: a workload that repeats its
+/// shapes with other values runs almost entirely from the workers' plan
+/// caches, and still matches an oracle that plans every statement cold.
+#[test]
+fn warm_shard_plans_match_a_cold_oracle() {
+    let ops: Vec<Op> = (0..60i64).map(|i| ((i % 7) as u8, i * 5 + 3, i - 30)).collect();
+    let c = dist_cluster(2);
+    run_case_on(&c, 2, 7, &ops, true).unwrap();
+    let shard_plans = c.shard_plan_cache_stats();
+    assert!(shard_plans.hit_rate() > 0.5, "the workload ran warm: {shard_plans:?}");
 }

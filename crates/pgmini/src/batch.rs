@@ -1,8 +1,8 @@
 //! Vectorized batched execution over columnar stripes.
 //!
 //! A [`ColumnBatch`] is a fixed-capacity slice of a columnar stripe:
-//! column-major `Vec<Datum>` vectors for the *referenced* columns only, plus
-//! a selection (list of live row indices) produced by the filter kernel.
+//! borrowed column-major `[Datum]` slices for the *referenced* columns only,
+//! plus a selection (list of live row indices) produced by the filter kernel.
 //! Expression kernels ([`eval_batch`]) evaluate a whole batch per call,
 //! sharing the scalar cores (`apply_unary` / `apply_binary` /
 //! `kleene_combine`) with the row-at-a-time interpreter so both paths
@@ -27,31 +27,32 @@ use std::cmp::Ordering;
 pub const BATCH_CAPACITY: usize = 1024;
 
 /// One batch of rows in column-major layout. `cols[c]` is `Some` only for
-/// columns the plan references; untouched columns are never cloned out of
-/// the stripe (the projection-pushdown contract, regression-tested in
-/// exec.rs).
-pub struct ColumnBatch {
+/// columns the plan references (the projection-pushdown contract,
+/// regression-tested in exec.rs), and borrows the stripe's vector: the only
+/// values cloned out of a stripe are those of the rows that survive the
+/// filter ([`ColumnBatch::take_rows`]).
+pub struct ColumnBatch<'s> {
     pub len: usize,
-    cols: Vec<Option<Vec<Datum>>>,
+    cols: Vec<Option<&'s [Datum]>>,
 }
 
-impl ColumnBatch {
-    /// Slice rows `[lo, lo+len)` of a stripe's column vectors into a batch,
-    /// materialising only `referenced` columns.
+impl<'s> ColumnBatch<'s> {
+    /// Rows `[lo, lo+len)` of a stripe's column vectors as a batch exposing
+    /// only the `referenced` columns.
     pub fn from_stripe(
-        stripe_columns: &[Vec<Datum>],
+        stripe_columns: &'s [Vec<Datum>],
         lo: usize,
         len: usize,
         referenced: &[usize],
-    ) -> ColumnBatch {
-        let mut cols: Vec<Option<Vec<Datum>>> = vec![None; stripe_columns.len()];
+    ) -> ColumnBatch<'s> {
+        let mut cols = vec![None; stripe_columns.len()];
         for &c in referenced {
-            cols[c] = Some(stripe_columns[c][lo..lo + len].to_vec());
+            cols[c] = Some(&stripe_columns[c][lo..lo + len]);
         }
         ColumnBatch { len, cols }
     }
 
-    pub fn col(&self, i: usize) -> PgResult<&[Datum]> {
+    pub fn col(&self, i: usize) -> PgResult<&'s [Datum]> {
         match self.cols.get(i) {
             Some(Some(v)) => Ok(v),
             _ => Err(PgError::internal(format!(
@@ -60,7 +61,7 @@ impl ColumnBatch {
         }
     }
 
-    /// Whether column `i` was materialised into this batch.
+    /// Whether column `i` is exposed by this batch.
     pub fn has_col(&self, i: usize) -> bool {
         matches!(self.cols.get(i), Some(Some(_)))
     }
@@ -107,7 +108,7 @@ impl BVec<'_> {
 /// error codes) identical to the row-at-a-time interpreter.
 pub fn supports_batch(e: &BExpr) -> bool {
     match e {
-        BExpr::Const(_) | BExpr::Col(_) => true,
+        BExpr::Const(_) | BExpr::Param(_) | BExpr::Col(_) => true,
         BExpr::Unary { expr, .. } | BExpr::Cast { expr, .. } | BExpr::IsNull { expr, .. } => {
             supports_batch(expr)
         }
@@ -135,7 +136,7 @@ pub fn supports_batch(e: &BExpr) -> bool {
 /// nodes that do per-lane work; `Const`/`Col` resolve to existing vectors).
 pub fn kernel_count(e: &BExpr) -> u64 {
     match e {
-        BExpr::Const(_) | BExpr::Col(_) => 0,
+        BExpr::Const(_) | BExpr::Param(_) | BExpr::Col(_) => 0,
         BExpr::Unary { expr, .. } | BExpr::Cast { expr, .. } | BExpr::IsNull { expr, .. } => {
             1 + kernel_count(expr)
         }
@@ -164,6 +165,9 @@ fn owned(len: usize) -> Vec<Datum> {
 /// Evaluate `e` over the `sel`ected rows of `batch`. Rows are visited in
 /// ascending `sel` order, so the first failing row raises the same error a
 /// row-at-a-time scan of the same rows would raise for that expression.
+/// A unary, arithmetic or cast node over constant operands is computed once
+/// per batch — when there is a row to compute it for, so an empty selection
+/// still raises nothing — and stays a `Const`.
 pub fn eval_batch<'a>(
     e: &'a BExpr,
     batch: &'a ColumnBatch,
@@ -172,9 +176,13 @@ pub fn eval_batch<'a>(
 ) -> PgResult<BVec<'a>> {
     Ok(match e {
         BExpr::Const(d) => BVec::Const(d.clone()),
+        BExpr::Param(_) => BVec::Const(crate::expr::eval(e, &Vec::new(), ctx)?),
         BExpr::Col(i) => BVec::Ref(batch.col(*i)?),
         BExpr::Unary { op, expr } => {
             let v = eval_batch(expr, batch, sel, ctx)?;
+            if let (BVec::Const(d), Some(_)) = (&v, sel.first()) {
+                return Ok(BVec::Const(apply_unary(*op, d.clone())?));
+            }
             let mut out = owned(batch.len);
             for &i in sel {
                 out[i] = apply_unary(*op, v.get(i).clone())?;
@@ -208,6 +216,9 @@ pub fn eval_batch<'a>(
             } else {
                 let l = eval_batch(left, batch, sel, ctx)?;
                 let r = eval_batch(right, batch, sel, ctx)?;
+                if let (BVec::Const(a), BVec::Const(b), Some(_)) = (&l, &r, sel.first()) {
+                    return Ok(BVec::Const(apply_binary(*op, a.clone(), b.clone())?));
+                }
                 let mut out = owned(batch.len);
                 for &i in sel {
                     out[i] = apply_binary(*op, l.get(i).clone(), r.get(i).clone())?;
@@ -357,6 +368,10 @@ pub fn eval_batch<'a>(
         }
         BExpr::Cast { expr, ty } => {
             let v = eval_batch(expr, batch, sel, ctx)?;
+            // a typed literal (`date '1995-03-15'`) is a cast of a constant
+            if let (BVec::Const(d), Some(_)) = (&v, sel.first()) {
+                return Ok(BVec::Const(d.clone().cast_to(*ty)?));
+            }
             let mut out = owned(batch.len);
             for &i in sel {
                 out[i] = v.get(i).clone().cast_to(*ty)?;
@@ -386,7 +401,7 @@ pub fn filter_batch(
 /// Columns referenced by `e`, accumulated into `out`.
 pub fn collect_cols(e: &BExpr, out: &mut std::collections::BTreeSet<usize>) {
     match e {
-        BExpr::Const(_) => {}
+        BExpr::Const(_) | BExpr::Param(_) => {}
         BExpr::Col(i) => {
             out.insert(*i);
         }
@@ -453,12 +468,13 @@ mod tests {
         ]
     }
 
-    fn to_batch(rows: &[Row]) -> ColumnBatch {
-        let arity = rows[0].len();
-        let columns: Vec<Vec<Datum>> = (0..arity)
-            .map(|c| rows.iter().map(|r| r[c].clone()).collect())
-            .collect();
-        ColumnBatch::from_stripe(&columns, 0, rows.len(), &(0..arity).collect::<Vec<_>>())
+    fn to_columns(rows: &[Row]) -> Vec<Vec<Datum>> {
+        (0..rows[0].len()).map(|c| rows.iter().map(|r| r[c].clone()).collect()).collect()
+    }
+
+    fn to_batch(columns: &[Vec<Datum>]) -> ColumnBatch<'_> {
+        let all: Vec<usize> = (0..columns.len()).collect();
+        ColumnBatch::from_stripe(columns, 0, columns[0].len(), &all)
     }
 
     /// Every supported expression evaluates identically per-row and batched.
@@ -484,11 +500,12 @@ mod tests {
             "s || '!'",
         ];
         let rows = rows();
-        let batch = to_batch(&rows);
+        let columns = to_columns(&rows);
+        let batch = to_batch(&columns);
         let sel: Vec<usize> = (0..rows.len()).collect();
         let ctx = EvalCtx::default();
         for src in exprs {
-            let e = bind(&parse_expr(src).unwrap(), &scope(), &[]).unwrap();
+            let e = bind(&parse_expr(src).unwrap(), &scope()).unwrap();
             assert!(supports_batch(&e), "{src} should be batch-supported");
             let v = eval_batch(&e, &batch, &sel, &ctx).unwrap();
             for (i, row) in rows.iter().enumerate() {
@@ -502,10 +519,11 @@ mod tests {
     /// short-circuit: rows decided by the left never touch the division.
     #[test]
     fn masked_short_circuit_skips_errors() {
-        let e = bind(&parse_expr("a > 5 AND 1 / (a - 40) > 0").unwrap(), &scope(), &[])
+        let e = bind(&parse_expr("a > 5 AND 1 / (a - 40) > 0").unwrap(), &scope())
             .unwrap();
         let rows = rows();
-        let batch = to_batch(&rows);
+        let columns = to_columns(&rows);
+        let batch = to_batch(&columns);
         let ctx = EvalCtx::default();
         // row 3 (a=40) is the only one reaching the right side, and it
         // divides by zero — identical to scalar
@@ -528,11 +546,11 @@ mod tests {
             &parse_expr("CASE WHEN a IS NULL THEN 0 WHEN a >= 1 THEN a ELSE 1 / 0 END")
                 .unwrap(),
             &scope(),
-            &[],
         )
         .unwrap();
         let rows = rows();
-        let batch = to_batch(&rows);
+        let columns = to_columns(&rows);
+        let batch = to_batch(&columns);
         let sel: Vec<usize> = (0..rows.len()).collect();
         let v = eval_batch(&e, &batch, &sel, &EvalCtx::default()).unwrap();
         assert_eq!(v.get(2), &Datum::Int(0));
@@ -542,16 +560,17 @@ mod tests {
     #[test]
     fn functions_are_not_batch_supported() {
         for src in ["random()", "lower(s)", "coalesce(a, 0)"] {
-            let e = bind(&parse_expr(src).unwrap(), &scope(), &[]).unwrap();
+            let e = bind(&parse_expr(src).unwrap(), &scope()).unwrap();
             assert!(!supports_batch(&e), "{src}");
         }
     }
 
     #[test]
     fn filter_kernel_keeps_true_rows_only() {
-        let e = bind(&parse_expr("a > 1").unwrap(), &scope(), &[]).unwrap();
+        let e = bind(&parse_expr("a > 1").unwrap(), &scope()).unwrap();
         let rows = rows();
-        let batch = to_batch(&rows);
+        let columns = to_columns(&rows);
+        let batch = to_batch(&columns);
         let sel: Vec<usize> = (0..rows.len()).collect();
         // NULL (row 2) is not TRUE → filtered out, like the scalar path
         let kept = filter_batch(&e, &batch, &sel, &EvalCtx::default()).unwrap();
@@ -574,12 +593,27 @@ mod tests {
         assert_eq!(out, vec![vec![Datum::Int(40), Datum::Null, Datum::Null]]);
     }
 
+    /// A node over constants is computed once per batch, and only when a
+    /// row asks for it: the error of a bad typed literal needs a row.
+    #[test]
+    fn constant_operands_fold_once_per_batch() {
+        let columns = to_columns(&rows());
+        let batch = to_batch(&columns);
+        let ctx = EvalCtx::default();
+        let e = bind(&parse_expr("-(CAST('7' AS bigint) + 1)").unwrap(), &scope()).unwrap();
+        let v = eval_batch(&e, &batch, &[0, 3], &ctx).unwrap();
+        assert!(matches!(v, BVec::Const(Datum::Int(-8))), "{v:?}");
+        let bad = bind(&parse_expr("a < CAST('x' AS bigint)").unwrap(), &scope()).unwrap();
+        assert!(eval_batch(&bad, &batch, &[], &ctx).is_ok());
+        assert!(eval_batch(&bad, &batch, &[2], &ctx).is_err());
+    }
+
     #[test]
     fn kernel_counts() {
         let s = scope();
-        let e = bind(&parse_expr("a + 1 > 2 AND b < 1.0").unwrap(), &s, &[]).unwrap();
+        let e = bind(&parse_expr("a + 1 > 2 AND b < 1.0").unwrap(), &s).unwrap();
         // AND, >, +, < are kernels; consts and cols are not
         assert_eq!(kernel_count(&e), 4);
-        assert_eq!(kernel_count(&bind(&parse_expr("a").unwrap(), &s, &[]).unwrap()), 0);
+        assert_eq!(kernel_count(&bind(&parse_expr("a").unwrap(), &s).unwrap()), 0);
     }
 }

@@ -9,6 +9,7 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Key for a cached relation (tables and indexes cache independently).
 ///
@@ -36,33 +37,59 @@ struct Resident {
 #[derive(Debug, Default)]
 struct PoolState {
     resident: HashMap<BufferKey, Resident>,
+    /// Sum of `resident[*].pages`, maintained per access.
     total: u64,
     clock: u64,
+}
+
+impl PoolState {
+    /// Advance the LRU clock and run one access against `key`'s entry:
+    /// `touch` returns the entry's new resident page count (and whatever the
+    /// access reports). Keeps `total` in step and evicts down to `cap`.
+    fn access<T>(
+        &mut self,
+        key: BufferKey,
+        cap: u64,
+        touch: impl FnOnce(&mut Resident) -> (u64, T),
+    ) -> T {
+        self.clock += 1;
+        let entry = self.resident.entry(key).or_default();
+        entry.last_use = self.clock;
+        let before = entry.pages;
+        let (pages, out) = touch(entry);
+        entry.pages = pages;
+        self.total = self.total - before + pages;
+        BufferPool::evict_to(self, cap);
+        out
+    }
 }
 
 /// Per-engine simulated buffer pool.
 #[derive(Debug)]
 pub struct BufferPool {
-    capacity: Mutex<u64>,
+    /// Read on every access, written only by `set_capacity`; no other data
+    /// is published through it.
+    capacity: AtomicU64,
     state: Mutex<PoolState>,
 }
 
 impl BufferPool {
     /// A pool holding `capacity_pages` 8 KiB pages.
     pub fn new(capacity_pages: u64) -> Self {
-        BufferPool { capacity: Mutex::new(capacity_pages), state: Mutex::new(PoolState::default()) }
+        BufferPool {
+            capacity: AtomicU64::new(capacity_pages),
+            state: Mutex::new(PoolState::default()),
+        }
     }
 
     pub fn capacity_pages(&self) -> u64 {
-        *self.capacity.lock()
+        self.capacity.load(Ordering::Relaxed)
     }
 
     /// Resize the pool (benchmarks use this to model node memory).
     pub fn set_capacity(&self, pages: u64) {
-        *self.capacity.lock() = pages;
-        let mut s = self.state.lock();
-        let cap = pages;
-        Self::evict_to(&mut s, cap);
+        self.capacity.store(pages, Ordering::Relaxed);
+        Self::evict_to(&mut self.state.lock(), pages);
     }
 
     /// Full scan of a relation of `rel_pages` pages. Returns the number of
@@ -71,19 +98,12 @@ impl BufferPool {
         if rel_pages == 0 {
             return 0;
         }
-        let cap = *self.capacity.lock();
-        let mut s = self.state.lock();
-        s.clock += 1;
-        let clock = s.clock;
-        let entry = s.resident.entry(key).or_default();
-        let hits = entry.pages.min(rel_pages);
-        let misses = rel_pages - hits;
-        // the scan leaves as much of the relation resident as fits
-        entry.pages = rel_pages.min(cap);
-        entry.last_use = clock;
-        s.total = s.resident.values().map(|r| r.pages).sum();
-        Self::evict_to(&mut s, cap);
-        misses
+        let cap = self.capacity_pages();
+        self.state.lock().access(key, cap, |entry| {
+            let hits = entry.pages.min(rel_pages);
+            // the scan leaves as much of the relation resident as fits
+            (rel_pages.min(cap), rel_pages - hits)
+        })
     }
 
     /// Point access touching `touched` pages of a relation with `rel_pages`
@@ -93,36 +113,25 @@ impl BufferPool {
         if rel_pages == 0 || touched == 0 {
             return 0;
         }
-        let cap = *self.capacity.lock();
-        let mut s = self.state.lock();
-        s.clock += 1;
-        let clock = s.clock;
-        let entry = s.resident.entry(key).or_default();
-        entry.last_use = clock;
-        let resident_frac = (entry.pages as f64 / rel_pages as f64).min(1.0);
-        let expected_misses = touched as f64 * (1.0 - resident_frac);
-        entry.miss_carry += expected_misses;
-        let misses = entry.miss_carry.floor() as u64;
-        entry.miss_carry -= misses as f64;
-        // missed pages become resident
-        entry.pages = (entry.pages + misses).min(rel_pages).min(cap);
-        s.total = s.resident.values().map(|r| r.pages).sum();
-        Self::evict_to(&mut s, cap);
-        misses
+        let cap = self.capacity_pages();
+        self.state.lock().access(key, cap, |entry| {
+            let resident_frac = (entry.pages as f64 / rel_pages as f64).min(1.0);
+            let expected_misses = touched as f64 * (1.0 - resident_frac);
+            entry.miss_carry += expected_misses;
+            let misses = entry.miss_carry.floor() as u64;
+            entry.miss_carry -= misses as f64;
+            // missed pages become resident
+            ((entry.pages + misses).min(rel_pages).min(cap), misses)
+        })
     }
 
     /// Writes dirty `pages` of the relation (grows residency; write-back I/O
     /// is charged to the background, as PostgreSQL's bgwriter does).
     pub fn write(&self, key: BufferKey, rel_pages: u64, pages: u64) {
-        let cap = *self.capacity.lock();
-        let mut s = self.state.lock();
-        s.clock += 1;
-        let clock = s.clock;
-        let entry = s.resident.entry(key).or_default();
-        entry.pages = (entry.pages + pages).min(rel_pages.max(pages)).min(cap);
-        entry.last_use = clock;
-        s.total = s.resident.values().map(|r| r.pages).sum();
-        Self::evict_to(&mut s, cap);
+        let cap = self.capacity_pages();
+        self.state.lock().access(key, cap, |entry| {
+            ((entry.pages + pages).min(rel_pages.max(pages)).min(cap), ())
+        })
     }
 
     /// Drop cached pages of a relation (table dropped/truncated).
@@ -288,6 +297,24 @@ mod tests {
         // the wide projection still hits fully afterwards
         let warm: u64 = wide.iter().map(|&(k, p)| pool.scan(k, p)).sum();
         assert_eq!(warm, 0, "narrow scan must not shrink other columns' residency");
+    }
+
+    #[test]
+    fn total_tracks_every_kind_of_access() {
+        let pool = BufferPool::new(100);
+        let sum = |pool: &BufferPool| {
+            [T1, T2, BufferKey::Index(1)].iter().map(|k| pool.resident_pages(*k)).sum::<u64>()
+        };
+        pool.scan(T1, 40);
+        pool.write(T2, 50, 10);
+        pool.point_read(BufferKey::Index(1), 30, 3);
+        assert_eq!(pool.total_resident(), sum(&pool));
+        pool.scan(T2, 90); // over capacity: proportional eviction resets the total
+        assert!(pool.total_resident() <= 100);
+        assert_eq!(pool.total_resident(), sum(&pool));
+        pool.forget(T1);
+        pool.scan(T1, 5);
+        assert_eq!(pool.total_resident(), sum(&pool));
     }
 
     #[test]

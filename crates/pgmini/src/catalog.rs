@@ -4,6 +4,7 @@ use crate::cost::pages_for;
 use crate::error::{ErrorCode, PgError, PgResult};
 use sqlparse::ast::{ColumnDef, CreateIndex, CreateTable, Expr, TableConstraint, TypeName};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Identifies a table for the lifetime of the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -95,13 +96,14 @@ pub struct IndexMeta {
 }
 
 /// The system catalog. Guarded by a single `RwLock` in the engine; DDL takes
-/// the write side, everything else reads.
+/// the write side, everything else reads. Entries are shared: a reader (or a
+/// cached plan) holds the `Arc` it looked up, and DDL copies on write.
 #[derive(Debug, Default)]
 pub struct Catalog {
     tables_by_name: HashMap<String, TableId>,
-    tables: HashMap<TableId, TableMeta>,
+    tables: HashMap<TableId, Arc<TableMeta>>,
     indexes_by_name: HashMap<String, IndexId>,
-    indexes: HashMap<IndexId, IndexMeta>,
+    indexes: HashMap<IndexId, Arc<IndexMeta>>,
     next_table: u32,
     next_index: u32,
 }
@@ -198,7 +200,7 @@ impl Catalog {
             foreign_keys: Vec::new(),
         };
         self.tables_by_name.insert(stmt.name.clone(), id);
-        self.tables.insert(id, meta);
+        self.tables.insert(id, Arc::new(meta));
         Ok(Some(id))
     }
 
@@ -242,7 +244,7 @@ impl Catalog {
                 "foreign key column count mismatch",
             ));
         }
-        self.tables.get_mut(&table).expect("checked above").foreign_keys.push(ForeignKey {
+        self.table_mut(table)?.foreign_keys.push(ForeignKey {
             columns: col_idxs,
             ref_table: ref_id,
             ref_columns: ref_idxs,
@@ -282,8 +284,8 @@ impl Catalog {
             predicate: stmt.where_clause.clone(),
         };
         self.indexes_by_name.insert(stmt.name.clone(), id);
-        self.indexes.insert(id, meta);
-        self.tables.get_mut(&table).expect("table_id checked").indexes.push(id);
+        self.indexes.insert(id, Arc::new(meta));
+        self.table_mut(table)?.indexes.push(id);
         Ok(Some(id))
     }
 
@@ -299,15 +301,14 @@ impl Catalog {
         let id = IndexId(self.next_index);
         self.next_index += 1;
         self.indexes_by_name.insert(name.clone(), id);
-        self.indexes.insert(
-            id,
-            IndexMeta { id, name, table, method: IndexMethod::BTree, exprs, unique: true, predicate: None },
-        );
-        self.tables.get_mut(&table).expect("checked").indexes.push(id);
+        let meta =
+            IndexMeta { id, name, table, method: IndexMethod::BTree, exprs, unique: true, predicate: None };
+        self.indexes.insert(id, Arc::new(meta));
+        self.table_mut(table).expect("pkey on known table").indexes.push(id);
         id
     }
 
-    pub fn drop_table(&mut self, name: &str) -> PgResult<TableMeta> {
+    pub fn drop_table(&mut self, name: &str) -> PgResult<Arc<TableMeta>> {
         let id = self.table_id(name)?;
         // refuse to drop a table another table references
         for t in self.tables.values() {
@@ -332,19 +333,22 @@ impl Catalog {
         self.tables_by_name.get(name).copied().ok_or_else(|| PgError::undefined_table(name))
     }
 
-    pub fn table(&self, id: TableId) -> PgResult<&TableMeta> {
+    pub fn table(&self, id: TableId) -> PgResult<&Arc<TableMeta>> {
         self.tables.get(&id).ok_or_else(|| PgError::internal(format!("no table {id:?}")))
     }
 
     pub fn table_mut(&mut self, id: TableId) -> PgResult<&mut TableMeta> {
-        self.tables.get_mut(&id).ok_or_else(|| PgError::internal(format!("no table {id:?}")))
+        self.tables
+            .get_mut(&id)
+            .map(Arc::make_mut)
+            .ok_or_else(|| PgError::internal(format!("no table {id:?}")))
     }
 
-    pub fn table_by_name(&self, name: &str) -> PgResult<&TableMeta> {
+    pub fn table_by_name(&self, name: &str) -> PgResult<&Arc<TableMeta>> {
         self.table(self.table_id(name)?)
     }
 
-    pub fn index(&self, id: IndexId) -> PgResult<&IndexMeta> {
+    pub fn index(&self, id: IndexId) -> PgResult<&Arc<IndexMeta>> {
         self.indexes.get(&id).ok_or_else(|| PgError::internal(format!("no index {id:?}")))
     }
 

@@ -1,21 +1,32 @@
-//! DML execution: INSERT (with ON CONFLICT), UPDATE, DELETE, COPY.
+//! DML planning and execution: INSERT (with ON CONFLICT), UPDATE, DELETE,
+//! COPY.
+//!
+//! A statement is planned once — catalog entry, bound expressions, target
+//! access path — into an [`InsertPlan`] / [`UpdatePlan`] / [`DeletePlan`]
+//! that holds nothing value-specific when the statement's literals were
+//! lifted into slots, so the engine's plan cache can run it again with other
+//! values.
 //!
 //! Writers follow PostgreSQL's read-committed protocol: target rows are found
 //! under the statement snapshot, locked, then re-checked against the latest
 //! committed version before modification (the EvalPlanQual dance).
 
-use crate::catalog::{IndexMethod, TableMeta};
+use crate::catalog::{IndexId, IndexMethod, TableMeta};
 use crate::error::{ErrorCode, PgError, PgResult};
-use crate::exec::{execute_select, scan_with_rowids, ExecCtx};
+use crate::exec::{
+    build_select_plan, passes, run_select_plan, scan_with_rowids, CtxSubquery, EngineCatalogView,
+    ExecCtx,
+};
 use crate::expr::{bind, eval, BExpr, ColumnRef, RowScope};
 use crate::index::IndexStore;
 use crate::lock::{LockKey, LockMode};
-use crate::plan::{choose_access_paths, split_conjuncts, conjoin, PlanNode};
+use crate::plan::{choose_access_paths, IndexProbe, PlanNode, SelectPlan};
 use crate::storage::{ExpireOutcome, TableStore};
 use crate::types::{Datum, Row};
 use crate::txn::INVALID_XID;
 use crate::wal::WalRecord;
 use sqlparse::ast::{Assignment, ConflictAction, Expr, Insert, InsertSource};
+use std::sync::Arc;
 
 /// Scope of a table's own columns (unqualified + optionally aliased).
 fn table_scope(meta: &TableMeta, alias: Option<&str>) -> RowScope {
@@ -38,8 +49,8 @@ fn charge_write(ctx: &mut ExecCtx, meta: &TableMeta, row: &Row) -> PgResult<()> 
             IndexMethod::BTree => ctx.cost.add_cpu(model.index_descend_ms * 0.5),
             IndexMethod::Gin => {
                 // one posting insertion per trigram of the indexed text
-                let (keys, _) = ctx.engine.bound_index(&imeta, meta)?;
-                let v = eval(&keys[0], row, &ctx.eval_ctx)?;
+                let bound = ctx.engine.bound_index(&imeta, meta)?;
+                let v = eval(&bound.0[0], row, &ctx.eval_ctx)?;
                 if !v.is_null() {
                     let grams = crate::types::text_ops::trigrams(&v.to_text()).len();
                     ctx.cost.add_cpu(model.cpu_operator_ms * 4.0 * grams as f64);
@@ -65,7 +76,8 @@ fn check_unique(
         if !imeta.unique {
             continue;
         }
-        let (keys, _) = ctx.engine.bound_index(&imeta, meta)?;
+        let bound = ctx.engine.bound_index(&imeta, meta)?;
+        let keys = &bound.0;
         let key: Vec<Datum> =
             keys.iter().map(|k| eval(k, row, &ctx.eval_ctx)).collect::<PgResult<_>>()?;
         if key.iter().any(Datum::is_null) {
@@ -104,7 +116,7 @@ fn check_unique(
 
 /// Foreign keys: every referenced row must exist (insert/update path).
 fn check_fk_outbound(ctx: &mut ExecCtx, meta: &TableMeta, row: &Row) -> PgResult<()> {
-    for fk in meta.foreign_keys.clone() {
+    for fk in &meta.foreign_keys {
         let values: Vec<Datum> = fk.columns.iter().map(|&c| row[c].clone()).collect();
         if values.iter().any(Datum::is_null) {
             continue;
@@ -212,12 +224,37 @@ fn row_exists_with(
     Ok(found)
 }
 
+/// Bound `DEFAULT` expression of every column `target_cols` leaves out.
+fn bind_defaults(meta: &TableMeta, target_cols: &[usize]) -> PgResult<Vec<Option<BExpr>>> {
+    let no_columns = RowScope::default();
+    meta.columns
+        .iter()
+        .enumerate()
+        .map(|(i, col)| match &col.default {
+            Some(d) if !target_cols.contains(&i) => bind(d, &no_columns).map(Some),
+            _ => Ok(None),
+        })
+        .collect()
+}
+
+/// Target column positions of an INSERT / COPY column list (empty = all).
+fn resolve_target_cols(meta: &TableMeta, columns: &[String]) -> PgResult<Vec<usize>> {
+    if columns.is_empty() {
+        return Ok((0..meta.columns.len()).collect());
+    }
+    columns
+        .iter()
+        .map(|n| meta.column_index(n).ok_or_else(|| PgError::undefined_column(n)))
+        .collect()
+}
+
 /// Build one full row from a partial column list, applying defaults, casts,
 /// and NOT NULL checks.
 fn complete_row(
     ctx: &ExecCtx,
     meta: &TableMeta,
     target_cols: &[usize],
+    defaults: &[Option<BExpr>],
     values: Vec<Datum>,
 ) -> PgResult<Row> {
     if values.len() != target_cols.len() {
@@ -227,17 +264,12 @@ fn complete_row(
         ));
     }
     let mut row: Row = vec![Datum::Null; meta.columns.len()];
-    let mut provided = vec![false; meta.columns.len()];
     for (&c, v) in target_cols.iter().zip(values) {
         row[c] = v;
-        provided[c] = true;
     }
     for (i, col) in meta.columns.iter().enumerate() {
-        if !provided[i] {
-            if let Some(d) = &col.default {
-                let b = bind(d, &RowScope::default(), &[])?;
-                row[i] = eval(&b, &vec![], &ctx.eval_ctx)?;
-            }
+        if let Some(d) = &defaults[i] {
+            row[i] = eval(d, &Vec::new(), &ctx.eval_ctx)?;
         }
         if !row[i].is_null() {
             row[i] = row[i].cast_to(col.ty)?;
@@ -258,50 +290,144 @@ fn require_xid(ctx: &ExecCtx) -> PgResult<()> {
     Ok(())
 }
 
+/// Where an INSERT's rows come from.
+#[derive(Debug)]
+enum InsertRows {
+    /// `VALUES` rows, bound over no columns.
+    Values(Vec<Vec<BExpr>>),
+    Query(Box<SelectPlan>),
+}
+
+/// `ON CONFLICT (cols) DO …`.
+#[derive(Debug)]
+struct ConflictPlan {
+    /// Conflict target column positions (the primary key when unnamed).
+    cols: Vec<usize>,
+    /// `DO UPDATE SET` assignments, bound over the table's columns followed
+    /// by `excluded.*`; `None` is `DO NOTHING`.
+    update: Option<Vec<(usize, BExpr)>>,
+}
+
+/// A planned INSERT.
+#[derive(Debug)]
+pub struct InsertPlan {
+    meta: Arc<TableMeta>,
+    target_cols: Vec<usize>,
+    defaults: Vec<Option<BExpr>>,
+    rows: InsertRows,
+    conflict: Option<ConflictPlan>,
+}
+
+/// How an UPDATE/DELETE finds its rows: a seq or index scan of the target
+/// table under the WHERE clause.
+#[derive(Debug)]
+struct TargetScan {
+    index: Option<(IndexId, IndexProbe)>,
+    /// The whole WHERE clause: the scan's filter, and the predicate
+    /// re-checked on each row's latest version.
+    filter: Option<BExpr>,
+}
+
+/// A planned UPDATE.
+#[derive(Debug)]
+pub struct UpdatePlan {
+    meta: Arc<TableMeta>,
+    assignments: Vec<(usize, BExpr)>,
+    targets: TargetScan,
+}
+
+/// A planned DELETE.
+#[derive(Debug)]
+pub struct DeletePlan {
+    meta: Arc<TableMeta>,
+    targets: TargetScan,
+}
+
+fn bind_assignments(
+    meta: &TableMeta,
+    assignments: &[Assignment],
+    scope: &RowScope,
+) -> PgResult<Vec<(usize, BExpr)>> {
+    assignments
+        .iter()
+        .map(|a| {
+            let c = meta
+                .column_index(&a.column)
+                .ok_or_else(|| PgError::undefined_column(&a.column))?;
+            Ok((c, bind(&a.value, scope)?))
+        })
+        .collect()
+}
+
+/// Plan an INSERT. A `SELECT` source is planned here too (its subqueries run
+/// eagerly, like any SELECT's).
+pub fn plan_insert(ctx: &mut ExecCtx, ins: &Insert) -> PgResult<InsertPlan> {
+    let meta = ctx.engine.table_meta(&ins.table)?;
+    let target_cols = resolve_target_cols(&meta, &ins.columns)?;
+    let defaults = bind_defaults(&meta, &target_cols)?;
+    let rows = match &ins.source {
+        InsertSource::Values(rows) => {
+            let no_columns = RowScope::default();
+            InsertRows::Values(
+                rows.iter()
+                    .map(|r| r.iter().map(|e| bind(e, &no_columns)).collect())
+                    .collect::<PgResult<_>>()?,
+            )
+        }
+        InsertSource::Query(sel) => InsertRows::Query(Box::new(build_select_plan(ctx, sel)?)),
+    };
+    let conflict = match &ins.on_conflict {
+        None => None,
+        Some(oc) => {
+            let cols = if oc.target.is_empty() {
+                meta.primary_key.clone().ok_or_else(|| {
+                    PgError::new(ErrorCode::InvalidParameter, "ON CONFLICT requires a primary key")
+                })?
+            } else {
+                resolve_target_cols(&meta, &oc.target)?
+            };
+            let update = match &oc.action {
+                ConflictAction::Nothing => None,
+                ConflictAction::Update(assignments) => {
+                    // scope: table columns then excluded.*
+                    let mut scope = table_scope(&meta, None);
+                    scope.cols.extend(
+                        meta.columns.iter().map(|c| ColumnRef::new(Some("excluded"), &c.name)),
+                    );
+                    Some(bind_assignments(&meta, assignments, &scope)?)
+                }
+            };
+            Some(ConflictPlan { cols, update })
+        }
+    };
+    Ok(InsertPlan { meta, target_cols, defaults, rows, conflict })
+}
+
 /// Execute INSERT. Returns the number of rows inserted (ON CONFLICT DO
 /// NOTHING rows are not counted; DO UPDATE rows are).
-pub fn exec_insert(ctx: &mut ExecCtx, ins: &Insert, params: &[Datum]) -> PgResult<u64> {
+pub fn run_insert(ctx: &mut ExecCtx, plan: &InsertPlan) -> PgResult<u64> {
     require_xid(ctx)?;
-    let meta = ctx.engine.table_meta(&ins.table)?;
+    let meta = &*plan.meta;
     ctx.engine.locks.acquire(ctx.xid, LockKey::Table(meta.id), LockMode::Shared)?;
-    let target_cols: Vec<usize> = if ins.columns.is_empty() {
-        (0..meta.columns.len()).collect()
-    } else {
-        ins.columns
-            .iter()
-            .map(|n| meta.column_index(n).ok_or_else(|| PgError::undefined_column(n)))
-            .collect::<PgResult<_>>()?
-    };
     // materialise source rows first (so INSERT INTO t SELECT FROM t is sane)
-    let source_rows: Vec<Row> = match &ins.source {
-        InsertSource::Values(rows) => {
-            let scope = RowScope::default();
-            let mut out = Vec::with_capacity(rows.len());
-            for r in rows {
-                let row: Row = r
-                    .iter()
-                    .map(|e| {
-                        let b = bind(e, &scope, params)?;
-                        eval(&b, &vec![], &ctx.eval_ctx)
-                    })
-                    .collect::<PgResult<_>>()?;
-                out.push(row);
-            }
-            out
-        }
-        InsertSource::Query(sel) => execute_select(ctx, sel, params)?.1,
+    let source_rows: Vec<Row> = match &plan.rows {
+        InsertRows::Values(rows) => rows
+            .iter()
+            .map(|r| r.iter().map(|b| eval(b, &Vec::new(), &ctx.eval_ctx)).collect())
+            .collect::<PgResult<_>>()?,
+        InsertRows::Query(select) => run_select_plan(ctx, select)?.1,
     };
 
     let store = ctx.engine.store(meta.id)?;
     match &*store {
         TableStore::Columnar(col) => {
-            if ins.on_conflict.is_some() {
+            if plan.conflict.is_some() {
                 return Err(PgError::unsupported("ON CONFLICT on columnar tables"));
             }
             let mut batch = Vec::with_capacity(source_rows.len());
             for values in source_rows {
-                let row = complete_row(ctx, &meta, &target_cols, values)?;
-                charge_write(ctx, &meta, &row)?;
+                let row = complete_row(ctx, meta, &plan.target_cols, &plan.defaults, values)?;
+                charge_write(ctx, meta, &row)?;
                 batch.push(row);
             }
             let n = batch.len() as u64;
@@ -317,41 +443,28 @@ pub fn exec_insert(ctx: &mut ExecCtx, ins: &Insert, params: &[Datum]) -> PgResul
         TableStore::Heap(heap) => {
             let mut count = 0u64;
             for values in source_rows {
-                let row = complete_row(ctx, &meta, &target_cols, values)?;
+                let row = complete_row(ctx, meta, &plan.target_cols, &plan.defaults, values)?;
                 // ON CONFLICT: look for an existing live row on the target key
-                if let Some(oc) = &ins.on_conflict {
-                    if let Some((existing_rid, existing_row)) =
-                        find_conflict(ctx, &meta, &oc.target, &row)?
-                    {
-                        match &oc.action {
-                            ConflictAction::Nothing => continue,
-                            ConflictAction::Update(assignments) => {
-                                apply_conflict_update(
-                                    ctx,
-                                    &meta,
-                                    existing_rid,
-                                    &existing_row,
-                                    &row,
-                                    assignments,
-                                    params,
-                                )?;
-                                count += 1;
-                                continue;
-                            }
+                if let Some(oc) = &plan.conflict {
+                    if let Some(existing_rid) = find_conflict(ctx, meta, &oc.cols, &row)? {
+                        if let Some(assignments) = &oc.update {
+                            apply_conflict_update(ctx, meta, existing_rid, &row, assignments)?;
+                            count += 1;
                         }
+                        continue;
                     }
                 }
-                check_unique(ctx, &meta, &row, None)?;
-                check_fk_outbound(ctx, &meta, &row)?;
+                check_unique(ctx, meta, &row, None)?;
+                check_fk_outbound(ctx, meta, &row)?;
                 let row_id = heap.insert(ctx.xid, row.clone());
-                ctx.engine.index_insert_row(&meta, row_id, &row)?;
+                ctx.engine.index_insert_row(meta, row_id, &row)?;
                 ctx.engine.wal.append(WalRecord::Insert {
                     xid: ctx.xid,
                     table: meta.id,
                     row_id,
                     row: row.clone(),
                 });
-                charge_write(ctx, &meta, &row)?;
+                charge_write(ctx, meta, &row)?;
                 count += 1;
             }
             Ok(count)
@@ -363,25 +476,20 @@ pub fn exec_insert(ctx: &mut ExecCtx, ins: &Insert, params: &[Datum]) -> PgResul
 fn find_conflict(
     ctx: &mut ExecCtx,
     meta: &TableMeta,
-    target: &[String],
+    cols: &[usize],
     row: &Row,
-) -> PgResult<Option<(u64, Row)>> {
-    let cols: Vec<usize> = if target.is_empty() {
-        meta.primary_key.clone().ok_or_else(|| {
-            PgError::new(ErrorCode::InvalidParameter, "ON CONFLICT requires a primary key")
-        })?
-    } else {
-        target
-            .iter()
-            .map(|n| meta.column_index(n).ok_or_else(|| PgError::undefined_column(n)))
-            .collect::<PgResult<_>>()?
-    };
+) -> PgResult<Option<u64>> {
     let values: Vec<Datum> = cols.iter().map(|&c| row[c].clone()).collect();
     if values.iter().any(Datum::is_null) {
         return Ok(None);
     }
     let store = ctx.engine.store(meta.id)?;
     let heap = store.heap()?;
+    let matches = |v: &Row| {
+        cols.iter()
+            .zip(&values)
+            .all(|(&c, val)| v[c].sql_cmp(val) == Some(std::cmp::Ordering::Equal))
+    };
     // find rows via any index with that prefix, else scan
     for iid in &meta.indexes {
         let imeta = ctx.engine.index_meta(*iid)?;
@@ -401,12 +509,8 @@ fn find_conflict(
         let IndexStore::BTree(b) = &*istore else { continue };
         for rid in b.get_eq(&values) {
             if let Some(v) = heap.visible_version(&ctx.engine.txns, &ctx.snap, rid) {
-                if cols
-                    .iter()
-                    .zip(&values)
-                    .all(|(&c, val)| v[c].sql_cmp(val) == Some(std::cmp::Ordering::Equal))
-                {
-                    return Ok(Some((rid, v)));
+                if matches(&v) {
+                    return Ok(Some(rid));
                 }
             }
         }
@@ -414,13 +518,8 @@ fn find_conflict(
     }
     let mut found = None;
     heap.scan_visible(&ctx.engine.txns, &ctx.snap, |t| {
-        if found.is_none()
-            && cols
-                .iter()
-                .zip(&values)
-                .all(|(&c, val)| t.data[c].sql_cmp(val) == Some(std::cmp::Ordering::Equal))
-        {
-            found = Some((t.row_id, t.data.clone()));
+        if found.is_none() && matches(&t.data) {
+            found = Some(t.row_id);
         }
     });
     Ok(found)
@@ -432,10 +531,8 @@ fn apply_conflict_update(
     ctx: &mut ExecCtx,
     meta: &TableMeta,
     row_id: u64,
-    _existing: &Row,
     proposed: &Row,
-    assignments: &[Assignment],
-    params: &[Datum],
+    assignments: &[(usize, BExpr)],
 ) -> PgResult<()> {
     ctx.engine.locks.acquire(ctx.xid, LockKey::Row(meta.id, row_id), LockMode::Exclusive)?;
     let fresh = ctx.engine.txns.snapshot(ctx.xid);
@@ -444,25 +541,16 @@ fn apply_conflict_update(
     let Some(current) = heap.visible_version(&ctx.engine.txns, &fresh, row_id) else {
         return Ok(()); // row vanished; PostgreSQL would retry, we no-op
     };
-    // scope: table columns then excluded.*
-    let mut scope = table_scope(meta, None);
-    scope
-        .cols
-        .extend(meta.columns.iter().map(|c| ColumnRef::new(Some("excluded"), &c.name)));
     let mut eval_row = current.clone();
     eval_row.extend(proposed.iter().cloned());
     let mut new_row = current.clone();
-    for a in assignments {
-        let c = meta
-            .column_index(&a.column)
-            .ok_or_else(|| PgError::undefined_column(&a.column))?;
-        let b = bind(&a.value, &scope, params)?;
-        let v = eval(&b, &eval_row, &ctx.eval_ctx)?;
-        new_row[c] = if v.is_null() { v } else { v.cast_to(meta.columns[c].ty)? };
-        if new_row[c].is_null() && meta.columns[c].not_null {
+    for (c, b) in assignments {
+        let v = eval(b, &eval_row, &ctx.eval_ctx)?;
+        new_row[*c] = if v.is_null() { v } else { v.cast_to(meta.columns[*c].ty)? };
+        if new_row[*c].is_null() && meta.columns[*c].not_null {
             return Err(PgError::new(
                 ErrorCode::NotNullViolation,
-                format!("null value in column \"{}\"", a.column),
+                format!("null value in column \"{}\"", meta.columns[*c].name),
             ));
         }
     }
@@ -485,98 +573,52 @@ fn apply_conflict_update(
     Ok(())
 }
 
-/// Collect (row_id, row) targets of an UPDATE/DELETE using index access
-/// paths when possible.
-fn collect_targets(
+/// Plan the target scan of an UPDATE/DELETE: the WHERE clause (subqueries
+/// flattened by running them through the select path) bound as the scan's
+/// filter, over an index when one applies.
+fn plan_targets(
     ctx: &mut ExecCtx,
     meta: &TableMeta,
-    alias: Option<&str>,
+    scope: &RowScope,
     where_clause: &Option<Expr>,
-    params: &[Datum],
-) -> PgResult<Vec<(u64, Row)>> {
-    let scope = table_scope(meta, alias);
-    let mut node = PlanNode::SeqScan { table: meta.id, filter: None, cols: None };
-    if let Some(w) = where_clause {
-        // subqueries in DML WHERE: execute them via the select path
-        let mut subq = CtxSubquery { ctx, params: params.to_vec() };
-        let flat = crate::plan::flatten_for_dml(w, &mut subq)?;
-        let conjuncts = split_conjuncts(&flat);
-        let mut residual = Vec::new();
-        for c in conjuncts {
-            let b = bind(&c, &scope, params)?;
-            match &mut node {
-                PlanNode::SeqScan { filter, .. } => match filter {
-                    Some(f) => {
-                        *filter = Some(BExpr::Binary {
-                            op: sqlparse::ast::BinaryOp::And,
-                            left: Box::new(f.clone()),
-                            right: Box::new(b),
-                        })
-                    }
-                    None => *filter = Some(b),
-                },
-                _ => residual.push(c),
-            }
-        }
-        let _ = conjoin(residual);
-    }
-    let engine = ctx.engine.clone();
-    let view = crate::exec::EngineCatalogView { engine: &engine };
-    choose_access_paths(&mut node, &view, &|id| engine.table_meta_by_id(id))?;
+) -> PgResult<TargetScan> {
+    let filter = where_clause
+        .as_ref()
+        .map(|w| bind(&crate::plan::flatten_for_dml(w, &mut CtxSubquery { ctx })?, scope))
+        .transpose()?;
+    let mut node = PlanNode::SeqScan { table: meta.id, filter, cols: None };
+    choose_access_paths(&mut node, &EngineCatalogView { engine: ctx.engine })?;
     match node {
-        PlanNode::SeqScan { table, filter, .. } => {
-            scan_with_rowids(ctx, table, None, &filter, None)
-        }
-        PlanNode::IndexScan { table, index, probe, filter } => {
-            scan_with_rowids(ctx, table, Some((index, &probe)), &filter, None)
+        PlanNode::SeqScan { filter, .. } => Ok(TargetScan { index: None, filter }),
+        PlanNode::IndexScan { index, probe, filter, .. } => {
+            Ok(TargetScan { index: Some((index, probe)), filter })
         }
         _ => Err(PgError::internal("unexpected DML target plan")),
     }
 }
 
-/// Adapter so DML WHERE clauses can run subqueries through the select path.
-struct CtxSubquery<'a, 'e> {
-    ctx: &'a mut ExecCtx<'e>,
-    params: Vec<Datum>,
-}
-
-impl crate::plan::SubqueryExecutor for CtxSubquery<'_, '_> {
-    fn run_subquery(&mut self, sub: &sqlparse::ast::Select) -> PgResult<Vec<Row>> {
-        execute_select(self.ctx, sub, &self.params).map(|(_, rows)| rows)
+impl TargetScan {
+    /// `(row_id, row)` candidates under the statement snapshot.
+    fn run(&self, ctx: &mut ExecCtx, meta: &TableMeta) -> PgResult<Vec<(u64, Row)>> {
+        let index = self.index.as_ref().map(|(id, probe)| (*id, probe));
+        scan_with_rowids(ctx, meta.id, index, &self.filter, None)
     }
 }
 
-/// Execute UPDATE. Returns rows updated.
-pub fn exec_update(
-    ctx: &mut ExecCtx,
-    upd: &sqlparse::ast::Update,
-    params: &[Datum],
-) -> PgResult<u64> {
-    require_xid(ctx)?;
+pub fn plan_update(ctx: &mut ExecCtx, upd: &sqlparse::ast::Update) -> PgResult<UpdatePlan> {
     let meta = ctx.engine.table_meta(&upd.table)?;
-    ctx.engine.locks.acquire(ctx.xid, LockKey::Table(meta.id), LockMode::Shared)?;
     let scope = table_scope(&meta, upd.alias.as_deref());
-    let assignments: Vec<(usize, BExpr)> = upd
-        .assignments
-        .iter()
-        .map(|a| {
-            let c = meta
-                .column_index(&a.column)
-                .ok_or_else(|| PgError::undefined_column(&a.column))?;
-            Ok((c, bind(&a.value, &scope, params)?))
-        })
-        .collect::<PgResult<_>>()?;
-    let filter_bound = upd
-        .where_clause
-        .as_ref()
-        .map(|w| {
-            let mut subq = CtxSubquery { ctx, params: params.to_vec() };
-            let flat = crate::plan::flatten_for_dml(w, &mut subq)?;
-            bind(&flat, &scope, params)
-        })
-        .transpose()?;
-    let targets =
-        collect_targets(ctx, &meta, upd.alias.as_deref(), &upd.where_clause, params)?;
+    let assignments = bind_assignments(&meta, &upd.assignments, &scope)?;
+    let targets = plan_targets(ctx, &meta, &scope, &upd.where_clause)?;
+    Ok(UpdatePlan { meta, assignments, targets })
+}
+
+/// Execute UPDATE. Returns rows updated.
+pub fn run_update(ctx: &mut ExecCtx, plan: &UpdatePlan) -> PgResult<u64> {
+    require_xid(ctx)?;
+    let meta = &*plan.meta;
+    ctx.engine.locks.acquire(ctx.xid, LockKey::Table(meta.id), LockMode::Shared)?;
+    let targets = plan.targets.run(ctx, meta)?;
     let store = ctx.engine.store(meta.id)?;
     let heap = store.heap()?;
     let mut count = 0u64;
@@ -586,14 +628,12 @@ pub fn exec_update(
         let Some(current) = heap.visible_version(&ctx.engine.txns, &fresh, row_id) else {
             continue; // deleted meanwhile
         };
-        // EvalPlanQual: predicate must still hold on the latest version
-        if let Some(f) = &filter_bound {
-            if !matches!(eval(f, &current, &ctx.eval_ctx)?, Datum::Bool(true)) {
-                continue;
-            }
+        // EvalPlanQual: the predicate must still hold on the latest version
+        if !passes(&plan.targets.filter, &current, &ctx.eval_ctx)? {
+            continue;
         }
         let mut new_row = current.clone();
-        for (c, b) in &assignments {
+        for (c, b) in &plan.assignments {
             let v = eval(b, &current, &ctx.eval_ctx)?;
             new_row[*c] = if v.is_null() { v } else { v.cast_to(meta.columns[*c].ty)? };
             if new_row[*c].is_null() && meta.columns[*c].not_null {
@@ -603,14 +643,14 @@ pub fn exec_update(
                 ));
             }
         }
-        check_unique(ctx, &meta, &new_row, Some(row_id))?;
-        check_fk_outbound(ctx, &meta, &new_row)?;
+        check_unique(ctx, meta, &new_row, Some(row_id))?;
+        check_fk_outbound(ctx, meta, &new_row)?;
         match heap.expire(&ctx.engine.txns, &fresh, row_id, ctx.xid)? {
             ExpireOutcome::Expired => {}
             _ => continue,
         }
         heap.insert_version(row_id, ctx.xid, new_row.clone());
-        ctx.engine.index_insert_row(&meta, row_id, &new_row)?;
+        ctx.engine.index_insert_row(meta, row_id, &new_row)?;
         ctx.engine.wal.append(WalRecord::Update {
             xid: ctx.xid,
             table: meta.id,
@@ -618,33 +658,25 @@ pub fn exec_update(
             old_row: current,
             new_row: new_row.clone(),
         });
-        charge_write(ctx, &meta, &new_row)?;
+        charge_write(ctx, meta, &new_row)?;
         count += 1;
     }
     Ok(count)
 }
 
-/// Execute DELETE. Returns rows deleted.
-pub fn exec_delete(
-    ctx: &mut ExecCtx,
-    del: &sqlparse::ast::Delete,
-    params: &[Datum],
-) -> PgResult<u64> {
-    require_xid(ctx)?;
+pub fn plan_delete(ctx: &mut ExecCtx, del: &sqlparse::ast::Delete) -> PgResult<DeletePlan> {
     let meta = ctx.engine.table_meta(&del.table)?;
-    ctx.engine.locks.acquire(ctx.xid, LockKey::Table(meta.id), LockMode::Shared)?;
     let scope = table_scope(&meta, del.alias.as_deref());
-    let filter_bound = del
-        .where_clause
-        .as_ref()
-        .map(|w| {
-            let mut subq = CtxSubquery { ctx, params: params.to_vec() };
-            let flat = crate::plan::flatten_for_dml(w, &mut subq)?;
-            bind(&flat, &scope, params)
-        })
-        .transpose()?;
-    let targets =
-        collect_targets(ctx, &meta, del.alias.as_deref(), &del.where_clause, params)?;
+    let targets = plan_targets(ctx, &meta, &scope, &del.where_clause)?;
+    Ok(DeletePlan { meta, targets })
+}
+
+/// Execute DELETE. Returns rows deleted.
+pub fn run_delete(ctx: &mut ExecCtx, plan: &DeletePlan) -> PgResult<u64> {
+    require_xid(ctx)?;
+    let meta = &*plan.meta;
+    ctx.engine.locks.acquire(ctx.xid, LockKey::Table(meta.id), LockMode::Shared)?;
+    let targets = plan.targets.run(ctx, meta)?;
     let store = ctx.engine.store(meta.id)?;
     let heap = store.heap()?;
     let mut count = 0u64;
@@ -654,12 +686,10 @@ pub fn exec_delete(
         let Some(current) = heap.visible_version(&ctx.engine.txns, &fresh, row_id) else {
             continue;
         };
-        if let Some(f) = &filter_bound {
-            if !matches!(eval(f, &current, &ctx.eval_ctx)?, Datum::Bool(true)) {
-                continue;
-            }
+        if !passes(&plan.targets.filter, &current, &ctx.eval_ctx)? {
+            continue;
         }
-        check_fk_inbound(ctx, &meta, &current)?;
+        check_fk_inbound(ctx, meta, &current)?;
         match heap.expire(&ctx.engine.txns, &fresh, row_id, ctx.xid)? {
             ExpireOutcome::Expired => {}
             _ => continue,
@@ -688,20 +718,14 @@ pub fn exec_copy(
     require_xid(ctx)?;
     let meta = ctx.engine.table_meta(table)?;
     ctx.engine.locks.acquire(ctx.xid, LockKey::Table(meta.id), LockMode::Shared)?;
-    let target_cols: Vec<usize> = if columns.is_empty() {
-        (0..meta.columns.len()).collect()
-    } else {
-        columns
-            .iter()
-            .map(|n| meta.column_index(n).ok_or_else(|| PgError::undefined_column(n)))
-            .collect::<PgResult<_>>()?
-    };
+    let target_cols = resolve_target_cols(&meta, columns)?;
+    let defaults = bind_defaults(&meta, &target_cols)?;
     let store = ctx.engine.store(meta.id)?;
     match &*store {
         TableStore::Columnar(col) => {
             let mut batch = Vec::with_capacity(rows.len());
             for values in rows {
-                let row = complete_row(ctx, &meta, &target_cols, values)?;
+                let row = complete_row(ctx, &meta, &target_cols, &defaults, values)?;
                 charge_write(ctx, &meta, &row)?;
                 batch.push(row);
             }
@@ -718,7 +742,7 @@ pub fn exec_copy(
         TableStore::Heap(heap) => {
             let mut count = 0u64;
             for values in rows {
-                let row = complete_row(ctx, &meta, &target_cols, values)?;
+                let row = complete_row(ctx, &meta, &target_cols, &defaults, values)?;
                 check_unique(ctx, &meta, &row, None)?;
                 check_fk_outbound(ctx, &meta, &row)?;
                 let row_id = heap.insert(ctx.xid, row.clone());

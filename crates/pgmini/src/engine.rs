@@ -13,6 +13,7 @@ use crate::expr::{bind, eval, BExpr, ColumnRef, EvalCtx, RowScope};
 use crate::hooks::Hooks;
 use crate::index::{BTreeIndex, GinIndex, IndexStore};
 use crate::lock::LockManager;
+use crate::plancache::{CachedPlan, ShapeCache, ShapeCacheStats};
 use crate::session::Session;
 use crate::storage::{HeapStore, TableStore};
 use crate::txn::{TxnManager, Xid, INVALID_XID};
@@ -62,6 +63,9 @@ impl Default for EngineConfig {
     }
 }
 
+/// An index's bound key expressions and partial predicate.
+pub type BoundIndex = (Vec<BExpr>, Option<BExpr>);
+
 /// One simulated PostgreSQL server.
 pub struct Engine {
     pub config: EngineConfig,
@@ -69,7 +73,12 @@ pub struct Engine {
     stores: RwLock<HashMap<TableId, Arc<TableStore>>>,
     index_stores: RwLock<HashMap<IndexId, Arc<IndexStore>>>,
     /// Cache of bound index expressions: (key exprs, partial predicate).
-    bound_index_exprs: RwLock<HashMap<IndexId, (Vec<BExpr>, Option<BExpr>)>>,
+    bound_index_exprs: RwLock<HashMap<IndexId, Arc<BoundIndex>>>,
+    /// Counts DDL: every entry point that changes what a plan was built from
+    /// bumps it, which invalidates the plans cached under the old value.
+    catalog_version: AtomicU64,
+    /// Generic plans of the shard statements this engine has run, by shape.
+    pub(crate) plan_cache: ShapeCache<CachedPlan>,
     pub txns: TxnManager,
     pub locks: LockManager,
     pub wal: Wal,
@@ -88,6 +97,8 @@ impl Engine {
             stores: RwLock::new(HashMap::new()),
             index_stores: RwLock::new(HashMap::new()),
             bound_index_exprs: RwLock::new(HashMap::new()),
+            catalog_version: AtomicU64::new(0),
+            plan_cache: ShapeCache::new(crate::plancache::MAX_ENTRIES),
             config,
             txns: TxnManager::default(),
             locks: LockManager::default(),
@@ -149,16 +160,36 @@ impl Engine {
             .ok_or_else(|| PgError::internal(format!("no store for index {id:?}")))
     }
 
-    pub fn table_meta(&self, name: &str) -> PgResult<TableMeta> {
+    pub fn table_meta(&self, name: &str) -> PgResult<Arc<TableMeta>> {
         self.catalog.read().table_by_name(name).cloned()
     }
 
-    pub fn table_meta_by_id(&self, id: TableId) -> PgResult<TableMeta> {
+    pub fn table_meta_by_id(&self, id: TableId) -> PgResult<Arc<TableMeta>> {
         self.catalog.read().table(id).cloned()
     }
 
-    pub fn index_meta(&self, id: IndexId) -> PgResult<IndexMeta> {
+    pub fn index_meta(&self, id: IndexId) -> PgResult<Arc<IndexMeta>> {
         self.catalog.read().index(id).cloned()
+    }
+
+    /// The version cached plans are stamped with (see `catalog_version`).
+    pub fn catalog_version(&self) -> u64 {
+        self.catalog_version.load(Ordering::SeqCst)
+    }
+
+    /// Called by every DDL entry point once its change is in place.
+    fn catalog_changed(&self) {
+        self.catalog_version.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Hit/miss/size/invalidation counters of the local plan cache.
+    pub fn plan_cache_stats(&self) -> ShapeCacheStats {
+        self.plan_cache.stats()
+    }
+
+    /// Drop every cached plan (tests compare warm against cold execution).
+    pub fn clear_plan_cache(&self) {
+        self.plan_cache.clear();
     }
 
     /// Override a table's simulated row width (benchmarks size datasets to
@@ -167,6 +198,7 @@ impl Engine {
         let mut cat = self.catalog.write();
         let id = cat.table_id(table)?;
         cat.table_mut(id)?.sim_row_width = width;
+        self.catalog_changed();
         Ok(())
     }
 
@@ -183,6 +215,7 @@ impl Engine {
         self.stores
             .write()
             .insert(id, Arc::new(TableStore::Columnar(Default::default())));
+        self.catalog_changed();
         Ok(())
     }
 
@@ -259,6 +292,7 @@ impl Engine {
             }
         }
         drop(cat);
+        self.catalog_changed();
         self.wal.append(WalRecord::Ddl {
             sql: sqlparse::deparse(&Statement::CreateTable(Box::new(stmt.clone()))),
         });
@@ -294,6 +328,7 @@ impl Engine {
         for (row_id, row) in rows {
             self.index_insert_row_one(&tmeta, &imeta, &store, row_id, &row)?;
         }
+        self.catalog_changed();
         self.wal.append(WalRecord::Ddl {
             sql: sqlparse::deparse(&Statement::CreateIndex(Box::new(stmt.clone()))),
         });
@@ -319,6 +354,7 @@ impl Engine {
             self.bound_index_exprs.write().remove(iid);
         }
         drop(istores);
+        self.catalog_changed();
         self.wal.append(WalRecord::Ddl {
             sql: format!("DROP TABLE {}", sqlparse::quote_ident(name)),
         });
@@ -340,6 +376,7 @@ impl Engine {
         for i in 0..meta.columns.len() {
             self.buffer.forget(BufferKey::TableColumn(meta.id.0, i as u32));
         }
+        self.catalog_changed();
         self.wal
             .append(WalRecord::Ddl { sql: format!("TRUNCATE {}", sqlparse::quote_ident(name)) });
         Ok(())
@@ -348,7 +385,7 @@ impl Engine {
     // ---------------- index maintenance ----------------
 
     /// Bound key expressions + predicate for an index, cached.
-    pub fn bound_index(&self, imeta: &IndexMeta, tmeta: &TableMeta) -> PgResult<(Vec<BExpr>, Option<BExpr>)> {
+    pub fn bound_index(&self, imeta: &IndexMeta, tmeta: &TableMeta) -> PgResult<Arc<BoundIndex>> {
         if let Some(found) = self.bound_index_exprs.read().get(&imeta.id) {
             return Ok(found.clone());
         }
@@ -356,9 +393,9 @@ impl Engine {
             cols: tmeta.columns.iter().map(|c| ColumnRef::new(None, &c.name)).collect(),
         };
         let keys: Vec<BExpr> =
-            imeta.exprs.iter().map(|e| bind(e, &scope, &[])).collect::<PgResult<_>>()?;
-        let pred = imeta.predicate.as_ref().map(|p| bind(p, &scope, &[])).transpose()?;
-        let entry = (keys, pred);
+            imeta.exprs.iter().map(|e| bind(e, &scope)).collect::<PgResult<_>>()?;
+        let pred = imeta.predicate.as_ref().map(|p| bind(p, &scope)).transpose()?;
+        let entry = Arc::new((keys, pred));
         self.bound_index_exprs.write().insert(imeta.id, entry.clone());
         Ok(entry)
     }
@@ -371,9 +408,10 @@ impl Engine {
         row_id: u64,
         row: &Row,
     ) -> PgResult<()> {
-        let (keys, pred) = self.bound_index(imeta, tmeta)?;
+        let bound = self.bound_index(imeta, tmeta)?;
+        let (keys, pred) = &*bound;
         let ctx = EvalCtx::default();
-        if let Some(p) = &pred {
+        if let Some(p) = pred {
             if !matches!(eval(p, row, &ctx)?, Datum::Bool(true)) {
                 return Ok(());
             }
@@ -410,8 +448,9 @@ impl Engine {
         for iid in &tmeta.indexes {
             let imeta = self.index_meta(*iid)?;
             let store = self.index_store(*iid)?;
-            let (keys, pred) = self.bound_index(&imeta, tmeta)?;
-            if let Some(p) = &pred {
+            let bound = self.bound_index(&imeta, tmeta)?;
+            let (keys, pred) = &*bound;
+            if let Some(p) = pred {
                 if !matches!(eval(p, row, &ctx)?, Datum::Bool(true)) {
                     continue;
                 }

@@ -33,8 +33,8 @@ pub struct ExecCtx<'e> {
 
 impl<'e> ExecCtx<'e> {
     pub fn new(engine: &'e Arc<Engine>, snap: Snapshot, xid: Xid, seed: u64) -> Self {
-        let now = crate::types::time::parse_timestamp("2020-06-01 00:00:00").expect("const");
-        ExecCtx { engine, snap, xid, eval_ctx: EvalCtx::new(seed, now), cost: SimCost::ZERO }
+        let eval_ctx = EvalCtx::new(seed, crate::expr::NOW_MICROS);
+        ExecCtx { engine, snap, xid, eval_ctx, cost: SimCost::ZERO }
     }
 
     fn model(&self) -> crate::cost::CostModel {
@@ -48,11 +48,18 @@ pub struct EngineCatalogView<'a> {
 }
 
 impl crate::plan::PlannerCatalog for EngineCatalogView<'_> {
-    fn table_meta(&self, name: &str) -> PgResult<crate::catalog::TableMeta> {
+    fn table_meta(&self, name: &str) -> PgResult<Arc<crate::catalog::TableMeta>> {
         self.engine.table_meta(name)
     }
 
-    fn index_meta(&self, id: crate::catalog::IndexId) -> PgResult<crate::catalog::IndexMeta> {
+    fn table_meta_by_id(&self, id: TableId) -> PgResult<Arc<crate::catalog::TableMeta>> {
+        self.engine.table_meta_by_id(id)
+    }
+
+    fn index_meta(
+        &self,
+        id: crate::catalog::IndexId,
+    ) -> PgResult<Arc<crate::catalog::IndexMeta>> {
         self.engine.index_meta(id)
     }
 
@@ -63,45 +70,37 @@ impl crate::plan::PlannerCatalog for EngineCatalogView<'_> {
 
 /// Subquery executor that recurses through `execute_select` on the same
 /// execution context (same snapshot, shared cost accounting).
-struct CtxSubquery<'a, 'e> {
-    ctx: &'a mut ExecCtx<'e>,
-    params: Vec<Datum>,
+pub(crate) struct CtxSubquery<'a, 'e> {
+    pub(crate) ctx: &'a mut ExecCtx<'e>,
 }
 
 impl crate::plan::SubqueryExecutor for CtxSubquery<'_, '_> {
     fn run_subquery(&mut self, sub: &sqlparse::ast::Select) -> PgResult<Vec<Row>> {
-        execute_select(self.ctx, sub, &self.params).map(|(_, rows)| rows)
+        execute_select(self.ctx, sub).map(|(_, rows)| rows)
     }
 }
 
 /// Plan a SELECT against the context's engine (subqueries run eagerly).
-pub fn build_select_plan(
-    ctx: &mut ExecCtx,
-    sel: &sqlparse::ast::Select,
-    params: &[Datum],
-) -> PgResult<SelectPlan> {
+pub fn build_select_plan(ctx: &mut ExecCtx, sel: &sqlparse::ast::Select) -> PgResult<SelectPlan> {
     let engine = ctx.engine.clone();
     let view = EngineCatalogView { engine: &engine };
-    let mut plan = {
-        let mut subq = CtxSubquery { ctx, params: params.to_vec() };
-        crate::plan::plan_select(sel, &view, &mut subq, params)?
-    };
-    crate::plan::choose_access_paths(&mut plan.input, &view, &|id| engine.table_meta_by_id(id))?;
+    let mut plan = crate::plan::plan_select(sel, &view, &mut CtxSubquery { ctx })?;
+    crate::plan::choose_access_paths(&mut plan.input, &view)?;
     Ok(plan)
 }
 
-/// Plan + run a SELECT, returning (column names, rows).
+/// Plan + run a SELECT as written (no plan cache: this is the path of
+/// subqueries and `INSERT … SELECT` sources), returning (column names, rows).
 pub fn execute_select(
     ctx: &mut ExecCtx,
     sel: &sqlparse::ast::Select,
-    params: &[Datum],
 ) -> PgResult<(Vec<String>, Vec<Row>)> {
-    let plan = build_select_plan(ctx, sel, params)?;
+    let plan = build_select_plan(ctx, sel)?;
     run_select_plan(ctx, &plan)
 }
 
 /// Evaluate a filter as a WHERE condition (NULL = false).
-fn passes(filter: &Option<BExpr>, row: &Row, ctx: &EvalCtx) -> PgResult<bool> {
+pub(crate) fn passes(filter: &Option<BExpr>, row: &Row, ctx: &EvalCtx) -> PgResult<bool> {
     match filter {
         None => Ok(true),
         Some(f) => Ok(matches!(eval(f, row, ctx)?, Datum::Bool(true))),
@@ -191,7 +190,7 @@ pub fn scan_with_rowids(
                     && filter.as_ref().is_none_or(crate::batch::supports_batch);
                 if batchable {
                     // Tier A: batched scan + filter. Stripe slices become
-                    // `ColumnBatch`es (only `refs` columns cloned), the
+                    // `ColumnBatch`es (borrowed, only `refs` columns), the
                     // filter runs as kernels over the column vectors, and
                     // only surviving rows are materialized.
                     let kernels_per_batch =
@@ -722,19 +721,11 @@ pub fn run_select_plan(ctx: &mut ExecCtx, plan: &SelectPlan) -> PgResult<(Vec<St
             return Err(PgError::internal("FOR UPDATE requires a transaction"));
         }
         let (index, filter) = match &plan.input {
-            PlanNode::SeqScan { filter, .. } => (None, filter.clone()),
-            PlanNode::IndexScan { index, probe, filter, .. } => {
-                (Some((*index, probe.clone())), filter.clone())
-            }
+            PlanNode::SeqScan { filter, .. } => (None, filter),
+            PlanNode::IndexScan { index, probe, filter, .. } => (Some((*index, probe)), filter),
             _ => return Err(PgError::unsupported("FOR UPDATE on joins")),
         };
-        let targets = scan_with_rowids(
-            ctx,
-            table,
-            index.as_ref().map(|(i, p)| (*i, p)),
-            &filter,
-            None,
-        )?;
+        let targets = scan_with_rowids(ctx, table, index, filter, None)?;
         let mut rows = Vec::new();
         for (row_id, _) in targets {
             ctx.engine.locks.acquire(ctx.xid, LockKey::Row(table, row_id), LockMode::Exclusive)?;
@@ -743,7 +734,7 @@ pub fn run_select_plan(ctx: &mut ExecCtx, plan: &SelectPlan) -> PgResult<(Vec<St
             let heap_store = ctx.engine.store(table)?;
             let heap = heap_store.heap()?;
             if let Some(row) = heap.visible_version(&ctx.engine.txns, &fresh, row_id) {
-                if passes(&filter, &row, &ctx.eval_ctx)? {
+                if passes(filter, &row, &ctx.eval_ctx)? {
                     rows.push(row);
                 }
             }
@@ -845,12 +836,15 @@ fn finish_select(
     }
 
     // OFFSET / LIMIT
-    if let Some(off) = plan.offset {
-        let off = (off as usize).min(result_rows.len());
+    let row_count = |e: &BExpr| -> PgResult<usize> {
+        Ok(eval(e, &Vec::new(), &ctx.eval_ctx)?.as_i64()?.max(0) as usize)
+    };
+    if let Some(off) = &plan.offset {
+        let off = row_count(off)?.min(result_rows.len());
         result_rows.drain(..off);
     }
-    if let Some(lim) = plan.limit {
-        result_rows.truncate(lim as usize);
+    if let Some(lim) = &plan.limit {
+        result_rows.truncate(row_count(lim)?);
     }
 
     // hide order-by helper columns

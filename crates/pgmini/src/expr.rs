@@ -155,6 +155,9 @@ impl Builtin {
 #[derive(Debug, Clone, PartialEq)]
 pub enum BExpr {
     Const(Datum),
+    /// A literal slot of the statement's shape, resolved from
+    /// [`EvalCtx::params`] at evaluation time: what makes a plan generic.
+    Param(usize),
     Col(usize),
     Unary { op: UnaryOp, expr: Box<BExpr> },
     Binary { op: BinaryOp, left: Box<BExpr>, right: Box<BExpr> },
@@ -175,10 +178,12 @@ pub enum BExpr {
 }
 
 impl BExpr {
-    /// True when the expression references no columns (constant-foldable).
+    /// True when the expression references no columns: its value is fixed for
+    /// the statement (a parameter slot included), so an index can be probed
+    /// with it.
     pub fn is_const(&self) -> bool {
         match self {
-            BExpr::Const(_) => true,
+            BExpr::Const(_) | BExpr::Param(_) => true,
             BExpr::Col(_) => false,
             BExpr::Unary { expr, .. } | BExpr::Cast { expr, .. } | BExpr::IsNull { expr, .. } => {
                 expr.is_const()
@@ -204,15 +209,21 @@ impl BExpr {
     }
 }
 
-/// Per-statement evaluation context: deterministic RNG and a fixed `now()`.
+/// `now()` of every statement: 2020-06-01 00:00:00, in microseconds.
+pub const NOW_MICROS: i64 = 1_590_969_600_000_000;
+
+/// Per-statement evaluation context: deterministic RNG, a fixed `now()`, and
+/// the statement's literal values by slot.
 pub struct EvalCtx {
     rng: Cell<u64>,
     pub now_micros: i64,
+    /// Values of the statement's [`BExpr::Param`] slots.
+    pub params: Vec<Datum>,
 }
 
 impl EvalCtx {
     pub fn new(seed: u64, now_micros: i64) -> Self {
-        EvalCtx { rng: Cell::new(seed | 1), now_micros }
+        EvalCtx { rng: Cell::new(seed | 1), now_micros, params: Vec::new() }
     }
 
     fn next_f64(&self) -> f64 {
@@ -224,48 +235,50 @@ impl EvalCtx {
 
 impl Default for EvalCtx {
     fn default() -> Self {
-        EvalCtx::new(0x1234_5678, time::parse_timestamp("2020-06-01 00:00:00").unwrap())
+        EvalCtx::new(0x1234_5678, NOW_MICROS)
     }
 }
 
-/// Bind a parsed expression against `scope`. `params` supplies `$n` values.
-/// Subqueries must have been flattened by the planner before binding.
-pub fn bind(expr: &Expr, scope: &RowScope, params: &[Datum]) -> PgResult<BExpr> {
+/// `$n` has no value.
+pub(crate) fn missing_param(n: usize) -> PgError {
+    PgError::new(ErrorCode::InvalidParameter, format!("no value for parameter ${n}"))
+}
+
+/// Bind a parsed expression against `scope`. `$n` binds to slot `n - 1`,
+/// valued at evaluation time. Subqueries must have been flattened by the
+/// planner before binding.
+pub fn bind(expr: &Expr, scope: &RowScope) -> PgResult<BExpr> {
     Ok(match expr {
         Expr::Literal(l) => BExpr::Const(literal_datum(l)),
-        Expr::Param(n) => {
-            let v = params.get(*n - 1).ok_or_else(|| {
-                PgError::new(ErrorCode::InvalidParameter, format!("no value for parameter ${n}"))
-            })?;
-            BExpr::Const(v.clone())
-        }
+        Expr::Param(n) => BExpr::Param(n.checked_sub(1).ok_or_else(|| missing_param(0))?),
         Expr::Column { table, name } => {
             BExpr::Col(scope.resolve(table.as_deref(), name)?)
         }
         Expr::Unary { op, expr } => {
-            BExpr::Unary { op: *op, expr: Box::new(bind(expr, scope, params)?) }
+            BExpr::Unary { op: *op, expr: Box::new(bind(expr, scope)?) }
         }
         Expr::Binary { left, op, right } => BExpr::Binary {
             op: *op,
-            left: Box::new(bind(left, scope, params)?),
-            right: Box::new(bind(right, scope, params)?),
+            left: Box::new(bind(left, scope)?),
+            right: Box::new(bind(right, scope)?),
         },
         Expr::Like { expr, pattern, negated, case_insensitive } => BExpr::Like {
-            expr: Box::new(bind(expr, scope, params)?),
-            pattern: Box::new(bind(pattern, scope, params)?),
+            expr: Box::new(bind(expr, scope)?),
+            pattern: Box::new(bind(pattern, scope)?),
             negated: *negated,
             case_insensitive: *case_insensitive,
         },
         Expr::Between { expr, low, high, negated } => BExpr::Between {
-            expr: Box::new(bind(expr, scope, params)?),
-            low: Box::new(bind(low, scope, params)?),
-            high: Box::new(bind(high, scope, params)?),
+            expr: Box::new(bind(expr, scope)?),
+            low: Box::new(bind(low, scope)?),
+            high: Box::new(bind(high, scope)?),
             negated: *negated,
         },
         Expr::InList { expr, list, negated } => {
             let bound: Vec<BExpr> =
-                list.iter().map(|e| bind(e, scope, params)).collect::<PgResult<_>>()?;
-            if bound.len() > 32 && bound.iter().all(BExpr::is_const) {
+                list.iter().map(|e| bind(e, scope)).collect::<PgResult<_>>()?;
+            if bound.len() > sqlparse::shape::FOLDED_IN_LIST && bound.iter().all(BExpr::is_const)
+            {
                 let ctx = EvalCtx::default();
                 let mut set = std::collections::BTreeSet::new();
                 let mut has_null = false;
@@ -278,38 +291,38 @@ pub fn bind(expr: &Expr, scope: &RowScope, params: &[Datum]) -> PgResult<BExpr> 
                     }
                 }
                 BExpr::InSet {
-                    expr: Box::new(bind(expr, scope, params)?),
+                    expr: Box::new(bind(expr, scope)?),
                     set: std::sync::Arc::new(set),
                     has_null,
                     negated: *negated,
                 }
             } else {
                 BExpr::InList {
-                    expr: Box::new(bind(expr, scope, params)?),
+                    expr: Box::new(bind(expr, scope)?),
                     list: bound,
                     negated: *negated,
                 }
             }
         }
         Expr::IsNull { expr, negated } => {
-            BExpr::IsNull { expr: Box::new(bind(expr, scope, params)?), negated: *negated }
+            BExpr::IsNull { expr: Box::new(bind(expr, scope)?), negated: *negated }
         }
         Expr::Case { operand, branches, else_result } => BExpr::Case {
             operand: operand
                 .as_ref()
-                .map(|o| bind(o, scope, params).map(Box::new))
+                .map(|o| bind(o, scope).map(Box::new))
                 .transpose()?,
             branches: branches
                 .iter()
-                .map(|(w, t)| Ok((bind(w, scope, params)?, bind(t, scope, params)?)))
+                .map(|(w, t)| Ok((bind(w, scope)?, bind(t, scope)?)))
                 .collect::<PgResult<_>>()?,
             else_result: else_result
                 .as_ref()
-                .map(|e| bind(e, scope, params).map(Box::new))
+                .map(|e| bind(e, scope).map(Box::new))
                 .transpose()?,
         },
         Expr::Cast { expr, ty } => {
-            BExpr::Cast { expr: Box::new(bind(expr, scope, params)?), ty: *ty }
+            BExpr::Cast { expr: Box::new(bind(expr, scope)?), ty: *ty }
         }
         Expr::Func(fc) => {
             let f = Builtin::resolve(&fc.name).ok_or_else(|| {
@@ -320,7 +333,7 @@ pub fn bind(expr: &Expr, scope: &RowScope, params: &[Datum]) -> PgResult<BExpr> 
             })?;
             BExpr::Func {
                 f,
-                args: fc.args.iter().map(|a| bind(a, scope, params)).collect::<PgResult<_>>()?,
+                args: fc.args.iter().map(|a| bind(a, scope)).collect::<PgResult<_>>()?,
             }
         }
         Expr::InSubquery { .. } | Expr::Exists { .. } | Expr::ScalarSubquery(_) => {
@@ -341,10 +354,27 @@ pub fn literal_datum(l: &Literal) -> Datum {
     }
 }
 
+/// The expression that evaluates to `d`: a literal, cast from its text form
+/// for the types that have no literal syntax.
+pub fn datum_expr(d: &Datum) -> Expr {
+    match d {
+        Datum::Null => Expr::Literal(Literal::Null),
+        Datum::Bool(b) => Expr::Literal(Literal::Bool(*b)),
+        Datum::Int(v) => Expr::Literal(Literal::Int(*v)),
+        Datum::Float(v) => Expr::Literal(Literal::Float(*v)),
+        Datum::Text(s) => Expr::Literal(Literal::String(s.clone())),
+        Datum::Timestamp(_) | Datum::Json(_) => Expr::Cast {
+            expr: Box::new(Expr::Literal(Literal::String(d.to_text()))),
+            ty: if matches!(d, Datum::Timestamp(_)) { TypeName::Timestamp } else { TypeName::Json },
+        },
+    }
+}
+
 /// Evaluate a bound expression against one row.
 pub fn eval(e: &BExpr, row: &Row, ctx: &EvalCtx) -> PgResult<Datum> {
     match e {
         BExpr::Const(d) => Ok(d.clone()),
+        BExpr::Param(slot) => ctx.params.get(*slot).cloned().ok_or_else(|| missing_param(slot + 1)),
         BExpr::Col(i) => row
             .get(*i)
             .cloned()
@@ -929,7 +959,7 @@ mod tests {
 
     fn run(src: &str, row: &Row) -> Datum {
         let e = parse_expr(src).unwrap();
-        let b = bind(&e, &scope(), &[]).unwrap();
+        let b = bind(&e, &scope()).unwrap();
         eval(&b, row, &EvalCtx::default()).unwrap()
     }
 
@@ -957,7 +987,7 @@ mod tests {
     #[test]
     fn division_by_zero_errors() {
         let e = parse_expr("a / 0").unwrap();
-        let b = bind(&e, &scope(), &[]).unwrap();
+        let b = bind(&e, &scope()).unwrap();
         let err = eval(&b, &sample_row(), &EvalCtx::default()).unwrap_err();
         assert_eq!(err.code, ErrorCode::DivisionByZero);
     }
@@ -1069,7 +1099,7 @@ mod tests {
     #[test]
     fn random_is_deterministic_per_seed() {
         let e = parse_expr("random()").unwrap();
-        let b = bind(&e, &scope(), &[]).unwrap();
+        let b = bind(&e, &scope()).unwrap();
         let c1 = EvalCtx::new(7, 0);
         let c2 = EvalCtx::new(7, 0);
         let v1 = eval(&b, &sample_row(), &c1).unwrap();
@@ -1083,18 +1113,21 @@ mod tests {
 
     #[test]
     fn params_bind() {
-        let e = parse_expr("a + $1").unwrap();
-        let b = bind(&e, &scope(), &[Datum::Int(32)]).unwrap();
-        assert_eq!(eval(&b, &sample_row(), &EvalCtx::default()).unwrap(), Datum::Int(42));
-        assert!(bind(&e, &scope(), &[]).is_err());
+        let b = bind(&parse_expr("a + $1").unwrap(), &scope()).unwrap();
+        let mut ctx = EvalCtx::default();
+        let err = eval(&b, &sample_row(), &ctx).unwrap_err();
+        assert_eq!(err.code, ErrorCode::InvalidParameter);
+        ctx.params = vec![Datum::Int(32)];
+        assert_eq!(eval(&b, &sample_row(), &ctx).unwrap(), Datum::Int(42));
+        assert_eq!(NOW_MICROS, time::parse_timestamp("2020-06-01 00:00:00").unwrap());
     }
 
     #[test]
     fn unknown_column_and_function() {
         let e = parse_expr("nope + 1").unwrap();
-        assert_eq!(bind(&e, &scope(), &[]).unwrap_err().code, ErrorCode::UndefinedColumn);
+        assert_eq!(bind(&e, &scope()).unwrap_err().code, ErrorCode::UndefinedColumn);
         let e = parse_expr("frobnicate(a)").unwrap();
-        assert!(bind(&e, &scope(), &[]).is_err());
+        assert!(bind(&e, &scope()).is_err());
     }
 
     #[test]
@@ -1109,11 +1142,11 @@ mod tests {
     #[test]
     fn constness() {
         let s = scope();
-        let c = bind(&parse_expr("1 + 2 * length('ab')").unwrap(), &s, &[]).unwrap();
+        let c = bind(&parse_expr("1 + 2 * length('ab')").unwrap(), &s).unwrap();
         assert!(c.is_const());
-        let nc = bind(&parse_expr("a + 1").unwrap(), &s, &[]).unwrap();
+        let nc = bind(&parse_expr("a + 1").unwrap(), &s).unwrap();
         assert!(!nc.is_const());
-        let rnd = bind(&parse_expr("random()").unwrap(), &s, &[]).unwrap();
+        let rnd = bind(&parse_expr("random()").unwrap(), &s).unwrap();
         assert!(!rnd.is_const(), "volatile functions are not const");
     }
 }

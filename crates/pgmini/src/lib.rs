@@ -31,6 +31,7 @@ pub mod index;
 pub mod hooks;
 pub mod lock;
 pub mod plan;
+pub mod plancache;
 pub mod session;
 pub mod storage;
 pub mod txn;

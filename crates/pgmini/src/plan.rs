@@ -13,12 +13,12 @@
 
 use crate::catalog::{IndexId, IndexMethod, TableId, TableMeta};
 use crate::error::{ErrorCode, PgError, PgResult};
-use crate::expr::{bind, BExpr, ColumnRef, RowScope};
-use crate::types::Datum;
+use crate::expr::{bind, datum_expr, BExpr, ColumnRef, RowScope};
 use sqlparse::ast::{
     BinaryOp, Expr, FuncCall, JoinKind, Literal, Select, SelectItem, TableRef,
 };
 use sqlparse::deparse_expr;
+use std::sync::Arc;
 
 /// Aggregate function kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,8 +167,10 @@ pub struct SelectPlan {
     pub distinct: bool,
     /// (projection index, descending)
     pub order_by: Vec<(usize, bool)>,
-    pub limit: Option<u64>,
-    pub offset: Option<u64>,
+    /// Row-free expressions, valued per execution (`LIMIT 5` is a literal
+    /// slot like any other).
+    pub limit: Option<BExpr>,
+    pub offset: Option<BExpr>,
     /// FOR UPDATE: lock the returned rows of this single table.
     pub for_update: Option<TableId>,
 }
@@ -182,24 +184,24 @@ pub trait SubqueryExecutor {
 
 /// Catalog + statistics view the planner needs.
 pub trait PlannerCatalog {
-    fn table_meta(&self, name: &str) -> PgResult<TableMeta>;
-    fn index_meta(&self, id: IndexId) -> PgResult<crate::catalog::IndexMeta>;
+    fn table_meta(&self, name: &str) -> PgResult<Arc<TableMeta>>;
+    fn table_meta_by_id(&self, id: TableId) -> PgResult<Arc<TableMeta>>;
+    fn index_meta(&self, id: IndexId) -> PgResult<Arc<crate::catalog::IndexMeta>>;
     fn row_estimate(&self, table: TableId) -> u64;
 }
 
-/// Plan a SELECT. `params` supplies `$n` values.
+/// Plan a SELECT.
 pub fn plan_select(
     sel: &Select,
     cat: &dyn PlannerCatalog,
     subq: &mut dyn SubqueryExecutor,
-    params: &[Datum],
 ) -> PgResult<SelectPlan> {
     // 1. resolve FROM into (node, scope), left-deep across comma items
     let mut arities: std::collections::HashMap<TableId, usize> =
         std::collections::HashMap::new();
     let mut from_parts: Vec<(PlanNode, RowScope)> = Vec::new();
     for item in &sel.from {
-        from_parts.push(plan_table_ref(item, cat, subq, params, &mut arities)?);
+        from_parts.push(plan_table_ref(item, cat, subq, &mut arities)?);
     }
     let (mut node, mut scope) = match from_parts.len() {
         0 => (
@@ -230,12 +232,12 @@ pub fn plan_select(
         let conjuncts = split_conjuncts(&flat);
         let mut residual: Vec<Expr> = Vec::new();
         for c in conjuncts {
-            if !push_conjunct(&mut node, &scope, &c, params)? {
+            if !push_conjunct(&mut node, &scope, &c)? {
                 residual.push(c);
             }
         }
         if let Some(pred) = conjoin(residual) {
-            let bound = bind(&pred, &scope, params)?;
+            let bound = bind(&pred, &scope)?;
             node = PlanNode::Filter { input: Box::new(node), pred: bound };
         }
     }
@@ -353,12 +355,12 @@ pub fn plan_select(
         let group_keys: Vec<String> = group_exprs.iter().map(normal_key).collect();
         let rewritten: Vec<Expr> = out_exprs
             .iter()
-            .map(|e| rewrite_agg(e, &group_keys, &mut calls, &mut call_keys, &scope, params))
+            .map(|e| rewrite_agg(e, &group_keys, &mut calls, &mut call_keys, &scope))
             .collect::<PgResult<_>>()?;
         let having_rewritten = match &sel.having {
             Some(h) => {
                 let flat = flatten_subqueries(h, subq, &scope)?;
-                Some(rewrite_agg(&flat, &group_keys, &mut calls, &mut call_keys, &scope, params)?)
+                Some(rewrite_agg(&flat, &group_keys, &mut calls, &mut call_keys, &scope)?)
             }
             None => None,
         };
@@ -372,7 +374,7 @@ pub fn plan_select(
         let projection: Vec<BExpr> = rewritten
             .iter()
             .map(|e| {
-                bind(e, &post_scope, params).map_err(|err| {
+                bind(e, &post_scope).map_err(|err| {
                     if err.code == ErrorCode::UndefinedColumn {
                         PgError::new(
                             ErrorCode::Syntax,
@@ -388,16 +390,16 @@ pub fn plan_select(
                 })
             })
             .collect::<PgResult<_>>()?;
-        let having = having_rewritten.map(|h| bind(&h, &post_scope, params)).transpose()?;
+        let having = having_rewritten.map(|h| bind(&h, &post_scope)).transpose()?;
         let group: Vec<BExpr> =
-            group_exprs.iter().map(|g| bind(g, &scope, params)).collect::<PgResult<_>>()?;
+            group_exprs.iter().map(|g| bind(g, &scope)).collect::<PgResult<_>>()?;
         (Some(AggStage { group, calls }), projection, having)
     } else {
         if sel.having.is_some() {
             return Err(PgError::new(ErrorCode::Syntax, "HAVING requires aggregation"));
         }
         let projection: Vec<BExpr> =
-            out_exprs.iter().map(|e| bind(e, &scope, params)).collect::<PgResult<_>>()?;
+            out_exprs.iter().map(|e| bind(e, &scope)).collect::<PgResult<_>>()?;
         (None, projection, None)
     };
 
@@ -415,8 +417,9 @@ pub fn plan_select(
         None
     };
 
-    let limit = sel.limit.as_ref().map(|e| const_u64(e, params)).transpose()?;
-    let offset = sel.offset.as_ref().map(|e| const_u64(e, params)).transpose()?;
+    let no_columns = RowScope::default();
+    let limit = sel.limit.as_ref().map(|e| bind(e, &no_columns)).transpose()?;
+    let offset = sel.offset.as_ref().map(|e| bind(e, &no_columns)).transpose()?;
 
     // 7. projection pushdown: record on each base-table scan the set of
     // columns the query references anywhere. The FOR UPDATE path re-reads
@@ -556,12 +559,6 @@ fn mark_scan_cols(
     }
 }
 
-fn const_u64(e: &Expr, params: &[Datum]) -> PgResult<u64> {
-    let b = bind(e, &RowScope::default(), params)?;
-    let v = crate::expr::eval(&b, &vec![], &crate::expr::EvalCtx::default())?;
-    Ok(v.as_i64()?.max(0) as u64)
-}
-
 fn default_name(e: &Expr) -> String {
     match e {
         Expr::Column { name, .. } => name.clone(),
@@ -605,7 +602,6 @@ fn rewrite_agg(
     calls: &mut Vec<AggCall>,
     call_keys: &mut Vec<String>,
     raw_scope: &RowScope,
-    params: &[Datum],
 ) -> PgResult<Expr> {
     // whole expression is a group key?
     if let Some(i) = group_keys.iter().position(|k| k == &normal_key(e)) {
@@ -623,7 +619,7 @@ fn rewrite_agg(
                         let a = f.args.first().ok_or_else(|| {
                             PgError::new(ErrorCode::Syntax, "aggregate needs an argument")
                         })?;
-                        Some(bind(a, raw_scope, params)?)
+                        Some(bind(a, raw_scope)?)
                     }
                 };
                 calls.push(AggCall { kind, arg, distinct: f.distinct });
@@ -637,40 +633,40 @@ fn rewrite_agg(
     Ok(match e {
         Expr::Unary { op, expr } => Expr::Unary {
             op: *op,
-            expr: Box::new(rewrite_agg(expr, group_keys, calls, call_keys, raw_scope, params)?),
+            expr: Box::new(rewrite_agg(expr, group_keys, calls, call_keys, raw_scope)?),
         },
         Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(rewrite_agg(left, group_keys, calls, call_keys, raw_scope, params)?),
+            left: Box::new(rewrite_agg(left, group_keys, calls, call_keys, raw_scope)?),
             op: *op,
-            right: Box::new(rewrite_agg(right, group_keys, calls, call_keys, raw_scope, params)?),
+            right: Box::new(rewrite_agg(right, group_keys, calls, call_keys, raw_scope)?),
         },
         Expr::Cast { expr, ty } => Expr::Cast {
-            expr: Box::new(rewrite_agg(expr, group_keys, calls, call_keys, raw_scope, params)?),
+            expr: Box::new(rewrite_agg(expr, group_keys, calls, call_keys, raw_scope)?),
             ty: *ty,
         },
         Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(rewrite_agg(expr, group_keys, calls, call_keys, raw_scope, params)?),
+            expr: Box::new(rewrite_agg(expr, group_keys, calls, call_keys, raw_scope)?),
             negated: *negated,
         },
         Expr::Like { expr, pattern, negated, case_insensitive } => Expr::Like {
-            expr: Box::new(rewrite_agg(expr, group_keys, calls, call_keys, raw_scope, params)?),
+            expr: Box::new(rewrite_agg(expr, group_keys, calls, call_keys, raw_scope)?),
             pattern: Box::new(rewrite_agg(
-                pattern, group_keys, calls, call_keys, raw_scope, params,
+                pattern, group_keys, calls, call_keys, raw_scope,
             )?),
             negated: *negated,
             case_insensitive: *case_insensitive,
         },
         Expr::Between { expr, low, high, negated } => Expr::Between {
-            expr: Box::new(rewrite_agg(expr, group_keys, calls, call_keys, raw_scope, params)?),
-            low: Box::new(rewrite_agg(low, group_keys, calls, call_keys, raw_scope, params)?),
-            high: Box::new(rewrite_agg(high, group_keys, calls, call_keys, raw_scope, params)?),
+            expr: Box::new(rewrite_agg(expr, group_keys, calls, call_keys, raw_scope)?),
+            low: Box::new(rewrite_agg(low, group_keys, calls, call_keys, raw_scope)?),
+            high: Box::new(rewrite_agg(high, group_keys, calls, call_keys, raw_scope)?),
             negated: *negated,
         },
         Expr::InList { expr, list, negated } => Expr::InList {
-            expr: Box::new(rewrite_agg(expr, group_keys, calls, call_keys, raw_scope, params)?),
+            expr: Box::new(rewrite_agg(expr, group_keys, calls, call_keys, raw_scope)?),
             list: list
                 .iter()
-                .map(|x| rewrite_agg(x, group_keys, calls, call_keys, raw_scope, params))
+                .map(|x| rewrite_agg(x, group_keys, calls, call_keys, raw_scope))
                 .collect::<PgResult<_>>()?,
             negated: *negated,
         },
@@ -678,22 +674,22 @@ fn rewrite_agg(
             operand: operand
                 .as_ref()
                 .map(|o| {
-                    rewrite_agg(o, group_keys, calls, call_keys, raw_scope, params).map(Box::new)
+                    rewrite_agg(o, group_keys, calls, call_keys, raw_scope).map(Box::new)
                 })
                 .transpose()?,
             branches: branches
                 .iter()
                 .map(|(w, t)| {
                     Ok((
-                        rewrite_agg(w, group_keys, calls, call_keys, raw_scope, params)?,
-                        rewrite_agg(t, group_keys, calls, call_keys, raw_scope, params)?,
+                        rewrite_agg(w, group_keys, calls, call_keys, raw_scope)?,
+                        rewrite_agg(t, group_keys, calls, call_keys, raw_scope)?,
                     ))
                 })
                 .collect::<PgResult<_>>()?,
             else_result: else_result
                 .as_ref()
                 .map(|x| {
-                    rewrite_agg(x, group_keys, calls, call_keys, raw_scope, params).map(Box::new)
+                    rewrite_agg(x, group_keys, calls, call_keys, raw_scope).map(Box::new)
                 })
                 .transpose()?,
         },
@@ -702,7 +698,7 @@ fn rewrite_agg(
             args: f
                 .args
                 .iter()
-                .map(|a| rewrite_agg(a, group_keys, calls, call_keys, raw_scope, params))
+                .map(|a| rewrite_agg(a, group_keys, calls, call_keys, raw_scope))
                 .collect::<PgResult<_>>()?,
             distinct: f.distinct,
             star: f.star,
@@ -731,7 +727,7 @@ fn flatten_subqueries(
                             "subquery must return a single column",
                         ));
                     }
-                    datum_to_literal_expr(&row[0])
+                    datum_expr(&row[0])
                 }
                 _ => {
                     return Err(PgError::new(
@@ -752,7 +748,7 @@ fn flatten_subqueries(
                             "subquery in IN must return a single column",
                         ));
                     }
-                    Ok(datum_to_literal_expr(&r[0]))
+                    Ok(datum_expr(&r[0]))
                 })
                 .collect::<PgResult<_>>()?;
             let inner = flatten_subqueries(expr, subq, _outer_scope)?;
@@ -857,23 +853,6 @@ fn run_uncorrelated(
     })
 }
 
-fn datum_to_literal_expr(d: &Datum) -> Expr {
-    match d {
-        Datum::Null => Expr::Literal(Literal::Null),
-        Datum::Bool(b) => Expr::Literal(Literal::Bool(*b)),
-        Datum::Int(v) => Expr::Literal(Literal::Int(*v)),
-        Datum::Float(v) => Expr::Literal(Literal::Float(*v)),
-        Datum::Text(s) => Expr::Literal(Literal::String(s.clone())),
-        Datum::Timestamp(_) | Datum::Json(_) => Expr::Cast {
-            expr: Box::new(Expr::Literal(Literal::String(d.to_text()))),
-            ty: match d {
-                Datum::Timestamp(_) => sqlparse::ast::TypeName::Timestamp,
-                _ => sqlparse::ast::TypeName::Json,
-            },
-        },
-    }
-}
-
 /// Split an expression into top-level AND conjuncts.
 pub fn split_conjuncts(e: &Expr) -> Vec<Expr> {
     match e {
@@ -928,10 +907,9 @@ fn push_conjunct(
     node: &mut PlanNode,
     scope: &RowScope,
     conjunct: &Expr,
-    params: &[Datum],
 ) -> PgResult<bool> {
     let quals = referenced_qualifiers(conjunct, scope)?;
-    push_conjunct_inner(node, scope, conjunct, &quals, params, 0).map(|r| r.is_some())
+    push_conjunct_inner(node, scope, conjunct, &quals, 0).map(|r| r.is_some())
 }
 
 /// Returns Some(()) if pushed. `offset` is this node's starting column in the
@@ -941,7 +919,6 @@ fn push_conjunct_inner(
     scope: &RowScope,
     conjunct: &Expr,
     quals: &[String],
-    params: &[Datum],
     offset: usize,
 ) -> PgResult<Option<()>> {
     match node {
@@ -954,7 +931,7 @@ fn push_conjunct_inner(
             // changes semantics; keep it simple and only push into inner/cross
             if in_left && !matches!(kind, JoinKind::Right | JoinKind::Full) {
                 if let Some(()) =
-                    push_conjunct_inner(left, scope, conjunct, quals, params, offset)?
+                    push_conjunct_inner(left, scope, conjunct, quals, offset)?
                 {
                     return Ok(Some(()));
                 }
@@ -965,7 +942,6 @@ fn push_conjunct_inner(
                     scope,
                     conjunct,
                     quals,
-                    params,
                     offset + *left_arity,
                 )? {
                     return Ok(Some(()));
@@ -979,7 +955,7 @@ fn push_conjunct_inner(
                 let sub_scope = RowScope {
                     cols: scope.cols[offset..offset + *left_arity + *right_arity].to_vec(),
                 };
-                let bound = bind_with_offset(conjunct, &sub_scope, params)?;
+                let bound = bind(conjunct, &sub_scope)?;
                 *kind = JoinKind::Inner;
                 // equi-condition? extract hash keys
                 if let Expr::Binary { left: cl, op: BinaryOp::Eq, right: cr } = conjunct {
@@ -1005,8 +981,8 @@ fn push_conjunct_inner(
                             [offset + *left_arity..offset + *left_arity + *right_arity]
                             .to_vec(),
                     };
-                    let lb = bind(lkey, &lscope, params)?;
-                    let rb = bind(rkey, &rscope, params)?;
+                    let lb = bind(lkey, &lscope)?;
+                    let rb = bind(rkey, &rscope)?;
                     match hash_keys {
                         Some((ls, rs)) => {
                             ls.push(lb);
@@ -1032,7 +1008,7 @@ fn push_conjunct_inner(
             // restrict to just this table's columns: for leaf nodes the
             // remaining scope *starts* with this table; binding may still see
             // later tables' columns, so re-check quals first (done above).
-            let bound = bind(conjunct, &sub_scope, params)?;
+            let bound = bind(conjunct, &sub_scope)?;
             match filter {
                 Some(f) => {
                     *filter = Some(BExpr::Binary {
@@ -1047,7 +1023,7 @@ fn push_conjunct_inner(
         }
         PlanNode::Materialized { .. } => Ok(None),
         PlanNode::Filter { input, .. } => {
-            push_conjunct_inner(input, scope, conjunct, quals, params, offset)
+            push_conjunct_inner(input, scope, conjunct, quals, offset)
         }
     }
 }
@@ -1063,10 +1039,6 @@ fn append_on(on: &mut Option<BExpr>, extra: BExpr) {
         }
         None => *on = Some(extra),
     }
-}
-
-fn bind_with_offset(e: &Expr, scope: &RowScope, params: &[Datum]) -> PgResult<BExpr> {
-    bind(e, scope, params)
 }
 
 /// Qualifiers covering `arity` columns starting at `offset` in the scope.
@@ -1098,7 +1070,6 @@ fn plan_table_ref(
     item: &TableRef,
     cat: &dyn PlannerCatalog,
     subq: &mut dyn SubqueryExecutor,
-    params: &[Datum],
     arities: &mut std::collections::HashMap<TableId, usize>,
 ) -> PgResult<(PlanNode, RowScope)> {
     match item {
@@ -1117,8 +1088,8 @@ fn plan_table_ref(
             Ok((PlanNode::Materialized { rows, arity }, scope))
         }
         TableRef::Join { left, right, kind, on } => {
-            let (lnode, lscope) = plan_table_ref(left, cat, subq, params, arities)?;
-            let (rnode, rscope) = plan_table_ref(right, cat, subq, params, arities)?;
+            let (lnode, lscope) = plan_table_ref(left, cat, subq, arities)?;
+            let (rnode, rscope) = plan_table_ref(right, cat, subq, arities)?;
             let scope = lscope.join(&rscope);
             let mut node = PlanNode::Join {
                 left_arity: lscope.len(),
@@ -1136,16 +1107,16 @@ fn plan_table_ref(
                 let mut residual = Vec::new();
                 for c in conjuncts {
                     let pushed = if matches!(kind, JoinKind::Inner) {
-                        push_conjunct(&mut node, &scope, &c, params)?
+                        push_conjunct(&mut node, &scope, &c)?
                     } else {
-                        try_outer_join_keys(&mut node, &scope, &c, params)?
+                        try_outer_join_keys(&mut node, &scope, &c)?
                     };
                     if !pushed {
                         residual.push(c);
                     }
                 }
                 if let Some(resid) = conjoin(residual) {
-                    let bound = bind(&resid, &scope, params)?;
+                    let bound = bind(&resid, &scope)?;
                     if let PlanNode::Join { on, .. } = &mut node {
                         append_on(on, bound);
                     }
@@ -1162,7 +1133,6 @@ fn try_outer_join_keys(
     node: &mut PlanNode,
     scope: &RowScope,
     conjunct: &Expr,
-    params: &[Datum],
 ) -> PgResult<bool> {
     let PlanNode::Join { kind, hash_keys, on, left_arity, right_arity, .. } = node else {
         return Ok(false);
@@ -1188,8 +1158,8 @@ fn try_outer_join_keys(
         };
         let lscope = RowScope { cols: scope.cols[..*left_arity].to_vec() };
         let rscope = RowScope { cols: scope.cols[*left_arity..].to_vec() };
-        let lb = bind(lkey, &lscope, params)?;
-        let rb = bind(rkey, &rscope, params)?;
+        let lb = bind(lkey, &lscope)?;
+        let rb = bind(rkey, &rscope)?;
         match hash_keys {
             Some((ls, rs)) => {
                 ls.push(lb);
@@ -1199,7 +1169,7 @@ fn try_outer_join_keys(
         }
         return Ok(true);
     }
-    let bound = bind(conjunct, scope, params)?;
+    let bound = bind(conjunct, scope)?;
     append_on(on, bound);
     Ok(true)
 }
@@ -1225,25 +1195,24 @@ pub fn derive_output_names(sel: &Select) -> Vec<String> {
 
 /// After WHERE pushdown, upgrade eligible seq scans to index scans using the
 /// table's indexes. Called by the executor with catalog access.
-pub fn choose_access_paths(
-    node: &mut PlanNode,
-    cat: &dyn PlannerCatalog,
-    catalog_tables: &dyn Fn(TableId) -> PgResult<TableMeta>,
-) -> PgResult<()> {
+pub fn choose_access_paths(node: &mut PlanNode, cat: &dyn PlannerCatalog) -> PgResult<()> {
     match node {
         PlanNode::SeqScan { table, filter, .. } => {
-            let Some(f) = filter.clone() else { return Ok(()) };
-            let meta = catalog_tables(*table)?;
-            if let Some((index, probe)) = pick_index(&meta, &f, cat)? {
-                *node = PlanNode::IndexScan { table: *table, index, probe, filter: Some(f) };
+            let Some(f) = filter.take() else { return Ok(()) };
+            let meta = cat.table_meta_by_id(*table)?;
+            match pick_index(&meta, &f, cat)? {
+                Some((index, probe)) => {
+                    *node = PlanNode::IndexScan { table: *table, index, probe, filter: Some(f) }
+                }
+                None => *filter = Some(f),
             }
             Ok(())
         }
         PlanNode::Join { left, right, .. } => {
-            choose_access_paths(left, cat, catalog_tables)?;
-            choose_access_paths(right, cat, catalog_tables)
+            choose_access_paths(left, cat)?;
+            choose_access_paths(right, cat)
         }
-        PlanNode::Filter { input, .. } => choose_access_paths(input, cat, catalog_tables),
+        PlanNode::Filter { input, .. } => choose_access_paths(input, cat),
         _ => Ok(()),
     }
 }
@@ -1416,7 +1385,7 @@ fn expr_key_for_index(e: &Expr, meta: &TableMeta) -> String {
     let scope = RowScope {
         cols: meta.columns.iter().map(|c| ColumnRef::new(None, &c.name)).collect(),
     };
-    match bind(e, &scope, &[]) {
+    match bind(e, &scope) {
         Ok(b) => bexpr_key(&b),
         Err(_) => String::from("<unbindable>"),
     }

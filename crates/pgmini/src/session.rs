@@ -8,8 +8,9 @@ use crate::cost::SimCost;
 use crate::dml;
 use crate::engine::Engine;
 use crate::error::{ErrorCode, PgError, PgResult};
-use crate::exec::{self, ExecCtx};
-use crate::expr::{bind, eval, RowScope};
+use crate::exec::ExecCtx;
+use crate::expr::{bind, datum_expr, eval, missing_param, RowScope};
+use crate::plancache::{self, StmtPlan};
 use crate::lock::{CancelFlag, DistTxnId, LockKey, LockMode, CANCEL_NONE};
 use crate::txn::{Xid, INVALID_XID};
 use crate::types::{Datum, Row};
@@ -198,21 +199,26 @@ impl Session {
         Ok(last)
     }
 
-    /// Execute with `$n` parameters.
+    /// Execute with `$n` parameters. They are bound into the statement up
+    /// front — a `$n` is a literal slot lifted by the client — so extension
+    /// hooks and the planner see the statement a client inlining the values
+    /// would have sent.
     pub fn execute_with_params(&mut self, sql: &str, params: &[Datum]) -> PgResult<QueryResult> {
-        let stmt = sqlparse::parse(sql)?;
-        self.dispatch(&stmt, params, true)
+        let mut stmt = sqlparse::parse(sql)?;
+        sqlparse::shape::bind_params(&mut stmt, |n| params.get(n.checked_sub(1)?).map(datum_expr))
+            .map_err(missing_param)?;
+        self.dispatch(&stmt, true)
     }
 
     /// Execute a parsed statement (through hooks).
     pub fn execute_stmt(&mut self, stmt: &Statement) -> PgResult<QueryResult> {
-        self.dispatch(stmt, &[], true)
+        self.dispatch(stmt, true)
     }
 
     /// Execute bypassing extension hooks (the extension's own "local
     /// execution" path; also prevents hook recursion).
     pub fn execute_local(&mut self, stmt: &Statement) -> PgResult<QueryResult> {
-        self.dispatch(stmt, &[], false)
+        self.dispatch(stmt, false)
     }
 
     /// Convenience: run a query and return its rows.
@@ -228,12 +234,7 @@ impl Session {
             .ok_or_else(|| PgError::internal("query returned no rows"))
     }
 
-    fn dispatch(
-        &mut self,
-        stmt: &Statement,
-        params: &[Datum],
-        use_hooks: bool,
-    ) -> PgResult<QueryResult> {
+    fn dispatch(&mut self, stmt: &Statement, use_hooks: bool) -> PgResult<QueryResult> {
         // cancellation that arrived between statements: it dooms the current
         // transaction, but COMMIT/ROLLBACK must still run so the transaction
         // (here and on any node that shares its fate) can clean up — exactly
@@ -279,7 +280,7 @@ impl Session {
         }
         self.stmt_counter += 1;
         self.last_cost = SimCost::ZERO;
-        let result = self.dispatch_inner(stmt, params, use_hooks);
+        let result = self.dispatch_inner(stmt, use_hooks);
         if result.is_err() && self.explicit_txn {
             self.fail_txn();
         }
@@ -295,12 +296,7 @@ impl Session {
         }
     }
 
-    fn dispatch_inner(
-        &mut self,
-        stmt: &Statement,
-        params: &[Datum],
-        use_hooks: bool,
-    ) -> PgResult<QueryResult> {
+    fn dispatch_inner(&mut self, stmt: &Statement, use_hooks: bool) -> PgResult<QueryResult> {
         match stmt {
             Statement::Begin => {
                 if self.explicit_txn {
@@ -383,7 +379,7 @@ impl Session {
                         }
                     }
                 }
-                self.run_explain(inner, params)
+                self.run_explain(inner)
             }
             Statement::Select(sel) => {
                 if use_hooks {
@@ -395,11 +391,11 @@ impl Session {
                 }
                 // UDF call path: FROM-less SELECT invoking registered UDFs
                 if sel.from.is_empty() {
-                    if let Some(r) = self.try_udf_select(sel, params)? {
+                    if let Some(r) = self.try_udf_select(sel)? {
                         return Ok(r);
                     }
                 }
-                self.run_select(sel, params)
+                self.run_planned(stmt, sel.for_update)
             }
             Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_) => {
                 if use_hooks {
@@ -409,7 +405,7 @@ impl Session {
                         }
                     }
                 }
-                self.run_dml(stmt, params)
+                self.run_planned(stmt, true)
             }
         }
     }
@@ -529,53 +525,25 @@ impl Session {
         self.total_cost.add(&cost);
     }
 
-    fn run_select(
-        &mut self,
-        sel: &sqlparse::ast::Select,
-        params: &[Datum],
-    ) -> PgResult<QueryResult> {
-        let implicit = self.xid.is_none() && sel.for_update;
-        if sel.for_update {
+    /// Plan (or fetch the cached plan of) a SELECT / INSERT / UPDATE /
+    /// DELETE and run it. `writes` statements run inside a transaction, an
+    /// implicit one when none is open.
+    fn run_planned(&mut self, stmt: &Statement, writes: bool) -> PgResult<QueryResult> {
+        let implicit = writes && self.xid.is_none();
+        if writes {
             self.ensure_xid()?;
         }
         let mut ctx = self.make_ctx();
-        let result = exec::execute_select(&mut ctx, sel, params);
+        let result =
+            plancache::prepare(&mut ctx, stmt).and_then(|plan| plancache::run(&mut ctx, &plan));
         let cost = ctx.cost;
         self.finish_ctx(cost);
         match result {
-            Ok((columns, rows)) => {
+            Ok(r) => {
                 if implicit {
                     self.commit_current()?;
                 }
-                Ok(QueryResult::Rows { columns, rows })
-            }
-            Err(e) => {
-                if implicit {
-                    self.rollback_current();
-                }
-                Err(e)
-            }
-        }
-    }
-
-    fn run_dml(&mut self, stmt: &Statement, params: &[Datum]) -> PgResult<QueryResult> {
-        let implicit = self.xid.is_none();
-        self.ensure_xid()?;
-        let mut ctx = self.make_ctx();
-        let result = match stmt {
-            Statement::Insert(ins) => dml::exec_insert(&mut ctx, ins, params),
-            Statement::Update(upd) => dml::exec_update(&mut ctx, upd, params),
-            Statement::Delete(del) => dml::exec_delete(&mut ctx, del, params),
-            _ => Err(PgError::internal("run_dml on non-DML")),
-        };
-        let cost = ctx.cost;
-        self.finish_ctx(cost);
-        match result {
-            Ok(n) => {
-                if implicit {
-                    self.commit_current()?;
-                }
-                Ok(QueryResult::Affected(n))
+                Ok(r)
             }
             Err(e) => {
                 if implicit {
@@ -640,12 +608,15 @@ impl Session {
         }
     }
 
-    fn run_explain(&mut self, inner: &Statement, params: &[Datum]) -> PgResult<QueryResult> {
-        let Statement::Select(sel) = inner else {
+    fn run_explain(&mut self, inner: &Statement) -> PgResult<QueryResult> {
+        if !matches!(inner, Statement::Select(_)) {
             return Err(PgError::unsupported("EXPLAIN is supported for SELECT only"));
-        };
+        }
         let mut ctx = self.make_ctx();
-        let plan = exec::build_select_plan(&mut ctx, sel, params)?;
+        let prepared = plancache::prepare(&mut ctx, inner)?;
+        let StmtPlan::Select(plan) = &*prepared else {
+            return Err(PgError::internal("SELECT planned as something else"));
+        };
         let mut lines = Vec::new();
         {
             let cat = self.engine.catalog.read();
@@ -664,11 +635,7 @@ impl Session {
     }
 
     /// FROM-less SELECT whose projection calls registered UDFs.
-    fn try_udf_select(
-        &mut self,
-        sel: &sqlparse::ast::Select,
-        params: &[Datum],
-    ) -> PgResult<Option<QueryResult>> {
+    fn try_udf_select(&mut self, sel: &sqlparse::ast::Select) -> PgResult<Option<QueryResult>> {
         let has_udf = sel.projection.iter().any(|item| {
             matches!(item, SelectItem::Expr { expr: Expr::Func(f), .. }
                 if self.engine.udf(&f.name).is_some())
@@ -691,7 +658,7 @@ impl Session {
                         .args
                         .iter()
                         .map(|a| {
-                            let b = bind(a, &scope, params)?;
+                            let b = bind(a, &scope)?;
                             eval(&b, &vec![], &ectx)
                         })
                         .collect::<PgResult<_>>()?;
@@ -699,7 +666,7 @@ impl Session {
                     row.push(udf(self, &args)?);
                 }
                 other => {
-                    let b = bind(other, &scope, params)?;
+                    let b = bind(other, &scope)?;
                     columns.push(alias.clone().unwrap_or_else(|| "?column?".to_string()));
                     row.push(eval(&b, &vec![], &ectx)?);
                 }

@@ -389,8 +389,8 @@ impl ColumnarStore {
 
     /// Walk visible stripes without materialising rows: `f(seq, rows,
     /// columns)` sees the raw column vectors. This is the batched-execution
-    /// entry point — the executor slices these into `ColumnBatch`es, cloning
-    /// only the columns it was asked for.
+    /// entry point — the executor slices these into `ColumnBatch`es that
+    /// borrow only the columns it was asked for.
     pub fn for_each_visible_stripe(
         &self,
         txns: &TxnManager,

@@ -6,12 +6,14 @@
 //! single-node engine (`pgmini`) and the distributed layer (`citrus`), which
 //! both consume the same [`ast::Statement`] trees.
 //!
-//! The crate provides three things:
+//! The crate provides four things:
 //!
 //! * [`lexer`] / [`parser`] — SQL text → [`ast::Statement`];
 //! * [`ast`] — the tree the planners rewrite (shard-name substitution);
 //! * [`deparse`] — [`ast::Statement`] → SQL text, used to ship rewritten
-//!   queries to worker nodes over the "wire".
+//!   queries to worker nodes over the "wire";
+//! * [`shape`] — a statement's structure with its value literals lifted into
+//!   slots: the key and the bind vector of both plan caches.
 //!
 //! ```
 //! use sqlparse::{parse, deparse};
@@ -25,6 +27,7 @@ pub mod deparse;
 pub mod error;
 pub mod lexer;
 pub mod parser;
+pub mod shape;
 
 pub use ast::{Expr, Select, Statement};
 pub use deparse::{deparse, deparse_expr, quote_ident, quote_literal};

@@ -19,6 +19,10 @@ Checks:
     than cold on the virtual clock (wall-clock fields are noisy in smoke
     mode and are gated by the full bench + plan_cache_regression test
     instead).
+  * The worker-plan arms in BENCH_executor_smoke.json (the engine's local
+    plan cache, wall-clock ns/stmt on a bare engine) must show a warm shard
+    plan cheaper than a cold one for the YCSB read and update: planning is
+    several microseconds of a ~10 µs statement, far above smoke-run noise.
   * The vectorized arm in BENCH_columnar_smoke.json must beat the volcano
     arm, and its ``units_per_vsec`` must not regress more than 10% against
     the committed baseline (the 3x full-run target is asserted by the full
@@ -110,6 +114,18 @@ def main():
                 f"warm plan-cache arm ({warm:.5f} ms/stmt) not cheaper than cold "
                 f"({cold:.5f}) on the virtual clock"
             )
+
+        wp = new_ex["worker_plan"]
+        for kind in ("read", "update"):
+            warm = wp[f"{kind}_warm_ns_per_stmt"]
+            cold = wp[f"{kind}_cold_ns_per_stmt"]
+            status = "ok" if warm < cold else "REGRESSED"
+            print(f"  worker plan ({kind}): warm {warm:.0f} ns/stmt vs cold {cold:.0f} {status}")
+            if not warm < cold:
+                failures.append(
+                    f"warm worker plan ({kind}: {warm:.0f} ns/stmt) not cheaper than cold "
+                    f"({cold:.0f})"
+                )
 
     new_col = fresh("BENCH_columnar_smoke.json")
     if new_col is None:

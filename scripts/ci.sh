@@ -24,16 +24,18 @@
 #      deterministic, so they are compared against the committed
 #      BENCH_*_smoke.json baselines — TPC-C / YCSB / columnar-vectorized
 #      units_per_vsec must not regress more than 10%, the warm plan-cache arm
-#      must stay cheaper than cold, the vectorized columnar arm must beat
+#      must stay cheaper than cold (and a warm worker plan cheaper than
+#      planning, on the wall clock), the vectorized columnar arm must beat
 #      volcano on the virtual clock, and snapshot isolation must cost
 #      nothing when off (mode-off vs committed baseline) and <=10% when on
 #      (mode-on vs fresh mode-off); the incremental rollup arm must beat
 #      recompute and not regress more than 10% against its baseline
 #   9. the wall-clock benchmark (benchmark/, see BENCHMARK.json) for
-#      `dtxn_wire` and `tpcc` at --seconds 1: the two workloads through the
-#      commit protocol, with and without real wire time. No timing is
-#      gated; the run must pass its correctness check with no failed
-#      operation
+#      `dtxn_wire`, `tpcc` and `ycsb_a` at --seconds 1: the two workloads
+#      through the commit protocol, with and without real wire time, and the
+#      one that runs almost entirely from the workers' warm plan caches. No
+#      timing is gated; the run must pass its correctness check with no
+#      failed operation
 #
 # Usage: scripts/ci.sh [--long]
 #   --long   widen the sim chaos corpus (CITRUS_SIM_SEEDS=60; default 25)
@@ -73,8 +75,8 @@ sh scripts/bench_rollup.sh --smoke
 echo "==> [8/9] bench regression gate (vs committed smoke baselines)"
 python3 scripts/check_bench_regression.py
 
-echo "==> [9/9] wall-clock benchmark: dtxn_wire and tpcc, correctness only"
-for workload in dtxn_wire tpcc; do
+echo "==> [9/9] wall-clock benchmark: dtxn_wire, tpcc and ycsb_a, correctness only"
+for workload in dtxn_wire tpcc ycsb_a; do
     result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 42 --seconds 1 --trace 0 | tail -n 1)
     echo "$result"
