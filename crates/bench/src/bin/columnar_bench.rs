@@ -9,8 +9,11 @@
 //! (full) or `BENCH_columnar_smoke.json` (`--smoke`, the committed CI
 //! regression baseline).
 //!
-//! The full run asserts the tentpole target: vectorized `units_per_vsec`
-//! at least 3x the volcano arm. Smoke only requires vectorized to win.
+//! Run with `scripts/bench.sh columnar [--smoke]`: scale factor 0.01 and 10
+//! repetitions, or 0.002 and 2 with `--smoke` (`CITRUS_COLUMNAR_SF`
+//! overrides the scale). The full run asserts the tentpole target:
+//! vectorized `units_per_vsec` at least 3x the volcano arm. Smoke only
+//! requires vectorized to win.
 
 use citrus::cluster::{Cluster, ClusterConfig};
 use workloads::runner::{ClusterRunner, SqlRunner};

@@ -23,7 +23,11 @@
 //!    run), in wall nanoseconds per statement. This is the worker half of
 //!    the §3.5.1 prepared-statement path ([`citrus_bench::plan_cache::worker_plan`]).
 //!
-//! `--smoke` runs a reduced iteration count with no thresholds, for CI.
+//! Run with `scripts/bench.sh executor [--smoke]`. `--smoke` runs a reduced
+//! iteration count with no thresholds, for CI; the full run asserts
+//! `speedup_t8` ≥ 2×, a warm hit rate ≥ 90 % and warm per-statement latency
+//! below cold. `CITRUS_BENCH_RTT_US` overrides the real wire time per remote
+//! statement.
 
 use citrus::cluster::{Cluster, ClusterConfig};
 use citrus_bench::plan_cache;

@@ -13,6 +13,8 @@
 //! `BENCH_rollup_smoke.json` (`--smoke`, the committed CI regression
 //! baseline).
 //!
+//! Run with `scripts/bench.sh rollup [--smoke]`: 20k base rows and 10 rounds,
+//! or 6k and 4 with `--smoke` (`CITRUS_ROLLUP_ROWS` overrides the base rows).
 //! The full run asserts the tentpole target: incremental `units_per_vsec` at
 //! least 3x the recompute arm. Smoke only requires incremental to win.
 

@@ -6,11 +6,14 @@
 //!
 //! All numbers are virtual-time (the deterministic cost model), so the
 //! output is byte-reproducible for a given seed — this is the §4 figure
-//! data, not a wall-clock benchmark (scripts/bench.sh covers that).
+//! data, not a wall-clock benchmark (`benchmark/` covers that).
 //!
-//! `--smoke` shrinks the unit counts for CI; thresholds only apply to the
-//! full run: every pattern must complete both arms and report non-zero
-//! throughput.
+//! Run with `scripts/bench.sh workloads [--smoke]`. `--smoke` shrinks the
+//! unit counts for CI (5 units per arm instead of 1000; `CITRUS_BENCH_UNITS`
+//! overrides either) and writes `BENCH_workloads_smoke.json` and
+//! `BENCH_snapshot_smoke.json`, the committed CI regression baselines;
+//! thresholds only apply to the full run: every pattern must complete both
+//! arms and report non-zero throughput.
 
 use citrus_bench::{solve_closed_loop, MeanDemand};
 use workloads::patterns::Pattern;

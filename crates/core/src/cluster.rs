@@ -599,6 +599,24 @@ impl WorkerConn {
         })
     }
 
+    /// Execute one executor task as a message of `round`: for this message
+    /// only, fault rules see the task's `scope` and the statement evaluates
+    /// under the snapshot `token`.
+    pub fn execute_task(
+        &mut self,
+        round: &mut WireRound,
+        stmt: &Statement,
+        scope: &str,
+        token: Option<u64>,
+    ) -> PgResult<(QueryResult, SimCost)> {
+        scope.clone_into(&mut self.fault_scope);
+        self.snapshot_token = token;
+        let out = self.execute_in(round, stmt);
+        self.fault_scope.clear();
+        self.snapshot_token = None;
+        out
+    }
+
     /// Attach the coordinator's distributed transaction id to the remote
     /// session as one message of `round` — what the
     /// `assign_distributed_transaction_id` UDF does for SQL callers, without

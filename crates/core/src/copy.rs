@@ -12,7 +12,7 @@ use netsim::makespan;
 use pgmini::error::{ErrorCode, PgError, PgResult};
 use pgmini::session::Session;
 use pgmini::types::Row;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Name the failing shard and node in a COPY error so a multi-gigabyte load
@@ -82,8 +82,10 @@ pub fn distributed_copy(
                     )
                 })?
             };
-            // partition rows per bucket
-            let mut buckets: HashMap<usize, Vec<Row>> = HashMap::new();
+            // partition rows per bucket. Batches stream in bucket-index
+            // order: which shards a mid-COPY fault leaves loaded, and the
+            // order each node sees the batches, must not vary between runs
+            let mut buckets: BTreeMap<usize, Vec<Row>> = BTreeMap::new();
             for row in rows {
                 let v = row.get(value_idx).cloned().unwrap_or(pgmini::types::Datum::Null);
                 if v.is_null() {

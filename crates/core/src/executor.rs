@@ -11,29 +11,37 @@
 //! immediately and gains one more per 10 ms tick, capped by the shared
 //! connection limit — which yields each statement's elapsed virtual time.
 //!
-//! Independent read tasks outside a transaction additionally fan out over
-//! **real OS threads** ([`ClusterConfig::executor_threads`]): workers pull
-//! tasks from a shared queue, execute them over pooled-or-fresh connections,
-//! and a deterministic post-pass on the session thread folds outcomes back
-//! in *task order* — so rows, costs, retry counts, and virtual-clock
-//! advances are identical at any thread count, and `executor_threads = 1`
-//! is simply the degenerate case of the same code path. Writes and
-//! in-transaction statements stay on the session thread, where placement
-//! affinity and remote transaction blocks live.
+//! A statement's tasks go through two phases with one record between them.
+//! The **run phase** ([`run_tasks`]) executes every task — in the client's
+//! own backend (local execution), over a session connection (writes and
+//! in-transaction statements, where placement affinity and remote
+//! transaction blocks live), or, for independent reads outside a
+//! transaction, fanned out over **real OS threads**
+//! ([`ClusterConfig::executor_threads`]) — and each way leaves the same
+//! [`TaskOutcome`] in task order. The **account phase** ([`account_tasks`])
+//! folds those outcomes once, in task order, into per-node costs, schedule
+//! durations, wire targets, retry counts and trace spans — so rows, costs,
+//! retry counts, and virtual-clock advances are identical at any thread
+//! count, and `executor_threads = 1` is the same code with only the
+//! session's own thread claiming work.
 
 use crate::cluster::{Cluster, WorkerConn};
 use crate::cost::DistCost;
 use crate::metadata::NodeId;
 use crate::planner::join_order::PrepStep;
-use crate::planner::{merge, DistPlan, Merge, SortCol, Task};
+use crate::planner::{merge, DistPlan, Merge, Task};
+use crate::trace::Span;
 use netsim::makespan;
 use netsim::pipeline::WireRound;
+use parking_lot::Mutex;
+use pgmini::cost::SimCost;
 use pgmini::error::{ErrorCode, PgError, PgResult};
 use pgmini::session::QueryResult;
-use pgmini::types::{Row, SortKey};
+use pgmini::types::Row;
 use sqlparse::ast::{ColumnDef, CreateTable, Statement, TypeName};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Result of executing a distributed plan.
 pub struct ExecutorOutput {
@@ -161,7 +169,7 @@ impl SessionState {
         round: &mut WireRound,
         key: ConnKey,
         stmt: &Statement,
-    ) -> PgResult<pgmini::cost::SimCost> {
+    ) -> PgResult<SimCost> {
         let mut conn = self
             .conns
             .remove(&key)
@@ -186,35 +194,33 @@ impl SessionState {
 /// local session is in a transaction: `BEGIN` and the transaction-id
 /// assignment go out in `round`, the round of the statement that needs the
 /// block (libpq pipeline mode — nothing waits for their replies).
-#[allow(clippy::too_many_arguments)]
 fn task_conn(
     cluster: &Arc<Cluster>,
     state: &mut SessionState,
     node: NodeId,
     group: Option<(u32, usize)>,
     in_txn: bool,
-    dist_txn: Option<pgmini::lock::DistTxnId>,
     round: &mut WireRound,
     cost: &mut DistCost,
-) -> PgResult<(ConnKey, WorkerConn, bool)> {
-    let (key, mut conn, fresh) = match state.checkout(node, group) {
-        Some((k, c)) => (k, c, false),
+) -> PgResult<(ConnKey, WorkerConn)> {
+    let (key, mut conn) = match state.checkout(node, group) {
+        Some(pooled) => pooled,
         None => {
             let c = cluster.connect(node)?;
             cost.net_ms += c.connect_cost_ms();
-            (state.new_key(node), c, true)
+            (state.new_key(node), c)
         }
     };
     if in_txn && !conn.in_txn_block {
         conn.execute_in(round, &Statement::Begin)?;
-        if let Some(d) = dist_txn {
+        if let Some(d) = state.dist_txn {
             conn.assign_dist_txn_id(round, d)?;
         }
         conn.in_txn_block = true;
         cost.net_ms += conn.rtt_ms();
-        cost.add_node(node, &pgmini::cost::SimCost::ZERO);
+        cost.add_node(node, &SimCost::ZERO);
     }
-    Ok((key, conn, fresh))
+    Ok((key, conn))
 }
 
 /// Virtual slow-start schedule for one node's task durations. Returns
@@ -283,6 +289,50 @@ pub fn execute_plan(
     out
 }
 
+/// The per-statement facts every task run needs, fixed before the first task
+/// starts.
+struct StmtCtx<'a> {
+    cluster: &'a Arc<Cluster>,
+    self_node: NodeId,
+    in_txn: bool,
+    /// Snapshot token piggybacked on read tasks (writes always run against
+    /// the worker's latest snapshot — update chains need current versions).
+    token: Option<u64>,
+}
+
+impl StmtCtx<'_> {
+    /// Local execution: the task's placement lives on the coordinating node,
+    /// so it runs in the client's own backend instead of over a connection.
+    fn is_local(&self, task: &Task) -> bool {
+        self.cluster.config.local_execution && task.node == self.self_node
+    }
+
+    /// The one node every non-local task targets, if there is exactly one.
+    fn sole_remote(&self, tasks: &[Task]) -> Option<u32> {
+        let mut remote = tasks.iter().filter(|t| !self.is_local(t)).map(|t| t.node);
+        let first = remote.next()?;
+        remote.all(|n| n == first).then_some(first.0)
+    }
+}
+
+/// One task's execution, however it ran: in the client's backend, on a
+/// fan-out thread, over a session connection, or failed over to a surviving
+/// placement. The run phase ([`run_tasks`]) produces one per task, in task
+/// order; the account phase ([`account_tasks`]) is its only reader.
+struct TaskOutcome {
+    result: QueryResult,
+    /// Service cost on `target`.
+    cost: SimCost,
+    /// The node that served the task (failover may move it off `task.node`).
+    target: NodeId,
+    retries: u64,
+    /// Virtual backoff this task accrued; applied to the clock and cost
+    /// deterministically by the fan-out's post-pass, not at retry time.
+    backoff_ms: f64,
+    /// Ran in the client's own backend, without a connection.
+    local: bool,
+}
+
 fn execute_plan_inner(
     cluster: &Arc<Cluster>,
     session: &mut pgmini::session::Session,
@@ -308,482 +358,387 @@ fn execute_plan_inner(
         state.dist_txn = Some(d);
         session.assign_dist_txn_id(d);
     }
-
-    // 3. run tasks, recording per-node durations for the virtual schedule.
-    // Idempotent read tasks outside a transaction block survive connection
-    // failures: they re-try with capped exponential backoff on the virtual
-    // clock, failing over to a surviving placement when the target node is
-    // down. Writes and in-transaction reads never re-try — a lost reply
-    // leaves the remote effect in doubt, which only 2PC recovery may settle.
-    let mut per_node_durations: HashMap<NodeId, Vec<f64>> = HashMap::new();
-    let mut results: Vec<QueryResult> = Vec::with_capacity(plan.tasks.len());
-    let full_rtt = cluster.config.engine.cost.net_rtt_ms;
-    let pipelined = cluster.config.pipeline;
-    let local_exec = cluster.config.local_execution;
-    // actual remote target per remote task, in task order (failover may move
-    // a task off task.node) — drives the wire-exchange accounting
-    let mut remote_targets: Vec<u32> = Vec::new();
-    let mut retries_total = 0u64;
-    // per-task trace rows, collected in task order: (target, retries,
-    // backoff_ms, service_ms, ran locally, vectorized batches). Fault events
-    // attach by scope.
-    let fault_base = cluster.faults().events_len();
-    let mut task_traces: Vec<(NodeId, u64, f64, f64, bool, u64)> = Vec::new();
-    let tracing = state.trace.is_some();
+    let token = if plan.is_write { None } else { state.snapshot_token };
+    let ctx = StmtCtx { cluster, self_node, in_txn, token };
     // a statement whose single remote target still has the transaction's
     // pipelined exchange open rides it: no new round trip
-    let stmt_remote: Vec<NodeId> = {
-        let mut v: Vec<NodeId> = Vec::new();
-        for t in &plan.tasks {
-            let local = local_exec && t.node == self_node;
-            if !local && !v.contains(&t.node) {
-                v.push(t.node);
-            }
-        }
-        v
-    };
-    let riding = pipelined
+    let sole_remote = ctx.sole_remote(&plan.tasks);
+    let riding = cluster.config.pipeline
         && in_txn
-        && stmt_remote.len() == 1
-        && state.pipeline.rides(stmt_remote[0].0);
-    // snapshot token to piggyback on read tasks (writes always run against
-    // the worker's latest snapshot — update chains need current versions)
-    let token = if plan.is_write { None } else { state.snapshot_token };
-    if !in_txn && !plan.is_write {
-        // read fan-out: threaded when configured, inline otherwise — one
-        // code path, deterministic outcomes either way. Tasks whose
-        // placement lives on this node run inline in the client's backend
-        // (local execution); only remote tasks enter the fan-out.
-        let is_local: Vec<bool> =
-            plan.tasks.iter().map(|t| local_exec && t.node == self_node).collect();
-        let remote_tasks: Vec<Task> = plan
-            .tasks
-            .iter()
-            .zip(&is_local)
-            .filter(|(_, l)| !**l)
-            .map(|(t, _)| t.clone())
-            .collect();
-        let per_task =
-            fan_out_read_tasks(cluster, state, &remote_tasks, token, &mut cost)?;
-        let mut remote_iter = per_task.into_iter();
-        for (task, local) in plan.tasks.iter().zip(&is_local) {
-            if *local {
-                match run_local_task(cluster, session, task, self_node, token) {
-                    Ok((result, local_cost)) => {
-                        cost.add_node(self_node, &local_cost);
-                        per_node_durations
-                            .entry(self_node)
-                            .or_default()
-                            .push(local_cost.total_ms());
-                        if tracing {
-                            task_traces.push((
-                                self_node,
-                                0,
-                                0.0,
-                                local_cost.total_ms(),
-                                true,
-                                local_cost.batches,
-                            ));
-                        }
-                        results.push(result);
-                    }
-                    Err(e) if is_connection_failure(&e) => {
-                        // the local replica died under the read: the failed
-                        // local attempt counts as one retry, then the task
-                        // re-enters the normal read-retry path, which fails
-                        // over to a surviving placement (replicated shards)
-                        // or surfaces the error once attempts run out
-                        let fallback = fan_out_read_tasks(
-                            cluster,
-                            state,
-                            std::slice::from_ref(task),
-                            token,
-                            &mut cost,
-                        )?;
-                        let (result, remote_cost, target, retries, backoff_ms) = fallback
-                            .into_iter()
-                            .next()
-                            .expect("one fallback outcome for one task");
-                        let rtt =
-                            if pipelined || target == self_node { 0.0 } else { full_rtt };
-                        if target != self_node {
-                            remote_targets.push(target.0);
-                        }
-                        retries_total += retries + 1;
-                        cost.add_node(target, &remote_cost);
-                        per_node_durations
-                            .entry(target)
-                            .or_default()
-                            .push(remote_cost.total_ms() + rtt);
-                        if tracing {
-                            task_traces.push((
-                                target,
-                                retries + 1,
-                                backoff_ms,
-                                remote_cost.total_ms(),
-                                false,
-                                remote_cost.batches,
-                            ));
-                        }
-                        results.push(result);
-                    }
-                    Err(e) => return Err(e),
-                }
-            } else {
-                let (result, remote_cost, target, retries, backoff_ms) =
-                    remote_iter.next().expect("one fan-out outcome per remote task");
-                let rtt = if pipelined || target == self_node { 0.0 } else { full_rtt };
-                if target != self_node {
-                    remote_targets.push(target.0);
-                }
-                retries_total += retries;
-                cost.add_node(target, &remote_cost);
-                per_node_durations.entry(target).or_default().push(remote_cost.total_ms() + rtt);
-                if tracing {
-                    task_traces.push((
-                        target,
-                        retries,
-                        backoff_ms,
-                        remote_cost.total_ms(),
-                        false,
-                        remote_cost.batches,
-                    ));
-                }
-                results.push(result);
-            }
-        }
-    } else {
-        // session-thread path: writes and in-transaction statements, where
-        // placement affinity binds shard groups to connections and a lost
-        // reply must surface immediately (never re-tried)
-        // the statement is one wire round however many workers its tasks
-        // land on (`stmt_rtt` below charges the same); riding the
-        // transaction's open exchange, it pays none
-        let mut round = if riding { WireRound::riding() } else { WireRound::new() };
-        for task in &plan.tasks {
-            let target = task.node;
-            if local_exec && target == self_node {
-                // local execution: the task runs in the client's own
-                // backend — same transaction, no connection, no wire
-                let task_token = if task.is_write { None } else { token };
-                let (result, local_cost) =
-                    run_local_task(cluster, session, task, self_node, task_token)?;
-                if task.is_write && in_txn {
-                    state.local_writes = true;
-                }
-                cost.add_node(target, &local_cost);
-                per_node_durations.entry(target).or_default().push(local_cost.total_ms());
-                if tracing {
-                    task_traces.push((
-                        target,
-                        0,
-                        0.0,
-                        local_cost.total_ms(),
-                        true,
-                        local_cost.batches,
-                    ));
-                }
-                results.push(result);
-                continue;
-            }
-            let bind_group = if in_txn { task.group } else { None };
-            let (key, mut conn, _fresh) = task_conn(
-                cluster, state, target, task.group, in_txn, state.dist_txn, &mut round, &mut cost,
-            )?;
-            conn.fault_scope = task_scope(task);
-            conn.snapshot_token = if task.is_write { None } else { token };
-            let outcome = conn.execute_in(&mut round, &task.stmt);
-            conn.fault_scope.clear();
-            conn.snapshot_token = None;
-            if task.is_write {
-                conn.used_for_writes = true;
-            }
-            let (result, remote_cost) = match outcome {
-                Ok(ok) => {
-                    state.checkin(key, conn, bind_group);
-                    ok
-                }
-                Err(e) => {
-                    if is_connection_failure(&e) {
-                        // a broken connection never recovers: drop it (and
-                        // any affinity pointing at it) like a broken socket
-                        state.affinity.retain(|_, k| *k != key);
-                        drop(conn);
-                    } else {
-                        state.checkin(key, conn, bind_group);
-                    }
-                    return Err(e);
-                }
-            };
-            let rtt = if pipelined || target == self_node { 0.0 } else { full_rtt };
-            if target != self_node {
-                remote_targets.push(target.0);
-            }
-            cost.add_node(target, &remote_cost);
-            per_node_durations.entry(target).or_default().push(remote_cost.total_ms() + rtt);
-            if tracing {
-                task_traces.push((
-                    target,
-                    0,
-                    0.0,
-                    remote_cost.total_ms(),
-                    false,
-                    remote_cost.batches,
-                ));
-            }
-            results.push(result);
-        }
-    }
-    let any_remote = !remote_targets.is_empty();
-    cluster.note_task_retries(retries_total);
-    state.last_retries = retries_total;
+        && sole_remote.is_some_and(|n| state.pipeline.rides(n));
 
-    // 4. virtual elapsed time: slow-start schedule per node
-    let cores = cluster.config.engine.cores;
-    let slow_start = cluster.config.slow_start_interval_ms;
-    let connect_ms = cluster.config.engine.cost.connect_ms;
-    let limit = cluster.connection_limit() as usize;
-    let mut node_times = Vec::new();
-    let mut peak = 0usize;
-    // (node, lanes before, lanes after) — slow-start pool growth, traced in
-    // NodeId order for determinism
-    let mut lane_traces: Vec<(NodeId, usize, usize)> = Vec::new();
-    for (node, durations) in &per_node_durations {
-        let existing = state.virtual_lanes.get(node).copied().unwrap_or(1);
-        let (t, lanes) =
-            slow_start_schedule(durations, slow_start, connect_ms, limit, cores, existing);
-        state.virtual_lanes.insert(*node, lanes.max(existing));
-        if tracing {
-            lane_traces.push((*node, existing, lanes.max(existing)));
-        }
-        node_times.push(t);
-        peak = peak.max(lanes);
-    }
-    lane_traces.sort_by_key(|(n, _, _)| *n);
-    let mut elapsed = makespan::cluster_makespan(&node_times, 0.0);
+    // 3. run phase: every task executes and leaves one outcome, in task order
+    let fault_base = cluster.faults().events_len();
+    let scopes: Vec<String> = plan.tasks.iter().map(task_scope).collect();
+    let outcomes = run_tasks(&ctx, session, state, plan, &scopes, riding, &mut cost)?;
+
+    // 4. account phase: everything derived from the outcomes, in one fold
+    let traced_from = state.trace.is_some().then_some(fault_base);
+    let tasks = account_tasks(&ctx, outcomes, &scopes, traced_from, &mut cost);
+    cluster.note_task_retries(tasks.retries);
+    state.last_retries = tasks.retries;
+    let schedule = schedule_nodes(cluster, state, &tasks.node_durations);
 
     // 5. merge
-    let model = cluster.config.engine.cost;
-    let output = match &plan.merge {
-        Merge::PassThrough => {
-            let first = results.into_iter().next().unwrap_or(QueryResult::Empty);
-            match first {
-                QueryResult::Rows { columns, rows } => (columns, rows, 0),
-                QueryResult::Affected(n) => (Vec::new(), Vec::new(), n),
-                QueryResult::Empty => (Vec::new(), Vec::new(), 0),
-            }
-        }
-        Merge::AffectedSum => {
-            let n = results.iter().map(QueryResult::affected).sum();
-            (Vec::new(), Vec::new(), n)
-        }
-        Merge::AffectedFirst => {
-            let n = results.first().map(QueryResult::affected).unwrap_or(0);
-            (Vec::new(), Vec::new(), n)
-        }
-        Merge::Concat { sort, limit, offset, distinct, visible, appended } => {
-            let mut columns = Vec::new();
-            let mut rows: Vec<Row> = Vec::new();
-            for r in results {
-                if let QueryResult::Rows { columns: c, rows: mut rs } = r {
-                    if columns.is_empty() {
-                        columns = c;
-                    }
-                    rows.append(&mut rs);
-                }
-            }
-            let merge_cpu = model.cpu_tuple_ms * rows.len() as f64;
-            cost.coordinator.add_cpu(merge_cpu);
-            elapsed += merge_cpu;
-            // a wildcard projection's arity is only known now; hidden sort
-            // columns always sit at the end of the worker rows
-            let arity = rows.first().map(|r| r.len()).unwrap_or(columns.len());
-            let visible =
-                if *visible == usize::MAX { arity.saturating_sub(*appended) } else { *visible };
-            let resolve = |c: &SortCol| match c {
-                SortCol::Index(i) => *i,
-                SortCol::Appended(j) => arity.saturating_sub(*appended) + j,
-            };
-            if *distinct {
-                let mut seen = std::collections::BTreeSet::new();
-                rows.retain(|r| seen.insert(SortKey(r[..visible.min(r.len())].to_vec())));
-            }
-            if !sort.is_empty() {
-                rows.sort_by(|a, b| {
-                    for (col, desc) in sort {
-                        let idx = resolve(col);
-                        let ord = a[idx].total_cmp(&b[idx]);
-                        let ord = if *desc { ord.reverse() } else { ord };
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                });
-            }
-            if let Some(off) = offset {
-                let off = (*off as usize).min(rows.len());
-                rows.drain(..off);
-            }
-            if let Some(lim) = limit {
-                rows.truncate(*lim as usize);
-            }
-            for r in &mut rows {
-                r.truncate(visible);
-            }
-            columns.truncate(visible);
-            (columns, rows, 0)
-        }
-        Merge::GroupAgg(mplan) => {
-            let mut rows: Vec<Row> = Vec::new();
-            for r in results {
-                if let QueryResult::Rows { rows: mut rs, .. } = r {
-                    rows.append(&mut rs);
-                }
-            }
-            let (merged, work) = merge::execute_merge(mplan, rows)?;
-            let merge_cpu = model.cpu_tuple_ms * (work as f64 + merged.len() as f64);
-            cost.coordinator.add_cpu(merge_cpu);
-            elapsed += merge_cpu;
-            let columns = (0..mplan.visible).map(|i| format!("column{i}")).collect();
-            (columns, merged, 0)
-        }
-    };
+    let merged = merge::apply(&plan.merge, tasks.results, &cluster.config.engine.cost)?;
+    cost.coordinator.add_cpu(merged.cpu_ms);
 
-    // network latency. Pipelined: the statement's per-worker task batches
-    // go out as one wire exchange each and overlap — one RTT per statement —
-    // and a statement riding its transaction's open exchange pays none.
-    // Legacy (pipeline off): per-task RTTs entered the durations above, plus
-    // the same one statement RTT.
-    let batch = netsim::pipeline::plan_batches(&remote_targets);
-    let stmt_rtt = if riding || !any_remote { 0.0 } else { full_rtt };
-    if pipelined {
-        if riding {
-            state.pipeline.note_statement(stmt_remote[0].0);
-            cluster.metrics.pipeline_coalesced.fetch_add(
-                remote_targets.len() as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
-        } else {
-            cluster.metrics.pipeline_exchanges.fetch_add(
-                batch.exchanges() as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
-            cluster.metrics.pipeline_coalesced.fetch_add(
-                batch.coalesced() as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
-            if in_txn && any_remote && stmt_remote.len() == 1 {
-                // leave this worker's exchange open for the next statement
-                state.pipeline.note_statement(stmt_remote[0].0);
-            } else if any_remote {
-                // multi-node fan-out is a sync point
-                state.pipeline.sync();
-            }
-            // purely-local statements leave the open exchange untouched
-        }
-        if !in_txn {
-            state.pipeline.sync();
-        }
-    }
-    cost.net_ms += stmt_rtt;
-    elapsed += stmt_rtt;
-    cost.elapsed_ms = elapsed;
+    // 6. network latency
+    let wire = account_wire(&ctx, state, sole_remote, riding, &tasks.remote_targets);
+    cost.net_ms += wire.stmt_rtt;
+    cost.elapsed_ms = schedule.elapsed_ms + merged.cpu_ms + wire.stmt_rtt;
 
-    // trace assembly, in task order (never in completion order): task spans
-    // with their scoped fault events, then pool growth, then the merge step.
-    // Everything recorded here is a deterministic function of the workload
-    // and fault seed, independent of executor_threads (§6).
     if let Some(root) = &mut state.trace {
-        root.set("wire", if riding { "pipelined" } else if any_remote { "exchange" } else { "local" });
-        let events = cluster.faults().events_since(fault_base);
-        for (i, ((target, retries, backoff_ms, service_ms, local, batches), task)) in
-            task_traces.iter().zip(&plan.tasks).enumerate()
-        {
-            let mut span = crate::trace::Span::new("task")
-                .with("index", i)
-                .with("node", node_label(cluster, *target))
-                .with("shards", task_scope(task));
-            if *local {
-                span.set("exec", "local");
-            }
-            if *retries > 0 {
-                span.set("retries", retries);
-                span.set("backoff_ms", crate::trace::fmt_ms(*backoff_ms));
-            }
-            span.set("service_ms", crate::trace::fmt_ms(*service_ms));
-            if *batches > 0 {
-                span.set("vectorized", "true");
-                span.set("batches", batches);
-            }
-            let scope = task_scope(task);
-            let mut hits: Vec<&netsim::fault::FaultEvent> =
-                events.iter().filter(|e| e.scope == scope).collect();
-            // arrival order varies across thread interleavings; sort by the
-            // event's deterministic identity instead
-            hits.sort_by(|a, b| {
-                (&a.rule, &a.tag, a.phase as u8, a.node)
-                    .cmp(&(&b.rule, &b.tag, b.phase as u8, b.node))
-            });
-            for e in hits {
-                span.child(
-                    crate::trace::Span::new("fault")
-                        .with("rule", &e.rule)
-                        .with("tag", &e.tag)
-                        .with("phase", format!("{:?}", e.phase))
-                        .with("kind", format!("{:?}", e.kind)),
-                );
-            }
-            root.child(span);
-        }
-        if pipelined && any_remote {
-            root.child(
-                crate::trace::Span::new("batch")
-                    .with("exchanges", if riding { 0 } else { batch.exchanges() })
-                    .with(
-                        "coalesced",
-                        if riding { remote_targets.len() } else { batch.coalesced() },
-                    ),
-            );
-        }
-        for (node, before, after) in &lane_traces {
-            if after > before {
-                root.child(
-                    crate::trace::Span::new("pool")
-                        .with("node", node_label(cluster, *node))
-                        .with("lanes", format!("{before}->{after}")),
-                );
-            }
-        }
-        let merge_label = match &plan.merge {
-            Merge::PassThrough => "pass_through",
-            Merge::AffectedSum => "affected_sum",
-            Merge::AffectedFirst => "affected_first",
-            Merge::Concat { .. } => "concat",
-            Merge::GroupAgg(_) => "group_agg",
-        };
-        root.child(
-            crate::trace::Span::new("merge")
-                .with("kind", merge_label)
-                .with("rows", output.1.len())
-                .with("affected", output.2),
-        );
+        trace_statement(root, tasks.spans, wire, schedule.pools, &plan.merge, &merged);
     }
 
-    // 6. statement-scoped temp tables are dropped when not in a transaction
+    // 7. statement-scoped temp tables are dropped when not in a transaction
     if !in_txn {
         cleanup_temp_tables(cluster, state)?;
     }
     state.stmt_cost.add(&cost);
 
     Ok(ExecutorOutput {
-        columns: output.0,
-        rows: output.1,
-        affected: output.2,
+        columns: merged.columns,
+        rows: merged.rows,
+        affected: merged.affected,
         cost,
-        peak_connections: peak,
-        retries: retries_total,
+        peak_connections: schedule.peak_connections,
+        retries: tasks.retries,
     })
+}
+
+/// Run phase: execute every task of the plan, one [`TaskOutcome`] per task in
+/// task order.
+///
+/// Idempotent read tasks outside a transaction block survive connection
+/// failures: they re-try with capped exponential backoff on the virtual
+/// clock, failing over to a surviving placement when the target node is
+/// down. Writes and in-transaction reads never re-try — a lost reply
+/// leaves the remote effect in doubt, which only 2PC recovery may settle.
+fn run_tasks(
+    ctx: &StmtCtx,
+    session: &mut pgmini::session::Session,
+    state: &mut SessionState,
+    plan: &DistPlan,
+    scopes: &[String],
+    riding: bool,
+    cost: &mut DistCost,
+) -> PgResult<Vec<TaskOutcome>> {
+    let work = plan.tasks.iter().zip(scopes.iter().map(String::as_str));
+    // read fan-out: threaded when configured, inline otherwise — one code
+    // path, deterministic outcomes either way. Tasks whose placement lives
+    // on this node run inline in the client's backend (local execution);
+    // only a read's remote tasks enter the fan-out (no task of a write or an
+    // in-transaction statement does).
+    let retryable = !ctx.in_txn && !plan.is_write;
+    let fan: Vec<(&Task, &str)> =
+        work.clone().filter(|(t, _)| retryable && !ctx.is_local(t)).collect();
+    let mut fanned = fan_out_read_tasks(ctx, state, &fan, cost)?.into_iter();
+    // session-thread path: writes and in-transaction statements, where
+    // placement affinity binds shard groups to connections and a lost
+    // reply must surface immediately (never re-tried). The statement is one
+    // wire round however many workers its tasks land on (`account_wire`
+    // charges the same); riding the transaction's open exchange, it pays
+    // none
+    let mut round = if riding { WireRound::riding() } else { WireRound::new() };
+    let mut outcomes = Vec::with_capacity(plan.tasks.len());
+    for (task, scope) in work {
+        outcomes.push(if !ctx.is_local(task) {
+            if retryable {
+                fanned.next().expect("one fan-out outcome per remote task")
+            } else {
+                run_conn_task(ctx, state, task, scope, &mut round, cost)?
+            }
+        } else {
+            match run_local_task(ctx, session, task, scope) {
+                Err(e) if retryable && is_connection_failure(&e) => {
+                    // the local replica died under the read: the failed
+                    // local attempt counts as one retry, then the task
+                    // re-enters the normal read-retry path, which fails
+                    // over to a surviving placement (replicated shards)
+                    // or surfaces the error once attempts run out
+                    let mut outcome = fan_out_read_tasks(ctx, state, &[(task, scope)], cost)?
+                        .pop()
+                        .expect("one fallback outcome for one task");
+                    outcome.retries += 1;
+                    outcome
+                }
+                ran => {
+                    let outcome = ran?;
+                    state.local_writes |= task.is_write && ctx.in_txn;
+                    outcome
+                }
+            }
+        });
+    }
+    Ok(outcomes)
+}
+
+/// Run one task over a session connection as a message of the statement's
+/// `round`, binding the task's shard group to the connection for the rest of
+/// the transaction.
+fn run_conn_task(
+    ctx: &StmtCtx,
+    state: &mut SessionState,
+    task: &Task,
+    scope: &str,
+    round: &mut WireRound,
+    cost: &mut DistCost,
+) -> PgResult<TaskOutcome> {
+    let bind_group = if ctx.in_txn { task.group } else { None };
+    let (key, mut conn) =
+        task_conn(ctx.cluster, state, task.node, task.group, ctx.in_txn, round, cost)?;
+    let out = conn.execute_task(round, &task.stmt, scope, ctx.token);
+    if task.is_write {
+        conn.used_for_writes = true;
+    }
+    if out.as_ref().is_err_and(is_connection_failure) {
+        // a broken connection never recovers: drop it (and any affinity
+        // pointing at it) like a broken socket
+        state.affinity.retain(|_, k| *k != key);
+    } else {
+        state.checkin(key, conn, bind_group);
+    }
+    let (result, served) = out?;
+    let target = task.node;
+    Ok(TaskOutcome { result, cost: served, target, retries: 0, backoff_ms: 0.0, local: false })
+}
+
+/// What a statement derives from its task outcomes.
+struct TaskAccount {
+    /// Task results in task order, for the merge step.
+    results: Vec<QueryResult>,
+    /// Per node, the virtual duration of each task it served, in task order:
+    /// the input of the slow-start schedule.
+    node_durations: HashMap<NodeId, Vec<f64>>,
+    /// Actual remote target per remote task, in task order (failover may
+    /// move a task off `task.node`) — drives the wire-exchange accounting.
+    remote_targets: Vec<u32>,
+    retries: u64,
+    /// `task` trace spans with their scoped fault events; empty unless the
+    /// statement is traced.
+    spans: Vec<Span>,
+}
+
+/// Account phase: fold the outcomes once, in task order, into everything the
+/// statement derives from them. This is the only place a task's cost is
+/// booked, so rows, costs, retry counts and traces cannot depend on which
+/// thread — or which of the run phase's paths — produced an outcome, and
+/// floating-point sums always accumulate in task order. `traced_from` is the
+/// fault-log position the statement's tasks started at (`None` = untraced).
+fn account_tasks(
+    ctx: &StmtCtx,
+    outcomes: Vec<TaskOutcome>,
+    scopes: &[String],
+    traced_from: Option<usize>,
+    cost: &mut DistCost,
+) -> TaskAccount {
+    let config = &ctx.cluster.config;
+    // legacy (pipeline off): every remote task pays its own round trip
+    // inside its duration, on top of the statement's
+    let task_rtt = if config.pipeline { 0.0 } else { config.engine.cost.net_rtt_ms };
+    let events = traced_from.map(|base| ctx.cluster.faults().events_since(base));
+    let mut account = TaskAccount {
+        results: Vec::with_capacity(outcomes.len()),
+        node_durations: HashMap::new(),
+        remote_targets: Vec::new(),
+        retries: 0,
+        spans: Vec::new(),
+    };
+    for (index, (outcome, scope)) in outcomes.into_iter().zip(scopes).enumerate() {
+        let remote = outcome.target != ctx.self_node;
+        if remote {
+            account.remote_targets.push(outcome.target.0);
+        }
+        account.retries += outcome.retries;
+        cost.add_node(outcome.target, &outcome.cost);
+        account
+            .node_durations
+            .entry(outcome.target)
+            .or_default()
+            .push(outcome.cost.total_ms() + if remote { task_rtt } else { 0.0 });
+        if let Some(events) = &events {
+            account.spans.push(task_span(ctx.cluster, index, &outcome, scope, events));
+        }
+        account.results.push(outcome.result);
+    }
+    account
+}
+
+/// Trace span of one task, with the fault events scoped to it. Everything
+/// recorded is a deterministic function of the workload and fault seed,
+/// independent of `executor_threads` (§6).
+fn task_span(
+    cluster: &Arc<Cluster>,
+    index: usize,
+    outcome: &TaskOutcome,
+    scope: &str,
+    events: &[netsim::fault::FaultEvent],
+) -> Span {
+    let mut span = Span::new("task")
+        .with("index", index)
+        .with("node", node_label(cluster, outcome.target))
+        .with("shards", scope);
+    if outcome.local {
+        span.set("exec", "local");
+    }
+    if outcome.retries > 0 {
+        span.set("retries", outcome.retries);
+        span.set("backoff_ms", crate::trace::fmt_ms(outcome.backoff_ms));
+    }
+    span.set("service_ms", crate::trace::fmt_ms(outcome.cost.total_ms()));
+    if outcome.cost.batches > 0 {
+        span.set("vectorized", "true");
+        span.set("batches", outcome.cost.batches);
+    }
+    let mut hits: Vec<_> = events.iter().filter(|e| e.scope == scope).collect();
+    // arrival order varies across thread interleavings; sort by the
+    // event's deterministic identity instead
+    hits.sort_by(|a, b| {
+        (&a.rule, &a.tag, a.phase as u8, a.node).cmp(&(&b.rule, &b.tag, b.phase as u8, b.node))
+    });
+    for e in hits {
+        span.child(
+            Span::new("fault")
+                .with("rule", &e.rule)
+                .with("tag", &e.tag)
+                .with("phase", format!("{:?}", e.phase))
+                .with("kind", format!("{:?}", e.kind)),
+        );
+    }
+    span
+}
+
+/// Virtual elapsed time of a statement's task phase.
+struct Schedule {
+    elapsed_ms: f64,
+    /// Peak virtual connections used on any single node.
+    peak_connections: usize,
+    /// `pool` trace spans for slow-start growth, in NodeId order for
+    /// determinism; empty unless the statement is traced.
+    pools: Vec<Span>,
+}
+
+/// Slow-start schedule per node over the durations the account phase booked;
+/// lanes a statement opens stay in the session's virtual pool.
+fn schedule_nodes(
+    cluster: &Arc<Cluster>,
+    state: &mut SessionState,
+    node_durations: &HashMap<NodeId, Vec<f64>>,
+) -> Schedule {
+    let cores = cluster.config.engine.cores;
+    let slow_start = cluster.config.slow_start_interval_ms;
+    let connect_ms = cluster.config.engine.cost.connect_ms;
+    let limit = cluster.connection_limit() as usize;
+    let mut node_times = Vec::with_capacity(node_durations.len());
+    let mut peak_connections = 0usize;
+    let mut grown: Vec<(NodeId, String)> = Vec::new();
+    for (node, durations) in node_durations {
+        let existing = state.virtual_lanes.get(node).copied().unwrap_or(1);
+        let (t, lanes) =
+            slow_start_schedule(durations, slow_start, connect_ms, limit, cores, existing);
+        state.virtual_lanes.insert(*node, lanes.max(existing));
+        if state.trace.is_some() && lanes > existing {
+            grown.push((*node, format!("{existing}->{lanes}")));
+        }
+        node_times.push(t);
+        peak_connections = peak_connections.max(lanes);
+    }
+    grown.sort();
+    let pools = grown
+        .into_iter()
+        .map(|(node, lanes)| {
+            Span::new("pool").with("node", node_label(cluster, node)).with("lanes", lanes)
+        })
+        .collect();
+    Schedule { elapsed_ms: makespan::cluster_makespan(&node_times, 0.0), peak_connections, pools }
+}
+
+/// A statement's wire exchanges: what it is charged and what its trace shows.
+struct WireAccount {
+    /// `pipelined` (rode the transaction's open exchange), `exchange`, or
+    /// `local` (nothing left the node).
+    label: &'static str,
+    /// `batch` trace span of a pipelined statement with remote tasks:
+    /// exchanges opened and tasks that shared one.
+    batch: Option<Span>,
+    /// Round-trip latency the statement pays.
+    stmt_rtt: f64,
+}
+
+/// Network latency and the session's pipeline state. Pipelined: the
+/// statement's per-worker task batches go out as one wire exchange each and
+/// overlap — one RTT per statement — and a statement riding its
+/// transaction's open exchange pays none. Legacy (pipeline off): per-task
+/// RTTs entered the durations in the account phase, plus the same one
+/// statement RTT.
+fn account_wire(
+    ctx: &StmtCtx,
+    state: &mut SessionState,
+    sole_remote: Option<u32>,
+    riding: bool,
+    remote_targets: &[u32],
+) -> WireAccount {
+    let any_remote = !remote_targets.is_empty();
+    let mut batch = None;
+    if ctx.cluster.config.pipeline {
+        let planned = netsim::pipeline::plan_batches(remote_targets);
+        let (exchanges, coalesced) = if riding {
+            (0, remote_targets.len())
+        } else {
+            (planned.exchanges(), planned.coalesced())
+        };
+        let metrics = &ctx.cluster.metrics;
+        metrics.pipeline_exchanges.fetch_add(exchanges as u64, Ordering::Relaxed);
+        metrics.pipeline_coalesced.fetch_add(coalesced as u64, Ordering::Relaxed);
+        if any_remote && state.trace.is_some() {
+            batch =
+                Some(Span::new("batch").with("exchanges", exchanges).with("coalesced", coalesced));
+        }
+        match sole_remote {
+            // leave this worker's exchange open for the next statement
+            Some(node) if riding || (ctx.in_txn && any_remote) => {
+                state.pipeline.note_statement(node);
+            }
+            // multi-node fan-out is a sync point; purely-local statements
+            // leave the open exchange untouched
+            _ if any_remote => state.pipeline.sync(),
+            _ => {}
+        }
+        if !ctx.in_txn {
+            state.pipeline.sync();
+        }
+    }
+    let (label, stmt_rtt) = if riding {
+        ("pipelined", 0.0)
+    } else if any_remote {
+        ("exchange", ctx.cluster.config.engine.cost.net_rtt_ms)
+    } else {
+        ("local", 0.0)
+    };
+    WireAccount { label, batch, stmt_rtt }
+}
+
+/// Trace assembly, in task order (never in completion order): task spans
+/// with their scoped fault events, then the wire batch, pool growth, and the
+/// merge step.
+fn trace_statement(
+    root: &mut Span,
+    tasks: Vec<Span>,
+    wire: WireAccount,
+    pools: Vec<Span>,
+    merge: &Merge,
+    merged: &merge::Merged,
+) {
+    root.set("wire", wire.label);
+    let merge_span = Span::new("merge")
+        .with("kind", merge.label())
+        .with("rows", merged.rows.len())
+        .with("affected", merged.affected);
+    for span in tasks.into_iter().chain(wire.batch).chain(pools).chain([merge_span]) {
+        root.child(span);
+    }
 }
 
 /// Display label for a node in trace spans (name when known).
@@ -798,16 +753,15 @@ pub(crate) fn node_label(cluster: &Arc<Cluster>, node: NodeId) -> String {
 /// writes), with the same fault windows a WorkerConn round has: a *before*
 /// fault means the request never ran, an *after* fault loses the reply.
 fn run_local_task(
-    cluster: &Arc<Cluster>,
+    ctx: &StmtCtx,
     session: &mut pgmini::session::Session,
     task: &Task,
-    self_node: NodeId,
-    token: Option<u64>,
-) -> PgResult<(QueryResult, pgmini::cost::SimCost)> {
+    scope: &str,
+) -> PgResult<TaskOutcome> {
     use netsim::fault::{FaultOp, FaultPhase};
+    let (cluster, self_node) = (ctx.cluster, ctx.self_node);
     let tag = crate::cluster::stmt_tag(&task.stmt);
-    let scope = task_scope(task);
-    cluster.fault_point(self_node, FaultOp::Statement, tag, &scope, FaultPhase::Before)?;
+    cluster.fault_point(self_node, FaultOp::Statement, tag, scope, FaultPhase::Before)?;
     if !cluster.node(self_node)?.is_active() {
         return Err(PgError::new(ErrorCode::ConnectionFailure, "local node is down"));
     }
@@ -835,22 +789,20 @@ fn run_local_task(
     // the local task evaluates under the same snapshot token its remote
     // siblings carry; the client session's own token state is untouched
     let saved = session.snapshot_token();
-    session.set_snapshot_token(token);
+    session.set_snapshot_token(ctx.token);
     let result = session.execute_local(&task.stmt);
     session.set_snapshot_token(saved);
     let result = result?;
-    let local_cost = session.last_cost();
-    cluster.fault_point(self_node, FaultOp::Statement, tag, &scope, FaultPhase::After)?;
-    cluster
-        .metrics
-        .local_exec_tasks
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    Ok((result, local_cost))
+    let cost = session.last_cost();
+    cluster.fault_point(self_node, FaultOp::Statement, tag, scope, FaultPhase::After)?;
+    cluster.metrics.local_exec_tasks.fetch_add(1, Ordering::Relaxed);
+    Ok(TaskOutcome { result, cost, target: self_node, retries: 0, backoff_ms: 0.0, local: true })
 }
 
 /// Fault-injection scope naming one task: its shard set (`"s102008"`,
 /// `"s102008+s102010"`). Stable across thread counts and retries, so scoped
-/// fault rules pin to a task deterministically under parallelism.
+/// fault rules pin to a task deterministically under parallelism. Built once
+/// per task and shared by every run of it and by its trace span.
 fn task_scope(task: &Task) -> String {
     let mut s = String::new();
     for sid in &task.shards {
@@ -868,18 +820,8 @@ fn task_scope(task: &Task) -> String {
 /// dialled by a fan-out worker).
 type FanOutPool = Mutex<HashMap<NodeId, Vec<(Option<ConnKey>, WorkerConn)>>>;
 
-/// Outcome of one fan-out task, folded back in task order by the post-pass.
-struct TaskOutcome {
-    result: PgResult<(QueryResult, pgmini::cost::SimCost)>,
-    target: NodeId,
-    retries: u64,
-    /// Virtual backoff this task accrued; applied to the clock and cost
-    /// deterministically by the post-pass, not at retry time.
-    backoff_ms: f64,
-}
-
-/// Where a read task stands when it pauses or resumes: attempt counters plus
-/// the node it should try next.
+/// Where a read task stands when it pauses, resumes or gives up: attempt
+/// counters plus the node it should try next.
 struct TaskResume {
     attempt: u32,
     retries: u64,
@@ -887,12 +829,13 @@ struct TaskResume {
     target: NodeId,
 }
 
-/// Phase-1 outcome of a read task: finished, or paused because finishing
-/// would mean failing over to *another* node's engine (see
+/// One pass of a read task: finished, failed for good, or paused because
+/// finishing would mean failing over to *another* node's engine (see
 /// `fan_out_read_tasks` — cross-node work is replayed sequentially so each
 /// engine sees a thread-count-independent access order).
 enum TaskRun {
     Done(TaskOutcome),
+    Failed(PgError, TaskResume),
     Deferred(TaskResume),
 }
 
@@ -904,76 +847,56 @@ enum TaskRun {
 /// pauses instead of switching nodes. `round` is the wire round of the node
 /// batch the task belongs to.
 fn run_read_task(
-    cluster: &Arc<Cluster>,
+    ctx: &StmtCtx,
     pool: &FanOutPool,
     task: &Task,
-    max_attempts: u32,
+    scope: &str,
     resume: TaskResume,
     defer_failover: bool,
     round: &mut WireRound,
-    token: Option<u64>,
 ) -> TaskRun {
-    let scope = task_scope(task);
+    let config = &ctx.cluster.config;
     let TaskResume { mut attempt, mut retries, mut backoff_ms, mut target } = resume;
     loop {
         attempt += 1;
-        let pooled = pool
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get_mut(&target)
-            .and_then(Vec::pop);
+        let pooled = pool.lock().get_mut(&target).and_then(Vec::pop);
         let acquired = match pooled {
-            Some((origin, conn)) => Ok((origin, conn)),
-            None => cluster.connect_scoped(target, &scope).map(|c| (None, c)),
+            Some(conn) => Ok(conn),
+            None => ctx.cluster.connect_scoped(target, scope).map(|c| (None, c)),
         };
         let err = match acquired {
             Ok((origin, mut conn)) => {
-                conn.fault_scope = scope.clone();
-                conn.snapshot_token = token;
-                match conn.execute_in(round, &task.stmt) {
-                    Ok(ok) => {
-                        conn.fault_scope.clear();
-                        conn.snapshot_token = None;
-                        pool.lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .entry(target)
-                            .or_default()
-                            .push((origin, conn));
+                let out = conn.execute_task(round, &task.stmt, scope, ctx.token);
+                // a broken socket is never pooled again
+                if !out.as_ref().is_err_and(is_connection_failure) {
+                    pool.lock().entry(target).or_default().push((origin, conn));
+                }
+                match out {
+                    Ok((result, cost)) => {
                         return TaskRun::Done(TaskOutcome {
-                            result: Ok(ok),
+                            result,
+                            cost,
                             target,
                             retries,
                             backoff_ms,
+                            local: false,
                         });
                     }
-                    Err(e) => {
-                        if is_connection_failure(&e) {
-                            drop(conn); // broken socket: never pool it again
-                        } else {
-                            conn.fault_scope.clear();
-                            conn.snapshot_token = None;
-                            pool.lock()
-                                .unwrap_or_else(|x| x.into_inner())
-                                .entry(target)
-                                .or_default()
-                                .push((origin, conn));
-                        }
-                        e
-                    }
+                    Err(e) => e,
                 }
             }
             Err(e) => e,
         };
-        if !is_connection_failure(&err) || attempt >= max_attempts {
-            return TaskRun::Done(TaskOutcome { result: Err(err), target, retries, backoff_ms });
+        if !is_connection_failure(&err) || attempt > config.task_retries {
+            return TaskRun::Failed(err, TaskResume { attempt, retries, backoff_ms, target });
         }
         retries += 1;
         // the batch's exchange died with the failure: the retry replays
         // per-statement and pays its own round trip
         *round = WireRound::new();
-        backoff_ms += (cluster.config.retry_backoff_ms * (1u64 << (attempt - 1).min(16)) as f64)
-            .min(cluster.config.retry_backoff_cap_ms);
-        if let Some(alt) = surviving_placement(cluster, task, target) {
+        backoff_ms += (config.retry_backoff_ms * (1u64 << (attempt - 1).min(16)) as f64)
+            .min(config.retry_backoff_cap_ms);
+        if let Some(alt) = surviving_placement(ctx.cluster, task, target) {
             if defer_failover {
                 return TaskRun::Deferred(TaskResume { attempt, retries, backoff_ms, target: alt });
             }
@@ -982,65 +905,29 @@ fn run_read_task(
     }
 }
 
-/// Fan independent read tasks out over the configured executor threads.
+/// Fan independent read tasks out over the configured executor threads and
+/// return their outcomes in task order.
 ///
 /// Determinism contract — identical observable effects at any thread count:
 /// * connection-establishment cost is pre-charged once per distinct node
 ///   whose session pool was empty (in task order), instead of per real dial;
 /// * workers run every task to completion without touching shared state;
-/// * a post-pass in task order applies retry counts, backoff (virtual clock
-///   + net cost), and — on failure — reports the lowest-indexed failing
-///   task's error with exactly the retries a sequential run would have seen;
+/// * a post-pass in task order applies backoff (virtual clock + net cost),
+///   and — on failure — reports the lowest-indexed failing task's error with
+///   exactly the retries a sequential run would have seen;
 /// * the session pool is restored to the sequential steady state: original
 ///   pooled connections keep their keys, and nodes dialled fresh keep
 ///   exactly one new connection.
 fn fan_out_read_tasks(
-    cluster: &Arc<Cluster>,
+    ctx: &StmtCtx,
     state: &mut SessionState,
-    tasks: &[Task],
-    token: Option<u64>,
+    tasks: &[(&Task, &str)],
     cost: &mut DistCost,
-) -> PgResult<Vec<(QueryResult, pgmini::cost::SimCost, NodeId, u64, f64)>> {
+) -> PgResult<Vec<TaskOutcome>> {
     if tasks.is_empty() {
         return Ok(Vec::new());
     }
-    let connect_ms = cluster.config.engine.cost.connect_ms;
-    // pre-charge connects: one per distinct node with no pooled connection,
-    // in task order (what a sequential run would have dialled)
-    let mut charged: Vec<NodeId> = Vec::new();
-    for task in tasks {
-        let node = task.node;
-        if !charged.contains(&node) && !state.conns.keys().any(|(n, _)| *n == node) {
-            cost.net_ms += connect_ms;
-            charged.push(node);
-        }
-    }
-
-    // seed the shared pool from the session's idle connections
-    let pool: FanOutPool = Mutex::new(HashMap::new());
-    {
-        let idle: Vec<ConnKey> = state
-            .conns
-            .iter()
-            .filter(|(_, c)| !c.in_txn_block)
-            .map(|(k, _)| *k)
-            .collect();
-        let mut p = pool.lock().unwrap_or_else(|e| e.into_inner());
-        for key in idle {
-            if let Some(conn) = state.conns.remove(&key) {
-                p.entry(key.0).or_default().push((Some(key), conn));
-            }
-        }
-    }
-
-    let max_attempts = 1 + cluster.config.task_retries;
-    let fresh = |task: &Task| TaskResume {
-        attempt: 0,
-        retries: 0,
-        backoff_ms: 0.0,
-        target: task.node,
-    };
-
+    let cluster = ctx.cluster;
     // Phase 1 — parallelism is *across nodes*, never within one: tasks are
     // grouped by target node (first-appearance order) and each group runs
     // sequentially in task-index order. An engine's shared state (buffer
@@ -1049,140 +936,112 @@ fn fan_out_read_tasks(
     // shared relation's cold misses — byte-identical at 1 and 8 threads.
     // A task that must fail over to another node's engine is deferred.
     let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
-    for (i, task) in tasks.iter().enumerate() {
+    for (i, (task, _)) in tasks.iter().enumerate() {
         match groups.iter_mut().find(|(n, _)| *n == task.node) {
             Some((_, idxs)) => idxs.push(i),
             None => groups.push((task.node, vec![i])),
         }
     }
+    // pre-charge connects: one per distinct node with no pooled connection,
+    // in task order (what a sequential run would have dialled)
+    for (node, _) in &groups {
+        if !state.conns.keys().any(|(n, _)| n == node) {
+            cost.net_ms += cluster.config.engine.cost.connect_ms;
+        }
+    }
+    // seed the shared pool from the session's idle connections
+    let mut idle: HashMap<NodeId, Vec<(Option<ConnKey>, WorkerConn)>> = HashMap::new();
+    for (key, conn) in state.conns.extract_if(|_, c| !c.in_txn_block) {
+        idle.entry(key.0).or_default().push((Some(key), conn));
+    }
+    let pool: FanOutPool = Mutex::new(idle);
+
+    // every thread — the session's own included, the only one at
+    // `executor_threads = 1` — claims whole groups until none are left
     let threads = cluster.config.executor_threads.max(1).min(groups.len());
-    let mut runs: Vec<Option<TaskRun>> = (0..tasks.len()).map(|_| None).collect();
-    if threads <= 1 {
-        for (_, idxs) in &groups {
+    let next_group = AtomicUsize::new(0);
+    let runs: Mutex<Vec<(usize, TaskRun)>> = Mutex::new(Vec::with_capacity(tasks.len()));
+    let run_groups = || {
+        while let Some((_, idxs)) = groups.get(next_group.fetch_add(1, Ordering::Relaxed)) {
             let mut round = WireRound::new();
             for &i in idxs {
-                runs[i] = Some(run_read_task(
-                    cluster,
-                    &pool,
-                    &tasks[i],
-                    max_attempts,
-                    fresh(&tasks[i]),
-                    true,
-                    &mut round,
-                    token,
-                ));
+                let (task, scope) = tasks[i];
+                let fresh =
+                    TaskResume { attempt: 0, retries: 0, backoff_ms: 0.0, target: task.node };
+                let run = run_read_task(ctx, &pool, task, scope, fresh, true, &mut round);
+                runs.lock().push((i, run));
             }
         }
-    } else {
-        let slots: Mutex<Vec<Option<TaskRun>>> =
-            Mutex::new((0..tasks.len()).map(|_| None).collect());
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let g = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if g >= groups.len() {
-                        break;
-                    }
-                    let mut round = WireRound::new();
-                    for &i in &groups[g].1 {
-                        let run = run_read_task(
-                            cluster,
-                            &pool,
-                            &tasks[i],
-                            max_attempts,
-                            fresh(&tasks[i]),
-                            true,
-                            &mut round,
-                            token,
-                        );
-                        slots.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(run);
-                    }
-                });
-            }
-        });
-        runs = slots.into_inner().unwrap_or_else(|e| e.into_inner());
-    }
+    };
+    std::thread::scope(|s| {
+        for _ in 1..threads {
+            s.spawn(run_groups);
+        }
+        run_groups();
+    });
+    let mut runs = runs.into_inner();
+    runs.sort_unstable_by_key(|(i, _)| *i);
 
     // Phase 2 — deferred cross-node failovers replay sequentially in task
     // order, so the surviving node's engine also sees a deterministic order.
-    let mut outcomes: Vec<Option<TaskOutcome>> = Vec::with_capacity(tasks.len());
-    for (i, run) in runs.into_iter().enumerate() {
-        outcomes.push(match run {
-            Some(TaskRun::Done(o)) => Some(o),
-            Some(TaskRun::Deferred(resume)) => {
-                let mut round = WireRound::new();
-                match run_read_task(
-                    cluster, &pool, &tasks[i], max_attempts, resume, false, &mut round, token,
-                ) {
-                    TaskRun::Done(o) => Some(o),
-                    TaskRun::Deferred(_) => unreachable!("defer_failover=false never defers"),
-                }
+    let runs: Vec<TaskRun> = runs
+        .into_iter()
+        .map(|(i, run)| match run {
+            TaskRun::Deferred(resume) => {
+                let (task, scope) = tasks[i];
+                run_read_task(ctx, &pool, task, scope, resume, false, &mut WireRound::new())
             }
-            None => None,
-        });
-    }
+            finished => finished,
+        })
+        .collect();
 
-    // restore the session pool to the sequential steady state
-    {
-        let mut p = pool.into_inner().unwrap_or_else(|e| e.into_inner());
-        for (node, conns) in p.drain() {
-            let (keyed, fresh): (Vec<_>, Vec<_>) =
-                conns.into_iter().partition(|(origin, _)| origin.is_some());
-            if !keyed.is_empty() {
-                // original connections return under their keys; fresh extras
-                // drop (and release their slots)
-                for (origin, mut conn) in keyed {
-                    conn.fault_scope.clear();
-                    conn.snapshot_token = None;
-                    state.conns.insert(origin.expect("keyed"), conn);
-                }
-            } else if let Some((_, mut conn)) = fresh.into_iter().next() {
-                // a sequential run would have dialled exactly one
-                conn.fault_scope.clear();
-                conn.snapshot_token = None;
-                let key = state.new_key(node);
-                state.conns.insert(key, conn);
-            }
+    // restore the session pool to the sequential steady state: original
+    // connections return under their keys; a node dialled fresh keeps exactly
+    // one (what a sequential run would have dialled); extras drop, releasing
+    // their slots
+    for (node, conns) in pool.into_inner() {
+        let (keyed, fresh): (Vec<_>, Vec<_>) =
+            conns.into_iter().partition(|(origin, _)| origin.is_some());
+        let kept = if keyed.is_empty() { fresh.into_iter().take(1).collect() } else { keyed };
+        for (origin, conn) in kept {
+            let key = origin.unwrap_or_else(|| state.new_key(node));
+            state.conns.insert(key, conn);
         }
     }
 
-    // deterministic post-pass, in task order
-    let first_fail = outcomes
-        .iter()
-        .position(|o| matches!(o, Some(TaskOutcome { result: Err(_), .. }) | None));
-    if let Some(f) = first_fail {
-        // replay the sequential account: tasks before `f` completed (their
-        // retries and backoff count), task `f` failed after its own
-        let mut retries = 0u64;
-        let mut backoff = 0.0f64;
-        for o in outcomes.iter().take(f).flatten() {
-            retries += o.retries;
-            backoff += o.backoff_ms;
-        }
-        let err = match outcomes.into_iter().nth(f).flatten() {
-            Some(o) => {
-                retries += o.retries;
-                backoff += o.backoff_ms;
-                o.result.err().expect("first_fail is Err")
+    // deterministic post-pass, in task order, replaying the sequential
+    // account: tasks before the first failure completed (their retries and
+    // backoff count), the failing task gave up after its own, and later
+    // tasks never ran
+    let mut outcomes = Vec::with_capacity(runs.len());
+    let (mut retries, mut backoff_ms, mut failure) = (0u64, 0.0f64, None);
+    for run in runs {
+        match run {
+            TaskRun::Done(outcome) => {
+                retries += outcome.retries;
+                backoff_ms += outcome.backoff_ms;
+                outcomes.push(outcome);
             }
-            None => PgError::internal("fan-out worker panicked"),
-        };
-        cluster.clock.advance_micros((backoff * 1000.0) as u64);
-        cost.net_ms += backoff;
-        cluster.note_task_retries(retries);
-        return Err(err);
+            TaskRun::Failed(err, at) => {
+                retries += at.retries;
+                backoff_ms += at.backoff_ms;
+                failure = Some(err);
+                break;
+            }
+            TaskRun::Deferred(_) => unreachable!("defer_failover=false never defers"),
+        }
     }
-    let mut backoff_total = 0.0f64;
-    let mut out = Vec::with_capacity(outcomes.len());
-    for o in outcomes.into_iter().flatten() {
-        backoff_total += o.backoff_ms;
-        let (result, remote_cost) = o.result.expect("no failures past first_fail check");
-        out.push((result, remote_cost, o.target, o.retries, o.backoff_ms));
+    cluster.clock.advance_micros((backoff_ms * 1000.0) as u64);
+    cost.net_ms += backoff_ms;
+    match failure {
+        // the statement ends here, so its retries are noted here; a
+        // statement that goes on notes them in its account phase
+        Some(err) => {
+            cluster.note_task_retries(retries);
+            Err(err)
+        }
+        None => Ok(outcomes),
     }
-    cluster.clock.advance_micros((backoff_total * 1000.0) as u64);
-    cost.net_ms += backoff_total;
-    Ok(out)
 }
 
 /// Another active node holding every shard this task touches, if the current
@@ -1240,14 +1099,24 @@ fn run_prep_step(
     // run the source select through the full distributed pipeline
     let ext = cluster.extension(self_node)?;
     let rows = ext.run_select_distributed(session, select, state)?;
-    let col_types = infer_column_types(&rows, columns.len());
+    let defs: Vec<ColumnDef> = columns
+        .iter()
+        .zip(infer_column_types(&rows, columns.len()))
+        .map(|(name, ty)| ColumnDef {
+            name: name.clone(),
+            ty,
+            not_null: false,
+            primary_key: false,
+            unique: false,
+            default: None,
+            references: None,
+        })
+        .collect();
 
     match step {
         PrepStep::Broadcast { temp_table, nodes, .. } => {
             for node in nodes {
-                create_and_load(
-                    cluster, state, *node, temp_table, columns, &col_types, rows.clone(), cost,
-                )?;
+                create_and_load(cluster, state, *node, temp_table, &defs, rows.clone(), cost)?;
             }
         }
         PrepStep::Repartition { temp_prefix, partition_col, bucket_nodes, .. } => {
@@ -1262,69 +1131,43 @@ fn run_prep_step(
             }
             for (i, (node, bucket_rows)) in bucket_nodes.iter().zip(buckets).enumerate() {
                 let table = format!("{temp_prefix}_{i}");
-                create_and_load(
-                    cluster, state, *node, &table, columns, &col_types, bucket_rows, cost,
-                )?;
+                create_and_load(cluster, state, *node, &table, &defs, bucket_rows, cost)?;
             }
         }
     }
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn create_and_load(
     cluster: &Arc<Cluster>,
     state: &mut SessionState,
     node: NodeId,
     table: &str,
-    columns: &[String],
-    col_types: &[TypeName],
+    columns: &[ColumnDef],
     rows: Vec<Row>,
     cost: &mut DistCost,
 ) -> PgResult<()> {
-    let (key, mut conn, _) =
-        task_conn(cluster, state, node, None, false, None, &mut WireRound::new(), cost)?;
+    let (key, mut conn) =
+        task_conn(cluster, state, node, None, false, &mut WireRound::new(), cost)?;
     let create = Statement::CreateTable(Box::new(CreateTable {
         name: table.to_string(),
         if_not_exists: false,
-        columns: columns
-            .iter()
-            .zip(col_types)
-            .map(|(name, ty)| ColumnDef {
-                name: name.clone(),
-                ty: *ty,
-                not_null: false,
-                primary_key: false,
-                unique: false,
-                default: None,
-                references: None,
-            })
-            .collect(),
+        columns: columns.to_vec(),
         constraints: Vec::new(),
         using: None,
     }));
-    let create_result = conn.execute_stmt(&create);
-    let load_result = match &create_result {
-        Ok(_) => {
-            let moved = rows.len() as u64;
-            let r = conn.copy_rows(table, &[], rows);
-            // moving intermediate results costs network transfer time
-            cost.net_ms += conn.rtt_ms()
-                + moved as f64 * cluster.config.engine.cost.net_tuple_ms;
-            r.map(|(_, c)| c)
-        }
-        Err(e) => Err(e.clone()),
-    };
+    let loaded = conn.execute_stmt(&create).and_then(|_| {
+        // moving intermediate results costs network transfer time
+        cost.net_ms +=
+            conn.rtt_ms() + rows.len() as f64 * cluster.config.engine.cost.net_tuple_ms;
+        conn.copy_rows(table, &[], rows)
+    });
     state.checkin(key, conn, None);
-    match load_result {
-        Ok(remote_cost) => {
-            cost.add_node(node, &remote_cost);
-            cost.elapsed_ms += remote_cost.total_ms();
-            state.temp_tables.push((node, table.to_string()));
-            Ok(())
-        }
-        Err(e) => Err(e),
-    }
+    let (_, remote_cost) = loaded?;
+    cost.add_node(node, &remote_cost);
+    cost.elapsed_ms += remote_cost.total_ms();
+    state.temp_tables.push((node, table.to_string()));
+    Ok(())
 }
 
 /// Infer temp-table column types from materialised rows (Text when unknown).

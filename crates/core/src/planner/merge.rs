@@ -5,9 +5,17 @@
 //! *partial* aggregates per shard, and this module combines them on the
 //! coordinator: `count → sum of counts`, `sum → sum`, `min/max → min/max`,
 //! `avg → sum/count recomposed at the end` — the Figure 5 call flow.
+//!
+//! [`apply`] is the single entry point for the coordinator merge step: every
+//! [`Merge`] policy — pass-through, DML counts, concatenate-and-re-sort,
+//! partial-aggregate combine — turns a statement's task results into its
+//! answer here, and reports the coordinator CPU the merge is charged.
 
+use super::{Merge, SortCol};
+use pgmini::cost::CostModel;
 use pgmini::error::{ErrorCode, PgError, PgResult};
 use pgmini::expr::{bind, eval, ColumnRef, EvalCtx, RowScope};
+use pgmini::session::QueryResult;
 use pgmini::types::{Datum, Row, SortKey};
 use sqlparse::ast::{
     BinaryOp, Expr, FuncCall, Literal, OrderByItem, Select, SelectItem, TypeName,
@@ -449,9 +457,22 @@ pub fn execute_merge(plan: &MergePlan, worker_rows: Vec<Row>) -> PgResult<(Vec<R
         out.push(row);
     }
 
-    if !plan.sort.is_empty() {
-        out.sort_by(|a, b| {
-            for (idx, desc) in &plan.sort {
+    sort_and_trim(&mut out, &plan.sort, plan.offset, plan.limit, plan.visible);
+    Ok((out, work))
+}
+
+/// The tail every row-returning merge shares: re-sort on `(column, desc)`
+/// keys, apply OFFSET then LIMIT, and drop hidden sort columns past `visible`.
+fn sort_and_trim(
+    rows: &mut Vec<Row>,
+    sort: &[(usize, bool)],
+    offset: Option<u64>,
+    limit: Option<u64>,
+    visible: usize,
+) {
+    if !sort.is_empty() {
+        rows.sort_by(|a, b| {
+            for (idx, desc) in sort {
                 let ord = a[*idx].total_cmp(&b[*idx]);
                 let ord = if *desc { ord.reverse() } else { ord };
                 if ord != std::cmp::Ordering::Equal {
@@ -461,17 +482,105 @@ pub fn execute_merge(plan: &MergePlan, worker_rows: Vec<Row>) -> PgResult<(Vec<R
             std::cmp::Ordering::Equal
         });
     }
-    if let Some(off) = plan.offset {
-        let off = (off as usize).min(out.len());
-        out.drain(..off);
+    if let Some(off) = offset {
+        let off = (off as usize).min(rows.len());
+        rows.drain(..off);
     }
-    if let Some(lim) = plan.limit {
-        out.truncate(lim as usize);
+    if let Some(lim) = limit {
+        rows.truncate(lim as usize);
     }
-    for r in &mut out {
-        r.truncate(plan.visible);
+    for r in rows {
+        r.truncate(visible);
     }
-    Ok((out, work))
+}
+
+/// A statement's answer after the coordinator merge step.
+#[derive(Debug)]
+pub struct Merged {
+    pub columns: Vec<String>,
+    pub rows: Vec<Row>,
+    pub affected: u64,
+    /// Coordinator CPU the merge is charged, in virtual ms.
+    pub cpu_ms: f64,
+}
+
+impl Merge {
+    /// Name of the policy in trace spans.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Merge::PassThrough => "pass_through",
+            Merge::AffectedSum => "affected_sum",
+            Merge::AffectedFirst => "affected_first",
+            Merge::Concat { .. } => "concat",
+            Merge::GroupAgg(_) => "group_agg",
+        }
+    }
+}
+
+/// All task rows in task order, under the first row-returning task's column
+/// names.
+fn concat_rows(results: Vec<QueryResult>) -> (Vec<String>, Vec<Row>) {
+    let mut columns = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
+    for r in results {
+        if let QueryResult::Rows { columns: c, rows: mut rs } = r {
+            if columns.is_empty() {
+                columns = c;
+            }
+            rows.append(&mut rs);
+        }
+    }
+    (columns, rows)
+}
+
+/// Combine a statement's task results (in task order) as `merge` prescribes.
+pub fn apply(merge: &Merge, results: Vec<QueryResult>, model: &CostModel) -> PgResult<Merged> {
+    let mut out = Merged { columns: Vec::new(), rows: Vec::new(), affected: 0, cpu_ms: 0.0 };
+    match merge {
+        Merge::PassThrough => match results.into_iter().next() {
+            Some(QueryResult::Rows { columns, rows }) => {
+                out.columns = columns;
+                out.rows = rows;
+            }
+            Some(QueryResult::Affected(n)) => out.affected = n,
+            Some(QueryResult::Empty) | None => {}
+        },
+        Merge::AffectedSum => out.affected = results.iter().map(QueryResult::affected).sum(),
+        Merge::AffectedFirst => {
+            out.affected = results.first().map(QueryResult::affected).unwrap_or(0)
+        }
+        Merge::Concat { sort, limit, offset, distinct, visible, appended } => {
+            let (mut columns, mut rows) = concat_rows(results);
+            out.cpu_ms = model.cpu_tuple_ms * rows.len() as f64;
+            // a wildcard projection's arity is only known now; hidden sort
+            // columns always sit at the end of the worker rows
+            let arity = rows.first().map(|r| r.len()).unwrap_or(columns.len());
+            let projected = arity.saturating_sub(*appended);
+            let visible = if *visible == usize::MAX { projected } else { *visible };
+            if *distinct {
+                let mut seen = std::collections::BTreeSet::new();
+                rows.retain(|r| seen.insert(SortKey(r[..visible.min(r.len())].to_vec())));
+            }
+            let sort: Vec<(usize, bool)> = sort
+                .iter()
+                .map(|(col, desc)| match col {
+                    SortCol::Index(i) => (*i, *desc),
+                    SortCol::Appended(j) => (projected + j, *desc),
+                })
+                .collect();
+            sort_and_trim(&mut rows, &sort, *offset, *limit, visible);
+            columns.truncate(visible);
+            out.columns = columns;
+            out.rows = rows;
+        }
+        Merge::GroupAgg(mplan) => {
+            let (merged, work) = execute_merge(mplan, concat_rows(results).1)?;
+            out.cpu_ms = model.cpu_tuple_ms * (work as f64 + merged.len() as f64);
+            out.columns = (0..mplan.visible).map(|i| format!("column{i}")).collect();
+            out.rows = merged;
+        }
+    }
+    Ok(out)
 }
 
 fn combine_datum(a: &Datum, b: &Datum, combine: Combine) -> PgResult<Datum> {
@@ -634,5 +743,116 @@ mod tests {
             combine_datum(&Datum::Null, &Datum::Int(3), Combine::Sum).unwrap(),
             Datum::Int(3)
         );
+    }
+
+    fn rows_of(columns: &[&str], rows: Vec<Vec<i64>>) -> QueryResult {
+        QueryResult::Rows {
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+            rows: rows.into_iter().map(|r| r.into_iter().map(Datum::Int).collect()).collect(),
+        }
+    }
+
+    fn concat(
+        sort: Vec<(SortCol, bool)>,
+        distinct: bool,
+        visible: usize,
+        appended: usize,
+    ) -> Merge {
+        Merge::Concat { sort, limit: None, offset: None, distinct, visible, appended }
+    }
+
+    fn ints(merged: &Merged) -> Vec<Vec<i64>> {
+        merged.rows.iter().map(|r| r.iter().map(|d| d.as_i64().unwrap()).collect()).collect()
+    }
+
+    #[test]
+    fn concat_wildcard_sorts_on_hidden_columns_then_drops_them() {
+        // `SELECT * .. ORDER BY expr`: arity is unknown at plan time, the
+        // hidden `__ord0` column sits at the end of each worker row
+        let merge = concat(vec![(SortCol::Appended(0), true)], false, usize::MAX, 1);
+        let results = vec![
+            rows_of(&["k", "v", "__ord0"], vec![vec![1, 10, 5], vec![2, 20, 9]]),
+            rows_of(&["k", "v", "__ord0"], vec![vec![3, 30, 7]]),
+        ];
+        let model = CostModel::default();
+        let merged = apply(&merge, results, &model).unwrap();
+        assert_eq!(merged.columns, ["k", "v"]);
+        assert_eq!(ints(&merged), [[2, 20], [3, 30], [1, 10]]);
+        assert_eq!(merged.cpu_ms, model.cpu_tuple_ms * 3.0, "one tuple charge per worker row");
+    }
+
+    #[test]
+    fn concat_distinct_compares_the_visible_prefix_only() {
+        let merge = concat(vec![(SortCol::Index(0), false)], true, 1, 1);
+        let results = vec![
+            rows_of(&["k", "__ord0"], vec![vec![2, 100], vec![1, 101]]),
+            rows_of(&["k", "__ord0"], vec![vec![2, 102]]),
+        ];
+        let model = CostModel::default();
+        let merged = apply(&merge, results, &model).unwrap();
+        assert_eq!(ints(&merged), [[1], [2]], "rows differing only in a hidden column collapse");
+        assert_eq!(merged.cpu_ms, model.cpu_tuple_ms * 3.0, "charged before de-duplication");
+    }
+
+    #[test]
+    fn concat_offset_past_the_end_and_limit_zero_return_no_rows() {
+        let results =
+            || vec![rows_of(&["k"], vec![vec![1], vec![2]]), rows_of(&["k"], vec![vec![3]])];
+        let model = CostModel::default();
+        let window = |offset, limit| Merge::Concat {
+            sort: Vec::new(),
+            limit,
+            offset,
+            distinct: false,
+            visible: 1,
+            appended: 0,
+        };
+        for (offset, limit) in [(Some(7), None), (None, Some(0)), (Some(3), Some(5))] {
+            let merged = apply(&window(offset, limit), results(), &model).unwrap();
+            assert!(merged.rows.is_empty(), "offset {offset:?} limit {limit:?}");
+            assert_eq!(merged.columns, ["k"]);
+        }
+        let merged = apply(&window(Some(1), Some(1)), results(), &model).unwrap();
+        assert_eq!(ints(&merged), [[2]], "offset, then limit");
+    }
+
+    #[test]
+    fn concat_of_empty_tasks_keeps_the_first_results_columns() {
+        let merge = concat(vec![(SortCol::Appended(0), false)], false, usize::MAX, 1);
+        let results =
+            vec![rows_of(&["k", "v", "__ord0"], vec![]), rows_of(&["a", "b", "c"], vec![])];
+        let merged = apply(&merge, results, &CostModel::default()).unwrap();
+        assert_eq!(merged.columns, ["k", "v"], "wildcard arity falls back to the column list");
+        assert!(merged.rows.is_empty());
+        assert_eq!((merged.affected, merged.cpu_ms), (0, 0.0));
+    }
+
+    #[test]
+    fn write_merges_count_once_or_sum() {
+        // a reference-table write runs on every placement but reports one count
+        let results = || vec![QueryResult::Affected(3), QueryResult::Affected(3)];
+        let model = CostModel::default();
+        let first = apply(&Merge::AffectedFirst, results(), &model).unwrap();
+        let sum = apply(&Merge::AffectedSum, results(), &model).unwrap();
+        assert_eq!((first.affected, sum.affected), (3, 6));
+        assert_eq!((first.cpu_ms, sum.cpu_ms), (0.0, 0.0));
+        assert!(first.rows.is_empty() && first.columns.is_empty());
+        assert_eq!(apply(&Merge::AffectedFirst, Vec::new(), &model).unwrap().affected, 0);
+        let passed = apply(&Merge::PassThrough, vec![QueryResult::Affected(4)], &model).unwrap();
+        assert_eq!(passed.affected, 4);
+    }
+
+    #[test]
+    fn group_agg_charges_worker_rows_plus_merged_rows() {
+        let s = split("SELECT region, count(*) FROM t GROUP BY region");
+        let results = vec![
+            rows_of(&["region", "count"], vec![vec![1, 2], vec![2, 5]]),
+            rows_of(&["region", "count"], vec![vec![1, 3]]),
+        ];
+        let model = CostModel::default();
+        let merged = apply(&Merge::GroupAgg(Box::new(s.merge)), results, &model).unwrap();
+        assert_eq!(ints(&merged), [[1, 5], [2, 5]]);
+        assert_eq!(merged.columns, ["column0", "column1"]);
+        assert_eq!(merged.cpu_ms, model.cpu_tuple_ms * (3.0 + 2.0));
     }
 }

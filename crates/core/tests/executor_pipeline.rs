@@ -537,6 +537,66 @@ fn a_fault_on_the_riding_prepare_aborts_and_recovers_as_before() {
     }
 }
 
+/// One in-transaction statement whose tasks split between the client's own
+/// backend and a remote worker: the local half runs with no connection, the
+/// remote half is one wire round on one connection that the next statement
+/// to that shard group rides, and the local write forces 2PC at commit.
+#[test]
+fn a_statement_mixing_local_and_remote_writes_is_one_round() {
+    for threads in [1, 8] {
+        let c = build(threads, true, true);
+        c.enable_mx();
+        let (_, _, k2) = keys_by_worker(&c);
+        let mut s = c.session_on(NodeId(1)).unwrap();
+        let rounds = |c: &Arc<Cluster>| c.metrics.wire_rounds.load(Ordering::Relaxed);
+        let conns_before = c.connections_to(NodeId(2));
+        s.execute("BEGIN").unwrap();
+
+        c.tracer.clear();
+        let before = rounds(&c);
+        let r = s.execute("UPDATE t SET v = v + 1").unwrap();
+        assert_eq!(r.affected(), SEED_ROWS as u64);
+        assert_eq!(rounds(&c) - before, 1, "BEGIN and four tasks ride one round");
+        let cost = s.last_dist_cost();
+        let mut nodes: Vec<u32> = cost.per_node.keys().map(|n| n.0).collect();
+        nodes.sort();
+        assert_eq!(nodes, [1, 2]);
+        // BEGIN's round trip plus the statement's, and one connect
+        let model = c.config.engine.cost;
+        assert_eq!(cost.net_ms, model.connect_ms + 2.0 * model.net_rtt_ms);
+        let trace = c.tracer.last_statement().expect("statement trace recorded");
+        assert_eq!(trace.field("wire"), Some("exchange"));
+        let where_ran: Vec<(&str, bool)> = trace
+            .find_all("task")
+            .iter()
+            .map(|t| (t.field("node").unwrap(), t.field("exec") == Some("local")))
+            .collect();
+        let local = where_ran.iter().filter(|(n, l)| *n == "worker-1" && *l).count();
+        let remote = where_ran.iter().filter(|(n, l)| *n == "worker-2" && !*l).count();
+        assert_eq!((local, remote), (4, 4), "{}", trace.render());
+        let batch = trace.find("batch").expect("remote tasks form one batch");
+        assert_eq!((batch.field("exchanges"), batch.field("coalesced")), (Some("1"), Some("3")));
+
+        // affinity: the shard group is bound to the open connection, whose
+        // exchange the next statement rides
+        let before = rounds(&c);
+        s.execute(&format!("UPDATE t SET v = v + 1 WHERE k = {k2}")).unwrap();
+        assert_eq!(rounds(&c) - before, 0, "same worker, same exchange");
+        assert_eq!(
+            c.connections_to(NodeId(2)) - conns_before,
+            1,
+            "one connection serves the transaction"
+        );
+
+        // local_writes: this node is a participant, so no delegation
+        s.execute("COMMIT").unwrap();
+        assert_eq!(c.metrics.twopc_commits.load(Ordering::Relaxed), 1);
+        assert_eq!(c.metrics.delegated_commits.load(Ordering::Relaxed), 0);
+        let r = s.execute(&format!("SELECT v FROM t WHERE k = {k2}")).unwrap();
+        assert_eq!(r.rows()[0][0], Datum::Int(k2 * 10 + 2));
+    }
+}
+
 /// The MX half: a routed tenant transaction plans, executes, and commits on
 /// the worker owning its placement — zero coordinator involvement, and the
 /// worker's tasks run in the client backend via local execution.

@@ -289,6 +289,68 @@ fn reference_read_fails_over_to_surviving_placement() {
     assert_eq!(before.rows(), healed.rows());
 }
 
+/// The same failover, pinned exactly: the failed local attempt is one retry,
+/// the re-entered read path adds one more with its base backoff, the work is
+/// booked on the surviving node only, and the task span names that node with
+/// no `exec=local` — identically at 1 and 8 executor threads.
+#[test]
+fn local_replica_failover_books_one_task_on_the_survivor() {
+    let run = |threads: usize| {
+        let mut cfg = ClusterConfig::default();
+        cfg.shard_count = 8;
+        cfg.executor_threads = threads;
+        cfg.tracing = true;
+        let c = Cluster::new(cfg);
+        for _ in 0..3 {
+            c.add_worker().unwrap();
+        }
+        let mut s = c.session().unwrap();
+        s.execute("CREATE TABLE r (id bigint PRIMARY KEY, label text)").unwrap();
+        s.execute("SELECT create_reference_table('r')").unwrap();
+        s.execute("INSERT INTO r VALUES (1, 'a'), (2, 'b'), (3, 'c')").unwrap();
+        c.install_faults(
+            FaultPlan::new().with(
+                FaultRule::new(FaultOp::Statement, FaultKind::Crash)
+                    .on_node(0)
+                    .with_tag("select"),
+            ),
+            0,
+        );
+        c.tracer.clear();
+        let clock_before = c.clock.now_micros();
+        let r = s.execute("SELECT count(*) FROM r").unwrap();
+        assert_eq!(r.rows()[0][0], Datum::Int(3));
+        let cost = s.last_dist_cost();
+        let mut nodes: Vec<u32> = cost.per_node.keys().map(|n| n.0).collect();
+        nodes.sort();
+        let trace = c.tracer.last_statement().expect("statement trace recorded");
+        let tasks = trace.find_all("task");
+        assert_eq!(tasks.len(), 1, "one task, one span:\n{}", trace.render());
+        let task = tasks[0];
+        assert_eq!(task.field("node"), Some("worker-1"));
+        assert_eq!(task.field("retries"), Some("2"));
+        assert_eq!(task.field("backoff_ms"), Some("10.000"));
+        assert_eq!(task.field("exec"), None, "the task did not run locally");
+        assert_eq!(trace.field("wire"), Some("exchange"));
+        assert!(
+            trace.render().contains(
+                "task{index=0 node=worker-1 shards=s102008 retries=2 backoff_ms=10.000 \
+                 service_ms=0.187}"
+            ),
+            "{}",
+            trace.render()
+        );
+        assert_eq!(c.task_retry_count(), 2);
+        assert_eq!(nodes, [1], "work is booked on the surviving placement only");
+        // one connect, the retry's backoff, one statement round trip
+        let model = c.config.engine.cost;
+        assert_eq!(cost.net_ms, model.connect_ms + 10.0 + model.net_rtt_ms);
+        assert_eq!(c.clock.now_micros() - clock_before, 10_000, "backoff on the virtual clock");
+        (trace.render(), format!("{:?}", cost.elapsed_ms))
+    };
+    assert_eq!(run(1), run(8), "trace and elapsed time are thread-invariant");
+}
+
 /// Hash shards are single-placement: when their node stays down, retries run
 /// out and the failure surfaces as a clean connection error.
 #[test]
@@ -299,6 +361,58 @@ fn unreplicated_read_surfaces_connection_failure() {
     let err = s.execute("SELECT count(*) FROM t").unwrap_err();
     assert_eq!(err.code, ErrorCode::ConnectionFailure);
     assert_eq!(c.task_retry_count(), c.config.task_retries as u64);
+}
+
+/// Distributed COPY is not atomic (DESIGN.md §14), so what a mid-COPY fault
+/// leaves behind must at least be deterministic: shard batches stream in
+/// bucket-index order, and failing the k-th `copy` message leaves exactly
+/// the k-1 lowest non-empty buckets loaded — on every cluster.
+#[test]
+fn mid_copy_fault_leaves_the_lowest_buckets_loaded() {
+    const FAIL_AT: u64 = 6;
+    let loaded_buckets = || {
+        let mut cfg = ClusterConfig::default();
+        cfg.shard_count = 32;
+        let c = Cluster::new(cfg);
+        for _ in 0..2 {
+            c.add_worker().unwrap();
+        }
+        let mut s = c.session().unwrap();
+        s.execute("CREATE TABLE t (k bigint PRIMARY KEY, v bigint)").unwrap();
+        s.execute("SELECT create_distributed_table('t', 'k')").unwrap();
+        let bucket_of = |k: i64| {
+            c.metadata.read().shard_index_for_value("t", &Datum::Int(k)).unwrap()
+        };
+        let mut with_rows: Vec<usize> = (0..200).map(bucket_of).collect();
+        with_rows.sort();
+        with_rows.dedup();
+        assert!(with_rows.len() > 2 * FAIL_AT as usize, "rows spread over many shards");
+
+        c.install_faults(
+            FaultPlan::new().with(
+                FaultRule::new(FaultOp::Statement, FaultKind::Error)
+                    .with_tag("copy")
+                    .after(FAIL_AT - 1),
+            ),
+            0,
+        );
+        let rows = (0..200i64).map(|k| vec![Datum::Int(k), Datum::Int(1)]).collect();
+        s.copy("t", &[], rows).unwrap_err();
+        c.clear_faults();
+
+        let mut loaded: Vec<usize> = (0..200i64)
+            .filter(|k| {
+                let r = s.execute(&format!("SELECT count(*) FROM t WHERE k = {k}")).unwrap();
+                r.rows()[0][0] == Datum::Int(1)
+            })
+            .map(bucket_of)
+            .collect();
+        loaded.sort();
+        loaded.dedup();
+        assert_eq!(loaded, with_rows[..FAIL_AT as usize - 1], "lowest buckets first");
+        loaded
+    };
+    assert_eq!(loaded_buckets(), loaded_buckets());
 }
 
 /// Latency faults charge the virtual clock without failing anything.

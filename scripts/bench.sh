@@ -1,26 +1,28 @@
 #!/usr/bin/env sh
-# Executor performance baseline. Emits BENCH_executor.json in the repo root:
+# Build one of the crates/bench benches in release mode and run it. Emits
+# BENCH_<name>.json in the repo root, or, with --smoke (reduced scale, no
+# thresholds), BENCH_<name>_smoke.json — the committed baselines that
+# scripts/check_bench_regression.py compares against in CI. What a bench
+# measures, its scale knobs and its thresholds are in the module doc of
+# crates/bench/src/bin/<name>_bench.rs.
 #
-#   - wall-clock speedup of a 32-shard pushdown aggregate at 1/4/8 executor
-#     threads (remote statements carry real_rtt_us of wire time, so the
-#     fan-out's overlap is measured for real, not just in virtual time)
-#   - plan-cache hit rate and per-statement latency (virtual ms, the
-#     repo's deterministic metric, plus wall-clock) on a repeated-CRUD loop,
-#     cache off (cold) vs on (warm)
-#
-# Thresholds (skipped with --smoke): speedup_t8 >= 2x, warm hit rate >= 90%,
-# warm per-statement latency < cold.
+# Usage: scripts/bench.sh <executor|workloads|columnar|rollup> [--smoke]
 set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "==> build executor bench (release)"
-cargo build --release -p citrus-bench --bin executor_bench
+case "${1:-}" in
+    executor | workloads | columnar | rollup) name=$1; shift ;;
+    *) echo "usage: $0 <executor|workloads|columnar|rollup> [--smoke]" >&2; exit 2 ;;
+esac
 
-echo "==> run executor bench $*"
-./target/release/executor_bench "$@"
+echo "==> build $name bench (release)"
+cargo build --release -p citrus-bench --bin "${name}_bench"
+
+echo "==> run $name bench $*"
+"./target/release/${name}_bench" "$@"
 
 case " $* " in
-    *" --smoke "*) echo "==> wrote BENCH_executor_smoke.json" ;;
-    *) echo "==> wrote BENCH_executor.json" ;;
+    *" --smoke "*) echo "==> wrote BENCH_${name}_smoke.json" ;;
+    *) echo "==> wrote BENCH_${name}.json" ;;
 esac

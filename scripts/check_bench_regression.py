@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Bench regression gate (ci.sh step 8).
+"""Bench regression gate (ci.sh step 5).
 
 Compares the freshly generated smoke bench artifacts against the committed
 baselines. The virtual-time fields in the smoke artifacts are deterministic
@@ -78,7 +78,7 @@ def main():
 
     new_wl = fresh("BENCH_workloads_smoke.json")
     if new_wl is None:
-        failures.append("BENCH_workloads_smoke.json missing — run scripts/bench_workloads.sh --smoke first")
+        failures.append("BENCH_workloads_smoke.json missing — run scripts/bench.sh workloads --smoke first")
     base_wl = committed("BENCH_workloads_smoke.json")
     if base_wl is None:
         skipped.append("no committed BENCH_workloads_smoke.json baseline (bootstrap)")
@@ -103,7 +103,7 @@ def main():
 
     new_ex = fresh("BENCH_executor_smoke.json")
     if new_ex is None:
-        failures.append("BENCH_executor_smoke.json missing — run scripts/bench.sh --smoke first")
+        failures.append("BENCH_executor_smoke.json missing — run scripts/bench.sh executor --smoke first")
     else:
         warm = new_ex["plan_cache"]["warm_ms_per_stmt"]
         cold = new_ex["plan_cache"]["cold_ms_per_stmt"]
@@ -130,7 +130,7 @@ def main():
     new_col = fresh("BENCH_columnar_smoke.json")
     if new_col is None:
         failures.append(
-            "BENCH_columnar_smoke.json missing — run scripts/bench_columnar.sh --smoke first"
+            "BENCH_columnar_smoke.json missing — run scripts/bench.sh columnar --smoke first"
         )
     else:
         vec = new_col["vectorized"]["units_per_vsec"]
@@ -162,7 +162,7 @@ def main():
     new_ru = fresh("BENCH_rollup_smoke.json")
     if new_ru is None:
         failures.append(
-            "BENCH_rollup_smoke.json missing — run scripts/bench_rollup.sh --smoke first"
+            "BENCH_rollup_smoke.json missing — run scripts/bench.sh rollup --smoke first"
         )
     else:
         incr = new_ru["incremental"]["units_per_vsec"]
@@ -194,7 +194,7 @@ def main():
     new_si = fresh("BENCH_snapshot_smoke.json")
     if new_si is None:
         failures.append(
-            "BENCH_snapshot_smoke.json missing — run scripts/bench_workloads.sh --smoke first"
+            "BENCH_snapshot_smoke.json missing — run scripts/bench.sh workloads --smoke first"
         )
     else:
         off = new_si["mode_off"]["units_per_vsec"]

@@ -12,15 +12,14 @@
 #      anomaly wall, MX fence drills, the rollup recompute differential and
 #      the seeded sim chaos corpus. There is no filter to skip one by.
 #   3. crates/core must compile warning-free (tests included)
-#   4. one-iteration smoke of the executor bench (exercises the wall-clock
-#      fan-out and plan-cache paths end to end; no thresholds)
-#   5. one-iteration smoke of the §4 workloads evaluation (also writes the
-#      snapshot-isolation mode-off vs mode-on overhead artifact; the
-#      distributed real-time-analytics arm serves its dashboard from the
-#      incrementally maintained commit rollup)
-#   6. smoke of the columnar vectorized-vs-volcano bench
-#   7. smoke of the incremental-rollup-vs-recompute bench
-#   8. bench regression gate: the smoke artifacts' virtual-time numbers are
+#   4. one-iteration smoke of each crates/bench bench, no thresholds:
+#      `executor` (the wall-clock fan-out and plan-cache paths end to end),
+#      `workloads` (the §4 evaluation; also writes the snapshot-isolation
+#      mode-off vs mode-on overhead artifact; the distributed
+#      real-time-analytics arm serves its dashboard from the incrementally
+#      maintained commit rollup), `columnar` (vectorized vs volcano) and
+#      `rollup` (incremental vs recompute)
+#   5. bench regression gate: the smoke artifacts' virtual-time numbers are
 #      deterministic, so they are compared against the committed
 #      BENCH_*_smoke.json baselines — TPC-C / YCSB / columnar-vectorized
 #      units_per_vsec must not regress more than 10%, the warm plan-cache arm
@@ -30,7 +29,7 @@
 #      nothing when off (mode-off vs committed baseline) and <=10% when on
 #      (mode-on vs fresh mode-off); the incremental rollup arm must beat
 #      recompute and not regress more than 10% against its baseline
-#   9. the wall-clock benchmark (benchmark/, see BENCHMARK.json) for
+#   6. the wall-clock benchmark (benchmark/, see BENCHMARK.json) for
 #      `dtxn_wire`, `tpcc` and `ycsb_a` at --seconds 1: the two workloads
 #      through the commit protocol, with and without real wire time, and the
 #      one that runs almost entirely from the workers' warm plan caches. No
@@ -51,31 +50,24 @@ for arg in "$@"; do
     esac
 done
 
-echo "==> [1/9] cargo build --release"
+echo "==> [1/6] cargo build --release"
 cargo build --release
 
-echo "==> [2/9] cargo test -q (whole workspace; sim chaos corpus: ${SIM_SEEDS} seeds)"
+echo "==> [2/6] cargo test -q (whole workspace; sim chaos corpus: ${SIM_SEEDS} seeds)"
 CITRUS_SIM_SEEDS="$SIM_SEEDS" cargo test -q
 
-echo "==> [3/9] warnings-as-errors check of crates/core"
+echo "==> [3/6] warnings-as-errors check of crates/core"
 RUSTFLAGS="-Dwarnings" cargo check -p citrus --all-targets
 
-echo "==> [4/9] executor bench smoke"
-sh scripts/bench.sh --smoke
+echo "==> [4/6] bench smokes"
+for bench in executor workloads columnar rollup; do
+    sh scripts/bench.sh "$bench" --smoke
+done
 
-echo "==> [5/9] workloads bench smoke"
-sh scripts/bench_workloads.sh --smoke
-
-echo "==> [6/9] columnar vectorized bench smoke"
-sh scripts/bench_columnar.sh --smoke
-
-echo "==> [7/9] rollup incremental-vs-recompute bench smoke"
-sh scripts/bench_rollup.sh --smoke
-
-echo "==> [8/9] bench regression gate (vs committed smoke baselines)"
+echo "==> [5/6] bench regression gate (vs committed smoke baselines)"
 python3 scripts/check_bench_regression.py
 
-echo "==> [9/9] wall-clock benchmark: dtxn_wire, tpcc and ycsb_a, correctness only"
+echo "==> [6/6] wall-clock benchmark: dtxn_wire, tpcc and ycsb_a, correctness only"
 for workload in dtxn_wire tpcc ycsb_a; do
     result=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 42 --seconds 1 --trace 0 | tail -n 1)
