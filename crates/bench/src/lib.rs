@@ -7,8 +7,17 @@
 //! and feeds those demands into an exact MVA closed-queueing solver to get
 //! multi-client throughput and latency. Single-session figures (7, 8) report
 //! the virtual elapsed time directly.
+//!
+//! Every number this crate writes to a file is virtual time (the Criterion
+//! files under `benches/` print wall time and write nothing). The three
+//! `*_bench` modules hold the bodies of the binaries of the same name as
+//! functions from a [`Scale`] to the report text, so `tests/figures.rs` can
+//! hold the smoke scale to its goldens inside `cargo test`. Wall-clock
+//! numbers are produced and quoted in `benchmark/` only.
 
-pub mod plan_cache;
+pub mod columnar_bench;
+pub mod rollup_bench;
+pub mod workloads_bench;
 
 use citrus::cluster::{Cluster, ClusterConfig};
 use citrus::metadata::NodeId;
@@ -16,6 +25,52 @@ use netsim::mva::{self, Station};
 use pgmini::engine::{Engine, EngineConfig};
 use std::sync::Arc;
 use workloads::runner::{ClusterRunner, LocalRunner, RunCost, SqlRunner};
+
+/// The two scales a `*_bench` report runs at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scale {
+    /// Seconds in a debug build; checked against the goldens by `cargo test`.
+    Smoke,
+    /// The figure data committed at the repository root.
+    Full,
+}
+
+impl Scale {
+    /// `--smoke` on the command line picks [`Scale::Smoke`].
+    pub fn from_args() -> Scale {
+        if std::env::args().any(|a| a == "--smoke") {
+            Scale::Smoke
+        } else {
+            Scale::Full
+        }
+    }
+
+    pub fn is_smoke(self) -> bool {
+        self == Scale::Smoke
+    }
+
+    /// Print a report and write it where its scale keeps it: a full run to
+    /// `BENCH_<name>.json` in the current directory, a smoke run over its
+    /// golden, so the two can never clobber each other.
+    pub fn write(self, name: &str, json: &str) {
+        let out = match self {
+            Scale::Smoke => {
+                format!("{}/tests/golden/BENCH_{name}_smoke.json", env!("CARGO_MANIFEST_DIR"))
+            }
+            Scale::Full => format!("BENCH_{name}.json"),
+        };
+        std::fs::write(&out, json).unwrap_or_else(|e| panic!("write {out}: {e}"));
+        println!("{json}");
+    }
+}
+
+/// What `columnar_bench` and `rollup_bench` report: two arms and their ratio.
+pub struct RatioReport {
+    /// `BENCH_<name>.json` / `BENCH_<name>_smoke.json`.
+    pub json: String,
+    /// The arm under test over the baseline arm, in `units_per_vsec`.
+    pub speedup: f64,
+}
 
 /// The four setups every benchmark compares (§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

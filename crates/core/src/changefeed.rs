@@ -133,18 +133,6 @@ pub fn load_cursors(cluster: &Arc<Cluster>, rollup: &str) -> PgResult<Vec<Cursor
     Ok(out)
 }
 
-/// Names of every rollup that has at least one cursor (registry bootstrap).
-pub fn load_rollup_names(cluster: &Arc<Cluster>) -> PgResult<Vec<String>> {
-    let sql = format!("SELECT name, source, definition FROM {} ORDER BY name", crate::rollup::ROLLUPS_TABLE);
-    let rows = coordinator_query(cluster, &sql)?;
-    rows.iter()
-        .map(|r| match r.first() {
-            Some(Datum::Text(s)) => Ok(s.clone()),
-            _ => Err(PgError::internal("malformed citrus_rollups row")),
-        })
-        .collect()
-}
-
 pub fn insert_cursor_sql(rollup: &str, shard: ShardId, node: NodeId, seq: u64) -> String {
     format!(
         "INSERT INTO {CHANGEFEED_CURSORS_TABLE} (cursor_id, rollup, shard, node, seq) \

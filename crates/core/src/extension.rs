@@ -998,6 +998,14 @@ impl Extension for CitrusExtension {
         self.do_post_abort(session, &mut state);
         self.put_state(sid, state);
     }
+
+    fn session_closed(&self, sid: u64) {
+        // the `sessions` lock is released before the state drops: closing a
+        // pooled loopback connection closes a session of this same engine,
+        // which re-enters here
+        let state = self.sessions.lock().remove(&sid);
+        drop(state);
+    }
 }
 
 impl CitrusExtension {

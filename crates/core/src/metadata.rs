@@ -165,10 +165,6 @@ impl Metadata {
         self.tables.values()
     }
 
-    pub fn all_shards(&self) -> impl Iterator<Item = &Shard> {
-        self.shards.values()
-    }
-
     pub fn allocate_colocation_id(&mut self) -> u32 {
         let id = self.next_colocation;
         self.next_colocation += 1;

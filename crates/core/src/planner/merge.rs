@@ -46,8 +46,9 @@ pub struct MergePlan {
     pub sort: Vec<(usize, bool)>,
     pub limit: Option<u64>,
     pub offset: Option<u64>,
-    /// Final output arity (hidden sort columns beyond this are dropped).
-    pub visible: usize,
+    /// Output names of the select list; hidden sort columns past its length
+    /// are dropped.
+    pub columns: Vec<String>,
 }
 
 /// Result of splitting a SELECT for pushdown-with-merge.
@@ -76,19 +77,6 @@ fn agg_kind(f: &FuncCall) -> Option<&'static str> {
         ("max", false) => Some("max"),
         _ => None,
     }
-}
-
-#[allow(dead_code)]
-fn contains_agg(e: &Expr) -> bool {
-    let mut found = false;
-    e.walk(&mut |x| {
-        if let Expr::Func(f) = x {
-            if agg_kind(f).is_some() {
-                found = true;
-            }
-        }
-    });
-    found
 }
 
 /// Split a top-level SELECT into worker partial query + coordinator merge.
@@ -201,7 +189,7 @@ pub fn split_aggregation(sel: &Select, dist_cols: &[String]) -> PgResult<SplitAg
             sort,
             limit: sel.limit.as_ref().and_then(expr_u64),
             offset: sel.offset.as_ref().and_then(expr_u64),
-            visible,
+            columns: pgmini::plan::derive_output_names(sel),
         },
     })
 }
@@ -457,7 +445,7 @@ pub fn execute_merge(plan: &MergePlan, worker_rows: Vec<Row>) -> PgResult<(Vec<R
         out.push(row);
     }
 
-    sort_and_trim(&mut out, &plan.sort, plan.offset, plan.limit, plan.visible);
+    sort_and_trim(&mut out, &plan.sort, plan.offset, plan.limit, plan.columns.len());
     Ok((out, work))
 }
 
@@ -576,7 +564,7 @@ pub fn apply(merge: &Merge, results: Vec<QueryResult>, model: &CostModel) -> PgR
         Merge::GroupAgg(mplan) => {
             let (merged, work) = execute_merge(mplan, concat_rows(results).1)?;
             out.cpu_ms = model.cpu_tuple_ms * (work as f64 + merged.len() as f64);
-            out.columns = (0..mplan.visible).map(|i| format!("column{i}")).collect();
+            out.columns = mplan.columns.clone();
             out.rows = merged;
         }
     }
@@ -852,7 +840,7 @@ mod tests {
         let model = CostModel::default();
         let merged = apply(&Merge::GroupAgg(Box::new(s.merge)), results, &model).unwrap();
         assert_eq!(ints(&merged), [[1, 5], [2, 5]]);
-        assert_eq!(merged.columns, ["column0", "column1"]);
+        assert_eq!(merged.columns, ["region", "count"]);
         assert_eq!(merged.cpu_ms, model.cpu_tuple_ms * (3.0 + 2.0));
     }
 }

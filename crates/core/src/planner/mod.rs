@@ -439,7 +439,6 @@ pub fn try_router(stmt: &Statement, meta: &Metadata) -> PgResult<Option<DistPlan
         }
         // INSERT..SELECT where source and target agree on the bucket is
         // router-able and lands here naturally
-        let _ = ins;
     }
     // find a distributed table to anchor the group key
     let tables = rewrite::collect_tables(stmt);
@@ -503,13 +502,11 @@ fn try_reference_write(stmt: &Statement, meta: &Metadata) -> PgResult<Option<Dis
         }
     }
     let shard = meta.shard(dt.shards[0])?;
-    let physical = shard.physical_name();
     let map = |n: &str| -> Option<String> {
         meta.table(n).map(|t| {
             meta.shard(t.shards[0]).expect("reference shard").physical_name()
         })
     };
-    let _ = &physical;
     // one rewritten AST shared across all placements (no per-placement clone)
     let rewritten = Arc::new(rewrite::rewrite_statement(stmt, &map));
     let tasks: Vec<Task> = shard

@@ -1475,14 +1475,6 @@ pub fn verify(cluster: &Arc<Cluster>, name: &str) -> PgResult<()> {
     )))
 }
 
-/// Verify every registered rollup.
-pub fn verify_all(cluster: &Arc<Cluster>) -> PgResult<()> {
-    for name in cluster.rollups.names() {
-        verify(cluster, &name)?;
-    }
-    Ok(())
-}
-
 fn sort_canonical(rows: &mut [Row]) {
     rows.sort_by_key(|r| row_key(r));
 }

@@ -770,3 +770,123 @@ fn zero_plus_one_cluster_works() {
     let r = s.execute("SELECT v FROM t WHERE k = 2").unwrap();
     assert_eq!(r.rows()[0][0], Datum::from_text("b"));
 }
+
+#[test]
+fn merged_aggregates_answer_with_select_list_names() {
+    let c = saas_cluster();
+    let mut s = c.session().unwrap();
+    let names = |r: &pgmini::session::QueryResult| r.columns().to_vec();
+    // split aggregation (not grouped by the distribution column): the names
+    // come from the select list, aliases first, as on one node
+    let r = s
+        .execute("SELECT order_id, count(*) AS n, sum(amount) AS total FROM orders GROUP BY order_id")
+        .unwrap();
+    assert_eq!(planner_of(&c, &mut s), PlannerKind::Pushdown);
+    assert_eq!(names(&r), ["order_id", "n", "total"]);
+    // no aliases: PostgreSQL's default names, and no hidden sort column
+    let r = s
+        .execute("SELECT count(*), max(amount) FROM orders GROUP BY order_id ORDER BY order_id")
+        .unwrap();
+    assert_eq!(names(&r), ["count", "max"]);
+    assert_eq!(r.rows()[0].len(), 2);
+}
+
+// ---------------- closing a session releases what it pooled ----------------
+
+/// `t(k, v)` distributed on `k` over two workers, rows k = 0..40.
+fn churn_cluster() -> Arc<Cluster> {
+    let c = small_cluster(2);
+    let mut s = c.session().unwrap();
+    s.execute("CREATE TABLE t (k bigint PRIMARY KEY, v bigint)").unwrap();
+    s.execute("SELECT create_distributed_table('t', 'k')").unwrap();
+    for k in 0..40i64 {
+        s.execute(&format!("INSERT INTO t VALUES ({k}, 1)")).unwrap();
+    }
+    c
+}
+
+/// Reserved slots of the shared connection limit, per worker.
+fn connections(c: &Arc<Cluster>) -> Vec<u32> {
+    c.worker_ids().iter().map(|w| c.connections_to(*w)).collect()
+}
+
+#[test]
+fn session_churn_leaves_worker_connections_flat() {
+    let c = churn_cluster();
+    assert_eq!(connections(&c), [0, 0], "the loading session gave its connections back");
+    // what one open session holds after one multi-shard read
+    let one_session = |c: &Arc<Cluster>| {
+        let mut s = c.session().unwrap();
+        assert_eq!(s.execute("SELECT count(*) FROM t").unwrap().rows()[0][0], Datum::Int(40));
+        connections(c)
+    };
+    let first = one_session(&c);
+    assert!(first.iter().all(|n| *n >= 1), "{first:?}");
+    // more cycles than the shared limit has slots
+    for cycle in 0..600 {
+        assert_eq!(one_session(&c), first, "cycle {cycle}");
+    }
+    assert_eq!(connections(&c), [0, 0]);
+}
+
+#[test]
+fn refresh_on_read_leaves_worker_connections_flat() {
+    let c = churn_cluster();
+    let mut s = c.session().unwrap();
+    s.execute("CREATE ROLLUP t_by_v AS SELECT v, count(*) AS n FROM t GROUP BY v").unwrap();
+    // every read finds the rollup stale and refreshes it through a session
+    // of its own
+    let mut cycle = |k: i64| {
+        s.execute(&format!("INSERT INTO t VALUES ({k}, {})", k % 3)).unwrap();
+        let r = s.execute("SELECT sum(n) FROM t_by_v").unwrap();
+        assert_eq!(r.rows()[0][0].as_i64().unwrap(), k + 1);
+        connections(&c)
+    };
+    let warm = (40..60).map(&mut cycle).last().unwrap();
+    for k in 60..760 {
+        assert_eq!(cycle(k), warm, "after {} refreshes", k - 39);
+    }
+}
+
+#[test]
+fn stat_activity_forgets_a_closed_session() {
+    let c = churn_cluster();
+    let mut gone = c.session().unwrap();
+    gone.execute("SELECT count(*) FROM t").unwrap();
+    let gone_pid = gone.session_mut().id() as i64;
+    let mut s = c.session().unwrap();
+    s.execute("SELECT count(*) FROM t").unwrap();
+    let own_pid = s.session_mut().id() as i64;
+    let pids = |s: &mut citrus::cluster::ClientSession| -> Vec<i64> {
+        let r = s.execute("SELECT pid FROM citus_stat_activity ORDER BY pid").unwrap();
+        r.rows().iter().map(|row| row[0].as_i64().unwrap()).collect()
+    };
+    assert!(pids(&mut s).contains(&gone_pid));
+    drop(gone);
+    let listed = pids(&mut s);
+    assert!(listed.contains(&own_pid) && !listed.contains(&gone_pid), "{listed:?}");
+}
+
+/// Characterisation (holds before and after `session_closed`): the rollback
+/// a dropped session runs reaches every worker its transaction touched.
+#[test]
+fn session_dropped_in_a_multi_node_transaction_leaves_nothing_open() {
+    let c = churn_cluster();
+    let mut s = c.session().unwrap();
+    s.execute("BEGIN").unwrap();
+    s.execute("UPDATE t SET v = 2").unwrap();
+    let engines: Vec<_> =
+        c.worker_ids().iter().map(|w| c.node(*w).unwrap().engine()).collect();
+    for e in &engines {
+        assert!(e.txns.active_count() >= 1 && !e.locks.lock_report().is_empty());
+    }
+    drop(s);
+    for e in &engines {
+        assert_eq!(e.txns.active_count(), 0, "a remote transaction stayed open");
+        assert!(e.locks.lock_report().is_empty(), "{:?}", e.locks.lock_report());
+        assert!(e.txns.prepared_gids().is_empty());
+    }
+    let mut s = c.session().unwrap();
+    let r = s.execute("SELECT count(*) FROM t WHERE v = 2").unwrap();
+    assert_eq!(r.rows()[0][0], Datum::Int(0), "the update rolled back");
+}

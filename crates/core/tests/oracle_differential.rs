@@ -1,9 +1,9 @@
 //! Differential oracle: random CRUD/aggregate workloads run through the
 //! distributed cluster AND through a plain single-node pgmini engine seeded
-//! with the same rows. Distribution must be invisible: result multisets and
-//! affected counts are identical — at 1 and 8 executor threads, and with a
-//! seeded fault plan injecting read errors (absorbed by executor retries)
-//! and latency throughout.
+//! with the same rows. Distribution must be invisible: result multisets,
+//! column names and affected counts are identical — at 1 and 8 executor
+//! threads, and with a seeded fault plan injecting read errors (absorbed by
+//! executor retries) and latency throughout.
 
 use citrus::cluster::{Cluster, ClusterConfig};
 use netsim::fault::{FaultKind, FaultOp, FaultPlan, FaultRule};
@@ -61,7 +61,7 @@ fn op_sql(op: &Op, index: usize) -> (String, bool /* ordered */, bool /* write *
         2 => (format!("DELETE FROM t WHERE k = {key}"), false, true),
         3 => (format!("SELECT v FROM t WHERE k = {key}"), false, false),
         4 => ("SELECT count(*), sum(v) FROM t".to_string(), false, false),
-        5 => ("SELECT v, count(*) FROM t GROUP BY v".to_string(), false, false),
+        5 => ("SELECT v, count(*) AS n FROM t GROUP BY v".to_string(), false, false),
         _ => ("SELECT k, v FROM t ORDER BY k LIMIT 5".to_string(), true, false),
     }
 }
@@ -165,6 +165,13 @@ fn run_case_on(
                 threads
             );
         } else {
+            prop_assert_eq!(
+                dist.columns(),
+                oracle.columns(),
+                "column names diverge for `{}` (threads={})",
+                sql,
+                threads
+            );
             prop_assert_eq!(
                 row_keys(&dist, ordered),
                 row_keys(&oracle, ordered),

@@ -124,11 +124,6 @@ impl SessionPipeline {
         self.open == Some(node)
     }
 
-    /// The node with an open exchange, if any.
-    pub fn open_node(&self) -> Option<u32> {
-        self.open
-    }
-
     /// Account one successfully executed single-target statement to `node`.
     /// Returns true when it rode the open exchange (no new round trip);
     /// false when a new exchange was opened (one round trip charged by the

@@ -138,10 +138,6 @@ impl Engine {
         self.conn_count.fetch_sub(1, Ordering::SeqCst);
     }
 
-    pub fn connection_count(&self) -> u32 {
-        self.conn_count.load(Ordering::SeqCst)
-    }
-
     // ---------------- catalog & stores ----------------
 
     pub fn store(&self, id: TableId) -> PgResult<Arc<TableStore>> {

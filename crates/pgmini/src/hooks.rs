@@ -53,6 +53,10 @@ pub trait Extension: Send + Sync {
 
     /// Called after the local transaction aborted.
     fn post_abort(&self, _session: &mut Session) {}
+
+    /// Called when session `_sid` is dropped, after its open transaction (if
+    /// any) rolled back: whatever the extension keeps per session goes now.
+    fn session_closed(&self, _sid: u64) {}
 }
 
 /// Hook registry on an engine. A single extension slot is sufficient here
@@ -70,9 +74,5 @@ impl Hooks {
 
     pub fn installed(&self) -> Option<std::sync::Arc<dyn Extension>> {
         self.extension.read().clone()
-    }
-
-    pub fn is_installed(&self) -> bool {
-        self.extension.read().is_some()
     }
 }

@@ -188,12 +188,6 @@ impl GinIndex {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// GIN maintenance is the expensive part of ingest with trigram indexes;
-    /// expose the posting count so the cost model can charge for it.
-    pub fn posting_count(&self) -> u64 {
-        self.postings.read().len() as u64
-    }
 }
 
 /// The storage half of one index.

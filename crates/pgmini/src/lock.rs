@@ -375,17 +375,6 @@ impl LockManager {
         hit
     }
 
-    /// Cancel a specific local transaction (user-initiated).
-    pub fn cancel_xid(&self, xid: Xid) -> bool {
-        let s = self.state.lock();
-        let hit = s.cancel.get(&xid).map(|f| {
-            f.store(CANCEL_QUERY, Ordering::SeqCst);
-        });
-        drop(s);
-        self.cond.notify_all();
-        hit.is_some()
-    }
-
     /// Mark a specific local transaction as a metadata-fence victim: its
     /// next cancel-flag check (blocked acquire or statement boundary) raises
     /// a retryable serialization failure. Returns true when the flag of a
@@ -432,11 +421,6 @@ impl LockManager {
     /// Number of transactions currently blocked.
     pub fn waiting_count(&self) -> usize {
         self.state.lock().waiting_on.len()
-    }
-
-    /// The distributed id registered for `xid`, if any.
-    pub fn dist_id_of(&self, xid: Xid) -> Option<DistTxnId> {
-        self.state.lock().dist.get(&xid).copied()
     }
 }
 

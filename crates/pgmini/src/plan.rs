@@ -1390,10 +1390,3 @@ fn expr_key_for_index(e: &Expr, meta: &TableMeta) -> String {
         Err(_) => String::from("<unbindable>"),
     }
 }
-
-/// Compute the key of a bound scan-filter expression for GIN matching. The
-/// executor uses the same binding scope (table columns in order), so keys
-/// line up with `expr_key_for_index`.
-pub fn gin_match_key(e: &BExpr) -> String {
-    bexpr_key(e)
-}

@@ -80,7 +80,6 @@ pub struct Session {
     dist_id: Option<DistTxnId>,
     settings: HashMap<String, Datum>,
     last_cost: SimCost,
-    total_cost: SimCost,
     stmt_counter: u64,
     /// Distributed snapshot token: when set, statement snapshots evaluate
     /// visibility against the shared commit clock (`TxnManager::snapshot_at`)
@@ -101,7 +100,6 @@ impl Session {
             dist_id: None,
             settings: HashMap::new(),
             last_cost: SimCost::ZERO,
-            total_cost: SimCost::ZERO,
             stmt_counter: 0,
             snapshot_token: None,
         }
@@ -120,28 +118,14 @@ impl Session {
         self.last_cost
     }
 
-    /// Simulated cost accumulated over the session; `take` resets it.
-    pub fn take_total_cost(&mut self) -> SimCost {
-        std::mem::replace(&mut self.total_cost, SimCost::ZERO)
-    }
-
     /// Add externally-incurred cost (the distributed layer charges network
     /// time to the session this way).
     pub fn add_cost(&mut self, cost: &SimCost) {
         self.last_cost.add(cost);
-        self.total_cost.add(cost);
     }
 
     pub fn in_transaction(&self) -> bool {
         self.xid.is_some()
-    }
-
-    pub fn in_explicit_transaction(&self) -> bool {
-        self.explicit_txn
-    }
-
-    pub fn transaction_failed(&self) -> bool {
-        self.txn_failed
     }
 
     pub fn current_xid(&self) -> Option<Xid> {
@@ -152,10 +136,6 @@ impl Session {
         self.settings.get(name)
     }
 
-    pub fn set_setting(&mut self, name: &str, value: Datum) {
-        self.settings.insert(name.to_string(), value);
-    }
-
     /// Attach a distributed transaction id (Citus's
     /// `assign_distributed_transaction_id`); lock-graph nodes on this engine
     /// are merged across the cluster through it.
@@ -164,10 +144,6 @@ impl Session {
         if let Some(xid) = self.xid {
             self.engine.locks.assign_dist_id(xid, dist);
         }
-    }
-
-    pub fn dist_txn_id(&self) -> Option<DistTxnId> {
-        self.dist_id
     }
 
     /// Pin (or clear) the distributed snapshot token used by subsequent
@@ -224,14 +200,6 @@ impl Session {
     /// Convenience: run a query and return its rows.
     pub fn query(&mut self, sql: &str) -> PgResult<Vec<Row>> {
         Ok(self.execute(sql)?.into_rows())
-    }
-
-    /// Convenience: single-value query.
-    pub fn query_scalar(&mut self, sql: &str) -> PgResult<Datum> {
-        self.execute(sql)?
-            .scalar()
-            .cloned()
-            .ok_or_else(|| PgError::internal("query returned no rows"))
     }
 
     fn dispatch(&mut self, stmt: &Statement, use_hooks: bool) -> PgResult<QueryResult> {
@@ -522,7 +490,6 @@ impl Session {
 
     fn finish_ctx(&mut self, cost: SimCost) {
         self.last_cost.add(&cost);
-        self.total_cost.add(&cost);
     }
 
     /// Plan (or fetch the cached plan of) a SELECT / INSERT / UPDATE /
@@ -807,6 +774,9 @@ impl Drop for Session {
     fn drop(&mut self) {
         if self.xid.is_some() {
             self.rollback_current();
+        }
+        if let Some(ext) = self.engine.hooks.installed() {
+            ext.session_closed(self.id);
         }
         self.engine.connection_closed();
     }

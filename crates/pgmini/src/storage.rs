@@ -113,16 +113,6 @@ impl HeapStore {
         }
     }
 
-    /// All slots (visible or not); used by vacuum and replication.
-    pub fn scan_all<F: FnMut(&HeapTuple)>(&self, mut f: F) {
-        let inner = self.inner.read();
-        for t in &inner.tuples {
-            if !t.is_dead() {
-                f(t);
-            }
-        }
-    }
-
     /// The visible version of `row_id` under `snap`, if any.
     pub fn visible_version(
         &self,
@@ -200,16 +190,6 @@ impl HeapStore {
             out.push(t.data.clone());
         }
         out
-    }
-
-    /// Force-expire the newest non-dead version of a row (WAL replay path).
-    pub fn force_expire_latest(&self, row_id: u64, xid: Xid) {
-        let inner = self.inner.read();
-        if let Some(slots) = inner.versions.get(&row_id) {
-            if let Some(&slot) = slots.last() {
-                inner.tuples[slot as usize].xmax.store(xid, Ordering::Release);
-            }
-        }
     }
 
     /// Approximate live row count (planner statistics).
@@ -425,10 +405,6 @@ impl ColumnarStore {
     pub fn truncate(&self) {
         self.stripes.write().clear();
         self.live_estimate.store(0, Ordering::Relaxed);
-    }
-
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.read().len()
     }
 }
 

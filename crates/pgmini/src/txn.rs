@@ -308,10 +308,6 @@ impl TxnManager {
         v
     }
 
-    pub fn prepared_xid(&self, gid: &str) -> Option<Xid> {
-        self.inner.lock().prepared.get(gid).copied()
-    }
-
     /// Oldest xid any active snapshot could still need (vacuum horizon).
     pub fn oldest_active_xid(&self) -> Xid {
         let t = self.inner.lock();

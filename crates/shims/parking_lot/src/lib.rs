@@ -200,15 +200,6 @@ impl<T: ?Sized> RwLock<T> {
         RwLockWriteGuard { lock: self }
     }
 
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        let mut s = self.state();
-        if *s != 0 {
-            return None;
-        }
-        *s = -1;
-        Some(RwLockWriteGuard { lock: self })
-    }
-
     pub fn get_mut(&mut self) -> &mut T {
         self.data.get_mut()
     }

@@ -54,6 +54,7 @@ pub mod rngs {
     }
 
     impl RngCore for StdRng {
+        #[inline]
         fn next_u64(&mut self) -> u64 {
             let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
             let t = self.s[1] << 17;
@@ -105,6 +106,7 @@ pub trait SampleRange<T> {
 }
 
 /// Uniform u64 in [0, n) by rejection sampling (no modulo bias).
+#[inline]
 fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
     debug_assert!(n > 0);
     if n.is_power_of_two() {
@@ -122,6 +124,7 @@ fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
 macro_rules! impl_sample_range_int {
     ($($t:ty => $wide:ty),*) => {$(
         impl SampleRange<$t> for std::ops::Range<$t> {
+            #[inline]
             fn sample<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "empty range in random_range");
                 let span = (self.end as $wide).wrapping_sub(self.start as $wide) as u64;
@@ -129,6 +132,7 @@ macro_rules! impl_sample_range_int {
             }
         }
         impl SampleRange<$t> for std::ops::RangeInclusive<$t> {
+            #[inline]
             fn sample<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "empty range in random_range");
@@ -175,6 +179,7 @@ pub trait RngExt: RngCore {
         T::sample(self)
     }
 
+    #[inline]
     fn random_range<T, Rg: SampleRange<T>>(&mut self, range: Rg) -> T {
         range.sample(self)
     }

@@ -180,11 +180,6 @@ impl Expr {
         Expr::Column { table: None, name: name.to_string() }
     }
 
-    /// Convenience constructor for a qualified column reference.
-    pub fn qcol(table: &str, name: &str) -> Expr {
-        Expr::Column { table: Some(table.to_string()), name: name.to_string() }
-    }
-
     /// Convenience constructor for an integer literal.
     pub fn int(v: i64) -> Expr {
         Expr::Literal(Literal::Int(v))

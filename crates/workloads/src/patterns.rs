@@ -19,15 +19,6 @@ impl Pattern {
         Pattern::DataWarehousing,
     ];
 
-    pub fn abbrev(self) -> &'static str {
-        match self {
-            Pattern::MultiTenant => "MT",
-            Pattern::RealTimeAnalytics => "RA",
-            Pattern::HighPerformanceCrud => "HC",
-            Pattern::DataWarehousing => "DW",
-        }
-    }
-
     pub fn name(self) -> &'static str {
         match self {
             Pattern::MultiTenant => "Multi-tenant",

@@ -55,10 +55,6 @@ impl RunCost {
     pub fn total_cpu(&self) -> f64 {
         self.per_node.iter().map(|(_, c, _)| c).sum()
     }
-
-    pub fn total_io(&self) -> f64 {
-        self.per_node.iter().map(|(_, _, i)| i).sum()
-    }
 }
 
 /// Plain single-node PostgreSQL stand-in.
