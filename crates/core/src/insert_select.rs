@@ -1,4 +1,7 @@
-//! Distributed INSERT .. SELECT — the three strategies of §3.8:
+//! Distributed INSERT .. SELECT — the three strategies of §3.8. Which one
+//! runs is a rendering of the co-location judgement of the source `SELECT`
+//! ([`crate::planner::analysis`]), so an INSERT .. SELECT is accepted exactly
+//! when its `SELECT` is and inserts exactly that `SELECT`'s rows:
 //!
 //! 1. **co-located pushdown**: source and target shards pair up; each worker
 //!    runs `INSERT INTO target_shard SELECT .. FROM source_shard` locally, in
@@ -12,11 +15,12 @@
 use crate::cluster::Cluster;
 use crate::executor::SessionState;
 use crate::extension::CitrusExtension;
-use crate::planner::{self, rewrite, Merge, PlannerKind, Task};
+use crate::planner::analysis::{judge_select, Judgement};
+use crate::planner::{self, Merge, PlannerKind, Task};
 use pgmini::error::{ErrorCode, PgError, PgResult};
 use pgmini::session::{QueryResult, Session};
 use pgmini::types::Row;
-use sqlparse::ast::{Expr, Insert, InsertSource, SelectItem, Statement};
+use sqlparse::ast::{Expr, Insert, InsertSource, Statement};
 use std::sync::Arc;
 
 /// Which strategy ran (exposed for tests and EXPLAIN-style diagnostics).
@@ -53,24 +57,10 @@ pub fn execute(
     match strategy {
         InsertSelectStrategy::ColocatedPushdown => {
             // per-bucket task: INSERT INTO target_shard SELECT .. FROM src_shard
-            let mut tasks = Vec::with_capacity(target.shards.len());
-            for b in 0..target.shards.len() {
-                let map = planner::bucket_name_map(&meta, b);
-                let stmt = Statement::Insert(Box::new(Insert {
-                    table: ins.table.clone(),
-                    columns: ins.columns.clone(),
-                    source: InsertSource::Query(sel.clone()),
-                    on_conflict: ins.on_conflict.clone(),
-                }));
-                let rewritten = rewrite::rewrite_statement(&stmt, &map);
-                tasks.push(Task {
-                    node: planner::bucket_node_of(&meta, &target, b)?,
-                    group: Some((target.colocation_id, b)),
-                    stmt: std::sync::Arc::new(rewritten),
-                    is_write: true,
-                    shards: vec![target.shards[b]],
-                });
-            }
+            let stmt = Statement::Insert(Box::new(ins.clone()));
+            let tasks: Vec<Task> = (0..target.shards.len())
+                .map(|b| planner::bucket_task(&meta, &target, b, &stmt, true))
+                .collect::<PgResult<_>>()?;
             drop(meta);
             let plan = planner::DistPlan {
                 kind: PlannerKind::Pushdown,
@@ -87,7 +77,7 @@ pub fn execute(
             // run the SELECT through the distributed pipeline
             let rows = ext.run_select_distributed(session, sel, state)?;
             // map rows to the target column order
-            let n = load_rows_into_target(cluster, session, ins, rows, strategy)?;
+            let n = load_rows_into_target(cluster, session, ins, rows)?;
             Ok(QueryResult::Affected(n))
         }
     }
@@ -99,58 +89,17 @@ fn choose_strategy(
     ins: &Insert,
     sel: &sqlparse::ast::Select,
 ) -> PgResult<InsertSelectStrategy> {
-    // does the SELECT require a merge step? aggregates without the dist
-    // column in GROUP BY, DISTINCT, LIMIT, ORDER BY all force a merge
-    let source_tables =
-        rewrite::collect_tables(&Statement::Select(Box::new(sel.clone())));
-    let source_dist: Vec<&str> = source_tables
-        .iter()
-        .filter(|t| meta.table(t).is_some_and(|x| !x.is_reference()))
-        .map(String::as_str)
-        .collect();
-    if source_dist.is_empty() {
-        // reference/local sources: rows must fan out; treat as repartition
+    let Judgement::CoPartitioned(source) = judge_select(sel, meta) else {
+        // reference/local sources fan out; rows that must move first are the
+        // SELECT's to plan — or to refuse, with its own error
         return Ok(InsertSelectStrategy::Repartition);
-    }
-    let colocated = source_dist
-        .iter()
-        .all(|t| meta.table(t).is_some_and(|x| x.colocation_id == target.colocation_id));
-
-    let needs_merge = {
-        let has_agg = sel.projection.iter().any(|p| match p {
-            SelectItem::Expr { expr, .. } => {
-                let mut found = false;
-                expr.walk(&mut |x| {
-                    if let Expr::Func(f) = x {
-                        if matches!(f.name.as_str(), "count" | "sum" | "avg" | "min" | "max") {
-                            found = true;
-                        }
-                    }
-                });
-                found
-            }
-            _ => false,
-        });
-        let group_has_dist = sel.group_by.iter().any(|g| {
-            matches!(g, Expr::Column { name, .. }
-                if source_dist.iter().any(|t| {
-                    meta.table(t)
-                        .and_then(|x| x.dist_column.as_ref().map(|(c, _)| c == name))
-                        .unwrap_or(false)
-                }))
-        });
-        (has_agg || !sel.group_by.is_empty()) && !group_has_dist
-            || sel.limit.is_some()
-            || sel.distinct
     };
-    if needs_merge {
+    // aggregates without the key in GROUP BY, DISTINCT, LIMIT all force a merge
+    if source.merge_need(sel).is_some() {
         return Ok(InsertSelectStrategy::PullToCoordinator);
     }
-    if !colocated {
-        return Ok(InsertSelectStrategy::Repartition);
-    }
     // co-location also requires that the target's distribution column is fed
-    // by a source distribution column (same hash ⇒ same bucket)
+    // by a column holding the source's key (same hash ⇒ same bucket)
     let (dist_col, dist_idx) = target
         .dist_column
         .clone()
@@ -168,17 +117,7 @@ fn choose_strategy(
             }
         }
     };
-    let fed_by_dist_col = match sel.projection.get(feed_pos) {
-        Some(SelectItem::Expr { expr: Expr::Column { name, .. }, .. }) => {
-            source_dist.iter().any(|t| {
-                meta.table(t)
-                    .and_then(|x| x.dist_column.as_ref().map(|(c, _)| c == name))
-                    .unwrap_or(false)
-            })
-        }
-        _ => false,
-    };
-    if fed_by_dist_col {
+    if source.feeds(sel, target, feed_pos) {
         Ok(InsertSelectStrategy::ColocatedPushdown)
     } else {
         Ok(InsertSelectStrategy::Repartition)
@@ -192,11 +131,9 @@ fn load_rows_into_target(
     session: &mut Session,
     ins: &Insert,
     rows: Vec<Row>,
-    strategy: InsertSelectStrategy,
 ) -> PgResult<u64> {
-    if let Some(oc) = &ins.on_conflict {
+    if ins.on_conflict.is_some() {
         // ON CONFLICT upserts can't go through COPY; route row-wise inserts
-        let _ = oc;
         let mut n = 0;
         for row in rows {
             let values: Vec<Expr> = row.iter().map(pgmini::expr::datum_expr).collect();
@@ -210,6 +147,5 @@ fn load_rows_into_target(
         }
         return Ok(n);
     }
-    let _ = strategy;
     crate::copy::distributed_copy(cluster, session, &ins.table, &ins.columns, rows)
 }

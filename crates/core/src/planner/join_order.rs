@@ -10,15 +10,13 @@
 //! distributed executor runs before the main tasks — the "subplans whose
 //! results need to be broadcast or re-partitioned" of §3.5.
 
-use super::analysis::{level_facts, LevelFacts};
-use super::merge::split_aggregation;
+use super::analysis::{judge_select, CoPartitioned, Judgement, KeyColumns, MergeNeed, Reason};
+use super::merge::{expr_u64, is_aggregate_query, split_aggregation};
 use super::rewrite;
-use super::{bucket_name_map, DistPlan, Merge, PlannerKind, SortCol, SubplanExecutor, Task};
+use super::{bucket_task, DistPlan, Merge, PlannerKind, SortCol, SubplanExecutor, Task};
 use crate::metadata::{Metadata, NodeId};
 use pgmini::error::{PgError, PgResult};
-use sqlparse::ast::{
-    BinaryOp, Expr, Literal, Select, SelectItem, Statement, TableRef,
-};
+use sqlparse::ast::{Expr, Literal, Select, SelectItem, Statement, TableRef};
 
 /// Environment the join-order planner needs beyond metadata.
 pub trait JoinOrderEnv: SubplanExecutor {
@@ -112,17 +110,37 @@ pub fn try_join_order(
     sizes.sort_by(|a, b| b.2.cmp(&a.2));
     let (anchor_name, anchor_alias, anchor_rows) = sizes[0].clone();
     let anchor = meta.require_table(&anchor_name)?.clone();
-    let facts = level_facts(sel, meta);
 
-    // tables already co-located with the anchor through dist-col equijoins
-    // stay; the rest must move
-    let moved: Vec<(String, String, u64)> = sizes[1..]
-        .iter()
-        .filter(|(name, alias, _)| {
-            !is_colocated_join(&anchor, &anchor_alias, name, alias, meta, &facts)
-        })
-        .cloned()
-        .collect();
+    // the judgement names one pair that does not meet: make its non-anchor
+    // side replicated and ask again, until what stays is co-partitioned
+    let (mut judged, mut remaining) = (judge_select(sel, meta), (**sel).clone());
+    let mut moved: Vec<(String, String, u64)> = Vec::new();
+    let mut equijoin = None;
+    let stays = loop {
+        match judged {
+            Judgement::MustMove(
+                Reason::NotColocated { a, b, equijoin: columns }
+                | Reason::NotJoinedOnKey { a, b, equijoin: columns },
+            ) => {
+                if moved.is_empty() {
+                    // what a repartition hashes on, oriented (anchor, moved)
+                    equijoin = columns.map(|(x, y)| if a == anchor_alias { (x, y) } else { (y, x) });
+                }
+                let mover = if b == anchor_alias { a } else { b };
+                let entry = sizes.iter().find(|(_, alias, _)| *alias == mover).ok_or_else(|| {
+                    PgError::internal(format!("judgement names unknown relation {mover}"))
+                })?;
+                remaining = rewrite::rewrite_select(&remaining, &|n| {
+                    (n == entry.0).then(|| format!("citrus_moved_{n}"))
+                });
+                moved.push(entry.clone());
+                judged = judge_select(&remaining, meta);
+            }
+            Judgement::CoPartitioned(cp) => break cp,
+            Judgement::MustMove(reason) => return Err(reason.into()),
+            _ => return Ok(None),
+        }
+    };
     if moved.is_empty() {
         return Ok(None); // actually co-located; pushdown should have taken it
     }
@@ -143,17 +161,15 @@ pub fn try_join_order(
     // repartition both sides; otherwise broadcast the smaller relations
     // (ascending size = minimal traffic)
     if dist.len() == 2 {
-        let (m_name, m_alias, m_rows) = moved[0].clone();
+        let (m_name, _, m_rows) = moved[0].clone();
         let bcast = broadcast_cost(m_rows, nodes.len());
         let repart = repartition_cost(anchor_rows, m_rows);
         if repart < bcast {
-            return plan_repartition(
-                sel, meta, env, &anchor_name, &anchor_alias, &m_name, &m_alias, &facts,
-            )
-            .map(Some);
+            return plan_repartition(sel, meta, env, &anchor_name, &m_name, equijoin, &nodes)
+                .map(Some);
         }
     }
-    plan_broadcast(sel, meta, env, &anchor, &moved, &nodes).map(Some)
+    plan_broadcast(sel, meta, env, &anchor, &moved, &nodes, &stays).map(Some)
 }
 
 fn flatten_from(t: &TableRef, out: &mut Vec<(String, String)>) -> bool {
@@ -169,23 +185,13 @@ fn flatten_from(t: &TableRef, out: &mut Vec<(String, String)>) -> bool {
     }
 }
 
-/// Is `other` joined to the anchor on both distribution columns while
-/// co-located with it?
-fn is_colocated_join(
-    anchor: &crate::metadata::DistTable,
-    anchor_alias: &str,
-    other: &str,
-    other_alias: &str,
-    meta: &Metadata,
-    facts: &LevelFacts,
-) -> bool {
-    let Some(other_meta) = meta.table(other) else { return false };
-    if other_meta.colocation_id != anchor.colocation_id {
-        return false;
+/// `SELECT * FROM name`: what a prep step moves.
+fn select_all(name: &str) -> Select {
+    Select {
+        projection: vec![SelectItem::Wildcard],
+        from: vec![TableRef::Table { name: name.to_string(), alias: None }],
+        ..Select::empty()
     }
-    facts.joins.iter().any(|(a, b)| {
-        (a == anchor_alias && b == other_alias) || (a == other_alias && b == anchor_alias)
-    })
 }
 
 /// Broadcast strategy: replicate each moved table to every anchor node as a
@@ -197,6 +203,7 @@ fn plan_broadcast(
     anchor: &crate::metadata::DistTable,
     moved: &[(String, String, u64)],
     nodes: &[NodeId],
+    stays: &CoPartitioned,
 ) -> PgResult<DistPlan> {
     let mut prep = Vec::new();
     let mut rename: std::collections::HashMap<String, String> = std::collections::HashMap::new();
@@ -206,11 +213,8 @@ fn plan_broadcast(
     for (i, (name, _alias, _rows)) in order.iter().enumerate() {
         let temp = format!("citrus_bcast_{i}_{name}");
         let columns = env.table_column_names(name)?;
-        let mut inner = Select::empty();
-        inner.projection = vec![SelectItem::Wildcard];
-        inner.from = vec![TableRef::Table { name: name.clone(), alias: None }];
         prep.push(PrepStep::Broadcast {
-            select: inner,
+            select: select_all(name),
             temp_table: temp.clone(),
             columns,
             nodes: nodes.to_vec(),
@@ -219,24 +223,21 @@ fn plan_broadcast(
     }
     // main query: moved tables → temp names; anchor & co-located → shards
     let main = rewrite::rewrite_select(sel, &|n| rename.get(n).cloned());
-    finish_fanout_plan(&main, meta, anchor, prep, PlannerKind::JoinOrder)
+    finish_fanout_plan(&main, meta, anchor, prep, stays)
 }
 
 /// Repartition strategy: hash both sides on the join key into N buckets and
 /// join bucket-wise on the worker nodes.
-#[allow(clippy::too_many_arguments)]
 fn plan_repartition(
     sel: &Select,
     meta: &Metadata,
     env: &mut dyn JoinOrderEnv,
     a_name: &str,
-    a_alias: &str,
     b_name: &str,
-    b_alias: &str,
-    _facts: &LevelFacts,
+    equijoin: Option<(String, String)>,
+    workers: &[NodeId],
 ) -> PgResult<DistPlan> {
-    // find the equijoin condition between the two tables
-    let Some((a_col, b_col)) = find_equijoin(sel, a_alias, b_alias) else {
+    let Some((a_col, b_col)) = equijoin else {
         return Err(PgError::unsupported(
             "cartesian products between distributed tables are not supported",
         ));
@@ -253,38 +254,20 @@ fn plan_repartition(
         .ok_or_else(|| PgError::undefined_column(&b_col))?;
 
     // partition count: one bucket per worker node, round-robin placement
-    let workers: Vec<NodeId> = {
-        let dt = meta.require_table(a_name)?;
-        let mut v: Vec<NodeId> = dt
-            .shards
-            .iter()
-            .filter_map(|sid| meta.shard(*sid).ok())
-            .flat_map(|s| s.placements.clone())
-            .collect();
-        v.sort();
-        v.dedup();
-        v
-    };
     let bucket_count = (workers.len() * 4).max(4);
     let bucket_nodes: Vec<NodeId> =
         (0..bucket_count).map(|i| workers[i % workers.len()]).collect();
 
-    let mk_select = |name: &str| {
-        let mut s = Select::empty();
-        s.projection = vec![SelectItem::Wildcard];
-        s.from = vec![TableRef::Table { name: name.to_string(), alias: None }];
-        s
-    };
     let prep = vec![
         PrepStep::Repartition {
-            select: mk_select(a_name),
+            select: select_all(a_name),
             temp_prefix: format!("citrus_repart_a_{a_name}"),
             columns: a_cols,
             partition_col: a_key,
             bucket_nodes: bucket_nodes.clone(),
         },
         PrepStep::Repartition {
-            select: mk_select(b_name),
+            select: select_all(b_name),
             temp_prefix: format!("citrus_repart_b_{b_name}"),
             columns: b_cols,
             partition_col: b_key,
@@ -293,23 +276,12 @@ fn plan_repartition(
     ];
 
     // per-bucket tasks: query with both tables renamed to the bucket temps
-    let needs_merge = has_aggregates_or_group(sel);
-    let (worker_template, merge) = if needs_merge {
-        let split = split_aggregation(sel, &[])
+    let (worker_template, merge) = if is_aggregate_query(sel) {
+        let split = split_aggregation(sel, &KeyColumns::default())
             .map_err(|e| PgError::unsupported(format!("repartitioned aggregate: {}", e.message)))?;
         (split.worker_query, Merge::GroupAgg(Box::new(split.merge)))
     } else {
-        (
-            sel.clone(),
-            Merge::Concat {
-                sort: resolve_simple_sort(sel)?,
-                limit: sel.limit.as_ref().and_then(expr_u64),
-                offset: sel.offset.as_ref().and_then(expr_u64),
-                distinct: sel.distinct,
-                visible: sel.projection.len(),
-                appended: 0,
-            },
-        )
+        (sel.clone(), concat_merge(sel)?)
     };
     let mut tasks = Vec::with_capacity(bucket_count);
     for (i, node) in bucket_nodes.iter().enumerate() {
@@ -344,64 +316,16 @@ fn plan_repartition(
     })
 }
 
-fn find_equijoin(sel: &Select, a_alias: &str, b_alias: &str) -> Option<(String, String)> {
-    let mut conjuncts: Vec<&Expr> = Vec::new();
-    fn split<'x>(e: &'x Expr, out: &mut Vec<&'x Expr>) {
-        if let Expr::Binary { left, op: BinaryOp::And, right } = e {
-            split(left, out);
-            split(right, out);
-        } else {
-            out.push(e);
-        }
-    }
-    if let Some(w) = &sel.where_clause {
-        split(w, &mut conjuncts);
-    }
-    fn collect_on<'x>(t: &'x TableRef, out: &mut Vec<&'x Expr>) {
-        if let TableRef::Join { left, right, on, .. } = t {
-            collect_on(left, out);
-            collect_on(right, out);
-            if let Some(c) = on {
-                split(c, out);
-            }
-        }
-    }
-    for f in &sel.from {
-        collect_on(f, &mut conjuncts);
-    }
-    for c in conjuncts {
-        if let Expr::Binary { left, op: BinaryOp::Eq, right } = c {
-            if let (Expr::Column { table: Some(ta), name: na }, Expr::Column { table: Some(tb), name: nb }) =
-                (left.as_ref(), right.as_ref())
-            {
-                if ta == a_alias && tb == b_alias {
-                    return Some((na.clone(), nb.clone()));
-                }
-                if ta == b_alias && tb == a_alias {
-                    return Some((nb.clone(), na.clone()));
-                }
-            }
-        }
-    }
-    None
-}
-
-fn has_aggregates_or_group(sel: &Select) -> bool {
-    !sel.group_by.is_empty()
-        || sel.projection.iter().any(|p| match p {
-            SelectItem::Expr { expr, .. } => {
-                let mut found = false;
-                expr.walk(&mut |x| {
-                    if let Expr::Func(f) = x {
-                        if matches!(f.name.as_str(), "count" | "sum" | "avg" | "min" | "max") {
-                            found = true;
-                        }
-                    }
-                });
-                found
-            }
-            _ => false,
-        })
+/// Concatenate the task results, then re-sort / limit / de-duplicate.
+fn concat_merge(sel: &Select) -> PgResult<Merge> {
+    Ok(Merge::Concat {
+        sort: resolve_simple_sort(sel)?,
+        limit: sel.limit.as_ref().and_then(expr_u64),
+        offset: sel.offset.as_ref().and_then(expr_u64),
+        distinct: sel.distinct,
+        visible: sel.projection.len(),
+        appended: 0,
+    })
 }
 
 fn resolve_simple_sort(sel: &Select) -> PgResult<Vec<(SortCol, bool)>> {
@@ -425,13 +349,6 @@ fn resolve_simple_sort(sel: &Select) -> PgResult<Vec<(SortCol, bool)>> {
     Ok(out)
 }
 
-fn expr_u64(e: &Expr) -> Option<u64> {
-    match e {
-        Expr::Literal(Literal::Int(n)) if *n >= 0 => Some(*n as u64),
-        _ => None,
-    }
-}
-
 /// Build per-anchor-bucket tasks from a main query whose moved tables were
 /// already renamed, splitting aggregates when needed.
 fn finish_fanout_plan(
@@ -439,46 +356,24 @@ fn finish_fanout_plan(
     meta: &Metadata,
     anchor: &crate::metadata::DistTable,
     prep: Vec<PrepStep>,
-    kind: PlannerKind,
+    stays: &CoPartitioned,
 ) -> PgResult<DistPlan> {
-    let needs_merge = has_aggregates_or_group(main)
-        && !main.group_by.iter().any(|g| {
-            matches!(
-                g,
-                Expr::Column { name, .. }
-                    if anchor.dist_column.as_ref().is_some_and(|(c, _)| c == name)
-            )
-        });
-    let (worker_template, merge) = if needs_merge {
-        let dist_cols: Vec<String> =
-            anchor.dist_column.iter().map(|(c, _)| c.clone()).collect();
-        let split = split_aggregation(main, &dist_cols)?;
+    let (worker_template, merge) = if stays.merge_need(main) == Some(MergeNeed::Aggregate) {
+        let split = split_aggregation(main, &stays.key)?;
         (split.worker_query, Merge::GroupAgg(Box::new(split.merge)))
     } else {
-        (
-            main.clone(),
-            Merge::Concat {
-                sort: resolve_simple_sort(main)?,
-                limit: main.limit.as_ref().and_then(expr_u64),
-                offset: main.offset.as_ref().and_then(expr_u64),
-                distinct: main.distinct,
-                visible: main.projection.len(),
-                appended: 0,
-            },
-        )
+        (main.clone(), concat_merge(main)?)
     };
-    let buckets: Vec<usize> = (0..anchor.shards.len()).collect();
-    let mut tasks = Vec::with_capacity(buckets.len());
-    for b in buckets {
-        let map = bucket_name_map(meta, b);
-        let rewritten = rewrite::rewrite_select(&worker_template, &map);
-        tasks.push(Task {
-            node: super::bucket_node_of(meta, anchor, b)?,
-            group: Some((anchor.colocation_id, b)),
-            stmt: std::sync::Arc::new(Statement::Select(Box::new(rewritten))),
-            is_write: false,
-            shards: vec![anchor.shards[b]],
-        });
-    }
-    Ok(DistPlan { kind, tasks, merge, is_write: false, used_subplans: true, prep })
+    let worker = Statement::Select(Box::new(worker_template));
+    let tasks: Vec<Task> = (0..anchor.shards.len())
+        .map(|b| bucket_task(meta, anchor, b, &worker, false))
+        .collect::<PgResult<_>>()?;
+    Ok(DistPlan {
+        kind: PlannerKind::JoinOrder,
+        tasks,
+        merge,
+        is_write: false,
+        used_subplans: true,
+        prep,
+    })
 }

@@ -11,6 +11,7 @@
 //! partial-aggregate combine — turns a statement's task results into its
 //! answer here, and reports the coordinator CPU the merge is charged.
 
+use super::analysis::KeyColumns;
 use super::{Merge, SortCol};
 use pgmini::cost::CostModel;
 use pgmini::error::{ErrorCode, PgError, PgResult};
@@ -79,27 +80,47 @@ fn agg_kind(f: &FuncCall) -> Option<&'static str> {
     }
 }
 
+/// Does the query aggregate — a GROUP BY, or an aggregate call in the select
+/// list or HAVING? The one test every tier asks.
+pub fn is_aggregate_query(sel: &Select) -> bool {
+    let calls_aggregate = |e: &Expr| {
+        let mut found = false;
+        e.walk(&mut |x| found |= matches!(x, Expr::Func(f) if agg_kind(f).is_some()));
+        found
+    };
+    !sel.group_by.is_empty()
+        || sel.having.as_ref().is_some_and(calls_aggregate)
+        || sel
+            .projection
+            .iter()
+            .any(|p| matches!(p, SelectItem::Expr { expr, .. } if calls_aggregate(expr)))
+}
+
+/// The expression a GROUP BY item stands for: ordinals point into the select
+/// list (`None` when they point outside it).
+pub fn group_expr<'a>(sel: &'a Select, g: &'a Expr) -> Option<&'a Expr> {
+    let Expr::Literal(Literal::Int(n)) = g else { return Some(g) };
+    match (*n as usize).checked_sub(1).and_then(|i| sel.projection.get(i)) {
+        Some(SelectItem::Expr { expr, .. }) => Some(expr),
+        _ => None,
+    }
+}
+
 /// Split a top-level SELECT into worker partial query + coordinator merge.
-/// `dist_cols` are the distribution-column spellings at this level (used to
-/// validate `count(DISTINCT ..)`).
-pub fn split_aggregation(sel: &Select, dist_cols: &[String]) -> PgResult<SplitAggregation> {
+/// `key` names the columns holding the distribution key at this level (used
+/// to validate `count(DISTINCT ..)`).
+pub fn split_aggregation(sel: &Select, key: &KeyColumns) -> PgResult<SplitAggregation> {
     // resolve GROUP BY ordinals against the projection
     let mut group_exprs: Vec<Expr> = Vec::new();
     for g in &sel.group_by {
-        match g {
-            Expr::Literal(Literal::Int(n)) => {
-                let idx = (*n as usize).checked_sub(1);
-                match idx.and_then(|i| sel.projection.get(i)) {
-                    Some(SelectItem::Expr { expr, .. }) => group_exprs.push(expr.clone()),
-                    _ => {
-                        return Err(PgError::new(
-                            ErrorCode::Syntax,
-                            format!("GROUP BY position {n} is not in the select list"),
-                        ))
-                    }
-                }
+        match group_expr(sel, g) {
+            Some(expr) => group_exprs.push(expr.clone()),
+            None => {
+                return Err(PgError::new(
+                    ErrorCode::Syntax,
+                    format!("GROUP BY position {} is not in the select list", deparse_expr(g)),
+                ))
             }
-            other => group_exprs.push(other.clone()),
         }
     }
     let group_keys: Vec<String> = group_exprs.iter().map(normal_key).collect();
@@ -118,7 +139,7 @@ pub fn split_aggregation(sel: &Select, dist_cols: &[String]) -> PgResult<SplitAg
             &group_keys,
             &mut partial_items,
             &mut partial_keys,
-            dist_cols,
+            key,
         )?);
         names.push(alias.clone());
     }
@@ -126,7 +147,7 @@ pub fn split_aggregation(sel: &Select, dist_cols: &[String]) -> PgResult<SplitAg
     let having = sel
         .having
         .as_ref()
-        .map(|h| rewrite_to_final(h, &group_keys, &mut partial_items, &mut partial_keys, dist_cols))
+        .map(|h| rewrite_to_final(h, &group_keys, &mut partial_items, &mut partial_keys, key))
         .transpose()?;
 
     // ORDER BY → indexes into final projection (appending hidden columns)
@@ -149,7 +170,7 @@ pub fn split_aggregation(sel: &Select, dist_cols: &[String]) -> PgResult<SplitAg
                     &group_keys,
                     &mut partial_items,
                     &mut partial_keys,
-                    dist_cols,
+                    key,
                 )?;
                 if let Some(i) = final_exprs.iter().position(|e| e == &rewritten) {
                     i
@@ -194,7 +215,8 @@ pub fn split_aggregation(sel: &Select, dist_cols: &[String]) -> PgResult<SplitAg
     })
 }
 
-fn expr_u64(e: &Expr) -> Option<u64> {
+/// A non-negative integer literal (LIMIT / OFFSET operands).
+pub fn expr_u64(e: &Expr) -> Option<u64> {
     match e {
         Expr::Literal(Literal::Int(n)) if *n >= 0 => Some(*n as u64),
         _ => None,
@@ -231,7 +253,7 @@ fn rewrite_to_final(
     group_keys: &[String],
     partials: &mut Vec<(Expr, Combine)>,
     partial_keys: &mut Vec<String>,
-    dist_cols: &[String],
+    key: &KeyColumns,
 ) -> PgResult<Expr> {
     if let Some(i) = group_keys.iter().position(|k| k == &normal_key(e)) {
         return Ok(group_ref(i));
@@ -241,11 +263,7 @@ fn rewrite_to_final(
             if f.distinct {
                 // DISTINCT aggregates only push down when the argument is the
                 // distribution column (each value lives on exactly one shard)
-                let arg_is_dist = matches!(
-                    f.args.first(),
-                    Some(Expr::Column { name, .. }) if dist_cols.contains(name)
-                );
-                if !arg_is_dist {
+                if !f.args.first().is_some_and(|arg| key.holds(arg)) {
                     return Err(PgError::unsupported(
                         "DISTINCT aggregates on non-distribution columns require repartitioning",
                     ));
@@ -312,28 +330,28 @@ fn rewrite_to_final(
         Expr::Literal(_) | Expr::Param(_) => e.clone(),
         Expr::Unary { op, expr } => Expr::Unary {
             op: *op,
-            expr: Box::new(rewrite_to_final(expr, group_keys, partials, partial_keys, dist_cols)?),
+            expr: Box::new(rewrite_to_final(expr, group_keys, partials, partial_keys, key)?),
         },
         Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(rewrite_to_final(left, group_keys, partials, partial_keys, dist_cols)?),
+            left: Box::new(rewrite_to_final(left, group_keys, partials, partial_keys, key)?),
             op: *op,
             right: Box::new(rewrite_to_final(
                 right,
                 group_keys,
                 partials,
                 partial_keys,
-                dist_cols,
+                key,
             )?),
         },
         Expr::Cast { expr, ty } => Expr::Cast {
-            expr: Box::new(rewrite_to_final(expr, group_keys, partials, partial_keys, dist_cols)?),
+            expr: Box::new(rewrite_to_final(expr, group_keys, partials, partial_keys, key)?),
             ty: *ty,
         },
         Expr::Case { operand, branches, else_result } => Expr::Case {
             operand: operand
                 .as_ref()
                 .map(|o| {
-                    rewrite_to_final(o, group_keys, partials, partial_keys, dist_cols)
+                    rewrite_to_final(o, group_keys, partials, partial_keys, key)
                         .map(Box::new)
                 })
                 .transpose()?,
@@ -341,15 +359,15 @@ fn rewrite_to_final(
                 .iter()
                 .map(|(w, t)| {
                     Ok((
-                        rewrite_to_final(w, group_keys, partials, partial_keys, dist_cols)?,
-                        rewrite_to_final(t, group_keys, partials, partial_keys, dist_cols)?,
+                        rewrite_to_final(w, group_keys, partials, partial_keys, key)?,
+                        rewrite_to_final(t, group_keys, partials, partial_keys, key)?,
                     ))
                 })
                 .collect::<PgResult<_>>()?,
             else_result: else_result
                 .as_ref()
                 .map(|x| {
-                    rewrite_to_final(x, group_keys, partials, partial_keys, dist_cols)
+                    rewrite_to_final(x, group_keys, partials, partial_keys, key)
                         .map(Box::new)
                 })
                 .transpose()?,
@@ -359,13 +377,13 @@ fn rewrite_to_final(
             args: f
                 .args
                 .iter()
-                .map(|a| rewrite_to_final(a, group_keys, partials, partial_keys, dist_cols))
+                .map(|a| rewrite_to_final(a, group_keys, partials, partial_keys, key))
                 .collect::<PgResult<_>>()?,
             distinct: f.distinct,
             star: f.star,
         }),
         Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(rewrite_to_final(expr, group_keys, partials, partial_keys, dist_cols)?),
+            expr: Box::new(rewrite_to_final(expr, group_keys, partials, partial_keys, key)?),
             negated: *negated,
         },
         other => {
@@ -404,15 +422,7 @@ pub fn execute_merge(plan: &MergePlan, worker_rows: Vec<Row>) -> PgResult<(Vec<R
     // one all-NULL/0 row; workers always return at least one partial row per
     // shard for global aggregates, so groups is only empty with zero shards
     if groups.is_empty() && plan.group_cols == 0 {
-        let zero: Vec<Datum> = plan
-            .partials
-            .iter()
-            .map(|c| match c {
-                Combine::Sum => Datum::Null,
-                _ => Datum::Null,
-            })
-            .collect();
-        groups.insert(SortKey(vec![]), zero);
+        groups.insert(SortKey(vec![]), vec![Datum::Null; plan.partials.len()]);
     }
 
     // final projection scope: __g.c0.. then __p.c0..
@@ -606,9 +616,13 @@ mod tests {
     use sqlparse::ast::Statement;
     use sqlparse::{deparse, parse};
 
+    fn w_id() -> KeyColumns {
+        KeyColumns(vec![("t".to_string(), "w_id".to_string())])
+    }
+
     fn split(sql: &str) -> SplitAggregation {
         let Statement::Select(sel) = parse(sql).unwrap() else { panic!() };
-        split_aggregation(&sel, &["w_id".to_string()]).unwrap()
+        split_aggregation(&sel, &w_id()).unwrap()
     }
 
     #[test]
@@ -689,7 +703,7 @@ mod tests {
         else {
             panic!()
         };
-        let err = split_aggregation(&sel, &["w_id".to_string()]).unwrap_err();
+        let err = split_aggregation(&sel, &w_id()).unwrap_err();
         assert_eq!(err.code, ErrorCode::FeatureNotSupported);
         // on the distribution column it's allowed
         let Statement::Select(sel) =
@@ -697,7 +711,7 @@ mod tests {
         else {
             panic!()
         };
-        assert!(split_aggregation(&sel, &["w_id".to_string()]).is_ok());
+        assert!(split_aggregation(&sel, &w_id()).is_ok());
     }
 
     #[test]
@@ -707,7 +721,7 @@ mod tests {
         else {
             panic!()
         };
-        assert!(split_aggregation(&sel, &[]).is_err());
+        assert!(split_aggregation(&sel, &KeyColumns::default()).is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@ pub mod pushdown;
 pub mod rewrite;
 
 use crate::metadata::{Metadata, NodeId, PartitionMethod, ShardId};
-use analysis::{infer_bucket, BucketInference};
+use analysis::{judge, Judgement, Reason};
 use merge::MergePlan;
 use pgmini::error::{ErrorCode, PgError, PgResult};
 use sqlparse::ast::{Expr, InsertSource, Statement};
@@ -152,38 +152,32 @@ pub fn plan_statement(
         return Ok(Some(plan));
     }
 
-    // distributed tables referenced must share one colocation group for the
-    // single-group planners; the join-order planner relaxes this later
-    let dist_tables: Vec<&str> = citrus_tables
-        .iter()
-        .copied()
-        .filter(|t| !meta.table(t).expect("citrus table").is_reference())
-        .collect();
-
-    // reference-table-only statements: route to the local replica
-    if dist_tables.is_empty() {
-        return Ok(Some(reference_read_plan(stmt, meta, self_node)?));
-    }
-
-    let colocated = {
-        let first = meta.table(dist_tables[0]).expect("citrus table").colocation_id;
-        dist_tables
-            .iter()
-            .all(|t| meta.table(t).expect("citrus table").colocation_id == first)
-    };
-
-    // tier 1: fast path
-    if colocated {
+    // tier 1: fast path — one table meets nothing else, so there is nothing
+    // to judge
+    if tables.len() == 1 {
         if let Some(plan) = try_fast_path(stmt, meta)? {
             return Ok(Some(plan));
         }
-        // tier 2: router
-        if let Some(plan) = try_router(stmt, meta)? {
-            return Ok(Some(plan));
+    }
+    // the single-group planners need every distributed relation in one
+    // co-location group; the join-order planner relaxes this
+    match judge(stmt, meta) {
+        // reference-table-only statements: route to the local replica
+        Judgement::NoDistributedRelation => {
+            return Ok(Some(reference_read_plan(stmt, meta, self_node)?));
         }
-        // tier 3: logical pushdown
-        if let Some(plan) = pushdown::try_pushdown(stmt, meta, self_node, subplans)? {
-            return Ok(Some(plan));
+        Judgement::MustMove(Reason::NotColocated { .. }) => {}
+        judgement => {
+            // tier 2: router
+            if let Judgement::SingleBucket(bucket) = judgement {
+                if let Some(plan) = route_to_bucket(stmt, meta, bucket)? {
+                    return Ok(Some(plan));
+                }
+            }
+            // tier 3: logical pushdown
+            if let Some(plan) = pushdown::try_pushdown(stmt, meta, self_node, subplans)? {
+                return Ok(Some(plan));
+            }
         }
     }
     // tier 4: logical join order (non-co-located joins)
@@ -253,6 +247,24 @@ pub fn bucket_node_of(
         .ok_or_else(|| PgError::internal("shard has no placements"))
 }
 
+/// The task running `stmt` against bucket `bucket` of `anchor`'s co-location
+/// group: tables renamed to that bucket's shards, placed where they live.
+pub fn bucket_task(
+    meta: &Metadata,
+    anchor: &crate::metadata::DistTable,
+    bucket: usize,
+    stmt: &Statement,
+    is_write: bool,
+) -> PgResult<Task> {
+    Ok(Task {
+        node: bucket_node_of(meta, anchor, bucket)?,
+        group: Some((anchor.colocation_id, bucket)),
+        stmt: Arc::new(rewrite::rewrite_statement(stmt, &bucket_name_map(meta, bucket))),
+        is_write,
+        shards: vec![anchor.shards[bucket]],
+    })
+}
+
 fn statement_is_write(stmt: &Statement) -> bool {
     matches!(stmt, Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_))
 }
@@ -288,10 +300,7 @@ pub fn route_node(stmt: &Statement, meta: &Metadata) -> Option<NodeId> {
             meta.node_for_key(&ins.table, &value).ok()
         }
         Statement::Select(_) | Statement::Update(_) | Statement::Delete(_) => {
-            let bucket = match infer_bucket(stmt, meta) {
-                BucketInference::Single(b) => b,
-                _ => return None,
-            };
+            let Judgement::SingleBucket(bucket) = judge(stmt, meta) else { return None };
             let tables = rewrite::collect_tables(stmt);
             let anchor =
                 tables.iter().filter_map(|t| meta.table(t)).find(|dt| !dt.is_reference())?;
@@ -399,15 +408,7 @@ fn fast_dist_value(
     let dt = meta.table(table)?;
     let (dist_col, _) = dt.dist_column.as_ref()?;
     let mut conjuncts = Vec::new();
-    fn split<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        if let Expr::Binary { left, op: sqlparse::ast::BinaryOp::And, right } = e {
-            split(left, out);
-            split(right, out);
-        } else {
-            out.push(e);
-        }
-    }
-    split(where_clause, &mut conjuncts);
+    analysis::split_and(where_clause, &mut conjuncts);
     for c in conjuncts {
         if let Expr::Binary { left, op: sqlparse::ast::BinaryOp::Eq, right } = c {
             for (col, konst) in [(left, right), (right, left)] {
@@ -427,10 +428,18 @@ fn fast_dist_value(
 /// Tier 2: arbitrary SQL scoped to one co-located shard set. Delegates the
 /// full query (joins, subqueries, FOR UPDATE, everything) to one worker.
 pub fn try_router(stmt: &Statement, meta: &Metadata) -> PgResult<Option<DistPlan>> {
-    let bucket = match infer_bucket(stmt, meta) {
-        BucketInference::Single(b) => b,
-        _ => return Ok(None),
-    };
+    match judge(stmt, meta) {
+        Judgement::SingleBucket(bucket) => route_to_bucket(stmt, meta, bucket),
+        _ => Ok(None),
+    }
+}
+
+/// The router's plan for a statement already judged to pin to `bucket`.
+fn route_to_bucket(
+    stmt: &Statement,
+    meta: &Metadata,
+    bucket: usize,
+) -> PgResult<Option<DistPlan>> {
     // multi-row inserts route only when every row lands in the bucket —
     // handled by pushdown's insert splitting instead
     if let Statement::Insert(ins) = stmt {

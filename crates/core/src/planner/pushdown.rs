@@ -11,10 +11,10 @@
 //! are planned recursively, executed first, and their results substituted as
 //! constants — citrus's intermediate results.
 
-use super::analysis::{level_buckets, level_facts, LevelFacts};
-use super::merge::split_aggregation;
+use super::analysis::{judge, judge_select, CoPartitioned, Judgement, MergeNeed};
+use super::merge::{expr_u64, is_aggregate_query, split_aggregation};
 use super::rewrite;
-use super::{bucket_name_map, DistPlan, Merge, PlannerKind, SortCol, SubplanExecutor, Task};
+use super::{bucket_task, DistPlan, Merge, PlannerKind, SortCol, SubplanExecutor, Task};
 use crate::metadata::{Metadata, NodeId};
 use pgmini::error::{ErrorCode, PgError, PgResult};
 use pgmini::types::Datum;
@@ -23,7 +23,7 @@ use sqlparse::ast::{
 };
 
 /// Try to plan a multi-shard statement by pushdown. Assumes all distributed
-/// tables referenced share one colocation group (checked by the caller).
+/// tables referenced share one colocation group (judged by the caller).
 pub fn try_pushdown(
     stmt: &Statement,
     meta: &Metadata,
@@ -33,23 +33,28 @@ pub fn try_pushdown(
     match stmt {
         Statement::Select(sel) => {
             let (sel, used_subplans) = resolve_subplans_select(sel, meta, subplans)?;
-            // subplan resolution may leave only reference tables behind
-            // (e.g. a reference-table query filtered by a distributed
-            // subquery); delegate the remainder to the local replica
-            let remaining = rewrite::collect_tables(&Statement::Select(Box::new(sel.clone())));
-            let any_distributed = remaining
-                .iter()
-                .any(|t| meta.table(t).is_some_and(|x| !x.is_reference()));
-            if !any_distributed {
-                let mut plan = super::reference_read_plan(
-                    &Statement::Select(Box::new(sel)),
-                    meta,
-                    self_node,
-                )?;
-                plan.used_subplans = used_subplans;
-                return Ok(Some(plan));
+            match judge_select(&sel, meta) {
+                // subplan resolution may leave only reference tables behind
+                // (e.g. a reference-table query filtered by a distributed
+                // subquery); delegate the remainder to the local replica
+                Judgement::NoDistributedRelation => {
+                    let mut plan = super::reference_read_plan(
+                        &Statement::Select(Box::new(sel)),
+                        meta,
+                        self_node,
+                    )?;
+                    plan.used_subplans = used_subplans;
+                    Ok(Some(plan))
+                }
+                Judgement::CoPartitioned(cp) => {
+                    plan_select(&sel, meta, &cp, used_subplans).map(Some)
+                }
+                // the violation names itself (the "Citus does not support X" UX)
+                Judgement::MustMove(reason) => Err(reason.into()),
+                Judgement::SingleBucket(_) => {
+                    Err(PgError::internal("a SELECT judged on its own pins no bucket"))
+                }
             }
-            plan_select(&sel, meta, used_subplans).map(Some)
         }
         Statement::Update(_) | Statement::Delete(_) => {
             let (stmt, used_subplans) = resolve_subplans_dml(stmt, meta, subplans)?;
@@ -160,11 +165,6 @@ fn subquery_has_citrus_tables(sel: &Select, meta: &Metadata) -> bool {
     tables.iter().any(|t| meta.is_citrus_table(t))
 }
 
-fn subquery_has_distributed_tables(sel: &Select, meta: &Metadata) -> bool {
-    let tables = rewrite::collect_tables(&Statement::Select(Box::new(sel.clone())));
-    tables.iter().any(|t| meta.table(t).is_some_and(|x| !x.is_reference()))
-}
-
 fn datum_expr(d: &Datum) -> Expr {
     match d {
         Datum::Null => Expr::Literal(Literal::Null),
@@ -248,196 +248,33 @@ fn resolve_expr(
     })
 }
 
-// ---------------- pushdown safety ----------------
-
-/// Distribution columns exposed by a level (table dist columns plus
-/// subquery projections that pass an inner dist column through).
-fn exposed_dist_cols(sel: &Select, meta: &Metadata) -> Vec<String> {
-    let mut out = Vec::new();
-    for f in &sel.from {
-        exposed_from_table_ref(f, meta, &mut out);
-    }
-    out
-}
-
-fn exposed_from_table_ref(t: &TableRef, meta: &Metadata, out: &mut Vec<String>) {
-    match t {
-        TableRef::Table { name, .. } => {
-            if let Some(dt) = meta.table(name) {
-                if let Some((col, _)) = &dt.dist_column {
-                    if !out.contains(col) {
-                        out.push(col.clone());
-                    }
-                }
-            }
-        }
-        TableRef::Subquery { query, .. } => {
-            let inner = exposed_dist_cols(query, meta);
-            for item in &query.projection {
-                if let SelectItem::Expr { expr: Expr::Column { name, .. }, alias } = item {
-                    if inner.contains(name) {
-                        let visible = alias.clone().unwrap_or_else(|| name.clone());
-                        if !out.contains(&visible) {
-                            out.push(visible);
-                        }
-                    }
-                }
-            }
-        }
-        TableRef::Join { left, right, .. } => {
-            exposed_from_table_ref(left, meta, out);
-            exposed_from_table_ref(right, meta, out);
-        }
-    }
-}
-
-/// True when every dist table at this level is connected through dist-column
-/// equijoins (single component).
-fn level_joins_connected(facts: &LevelFacts) -> bool {
-    let n = facts.dist_aliases.len();
-    if n <= 1 {
-        return true;
-    }
-    let aliases: Vec<&String> = facts.dist_aliases.keys().collect();
-    let index: std::collections::HashMap<&str, usize> =
-        aliases.iter().enumerate().map(|(i, a)| (a.as_str(), i)).collect();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(p: &mut Vec<usize>, mut x: usize) -> usize {
-        while p[x] != x {
-            p[x] = p[p[x]];
-            x = p[x];
-        }
-        x
-    }
-    for (a, b) in &facts.joins {
-        if let (Some(&ia), Some(&ib)) = (index.get(a.as_str()), index.get(b.as_str())) {
-            let (ra, rb) = (find(&mut parent, ia), find(&mut parent, ib));
-            parent[ra] = rb;
-        }
-    }
-    let root = find(&mut parent, 0);
-    (1..n).all(|i| find(&mut parent, i) == root)
-}
-
-/// Does an expression list reference one of the exposed dist columns?
-fn group_contains_dist_col(group_by: &[Expr], projection: &[SelectItem], exposed: &[String]) -> bool {
-    group_by.iter().any(|g| {
-        let g = match g {
-            // ordinals point into the projection
-            Expr::Literal(Literal::Int(n)) => {
-                match projection.get((*n as usize).saturating_sub(1)) {
-                    Some(SelectItem::Expr { expr, .. }) => expr,
-                    _ => return false,
-                }
-            }
-            other => other,
-        };
-        matches!(g, Expr::Column { name, .. } if exposed.contains(name))
-    })
-}
-
-fn has_aggregates(sel: &Select) -> bool {
-    let is_agg = |e: &Expr| {
-        let mut found = false;
-        e.walk(&mut |x| {
-            if let Expr::Func(f) = x {
-                if matches!(f.name.as_str(), "count" | "sum" | "avg" | "min" | "max") {
-                    found = true;
-                }
-            }
-        });
-        found
-    };
-    sel.projection.iter().any(|p| match p {
-        SelectItem::Expr { expr, .. } => is_agg(expr),
-        _ => false,
-    }) || sel.having.as_ref().is_some_and(|h| is_agg(h))
-}
-
-/// Verify that every level of the select tree is pushdown-safe; errors name
-/// the violation (matches the "Citus does not support X" UX).
-fn check_pushdown_safe(sel: &Select, meta: &Metadata, is_top: bool) -> PgResult<()> {
-    let facts = level_facts(sel, meta);
-    let dist_subqueries: Vec<&Select> = sel
-        .from
-        .iter()
-        .filter_map(|f| match f {
-            TableRef::Subquery { query, .. }
-                if subquery_has_distributed_tables(query, meta) =>
-            {
-                Some(query.as_ref())
-            }
-            _ => None,
-        })
-        .collect();
-    // recursion into FROM-subqueries
-    for sub in &dist_subqueries {
-        check_pushdown_safe(sub, meta, false)?;
-    }
-    let dist_items = facts.dist_aliases.len() + dist_subqueries.len();
-    if dist_items == 0 {
-        return Ok(());
-    }
-    if !facts.dist_aliases.is_empty() && !dist_subqueries.is_empty() {
-        return Err(PgError::unsupported(
-            "joining a distributed table with a distributed subquery requires a \
-             co-located join that citrus cannot verify here",
-        ));
-    }
-    if dist_subqueries.len() > 1 {
-        return Err(PgError::unsupported(
-            "joining multiple distributed subqueries is not supported",
-        ));
-    }
-    if !level_joins_connected(&facts) {
-        return Err(PgError::unsupported(
-            "complex joins are only supported when all distributed tables are \
-             co-located and joined on their distribution columns",
-        ));
-    }
-    if !is_top {
-        // a nested level must not require a global merge step
-        let exposed = exposed_dist_cols(sel, meta);
-        if has_aggregates(sel) || !sel.group_by.is_empty() {
-            if !group_contains_dist_col(&sel.group_by, &sel.projection, &exposed) {
-                return Err(PgError::unsupported(
-                    "subquery with aggregates must GROUP BY the distribution column",
-                ));
-            }
-        }
-        if sel.limit.is_some() || sel.offset.is_some() || sel.distinct {
-            return Err(PgError::unsupported(
-                "subquery with LIMIT/OFFSET/DISTINCT requires a global merge step",
-            ));
-        }
-    }
-    Ok(())
-}
-
 // ---------------- SELECT planning ----------------
 
-fn plan_select(sel: &Select, meta: &Metadata, used_subplans: bool) -> PgResult<DistPlan> {
-    check_pushdown_safe(sel, meta, true)?;
-
+fn plan_select(
+    sel: &Select,
+    meta: &Metadata,
+    cp: &CoPartitioned,
+    used_subplans: bool,
+) -> PgResult<DistPlan> {
     // anchor table for placements
-    let tables = rewrite::collect_tables(&Statement::Select(Box::new(sel.clone())));
-    let anchor = tables
-        .iter()
-        .filter_map(|t| meta.table(t))
-        .find(|dt| !dt.is_reference())
-        .ok_or_else(|| PgError::internal("pushdown with no distributed table"))?
-        .clone();
-    let shard_count = anchor.shards.len();
-
-    // shard pruning from the top level's constraints
-    let facts = level_facts(sel, meta);
+    let anchor = meta.require_table(&cp.anchor)?.clone();
+    // shard pruning from the level's constraints
     let buckets: Vec<usize> =
-        level_buckets(&facts, meta).unwrap_or_else(|| (0..shard_count).collect());
+        cp.buckets.clone().unwrap_or_else(|| (0..anchor.shards.len()).collect());
 
-    let exposed = exposed_dist_cols(sel, meta);
-    let has_agg = has_aggregates(sel) || !sel.group_by.is_empty();
-    let full_pushdown =
-        !has_agg || group_contains_dist_col(&sel.group_by, &sel.projection, &exposed);
+    let has_agg = is_aggregate_query(sel);
+    let full_pushdown = cp.merge_need(sel) != Some(MergeNeed::Aggregate);
+
+    let split_plan = |split: super::merge::SplitAggregation| -> PgResult<DistPlan> {
+        Ok(DistPlan {
+            kind: PlannerKind::Pushdown,
+            tasks: select_tasks(split.worker_query, meta, &anchor, &buckets)?,
+            merge: Merge::GroupAgg(Box::new(split.merge)),
+            is_write: false,
+            used_subplans,
+            prep: Vec::new(),
+        })
+    };
 
     // Columnar anchors prefer the aggregate split even when the GROUP BY
     // contains the distribution column (where full pushdown would also be
@@ -445,16 +282,8 @@ fn plan_select(sel: &Select, meta: &Metadata, used_subplans: bool) -> PgResult<D
     // shape the workers fuse into batched columnar kernels. DISTINCT stays on
     // the full-pushdown path — only Merge::Concat implements it.
     if anchor.columnar && has_agg && !sel.distinct {
-        if let Ok(split) = split_aggregation(sel, &exposed) {
-            let tasks = build_tasks(&split.worker_query, meta, &anchor, &buckets, false)?;
-            return Ok(DistPlan {
-                kind: PlannerKind::Pushdown,
-                tasks,
-                merge: Merge::GroupAgg(Box::new(split.merge)),
-                is_write: false,
-                used_subplans,
-                prep: Vec::new(),
-            });
+        if let Ok(split) = split_aggregation(sel, &cp.key) {
+            return split_plan(split);
         }
         // unsplittable aggregate: fall back to full pushdown when legal,
         // otherwise the split below re-runs and surfaces its error
@@ -519,10 +348,9 @@ fn plan_select(sel: &Select, meta: &Metadata, used_subplans: bool) -> PgResult<D
             Expr::Literal(Literal::Int((l + offset.unwrap_or(0)) as i64))
         });
         worker.offset = None;
-        let tasks = build_tasks(&worker, meta, &anchor, &buckets, false)?;
         return Ok(DistPlan {
             kind: PlannerKind::Pushdown,
-            tasks,
+            tasks: select_tasks(worker, meta, &anchor, &buckets)?,
             merge: Merge::Concat { sort, limit, offset, distinct: sel.distinct, visible, appended },
             is_write: false,
             used_subplans,
@@ -531,46 +359,18 @@ fn plan_select(sel: &Select, meta: &Metadata, used_subplans: bool) -> PgResult<D
     }
 
     // aggregate split: worker partials + coordinator merge
-    let split = split_aggregation(sel, &exposed)?;
-    let tasks = build_tasks(&split.worker_query, meta, &anchor, &buckets, false)?;
-    Ok(DistPlan {
-        kind: PlannerKind::Pushdown,
-        tasks,
-        merge: Merge::GroupAgg(Box::new(split.merge)),
-        is_write: false,
-        used_subplans,
-        prep: Vec::new(),
-    })
+    split_plan(split_aggregation(sel, &cp.key)?)
 }
 
-fn expr_u64(e: &Expr) -> Option<u64> {
-    match e {
-        Expr::Literal(Literal::Int(n)) if *n >= 0 => Some(*n as u64),
-        _ => None,
-    }
-}
-
-fn build_tasks(
-    worker: &Select,
+/// One read task per bucket running `worker` against that bucket's shards.
+fn select_tasks(
+    worker: Select,
     meta: &Metadata,
     anchor: &crate::metadata::DistTable,
     buckets: &[usize],
-    is_write: bool,
 ) -> PgResult<Vec<Task>> {
-    let mut tasks = Vec::with_capacity(buckets.len());
-    for &b in buckets {
-        let map = bucket_name_map(meta, b);
-        let rewritten = rewrite::rewrite_select(worker, &map);
-        let node = super::bucket_node_of(meta, anchor, b)?;
-        tasks.push(Task {
-            node,
-            group: Some((anchor.colocation_id, b)),
-            stmt: std::sync::Arc::new(Statement::Select(Box::new(rewritten))),
-            is_write,
-            shards: vec![anchor.shards[b]],
-        });
-    }
-    Ok(tasks)
+    let stmt = Statement::Select(Box::new(worker));
+    buckets.iter().map(|&b| bucket_task(meta, anchor, b, &stmt, false)).collect()
 }
 
 // ---------------- multi-shard DML ----------------
@@ -580,48 +380,23 @@ fn plan_multi_shard_dml(
     meta: &Metadata,
     used_subplans: bool,
 ) -> PgResult<DistPlan> {
-    let (table, where_clause) = match stmt {
-        Statement::Update(u) => (&u.table, &u.where_clause),
-        Statement::Delete(d) => (&d.table, &d.where_clause),
+    let table = match stmt {
+        Statement::Update(u) => &u.table,
+        Statement::Delete(d) => &d.table,
         _ => return Err(PgError::internal("plan_multi_shard_dml on non-DML")),
     };
     let dt = meta.require_table(table)?.clone();
     // prune from the WHERE clause
-    let buckets: Vec<usize> = {
-        let mut facts = LevelFacts::default();
-        if let Some((col, _)) = &dt.dist_column {
-            facts
-                .dist_aliases
-                .insert(table.clone(), (table.clone(), col.clone()));
-        }
-        if let Some(w) = where_clause {
-            // reuse analysis by fabricating a single-table level
-            let sel = Select {
-                from: vec![TableRef::Table { name: table.clone(), alias: None }],
-                where_clause: Some(w.clone()),
-                ..Select::empty()
-            };
-            let facts = level_facts(&sel, meta);
-            level_buckets(&facts, meta).unwrap_or_else(|| (0..dt.shards.len()).collect())
-        } else {
-            (0..dt.shards.len()).collect()
-        }
+    let buckets: Vec<usize> = match judge(stmt, meta) {
+        Judgement::SingleBucket(b) => vec![b],
+        Judgement::CoPartitioned(CoPartitioned { buckets: Some(pruned), .. }) => pruned,
+        _ => (0..dt.shards.len()).collect(),
     };
-    let mut tasks = Vec::with_capacity(buckets.len());
-    for b in buckets {
-        let map = bucket_name_map(meta, b);
-        let rewritten = rewrite::rewrite_statement(stmt, &map);
-        tasks.push(Task {
-            node: super::bucket_node_of(meta, &dt, b)?,
-            group: Some((dt.colocation_id, b)),
-            stmt: std::sync::Arc::new(rewritten),
-            is_write: true,
-            shards: vec![dt.shards[b]],
-        });
-    }
+    let tasks: PgResult<Vec<Task>> =
+        buckets.into_iter().map(|b| bucket_task(meta, &dt, b, stmt, true)).collect();
     Ok(DistPlan {
         kind: PlannerKind::Pushdown,
-        tasks,
+        tasks: tasks?,
         merge: Merge::AffectedSum,
         is_write: true,
         used_subplans,
@@ -667,21 +442,13 @@ fn plan_multi_row_insert(
     }
     let mut tasks = Vec::with_capacity(per_bucket.len());
     for (b, bucket_rows) in per_bucket {
-        let map = bucket_name_map(meta, b);
         let stmt = Statement::Insert(Box::new(Insert {
             table: ins.table.clone(),
             columns: ins.columns.clone(),
             source: InsertSource::Values(bucket_rows),
             on_conflict: ins.on_conflict.clone(),
         }));
-        let rewritten = rewrite::rewrite_statement(&stmt, &map);
-        tasks.push(Task {
-            node: super::bucket_node_of(meta, &dt, b)?,
-            group: Some((dt.colocation_id, b)),
-            stmt: std::sync::Arc::new(rewritten),
-            is_write: true,
-            shards: vec![dt.shards[b]],
-        });
+        tasks.push(bucket_task(meta, &dt, b, &stmt, true)?);
     }
     Ok(DistPlan {
         kind: PlannerKind::Pushdown,

@@ -890,3 +890,95 @@ fn session_dropped_in_a_multi_node_transaction_leaves_nothing_open() {
     let r = s.execute("SELECT count(*) FROM t WHERE v = 2").unwrap();
     assert_eq!(r.rows()[0][0], Datum::Int(0), "the update rolled back");
 }
+
+// ---------------- one co-location judgement: demonstrators ----------------
+
+/// `saas_cluster` plus a co-located `sink` and a reference table `tags` that
+/// deliberately has a column named like the distribution key.
+fn judgement_cluster() -> Arc<Cluster> {
+    let c = saas_cluster();
+    let mut s = c.session().unwrap();
+    s.execute("CREATE TABLE sink (tenant_id bigint, order_id bigint)").unwrap();
+    s.execute("SELECT create_distributed_table('sink', 'tenant_id', 'tenants')").unwrap();
+    s.execute("CREATE TABLE tags (tag_id bigint PRIMARY KEY, tenant_id bigint)").unwrap();
+    s.execute("SELECT create_reference_table('tags')").unwrap();
+    s.execute("INSERT INTO tags VALUES (1, 1), (2, 2), (3, 3), (4, 4), (5, 5)").unwrap();
+    c
+}
+
+fn sorted_ints(r: &pgmini::session::QueryResult) -> Vec<Vec<i64>> {
+    let mut rows: Vec<Vec<i64>> =
+        r.rows().iter().map(|row| row.iter().map(|d| d.as_i64().unwrap()).collect()).collect();
+    rows.sort();
+    rows
+}
+
+/// Demonstrator H: the key is a column *of a distributed relation*, not any
+/// column called like it — grouping by the reference table's `tenant_id`
+/// needs the coordinator merge.
+#[test]
+fn group_by_reference_column_named_like_the_key_is_merged() {
+    let c = judgement_cluster();
+    let mut s = c.session().unwrap();
+    let r = s
+        .execute(
+            "SELECT g.tenant_id, count(*) FROM orders o JOIN tags g ON o.order_id = g.tag_id \
+             GROUP BY g.tenant_id",
+        )
+        .unwrap();
+    assert_eq!(sorted_ints(&r), (1..=5).map(|k| vec![k, 20]).collect::<Vec<_>>());
+    let plan = s
+        .execute(
+            "EXPLAIN SELECT g.tenant_id, count(*) FROM orders o JOIN tags g \
+             ON o.order_id = g.tag_id GROUP BY g.tenant_id",
+        )
+        .unwrap();
+    let text: Vec<String> = plan.rows().iter().map(|r| r[0].to_text()).collect();
+    assert!(text.iter().any(|l| l.contains("partial aggregation on coordinator")), "{text:?}");
+}
+
+/// Demonstrator A: the same aggregate as a FROM-subquery needs a merge below
+/// the top level — refused with the reason, never 40 rows.
+#[test]
+fn subquery_grouped_by_reference_column_is_refused() {
+    let c = judgement_cluster();
+    let mut s = c.session().unwrap();
+    let e = s
+        .execute(
+            "SELECT x.tenant_id, x.n FROM (SELECT g.tenant_id, count(*) AS n FROM orders o \
+             JOIN tags g ON o.order_id = g.tag_id GROUP BY g.tenant_id) x",
+        )
+        .unwrap_err();
+    assert_eq!(e.code, ErrorCode::FeatureNotSupported, "{e:?}");
+    assert!(e.message.contains("GROUP BY the distribution column"), "{e:?}");
+}
+
+/// Demonstrator G: a FROM-subquery is judged wherever it sits in the join
+/// tree. The aggregate not grouped by the key is refused in both spellings;
+/// the one grouped by and joined on the key is accepted in both.
+#[test]
+fn from_subquery_inside_a_join_tree_is_judged() {
+    let c = judgement_cluster();
+    let mut s = c.session().unwrap();
+    let unsafe_sub = "(SELECT order_id, count(*) AS n FROM orders GROUP BY order_id) x";
+    let mut reasons = Vec::new();
+    for sql in [
+        format!("SELECT t.tenant_id, x.n FROM tenants t JOIN {unsafe_sub} ON t.tenant_id = x.order_id"),
+        format!("SELECT t.tenant_id, x.n FROM tenants t, {unsafe_sub} WHERE t.tenant_id = x.order_id"),
+    ] {
+        let e = s.execute(&sql).unwrap_err();
+        assert_eq!(e.code, ErrorCode::FeatureNotSupported, "{sql}: {e:?}");
+        reasons.push(e.message);
+    }
+    assert_eq!(reasons[0], reasons[1]);
+
+    let safe_sub = "(SELECT tenant_id, count(*) AS n FROM orders GROUP BY tenant_id) x";
+    for sql in [
+        format!("SELECT t.tenant_id, x.n FROM tenants t JOIN {safe_sub} ON t.tenant_id = x.tenant_id"),
+        format!("SELECT t.tenant_id, x.n FROM tenants t, {safe_sub} WHERE t.tenant_id = x.tenant_id"),
+    ] {
+        let r = s.execute(&sql).unwrap_or_else(|e| panic!("{sql}: {e:?}"));
+        assert_eq!(planner_of(&c, &mut s), PlannerKind::Pushdown);
+        assert_eq!(sorted_ints(&r), (1..=20).map(|t| vec![t, 5]).collect::<Vec<_>>(), "{sql}");
+    }
+}

@@ -1,5 +1,8 @@
 //! Differential-oracle coverage for distributed INSERT .. SELECT (all three
-//! §3.8 strategies) and TPC-C stored-procedure delegation (§4.1).
+//! §3.8 strategies), TPC-C stored-procedure delegation (§4.1), and the
+//! soundness wall of the co-location judgement: generated joins, subqueries,
+//! GROUP BYs and INSERT .. SELECTs are either refused (0A000) or equal to the
+//! single-node oracle.
 //!
 //! Every write goes through [`MirrorRunner`], which executes it on the
 //! cluster and on a single-node pgmini oracle and compares affected counts;
@@ -11,6 +14,9 @@ use citrus::cluster::{Cluster, ClusterConfig};
 use citrus::insert_select::InsertSelectStrategy;
 use citrus::metadata::NodeId;
 use pgmini::engine::Engine;
+use pgmini::session::QueryResult;
+use proptest::prelude::*;
+use proptest::test_runner::{TestCaseError, TestRunner};
 use std::sync::Arc;
 use workloads::runner::{ClusterRunner, LocalRunner, SqlRunner};
 use workloads::sim::MirrorRunner;
@@ -70,6 +76,253 @@ fn insert_select_strategies_match_oracle() {
 
     assert!(m.divergence.is_none(), "divergence: {:?}", m.divergence);
     assert!(m.reads_checked >= 4 && m.writes_checked >= 53);
+}
+
+/// The schema the co-location judgement's demonstrators run on: `tenants`,
+/// `orders` and `sink` co-located on `tenant_id` (20 tenants × 5 orders), and
+/// a reference table `tags` with a column named like the key.
+fn judgement_schema(m: &mut MirrorRunner) {
+    m.run("CREATE TABLE tenants (tenant_id bigint PRIMARY KEY, name text)").unwrap();
+    m.run("SELECT create_distributed_table('tenants', 'tenant_id')").unwrap();
+    m.run("CREATE TABLE orders (order_id bigint, tenant_id bigint, amount bigint)").unwrap();
+    m.run("SELECT create_distributed_table('orders', 'tenant_id', 'tenants')").unwrap();
+    m.run("CREATE TABLE sink (tenant_id bigint, order_id bigint)").unwrap();
+    m.run("SELECT create_distributed_table('sink', 'tenant_id', 'tenants')").unwrap();
+    m.run("CREATE TABLE tags (tag_id bigint PRIMARY KEY, tenant_id bigint)").unwrap();
+    m.run("SELECT create_reference_table('tags')").unwrap();
+    for t in 1..=20i64 {
+        m.run(&format!("INSERT INTO tenants VALUES ({t}, 'tenant-{t}')")).unwrap();
+        for o in 1..=5i64 {
+            m.run(&format!("INSERT INTO orders VALUES ({o}, {t}, {})", t * 10 + o)).unwrap();
+        }
+    }
+    for k in 1..=5i64 {
+        m.run(&format!("INSERT INTO tags VALUES ({k}, {k})")).unwrap();
+    }
+}
+
+/// Demonstrator B: the feed column is called like the key but belongs to the
+/// reference table, so the rows must be re-partitioned — every row of `sink`
+/// has to be found by its own key's router query.
+#[test]
+fn insert_select_fed_by_a_reference_column_repartitions() {
+    let (c, mut m) = mirror(3);
+    judgement_schema(&mut m);
+    let r = m
+        .run(
+            "INSERT INTO sink SELECT g.tenant_id, o.order_id FROM orders o \
+             JOIN tags g ON o.order_id = g.tag_id",
+        )
+        .unwrap();
+    assert_eq!(r.affected(), 100);
+    assert_eq!(strategy(&c, &mut m), Some(InsertSelectStrategy::Repartition));
+    let mut found = 0;
+    for k in 1..=5i64 {
+        let r = m.run(&format!("SELECT tenant_id, order_id FROM sink WHERE tenant_id = {k}")).unwrap();
+        found += r.rows().len();
+    }
+    assert_eq!(found, 100, "rows placed in shards their key does not hash to");
+    assert!(m.divergence.is_none(), "divergence: {:?}", m.divergence);
+}
+
+/// Demonstrators C and D: an INSERT .. SELECT is accepted exactly when its
+/// SELECT is. A co-located join that is not on the key, and a LIMIT inside a
+/// FROM-subquery, are refused by the SELECT (0A000) — and insert nothing.
+#[test]
+fn insert_select_is_refused_when_its_select_is() {
+    let (_c, mut m) = mirror(3);
+    judgement_schema(&mut m);
+    for select in [
+        "SELECT t.tenant_id, o.order_id FROM tenants t JOIN orders o ON t.tenant_id = o.order_id",
+        "SELECT x.tenant_id, x.order_id FROM (SELECT tenant_id, order_id FROM orders \
+         ORDER BY tenant_id, order_id LIMIT 3) x",
+    ] {
+        let e = m.dist.run(select).unwrap_err();
+        assert_eq!(e.code.sqlstate(), "0A000", "{select}: {e:?}");
+        let e = m.run(&format!("INSERT INTO sink {select}")).unwrap_err();
+        assert_eq!(e.code.sqlstate(), "0A000", "INSERT of {select}: {e:?}");
+        let r = m.run("SELECT count(*) FROM sink").unwrap();
+        assert_eq!(r.scalar().and_then(|v| v.as_i64().ok()), Some(0));
+    }
+    assert!(m.divergence.is_none(), "divergence: {:?}", m.divergence);
+}
+
+/// One generated statement's choices, consumed left to right.
+struct Picks<'a>(std::slice::Iter<'a, u8>);
+
+impl Picks<'_> {
+    fn pick(&mut self, n: usize) -> usize {
+        *self.0.next().unwrap_or(&0) as usize % n
+    }
+}
+
+/// A FROM item as `(sql, alias, second column)`; every item has a
+/// `tenant_id` column, which only in some of them is the distribution key.
+const RELATIONS: [(&str, &str, &str); 10] = [
+    ("orders o", "o", "order_id"),
+    ("tenants t", "t", "tenant_id"),
+    // reference table: its tenant_id is not a key
+    ("tags g", "g", "tag_id"),
+    // second co-location group, distributed on device_id
+    ("devices d", "d", "device_id"),
+    ("(SELECT tenant_id, count(*) AS n FROM orders GROUP BY tenant_id) x", "x", "n"),
+    ("(SELECT order_id AS tenant_id, count(*) AS n FROM orders GROUP BY order_id) x", "x", "n"),
+    ("(SELECT tenant_id, order_id AS n FROM orders ORDER BY 1, 2 LIMIT 3) x", "x", "n"),
+    ("(SELECT DISTINCT tenant_id, order_id AS n FROM orders) x", "x", "n"),
+    (
+        "(SELECT o2.tenant_id, g2.tenant_id AS n FROM orders o2 \
+         JOIN tags g2 ON o2.order_id = g2.tag_id) x",
+        "x",
+        "n",
+    ),
+    (
+        "(SELECT g2.tenant_id, count(*) AS n FROM orders o2 \
+         JOIN tags g2 ON o2.order_id = g2.tag_id GROUP BY g2.tenant_id) x",
+        "x",
+        "n",
+    ),
+];
+
+/// Decode a SELECT with two integer output columns: 1–3 relations joined in
+/// either spelling on key or non-key columns, an optional filter (pin, IN
+/// over a distributed subquery), one of four projection/GROUP BY shapes, an
+/// optional ORDER BY .. LIMIT.
+fn generated_select(p: &mut Picks) -> String {
+    let mut rels: Vec<(&str, &str, &str)> = Vec::new();
+    for _ in 0..1 + p.pick(3) {
+        // plain tables twice as often as subqueries
+        let r = RELATIONS[[0, 0, 0, 1, 1, 2, 2, 3, 4, 4, 5, 6, 7, 8, 9][p.pick(15)]];
+        if !rels.iter().any(|x| x.1 == r.1) {
+            rels.push(r);
+        }
+    }
+    let col = |p: &mut Picks, r: &(&str, &str, &str)| {
+        format!("{}.{}", r.1, if p.pick(3) == 0 { r.2 } else { "tenant_id" })
+    };
+    let join_syntax = p.pick(2) == 0;
+    let mut from = rels[0].0.to_string();
+    let mut conditions: Vec<String> = Vec::new();
+    for i in 1..rels.len() {
+        let earlier = rels[p.pick(i)];
+        let on = format!("{} = {}", col(p, &earlier), col(p, &rels[i]));
+        if join_syntax {
+            let kind = ["JOIN", "JOIN", "LEFT JOIN", "RIGHT JOIN"][p.pick(4)];
+            from = format!("{from} {kind} {} ON {on}", rels[i].0);
+        } else {
+            from = format!("{from}, {}", rels[i].0);
+            conditions.push(on);
+        }
+    }
+    let (a, b) = (rels[p.pick(rels.len())], rels[p.pick(rels.len())]);
+    match p.pick(5) {
+        0 => conditions.push(format!("{}.tenant_id = {}", a.1, 1 + p.pick(6))),
+        1 => conditions.push(format!(
+            "{}.tenant_id IN (SELECT tenant_id FROM tenants WHERE tenant_id < 8)",
+            a.1
+        )),
+        2 => conditions.push(format!(
+            "{}.{} IN (SELECT order_id FROM orders WHERE amount > 100)",
+            b.1, b.2
+        )),
+        _ => {}
+    }
+    let filter = if conditions.is_empty() {
+        String::new()
+    } else {
+        format!(" WHERE {}", conditions.join(" AND "))
+    };
+    let body = match p.pick(4) {
+        0 => format!("SELECT {}.tenant_id, {}.{} FROM {from}{filter}", a.1, b.1, b.2),
+        1 => format!(
+            "SELECT {0}.tenant_id, count(*) FROM {from}{filter} GROUP BY {0}.tenant_id",
+            a.1
+        ),
+        2 => format!("SELECT count(*), sum({}.{}) FROM {from}{filter}", b.1, b.2),
+        _ => format!("SELECT {0}.{1}, count(*) FROM {from}{filter} GROUP BY {0}.{1}", b.1, b.2),
+    };
+    if p.pick(4) == 0 {
+        format!("{body} ORDER BY 1, 2 LIMIT 5")
+    } else {
+        body
+    }
+}
+
+fn sorted_rows(r: &QueryResult) -> Vec<String> {
+    let mut rows: Vec<String> = r.rows().iter().map(|row| format!("{row:?}")).collect();
+    rows.sort();
+    rows
+}
+
+/// `Ok(true)` accepted and equal to the oracle, `Ok(false)` refused.
+fn check_generated(m: &mut MirrorRunner, picks: &[u8]) -> Result<bool, TestCaseError> {
+    let mut p = Picks(picks.iter());
+    let insert = p.pick(3) == 0;
+    let select = generated_select(&mut p);
+    if !insert {
+        let dist = match m.dist.run(&select) {
+            Ok(r) => r,
+            Err(e) => {
+                prop_assert_eq!(e.code.sqlstate(), "0A000", "`{}` refused with {:?}", select, e);
+                return Ok(false);
+            }
+        };
+        let oracle = m.oracle.run(&select).map_err(|e| {
+            TestCaseError::fail(format!("oracle refuses generated `{select}`: {e:?}"))
+        })?;
+        prop_assert_eq!(dist.columns(), oracle.columns(), "column names of `{}`", select);
+        prop_assert_eq!(sorted_rows(&dist), sorted_rows(&oracle), "rows of `{}`", select);
+        return Ok(true);
+    }
+    // the mirror compares affected counts and every read below
+    let sql = format!("INSERT INTO sink {select}");
+    let fail = |e| TestCaseError::fail(format!("`{sql}`: {e:?}"));
+    let inserted = match m.run(&sql) {
+        Ok(r) => r.affected() as usize,
+        // a NULL key (outer joins) is the other refusal an INSERT may meet
+        Err(e) if ["0A000", "23502"].contains(&e.code.sqlstate()) => return Ok(false),
+        Err(e) => return Err(fail(e)),
+    };
+    // every inserted row is found by its own key's router query
+    let keys = m.oracle.run("SELECT DISTINCT tenant_id FROM sink").map_err(fail)?;
+    let mut found = 0;
+    for key in keys.rows() {
+        let by_key =
+            format!("SELECT tenant_id, order_id FROM sink WHERE tenant_id = {}", key[0].to_text());
+        found += m.run(&by_key).map_err(fail)?.rows().len();
+    }
+    prop_assert_eq!(found, inserted, "rows of `{}` not found by their key", sql);
+    m.run("DELETE FROM sink").map_err(fail)?;
+    Ok(true)
+}
+
+/// The wall the judgement stands behind: whatever it accepts — any tier,
+/// any INSERT .. SELECT strategy — answers like a single node.
+#[test]
+fn judged_safe_statements_match_the_oracle() {
+    let (_c, mut m) = mirror(3);
+    judgement_schema(&mut m);
+    m.run("CREATE TABLE devices (device_id bigint PRIMARY KEY, tenant_id bigint)").unwrap();
+    m.run("SELECT create_distributed_table('devices', 'device_id', 'none')").unwrap();
+    for d in 1..=10i64 {
+        m.run(&format!("INSERT INTO devices VALUES ({d}, {})", d % 4 + 1)).unwrap();
+    }
+    let cases = 400;
+    let mut runner = TestRunner::new(ProptestConfig::with_cases(cases), "judgement_soundness");
+    let choices = prop::collection::vec(any::<u8>(), 24);
+    let (mut accepted, mut refused) = (0, 0);
+    while let Some(mut rng) = runner.next_case() {
+        let result = check_generated(&mut m, &choices.generate(&mut rng));
+        match result {
+            Ok(true) => accepted += 1,
+            Ok(false) => refused += 1,
+            Err(_) => {}
+        }
+        runner.finish_case(result.map(|_| ()));
+    }
+    println!("judgement soundness: {accepted} accepted, {refused} refused of {cases}");
+    assert!(m.divergence.is_none(), "divergence: {:?}", m.divergence);
+    // an over-strict judgement that refuses everything is not "sound"
+    assert!(accepted >= cases / 3, "only {accepted} of {cases} generated statements accepted");
 }
 
 /// The §4.1 delegation path: whole TPC-C transactions run as one delegated
