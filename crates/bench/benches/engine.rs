@@ -41,7 +41,7 @@ fn copy_partitioning(c: &mut Criterion) {
             let rows: Vec<Vec<Datum>> = (0..1000)
                 .map(|i| {
                     next += 1;
-                    vec![Datum::Int(next * 1000 + i), Datum::Text(format!("v{i}"))]
+                    vec![Datum::Int(next * 1000 + i), Datum::text(format!("v{i}"))]
                 })
                 .collect();
             let mut cs = cluster.session().unwrap();

@@ -77,8 +77,7 @@ pub fn fetch_changes(
     let end = engine.wal.lsn();
     if let Some((lsn, hint_seq)) = hint {
         if hint_seq == seq && lsn <= end {
-            let records = engine.wal.range(lsn, end);
-            let decoded = decode_table_changes(&records, lsn, table);
+            let decoded = engine.wal.read(lsn, end, |recs| decode_table_changes(recs, lsn, table));
             let new_seq = seq + decoded.changes.len() as u64;
             return Ok(ShardChanges {
                 changes: decoded.changes,
@@ -89,8 +88,7 @@ pub fn fetch_changes(
     }
     // cold path: replay the full log and skip the first `seq` committed
     // changes (crash/promote invalidated the hint, or there never was one)
-    let records = engine.wal.range(0, end);
-    let decoded = decode_table_changes(&records, 0, table);
+    let decoded = engine.wal.read(0, end, |recs| decode_table_changes(recs, 0, table));
     let total = decoded.changes.len() as u64;
     if total < seq {
         return Err(PgError::internal(format!(
@@ -108,8 +106,7 @@ pub fn fetch_changes(
 pub fn committed_count(engine: &Arc<Engine>, physical: &str) -> PgResult<(u64, Lsn)> {
     let table = engine.catalog.read().table_id(physical)?;
     let end = engine.wal.lsn();
-    let records = engine.wal.range(0, end);
-    let decoded = decode_table_changes(&records, 0, table);
+    let decoded = engine.wal.read(0, end, |recs| decode_table_changes(recs, 0, table));
     Ok((decoded.changes.len() as u64, decoded.horizon))
 }
 

@@ -176,7 +176,7 @@ impl CitrusExtension {
                 .as_str()?
                 .to_string();
             let colocate_with = match args.get(2) {
-                Some(Datum::Text(s)) if !s.is_empty() && s != "default" => Some(s.clone()),
+                Some(Datum::Text(s)) if !s.is_empty() && &**s != "default" => Some(&**s),
                 _ => None,
             };
             crate::table_mgmt::create_distributed_table(
@@ -184,7 +184,7 @@ impl CitrusExtension {
                 session,
                 &table,
                 &column,
-                colocate_with.as_deref(),
+                colocate_with,
             )?;
             Ok(Datum::Null)
         });
@@ -215,7 +215,7 @@ impl CitrusExtension {
             let rows_moved: u64 = reports.iter().map(|r| r.rows_moved).sum();
             let catchup_rows: u64 = reports.iter().map(|r| r.catchup_rows).sum();
             // per-move detail is queryable from citus_rebalance_status
-            Ok(Datum::Text(format!(
+            Ok(Datum::text(format!(
                 "moves={} rows_moved={rows_moved} catchup_rows={catchup_rows}",
                 reports.len()
             )))
@@ -1213,7 +1213,7 @@ fn render_distributed_plan(
 fn plan_rows(lines: Vec<String>) -> QueryResult {
     QueryResult::Rows {
         columns: vec!["QUERY PLAN".to_string()],
-        rows: lines.into_iter().map(|l| vec![Datum::Text(l)]).collect(),
+        rows: lines.into_iter().map(|l| vec![Datum::text(l)]).collect(),
     }
 }
 

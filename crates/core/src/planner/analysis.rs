@@ -19,7 +19,7 @@ use crate::metadata::{DistTable, Metadata};
 use pgmini::error::PgError;
 use pgmini::types::Datum;
 use sqlparse::ast::{
-    BinaryOp, Expr, JoinKind, Literal, Select, SelectItem, Statement, TableRef,
+    BinaryOp, Expr, JoinKind, Select, SelectItem, Statement, TableRef,
 };
 use std::fmt;
 
@@ -172,13 +172,7 @@ impl CoPartitioned {
 /// Extract a constant from literal (or cast-literal) expressions.
 pub fn const_datum(e: &Expr) -> Option<Datum> {
     match e {
-        Expr::Literal(l) => Some(match l {
-            Literal::Null => Datum::Null,
-            Literal::Bool(b) => Datum::Bool(*b),
-            Literal::Int(v) => Datum::Int(*v),
-            Literal::Float(v) => Datum::Float(*v),
-            Literal::String(s) => Datum::Text(s.clone()),
-        }),
+        Expr::Literal(l) => Some(pgmini::expr::literal_datum(l)),
         Expr::Cast { expr, ty } => const_datum(expr).and_then(|d| d.cast_to(*ty).ok()),
         Expr::Unary { op: sqlparse::ast::UnaryOp::Neg, expr } => {
             const_datum(expr).and_then(|d| match d {

@@ -519,15 +519,21 @@ fn apply_wal_delta(
     lsn_start: u64,
 ) -> PgResult<u64> {
     let mut catchup_rows = 0u64;
-    let delta = src_engine.wal.range(lsn_start, src_engine.wal.lsn());
-    // only apply effects of committed transactions within the delta
-    let committed: std::collections::HashSet<u64> = delta
-        .iter()
-        .filter_map(|r| match r {
-            WalRecord::Commit { xid } => Some(*xid),
-            _ => None,
-        })
-        .collect();
+    // only apply effects of committed transactions within the delta; of the
+    // source log, keep the moved tables' records and nothing else
+    let (committed, delta) = src_engine.wal.read(lsn_start, src_engine.wal.lsn(), |recs| {
+        let committed: HashSet<u64> = recs
+            .iter()
+            .filter_map(|r| match r {
+                WalRecord::Commit { xid } => Some(*xid),
+                _ => None,
+            })
+            .collect();
+        let moved = |t| table_ids.iter().any(|(sid, _, _)| *sid == t);
+        let delta: Vec<WalRecord> =
+            recs.iter().filter(|r| r.table().is_some_and(moved)).cloned().collect();
+        (committed, delta)
+    });
     for rec in &delta {
         let (xid, src_table, apply): (u64, pgmini::catalog::TableId, u8) = match rec {
             WalRecord::Insert { xid, table, .. } => (*xid, *table, 1),

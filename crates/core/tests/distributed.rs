@@ -324,7 +324,7 @@ fn distributed_copy_routes_rows() {
     s.execute("CREATE TABLE events (key bigint, payload text)").unwrap();
     s.execute("SELECT create_distributed_table('events', 'key')").unwrap();
     let rows: Vec<Vec<Datum>> = (0..500)
-        .map(|i| vec![Datum::Int(i), Datum::Text(format!("payload-{i}"))])
+        .map(|i| vec![Datum::Int(i), Datum::text(format!("payload-{i}"))])
         .collect();
     let n = s.copy("events", &[], rows).unwrap();
     assert_eq!(n, 500);

@@ -14,14 +14,14 @@
 use crate::catalog::{IndexId, IndexMethod, TableMeta};
 use crate::error::{ErrorCode, PgError, PgResult};
 use crate::exec::{
-    build_select_plan, passes, run_select_plan, scan_with_rowids, CtxSubquery, EngineCatalogView,
+    build_select_plan, passes, run_select_plan, scan_table, CtxSubquery, EngineCatalogView,
     ExecCtx,
 };
 use crate::expr::{bind, eval, BExpr, ColumnRef, RowScope};
 use crate::index::IndexStore;
 use crate::lock::{LockKey, LockMode};
 use crate::plan::{choose_access_paths, IndexProbe, PlanNode, SelectPlan};
-use crate::storage::{ExpireOutcome, TableStore};
+use crate::storage::{ExpireOutcome, HeapStore, TableStore};
 use crate::types::{Datum, Row};
 use crate::txn::INVALID_XID;
 use crate::wal::WalRecord;
@@ -196,14 +196,13 @@ fn row_exists_with(
         };
         ctx.cost.add_cpu(ctx.engine.config.cost.index_descend_ms);
         for rid in rids {
-            if let Some(v) = heap.visible_version(&ctx.engine.txns, &ctx.snap, rid) {
-                if cols
-                    .iter()
+            let matched = heap.with_visible_version(&ctx.engine.txns, &ctx.snap, rid, |v| {
+                cols.iter()
                     .zip(values)
                     .all(|(&c, val)| v[c].sql_cmp(val) == Some(std::cmp::Ordering::Equal))
-                {
-                    return Ok(true);
-                }
+            });
+            if matched == Some(true) {
+                return Ok(true);
             }
         }
         return Ok(false);
@@ -458,13 +457,13 @@ pub fn run_insert(ctx: &mut ExecCtx, plan: &InsertPlan) -> PgResult<u64> {
                 check_fk_outbound(ctx, meta, &row)?;
                 let row_id = heap.insert(ctx.xid, row.clone());
                 ctx.engine.index_insert_row(meta, row_id, &row)?;
+                charge_write(ctx, meta, &row)?;
                 ctx.engine.wal.append(WalRecord::Insert {
                     xid: ctx.xid,
                     table: meta.id,
                     row_id,
-                    row: row.clone(),
+                    row,
                 });
-                charge_write(ctx, meta, &row)?;
                 count += 1;
             }
             Ok(count)
@@ -508,10 +507,8 @@ fn find_conflict(
         let istore = ctx.engine.index_store(*iid)?;
         let IndexStore::BTree(b) = &*istore else { continue };
         for rid in b.get_eq(&values) {
-            if let Some(v) = heap.visible_version(&ctx.engine.txns, &ctx.snap, rid) {
-                if matches(&v) {
-                    return Ok(Some(rid));
-                }
+            if heap.with_visible_version(&ctx.engine.txns, &ctx.snap, rid, matches) == Some(true) {
+                return Ok(Some(rid));
             }
         }
         return Ok(None);
@@ -541,8 +538,7 @@ fn apply_conflict_update(
     let Some(current) = heap.visible_version(&ctx.engine.txns, &fresh, row_id) else {
         return Ok(()); // row vanished; PostgreSQL would retry, we no-op
     };
-    let mut eval_row = current.clone();
-    eval_row.extend(proposed.iter().cloned());
+    let eval_row: Row = current.iter().chain(proposed).cloned().collect();
     let mut new_row = current.clone();
     for (c, b) in assignments {
         let v = eval(b, &eval_row, &ctx.eval_ctx)?;
@@ -560,16 +556,25 @@ fn apply_conflict_update(
     if outcome != ExpireOutcome::Expired {
         return Ok(());
     }
+    log_new_version(ctx, meta, heap, row_id, current, new_row)
+}
+
+/// The write half of UPDATE, once the old version is expired: the new image
+/// goes to the heap, its indexes and the WAL. `old_row` and `new_row` are
+/// moved, not copied; the heap and the WAL each need a row spine of their
+/// own, and that one clone shares every payload.
+fn log_new_version(
+    ctx: &mut ExecCtx,
+    meta: &TableMeta,
+    heap: &HeapStore,
+    row_id: u64,
+    old_row: Row,
+    new_row: Row,
+) -> PgResult<()> {
     heap.insert_version(row_id, ctx.xid, new_row.clone());
     ctx.engine.index_insert_row(meta, row_id, &new_row)?;
-    ctx.engine.wal.append(WalRecord::Update {
-        xid: ctx.xid,
-        table: meta.id,
-        row_id,
-        old_row: current,
-        new_row: new_row.clone(),
-    });
     charge_write(ctx, meta, &new_row)?;
+    ctx.engine.wal.append(WalRecord::Update { xid: ctx.xid, table: meta.id, row_id, old_row, new_row });
     Ok(())
 }
 
@@ -598,10 +603,11 @@ fn plan_targets(
 }
 
 impl TargetScan {
-    /// `(row_id, row)` candidates under the statement snapshot.
-    fn run(&self, ctx: &mut ExecCtx, meta: &TableMeta) -> PgResult<Vec<(u64, Row)>> {
+    /// Ids of the candidate rows under the statement snapshot. The rows are
+    /// re-read under a fresh snapshot once locked, so none is copied here.
+    fn run(&self, ctx: &mut ExecCtx, meta: &TableMeta) -> PgResult<Vec<u64>> {
         let index = self.index.as_ref().map(|(id, probe)| (*id, probe));
-        scan_with_rowids(ctx, meta.id, index, &self.filter, None)
+        scan_table(ctx, meta.id, index, &self.filter, None, |row_id, _| row_id)
     }
 }
 
@@ -622,7 +628,7 @@ pub fn run_update(ctx: &mut ExecCtx, plan: &UpdatePlan) -> PgResult<u64> {
     let store = ctx.engine.store(meta.id)?;
     let heap = store.heap()?;
     let mut count = 0u64;
-    for (row_id, _seen) in targets {
+    for row_id in targets {
         ctx.engine.locks.acquire(ctx.xid, LockKey::Row(meta.id, row_id), LockMode::Exclusive)?;
         let fresh = ctx.engine.txns.snapshot(ctx.xid);
         let Some(current) = heap.visible_version(&ctx.engine.txns, &fresh, row_id) else {
@@ -649,16 +655,7 @@ pub fn run_update(ctx: &mut ExecCtx, plan: &UpdatePlan) -> PgResult<u64> {
             ExpireOutcome::Expired => {}
             _ => continue,
         }
-        heap.insert_version(row_id, ctx.xid, new_row.clone());
-        ctx.engine.index_insert_row(meta, row_id, &new_row)?;
-        ctx.engine.wal.append(WalRecord::Update {
-            xid: ctx.xid,
-            table: meta.id,
-            row_id,
-            old_row: current,
-            new_row: new_row.clone(),
-        });
-        charge_write(ctx, meta, &new_row)?;
+        log_new_version(ctx, meta, heap, row_id, current, new_row)?;
         count += 1;
     }
     Ok(count)
@@ -680,7 +677,7 @@ pub fn run_delete(ctx: &mut ExecCtx, plan: &DeletePlan) -> PgResult<u64> {
     let store = ctx.engine.store(meta.id)?;
     let heap = store.heap()?;
     let mut count = 0u64;
-    for (row_id, _seen) in targets {
+    for row_id in targets {
         ctx.engine.locks.acquire(ctx.xid, LockKey::Row(meta.id, row_id), LockMode::Exclusive)?;
         let fresh = ctx.engine.txns.snapshot(ctx.xid);
         let Some(current) = heap.visible_version(&ctx.engine.txns, &fresh, row_id) else {
@@ -747,13 +744,13 @@ pub fn exec_copy(
                 check_fk_outbound(ctx, &meta, &row)?;
                 let row_id = heap.insert(ctx.xid, row.clone());
                 ctx.engine.index_insert_row(&meta, row_id, &row)?;
+                charge_write(ctx, &meta, &row)?;
                 ctx.engine.wal.append(WalRecord::Insert {
                     xid: ctx.xid,
                     table: meta.id,
                     row_id,
-                    row: row.clone(),
+                    row,
                 });
-                charge_write(ctx, &meta, &row)?;
                 count += 1;
             }
             Ok(count)

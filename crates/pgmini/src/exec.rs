@@ -18,6 +18,7 @@ use crate::storage::TableStore;
 use crate::txn::{Snapshot, Xid, INVALID_XID};
 use crate::types::{Datum, Row, SortKey};
 use sqlparse::ast::JoinKind;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -139,17 +140,20 @@ fn columnar_scan_io(
     (pages, misses)
 }
 
-/// Scan a table, returning `(row_id, row)` pairs that pass `filter`.
-/// This is the shared primitive behind SELECT scans, UPDATE/DELETE target
-/// collection, and FOR UPDATE. `cols` is the planner's referenced-column set
+/// Scan a table and collect what `keep(row_id, row)` makes of each row that
+/// passes `filter`. This is the shared primitive behind SELECT scans (which
+/// keep the row), UPDATE/DELETE target collection and FOR UPDATE (which keep
+/// the row id and never copy the row). A heap row is lent, a columnar row is
+/// handed over (its id is 0). `cols` is the planner's referenced-column set
 /// (projection pushdown); `None` reads every column.
-pub fn scan_with_rowids(
+pub fn scan_table<T>(
     ctx: &mut ExecCtx,
     table: TableId,
     index: Option<(crate::catalog::IndexId, &IndexProbe)>,
     filter: &Option<BExpr>,
     cols: Option<&[usize]>,
-) -> PgResult<Vec<(u64, Row)>> {
+    mut keep: impl FnMut(u64, Cow<'_, Row>) -> T,
+) -> PgResult<Vec<T>> {
     let meta = ctx.engine.table_meta_by_id(table)?;
     let store = ctx.engine.store(table)?;
     let model = ctx.model();
@@ -168,7 +172,7 @@ pub fn scan_with_rowids(
                     }
                     scanned += 1;
                     match passes(filter, &t.data, &ctx.eval_ctx) {
-                        Ok(true) => out.push((t.row_id, t.data.clone())),
+                        Ok(true) => out.push(keep(t.row_id, Cow::Borrowed(&t.data))),
                         Ok(false) => {}
                         Err(e) => err = Some(e),
                     }
@@ -231,7 +235,7 @@ pub fn scan_with_rowids(
                                 batches += 1;
                                 scanned += len as u64;
                                 for row in batch.take_rows(&selected) {
-                                    out.push((0, row));
+                                    out.push(keep(0, Cow::Owned(row)));
                                 }
                                 lo += len;
                             }
@@ -256,7 +260,7 @@ pub fn scan_with_rowids(
                         }
                         scanned += 1;
                         match passes(filter, &row, &ctx.eval_ctx) {
-                            Ok(true) => out.push((0, row)),
+                            Ok(true) => out.push(keep(0, Cow::Owned(row))),
                             Ok(false) => {}
                             Err(e) => err = Some(e),
                         }
@@ -316,7 +320,7 @@ pub fn scan_with_rowids(
                         Some(ids) => ids,
                         None => {
                             // pattern too short: seq scan fallback
-                            return scan_with_rowids(ctx, table, None, filter, cols);
+                            return scan_table(ctx, table, None, filter, cols, keep);
                         }
                     }
                 }
@@ -336,13 +340,14 @@ pub fn scan_with_rowids(
                 let misses =
                     ctx.engine.buffer.point_read(BufferKey::Table(table.0), table_pages, 1);
                 ctx.cost.add_pages(&model, 1, misses);
-                if let Some(row) =
-                    heap.visible_version(&ctx.engine.txns, &ctx.snap, row_id)
-                {
+                let kept =
+                    heap.with_visible_version(&ctx.engine.txns, &ctx.snap, row_id, |row| {
+                        passes(filter, row, &ctx.eval_ctx)
+                            .map(|ok| ok.then(|| keep(row_id, Cow::Borrowed(row))))
+                    });
+                if let Some(kept) = kept {
                     ctx.cost.add_tuples(&model, 1);
-                    if passes(filter, &row, &ctx.eval_ctx)? {
-                        out.push((row_id, row));
-                    }
+                    out.extend(kept?);
                 }
             }
         }
@@ -354,16 +359,10 @@ pub fn scan_with_rowids(
 pub fn run_plan_node(ctx: &mut ExecCtx, node: &PlanNode) -> PgResult<Vec<Row>> {
     match node {
         PlanNode::SeqScan { table, filter, cols } => {
-            Ok(scan_with_rowids(ctx, *table, None, filter, cols.as_deref())?
-                .into_iter()
-                .map(|(_, r)| r)
-                .collect())
+            scan_table(ctx, *table, None, filter, cols.as_deref(), |_, r| r.into_owned())
         }
         PlanNode::IndexScan { table, index, probe, filter } => {
-            Ok(scan_with_rowids(ctx, *table, Some((*index, probe)), filter, None)?
-                .into_iter()
-                .map(|(_, r)| r)
-                .collect())
+            scan_table(ctx, *table, Some((*index, probe)), filter, None, |_, r| r.into_owned())
         }
         PlanNode::Materialized { rows, .. } => {
             ctx.cost.add_tuples(&ctx.model(), rows.len() as u64);
@@ -725,9 +724,9 @@ pub fn run_select_plan(ctx: &mut ExecCtx, plan: &SelectPlan) -> PgResult<(Vec<St
             PlanNode::IndexScan { index, probe, filter, .. } => (Some((*index, probe)), filter),
             _ => return Err(PgError::unsupported("FOR UPDATE on joins")),
         };
-        let targets = scan_with_rowids(ctx, table, index, filter, None)?;
+        let targets = scan_table(ctx, table, index, filter, None, |row_id, _| row_id)?;
         let mut rows = Vec::new();
-        for (row_id, _) in targets {
+        for row_id in targets {
             ctx.engine.locks.acquire(ctx.xid, LockKey::Row(table, row_id), LockMode::Exclusive)?;
             // recheck under a fresh snapshot after acquiring the lock
             let fresh = ctx.engine.txns.snapshot(ctx.xid);

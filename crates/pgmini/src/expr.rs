@@ -350,7 +350,7 @@ pub fn literal_datum(l: &Literal) -> Datum {
         Literal::Bool(b) => Datum::Bool(*b),
         Literal::Int(v) => Datum::Int(*v),
         Literal::Float(v) => Datum::Float(*v),
-        Literal::String(s) => Datum::Text(s.clone()),
+        Literal::String(s) => Datum::from_text(s),
     }
 }
 
@@ -362,7 +362,7 @@ pub fn datum_expr(d: &Datum) -> Expr {
         Datum::Bool(b) => Expr::Literal(Literal::Bool(*b)),
         Datum::Int(v) => Expr::Literal(Literal::Int(*v)),
         Datum::Float(v) => Expr::Literal(Literal::Float(*v)),
-        Datum::Text(s) => Expr::Literal(Literal::String(s.clone())),
+        Datum::Text(s) => Expr::Literal(Literal::String(s.to_string())),
         Datum::Timestamp(_) | Datum::Json(_) => Expr::Cast {
             expr: Box::new(Expr::Literal(Literal::String(d.to_text()))),
             ty: if matches!(d, Datum::Timestamp(_)) { TypeName::Timestamp } else { TypeName::Json },
@@ -543,11 +543,15 @@ pub(crate) fn apply_binary(op: BinaryOp, l: Datum, r: Datum) -> PgResult<Datum> 
         return Ok(Datum::Null);
     }
     match op {
-        BinaryOp::Concat => Ok(Datum::Text(format!("{}{}", l.to_text(), r.to_text()))),
+        BinaryOp::Concat => Ok(Datum::text(format!("{}{}", l.to_text(), r.to_text()))),
         BinaryOp::JsonGet | BinaryOp::JsonGetText => {
-            let j = match &l {
-                Datum::Json(j) => j.clone(),
-                Datum::Text(s) => Json::parse(s)?,
+            let parsed;
+            let j: &Json = match &l {
+                Datum::Json(j) => j,
+                Datum::Text(s) => {
+                    parsed = Json::parse(s)?;
+                    &parsed
+                }
                 other => {
                     return Err(PgError::new(
                         ErrorCode::InvalidText,
@@ -556,18 +560,18 @@ pub(crate) fn apply_binary(op: BinaryOp, l: Datum, r: Datum) -> PgResult<Datum> 
                 }
             };
             let child = match &r {
-                Datum::Int(i) => j.get_index(*i as usize).cloned(),
-                other => j.get(&other.to_text()).cloned(),
+                Datum::Int(i) => j.get_index(*i as usize),
+                other => j.get(&other.to_text()),
             };
             Ok(match child {
                 None => Datum::Null,
                 Some(c) => {
                     if op == BinaryOp::JsonGet {
-                        Datum::Json(c)
+                        Datum::json(c.clone())
                     } else if matches!(c, Json::Null) {
                         Datum::Null
                     } else {
-                        Datum::Text(c.as_text())
+                        Datum::text(c.as_text())
                     }
                 }
             })
@@ -661,12 +665,12 @@ fn eval_func(f: Builtin, args: &[BExpr], row: &Row, ctx: &EvalCtx) -> PgResult<D
         Builtin::Lower => {
             arity(1)?;
             let a = v(0)?;
-            Ok(if a.is_null() { Datum::Null } else { Datum::Text(a.to_text().to_lowercase()) })
+            Ok(if a.is_null() { Datum::Null } else { Datum::text(a.to_text().to_lowercase()) })
         }
         Builtin::Upper => {
             arity(1)?;
             let a = v(0)?;
-            Ok(if a.is_null() { Datum::Null } else { Datum::Text(a.to_text().to_uppercase()) })
+            Ok(if a.is_null() { Datum::Null } else { Datum::text(a.to_text().to_uppercase()) })
         }
         Builtin::Length => {
             arity(1)?;
@@ -694,7 +698,7 @@ fn eval_func(f: Builtin, args: &[BExpr], row: &Row, ctx: &EvalCtx) -> PgResult<D
             } else {
                 chars.iter().skip(start).collect()
             };
-            Ok(Datum::Text(slice))
+            Ok(Datum::text(slice))
         }
         Builtin::Concat => {
             let mut out = String::new();
@@ -704,7 +708,7 @@ fn eval_func(f: Builtin, args: &[BExpr], row: &Row, ctx: &EvalCtx) -> PgResult<D
                     out.push_str(&x.to_text());
                 }
             }
-            Ok(Datum::Text(out))
+            Ok(Datum::text(out))
         }
         Builtin::Replace => {
             arity(3)?;
@@ -712,7 +716,7 @@ fn eval_func(f: Builtin, args: &[BExpr], row: &Row, ctx: &EvalCtx) -> PgResult<D
             if s.is_null() || from.is_null() || to.is_null() {
                 return Ok(Datum::Null);
             }
-            Ok(Datum::Text(s.to_text().replace(&from.to_text(), &to.to_text())))
+            Ok(Datum::text(s.to_text().replace(&from.to_text(), &to.to_text())))
         }
         Builtin::Position => {
             arity(2)?;
@@ -733,7 +737,7 @@ fn eval_func(f: Builtin, args: &[BExpr], row: &Row, ctx: &EvalCtx) -> PgResult<D
             let text = a.to_text();
             let h1 = hash_bytes(text.as_bytes());
             let h2 = hash_bytes(format!("md5:{text}").as_bytes());
-            Ok(Datum::Text(format!("{h1:016x}{h2:016x}")))
+            Ok(Datum::text(format!("{h1:016x}{h2:016x}")))
         }
         Builtin::Floor | Builtin::Ceil | Builtin::Abs | Builtin::Sqrt => {
             arity(1)?;
@@ -913,7 +917,7 @@ fn eval_func(f: Builtin, args: &[BExpr], row: &Row, ctx: &EvalCtx) -> PgResult<D
                 (Datum::Null, _) | (_, Datum::Null) => Ok(Datum::Null),
                 (Datum::Json(j), p) => {
                     let hits = j.path_query(&p.to_text())?;
-                    Ok(Datum::Json(Json::Array(hits.into_iter().cloned().collect())))
+                    Ok(Datum::json(Json::Array(hits.into_iter().cloned().collect())))
                 }
                 (other, _) => Err(PgError::new(
                     ErrorCode::InvalidText,
@@ -925,17 +929,14 @@ fn eval_func(f: Builtin, args: &[BExpr], row: &Row, ctx: &EvalCtx) -> PgResult<D
             arity(1)?;
             match v(0)? {
                 Datum::Null => Ok(Datum::Null),
-                Datum::Json(j) => Ok(Datum::Text(
-                    match j {
-                        Json::Null => "null",
-                        Json::Bool(_) => "boolean",
-                        Json::Number(_) => "number",
-                        Json::String(_) => "string",
-                        Json::Array(_) => "array",
-                        Json::Object(_) => "object",
-                    }
-                    .to_string(),
-                )),
+                Datum::Json(j) => Ok(Datum::text(match *j {
+                    Json::Null => "null",
+                    Json::Bool(_) => "boolean",
+                    Json::Number(_) => "number",
+                    Json::String(_) => "string",
+                    Json::Array(_) => "array",
+                    Json::Object(_) => "object",
+                })),
                 other => Err(PgError::new(
                     ErrorCode::InvalidText,
                     format!("jsonb_typeof on non-json {}", other.to_text()),
@@ -968,7 +969,7 @@ mod tests {
             Datum::Int(10),
             Datum::Float(2.5),
             Datum::from_text("Hello"),
-            Datum::Json(Json::parse(r#"{"k": "v", "xs": [1, 2, 3]}"#).unwrap()),
+            Datum::json(Json::parse(r#"{"k": "v", "xs": [1, 2, 3]}"#).unwrap()),
         ]
     }
 
@@ -1042,11 +1043,11 @@ mod tests {
         let r = sample_row();
         assert_eq!(run("data->>'k'", &r), Datum::from_text("v"));
         assert_eq!(run("jsonb_array_length(data->'xs')", &r), Datum::Int(3));
-        assert_eq!(run("data->'xs'->1", &r), Datum::Json(Json::Number(2.0)));
+        assert_eq!(run("data->'xs'->1", &r), Datum::json(Json::Number(2.0)));
         assert_eq!(run("data->>'missing'", &r), Datum::Null);
         assert_eq!(
             run("jsonb_path_query_array(data, '$.xs[*]')", &r),
-            Datum::Json(Json::parse("[1,2,3]").unwrap())
+            Datum::json(Json::parse("[1,2,3]").unwrap())
         );
     }
 

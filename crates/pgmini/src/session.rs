@@ -597,7 +597,7 @@ impl Session {
         }
         Ok(QueryResult::Rows {
             columns: vec!["QUERY PLAN".to_string()],
-            rows: lines.into_iter().map(|l| vec![Datum::Text(l)]).collect(),
+            rows: lines.into_iter().map(|l| vec![Datum::text(l)]).collect(),
         })
     }
 
@@ -712,7 +712,7 @@ impl Session {
                 .into_iter()
                 .map(|f| match f {
                     None => Datum::Null,
-                    Some(text) => Datum::Text(text),
+                    Some(text) => Datum::text(text),
                 })
                 .collect();
             rows.push(row);

@@ -9,15 +9,17 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-/// One heap tuple version. `data` is immutable once written; updates append
-/// a new version sharing the same `row_id`.
+/// One heap tuple version. `data` is immutable while the version is live;
+/// updates append a new version sharing the same `row_id`.
 #[derive(Debug)]
 pub struct HeapTuple {
     /// Stable logical row identity, shared across MVCC versions.
     pub row_id: u64,
     pub xmin: Xid,
     xmax: AtomicU64,
-    /// Tombstone set by vacuum; dead slots are invisible and may be reused.
+    /// Tombstone set by vacuum. The slot itself stays, so slot numbers (the
+    /// version chains' indexes) and `slot_count()` page math do not shift;
+    /// the row image is freed: a dead slot's `data` is the empty row.
     dead: std::sync::atomic::AtomicBool,
     pub data: Row,
 }
@@ -113,23 +115,36 @@ impl HeapStore {
         }
     }
 
-    /// The visible version of `row_id` under `snap`, if any.
-    pub fn visible_version(
+    /// Lend the visible version of `row_id` under `snap`, if any, to `f`
+    /// (which runs under the heap's read lock).
+    pub fn with_visible_version<R>(
         &self,
         txns: &TxnManager,
         snap: &Snapshot,
         row_id: u64,
-    ) -> Option<Row> {
+        f: impl FnOnce(&Row) -> R,
+    ) -> Option<R> {
         let inner = self.inner.read();
         let slots = inner.versions.get(&row_id)?;
         // newest first: at most one version is visible to a snapshot
         for &slot in slots.iter().rev() {
             let t = &inner.tuples[slot as usize];
             if !t.is_dead() && tuple_visible(txns, snap, t.xmin, t.xmax()) {
-                return Some(t.data.clone());
+                return Some(f(&t.data));
             }
         }
         None
+    }
+
+    /// The visible version of `row_id` under `snap`, if any: a new row spine
+    /// whose text and JSON payloads are the heap's own.
+    pub fn visible_version(
+        &self,
+        txns: &TxnManager,
+        snap: &Snapshot,
+        row_id: u64,
+    ) -> Option<Row> {
+        self.with_visible_version(txns, snap, row_id, Row::clone)
     }
 
     /// Expire the currently-visible version of `row_id` (the delete half of
@@ -215,13 +230,14 @@ impl HeapStore {
         self.inner.read().tuples.len() as u64
     }
 
-    /// Vacuum: tombstone versions no snapshot can still see. Returns the
-    /// reclaimed `(row_id, data)` pairs so the caller can clean indexes.
+    /// Vacuum: tombstone versions no snapshot can still see and take their
+    /// row images out of the heap. Returns the reclaimed `(row_id, data)`
+    /// pairs so the caller can clean indexes; dropping them frees the images.
     pub fn vacuum(&self, txns: &TxnManager, horizon: Xid) -> Vec<(u64, Row)> {
         let mut inner = self.inner.write();
         let mut reclaimed = Vec::new();
         let HeapInner { tuples, versions } = &mut *inner;
-        for t in tuples.iter() {
+        for t in tuples.iter_mut() {
             if t.is_dead() {
                 continue;
             }
@@ -235,7 +251,7 @@ impl HeapStore {
             };
             if dead {
                 t.dead.store(true, Ordering::Release);
-                reclaimed.push((t.row_id, t.data.clone()));
+                reclaimed.push((t.row_id, std::mem::take(&mut t.data)));
             }
         }
         // drop dead slots from version chains
@@ -569,6 +585,13 @@ mod tests {
         let reclaimed = heap.vacuum(&tm, tm.oldest_active_xid());
         assert_eq!(reclaimed.len(), 1);
         assert_eq!(reclaimed[0].1, row(1));
+        // the tombstone keeps its slot, the image is gone
+        assert_eq!(heap.slot_count(), 2);
+        {
+            let inner = heap.inner.read();
+            assert!(inner.tuples[0].is_dead() && inner.tuples[0].data.is_empty());
+            assert!(!inner.tuples[1].is_dead() && inner.tuples[1].data == row(2));
+        }
         // live version survives
         assert_eq!(heap.visible_version(&tm, &tm.snapshot(INVALID_XID), rid), Some(row(2)));
         // re-vacuum finds nothing

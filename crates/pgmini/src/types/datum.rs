@@ -6,16 +6,22 @@ use super::time;
 use crate::error::{ErrorCode, PgError, PgResult};
 use sqlparse::ast::TypeName;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// A runtime value. `Timestamp` is microseconds since the Unix epoch.
+///
+/// The two variable-size payloads are reference-counted and immutable, so
+/// cloning a `Datum` never copies string bytes or a JSON tree: a heap
+/// version, its WAL image, a decoded change and a result row all point at
+/// the one allocation made when the value was first built.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Datum {
     Null,
     Bool(bool),
     Int(i64),
     Float(f64),
-    Text(String),
-    Json(Json),
+    Text(Arc<str>),
+    Json(Arc<Json>),
     Timestamp(i64),
 }
 
@@ -40,8 +46,18 @@ impl Datum {
         })
     }
 
+    /// A text value from anything that converts to the shared payload
+    /// (`&str`, `String`, an existing `Arc<str>`).
+    pub fn text<S: Into<Arc<str>>>(s: S) -> Datum {
+        Datum::Text(s.into())
+    }
+
     pub fn from_text(s: &str) -> Datum {
-        Datum::Text(s.to_string())
+        Datum::text(s)
+    }
+
+    pub fn json(j: Json) -> Datum {
+        Datum::Json(Arc::new(j))
     }
 
     /// SQL-style text rendering (no quotes), as `::text` would produce.
@@ -51,14 +67,8 @@ impl Datum {
             Datum::Bool(true) => "t".to_string(),
             Datum::Bool(false) => "f".to_string(),
             Datum::Int(v) => v.to_string(),
-            Datum::Float(v) => {
-                if v.fract() == 0.0 && v.is_finite() && v.abs() < 1e15 {
-                    format!("{v}")
-                } else {
-                    format!("{v}")
-                }
-            }
-            Datum::Text(s) => s.clone(),
+            Datum::Float(v) => format!("{v}"),
+            Datum::Text(s) => s.to_string(),
             Datum::Json(j) => j.to_string(),
             Datum::Timestamp(t) => time::format_timestamp(*t),
         }
@@ -129,7 +139,10 @@ impl Datum {
                 Datum::Text(s) => Datum::Int(
                     s.trim().parse::<i64>().map_err(|_| bad(self))?,
                 ),
-                Datum::Json(Json::Number(n)) => Datum::Int(n.round() as i64),
+                Datum::Json(j) => match **j {
+                    Json::Number(n) => Datum::Int(n.round() as i64),
+                    _ => return Err(bad(self)),
+                },
                 _ => return Err(bad(self)),
             },
             TypeName::Float => match self {
@@ -138,10 +151,16 @@ impl Datum {
                 Datum::Text(s) => {
                     Datum::Float(s.trim().parse::<f64>().map_err(|_| bad(self))?)
                 }
-                Datum::Json(Json::Number(n)) => Datum::Float(*n),
+                Datum::Json(j) => match **j {
+                    Json::Number(n) => Datum::Float(n),
+                    _ => return Err(bad(self)),
+                },
                 _ => return Err(bad(self)),
             },
-            TypeName::Text => Datum::Text(self.to_text()),
+            TypeName::Text => match self {
+                Datum::Text(_) => self.clone(),
+                other => Datum::text(other.to_text()),
+            },
             TypeName::Bool => match self {
                 Datum::Bool(b) => Datum::Bool(*b),
                 Datum::Int(v) => Datum::Bool(*v != 0),
@@ -153,11 +172,11 @@ impl Datum {
                 _ => return Err(bad(self)),
             },
             TypeName::Json => match self {
-                Datum::Json(j) => Datum::Json(j.clone()),
-                Datum::Text(s) => Datum::Json(Json::parse(s)?),
-                Datum::Int(v) => Datum::Json(Json::Number(*v as f64)),
-                Datum::Float(v) => Datum::Json(Json::Number(*v)),
-                Datum::Bool(b) => Datum::Json(Json::Bool(*b)),
+                Datum::Json(_) => self.clone(),
+                Datum::Text(s) => Datum::json(Json::parse(s)?),
+                Datum::Int(v) => Datum::json(Json::Number(*v as f64)),
+                Datum::Float(v) => Datum::json(Json::Number(*v)),
+                Datum::Bool(b) => Datum::json(Json::Bool(*b)),
                 _ => return Err(bad(self)),
             },
             TypeName::Timestamp => match self {
@@ -342,8 +361,8 @@ mod tests {
     fn text_and_json_hashing() {
         assert_eq!(Datum::from_text("abc").hash64(), Datum::from_text("abc").hash64());
         assert_ne!(Datum::from_text("abc").hash64(), Datum::from_text("abd").hash64());
-        let j1 = Datum::Json(Json::parse(r#"{"a":1,"b":2}"#).unwrap());
-        let j2 = Datum::Json(Json::parse(r#"{"b":2,"a":1}"#).unwrap());
+        let j1 = Datum::json(Json::parse(r#"{"a":1,"b":2}"#).unwrap());
+        let j2 = Datum::json(Json::parse(r#"{"b":2,"a":1}"#).unwrap());
         assert_eq!(j1.hash64(), j2.hash64());
     }
 
@@ -377,6 +396,22 @@ mod tests {
         assert!(b < c);
         let with_null = SortKey(vec![Datum::Null]);
         assert!(a < with_null, "nulls sort last");
+    }
+
+    #[test]
+    fn a_clone_shares_the_payload() {
+        assert_eq!(std::mem::size_of::<Datum>(), 24);
+        let t = Datum::text("abc");
+        let j = Datum::json(Json::parse("[1]").unwrap());
+        match (&t, &t.clone(), &j, &j.clone()) {
+            (Datum::Text(a), Datum::Text(b), Datum::Json(c), Datum::Json(d)) => {
+                assert!(Arc::ptr_eq(a, b) && Arc::ptr_eq(c, d));
+            }
+            _ => unreachable!(),
+        }
+        // a cast to the type a value already has is the value itself
+        let Datum::Text(cast) = t.cast_to(TypeName::Text).unwrap() else { unreachable!() };
+        assert!(matches!(&t, Datum::Text(orig) if Arc::ptr_eq(orig, &cast)));
     }
 
     #[test]

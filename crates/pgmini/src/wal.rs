@@ -58,6 +58,17 @@ impl WalRecord {
             _ => None,
         }
     }
+
+    /// The table a data record changes; `None` for every other record.
+    pub fn table(&self) -> Option<TableId> {
+        match self {
+            WalRecord::Insert { table, .. }
+            | WalRecord::Update { table, .. }
+            | WalRecord::Delete { table, .. }
+            | WalRecord::ColumnarAppend { table, .. } => Some(*table),
+            _ => None,
+        }
+    }
 }
 
 /// In-memory write-ahead log for one engine.
@@ -79,11 +90,18 @@ impl Wal {
         self.records.lock().len() as Lsn
     }
 
-    /// Records in `(from, to]` — what a standby pulls to catch up.
-    pub fn range(&self, from: Lsn, to: Lsn) -> Vec<WalRecord> {
+    /// Lend the records in `(from, to]` to `f` without copying them. `f` runs
+    /// under the log's lock: it must not append to this log or run SQL.
+    pub fn read<R>(&self, from: Lsn, to: Lsn, f: impl FnOnce(&[WalRecord]) -> R) -> R {
         let r = self.records.lock();
         let to = (to as usize).min(r.len());
-        r[(from as usize).min(to)..to].to_vec()
+        f(&r[(from as usize).min(to)..to])
+    }
+
+    /// An owned copy of the records in `(from, to]` — what a standby pulls to
+    /// catch up.
+    pub fn range(&self, from: Lsn, to: Lsn) -> Vec<WalRecord> {
+        self.read(from, to, <[WalRecord]>::to_vec)
     }
 
     /// Full copy of the log (for backup archiving).
@@ -180,13 +198,7 @@ pub fn decode_table_changes(records: &[WalRecord], base_lsn: Lsn, table: TableId
     }
     let mut out = TableChanges::default();
     for (i, rec) in records.iter().enumerate() {
-        let (xid, rec_table) = match rec {
-            WalRecord::Insert { xid, table, .. }
-            | WalRecord::Update { xid, table, .. }
-            | WalRecord::Delete { xid, table, .. }
-            | WalRecord::ColumnarAppend { xid, table, .. } => (*xid, *table),
-            _ => continue,
-        };
+        let (Some(xid), Some(rec_table)) = (rec.xid(), rec.table()) else { continue };
         if rec_table != table {
             continue;
         }
@@ -272,8 +284,8 @@ fn get_datum(buf: &mut Bytes) -> PgResult<Datum> {
         1 => Datum::Bool(buf.get_u8() != 0),
         2 => Datum::Int(buf.get_i64()),
         3 => Datum::Float(buf.get_f64()),
-        4 => Datum::Text(get_str(buf)?),
-        5 => Datum::Json(Json::parse(&get_str(buf)?)?),
+        4 => Datum::text(get_str(buf)?),
+        5 => Datum::json(Json::parse(&get_str(buf)?)?),
         6 => Datum::Timestamp(buf.get_i64()),
         _ => return Err(corrupt()),
     })
@@ -441,7 +453,7 @@ mod tests {
                     Datum::Float(2.5),
                     Datum::Bool(true),
                     Datum::Timestamp(123_456),
-                    Datum::Json(Json::parse(r#"{"a": [1, 2]}"#).unwrap()),
+                    Datum::json(Json::parse(r#"{"a": [1, 2]}"#).unwrap()),
                 ],
             },
             WalRecord::Update {
@@ -487,6 +499,10 @@ mod tests {
         assert_eq!(wal.range(0, 3).len(), 3);
         assert_eq!(wal.range(8, 100).len(), 4);
         assert_eq!(wal.range(5, 3).len(), 0);
+        // `read` lends the slice `range` copies
+        let tail = wal.range(8, 100);
+        assert!(wal.read(8, 100, |lent| lent == tail.as_slice()));
+        assert_eq!(wal.read(5, 3, <[WalRecord]>::len), 0);
     }
 
     #[test]

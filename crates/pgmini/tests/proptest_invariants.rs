@@ -9,7 +9,7 @@ fn arb_datum() -> impl Strategy<Value = Datum> {
         any::<bool>().prop_map(Datum::Bool),
         any::<i64>().prop_map(Datum::Int),
         (-1e12..1e12f64).prop_map(Datum::Float),
-        "[a-zA-Z0-9 _-]{0,16}".prop_map(Datum::Text),
+        "[a-zA-Z0-9 _-]{0,16}".prop_map(Datum::text::<String>),
         (-4_000_000_000_000i64..4_000_000_000_000i64).prop_map(Datum::Timestamp),
     ]
 }

@@ -94,8 +94,8 @@ impl EventGenerator {
             ("payload", Json::obj(vec![("commits", Json::Array(commits))])),
         ]);
         vec![
-            Datum::Text(format!("evt-{:02}-{:08x}", self.day, self.seq)),
-            Datum::Json(data),
+            Datum::text(format!("evt-{:02}-{:08x}", self.day, self.seq)),
+            Datum::json(data),
         ]
     }
 

@@ -109,7 +109,7 @@ pub fn load(r: &mut dyn SqlRunner, cfg: &TpccConfig, seed: u64) -> PgResult<()> 
         .map(|i| {
             vec![
                 Datum::Int(i),
-                Datum::Text(format!("item-{i}")),
+                Datum::text(format!("item-{i}")),
                 Datum::Float((rng.random_range(100..10000) as f64) / 100.0),
             ]
         })
@@ -121,7 +121,7 @@ pub fn load(r: &mut dyn SqlRunner, cfg: &TpccConfig, seed: u64) -> PgResult<()> 
             &[],
             vec![vec![
                 Datum::Int(w),
-                Datum::Text(format!("wh-{w}")),
+                Datum::text(format!("wh-{w}")),
                 Datum::Float(rng.random_range(0..2000) as f64 / 10_000.0),
                 Datum::Float(300_000.0),
             ]],
@@ -145,7 +145,7 @@ pub fn load(r: &mut dyn SqlRunner, cfg: &TpccConfig, seed: u64) -> PgResult<()> 
                     Datum::Int(w),
                     Datum::Int(d),
                     Datum::Int(c),
-                    Datum::Text(format!("cust-{w}-{d}-{c}")),
+                    Datum::text(format!("cust-{w}-{d}-{c}")),
                     Datum::Float(-10.0),
                     Datum::Float(10.0),
                 ]);
@@ -471,9 +471,13 @@ pub fn register_procedures(cluster: &std::sync::Arc<citrus::cluster::Cluster>) -
             let w = args[0].as_i64()?;
             let d = args[1].as_i64()?;
             let c = args[2].as_i64()?;
-            let lines = match &args[3] {
-                Datum::Json(j) => j.clone(),
-                Datum::Text(t) => pgmini::types::Json::parse(t)?,
+            let parsed;
+            let lines: &pgmini::types::Json = match &args[3] {
+                Datum::Json(j) => j,
+                Datum::Text(t) => {
+                    parsed = pgmini::types::Json::parse(t)?;
+                    &parsed
+                }
                 _ => {
                     return Err(pgmini::error::PgError::new(
                         pgmini::error::ErrorCode::InvalidParameter,
@@ -481,7 +485,7 @@ pub fn register_procedures(cluster: &std::sync::Arc<citrus::cluster::Cluster>) -
                     ))
                 }
             };
-            let pgmini::types::Json::Array(items) = &lines else {
+            let pgmini::types::Json::Array(items) = lines else {
                 return Err(pgmini::error::PgError::new(
                     pgmini::error::ErrorCode::InvalidParameter,
                     "tpcc_new_order: lines must be a json array",

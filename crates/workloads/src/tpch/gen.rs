@@ -65,7 +65,7 @@ pub fn load(r: &mut dyn SqlRunner, sf: f64, seed: u64) -> PgResult<u64> {
     let regions: Vec<Row> = REGIONS
         .iter()
         .enumerate()
-        .map(|(i, n)| vec![Datum::Int(i as i64), Datum::Text(n.to_string())])
+        .map(|(i, n)| vec![Datum::Int(i as i64), Datum::text(*n)])
         .collect();
     r.copy("region", &[], regions)?;
 
@@ -73,7 +73,7 @@ pub fn load(r: &mut dyn SqlRunner, sf: f64, seed: u64) -> PgResult<u64> {
         .iter()
         .enumerate()
         .map(|(i, (n, region))| {
-            vec![Datum::Int(i as i64), Datum::Text(n.to_string()), Datum::Int(*region)]
+            vec![Datum::Int(i as i64), Datum::text(*n), Datum::Int(*region)]
         })
         .collect();
     r.copy("nation", &[], nations)?;
@@ -82,12 +82,12 @@ pub fn load(r: &mut dyn SqlRunner, sf: f64, seed: u64) -> PgResult<u64> {
         .map(|s| {
             vec![
                 Datum::Int(s),
-                Datum::Text(format!("Supplier#{s:09}")),
-                Datum::Text(format!("addr-{s}")),
+                Datum::text(format!("Supplier#{s:09}")),
+                Datum::text(format!("addr-{s}")),
                 Datum::Int(rng.random_range(0..25)),
-                Datum::Text(format!("{}-555-{s:04}", rng.random_range(10..35))),
+                Datum::text(format!("{}-555-{s:04}", rng.random_range(10..35))),
                 Datum::Float(rng.random_range(-99999..999999) as f64 / 100.0),
-                Datum::Text(if s % 17 == 0 {
+                Datum::text(if s % 17 == 0 {
                     "Customer Complaints noted".to_string()
                 } else {
                     format!("supplier comment {s}")
@@ -101,13 +101,13 @@ pub fn load(r: &mut dyn SqlRunner, sf: f64, seed: u64) -> PgResult<u64> {
         .map(|c| {
             vec![
                 Datum::Int(c),
-                Datum::Text(format!("Customer#{c:09}")),
-                Datum::Text(format!("addr-{c}")),
+                Datum::text(format!("Customer#{c:09}")),
+                Datum::text(format!("addr-{c}")),
                 Datum::Int(rng.random_range(0..25)),
-                Datum::Text(format!("{}-555-{c:04}", rng.random_range(10..35))),
+                Datum::text(format!("{}-555-{c:04}", rng.random_range(10..35))),
                 Datum::Float(rng.random_range(-99999..999999) as f64 / 100.0),
-                Datum::Text(SEGMENTS[rng.random_range(0..SEGMENTS.len())].to_string()),
-                Datum::Text(format!("customer comment {c}")),
+                Datum::text(SEGMENTS[rng.random_range(0..SEGMENTS.len())]),
+                Datum::text(format!("customer comment {c}")),
             ]
         })
         .collect();
@@ -123,12 +123,12 @@ pub fn load(r: &mut dyn SqlRunner, sf: f64, seed: u64) -> PgResult<u64> {
             );
             vec![
                 Datum::Int(p),
-                Datum::Text(format!("part name {} {p}", TYPES_S3[(p % 5) as usize].to_lowercase())),
-                Datum::Text(format!("Manufacturer#{}", p % 5 + 1)),
-                Datum::Text(format!("Brand#{}{}", p % 5 + 1, p % 4 + 1)),
-                Datum::Text(ty),
+                Datum::text(format!("part name {} {p}", TYPES_S3[(p % 5) as usize].to_lowercase())),
+                Datum::text(format!("Manufacturer#{}", p % 5 + 1)),
+                Datum::text(format!("Brand#{}{}", p % 5 + 1, p % 4 + 1)),
+                Datum::text(ty),
                 Datum::Int(rng.random_range(1..=50)),
-                Datum::Text(CONTAINERS[rng.random_range(0..CONTAINERS.len())].to_string()),
+                Datum::text(CONTAINERS[rng.random_range(0..CONTAINERS.len())]),
                 Datum::Float(900.0 + (p % 1000) as f64 / 10.0),
             ]
         })
@@ -184,28 +184,23 @@ pub fn load(r: &mut dyn SqlRunner, sf: f64, seed: u64) -> PgResult<u64> {
                 Datum::Float(price),
                 Datum::Float(discount),
                 Datum::Float(tax),
-                Datum::Text(returnflag.to_string()),
-                Datum::Text(if rng.random_bool(0.5) { "O" } else { "F" }.to_string()),
-                Datum::Text(shipdate.clone()),
-                Datum::Text(offset_date(&shipdate, commit_offset)),
-                Datum::Text(offset_date(&shipdate, receipt_offset)),
-                Datum::Text(if rng.random_bool(0.25) {
-                    "DELIVER IN PERSON"
-                } else {
-                    "NONE"
-                }
-                .to_string()),
-                Datum::Text(SHIP_MODES[rng.random_range(0..SHIP_MODES.len())].to_string()),
+                Datum::text(returnflag),
+                Datum::text(if rng.random_bool(0.5) { "O" } else { "F" }),
+                Datum::text(shipdate.clone()),
+                Datum::text(offset_date(&shipdate, commit_offset)),
+                Datum::text(offset_date(&shipdate, receipt_offset)),
+                Datum::text(if rng.random_bool(0.25) { "DELIVER IN PERSON" } else { "NONE" }),
+                Datum::text(SHIP_MODES[rng.random_range(0..SHIP_MODES.len())]),
             ]);
             lineitem_count += 1;
         }
         orders.push(vec![
             Datum::Int(o),
             Datum::Int(rng.random_range(0..card.customers as i64)),
-            Datum::Text(if rng.random_bool(0.5) { "O" } else { "F" }.to_string()),
+            Datum::text(if rng.random_bool(0.5) { "O" } else { "F" }),
             Datum::Float(total),
-            Datum::Text(orderdate),
-            Datum::Text(PRIORITIES[rng.random_range(0..PRIORITIES.len())].to_string()),
+            Datum::text(orderdate),
+            Datum::text(PRIORITIES[rng.random_range(0..PRIORITIES.len())]),
             Datum::Int(0),
         ]);
         // each COPY becomes one columnar stripe per target shard: flush in

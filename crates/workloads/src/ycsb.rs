@@ -91,9 +91,9 @@ pub fn load(r: &mut dyn SqlRunner, cfg: &YcsbConfig, seed: u64) -> PgResult<()> 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut batch: Vec<Row> = Vec::with_capacity(1000);
     for id in 0..cfg.record_count {
-        let mut row = vec![Datum::Text(key_name(id))];
+        let mut row = vec![Datum::text(key_name(id))];
         for _ in 0..FIELD_COUNT {
-            row.push(Datum::Text(field_value(&mut rng)));
+            row.push(Datum::text(field_value(&mut rng)));
         }
         batch.push(row);
         if batch.len() == 1000 {

@@ -6,7 +6,7 @@
 #
 #   1. release build of the whole workspace
 #   2. full test suite (quiet). The root manifest's `default-members` is the
-#      whole workspace, so this one command runs every suite (~550 tests):
+#      whole workspace, so this one command runs every suite (~555 tests):
 #      fault injection, parallel-executor equivalence, the pipelining /
 #      wire-round wall, trace goldens + the differential oracle, the
 #      co-location judgement's soundness proptest
@@ -15,7 +15,10 @@
 #      subqueries and INSERT..SELECTs are refused or equal the oracle), the
 #      vectorized wall, rebalancer crash drills, the snapshot-isolation
 #      anomaly wall, MX fence drills, the rollup recompute differential, the
-#      seeded sim chaos corpus and the figure gate. There is no filter to
+#      seeded sim chaos corpus, the memory budget
+#      (crates/pgmini/tests/memory_budget.rs: a counting allocator, its own
+#      binary; an update may retain at most 1.2 KB once vacuumed and a point
+#      read copies no text) and the figure gate. There is no filter to
 #      skip one by. The figure gate (crates/bench/tests/figures.rs) runs the
 #      `workloads`, `columnar` and `rollup` benches at smoke scale in-process
 #      and requires their reports to equal crates/bench/tests/golden/ byte

@@ -212,7 +212,7 @@ fn parallel_bulk_loading() {
     s.execute("CREATE TABLE t (k bigint, v text)").unwrap();
     s.execute("SELECT create_distributed_table('t', 'k')").unwrap();
     let rows: Vec<Vec<Datum>> =
-        (0..1000).map(|i| vec![Datum::Int(i), Datum::Text(format!("v{i}"))]).collect();
+        (0..1000).map(|i| vec![Datum::Int(i), Datum::text(format!("v{i}"))]).collect();
     let n = s.copy("t", &[], rows).unwrap();
     assert_eq!(n, 1000);
     let r = s.execute("SELECT count(*) FROM t").unwrap();
