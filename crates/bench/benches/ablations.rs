@@ -1,6 +1,6 @@
 //! Ablation micro-benchmarks for the design choices DESIGN.md calls out.
 //! These measure *real* wall time of the implementation's components (unlike
-//! the figure binaries, which report virtual time at paper scale).
+//! the `*_bench` reports, which are virtual time).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;

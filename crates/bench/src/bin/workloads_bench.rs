@@ -20,8 +20,8 @@
 //! Thresholds only apply to the full run: every pattern must complete both
 //! arms, report non-zero throughput and beat one node at 64 clients.
 
-use citrus_bench::workloads_bench::{closed_loop, report, CLIENTS, EXECUTOR_THREADS};
-use citrus_bench::Scale;
+use citrus_bench::workloads_bench::{closed_loop, report, CLIENTS};
+use citrus_bench::{Scale, EXECUTOR_THREADS};
 
 fn main() {
     let scale = Scale::from_args();

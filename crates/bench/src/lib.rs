@@ -1,4 +1,5 @@
-//! Shared harness for the figure-regeneration binaries.
+//! The virtual-clock reports: the paper's §4 figures and tables, the
+//! workload head-to-head and the columnar and rollup ablations.
 //!
 //! Methodology (see DESIGN.md §5): each benchmark builds real engines sized
 //! so the *simulated* dataset exceeds one node's memory but fits in the
@@ -9,13 +10,14 @@
 //! the virtual elapsed time directly.
 //!
 //! Every number this crate writes to a file is virtual time (the Criterion
-//! files under `benches/` print wall time and write nothing). The three
+//! files under `benches/` print wall time and write nothing). The four
 //! `*_bench` modules hold the bodies of the binaries of the same name as
 //! functions from a [`Scale`] to the report text, so `tests/figures.rs` can
 //! hold the smoke scale to its goldens inside `cargo test`. Wall-clock
 //! numbers are produced and quoted in `benchmark/` only.
 
 pub mod columnar_bench;
+pub mod figures_bench;
 pub mod rollup_bench;
 pub mod workloads_bench;
 
@@ -25,6 +27,10 @@ use netsim::mva::{self, Station};
 use pgmini::engine::{Engine, EngineConfig};
 use std::sync::Arc;
 use workloads::runner::{ClusterRunner, LocalRunner, RunCost, SqlRunner};
+
+/// Executor threads every committed report is made at. The reports must not
+/// depend on it (DESIGN.md §7); `tests/figures.rs` checks that at 1.
+pub const EXECUTOR_THREADS: usize = 4;
 
 /// The two scales a `*_bench` report runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,50 +122,38 @@ pub struct Target {
     pub setup: Setup,
     pub cluster: Option<Arc<Cluster>>,
     pub engine: Option<Arc<Engine>>,
-    runner: Option<Box<dyn SqlRunner>>,
-    pub shard_count: u32,
+    runner: Box<dyn SqlRunner>,
 }
 
 impl Target {
-    /// Build a target with `mem_bytes` of simulated memory per node.
-    pub fn build(setup: Setup, mem_bytes: u64, shard_count: u32) -> Target {
-        let mut engine_cfg = EngineConfig::default();
-        engine_cfg.mem_bytes = mem_bytes;
-        match setup {
-            Setup::Postgres => {
-                let engine = Engine::new(engine_cfg);
-                let runner = LocalRunner { session: engine.session().expect("session") };
-                Target {
-                    setup,
-                    cluster: None,
-                    engine: Some(engine),
-                    runner: Some(Box::new(runner)),
-                    shard_count,
-                }
-            }
-            _ => {
-                let mut cfg = ClusterConfig::default();
-                cfg.shard_count = shard_count;
-                cfg.engine = engine_cfg;
-                let cluster = Cluster::new(cfg);
-                for _ in 0..setup.workers() {
-                    cluster.add_worker().expect("add worker");
-                }
-                let runner =
-                    ClusterRunner { session: cluster.session().expect("session") };
-                Target {
-                    setup,
-                    cluster: Some(cluster),
-                    engine: None,
-                    runner: Some(Box::new(runner)),
-                    shard_count,
-                }
-            }
+    /// Build `setup` with the default 64 GiB of simulated memory per node,
+    /// `shard_count` shards per distributed table and `executor_threads`
+    /// fan-out threads on the Citus setups.
+    pub fn build(setup: Setup, shard_count: u32, executor_threads: usize) -> Target {
+        if setup == Setup::Postgres {
+            let engine = Engine::new(EngineConfig::default());
+            let runner = LocalRunner { session: engine.session().expect("session") };
+            return Target { setup, cluster: None, engine: Some(engine), runner: Box::new(runner) };
         }
+        let cluster =
+            Cluster::new(ClusterConfig { shard_count, executor_threads, ..Default::default() });
+        for _ in 0..setup.workers() {
+            cluster.add_worker().expect("add worker");
+        }
+        let runner = ClusterRunner { session: cluster.session().expect("session") };
+        Target { setup, cluster: Some(cluster), engine: None, runner: Box::new(runner) }
     }
 
     pub fn runner(&mut self) -> &mut dyn SqlRunner {
-        self.runner.as_mut().expect("runner present").as_mut()
+        self.runner.as_mut()
+    }
+
+    /// Run `schema`, then, on the Citus setups, `distribution`.
+    pub fn create(&mut self, schema: &[String], distribution: &[String]) {
+        let distribution = if self.setup.is_citus() { distribution } else { &[] };
+        for s in schema.iter().chain(distribution) {
+            self.runner.run(s).unwrap_or_else(|e| panic!("{s}: {e}"));
+        }
     }
 
     /// A fresh session-backed runner (e.g. to route via a worker in MX mode).
@@ -173,10 +167,19 @@ impl Target {
         }
     }
 
+    /// The single engine, or every node's engine of the cluster.
+    fn engines(&self) -> Vec<Arc<Engine>> {
+        match (&self.engine, &self.cluster) {
+            (Some(e), _) => vec![e.clone()],
+            (_, Some(c)) => c.nodes().iter().map(|n| n.engine()).collect(),
+            _ => unreachable!("target has cluster or engine"),
+        }
+    }
+
     /// Apply the full-size simulated row widths so buffer-pool math models
     /// the paper's dataset.
-    pub fn set_sim_widths(&mut self, widths: &[(&str, u32)]) {
-        let apply = |engine: &Arc<Engine>| {
+    pub fn set_sim_widths(&self, widths: &[(&str, u32)]) {
+        for engine in self.engines() {
             for (table, width) in widths {
                 // the shell and every shard of it
                 let names = engine.catalog.read().table_names();
@@ -186,15 +189,33 @@ impl Target {
                     }
                 }
             }
-        };
-        if let Some(e) = &self.engine {
-            apply(e);
         }
-        if let Some(c) = &self.cluster {
-            for node in c.nodes() {
-                apply(&node.engine());
+    }
+
+    /// Total simulated bytes stored on the target (sum over nodes of table
+    /// pages × 8 KiB).
+    fn simulated_bytes(&self) -> u64 {
+        let mut pages = 0u64;
+        for engine in self.engines() {
+            let names = engine.catalog.read().table_names();
+            for n in names {
+                if let Ok(meta) = engine.table_meta(&n) {
+                    pages += engine.table_pages(&meta);
+                }
             }
         }
+        pages * pgmini::cost::PAGE_SIZE
+    }
+
+    /// Give every node's buffer pool `fraction` of the simulated data, the
+    /// paper's memory-to-data ratio; returns the simulated data bytes.
+    pub fn size_pools(&self, fraction: f64) -> u64 {
+        let data = self.simulated_bytes();
+        let pages = (data as f64 * fraction) as u64 / pgmini::cost::PAGE_SIZE;
+        for engine in self.engines() {
+            engine.buffer.set_capacity(pages);
+        }
+        data
     }
 
     /// Node ids that hold data (for MVA station construction).
@@ -213,47 +234,12 @@ impl Target {
     }
 }
 
-/// Mean per-transaction demands measured from samples.
-#[derive(Debug, Clone, Default)]
-pub struct MeanDemand {
-    /// (node, cpu_ms, io_ms)
-    pub per_node: Vec<(u32, f64, f64)>,
-    pub net_ms: f64,
-    pub elapsed_ms: f64,
-}
-
-pub fn mean_demand(samples: &[RunCost]) -> MeanDemand {
-    let n = samples.len().max(1) as f64;
-    let mut out = MeanDemand::default();
-    for s in samples {
-        for &(node, cpu, io) in &s.per_node {
-            match out.per_node.iter_mut().find(|(m, _, _)| *m == node) {
-                Some(slot) => {
-                    slot.1 += cpu;
-                    slot.2 += io;
-                }
-                None => out.per_node.push((node, cpu, io)),
-            }
-        }
-        out.net_ms += s.net_ms;
-        out.elapsed_ms += s.elapsed_ms;
-    }
-    for slot in &mut out.per_node {
-        slot.1 /= n;
-        slot.2 /= n;
-    }
-    out.per_node.sort_by_key(|(m, _, _)| *m);
-    out.net_ms /= n;
-    out.elapsed_ms /= n;
-    out
-}
-
-/// Solve the closed-loop model for a measured demand profile.
+/// Solve the closed-loop model for a mean per-transaction demand.
 ///
-/// Stations: per node a 16-core CPU and a disk; network latency and client
-/// think time are delays.
+/// Stations: per node a `cores`-core CPU and a disk; network latency and
+/// client think time are delays.
 pub fn solve_closed_loop(
-    demand: &MeanDemand,
+    demand: &RunCost,
     nodes: &[u32],
     cores: u32,
     clients: u32,
@@ -283,41 +269,6 @@ pub fn solve_closed_loop(
     mva::solve(&stations, clients, think_ms)
 }
 
-/// Total simulated bytes currently stored on a target (sum over nodes of
-/// table pages × 8 KiB).
-pub fn simulated_bytes(target: &Target) -> u64 {
-    let engine_bytes = |engine: &Arc<Engine>| -> u64 {
-        let names = engine.catalog.read().table_names();
-        let mut pages = 0u64;
-        for n in names {
-            if let Ok(meta) = engine.table_meta(&n) {
-                pages += engine.table_pages(&meta);
-            }
-        }
-        pages * pgmini::cost::PAGE_SIZE
-    };
-    match (&target.engine, &target.cluster) {
-        (Some(e), _) => engine_bytes(e),
-        (_, Some(c)) => c.nodes().iter().map(|n| engine_bytes(&n.engine())).sum(),
-        _ => 0,
-    }
-}
-
-/// Pretty GB.
-pub fn gb(bytes: u64) -> f64 {
-    bytes as f64 / (1024.0 * 1024.0 * 1024.0)
-}
-
-/// Print a markdown-ish results table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    println!("{}", headers.join(" | "));
-    println!("{}", headers.iter().map(|_| "---").collect::<Vec<_>>().join(" | "));
-    for r in rows {
-        println!("{}", r.join(" | "));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,72 +276,34 @@ mod tests {
     #[test]
     fn targets_build_for_all_setups() {
         for setup in Setup::ALL {
-            let mut t = Target::build(setup, 1 << 30, 8);
-            t.runner().run("CREATE TABLE t (a bigint)").unwrap();
-            if setup.is_citus() {
-                t.runner().run("SELECT create_distributed_table('t', 'a')").unwrap();
-            }
+            let mut t = Target::build(setup, 8, EXECUTOR_THREADS);
+            t.create(
+                &["CREATE TABLE t (a bigint)".into()],
+                &["SELECT create_distributed_table('t', 'a')".into()],
+            );
             t.runner().run("INSERT INTO t VALUES (1), (2), (3)").unwrap();
             let r = t.runner().run("SELECT count(*) FROM t").unwrap();
             assert_eq!(r.rows()[0][0], pgmini::types::Datum::Int(3));
-            assert!(simulated_bytes(&t) > 0);
+            assert!(t.simulated_bytes() > 0);
             assert!(!t.data_nodes().is_empty());
         }
     }
 
     #[test]
     fn mean_demand_and_mva_glue() {
-        let samples = vec![
-            RunCost { per_node: vec![(1, 2.0, 1.0)], net_ms: 0.5, elapsed_ms: 3.5 },
-            RunCost { per_node: vec![(1, 4.0, 3.0), (2, 2.0, 0.0)], net_ms: 1.5, elapsed_ms: 8.5 },
-        ];
-        let d = mean_demand(&samples);
+        let mut sum = RunCost::default();
+        sum.add(&RunCost { per_node: vec![(1, 2.0, 1.0)], net_ms: 0.5, elapsed_ms: 3.5 });
+        sum.add(&RunCost {
+            per_node: vec![(1, 4.0, 3.0), (2, 2.0, 0.0)],
+            net_ms: 1.5,
+            elapsed_ms: 8.5,
+        });
+        let d = sum.mean(2);
         assert_eq!(d.per_node, vec![(1, 3.0, 2.0), (2, 1.0, 0.0)]);
         assert!((d.net_ms - 1.0).abs() < 1e-9);
         let r = solve_closed_loop(&d, &[1, 2], 16, 64, 0.0);
         assert!(r.throughput_per_sec > 0.0);
         // disk on node 1 is the bottleneck: 2ms demand, 1 server -> <=500/s
         assert!(r.throughput_per_sec <= 501.0);
-    }
-}
-
-/// Wrapper accumulating per-statement costs into a transaction-level total.
-pub struct Recording<'a> {
-    pub inner: &'a mut dyn SqlRunner,
-    pub acc: RunCost,
-}
-
-impl<'a> Recording<'a> {
-    pub fn new(inner: &'a mut dyn SqlRunner) -> Self {
-        Recording { inner, acc: RunCost::default() }
-    }
-
-    pub fn take(&mut self) -> RunCost {
-        std::mem::take(&mut self.acc)
-    }
-}
-
-impl SqlRunner for Recording<'_> {
-    fn run(&mut self, sql: &str) -> pgmini::error::PgResult<pgmini::session::QueryResult> {
-        let r = self.inner.run(sql)?;
-        let c = self.inner.last_cost();
-        self.acc.add(&c);
-        Ok(r)
-    }
-
-    fn copy(
-        &mut self,
-        table: &str,
-        columns: &[String],
-        rows: Vec<pgmini::types::Row>,
-    ) -> pgmini::error::PgResult<u64> {
-        let n = self.inner.copy(table, columns, rows)?;
-        let c = self.inner.last_cost();
-        self.acc.add(&c);
-        Ok(n)
-    }
-
-    fn last_cost(&mut self) -> RunCost {
-        self.acc.clone()
     }
 }

@@ -3,13 +3,9 @@
 //! for one [`Scale`], as text, so `tests/figures.rs` can run the smoke scale
 //! in-process.
 
-use crate::{solve_closed_loop, MeanDemand, Scale};
+use crate::{solve_closed_loop, Scale};
 use workloads::patterns::Pattern;
 use workloads::sim::{self, SimScales};
-
-/// Executor threads the committed reports are made at. The reports must not
-/// depend on it (DESIGN.md §7); `tests/figures.rs` checks that at 1.
-pub const EXECUTOR_THREADS: usize = 4;
 
 /// Concurrent clients of the closed-loop model.
 pub const CLIENTS: u32 = 64;
@@ -31,16 +27,7 @@ pub struct Report {
 /// cluster round trip, but at bench scale (many concurrent clients) the
 /// bottleneck is per-node capacity, which the 4-worker cluster quadruples.
 pub fn closed_loop(a: &sim::ArmStats) -> f64 {
-    let units = a.units.max(1) as f64;
-    let demand = MeanDemand {
-        per_node: a
-            .per_node_ms
-            .iter()
-            .map(|&(n, cpu, io)| (n, cpu / units, io / units))
-            .collect(),
-        net_ms: a.net_ms / units,
-        elapsed_ms: a.virtual_ms / units,
-    };
+    let demand = a.demand.mean(a.units);
     let nodes: Vec<u32> = demand.per_node.iter().map(|&(n, _, _)| n).collect();
     solve_closed_loop(&demand, &nodes, 16, CLIENTS, 0.0).throughput_per_sec
 }

@@ -8,13 +8,15 @@
 //! committing the golden's diff. The full-scale `BENCH_*.json` files at the
 //! repository root are the same functions at `Scale::Full`.
 
-use citrus_bench::workloads_bench::EXECUTOR_THREADS;
-use citrus_bench::{columnar_bench, rollup_bench, workloads_bench, Scale};
+use citrus_bench::{
+    columnar_bench, figures_bench, rollup_bench, workloads_bench, Scale, EXECUTOR_THREADS,
+};
 
 const WORKLOADS: &str = include_str!("golden/BENCH_workloads_smoke.json");
 const SNAPSHOT: &str = include_str!("golden/BENCH_snapshot_smoke.json");
 const COLUMNAR: &str = include_str!("golden/BENCH_columnar_smoke.json");
 const ROLLUP: &str = include_str!("golden/BENCH_rollup_smoke.json");
+const FIGURES: &str = include_str!("golden/BENCH_figures_smoke.json");
 
 /// String equality, reported as the lines that differ.
 fn assert_golden(name: &str, fresh: &str, golden: &str) {
@@ -71,4 +73,23 @@ fn rollup_report_equals_its_golden_and_incremental_wins() {
     let r = rollup_bench::report(Scale::Smoke);
     assert_golden("BENCH_rollup_smoke.json", &r.json, ROLLUP);
     assert!(r.speedup > 1.0, "incremental does not beat recompute: {:.3}x", r.speedup);
+}
+
+/// The paper's Tables 1–3 and Figures 6–10, and the orderings of them that
+/// hold at smoke scale (the rest are asserted by the full run).
+#[test]
+fn figures_report_equals_its_golden_and_keeps_its_shapes() {
+    let r = figures_bench::report(Scale::Smoke, EXECUTOR_THREADS);
+    assert_golden("BENCH_figures_smoke.json", &r.json, FIGURES);
+    let failed = r.failed_claims(Scale::Smoke);
+    assert!(failed.is_empty(), "shapes not reproduced at smoke scale: {failed:?}");
+}
+
+#[test]
+fn figures_report_does_not_depend_on_executor_threads() {
+    let header = |threads: usize| format!("\"executor_threads\": {threads},");
+    assert!(FIGURES.contains(&header(EXECUTOR_THREADS)));
+    let r = figures_bench::report(Scale::Smoke, 1);
+    let golden_at_1 = FIGURES.replace(&header(EXECUTOR_THREADS), &header(1));
+    assert_golden("BENCH_figures_smoke.json", &r.json, &golden_at_1);
 }

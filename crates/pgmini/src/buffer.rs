@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// relation's full size (residency clamps to it), so projections that touch
 /// different column subsets must not share one key — each column's pages are
 /// a separate "relation" that warms and evicts on its own.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BufferKey {
     Table(u32),
     Index(u32),
@@ -168,9 +168,10 @@ impl BufferPool {
             r.pages = (r.pages as f64 * factor).round() as u64;
             total += r.pages;
         }
-        // rounding can overshoot by a few pages; trim from the largest
+        // rounding can overshoot by a few pages; trim from the largest, ties
+        // broken by key so the choice does not follow the map's random order
         while total > cap {
-            if let Some(r) = s.resident.values_mut().max_by_key(|r| r.pages) {
+            if let Some((_, r)) = s.resident.iter_mut().max_by_key(|(k, r)| (r.pages, **k)) {
                 let take = (total - cap).min(r.pages);
                 r.pages -= take;
                 total -= take;
@@ -315,6 +316,26 @@ mod tests {
         pool.forget(T1);
         pool.scan(T1, 5);
         assert_eq!(pool.total_resident(), sum(&pool));
+    }
+
+    #[test]
+    fn eviction_does_not_depend_on_map_order() {
+        // sixteen equal relations pushed just past capacity: the rounding
+        // overshoot must come off the same relation in every pool, though
+        // each pool's map iterates in its own random order
+        let run = || {
+            let pool = BufferPool::new(155);
+            for _ in 0..3 {
+                for i in 0..16 {
+                    pool.scan(BufferKey::Table(i), 10);
+                }
+            }
+            (0..16).map(|i| pool.resident_pages(BufferKey::Table(i))).collect::<Vec<_>>()
+        };
+        for _ in 0..8 {
+            let (a, b) = (run(), run());
+            assert_eq!(a, b, "two pools given one access sequence diverged");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The four workload patterns of §2 with their Table 1 scale requirements
-//! and Table 2 capability matrix — as data, so the `tables` benchmark binary
+//! and Table 2 capability matrix — as data, so the `figures_bench` report
 //! and the Table-2 capability tests can regenerate the paper's tables.
 
 /// The four workload patterns.

@@ -55,6 +55,69 @@ impl RunCost {
     pub fn total_cpu(&self) -> f64 {
         self.per_node.iter().map(|(_, c, _)| c).sum()
     }
+
+    /// The per-unit cost of `units` units whose costs were summed into this
+    /// record: every field divided by `units` (at least 1).
+    pub fn mean(&self, units: u64) -> RunCost {
+        let n = units.max(1) as f64;
+        RunCost {
+            per_node: self.per_node.iter().map(|&(m, cpu, io)| (m, cpu / n, io / n)).collect(),
+            net_ms: self.net_ms / n,
+            elapsed_ms: self.elapsed_ms / n,
+        }
+    }
+}
+
+/// A [`SqlRunner`] wrapper that meters every statement it passes on: its
+/// virtual elapsed time goes into a histogram and its cost into one summed
+/// [`RunCost`], which [`MeteredRunner::take`] hands out per unit of work.
+pub struct MeteredRunner<'a> {
+    inner: &'a mut dyn SqlRunner,
+    pub(crate) hist: citrus::metrics::Histogram,
+    pub(crate) statements: u64,
+    /// Summed cost of every statement since the last [`MeteredRunner::take`].
+    pub(crate) demand: RunCost,
+}
+
+impl<'a> MeteredRunner<'a> {
+    pub fn new(inner: &'a mut dyn SqlRunner) -> MeteredRunner<'a> {
+        MeteredRunner {
+            inner,
+            hist: citrus::metrics::Histogram::default(),
+            statements: 0,
+            demand: RunCost::default(),
+        }
+    }
+
+    /// The summed cost so far; the sum starts again from zero.
+    pub fn take(&mut self) -> RunCost {
+        std::mem::take(&mut self.demand)
+    }
+
+    fn observe_last(&mut self) {
+        let c = self.inner.last_cost();
+        self.hist.observe(c.elapsed_ms);
+        self.statements += 1;
+        self.demand.add(&c);
+    }
+}
+
+impl SqlRunner for MeteredRunner<'_> {
+    fn run(&mut self, sql: &str) -> PgResult<QueryResult> {
+        let r = self.inner.run(sql)?;
+        self.observe_last();
+        Ok(r)
+    }
+
+    fn copy(&mut self, table: &str, columns: &[String], rows: Vec<Row>) -> PgResult<u64> {
+        let n = self.inner.copy(table, columns, rows)?;
+        self.observe_last();
+        Ok(n)
+    }
+
+    fn last_cost(&mut self) -> RunCost {
+        self.inner.last_cost()
+    }
 }
 
 /// Plain single-node PostgreSQL stand-in.

@@ -22,7 +22,7 @@
 
 use crate::gharchive;
 use crate::patterns::Pattern;
-use crate::runner::{ClusterRunner, LocalRunner, MxRunner, RunCost, SqlRunner};
+use crate::runner::{ClusterRunner, LocalRunner, MeteredRunner, MxRunner, RunCost, SqlRunner};
 use crate::tpcc::{self, TpccConfig, TpccDriver};
 use crate::tpch;
 use crate::ycsb::{self, YcsbConfig, YcsbDriver};
@@ -1434,54 +1434,6 @@ impl SqlRunner for RecordingRunner {
 
 // ---------------- §4 evaluation (bench mode) ----------------
 
-/// A [`SqlRunner`] wrapper that feeds every statement's virtual elapsed
-/// time into a histogram — the per-arm metering of the evaluation.
-struct MeteredRunner<'a> {
-    inner: &'a mut dyn SqlRunner,
-    hist: citrus::metrics::Histogram,
-    virtual_ms: f64,
-    statements: u64,
-    demand: RunCost,
-}
-
-impl<'a> MeteredRunner<'a> {
-    fn new(inner: &'a mut dyn SqlRunner) -> MeteredRunner<'a> {
-        MeteredRunner {
-            inner,
-            hist: citrus::metrics::Histogram::default(),
-            virtual_ms: 0.0,
-            statements: 0,
-            demand: RunCost::default(),
-        }
-    }
-
-    fn observe_last(&mut self) {
-        let c = self.inner.last_cost();
-        self.hist.observe(c.elapsed_ms);
-        self.virtual_ms += c.elapsed_ms;
-        self.statements += 1;
-        self.demand.add(&c);
-    }
-}
-
-impl SqlRunner for MeteredRunner<'_> {
-    fn run(&mut self, sql: &str) -> PgResult<QueryResult> {
-        let r = self.inner.run(sql)?;
-        self.observe_last();
-        Ok(r)
-    }
-
-    fn copy(&mut self, table: &str, columns: &[String], rows: Vec<Row>) -> PgResult<u64> {
-        let n = self.inner.copy(table, columns, rows)?;
-        self.observe_last();
-        Ok(n)
-    }
-
-    fn last_cost(&mut self) -> RunCost {
-        self.inner.last_cost()
-    }
-}
-
 /// One arm (distributed or single-node) of a pattern evaluation.
 #[derive(Debug, Clone)]
 pub struct ArmStats {
@@ -1493,12 +1445,11 @@ pub struct ArmStats {
     pub p50_ms: f64,
     pub p95_ms: f64,
     pub p99_ms: f64,
-    /// Summed per-node resource demand over the whole arm — (node, cpu_ms,
-    /// io_ms) plus network delay — for the closed-loop MVA solver. Dividing
-    /// by `units` gives the per-unit demand profile; the serial
-    /// `units_per_vsec` metric alone cannot show aggregate cluster capacity.
-    pub per_node_ms: Vec<(u32, f64, f64)>,
-    pub net_ms: f64,
+    /// Summed resource demand over the whole arm — per-node cpu and io plus
+    /// network delay — for the closed-loop MVA solver. Its mean over `units`
+    /// is the per-unit demand profile; the serial `units_per_vsec` metric
+    /// alone cannot show aggregate cluster capacity.
+    pub demand: RunCost,
 }
 
 /// Distributed vs single-node numbers for one §4 pattern.
@@ -1533,7 +1484,7 @@ fn bench_arm(
     for _ in 0..units {
         run_unit(&mut metered, &mut state, pattern, scales, &mut rng)?;
     }
-    let virtual_ms = metered.virtual_ms;
+    let virtual_ms = metered.demand.elapsed_ms;
     Ok(ArmStats {
         units,
         statements: metered.statements,
@@ -1542,8 +1493,7 @@ fn bench_arm(
         p50_ms: metered.hist.percentile(0.50),
         p95_ms: metered.hist.percentile(0.95),
         p99_ms: metered.hist.percentile(0.99),
-        per_node_ms: metered.demand.per_node.clone(),
-        net_ms: metered.demand.net_ms,
+        demand: metered.take(),
     })
 }
 

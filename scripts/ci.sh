@@ -6,7 +6,7 @@
 #
 #   1. release build of the whole workspace
 #   2. full test suite (quiet). The root manifest's `default-members` is the
-#      whole workspace, so this one command runs every suite (~555 tests):
+#      whole workspace, so this one command runs every suite (~557 tests):
 #      fault injection, parallel-executor equivalence, the pipelining /
 #      wire-round wall, trace goldens + the differential oracle, the
 #      co-location judgement's soundness proptest
@@ -20,12 +20,15 @@
 #      binary; an update may retain at most 1.2 KB once vacuumed and a point
 #      read copies no text) and the figure gate. There is no filter to
 #      skip one by. The figure gate (crates/bench/tests/figures.rs) runs the
-#      `workloads`, `columnar` and `rollup` benches at smoke scale in-process
-#      and requires their reports to equal crates/bench/tests/golden/ byte
-#      for byte (the numbers are virtual time, hence exact), plus vectorized
-#      > volcano, incremental > recompute and snapshot mode-on == mode-off.
-#      A deliberate change re-blesses with
-#      `cargo run --release -p citrus-bench --bin <name>_bench -- --smoke`
+#      `figures`, `workloads`, `columnar` and `rollup` benches at smoke scale
+#      in-process and requires their reports to equal the five goldens in
+#      crates/bench/tests/golden/ byte for byte (the numbers are virtual
+#      time, hence exact), plus the paper's orderings that hold at smoke
+#      scale, vectorized > volcano, incremental > recompute and snapshot
+#      mode-on == mode-off. The fifth golden, BENCH_figures_smoke.json (the
+#      paper's Tables 1-3 and Figures 6-10), re-blesses with
+#      `cargo run --release -p citrus-bench --bin figures_bench -- --smoke`,
+#      the others with `... --bin <name>_bench -- --smoke`
 #   3. crates/core must compile warning-free (tests included), and the two
 #      Criterion files must compile: no other step builds them
 #   4. the wall-clock benchmark (benchmark/, see BENCHMARK.json) for all
