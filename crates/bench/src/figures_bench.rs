@@ -9,11 +9,12 @@
 //! mean, single-session figures (7, 8) report virtual elapsed time.
 
 use crate::{solve_closed_loop, Scale, Setup, Target};
+use citrus::cost::DistCost;
 use pgmini::error::PgResult;
 use workloads::gharchive;
 use workloads::patterns::{requires, scale_requirements, Capability, Pattern};
 use workloads::pgbench::{self, PgbenchConfig, PgbenchDriver};
-use workloads::runner::{MeteredRunner, RunCost, SqlRunner};
+use workloads::runner::{MeteredRunner, SqlRunner};
 use workloads::tpcc::{self, TpccConfig, TxnKind};
 use workloads::tpch;
 use workloads::ycsb::{self, YcsbConfig, YcsbDriver};
@@ -121,7 +122,7 @@ fn sample<T>(
     r: &mut dyn SqlRunner,
     n: u64,
     mut unit: impl FnMut(&mut dyn SqlRunner) -> PgResult<T>,
-) -> Vec<(T, RunCost)> {
+) -> Vec<(T, DistCost)> {
     let mut metered = MeteredRunner::new(r);
     let mut out = Vec::new();
     for _ in 0..n {
@@ -135,8 +136,8 @@ fn sample<T>(
 }
 
 /// The mean per-unit cost of `samples`.
-fn mean<T>(samples: &[(T, RunCost)]) -> RunCost {
-    let mut sum = RunCost::default();
+fn mean<T>(samples: &[(T, DistCost)]) -> DistCost {
+    let mut sum = DistCost::default();
     for (_, c) in samples {
         sum.add(c);
     }

@@ -22,11 +22,12 @@ pub mod rollup_bench;
 pub mod workloads_bench;
 
 use citrus::cluster::{Cluster, ClusterConfig};
+use citrus::cost::DistCost;
 use citrus::metadata::NodeId;
 use netsim::mva::{self, Station};
 use pgmini::engine::{Engine, EngineConfig};
 use std::sync::Arc;
-use workloads::runner::{ClusterRunner, LocalRunner, RunCost, SqlRunner};
+use workloads::runner::{ClusterRunner, LocalRunner, SqlRunner};
 
 /// Executor threads every committed report is made at. The reports must not
 /// depend on it (DESIGN.md §7); `tests/figures.rs` checks that at 1.
@@ -239,7 +240,7 @@ impl Target {
 /// Stations: per node a `cores`-core CPU and a disk; network latency and
 /// client think time are delays.
 pub fn solve_closed_loop(
-    demand: &RunCost,
+    demand: &DistCost,
     nodes: &[u32],
     cores: u32,
     clients: u32,
@@ -247,12 +248,8 @@ pub fn solve_closed_loop(
 ) -> mva::MvaResult {
     let mut stations = Vec::new();
     for &node in nodes {
-        let (cpu, io) = demand
-            .per_node
-            .iter()
-            .find(|(m, _, _)| *m == node)
-            .map(|(_, c, i)| (*c, *i))
-            .unwrap_or((0.0, 0.0));
+        let (cpu, io) =
+            demand.per_node.get(&NodeId(node)).map_or((0.0, 0.0), |c| (c.cpu_ms, c.io_ms));
         if cpu > 0.0 {
             stations.push(Station::queueing(&format!("cpu{node}"), cpu, cores));
         }
@@ -272,6 +269,7 @@ pub fn solve_closed_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgmini::cost::SimCost;
 
     #[test]
     fn targets_build_for_all_setups() {
@@ -291,16 +289,17 @@ mod tests {
 
     #[test]
     fn mean_demand_and_mva_glue() {
-        let mut sum = RunCost::default();
-        sum.add(&RunCost { per_node: vec![(1, 2.0, 1.0)], net_ms: 0.5, elapsed_ms: 3.5 });
-        sum.add(&RunCost {
-            per_node: vec![(1, 4.0, 3.0), (2, 2.0, 0.0)],
-            net_ms: 1.5,
-            elapsed_ms: 8.5,
-        });
+        let record = |per_node: &[(u32, f64, f64)], net_ms, elapsed_ms| {
+            let mut cost = DistCost { net_ms, elapsed_ms, ..DistCost::default() };
+            for &(n, cpu_ms, io_ms) in per_node {
+                cost.add_node(NodeId(n), &SimCost { cpu_ms, io_ms, ..SimCost::ZERO });
+            }
+            cost
+        };
+        let mut sum = record(&[(1, 2.0, 1.0)], 0.5, 3.5);
+        sum.add(&record(&[(2, 2.0, 0.0), (1, 4.0, 3.0)], 1.5, 8.5));
         let d = sum.mean(2);
-        assert_eq!(d.per_node, vec![(1, 3.0, 2.0), (2, 1.0, 0.0)]);
-        assert!((d.net_ms - 1.0).abs() < 1e-9);
+        assert_eq!(d, record(&[(1, 3.0, 2.0), (2, 1.0, 0.0)], 1.0, 6.0));
         let r = solve_closed_loop(&d, &[1, 2], 16, 64, 0.0);
         assert!(r.throughput_per_sec > 0.0);
         // disk on node 1 is the bottleneck: 2ms demand, 1 server -> <=500/s

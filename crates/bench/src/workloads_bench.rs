@@ -28,7 +28,7 @@ pub struct Report {
 /// bottleneck is per-node capacity, which the 4-worker cluster quadruples.
 pub fn closed_loop(a: &sim::ArmStats) -> f64 {
     let demand = a.demand.mean(a.units);
-    let nodes: Vec<u32> = demand.per_node.iter().map(|&(n, _, _)| n).collect();
+    let nodes: Vec<u32> = demand.per_node.keys().map(|n| n.0).collect();
     solve_closed_loop(&demand, &nodes, 16, CLIENTS, 0.0).throughput_per_sec
 }
 

@@ -9,10 +9,11 @@ use crate::cluster::Cluster;
 use crate::cost::DistCost;
 use crate::metadata::{NodeId, PartitionMethod};
 use netsim::makespan;
+use pgmini::cost::SimCost;
 use pgmini::error::{ErrorCode, PgError, PgResult};
 use pgmini::session::Session;
 use pgmini::types::Row;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Name the failing shard and node in a COPY error so a multi-gigabyte load
@@ -41,7 +42,7 @@ pub fn distributed_copy(
     // coordinator-side parse/route cost: single-threaded per row. CSV/JSON
     // parsing plus per-shard routing is a large constant fraction of COPY
     // (the paper's Figure 7a bottleneck at 8 workers).
-    dist.coordinator.add_cpu(model.cpu_tuple_ms * 60.0 * rows.len() as f64);
+    let parse_ms = model.cpu_tuple_ms * 60.0 * rows.len() as f64;
 
     let total = rows.len() as u64;
     match dt.method {
@@ -61,9 +62,8 @@ pub fn distributed_copy(
                 node_times.push(cost.total_ms());
                 dist.net_ms += conn.rtt_ms() + rows.len() as f64 * model.net_tuple_ms;
             }
-            dist.elapsed_ms = dist.coordinator.cpu_ms
-                + makespan::cluster_makespan(&node_times, 0.0)
-                + model.net_rtt_ms;
+            dist.elapsed_ms =
+                parse_ms + makespan::cluster_makespan(&node_times, 0.0) + model.net_rtt_ms;
         }
         PartitionMethod::Hash => {
             let (_, dist_idx) = dt
@@ -99,7 +99,7 @@ pub fn distributed_copy(
             }
             // per-shard batches stream to placements; per-node parallelism is
             // limited by cores (writes happen via concurrent shard COPYs)
-            let mut per_node_costs: HashMap<NodeId, Vec<f64>> = HashMap::new();
+            let mut per_node_costs: BTreeMap<NodeId, Vec<f64>> = BTreeMap::new();
             let mut batches: Vec<(NodeId, String, Vec<Row>)> = Vec::new();
             for (b, batch) in buckets {
                 let sid = dt.shards[b];
@@ -129,18 +129,17 @@ pub fn distributed_copy(
             // elapsed: the coordinator's parse stream and the workers' heap
             // + index work overlap only partially (streaming back-pressure)
             let worker_side = makespan::cluster_makespan(&node_times, 0.0);
-            let hi = dist.coordinator.cpu_ms.max(worker_side);
-            let lo = dist.coordinator.cpu_ms.min(worker_side);
+            let hi = parse_ms.max(worker_side);
+            let lo = parse_ms.min(worker_side);
             dist.elapsed_ms = hi + 0.5 * lo + model.net_rtt_ms;
         }
     }
-    session.add_cost(&pgmini::cost::SimCost {
-        cpu_ms: dist.coordinator.cpu_ms,
-        net_ms: dist.net_ms,
-        ..pgmini::cost::SimCost::ZERO
-    });
-    // record the cost for ClientSession::last_dist_cost
+    let parse = SimCost { cpu_ms: parse_ms, ..SimCost::ZERO };
+    session.add_cost(&SimCost { net_ms: dist.net_ms, ..parse });
+    // the parse ran on the session's node; record the cost for
+    // ClientSession::last_dist_cost
     let origin = cluster.node_of_engine(session.engine()).unwrap_or(NodeId(0));
+    dist.add_node(origin, &parse);
     if let Ok(ext) = cluster.extension(origin) {
         ext.record_external_cost(session.id(), dist);
     }

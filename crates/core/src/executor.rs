@@ -381,7 +381,7 @@ fn execute_plan_inner(
 
     // 5. merge
     let merged = merge::apply(&plan.merge, tasks.results, &cluster.config.engine.cost)?;
-    cost.coordinator.add_cpu(merged.cpu_ms);
+    cost.add_node(self_node, &SimCost { cpu_ms: merged.cpu_ms, ..SimCost::ZERO });
 
     // 6. network latency
     let wire = account_wire(&ctx, state, sole_remote, riding, &tasks.remote_targets);

@@ -16,6 +16,7 @@ use crate::metadata::NodeId;
 use crate::planner::{self, DistPlan, PlannerKind, SubplanExecutor};
 use netsim::pipeline::WireRound;
 use parking_lot::Mutex;
+use pgmini::cost::SimCost;
 use pgmini::engine::Engine;
 use pgmini::error::{ErrorCode, PgError, PgResult};
 use pgmini::hooks::Extension;
@@ -368,7 +369,7 @@ impl CitrusExtension {
         }
         // distributed planning is coordinator CPU the statement serially
         // waits on; a cache hit pays only the pruning recomputation
-        state.stmt_cost.coordinator.add_cpu(planning_ms);
+        state.stmt_cost.add_node(self.node, &SimCost { cpu_ms: planning_ms, ..SimCost::ZERO });
         state.stmt_cost.elapsed_ms += planning_ms;
         if let Some(root) = &mut state.trace {
             root.set("tier", plan.kind.as_str());
@@ -608,7 +609,7 @@ impl CitrusExtension {
             for (_, gid) in &prepared {
                 session.execute_local(&commit_record_insert(gid))?;
                 let local = session.last_cost();
-                state.commit_cost.coordinator.add(&local);
+                state.commit_cost.add_node(self.node, &local);
                 state.commit_cost.elapsed_ms += local.total_ms();
                 if let Some(root) = &mut state.trace {
                     root.child(crate::trace::Span::new("2pc.record").with("gid", gid));
@@ -711,10 +712,8 @@ impl CitrusExtension {
         // an all-local commit has no distributed cost; publishing None lets
         // ClientSession fall back to the session's own commit cost, matching
         // single-node accounting (the MX fast path depends on this)
-        let distributed = ccost.net_ms > 0.0
-            || ccost.elapsed_ms > 0.0
-            || !ccost.per_node.is_empty()
-            || ccost.coordinator.total_ms() > 0.0;
+        let distributed =
+            ccost.net_ms > 0.0 || ccost.elapsed_ms > 0.0 || !ccost.per_node.is_empty();
         state.last_dist = if distributed { Some(ccost) } else { None };
     }
 

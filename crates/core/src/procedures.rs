@@ -68,10 +68,8 @@ pub fn register_delegated_procedure(
                 // flatten into the session cost so a forwarding caller (who
                 // only sees this session's cost) gets the full picture
                 let flat = pgmini::cost::SimCost {
-                    cpu_ms: cost.total_demand_ms() - cost.per_node.values().map(|c| c.io_ms).sum::<f64>()
-                        - cost.coordinator.io_ms,
-                    io_ms: cost.per_node.values().map(|c| c.io_ms).sum::<f64>()
-                        + cost.coordinator.io_ms,
+                    cpu_ms: cost.per_node.values().map(|c| c.cpu_ms).sum(),
+                    io_ms: cost.per_node.values().map(|c| c.io_ms).sum(),
                     net_ms: cost.net_ms,
                     ..pgmini::cost::SimCost::ZERO
                 };

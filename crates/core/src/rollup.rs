@@ -345,20 +345,27 @@ pub fn parse_definition(
 
     // scalar-expression validation shared by group keys, WHERE, and agg args
     let check_scalar = |e: &Expr, what: &str| -> PgResult<()> {
-        walk_expr(e, &mut |x| match x {
-            Expr::Func(f) if AggKind::resolve(&f.name, f.star).is_some() => Err(bad(format!(
-                "aggregate calls are not allowed in the {what} of a ROLLUP definition"
-            ))),
-            Expr::Func(f) if is_nondeterministic(&f.name) => Err(bad(format!(
-                "nondeterministic function {}() in a ROLLUP definition",
-                f.name
-            ))),
-            Expr::Param(_) => Err(bad("parameters are not allowed in ROLLUP definitions".into())),
-            Expr::InSubquery { .. } | Expr::Exists { .. } | Expr::ScalarSubquery(_) => {
-                Err(bad("subqueries are not allowed in ROLLUP definitions".into()))
-            }
-            _ => Ok(()),
-        })?;
+        // the first rejected node in pre-order names the error
+        let mut first: Option<PgError> = None;
+        e.walk(&mut |x| {
+            first = first.take().or_else(|| match x {
+                Expr::Func(f) if AggKind::resolve(&f.name, f.star).is_some() => Some(bad(format!(
+                    "aggregate calls are not allowed in the {what} of a ROLLUP definition"
+                ))),
+                Expr::Func(f) if is_nondeterministic(&f.name) => Some(bad(format!(
+                    "nondeterministic function {}() in a ROLLUP definition",
+                    f.name
+                ))),
+                Expr::Param(_) => {
+                    Some(bad("parameters are not allowed in ROLLUP definitions".into()))
+                }
+                Expr::InSubquery { .. } | Expr::Exists { .. } | Expr::ScalarSubquery(_) => {
+                    Some(bad("subqueries are not allowed in ROLLUP definitions".into()))
+                }
+                _ => None,
+            })
+        });
+        first.map_or(Ok(()), Err)?;
         // resolve columns now so CREATE fails instead of the first refresh
         expr::bind(e, &scope).map(|_| ())
     };
@@ -546,49 +553,6 @@ fn agg_out_ty(kind: AggKind, arg_ty: TypeName, fname: &str) -> PgResult<TypeName
             }
         },
     })
-}
-
-/// Depth-first expression walk; the callback errors to reject a node.
-fn walk_expr(e: &Expr, f: &mut impl FnMut(&Expr) -> PgResult<()>) -> PgResult<()> {
-    f(e)?;
-    match e {
-        Expr::Literal(_) | Expr::Param(_) | Expr::Column { .. } => Ok(()),
-        Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => walk_expr(expr, f),
-        Expr::Binary { left, right, .. } => {
-            walk_expr(left, f)?;
-            walk_expr(right, f)
-        }
-        Expr::Like { expr, pattern, .. } => {
-            walk_expr(expr, f)?;
-            walk_expr(pattern, f)
-        }
-        Expr::Between { expr, low, high, .. } => {
-            walk_expr(expr, f)?;
-            walk_expr(low, f)?;
-            walk_expr(high, f)
-        }
-        Expr::InList { expr, list, .. } => {
-            walk_expr(expr, f)?;
-            list.iter().try_for_each(|x| walk_expr(x, f))
-        }
-        Expr::Case { operand, branches, else_result } => {
-            if let Some(o) = operand {
-                walk_expr(o, f)?;
-            }
-            for (c, r) in branches {
-                walk_expr(c, f)?;
-                walk_expr(r, f)?;
-            }
-            if let Some(e) = else_result {
-                walk_expr(e, f)?;
-            }
-            Ok(())
-        }
-        Expr::Func(fc) => fc.args.iter().try_for_each(|x| walk_expr(x, f)),
-        Expr::IsNull { expr, .. } => walk_expr(expr, f),
-        // subqueries are rejected by the caller before recursion matters
-        Expr::InSubquery { .. } | Expr::Exists { .. } | Expr::ScalarSubquery(_) => Ok(()),
-    }
 }
 
 fn is_nondeterministic(name: &str) -> bool {

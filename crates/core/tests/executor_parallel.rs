@@ -8,7 +8,6 @@
 //! (DDL, redistribution, shard moves).
 
 use citrus::cluster::{Cluster, ClusterConfig};
-use citrus::cost::DistCost;
 use citrus::metadata::NodeId;
 use netsim::fault::{FaultKind, FaultOp, FaultPlan, FaultRule};
 use pgmini::types::Datum;
@@ -25,21 +24,6 @@ fn cluster(threads: usize, workers: u32, shards: u32, plan_cache: bool) -> Arc<C
         c.add_worker().unwrap();
     }
     c
-}
-
-/// Render a DistCost deterministically (HashMap order must not leak in).
-fn cost_string(d: &DistCost) -> String {
-    let mut nodes: Vec<_> = d.per_node.iter().collect();
-    nodes.sort_by_key(|(n, _)| n.0);
-    let mut s = String::new();
-    for (n, c) in nodes {
-        s.push_str(&format!("n{}:cpu={:.6},io={:.6},rows={};", n.0, c.cpu_ms, c.io_ms, c.rows_processed));
-    }
-    s.push_str(&format!(
-        "coord:cpu={:.6},io={:.6};net={:.6};elapsed={:.6}",
-        d.coordinator.cpu_ms, d.coordinator.io_ms, d.net_ms, d.elapsed_ms
-    ));
-    s
 }
 
 /// A mixed fast-path / router / pushdown workload, deterministic from `step`.
@@ -75,8 +59,7 @@ fn run_workload(threads: usize, faults: Option<(FaultPlan, u64)>) -> (Vec<String
             Ok(r) => format!("ok:{:?}/{}", r.rows(), r.affected()),
             Err(e) => format!("err:{:?}:{}", e.code, e.message),
         };
-        let cost = s.last_dist_cost();
-        outcomes.push(format!("{out}|{}", cost_string(&cost)));
+        outcomes.push(format!("{out}|{:?}", s.last_dist_cost()));
     }
     let fp = inj.map(|i| i.fingerprint()).unwrap_or(0);
     (outcomes, fp, c.task_retry_count(), c.clock.now_micros() - clock_before)
@@ -337,7 +320,7 @@ proptest! {
                     Ok(r) => format!("ok:{:?}/{}", r.rows(), r.affected()),
                     Err(e) => format!("err:{:?}", e.code),
                 });
-                out.push(cost_string(&s.last_dist_cost()));
+                out.push(format!("{:?}", s.last_dist_cost()));
             }
             (out, inj.fingerprint(), c.task_retry_count())
         };

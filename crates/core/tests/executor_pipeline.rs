@@ -30,6 +30,9 @@ use proptest::test_runner::TestCaseError;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+mod common;
+use common::row_keys;
+
 const SEED_ROWS: i64 = 16;
 
 /// 2 workers, 8 shards, `t(k, v)` seeded — with the fast paths on or off.
@@ -87,31 +90,6 @@ fn stream(ops: &[Op], txn_mask: u32) -> Vec<(String, bool, bool)> {
         }
     }
     out
-}
-
-fn datum_key(d: &Datum) -> String {
-    if let Ok(i) = d.as_i64() {
-        return i.to_string();
-    }
-    if let Ok(f) = d.as_f64() {
-        if f.fract() == 0.0 && f.abs() < 1e15 {
-            return (f as i64).to_string();
-        }
-        return format!("{f}");
-    }
-    format!("{d:?}")
-}
-
-fn row_keys(r: &QueryResult, ordered: bool) -> Vec<String> {
-    let mut keys: Vec<String> = r
-        .rows()
-        .iter()
-        .map(|row| row.iter().map(datum_key).collect::<Vec<_>>().join(","))
-        .collect();
-    if !ordered {
-        keys.sort();
-    }
-    keys
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -558,8 +536,7 @@ fn a_statement_mixing_local_and_remote_writes_is_one_round() {
         assert_eq!(r.affected(), SEED_ROWS as u64);
         assert_eq!(rounds(&c) - before, 1, "BEGIN and four tasks ride one round");
         let cost = s.last_dist_cost();
-        let mut nodes: Vec<u32> = cost.per_node.keys().map(|n| n.0).collect();
-        nodes.sort();
+        let nodes: Vec<u32> = cost.per_node.keys().map(|n| n.0).collect();
         assert_eq!(nodes, [1, 2]);
         // BEGIN's round trip plus the statement's, and one connect
         let model = c.config.engine.cost;

@@ -52,30 +52,12 @@ fn setup(c: &Arc<Cluster>) -> citrus::cluster::ClientSession {
     s
 }
 
-/// Render a DistCost deterministically (HashMap order must not leak in).
-fn cost_string(d: &DistCost) -> String {
-    let mut nodes: Vec<_> = d.per_node.iter().collect();
-    nodes.sort_by_key(|(n, _)| n.0);
-    let mut s = String::new();
-    for (n, c) in nodes {
-        s.push_str(&format!(
-            "n{}:cpu={:.6},io={:.6},pages={},rows={},batches={};",
-            n.0, c.cpu_ms, c.io_ms, c.pages_read, c.rows_processed, c.batches
-        ));
-    }
-    s.push_str(&format!(
-        "coord:cpu={:.6},io={:.6};net={:.6};elapsed={:.6}",
-        d.coordinator.cpu_ms, d.coordinator.io_ms, d.net_ms, d.elapsed_ms
-    ));
-    s
-}
-
 fn total_pages(d: &DistCost) -> u64 {
-    d.per_node.values().map(|c| c.pages_read).sum::<u64>() + d.coordinator.pages_read
+    d.per_node.values().map(|c| c.pages_read).sum()
 }
 
 fn total_batches(d: &DistCost) -> u64 {
-    d.per_node.values().map(|c| c.batches).sum::<u64>() + d.coordinator.batches
+    d.per_node.values().map(|c| c.batches).sum()
 }
 
 /// The differential workload: scans, filters, partial aggregates, group-bys
@@ -134,7 +116,7 @@ fn run_observables(threads: usize, vectorized: bool) -> Vec<String> {
             Ok(r) => format!("ok:{:?}/{}", r.rows(), r.affected()),
             Err(e) => format!("err:{:?}:{}", e.code, e.message),
         });
-        out.push(cost_string(&s.last_dist_cost()));
+        out.push(format!("{:?}", s.last_dist_cost()));
         if let Some(t) = c.tracer.last_statement() {
             out.push(t.render());
         }

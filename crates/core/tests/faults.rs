@@ -321,8 +321,7 @@ fn local_replica_failover_books_one_task_on_the_survivor() {
         let r = s.execute("SELECT count(*) FROM r").unwrap();
         assert_eq!(r.rows()[0][0], Datum::Int(3));
         let cost = s.last_dist_cost();
-        let mut nodes: Vec<u32> = cost.per_node.keys().map(|n| n.0).collect();
-        nodes.sort();
+        let nodes: Vec<u32> = cost.per_node.keys().map(|n| n.0).collect();
         let trace = c.tracer.last_statement().expect("statement trace recorded");
         let tasks = trace.find_all("task");
         assert_eq!(tasks.len(), 1, "one task, one span:\n{}", trace.render());
@@ -341,7 +340,15 @@ fn local_replica_failover_books_one_task_on_the_survivor() {
             trace.render()
         );
         assert_eq!(c.task_retry_count(), 2);
-        assert_eq!(nodes, [1], "work is booked on the surviving placement only");
+        // the coordinator books its own planning and merge; the failed local
+        // attempt books nothing there, the task's work is on the survivor
+        assert_eq!(nodes, [0, 1]);
+        let coordinator = cost.per_node[&NodeId(0)];
+        assert_eq!(
+            (coordinator.io_ms, coordinator.pages_read, coordinator.rows_processed),
+            (0.0, 0, 0),
+            "work is booked on the surviving placement only"
+        );
         // one connect, the retry's backoff, one statement round trip
         let model = c.config.engine.cost;
         assert_eq!(cost.net_ms, model.connect_ms + 10.0 + model.net_rtt_ms);

@@ -18,11 +18,13 @@
 
 use citrus::cluster::{Cluster, ClusterConfig};
 use citrus::metadata::NodeId;
-use pgmini::session::QueryResult;
 use pgmini::types::Datum;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::sync::Arc;
+
+mod common;
+use common::row_keys;
 
 const SEED_ROWS: i64 = 16;
 
@@ -80,31 +82,6 @@ fn stream(ops: &[Op], txn_mask: u32) -> Vec<(String, bool, bool)> {
         }
     }
     out
-}
-
-fn datum_key(d: &Datum) -> String {
-    if let Ok(i) = d.as_i64() {
-        return i.to_string();
-    }
-    if let Ok(f) = d.as_f64() {
-        if f.fract() == 0.0 && f.abs() < 1e15 {
-            return (f as i64).to_string();
-        }
-        return format!("{f}");
-    }
-    format!("{d:?}")
-}
-
-fn row_keys(r: &QueryResult, ordered: bool) -> Vec<String> {
-    let mut keys: Vec<String> = r
-        .rows()
-        .iter()
-        .map(|row| row.iter().map(datum_key).collect::<Vec<_>>().join(","))
-        .collect();
-    if !ordered {
-        keys.sort();
-    }
-    keys
 }
 
 #[derive(Debug, Clone, PartialEq)]

@@ -9,11 +9,12 @@ use citrus::cluster::{Cluster, ClusterConfig};
 use netsim::fault::{FaultKind, FaultOp, FaultPlan, FaultRule};
 use pgmini::engine::Engine;
 use pgmini::error::ErrorCode;
-use pgmini::session::QueryResult;
-use pgmini::types::Datum;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::sync::Arc;
+
+mod common;
+use common::row_keys;
 
 const SEED_ROWS: i64 = 16;
 
@@ -64,34 +65,6 @@ fn op_sql(op: &Op, index: usize) -> (String, bool /* ordered */, bool /* write *
         5 => ("SELECT v, count(*) AS n FROM t GROUP BY v".to_string(), false, false),
         _ => ("SELECT k, v FROM t ORDER BY k LIMIT 5".to_string(), true, false),
     }
-}
-
-/// Normalize a datum so `Int(5)` and `Float(5.0)` (e.g. a sum computed
-/// shard-local vs merged on the coordinator) compare equal.
-fn datum_key(d: &Datum) -> String {
-    if let Ok(i) = d.as_i64() {
-        return i.to_string();
-    }
-    if let Ok(f) = d.as_f64() {
-        if f.fract() == 0.0 && f.abs() < 1e15 {
-            return (f as i64).to_string();
-        }
-        return format!("{f}");
-    }
-    format!("{d:?}")
-}
-
-/// Rows as comparable strings; sorted unless the query fixed an order.
-fn row_keys(r: &QueryResult, ordered: bool) -> Vec<String> {
-    let mut keys: Vec<String> = r
-        .rows()
-        .iter()
-        .map(|row| row.iter().map(datum_key).collect::<Vec<_>>().join(","))
-        .collect();
-    if !ordered {
-        keys.sort();
-    }
-    keys
 }
 
 /// Execute on the distributed side; reads whose retries were exhausted by

@@ -298,6 +298,33 @@ fn create_rollup_rejects_invalid_definitions() {
         // nothing half-created sticks around
         assert!(s.execute("SELECT * FROM r").is_err(), "{sql} left table r behind");
     }
+    // one case per scalar-expression check, each with its own message
+    let scalar_cases = [
+        (
+            "CREATE ROLLUP r AS SELECT region, count(*) AS n FROM sales GROUP BY region, sum(amount)",
+            "aggregate calls are not allowed in the GROUP BY clause",
+        ),
+        (
+            "CREATE ROLLUP r AS SELECT region, count(*) AS n FROM sales \
+             WHERE price > random() GROUP BY region",
+            "nondeterministic function random()",
+        ),
+        (
+            "CREATE ROLLUP r AS SELECT region, count(*) AS n FROM sales \
+             WHERE amount > $1 GROUP BY region",
+            "parameters are not allowed",
+        ),
+        (
+            "CREATE ROLLUP r AS SELECT region, count(*) AS n FROM sales \
+             WHERE region IN (SELECT region FROM sales) GROUP BY region",
+            "subqueries are not allowed",
+        ),
+    ];
+    for (sql, needle) in scalar_cases {
+        let err = s.execute(sql).unwrap_err();
+        assert!(err.message.contains(needle), "{sql}: unexpected error {}", err.message);
+        assert!(s.execute("SELECT * FROM r").is_err(), "{sql} left table r behind");
+    }
 
     s.execute(ROLLUP_DDL).unwrap();
     let err = s.execute(ROLLUP_DDL).unwrap_err();

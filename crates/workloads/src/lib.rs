@@ -21,4 +21,4 @@ pub mod tpcc;
 pub mod tpch;
 pub mod ycsb;
 
-pub use runner::{ClusterRunner, LocalRunner, MxRunner, RunCost, SqlRunner};
+pub use runner::{ClusterRunner, LocalRunner, MxRunner, SqlRunner};

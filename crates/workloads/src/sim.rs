@@ -22,11 +22,12 @@
 
 use crate::gharchive;
 use crate::patterns::Pattern;
-use crate::runner::{ClusterRunner, LocalRunner, MeteredRunner, MxRunner, RunCost, SqlRunner};
+use crate::runner::{ClusterRunner, LocalRunner, MeteredRunner, MxRunner, SqlRunner};
 use crate::tpcc::{self, TpccConfig, TpccDriver};
 use crate::tpch;
 use crate::ycsb::{self, YcsbConfig, YcsbDriver};
 use citrus::cluster::{Cluster, ClusterConfig};
+use citrus::cost::DistCost;
 use citrus::metadata::{NodeId, FIRST_SHARD_ID};
 use citrus::rebalancer::{self, MOVE_PHASE_TAGS};
 use citrus::{deadlock, ha, recovery};
@@ -489,7 +490,7 @@ impl SqlRunner for MirrorRunner {
         Ok(n_dist)
     }
 
-    fn last_cost(&mut self) -> RunCost {
+    fn last_cost(&mut self) -> DistCost {
         self.dist.last_cost()
     }
 }
@@ -1427,8 +1428,8 @@ impl SqlRunner for RecordingRunner {
         Ok(rows.len() as u64)
     }
 
-    fn last_cost(&mut self) -> RunCost {
-        RunCost::default()
+    fn last_cost(&mut self) -> DistCost {
+        DistCost::default()
     }
 }
 
@@ -1449,7 +1450,7 @@ pub struct ArmStats {
     /// network delay — for the closed-loop MVA solver. Its mean over `units`
     /// is the per-unit demand profile; the serial `units_per_vsec` metric
     /// alone cannot show aggregate cluster capacity.
-    pub demand: RunCost,
+    pub demand: DistCost,
 }
 
 /// Distributed vs single-node numbers for one §4 pattern.

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Tier-1 CI gate. Mirrors what the driver runs, plus a warnings-as-errors
-# pass over the paper-contribution crate and one run of the wall-clock
+# Tier-1 CI gate: build, the full test suite, a warnings-as-errors pass
+# over every target of the workspace and one run of the wall-clock
 # benchmark. Each clock has one home: virtual-time figures are gated inside
 # step 2, wall-clock numbers come from step 4's program and nowhere else.
 #
@@ -29,8 +29,9 @@
 #      paper's Tables 1-3 and Figures 6-10), re-blesses with
 #      `cargo run --release -p citrus-bench --bin figures_bench -- --smoke`,
 #      the others with `... --bin <name>_bench -- --smoke`
-#   3. crates/core must compile warning-free (tests included), and the two
-#      Criterion files must compile: no other step builds them
+#   3. the whole workspace must compile warning-free, every target included
+#      (tests, examples, binaries and the Criterion files, which no other
+#      step builds)
 #   4. the wall-clock benchmark (benchmark/, see BENCHMARK.json) for all
 #      five workloads at --seconds 1: `dtxn_wire` and `tpcc` through the
 #      commit protocol, with and without real wire time; `ycsb_a`, which runs
@@ -59,9 +60,8 @@ cargo build --release
 echo "==> [2/4] cargo test -q (whole workspace; sim chaos corpus: ${SIM_SEEDS} seeds)"
 CITRUS_SIM_SEEDS="$SIM_SEEDS" cargo test -q
 
-echo "==> [3/4] warnings-as-errors check of crates/core; Criterion benches compile"
-RUSTFLAGS="-Dwarnings" cargo check -p citrus --all-targets
-cargo bench --no-run -p citrus-bench
+echo "==> [3/4] warnings-as-errors check of every workspace target"
+RUSTFLAGS="-Dwarnings" cargo check --workspace --all-targets
 
 echo "==> [4/4] wall-clock benchmark: all five workloads, correctness only"
 for workload in dtxn_wire tpcc ycsb_a tpch rta; do

@@ -216,19 +216,16 @@ fn maintenance_daemon_runs() {
 /// (the benchmark methodology itself is tested).
 #[test]
 fn closed_loop_methodology_sanity() {
-    let samples = vec![
-        workloads::runner::RunCost {
-            per_node: vec![(1, 1.0, 0.5)],
-            net_ms: 0.5,
-            elapsed_ms: 2.0,
-        };
-        16
-    ];
-    let mut total = workloads::runner::RunCost::default();
-    for s in &samples {
-        total.add(s);
+    let mut sample = citrus::cost::DistCost { net_ms: 0.5, elapsed_ms: 2.0, ..Default::default() };
+    sample.add_node(
+        citrus::metadata::NodeId(1),
+        &pgmini::cost::SimCost { cpu_ms: 1.0, io_ms: 0.5, ..pgmini::cost::SimCost::ZERO },
+    );
+    let mut total = citrus::cost::DistCost::default();
+    for _ in 0..16 {
+        total.add(&sample);
     }
-    assert!((total.total_cpu() - 16.0).abs() < 1e-9);
+    assert_eq!(total.mean(16), sample);
     // one 16-core node, per-txn 1ms cpu + 0.5ms disk: disk saturates first
     let stations = vec![
         netsim::Station::queueing("cpu", 1.0, 16),
