@@ -9,7 +9,7 @@ use crate::cluster::{Cluster, ClusterConfig};
 use crate::metadata::NodeId;
 use pgmini::engine::Engine;
 use pgmini::error::{ErrorCode, PgError, PgResult};
-use pgmini::wal::WalRecord;
+use pgmini::wal::{self, WalRecord};
 use std::sync::Arc;
 
 /// Write a restore point on every node. Blocks commit-record writes for the
@@ -62,7 +62,7 @@ pub fn restore_cluster(backup: &ClusterBackup, restore_point: &str) -> PgResult<
     *cluster.metadata.write() = backup.metadata.clone();
     for (i, records) in backup.node_wals.iter().enumerate() {
         let node = cluster.node(NodeId(i as u32))?;
-        let upto = find_restore_point(records, restore_point).ok_or_else(|| {
+        let upto = wal::restore_point_in(records, restore_point).ok_or_else(|| {
             PgError::new(
                 ErrorCode::InvalidParameter,
                 format!("restore point \"{restore_point}\" not found on node {i}"),
@@ -78,11 +78,4 @@ pub fn restore_cluster(backup: &ClusterBackup, restore_point: &str) -> PgResult<
     crate::recovery::recover_once(&cluster)?;
     crate::rebalancer::recover_moves(&cluster)?;
     Ok(cluster)
-}
-
-fn find_restore_point(records: &[WalRecord], name: &str) -> Option<u64> {
-    records
-        .iter()
-        .position(|r| matches!(r, WalRecord::RestorePoint { name: n } if n == name))
-        .map(|i| (i + 1) as u64)
 }

@@ -22,6 +22,7 @@ use pgmini::engine::Engine;
 use pgmini::error::{PgError, PgResult};
 use pgmini::types::Datum;
 use pgmini::wal::{decode_table_changes, Change, Lsn};
+use sqlparse::quote_literal;
 use std::sync::Arc;
 
 /// Durable per-(rollup, shard) cursor catalog. Lives on the coordinator
@@ -114,8 +115,8 @@ pub fn committed_count(engine: &Arc<Engine>, physical: &str) -> PgResult<(u64, L
 pub fn load_cursors(cluster: &Arc<Cluster>, rollup: &str) -> PgResult<Vec<Cursor>> {
     let sql = format!(
         "SELECT shard, node, seq FROM {CHANGEFEED_CURSORS_TABLE} \
-         WHERE rollup = '{}' ORDER BY shard",
-        escape(rollup)
+         WHERE rollup = {} ORDER BY shard",
+        quote_literal(rollup)
     );
     let rows = coordinator_query(cluster, &sql)?;
     let mut out = Vec::with_capacity(rows.len());
@@ -133,9 +134,9 @@ pub fn load_cursors(cluster: &Arc<Cluster>, rollup: &str) -> PgResult<Vec<Cursor
 pub fn insert_cursor_sql(rollup: &str, shard: ShardId, node: NodeId, seq: u64) -> String {
     format!(
         "INSERT INTO {CHANGEFEED_CURSORS_TABLE} (cursor_id, rollup, shard, node, seq) \
-         VALUES ('{}', '{}', {}, {}, {})",
-        escape(&cursor_id(rollup, shard)),
-        escape(rollup),
+         VALUES ({}, {}, {}, {}, {})",
+        quote_literal(&cursor_id(rollup, shard)),
+        quote_literal(rollup),
         shard.0,
         node.0,
         seq
@@ -144,15 +145,15 @@ pub fn insert_cursor_sql(rollup: &str, shard: ShardId, node: NodeId, seq: u64) -
 
 pub fn update_cursor_sql(rollup: &str, shard: ShardId, node: NodeId, seq: u64) -> String {
     format!(
-        "UPDATE {CHANGEFEED_CURSORS_TABLE} SET node = {}, seq = {} WHERE cursor_id = '{}'",
+        "UPDATE {CHANGEFEED_CURSORS_TABLE} SET node = {}, seq = {} WHERE cursor_id = {}",
         node.0,
         seq,
-        escape(&cursor_id(rollup, shard))
+        quote_literal(&cursor_id(rollup, shard))
     )
 }
 
 pub fn delete_cursors_sql(rollup: &str) -> String {
-    format!("DELETE FROM {CHANGEFEED_CURSORS_TABLE} WHERE rollup = '{}'", escape(rollup))
+    format!("DELETE FROM {CHANGEFEED_CURSORS_TABLE} WHERE rollup = {}", quote_literal(rollup))
 }
 
 /// Run a read against the coordinator's local engine, bypassing the
@@ -169,8 +170,4 @@ fn datum_i64(row: &[Datum], idx: usize) -> PgResult<i64> {
     row.get(idx)
         .ok_or_else(|| PgError::internal("short cursor row"))?
         .as_i64()
-}
-
-pub(crate) fn escape(s: &str) -> String {
-    s.replace('\'', "''")
 }

@@ -6,11 +6,12 @@
 use crate::cluster::Cluster;
 use crate::executor::SessionState;
 use crate::extension::CitrusExtension;
-use crate::metadata::Metadata;
+use crate::metadata::{Metadata, NodeId, Shard};
 use crate::planner::{DistPlan, Merge, PlannerKind, Task};
 use pgmini::error::PgResult;
 use pgmini::session::{QueryResult, Session};
 use sqlparse::ast::{CreateIndex, Statement};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Does this utility statement involve citrus tables?
@@ -39,30 +40,9 @@ pub fn propagate(
             drop_tables(ext, cluster, session, state, names, *if_exists)
         }
         Statement::Truncate { tables } => {
-            let mut tasks = Vec::new();
-            let mut per_node: std::collections::BTreeMap<u32, Vec<String>> =
-                std::collections::BTreeMap::new();
-            {
-                let meta = cluster.metadata.read_recursive();
-                for t in tables {
-                    let dt = meta.require_table(t)?;
-                    for sid in &dt.shards {
-                        let shard = meta.shard(*sid)?;
-                        for &node in &shard.placements {
-                            per_node.entry(node.0).or_default().push(shard.physical_name());
-                            tasks.push(Task {
-                                node,
-                                group: None,
-                                stmt: std::sync::Arc::new(Statement::Truncate {
-                                    tables: vec![shard.physical_name()],
-                                }),
-                                is_write: true,
-                                shards: vec![*sid],
-                            });
-                        }
-                    }
-                }
-            }
+            let plan = placement_plan(cluster, tables, true, |shard, _| Statement::Truncate {
+                tables: vec![shard.physical_name()],
+            })?;
             // bump the generation *before* the fan-out so pinned MX sessions
             // fence at their next statement boundary, and clear any holder
             // that would otherwise block the shard truncates forever
@@ -72,53 +52,14 @@ pub fn propagate(
                     meta.note_ddl(t);
                 }
             }
-            for (node, physical) in &per_node {
-                crate::deadlock::fence_local_blockers(
-                    cluster,
-                    crate::metadata::NodeId(*node),
-                    physical,
-                    state.dist_txn,
-                )?;
-            }
-            let plan = DistPlan {
-                kind: PlannerKind::Router,
-                tasks,
-                merge: Merge::AffectedSum,
-                is_write: true,
-                used_subplans: false,
-                prep: Vec::new(),
-            };
+            fence_blockers(cluster, state, &plan)?;
             ext.execute_plan_with_txn(session, state, &plan)?;
             Ok(QueryResult::Empty)
         }
         Statement::Vacuum { table: Some(t) } => {
-            let mut tasks = Vec::new();
-            {
-                let meta = cluster.metadata.read_recursive();
-                let dt = meta.require_table(t)?;
-                for sid in &dt.shards {
-                    let shard = meta.shard(*sid)?;
-                    for &node in &shard.placements {
-                        tasks.push(Task {
-                            node,
-                            group: None,
-                            stmt: std::sync::Arc::new(Statement::Vacuum {
-                                table: Some(shard.physical_name()),
-                            }),
-                            is_write: false,
-                            shards: vec![*sid],
-                        });
-                    }
-                }
-            }
-            let plan = DistPlan {
-                kind: PlannerKind::Router,
-                tasks,
-                merge: Merge::AffectedSum,
-                is_write: false,
-                used_subplans: false,
-                prep: Vec::new(),
-            };
+            let plan = placement_plan(cluster, std::slice::from_ref(t), false, |shard, _| {
+                Statement::Vacuum { table: Some(shard.physical_name()) }
+            })?;
             ext.execute_plan_with_txn(session, state, &plan)
         }
         other => Err(pgmini::error::PgError::internal(format!(
@@ -140,38 +81,16 @@ fn propagate_create_index(
     // node's plan cache drops entries stamped against the old schema and
     // pinned MX sessions fence at their next statement boundary
     cluster.metadata.write().note_ddl(&ci.table);
-    let mut tasks = Vec::new();
-    {
-        let meta = cluster.metadata.read_recursive();
-        let dt = meta.require_table(&ci.table)?;
-        for sid in &dt.shards {
-            let shard = meta.shard(*sid)?;
-            for (pi, &node) in shard.placements.iter().enumerate() {
-                let mut shard_ci = ci.clone();
-                shard_ci.name = if shard.placements.len() > 1 {
-                    format!("{}_{}_{}", ci.name, sid.0, pi)
-                } else {
-                    format!("{}_{}", ci.name, sid.0)
-                };
-                shard_ci.table = shard.physical_name();
-                tasks.push(Task {
-                    node,
-                    group: None,
-                    stmt: std::sync::Arc::new(Statement::CreateIndex(Box::new(shard_ci))),
-                    is_write: true,
-                    shards: vec![*sid],
-                });
-            }
-        }
-    }
-    let plan = DistPlan {
-        kind: PlannerKind::Router,
-        tasks,
-        merge: Merge::AffectedSum,
-        is_write: true,
-        used_subplans: false,
-        prep: Vec::new(),
-    };
+    let plan = placement_plan(cluster, std::slice::from_ref(&ci.table), true, |shard, pi| {
+        let mut shard_ci = ci.clone();
+        shard_ci.name = if shard.placements.len() > 1 {
+            format!("{}_{}_{}", ci.name, shard.id.0, pi)
+        } else {
+            format!("{}_{}", ci.name, shard.id.0)
+        };
+        shard_ci.table = shard.physical_name();
+        Statement::CreateIndex(Box::new(shard_ci))
+    })?;
     ext.execute_plan_with_txn(session, state, &plan)?;
     Ok(QueryResult::Empty)
 }
@@ -195,50 +114,15 @@ fn drop_tables(
             continue;
         }
         // drop every shard, then the metadata, then the shell
-        let mut tasks = Vec::new();
-        let mut per_node: std::collections::BTreeMap<u32, Vec<String>> =
-            std::collections::BTreeMap::new();
-        {
-            let meta = cluster.metadata.read_recursive();
-            let dt = meta.require_table(name)?;
-            for sid in &dt.shards {
-                let shard = meta.shard(*sid)?;
-                for &node in &shard.placements {
-                    per_node.entry(node.0).or_default().push(shard.physical_name());
-                    tasks.push(Task {
-                        node,
-                        group: None,
-                        stmt: std::sync::Arc::new(Statement::DropTable {
-                            names: vec![shard.physical_name()],
-                            if_exists: true,
-                        }),
-                        is_write: true,
-                        shards: vec![*sid],
-                    });
-                }
-            }
-        }
+        let plan = placement_plan(cluster, std::slice::from_ref(name), true, |shard, _| {
+            Statement::DropTable { names: vec![shard.physical_name()], if_exists: true }
+        })?;
         // fence first (generation bump + holder eviction): the per-shard
         // DROPs below take table-exclusive locks and must not stall behind
         // an idle-in-transaction session, and no MX transaction may keep
         // writing into a shard of a dropped table
         cluster.metadata.write().note_ddl(name);
-        for (node, physical) in &per_node {
-            crate::deadlock::fence_local_blockers(
-                cluster,
-                crate::metadata::NodeId(*node),
-                physical,
-                state.dist_txn,
-            )?;
-        }
-        let plan = DistPlan {
-            kind: PlannerKind::Router,
-            tasks,
-            merge: Merge::AffectedSum,
-            is_write: true,
-            used_subplans: false,
-            prep: Vec::new(),
-        };
+        fence_blockers(cluster, state, &plan)?;
         ext.execute_plan_with_txn(session, state, &plan)?;
         cluster.metadata.write().drop_table(name)?;
         session.execute_local(&Statement::DropTable {
@@ -247,4 +131,50 @@ fn drop_tables(
         })?;
     }
     Ok(QueryResult::Empty)
+}
+
+/// The router plan that runs `stmt(shard, placement index)` on every
+/// placement of every shard of `tables`, shard by shard.
+fn placement_plan(
+    cluster: &Arc<Cluster>,
+    tables: &[String],
+    is_write: bool,
+    mut stmt: impl FnMut(&Shard, usize) -> Statement,
+) -> PgResult<DistPlan> {
+    let meta = cluster.metadata.read_recursive();
+    let mut tasks = Vec::new();
+    for t in tables {
+        for sid in &meta.require_table(t)?.shards {
+            let shard = meta.shard(*sid)?;
+            for (pi, &node) in shard.placements.iter().enumerate() {
+                let stmt = Arc::new(stmt(shard, pi));
+                tasks.push(Task { node, group: None, stmt, is_write, shards: vec![*sid] });
+            }
+        }
+    }
+    Ok(DistPlan {
+        kind: PlannerKind::Router,
+        tasks,
+        merge: Merge::AffectedSum,
+        is_write,
+        used_subplans: false,
+        prep: Vec::new(),
+    })
+}
+
+/// Fence the local holders of every shard table `plan` runs on, node by node
+/// (the session's own distributed transaction excepted).
+fn fence_blockers(cluster: &Arc<Cluster>, state: &SessionState, plan: &DistPlan) -> PgResult<()> {
+    let mut per_node: BTreeMap<NodeId, Vec<String>> = BTreeMap::new();
+    {
+        let meta = cluster.metadata.read_recursive();
+        for task in &plan.tasks {
+            let physical = meta.shard(task.shards[0])?.physical_name();
+            per_node.entry(task.node).or_default().push(physical);
+        }
+    }
+    for (node, physical) in &per_node {
+        crate::deadlock::fence_local_blockers(cluster, *node, physical, state.dist_txn)?;
+    }
+    Ok(())
 }

@@ -563,7 +563,7 @@ impl CitrusExtension {
         // that refused, ROLLBACK PREPARED for those already prepared
         let mut abort_round = WireRound::new();
         for (i, key) in write_keys.iter().enumerate() {
-            let gid = format!("citrus_{}_{}_{}", d.origin_node, d.number, i);
+            let gid = format_gid(d.origin_node, d.number, i);
             match state.send(&mut round, *key, &Statement::PrepareTransaction(gid.clone())) {
                 Ok(c) => {
                     state.commit_cost.add_node(key.0, &c);
@@ -675,7 +675,7 @@ impl CitrusExtension {
                 }
                 // the commit record has served its purpose
                 let _ = session.execute_local(&commit_record_delete(&gid));
-                if let Some(n) = parse_gid_number(&gid) {
+                if let Some((_, n)) = parse_gid(&gid) {
                     finished_numbers.push(n);
                 }
             }
@@ -765,7 +765,7 @@ fn commit_record_insert(gid: &str) -> Statement {
 }
 
 /// `DELETE FROM pg_dist_transaction WHERE gid = '<gid>'`.
-fn commit_record_delete(gid: &str) -> Statement {
+pub(crate) fn commit_record_delete(gid: &str) -> Statement {
     Statement::Delete(Box::new(Delete {
         table: COMMIT_RECORDS_TABLE.to_string(),
         alias: None,
@@ -807,23 +807,20 @@ fn cacheable_tier(plan: &DistPlan) -> Option<planner::cache::CachedTier> {
     }
 }
 
-/// Extract the txn number from `citrus_{origin}_{number}_{i}`.
-pub fn parse_gid_number(gid: &str) -> Option<u64> {
-    let mut parts = gid.split('_');
-    if parts.next() != Some("citrus") {
-        return None;
-    }
-    let _origin = parts.next()?;
-    parts.next()?.parse().ok()
+/// The gid of participant `i` of distributed transaction `number` begun on
+/// node `origin`: `citrus_{origin}_{number}_{i}`.
+fn format_gid(origin: u32, number: u64, i: usize) -> String {
+    format!("citrus_{origin}_{number}_{i}")
 }
 
-/// Extract the origin node from a gid.
-pub fn parse_gid_origin(gid: &str) -> Option<u32> {
-    let mut parts = gid.split('_');
-    if parts.next() != Some("citrus") {
-        return None;
-    }
-    parts.next()?.parse().ok()
+/// The origin node and transaction number of a gid [`format_gid`] made;
+/// `None` for any other gid.
+pub fn parse_gid(gid: &str) -> Option<(u32, u64)> {
+    let mut parts = gid.strip_prefix("citrus_")?.split('_');
+    let origin = parts.next()?.parse().ok()?;
+    let number = parts.next()?.parse().ok()?;
+    let _: usize = parts.next()?.parse().ok()?;
+    parts.next().is_none().then_some((origin, number))
 }
 
 impl Extension for CitrusExtension {
@@ -1088,8 +1085,8 @@ impl CitrusExtension {
                 s.execute_local(&sqlparse::parse(&format!(
                     "INSERT INTO {STAT_STATEMENTS_TABLE} \
                      (queryid, query, tier, calls, total_ms, cache_hits, retries) \
-                     VALUES ('{key:016x}', '{}', '{}', {}, {:.3}, {}, {})",
-                    escape_literal(&e.query),
+                     VALUES ('{key:016x}', {}, '{}', {}, {:.3}, {}, {})",
+                    sqlparse::quote_literal(&e.query),
                     e.tier.as_str(),
                     e.calls,
                     e.total_ms,
@@ -1134,9 +1131,9 @@ impl CitrusExtension {
                     "INSERT INTO {REBALANCE_STATUS_TABLE} \
                      (move_id, table_name, bucket, from_node, to_node, phase, \
                       rows_moved, catchup_rows) \
-                     VALUES ({}, '{}', {}, {}, {}, '{}', {}, {})",
+                     VALUES ({}, {}, {}, {}, {}, '{}', {}, {})",
                     rec.move_id,
-                    escape_literal(&rec.anchor_table),
+                    sqlparse::quote_literal(&rec.anchor_table),
                     rec.bucket,
                     rec.from.0,
                     rec.to.0,
@@ -1216,11 +1213,6 @@ fn plan_rows(lines: Vec<String>) -> QueryResult {
     }
 }
 
-/// Escape a string for inclusion in a single-quoted SQL literal.
-fn escape_literal(s: &str) -> String {
-    s.replace('\'', "''")
-}
-
 /// Planner environment: gives the planner subplan execution and join-order
 /// statistics over the live cluster.
 struct PlannerEnv<'a> {
@@ -1277,7 +1269,12 @@ mod tests {
 
     #[test]
     fn commit_record_statements_are_what_the_parser_builds() {
-        let gid = "citrus_0_7_1";
+        let gid = &format_gid(0, 7, 1);
+        assert_eq!(gid, "citrus_0_7_1");
+        assert_eq!(parse_gid(gid), Some((0, 7)));
+        // gids this extension did not make are not parsed
+        assert_eq!(parse_gid("citrus_x_5_0"), None);
+        assert_eq!(parse_gid("g1"), None);
         let insert = format!("INSERT INTO {COMMIT_RECORDS_TABLE} (gid) VALUES ('{gid}')");
         assert_eq!(commit_record_insert(gid), sqlparse::parse(&insert).unwrap());
         let delete = format!("DELETE FROM {COMMIT_RECORDS_TABLE} WHERE gid = '{gid}'");

@@ -27,6 +27,7 @@ use crate::cluster::Cluster;
 use crate::metadata::NodeId;
 use pgmini::error::{PgError, PgResult};
 use pgmini::session::QueryResult;
+use sqlparse::quote_literal;
 use std::sync::Arc;
 
 /// The journal catalog: one row per shard-group move, kept (phase `done`)
@@ -108,10 +109,6 @@ fn exec(cluster: &Arc<Cluster>, sql: &str) -> PgResult<QueryResult> {
     s.execute_local(&sqlparse::parse(sql)?)
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\'', "''")
-}
-
 /// Journal a new move in phase `started` and return its id. This is the
 /// first durable step of every move: a crash after this point is visible to
 /// the recovery pass.
@@ -128,8 +125,8 @@ pub fn begin(
         &format!(
             "INSERT INTO {SHARD_MOVES_TABLE} \
              (move_id, anchor_table, bucket, from_node, to_node, phase, rows_moved, catchup_rows) \
-             VALUES ({move_id}, '{}', {bucket}, {}, {}, 'started', 0, 0)",
-            escape(anchor_table),
+             VALUES ({move_id}, {}, {bucket}, {}, {}, 'started', 0, 0)",
+            quote_literal(anchor_table),
             from.0,
             to.0,
         ),
@@ -184,9 +181,9 @@ pub fn log_cleanup(
         cluster,
         &format!(
             "INSERT INTO {CLEANUP_RECORDS_TABLE} (record_id, move_id, node_id, object_name) \
-             VALUES ({next}, {move_id}, {}, '{}')",
+             VALUES ({next}, {move_id}, {}, {})",
             node.0,
-            escape(object),
+            quote_literal(object),
         ),
     )?;
     Ok(())

@@ -34,11 +34,7 @@ use crate::trace::Span;
 use netsim::fault::{FaultOp, FaultPhase};
 use pgmini::error::{ErrorCode, PgError, PgResult};
 use pgmini::lock::{LockKey, LockMode};
-use pgmini::storage::TableStore;
-use pgmini::txn::INVALID_XID;
-use pgmini::wal::WalRecord;
-use sqlparse::ast::TableConstraint;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
@@ -183,14 +179,10 @@ fn pick_move(
     };
     // normalised load = load / capacity
     let norm = |n: NodeId, load: &HashMap<NodeId, f64>| load[&n] / capacity(n).max(1e-9);
-    let busiest = *workers
-        .iter()
-        .max_by(|a, b| norm(**a, &load).partial_cmp(&norm(**b, &load)).unwrap())
-        .expect("workers non-empty");
-    let idlest = *workers
-        .iter()
-        .min_by(|a, b| norm(**a, &load).partial_cmp(&norm(**b, &load)).unwrap())
-        .expect("workers non-empty");
+    let by_load =
+        |a: &&NodeId, b: &&NodeId| norm(**a, &load).partial_cmp(&norm(**b, &load)).unwrap();
+    let busiest = *workers.iter().max_by(by_load).expect("workers non-empty");
+    let idlest = *workers.iter().min_by(by_load).expect("workers non-empty");
     if busiest == idlest {
         return Ok(None);
     }
@@ -230,19 +222,12 @@ pub fn move_shard_group(
     from: NodeId,
     to: NodeId,
 ) -> PgResult<MoveReport> {
-    let src = cluster.node(from)?;
-    if !src.is_active() {
-        return Err(PgError::new(
-            ErrorCode::ConnectionFailure,
-            format!("source node {} is down", src.name),
-        ));
-    }
-    let dst = cluster.node(to)?;
-    if !dst.is_active() {
-        return Err(PgError::new(
-            ErrorCode::ConnectionFailure,
-            format!("target node {} is down", dst.name),
-        ));
+    let (src, dst) = (cluster.node(from)?, cluster.node(to)?);
+    for (node, role) in [(&src, "source"), (&dst, "target")] {
+        if !node.is_active() {
+            let message = format!("{role} node {} is down", node.name);
+            return Err(PgError::new(ErrorCode::ConnectionFailure, message));
+        }
     }
     let (shard_ids, anchor_shard) = {
         let meta = cluster.metadata.read_recursive();
@@ -306,119 +291,37 @@ fn run_move(
     let src_engine = cluster.node(from)?.engine();
     let dst_engine = cluster.node(to)?.engine();
 
-    let mut rows_moved = 0u64;
     // phase 1: create target tables. Every CREATE is preceded by a durable
     // cleanup record, so a crash anywhere in this phase leaves only
     // identifiable orphans.
     let lsn_start = src_engine.wal.lsn();
     cluster.fault_point(to, FaultOp::Move, "move_create", scope, FaultPhase::Before)?;
-    let mut table_ids: Vec<(pgmini::catalog::TableId, pgmini::catalog::TableId, String)> =
-        Vec::new();
-    for sid in shard_ids {
-        let physical = {
-            let meta = cluster.metadata.read_recursive();
-            meta.shard(*sid)?.physical_name()
-        };
-        let src_meta = src_engine.table_meta(&physical)?;
-        // recreate schema (no FKs during load; added after)
-        let create = sqlparse::ast::CreateTable {
-            name: physical.clone(),
-            if_not_exists: false,
-            columns: src_meta
-                .columns
-                .iter()
-                .map(|c| sqlparse::ast::ColumnDef {
-                    name: c.name.clone(),
-                    ty: c.ty,
-                    not_null: c.not_null,
-                    primary_key: false,
-                    unique: false,
-                    default: c.default.clone(),
-                    references: None,
-                })
-                .collect(),
-            constraints: src_meta
-                .primary_key
-                .as_ref()
-                .map(|pk| {
-                    vec![TableConstraint::PrimaryKey(
-                        pk.iter().map(|&i| src_meta.columns[i].name.clone()).collect(),
-                    )]
-                })
-                .unwrap_or_default(),
-            using: match src_meta.storage {
-                pgmini::catalog::Storage::Columnar => Some("columnar".to_string()),
-                pgmini::catalog::Storage::Heap => None,
-            },
-        };
-        movejournal::log_cleanup(cluster, move_id, to, &physical)?;
+    let physical_names: Vec<String> = {
+        let meta = cluster.metadata.read_recursive();
+        shard_ids.iter().map(|sid| Ok(meta.shard(*sid)?.physical_name())).collect::<PgResult<_>>()?
+    };
+    // (source table, destination table) per shard
+    let mut tables = Vec::new();
+    for physical in &physical_names {
+        // the source shard's schema and every index, under their own names
+        let (create, indexes) = src_engine.table_schema(physical, physical, str::to_string)?;
+        movejournal::log_cleanup(cluster, move_id, to, physical)?;
         dst_engine.ddl_create_table(&create)?;
-        let dst_meta = dst_engine.table_meta(&physical)?;
-        table_ids.push((src_meta.id, dst_meta.id, physical));
+        for index in &indexes {
+            dst_engine.ddl_create_index(index)?;
+        }
+        tables.push((src_engine.table_meta(physical)?.id, dst_engine.table_meta(physical)?.id));
     }
     cluster.fault_point(to, FaultOp::Move, "move_create", scope, FaultPhase::After)?;
     movejournal::advance(cluster, move_id, MovePhase::Created)?;
-    span.child(Span::new("phase.create").with("tables", table_ids.len()));
+    span.child(Span::new("phase.create").with("tables", tables.len()));
 
     // phase 2: initial copy (logical replication snapshot) while writes
-    // continue on the source
+    // continue on the source; copied rows keep their source row ids
     cluster.fault_point(to, FaultOp::Move, "move_copy", scope, FaultPhase::Before)?;
-    let mut row_maps: Vec<HashMap<u64, u64>> = Vec::new();
-    let mut copied_seqs: Vec<HashSet<u64>> = Vec::new();
-    for (src_id, dst_id, _) in &table_ids {
-        let snap = src_engine.txns.snapshot(INVALID_XID);
-        let src_store = src_engine.store(*src_id)?;
-        let dst_meta = dst_engine.table_meta_by_id(*dst_id)?;
-        let dst_store = dst_engine.store(*dst_id)?;
-        let mut map = HashMap::new();
-        let mut seqs = HashSet::new();
-        match &*src_store {
-            TableStore::Columnar(src_col) => {
-                // stripe-wise copy preserving stripe sequence numbers, so the
-                // catch-up phase can dedup ColumnarAppend WAL records exactly
-                // like heap row_id maps dedup Inserts
-                let stripes = src_col.visible_stripe_rows(&src_engine.txns, &snap);
-                let dst_col = dst_store.columnar()?;
-                let xid = dst_engine.txns.begin();
-                for (seq, rows) in stripes {
-                    rows_moved += rows.len() as u64;
-                    dst_col.append_with_seq(xid, seq, rows.clone(), dst_meta.columns.len())?;
-                    dst_engine.wal.append(WalRecord::ColumnarAppend {
-                        xid,
-                        table: *dst_id,
-                        seq,
-                        rows,
-                    });
-                    seqs.insert(seq);
-                }
-                dst_engine.txns.commit(xid);
-                dst_engine.wal.append(WalRecord::Commit { xid });
-            }
-            TableStore::Heap(src_heap) => {
-                let mut batch: Vec<(u64, pgmini::types::Row)> = Vec::new();
-                src_heap
-                    .scan_visible(&src_engine.txns, &snap, |t| {
-                        batch.push((t.row_id, t.data.clone()))
-                    });
-                let xid = dst_engine.txns.begin();
-                for (src_rid, row) in batch {
-                    let new_rid = dst_store.heap()?.insert(xid, row.clone());
-                    dst_engine.index_insert_row(&dst_meta, new_rid, &row)?;
-                    dst_engine.wal.append(WalRecord::Insert {
-                        xid,
-                        table: *dst_id,
-                        row_id: new_rid,
-                        row,
-                    });
-                    map.insert(src_rid, new_rid);
-                    rows_moved += 1;
-                }
-                dst_engine.txns.commit(xid);
-                dst_engine.wal.append(WalRecord::Commit { xid });
-            }
-        }
-        row_maps.push(map);
-        copied_seqs.push(seqs);
+    let mut rows_moved = 0u64;
+    for (src_table, dst_table) in &tables {
+        rows_moved += dst_engine.copy_table_from(&src_engine, *src_table, *dst_table)?;
     }
     cluster.fault_point(to, FaultOp::Move, "move_copy", scope, FaultPhase::After)?;
     movejournal::set_progress(cluster, move_id, "rows_moved", rows_moved)?;
@@ -436,8 +339,6 @@ fn run_move(
     // locks. The lock transaction itself is registered with a distributed
     // id (and a cancel flag) so the wait graph and per-worker lock reports
     // see the move as a distributed waiter, not an anonymous local one.
-    let physical_names: Vec<String> =
-        table_ids.iter().map(|(_, _, physical)| physical.clone()).collect();
     let move_dist = pgmini::lock::DistTxnId {
         origin_node: 0,
         number: move_id,
@@ -451,18 +352,11 @@ fn run_move(
         Some(move_dist),
     );
     let locked = (|| -> PgResult<u64> {
-        for (src_id, _, _) in &table_ids {
-            src_engine.locks.acquire(lock_xid, LockKey::Table(*src_id), LockMode::Exclusive)?;
+        for (src_table, _) in &tables {
+            src_engine.locks.acquire(lock_xid, LockKey::Table(*src_table), LockMode::Exclusive)?;
         }
         cluster.fault_point(from, FaultOp::Move, "move_catchup", scope, FaultPhase::Before)?;
-        let catchup_rows = apply_wal_delta(
-            &src_engine,
-            &dst_engine,
-            &table_ids,
-            &mut row_maps,
-            &mut copied_seqs,
-            lsn_start,
-        )?;
+        let catchup_rows = dst_engine.catch_up_from(&src_engine, lsn_start, &tables)?;
         cluster.fault_point(from, FaultOp::Move, "move_catchup", scope, FaultPhase::After)?;
         movejournal::set_progress(cluster, move_id, "catchup_rows", catchup_rows)?;
         movejournal::advance(cluster, move_id, MovePhase::CaughtUp)?;
@@ -489,13 +383,13 @@ fn run_move(
 
     // phase 5: drop the source copies, retire the cleanup records, done
     cluster.fault_point(from, FaultOp::Move, "move_drop", scope, FaultPhase::Before)?;
-    for (_, _, physical) in &table_ids {
+    for physical in &physical_names {
         let _ = src_engine.ddl_drop_table(physical, true);
     }
     cluster.fault_point(from, FaultOp::Move, "move_drop", scope, FaultPhase::After)?;
     movejournal::clear_cleanup(cluster, move_id)?;
     movejournal::advance(cluster, move_id, MovePhase::Done)?;
-    span.child(Span::new("phase.drop").with("tables", table_ids.len()));
+    span.child(Span::new("phase.drop").with("tables", tables.len()));
     Ok(MoveReport {
         bucket,
         from,
@@ -504,140 +398,6 @@ fn run_move(
         rows_moved,
         catchup_rows,
     })
-}
-
-/// Apply the committed WAL delta `[lsn_start, now)` of the source shards to
-/// the target copies. Runs under the exclusive source locks, and WAL-logs
-/// every applied change on the *target* engine so the caught-up state
-/// survives a target standby replay.
-fn apply_wal_delta(
-    src_engine: &Arc<pgmini::engine::Engine>,
-    dst_engine: &Arc<pgmini::engine::Engine>,
-    table_ids: &[(pgmini::catalog::TableId, pgmini::catalog::TableId, String)],
-    row_maps: &mut [HashMap<u64, u64>],
-    copied_seqs: &mut [HashSet<u64>],
-    lsn_start: u64,
-) -> PgResult<u64> {
-    let mut catchup_rows = 0u64;
-    // only apply effects of committed transactions within the delta; of the
-    // source log, keep the moved tables' records and nothing else
-    let (committed, delta) = src_engine.wal.read(lsn_start, src_engine.wal.lsn(), |recs| {
-        let committed: HashSet<u64> = recs
-            .iter()
-            .filter_map(|r| match r {
-                WalRecord::Commit { xid } => Some(*xid),
-                _ => None,
-            })
-            .collect();
-        let moved = |t| table_ids.iter().any(|(sid, _, _)| *sid == t);
-        let delta: Vec<WalRecord> =
-            recs.iter().filter(|r| r.table().is_some_and(moved)).cloned().collect();
-        (committed, delta)
-    });
-    for rec in &delta {
-        let (xid, src_table, apply): (u64, pgmini::catalog::TableId, u8) = match rec {
-            WalRecord::Insert { xid, table, .. } => (*xid, *table, 1),
-            WalRecord::Update { xid, table, .. } => (*xid, *table, 2),
-            WalRecord::Delete { xid, table, .. } => (*xid, *table, 3),
-            WalRecord::ColumnarAppend { xid, table, .. } => (*xid, *table, 4),
-            _ => continue,
-        };
-        if !committed.contains(&xid)
-            && src_engine.txns.status(xid) != pgmini::txn::TxStatus::Committed
-        {
-            continue;
-        }
-        let Some(pos) = table_ids.iter().position(|(sid, _, _)| *sid == src_table) else {
-            continue;
-        };
-        let (_, dst_id, _) = table_ids[pos];
-        let dst_meta = dst_engine.table_meta_by_id(dst_id)?;
-        let dst_store = dst_engine.store(dst_id)?;
-        let apply_xid = dst_engine.txns.begin();
-        match (apply, rec) {
-            (1, WalRecord::Insert { row_id, row, .. }) => {
-                // skip rows the snapshot copy already carried (a write that
-                // landed between lsn_start and the copy snapshot appears in
-                // both; applying it twice would duplicate the row)
-                if !row_maps[pos].contains_key(row_id) {
-                    let new_rid = dst_store.heap()?.insert(apply_xid, row.clone());
-                    dst_engine.index_insert_row(&dst_meta, new_rid, row)?;
-                    dst_engine.wal.append(WalRecord::Insert {
-                        xid: apply_xid,
-                        table: dst_id,
-                        row_id: new_rid,
-                        row: row.clone(),
-                    });
-                    row_maps[pos].insert(*row_id, new_rid);
-                    catchup_rows += 1;
-                }
-            }
-            (2, WalRecord::Update { row_id, old_row, new_row, .. }) => {
-                if let Some(&dst_rid) = row_maps[pos].get(row_id) {
-                    let snap = dst_engine.txns.snapshot(apply_xid);
-                    let _ = dst_store.heap()?.expire(
-                        &dst_engine.txns,
-                        &snap,
-                        dst_rid,
-                        apply_xid,
-                    )?;
-                    dst_store.heap()?.insert_version(dst_rid, apply_xid, new_row.clone());
-                    dst_engine.index_insert_row(&dst_meta, dst_rid, new_row)?;
-                    dst_engine.wal.append(WalRecord::Update {
-                        xid: apply_xid,
-                        table: dst_id,
-                        row_id: dst_rid,
-                        old_row: old_row.clone(),
-                        new_row: new_row.clone(),
-                    });
-                    catchup_rows += 1;
-                }
-            }
-            (3, WalRecord::Delete { row_id, row, .. }) => {
-                if let Some(&dst_rid) = row_maps[pos].get(row_id) {
-                    let snap = dst_engine.txns.snapshot(apply_xid);
-                    let _ = dst_store.heap()?.expire(
-                        &dst_engine.txns,
-                        &snap,
-                        dst_rid,
-                        apply_xid,
-                    )?;
-                    dst_store.heap()?.adjust_live(-1);
-                    dst_engine.wal.append(WalRecord::Delete {
-                        xid: apply_xid,
-                        table: dst_id,
-                        row_id: dst_rid,
-                        row: row.clone(),
-                    });
-                    catchup_rows += 1;
-                }
-            }
-            (4, WalRecord::ColumnarAppend { seq, rows, .. }) => {
-                // stripes the snapshot copy already carried are skipped by
-                // sequence number (the columnar analog of the row_id map)
-                if !copied_seqs[pos].contains(seq) {
-                    dst_store.columnar()?.append_with_seq(
-                        apply_xid,
-                        *seq,
-                        rows.clone(),
-                        dst_meta.columns.len(),
-                    )?;
-                    dst_engine.wal.append(WalRecord::ColumnarAppend {
-                        xid: apply_xid,
-                        table: dst_id,
-                        seq: *seq,
-                        rows: rows.clone(),
-                    });
-                    copied_seqs[pos].insert(*seq);
-                    catchup_rows += rows.len() as u64;
-                }
-            }
-            _ => {}
-        }
-        dst_engine.txns.commit(apply_xid);
-        dst_engine.wal.append(WalRecord::Commit { xid: apply_xid });
-    }
-    Ok(catchup_rows)
 }
 
 /// Point every shard of the group at `to`. Idempotent — roll-forward

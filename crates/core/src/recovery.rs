@@ -11,9 +11,10 @@
 //! instead of commit records — lives in [`crate::rebalancer::recover_moves`].
 
 use crate::cluster::Cluster;
-use crate::extension::{parse_gid_number, parse_gid_origin, COMMIT_RECORDS_TABLE};
+use crate::extension::{commit_record_delete, parse_gid, COMMIT_RECORDS_TABLE};
 use crate::metadata::NodeId;
 use pgmini::error::PgResult;
+use sqlparse::ast::Statement;
 use std::sync::Arc;
 
 /// Outcome of one recovery pass.
@@ -34,7 +35,8 @@ pub fn commit_record_exists(cluster: &Arc<Cluster>, origin: NodeId, gid: &str) -
     let engine = cluster.node(origin)?.engine();
     let mut session = engine.session()?;
     let stmt = sqlparse::parse(&format!(
-        "SELECT count(*) FROM {COMMIT_RECORDS_TABLE} WHERE gid = '{gid}'"
+        "SELECT count(*) FROM {COMMIT_RECORDS_TABLE} WHERE gid = {}",
+        sqlparse::quote_literal(gid)
     ))?;
     let r = session.execute_local(&stmt)?;
     Ok(r.scalar().and_then(|d| d.as_i64().ok()).unwrap_or(0) > 0)
@@ -42,11 +44,7 @@ pub fn commit_record_exists(cluster: &Arc<Cluster>, origin: NodeId, gid: &str) -
 
 fn delete_commit_record(cluster: &Arc<Cluster>, origin: NodeId, gid: &str) -> PgResult<()> {
     let engine = cluster.node(origin)?.engine();
-    let mut session = engine.session()?;
-    let stmt = sqlparse::parse(&format!(
-        "DELETE FROM {COMMIT_RECORDS_TABLE} WHERE gid = '{gid}'"
-    ))?;
-    session.execute_local(&stmt)?;
+    engine.session()?.execute_local(&commit_record_delete(gid))?;
     Ok(())
 }
 
@@ -63,9 +61,8 @@ pub fn recover_once(cluster: &Arc<Cluster>) -> PgResult<RecoveryStats> {
         }
         let engine = node.engine();
         for gid in engine.txns.prepared_gids() {
-            let Some(origin) = parse_gid_origin(&gid) else { continue };
+            let Some((origin, number)) = parse_gid(&gid) else { continue };
             let origin = NodeId(origin);
-            let Some(number) = parse_gid_number(&gid) else { continue };
             // in-flight transactions are still being driven by their
             // coordinator; leave them alone
             let in_flight = cluster
@@ -82,36 +79,22 @@ pub fn recover_once(cluster: &Arc<Cluster>) -> PgResult<RecoveryStats> {
                 continue;
             }
             let committed = commit_record_exists(cluster, origin, &gid)?;
-            let mut session = engine.session()?;
-            if committed {
-                let stmt = sqlparse::ast::Statement::CommitPrepared(gid.clone());
-                if session.execute_stmt(&stmt).is_ok() {
-                    stats.committed += 1;
-                    cluster
-                        .metrics
-                        .recovery_commits
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    span.child(
-                        crate::trace::Span::new("recovery.commit")
-                            .with("node", &node.name)
-                            .with("gid", &gid),
-                    );
-                    let _ = delete_commit_record(cluster, origin, &gid);
-                }
+            let (stmt, label, count, metric) = if committed {
+                let stmt = Statement::CommitPrepared(gid.clone());
+                (stmt, "recovery.commit", &mut stats.committed, &cluster.metrics.recovery_commits)
             } else {
-                let stmt = sqlparse::ast::Statement::RollbackPrepared(gid.clone());
-                if session.execute_stmt(&stmt).is_ok() {
-                    stats.rolled_back += 1;
-                    cluster
-                        .metrics
-                        .recovery_rollbacks
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    span.child(
-                        crate::trace::Span::new("recovery.rollback")
-                            .with("node", &node.name)
-                            .with("gid", &gid),
-                    );
-                }
+                let stmt = Statement::RollbackPrepared(gid.clone());
+                let metric = &cluster.metrics.recovery_rollbacks;
+                (stmt, "recovery.rollback", &mut stats.rolled_back, metric)
+            };
+            if engine.session()?.execute_stmt(&stmt).is_err() {
+                continue;
+            }
+            *count += 1;
+            metric.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            span.child(crate::trace::Span::new(label).with("node", &node.name).with("gid", &gid));
+            if committed {
+                let _ = delete_commit_record(cluster, origin, &gid);
             }
         }
     }

@@ -40,7 +40,7 @@ use sqlparse::ast::{
     BinaryOp, CreateRollup, Expr, Literal, Select, SelectItem, Statement, TableRef, TypeName,
     UnaryOp,
 };
-use sqlparse::deparse::{deparse_expr, quote_ident};
+use sqlparse::deparse::{deparse_expr, quote_ident, quote_literal};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Weak};
@@ -660,14 +660,14 @@ pub fn create(cluster: &Arc<Cluster>, cr: &CreateRollup) -> PgResult<()> {
     sess.execute(&def.create_table_sql())?;
     let seeded = (|| -> PgResult<()> {
         sess.execute(&format!(
-            "SELECT create_distributed_table('{}', '_b')",
-            changefeed::escape(&def.name)
+            "SELECT create_distributed_table({}, '_b')",
+            quote_literal(&def.name)
         ))?;
         sess.execute(&format!(
-            "INSERT INTO {ROLLUPS_TABLE} (name, source, definition) VALUES ('{}', '{}', '{}')",
-            changefeed::escape(&def.name),
-            changefeed::escape(&def.source),
-            changefeed::escape(&def.definition_sql)
+            "INSERT INTO {ROLLUPS_TABLE} (name, source, definition) VALUES ({}, {}, {})",
+            quote_literal(&def.name),
+            quote_literal(&def.source),
+            quote_literal(&def.definition_sql)
         ))?;
         let placements: Vec<(ShardId, NodeId)> = {
             let meta = cluster.metadata.read_recursive();
@@ -683,26 +683,26 @@ pub fn create(cluster: &Arc<Cluster>, cr: &CreateRollup) -> PgResult<()> {
         Ok(())
     })();
     if let Err(e) = seeded {
-        let _ = sess.execute(&format!("DROP TABLE IF EXISTS {}", quote_ident(&def.name)));
-        let _ = sess.execute(&changefeed::delete_cursors_sql(&def.name));
-        let _ = sess.execute(&format!(
-            "DELETE FROM {ROLLUPS_TABLE} WHERE name = '{}'",
-            changefeed::escape(&def.name)
-        ));
+        let _ = drop_rollup_state(&mut sess, &def.name);
         return Err(e);
     }
     cluster.rollups.register(def.clone());
     if let Err(e) = refresh_locked(cluster, &def) {
         cluster.rollups.unregister(&def.name);
-        let _ = sess.execute(&format!("DROP TABLE IF EXISTS {}", quote_ident(&def.name)));
-        let _ = sess.execute(&changefeed::delete_cursors_sql(&def.name));
-        let _ = sess.execute(&format!(
-            "DELETE FROM {ROLLUPS_TABLE} WHERE name = '{}'",
-            changefeed::escape(&def.name)
-        ));
+        let _ = drop_rollup_state(&mut sess, &def.name);
         return Err(e);
     }
     Ok(())
+}
+
+/// Drop a rollup's backing table, its changefeed cursors and its catalog row.
+/// All three are attempted; the first error is returned.
+fn drop_rollup_state(sess: &mut ClientSession, name: &str) -> PgResult<()> {
+    let table = sess.execute(&format!("DROP TABLE IF EXISTS {}", quote_ident(name)));
+    let cursors = sess.execute(&changefeed::delete_cursors_sql(name));
+    let row =
+        sess.execute(&format!("DELETE FROM {ROLLUPS_TABLE} WHERE name = {}", quote_literal(name)));
+    table.and(cursors).and(row).map(drop)
 }
 
 /// `DROP ROLLUP`: drop the backing table and all catalog state.
@@ -714,13 +714,7 @@ pub fn drop_rollup(cluster: &Arc<Cluster>, name: &str, if_exists: bool) -> PgRes
         return Err(PgError::undefined_table(name));
     }
     let _guard = cluster.rollups.lock_refresh();
-    let mut sess = cluster.session()?;
-    sess.execute(&format!("DROP TABLE IF EXISTS {}", quote_ident(name)))?;
-    sess.execute(&changefeed::delete_cursors_sql(name))?;
-    sess.execute(&format!(
-        "DELETE FROM {ROLLUPS_TABLE} WHERE name = '{}'",
-        changefeed::escape(name)
-    ))?;
+    drop_rollup_state(&mut cluster.session()?, name)?;
     cluster.rollups.unregister(name);
     Ok(())
 }
@@ -1465,11 +1459,11 @@ pub fn datum_literal(d: &Datum) -> PgResult<String> {
                 format!("{s}.0") // keep the parser from reading it back as Int
             }
         }
-        Datum::Text(s) => format!("'{}'", changefeed::escape(s)),
+        Datum::Text(s) => quote_literal(s),
         Datum::Timestamp(t) => {
             format!("'{}'::timestamp", pgmini::types::time::format_timestamp(*t))
         }
-        Datum::Json(j) => format!("'{}'::jsonb", changefeed::escape(&j.to_string())),
+        Datum::Json(j) => format!("{}::jsonb", quote_literal(&j.to_string())),
     })
 }
 

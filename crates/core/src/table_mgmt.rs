@@ -8,52 +8,15 @@
 //! distribution-column type; foreign keys propagate shard-pair-wise between
 //! co-located tables and shard-to-replica for reference tables.
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, WorkerConn};
 use crate::metadata::{NodeId, PartitionMethod, ShardId};
 use pgmini::catalog::TableMeta;
 use pgmini::error::{ErrorCode, PgError, PgResult};
 use pgmini::session::Session;
 use pgmini::txn::INVALID_XID;
-use sqlparse::ast::{
-    ColumnDef, CreateIndex, CreateTable, Statement, TableConstraint,
-};
+use pgmini::types::Row;
+use sqlparse::ast::{CreateIndex, CreateTable, Statement, TableConstraint};
 use std::sync::Arc;
-
-/// Rebuild a CREATE TABLE statement for a shard from the shell's catalog
-/// entry, mapping referenced table names through `fk_map`.
-fn shard_create_stmt(shell: &TableMeta, physical: &str) -> PgResult<CreateTable> {
-    let columns: Vec<ColumnDef> = shell
-        .columns
-        .iter()
-        .map(|c| ColumnDef {
-            name: c.name.clone(),
-            ty: c.ty,
-            not_null: c.not_null,
-            primary_key: false,
-            unique: false,
-            default: c.default.clone(),
-            references: None,
-        })
-        .collect();
-    let mut constraints = Vec::new();
-    if let Some(pk) = &shell.primary_key {
-        constraints.push(TableConstraint::PrimaryKey(
-            pk.iter().map(|&i| shell.columns[i].name.clone()).collect(),
-        ));
-    }
-    // foreign keys are appended by the caller, which knows the per-bucket
-    // shard-pair / replica mapping
-    Ok(CreateTable {
-        name: physical.to_string(),
-        if_not_exists: false,
-        columns,
-        constraints,
-        using: match shell.storage {
-            pgmini::catalog::Storage::Columnar => Some("columnar".to_string()),
-            pgmini::catalog::Storage::Heap => None,
-        },
-    })
-}
 
 /// Validate + auto-colocation: pick the colocation group for a new table.
 fn resolve_colocation(
@@ -152,7 +115,7 @@ pub fn create_distributed_table(
     };
 
     // create the physical shards (plus their indexes and FKs)
-    let result = create_shards(cluster, &engine, &shell, table, &shard_ids, &fk_infos);
+    let result = create_shards(cluster, &engine, table, &shard_ids, &fk_infos);
     if let Err(e) = result {
         // roll the metadata back so the failure is clean
         let _ = cluster.metadata.write().drop_table(table);
@@ -237,8 +200,7 @@ fn validate_foreign_keys(
 fn create_shards(
     cluster: &Arc<Cluster>,
     engine: &Arc<pgmini::engine::Engine>,
-    shell: &TableMeta,
-    _table: &str,
+    table: &str,
     shard_ids: &[ShardId],
     fks: &[FkInfo],
 ) -> PgResult<()> {
@@ -246,46 +208,39 @@ fn create_shards(
     for (bucket, sid) in shard_ids.iter().enumerate() {
         let shard = meta.shard(*sid)?;
         let physical = shard.physical_name();
-        let mut create = shard_create_stmt(shell, &physical)?;
+        let (mut create, indexes) =
+            engine.table_schema(table, &physical, |index| format!("{index}_{}", sid.0))?;
         // foreign keys: per-bucket shard pairs / reference replicas
         for fk in fks {
-            let target = if fk.ref_is_reference {
-                let ref_dt = meta.require_table(&fk.ref_table)?;
-                meta.shard(ref_dt.shards[0])?.physical_name()
-            } else {
-                let ref_dt = meta.require_table(&fk.ref_table)?;
-                meta.shard(ref_dt.shards[bucket])?.physical_name()
-            };
+            let ref_dt = meta.require_table(&fk.ref_table)?;
+            let ref_bucket = if fk.ref_is_reference { 0 } else { bucket };
             create.constraints.push(TableConstraint::ForeignKey {
                 columns: fk.columns.clone(),
-                ref_table: target,
+                ref_table: meta.shard(ref_dt.shards[ref_bucket])?.physical_name(),
                 ref_columns: fk.ref_columns.clone(),
             });
         }
         for &node in &shard.placements {
-            let mut conn = cluster.connect(node)?;
-            conn.execute_stmt(&Statement::CreateTable(Box::new(create.clone())))?;
-            // propagate secondary indexes from the shell table
-            for iid in &shell.indexes {
-                let imeta = engine.index_meta(*iid)?;
-                if imeta.name.contains("_pkey_") {
-                    continue; // pk index comes with CREATE TABLE
-                }
-                let ci = CreateIndex {
-                    name: format!("{}_{}", imeta.name, sid.0),
-                    table: physical.clone(),
-                    method: Some(match imeta.method {
-                        pgmini::catalog::IndexMethod::BTree => "btree".to_string(),
-                        pgmini::catalog::IndexMethod::Gin => "gin".to_string(),
-                    }),
-                    columns: imeta.exprs.clone(),
-                    unique: imeta.unique,
-                    where_clause: imeta.predicate.clone(),
-                    if_not_exists: false,
-                };
-                conn.execute_stmt(&Statement::CreateIndex(Box::new(ci)))?;
-            }
+            create_over(&mut cluster.connect(node)?, &create, &indexes, Vec::new())?;
         }
+    }
+    Ok(())
+}
+
+/// Run a table's CREATE TABLE and CREATE INDEX statements over `conn`, then
+/// load `rows` into it.
+fn create_over(
+    conn: &mut WorkerConn,
+    create: &CreateTable,
+    indexes: &[CreateIndex],
+    rows: Vec<Row>,
+) -> PgResult<()> {
+    conn.execute_stmt(&Statement::CreateTable(Box::new(create.clone())))?;
+    for index in indexes {
+        conn.execute_stmt(&Statement::CreateIndex(Box::new(index.clone())))?;
+    }
+    if !rows.is_empty() {
+        conn.copy_rows(&create.name, &[], rows)?;
     }
     Ok(())
 }
@@ -334,39 +289,15 @@ pub fn create_reference_table(
         let meta = cluster.metadata.read_recursive();
         meta.shard(sid)?.physical_name()
     };
-    let create = shard_create_stmt(&shell, &physical)?;
+    // every replica gets the shell's pre-existing rows
+    let snap = engine.txns.snapshot(INVALID_XID);
+    let rows = engine.store(shell.id)?.scan_visible_rows(&engine.txns, &snap);
     for node in &nodes {
-        let mut conn = cluster.connect(*node)?;
-        conn.execute_stmt(&Statement::CreateTable(Box::new(create.clone())))?;
-        for iid in &shell.indexes {
-            let imeta = engine.index_meta(*iid)?;
-            if imeta.name.contains("_pkey_") {
-                continue;
-            }
-            let ci = CreateIndex {
-                name: format!("{}_{}_{}", imeta.name, sid.0, node.0),
-                table: physical.clone(),
-                method: Some(match imeta.method {
-                    pgmini::catalog::IndexMethod::BTree => "btree".to_string(),
-                    pgmini::catalog::IndexMethod::Gin => "gin".to_string(),
-                }),
-                columns: imeta.exprs.clone(),
-                unique: imeta.unique,
-                where_clause: imeta.predicate.clone(),
-                if_not_exists: false,
-            };
-            conn.execute_stmt(&Statement::CreateIndex(Box::new(ci)))?;
-        }
+        let (create, indexes) = engine
+            .table_schema(table, &physical, |index| format!("{index}_{}_{}", sid.0, node.0))?;
+        create_over(&mut cluster.connect(*node)?, &create, &indexes, rows.clone())?;
     }
-    // replicate any pre-existing rows to every replica
-    let store = engine.store(shell.id)?;
-    if store.live_estimate() > 0 {
-        let snap = engine.txns.snapshot(INVALID_XID);
-        let rows = store.scan_visible_rows(&engine.txns, &snap);
-        for node in &nodes {
-            let mut conn = cluster.connect(*node)?;
-            conn.copy_rows(&physical, &[], rows.clone())?;
-        }
+    if !rows.is_empty() {
         engine.truncate_table(table)?;
     }
     Ok(())
@@ -389,18 +320,13 @@ pub fn replicate_reference_tables_to(cluster: &Arc<Cluster>, node: NodeId) -> Pg
         };
         // shell schema lives on the coordinator
         let coordinator = cluster.node(NodeId(0))?.engine();
-        let shell = coordinator.table_meta(&name)?;
-        let create = shard_create_stmt(&shell, &physical)?;
-        let mut conn = cluster.connect(node)?;
-        conn.execute_stmt(&Statement::CreateTable(Box::new(create)))?;
-        // copy current contents from the coordinator replica
-        let src_meta = coordinator.table_meta(&physical)?;
-        let store = coordinator.store(src_meta.id)?;
+        let (create, indexes) = coordinator
+            .table_schema(&name, &physical, |index| format!("{index}_{}_{}", sid.0, node.0))?;
+        // current contents come from the coordinator replica
+        let store = coordinator.store(coordinator.table_meta(&physical)?.id)?;
         let snap = coordinator.txns.snapshot(INVALID_XID);
         let rows = store.scan_visible_rows(&coordinator.txns, &snap);
-        if !rows.is_empty() {
-            conn.copy_rows(&physical, &[], rows)?;
-        }
+        create_over(&mut cluster.connect(node)?, &create, &indexes, rows)?;
         cluster.metadata.write().add_reference_placement(&name, node)?;
     }
     Ok(())

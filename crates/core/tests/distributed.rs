@@ -318,6 +318,66 @@ fn reference_table_writes_replicate_everywhere() {
 }
 
 #[test]
+fn reference_table_keeps_unique_columns_like_single_node() {
+    let ddl = "CREATE TABLE r (k bigint PRIMARY KEY, email text UNIQUE)";
+    let single = pgmini::engine::Engine::new_default();
+    let mut os = single.session().unwrap();
+    os.execute(ddl).unwrap();
+    os.execute("INSERT INTO r VALUES (1, 'a')").unwrap();
+    let err = os.execute("INSERT INTO r VALUES (2, 'a')").unwrap_err();
+    assert_eq!(err.code, ErrorCode::UniqueViolation);
+
+    let c = small_cluster(2);
+    let mut s = c.session().unwrap();
+    s.execute(ddl).unwrap();
+    s.execute("SELECT create_reference_table('r')").unwrap();
+    s.execute("INSERT INTO r VALUES (1, 'a')").unwrap();
+    let err = s.execute("INSERT INTO r VALUES (2, 'a')").unwrap_err();
+    assert_eq!(err.code, ErrorCode::UniqueViolation, "{}", err.message);
+    let r = s.execute("SELECT count(*) FROM r").unwrap();
+    assert_eq!(r.rows()[0][0], Datum::Int(1));
+}
+
+/// A table's indexes by what they index, names left out.
+fn index_set(engine: &pgmini::engine::Engine, table: &str) -> Vec<String> {
+    let indexes = engine.table_meta(table).unwrap().indexes.clone();
+    let mut set: Vec<String> = indexes
+        .iter()
+        .map(|iid| engine.index_meta(*iid).unwrap())
+        .map(|i| format!("{:?} {:?} {:?} unique={}", i.method, i.exprs, i.predicate, i.unique))
+        .collect();
+    set.sort();
+    set
+}
+
+#[test]
+fn worker_added_later_gets_every_reference_table_index() {
+    let c = small_cluster(2);
+    let mut s = c.session().unwrap();
+    s.execute("CREATE TABLE r (k bigint PRIMARY KEY, v text)").unwrap();
+    // one index made before the table became a reference table, one after
+    s.execute("CREATE INDEX r_v ON r (v)").unwrap();
+    s.execute("SELECT create_reference_table('r')").unwrap();
+    s.execute("CREATE INDEX r_g ON r USING gin (v)").unwrap();
+    s.execute("INSERT INTO r VALUES (1, 'alpha'), (2, 'beta')").unwrap();
+    let physical = {
+        let meta = c.metadata.read();
+        meta.shard(meta.table("r").unwrap().shards[0]).unwrap().physical_name()
+    };
+    let shell = index_set(&c.node(NodeId(0)).unwrap().engine(), "r");
+    assert_eq!(shell.len(), 3, "{shell:?}");
+    for node in c.nodes() {
+        assert_eq!(index_set(&node.engine(), &physical), shell, "replica on {}", node.name);
+    }
+    let added = c.add_worker().unwrap();
+    let engine = c.node(added).unwrap().engine();
+    assert_eq!(index_set(&engine, &physical), shell, "replica on the added worker");
+    let mut ns = engine.session().unwrap();
+    let r = ns.execute(&format!("SELECT k FROM {physical} WHERE v LIKE '%lph%'")).unwrap();
+    assert_eq!(r.rows(), &[vec![Datum::Int(1)]]);
+}
+
+#[test]
 fn distributed_copy_routes_rows() {
     let c = small_cluster(2);
     let mut s = c.session().unwrap();

@@ -33,12 +33,14 @@ fn cluster_with(workers: u32, threads: usize, tracing: bool) -> Arc<Cluster> {
     c
 }
 
-/// `t(k bigint PRIMARY KEY, v bigint)` distributed on `k`, rows k = 0..40.
+/// `t(k bigint PRIMARY KEY, v bigint)` with index `t_v`, distributed on `k`,
+/// rows k = 0..40.
 fn dist_table_cluster(workers: u32) -> Arc<Cluster> {
     let c = cluster_with(workers, 1, false);
     let mut s = c.session().unwrap();
     s.execute("CREATE TABLE t (k bigint PRIMARY KEY, v bigint)").unwrap();
     s.execute("SELECT create_distributed_table('t', 'k')").unwrap();
+    s.execute("CREATE INDEX t_v ON t (v)").unwrap();
     for k in 0..40i64 {
         s.execute(&format!("INSERT INTO t VALUES ({k}, 1)")).unwrap();
     }
@@ -56,12 +58,28 @@ fn move_coords(c: &Arc<Cluster>, key: i64) -> (usize, NodeId, NodeId) {
     (bucket, from, to)
 }
 
+/// A table's indexes by what they index (method, expressions, predicate,
+/// unique), names left out: shard indexes are named per shard.
+fn index_set(engine: &pgmini::engine::Engine, table: &str) -> Vec<String> {
+    let indexes = engine.table_meta(table).unwrap().indexes.clone();
+    let mut set: Vec<String> = indexes
+        .iter()
+        .map(|iid| engine.index_meta(*iid).unwrap())
+        .map(|i| format!("{:?} {:?} {:?} unique={}", i.method, i.exprs, i.predicate, i.unique))
+        .collect();
+    set.sort();
+    set
+}
+
 /// The tentpole invariant: every shard has exactly one live placement whose
-/// physical table exists on exactly that node, no node holds an orphan
-/// physical shard table, and the move journal has no pending records.
+/// physical table exists on exactly that node and carries the shell's
+/// indexes, no node holds an orphan physical shard table, and the move
+/// journal has no pending records.
 fn assert_placement_invariant(c: &Arc<Cluster>) {
     let meta = c.metadata.read();
-    let mut expected: std::collections::HashSet<(NodeId, String)> = Default::default();
+    let shell = c.node(NodeId(0)).unwrap().engine();
+    // (node, physical table) → the shell's index set
+    let mut expected: std::collections::HashMap<(NodeId, String), Vec<String>> = Default::default();
     for t in meta.tables() {
         for sid in &t.shards {
             let shard = meta.shard(*sid).unwrap();
@@ -76,7 +94,7 @@ fn assert_placement_invariant(c: &Arc<Cluster>) {
             );
             let node = shard.placements[0];
             assert!(c.node(node).unwrap().is_active(), "placement node of {sid:?} is down");
-            expected.insert((node, shard.physical_name()));
+            expected.insert((node, shard.physical_name()), index_set(&shell, &t.name));
         }
     }
     drop(meta);
@@ -93,16 +111,20 @@ fn assert_placement_invariant(c: &Arc<Cluster>) {
                 continue;
             }
             assert!(
-                expected.contains(&(node.id, name.clone())),
+                expected.contains_key(&(node.id, name.clone())),
                 "orphan physical table {name} on node {}",
                 node.name
             );
         }
     }
-    for (node, physical) in &expected {
-        assert!(
-            c.node(*node).unwrap().engine().table_meta(physical).is_ok(),
-            "placement {physical} missing on node {}",
+    for ((node, physical), shell_indexes) in &expected {
+        let engine = c.node(*node).unwrap().engine();
+        let exists = engine.table_meta(physical).is_ok();
+        assert!(exists, "placement {physical} missing on node {}", node.0);
+        assert_eq!(
+            &index_set(&engine, physical),
+            shell_indexes,
+            "placement {physical} on node {} lost indexes",
             node.0
         );
     }

@@ -16,11 +16,11 @@ use crate::lock::LockManager;
 use crate::plancache::{CachedPlan, ShapeCache, ShapeCacheStats};
 use crate::session::Session;
 use crate::storage::{HeapStore, TableStore};
-use crate::txn::{TxnManager, Xid, INVALID_XID};
+use crate::txn::{TxStatus, TxnManager, Xid, INVALID_XID};
 use crate::types::{Datum, Row};
-use crate::wal::{Wal, WalRecord};
+use crate::wal::{Fate, Lsn, Wal, WalRecord};
 use parking_lot::RwLock;
-use sqlparse::ast::{CreateIndex, CreateTable, Statement};
+use sqlparse::ast::{ColumnDef, CreateIndex, CreateTable, Statement, TableConstraint};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -513,7 +513,216 @@ impl Engine {
         true
     }
 
-    // ---------------- replication / recovery ----------------
+    // ---------------- schema copy ----------------
+
+    /// The statements that rebuild table `name` as `as_name`: a CREATE TABLE
+    /// with its columns, primary key and storage, and one CREATE INDEX per
+    /// other index (method, expressions, predicate, unique flag), named by
+    /// `index_name` from the index's own name. Foreign keys are the caller's:
+    /// what they reference differs per copy.
+    pub fn table_schema(
+        &self,
+        name: &str,
+        as_name: &str,
+        index_name: impl Fn(&str) -> String,
+    ) -> PgResult<(CreateTable, Vec<CreateIndex>)> {
+        let cat = self.catalog.read();
+        let meta = cat.table_by_name(name)?;
+        let create = CreateTable {
+            name: as_name.to_string(),
+            if_not_exists: false,
+            columns: meta
+                .columns
+                .iter()
+                .map(|c| ColumnDef {
+                    name: c.name.clone(),
+                    ty: c.ty,
+                    not_null: c.not_null,
+                    primary_key: false,
+                    unique: false,
+                    default: c.default.clone(),
+                    references: None,
+                })
+                .collect(),
+            constraints: meta
+                .primary_key
+                .iter()
+                .map(|pk| {
+                    TableConstraint::PrimaryKey(
+                        pk.iter().map(|&i| meta.columns[i].name.clone()).collect(),
+                    )
+                })
+                .collect(),
+            using: (meta.storage == Storage::Columnar).then(|| "columnar".to_string()),
+        };
+        // `ddl_create_table` registers the primary key's index first; the
+        // constraint above rebuilds it
+        let skip = usize::from(meta.primary_key.is_some());
+        let indexes = meta.indexes[skip..]
+            .iter()
+            .map(|iid| {
+                let index = cat.index(*iid)?;
+                Ok(CreateIndex {
+                    name: index_name(&index.name),
+                    table: as_name.to_string(),
+                    method: Some(
+                        match index.method {
+                            IndexMethod::BTree => "btree",
+                            IndexMethod::Gin => "gin",
+                        }
+                        .to_string(),
+                    ),
+                    columns: index.exprs.clone(),
+                    unique: index.unique,
+                    where_clause: index.predicate.clone(),
+                    if_not_exists: false,
+                })
+            })
+            .collect::<PgResult<_>>()?;
+        Ok((create, indexes))
+    }
+
+    // ---------------- redo: replication / recovery / shard copy ----------------
+
+    /// Apply one data record (Insert, Update, Delete, ColumnarAppend) to
+    /// `table` under `xid`, keeping the record's row id or stripe sequence
+    /// number: indexes and the live count follow, and the record is logged
+    /// again under `table` and `xid`. Returns the rows applied.
+    ///
+    /// Redo is idempotent by content, so a copy and a log slice that
+    /// overlap apply each change once: an Insert whose row id is present, an
+    /// Update or Delete whose row is absent, and a ColumnarAppend whose
+    /// stripe is present are skipped.
+    pub fn redo(&self, table: TableId, rec: &WalRecord, xid: Xid) -> PgResult<u64> {
+        let meta = self.table_meta_by_id(table)?;
+        let mut store = self.store(table)?;
+        let (applied, logged) = match rec {
+            WalRecord::Insert { row_id, row, .. } => {
+                let heap = store.heap()?;
+                if heap.contains(*row_id) {
+                    return Ok(0);
+                }
+                heap.insert_version(*row_id, xid, row.clone());
+                heap.adjust_live(1);
+                self.index_insert_row(&meta, *row_id, row)?;
+                (1, WalRecord::Insert { xid, table, row_id: *row_id, row: row.clone() })
+            }
+            WalRecord::Update { row_id, old_row, new_row, .. } => {
+                let heap = store.heap()?;
+                if !heap.contains(*row_id) {
+                    return Ok(0);
+                }
+                heap.expire(&self.txns, &self.txns.snapshot(xid), *row_id, xid)?;
+                heap.insert_version(*row_id, xid, new_row.clone());
+                self.index_insert_row(&meta, *row_id, new_row)?;
+                let (old_row, new_row) = (old_row.clone(), new_row.clone());
+                (1, WalRecord::Update { xid, table, row_id: *row_id, old_row, new_row })
+            }
+            WalRecord::Delete { row_id, row, .. } => {
+                let heap = store.heap()?;
+                if !heap.contains(*row_id) {
+                    return Ok(0);
+                }
+                heap.expire(&self.txns, &self.txns.snapshot(xid), *row_id, xid)?;
+                heap.adjust_live(-1);
+                (1, WalRecord::Delete { xid, table, row_id: *row_id, row: row.clone() })
+            }
+            WalRecord::ColumnarAppend { seq, rows, .. } => {
+                // a table switched to columnar after creation (set_columnar)
+                // replays its CREATE TABLE as heap; its first stripe proves
+                // the switch happened while it was empty
+                if store.columnar().is_err() {
+                    self.set_columnar(&meta.name)?;
+                    store = self.store(table)?;
+                }
+                let columnar = store.columnar()?;
+                if columnar.has_seq(*seq) {
+                    return Ok(0);
+                }
+                columnar.append_with_seq(xid, *seq, rows.clone(), meta.columns.len())?;
+                let len = rows.len() as u64;
+                (len, WalRecord::ColumnarAppend { xid, table, seq: *seq, rows: rows.clone() })
+            }
+            other => {
+                return Err(PgError::internal(format!("redo of a non-data record: {other:?}")))
+            }
+        };
+        self.wal.append(logged);
+        Ok(applied)
+    }
+
+    /// Copy the rows of `src_table` on `src` visible now into this engine's
+    /// empty `dst_table`, redone under one committed transaction: the
+    /// snapshot half of a shard move. Heap rows keep their row ids and
+    /// stripes their sequence numbers, so a later [`Engine::catch_up_from`]
+    /// skips what the copy already holds. Returns the rows copied.
+    pub fn copy_table_from(
+        &self,
+        src: &Engine,
+        src_table: TableId,
+        dst_table: TableId,
+    ) -> PgResult<u64> {
+        let snap = src.txns.snapshot(INVALID_XID);
+        let mut records = Vec::new();
+        match &*src.store(src_table)? {
+            TableStore::Heap(heap) => heap.scan_visible(&src.txns, &snap, |t| {
+                records.push(WalRecord::Insert {
+                    xid: INVALID_XID,
+                    table: src_table,
+                    row_id: t.row_id,
+                    row: t.data.clone(),
+                })
+            }),
+            TableStore::Columnar(columnar) => records.extend(
+                columnar.visible_stripe_rows(&src.txns, &snap).into_iter().map(|(seq, rows)| {
+                    WalRecord::ColumnarAppend { xid: INVALID_XID, table: src_table, seq, rows }
+                }),
+            ),
+        }
+        self.redo_committed(records.iter().map(|rec| (dst_table, rec)))
+    }
+
+    /// Redo the changes `src` logged after `from_lsn` to the tables of
+    /// `tables` (`(source table, copy here)` pairs) under one committed
+    /// transaction: the catch-up half of a shard move, run while writers are
+    /// locked out. A change applies when its transaction commits inside the
+    /// slice or has committed by now. `from_lsn` must precede every change
+    /// the copy missed. Returns the rows applied.
+    pub fn catch_up_from(
+        &self,
+        src: &Engine,
+        from_lsn: Lsn,
+        tables: &[(TableId, TableId)],
+    ) -> PgResult<u64> {
+        let delta: Vec<(TableId, WalRecord)> = src.wal.read(from_lsn, src.wal.lsn(), |recs| {
+            let fate = crate::wal::fates(recs);
+            recs.iter()
+                .filter_map(|rec| {
+                    let copy = tables.iter().find(|(t, _)| Some(*t) == rec.table())?.1;
+                    let xid = rec.xid()?;
+                    let committed = fate.get(&xid) == Some(&Fate::Committed)
+                        || src.txns.status(xid) == TxStatus::Committed;
+                    committed.then(|| (copy, rec.clone()))
+                })
+                .collect()
+        });
+        self.redo_committed(delta.iter().map(|(table, rec)| (*table, rec)))
+    }
+
+    /// Redo `records` under one fresh transaction and commit it.
+    fn redo_committed<'a>(
+        &self,
+        records: impl Iterator<Item = (TableId, &'a WalRecord)>,
+    ) -> PgResult<u64> {
+        let xid = self.txns.begin();
+        let mut applied = 0;
+        for (table, rec) in records {
+            applied += self.redo(table, rec, xid)?;
+        }
+        self.txns.commit(xid);
+        self.wal.append(WalRecord::Commit { xid });
+        Ok(applied)
+    }
 
     /// Rebuild an engine from a WAL stream, stopping after `upto` records
     /// (None = full log). Prepared-but-undecided transactions are recreated
@@ -523,55 +732,22 @@ impl Engine {
         let engine = Engine::new_default();
         let upto = upto.map(|u| u as usize).unwrap_or(records.len()).min(records.len());
         let slice = &records[..upto];
-        // outcome per original xid
-        #[derive(Clone)]
-        enum Fate {
-            Committed,
-            Aborted,
-            Prepared(String),
-        }
-        let mut fate: HashMap<Xid, Fate> = HashMap::new();
-        let mut gid_to_xid: HashMap<String, Xid> = HashMap::new();
-        for rec in slice {
-            match rec {
-                WalRecord::Commit { xid } => {
-                    fate.insert(*xid, Fate::Committed);
-                }
-                WalRecord::Abort { xid } => {
-                    fate.insert(*xid, Fate::Aborted);
-                }
-                WalRecord::Prepare { xid, gid } => {
-                    fate.insert(*xid, Fate::Prepared(gid.clone()));
-                    gid_to_xid.insert(gid.clone(), *xid);
-                }
-                WalRecord::CommitPrepared { gid } => {
-                    if let Some(x) = gid_to_xid.get(gid) {
-                        fate.insert(*x, Fate::Committed);
-                    }
-                }
-                WalRecord::AbortPrepared { gid } => {
-                    if let Some(x) = gid_to_xid.get(gid) {
-                        fate.insert(*x, Fate::Aborted);
-                    }
-                }
-                _ => {}
-            }
-        }
-        // apply schema + data. Committed transactions' new xids are marked
-        // committed *up front*, so replayed updates can expire the versions
-        // earlier records inserted (visibility checks see them as committed).
+        let fate = crate::wal::fates(slice);
+        // Committed transactions' new xids are marked committed *up front*,
+        // so replayed updates can expire the versions earlier records
+        // inserted (visibility checks see them as committed).
         let mut xid_map: HashMap<Xid, Xid> = HashMap::new();
         for (orig, f) in &fate {
-            if matches!(f, Fate::Committed) {
+            if *f == Fate::Committed {
                 let new_xid = engine.txns.begin();
                 engine.txns.commit(new_xid);
                 xid_map.insert(*orig, new_xid);
             }
         }
-        // Replayed changes are re-logged into the new engine's WAL under
-        // their new xids. Without this the promoted standby starts with an
-        // empty history and a *second* crash replays only post-promotion
-        // records, silently losing everything earlier: restore must compose,
+        // Redo re-logs replayed changes into the new engine's WAL under their
+        // new xids. Without this the promoted standby starts with an empty
+        // history and a *second* crash replays only post-promotion records,
+        // silently losing everything earlier: restore must compose,
         // restore(wal(restore(wal))) == restore(wal). Aborted transactions
         // are dropped — the re-logged WAL is the compacted history.
         for rec in slice {
@@ -598,116 +774,29 @@ impl Engine {
                         }
                     }
                 }
-                WalRecord::Insert { xid, table, row_id, row } => {
-                    if !matches!(fate.get(xid), Some(Fate::Committed | Fate::Prepared(_))) {
-                        continue;
-                    }
-                    let new_xid = *xid_map
-                        .entry(*xid)
-                        .or_insert_with(|| engine.txns.begin());
-                    let meta = engine.table_meta_by_id(*table)?;
-                    let store = engine.store(*table)?;
-                    store.heap()?.insert_version(*row_id, new_xid, row.clone());
-                    store.heap()?.adjust_live(1);
-                    engine.index_insert_row(&meta, *row_id, row)?;
-                    engine.wal.append(WalRecord::Insert {
-                        xid: new_xid,
-                        table: *table,
-                        row_id: *row_id,
-                        row: row.clone(),
-                    });
-                }
-                WalRecord::Update { xid, table, row_id, old_row, new_row } => {
-                    if !matches!(fate.get(xid), Some(Fate::Committed | Fate::Prepared(_))) {
-                        continue;
-                    }
-                    let new_xid = *xid_map
-                        .entry(*xid)
-                        .or_insert_with(|| engine.txns.begin());
-                    let meta = engine.table_meta_by_id(*table)?;
-                    let store = engine.store(*table)?;
-                    let heap = store.heap()?;
-                    let snap = engine.txns.snapshot(new_xid);
-                    let _ = heap.expire(&engine.txns, &snap, *row_id, new_xid)?;
-                    heap.insert_version(*row_id, new_xid, new_row.clone());
-                    engine.index_insert_row(&meta, *row_id, new_row)?;
-                    engine.wal.append(WalRecord::Update {
-                        xid: new_xid,
-                        table: *table,
-                        row_id: *row_id,
-                        old_row: old_row.clone(),
-                        new_row: new_row.clone(),
-                    });
-                }
-                WalRecord::Delete { xid, table, row_id, row } => {
-                    if !matches!(fate.get(xid), Some(Fate::Committed | Fate::Prepared(_))) {
-                        continue;
-                    }
-                    let new_xid = *xid_map
-                        .entry(*xid)
-                        .or_insert_with(|| engine.txns.begin());
-                    let store = engine.store(*table)?;
-                    let heap = store.heap()?;
-                    let snap = engine.txns.snapshot(new_xid);
-                    let _ = heap.expire(&engine.txns, &snap, *row_id, new_xid)?;
-                    heap.adjust_live(-1);
-                    engine.wal.append(WalRecord::Delete {
-                        xid: new_xid,
-                        table: *table,
-                        row_id: *row_id,
-                        row: row.clone(),
-                    });
-                }
-                WalRecord::ColumnarAppend { xid, table, seq, rows } => {
-                    if !matches!(fate.get(xid), Some(Fate::Committed | Fate::Prepared(_))) {
-                        continue;
-                    }
-                    let new_xid = *xid_map
-                        .entry(*xid)
-                        .or_insert_with(|| engine.txns.begin());
-                    let meta = engine.table_meta_by_id(*table)?;
-                    // tables switched to columnar post-creation (set_columnar)
-                    // replay their CREATE TABLE as heap; the first stripe in
-                    // the WAL proves the conversion happened while empty
-                    if engine.store(*table)?.columnar().is_err() {
-                        engine.set_columnar(&meta.name)?;
-                    }
-                    let store = engine.store(*table)?;
-                    store.columnar()?.append_with_seq(
-                        new_xid,
-                        *seq,
-                        rows.clone(),
-                        meta.columns.len(),
-                    )?;
-                    engine.wal.append(WalRecord::ColumnarAppend {
-                        xid: new_xid,
-                        table: *table,
-                        seq: *seq,
-                        rows: rows.clone(),
-                    });
-                }
                 WalRecord::RestorePoint { name } => {
                     engine.wal.append(WalRecord::RestorePoint { name: name.clone() });
                 }
-                _ => {}
+                _ => {
+                    let (Some(xid), Some(table)) = (rec.xid(), rec.table()) else { continue };
+                    if matches!(fate.get(&xid), Some(Fate::Committed | Fate::Prepared(_))) {
+                        let new_xid = *xid_map.entry(xid).or_insert_with(|| engine.txns.begin());
+                        engine.redo(table, rec, new_xid)?;
+                    }
+                }
             }
         }
-        // settle remaining (prepared / unknown) transaction outcomes and
-        // re-log them (sorted by new xid, so the re-logged WAL is
-        // deterministic)
+        // log every replayed transaction's outcome (sorted by new xid, so
+        // the re-logged WAL is deterministic): committed ones were committed
+        // up front, prepared ones are prepared again
         let mut settled: Vec<(Xid, Xid)> = xid_map.iter().map(|(o, n)| (*n, *o)).collect();
         settled.sort_unstable();
         for (new_xid, orig) in settled {
-            match fate.get(&orig) {
-                Some(Fate::Committed) => {
-                    // committed up front; log the decision
-                    engine.wal.append(WalRecord::Commit { xid: new_xid });
-                }
-                Some(Fate::Prepared(gid)) => {
-                    engine.txns.prepare(new_xid, gid)?;
-                    engine.wal.append(WalRecord::Prepare { xid: new_xid, gid: gid.clone() });
-                }
-                _ => engine.txns.abort(new_xid),
+            if let Some(Fate::Prepared(gid)) = fate.get(&orig) {
+                engine.txns.prepare(new_xid, gid)?;
+                engine.wal.append(WalRecord::Prepare { xid: new_xid, gid: gid.to_string() });
+            } else {
+                engine.wal.append(WalRecord::Commit { xid: new_xid });
             }
         }
         Ok(engine)

@@ -100,6 +100,11 @@ impl HeapStore {
         }
     }
 
+    /// Does `row_id` have any version here, live or not?
+    pub fn contains(&self, row_id: u64) -> bool {
+        self.inner.read().versions.contains_key(&row_id)
+    }
+
     /// Run `f` over every visible tuple under `snap`.
     pub fn scan_visible<F: FnMut(&HeapTuple)>(
         &self,
@@ -350,6 +355,14 @@ impl ColumnarStore {
             self.next_seq.store(seq + 1, Ordering::Relaxed);
         }
         Ok(())
+    }
+
+    /// Is a stripe with sequence number `seq` stored here?
+    pub fn has_seq(&self, seq: u64) -> bool {
+        // `next_seq` is past every stored seq, so redo in log order, whose
+        // seqs only grow, answers without scanning
+        seq < self.next_seq.load(Ordering::Relaxed)
+            && self.stripes.read().iter().any(|s| s.seq == seq)
     }
 
     /// Scan visible rows, materialising only `projection` columns (others

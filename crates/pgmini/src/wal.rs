@@ -11,6 +11,7 @@ use crate::types::{Datum, Json, Row};
 use crate::txn::Xid;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use parking_lot::Mutex;
+use std::collections::HashMap;
 
 /// Log sequence number: index into the record stream.
 pub type Lsn = u64;
@@ -111,11 +112,57 @@ impl Wal {
 
     /// LSN of the restore point `name`, if present.
     pub fn restore_point(&self, name: &str) -> Option<Lsn> {
-        let r = self.records.lock();
-        r.iter()
-            .position(|rec| matches!(rec, WalRecord::RestorePoint { name: n } if n == name))
-            .map(|i| (i + 1) as Lsn)
+        restore_point_in(&self.records.lock(), name)
     }
+}
+
+/// LSN of the restore point `name` in `records`: replaying `records[..lsn]`
+/// stops right after it.
+pub fn restore_point_in(records: &[WalRecord], name: &str) -> Option<Lsn> {
+    records
+        .iter()
+        .position(|rec| matches!(rec, WalRecord::RestorePoint { name: n } if n == name))
+        .map(|i| (i + 1) as Lsn)
+}
+
+// ---------------- transaction fates ----------------
+
+/// How a transaction ended, as far as a WAL slice tells.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fate<'a> {
+    Committed,
+    Aborted,
+    /// Prepared for two-phase commit, not yet committed or rolled back.
+    Prepared(&'a str),
+}
+
+/// The fate of every transaction `records` decides. Every fate-deciding
+/// event (`COMMIT`, `ABORT`, `PREPARE TRANSACTION`, `COMMIT/ROLLBACK
+/// PREPARED`) is WAL-logged, and always *after* the data records it decides,
+/// so a slice starting where no transaction was undecided is self-contained.
+/// A transaction absent from the map is still in flight (or was decided
+/// before the slice).
+pub fn fates(records: &[WalRecord]) -> HashMap<Xid, Fate<'_>> {
+    let mut fate = HashMap::new();
+    let mut gid_to_xid: HashMap<&str, Xid> = HashMap::new();
+    for rec in records {
+        let (xid, decided) = match rec {
+            WalRecord::Commit { xid } => (*xid, Fate::Committed),
+            WalRecord::Abort { xid } => (*xid, Fate::Aborted),
+            WalRecord::Prepare { xid, gid } => {
+                gid_to_xid.insert(gid, *xid);
+                (*xid, Fate::Prepared(gid))
+            }
+            WalRecord::CommitPrepared { gid } | WalRecord::AbortPrepared { gid } => {
+                let Some(&xid) = gid_to_xid.get(gid.as_str()) else { continue };
+                let committed = matches!(rec, WalRecord::CommitPrepared { .. });
+                (xid, if committed { Fate::Committed } else { Fate::Aborted })
+            }
+            _ => continue,
+        };
+        fate.insert(xid, decided);
+    }
+    fate
 }
 
 // ---------------- logical decode (change-data capture) ----------------
@@ -141,17 +188,6 @@ pub struct TableChanges {
     pub horizon: Lsn,
 }
 
-/// Transaction fates derivable from a WAL slice alone. Every fate-deciding
-/// event (`COMMIT`, `ABORT`, `PREPARE TRANSACTION`, `COMMIT/ROLLBACK
-/// PREPARED`) is WAL-logged, and always *after* the data records it decides,
-/// so a slice starting at a previous decode horizon is self-contained.
-#[derive(Clone, Copy, PartialEq)]
-enum TxnFate {
-    Committed,
-    Aborted,
-    Prepared,
-}
-
 /// Decode the committed change stream of `table` from `records` (a WAL slice
 /// whose first record sits at absolute LSN `base_lsn`).
 ///
@@ -167,35 +203,10 @@ enum TxnFate {
 /// valid across crash-restore even though raw LSNs do not.
 ///
 /// `ColumnarAppend` stripes decode to one [`Change::Insert`] per row —
-/// columnar tables are append-only, so old images never arise.
+/// columnar tables are append-only, so old images never arise. A slice that
+/// starts at a previous horizon is self-contained (see [`fates`]).
 pub fn decode_table_changes(records: &[WalRecord], base_lsn: Lsn, table: TableId) -> TableChanges {
-    let mut fate: std::collections::HashMap<Xid, TxnFate> = std::collections::HashMap::new();
-    let mut gid_to_xid: std::collections::HashMap<&str, Xid> = std::collections::HashMap::new();
-    for rec in records {
-        match rec {
-            WalRecord::Commit { xid } => {
-                fate.insert(*xid, TxnFate::Committed);
-            }
-            WalRecord::Abort { xid } => {
-                fate.insert(*xid, TxnFate::Aborted);
-            }
-            WalRecord::Prepare { xid, gid } => {
-                fate.insert(*xid, TxnFate::Prepared);
-                gid_to_xid.insert(gid, *xid);
-            }
-            WalRecord::CommitPrepared { gid } => {
-                if let Some(x) = gid_to_xid.get(gid.as_str()) {
-                    fate.insert(*x, TxnFate::Committed);
-                }
-            }
-            WalRecord::AbortPrepared { gid } => {
-                if let Some(x) = gid_to_xid.get(gid.as_str()) {
-                    fate.insert(*x, TxnFate::Aborted);
-                }
-            }
-            _ => {}
-        }
-    }
+    let fate = fates(records);
     let mut out = TableChanges::default();
     for (i, rec) in records.iter().enumerate() {
         let (Some(xid), Some(rec_table)) = (rec.xid(), rec.table()) else { continue };
@@ -203,7 +214,7 @@ pub fn decode_table_changes(records: &[WalRecord], base_lsn: Lsn, table: TableId
             continue;
         }
         match fate.get(&xid) {
-            Some(TxnFate::Committed) => match rec {
+            Some(Fate::Committed) => match rec {
                 WalRecord::Insert { row, .. } => out.changes.push(Change::Insert(row.clone())),
                 WalRecord::Update { old_row, new_row, .. } => out
                     .changes
@@ -214,9 +225,9 @@ pub fn decode_table_changes(records: &[WalRecord], base_lsn: Lsn, table: TableId
                 }
                 _ => unreachable!(),
             },
-            Some(TxnFate::Aborted) => {}
+            Some(Fate::Aborted) => {}
             // in flight or prepared-undecided: the horizon
-            None | Some(TxnFate::Prepared) => {
+            None | Some(Fate::Prepared(_)) => {
                 out.horizon = base_lsn + i as Lsn;
                 return out;
             }

@@ -775,7 +775,7 @@ pub fn check_read_skew(c: &Arc<Cluster>) -> Result<(), String> {
             continue;
         }
         for gid in node.engine().txns.prepared_gids() {
-            let Some(origin) = citrus::extension::parse_gid_origin(&gid) else { continue };
+            let Some((origin, _)) = citrus::extension::parse_gid(&gid) else { continue };
             let decided = recovery::commit_record_exists(c, NodeId(origin), &gid)
                 .map_err(|e| format!("commit records unreadable for {gid}: {e:?}"))?;
             if !decided {

@@ -13,9 +13,12 @@
 #      (`judged_safe_statements_match_the_oracle` in
 #      crates/workloads/tests/insert_select_oracle.rs: generated joins,
 #      subqueries and INSERT..SELECTs are refused or equal the oracle), the
-#      vectorized wall, rebalancer crash drills, the snapshot-isolation
-#      anomaly wall, MX fence drills, the rollup recompute differential, the
-#      seeded sim chaos corpus, the memory budget
+#      vectorized wall, the replay wall (crates/pgmini/tests/replay.rs: a
+#      shard copy plus catch-up from random cut points, and a restore, each
+#      equal the source by row id and index probes), rebalancer crash drills
+#      (every live placement carries the shell's indexes), the
+#      snapshot-isolation anomaly wall, MX fence drills, the rollup recompute
+#      differential, the seeded sim chaos corpus, the memory budget
 #      (crates/pgmini/tests/memory_budget.rs: a counting allocator, its own
 #      binary; an update may retain at most 1.2 KB once vacuumed and a point
 #      read copies no text) and the figure gate. There is no filter to
