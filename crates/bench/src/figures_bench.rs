@@ -312,7 +312,8 @@ fn figure7(p: &Params, threads: usize) -> ([String; 3], [[f64; 3]; 4]) {
 }
 
 /// Figure 8: data warehousing — the 18 Citus-supported TPC-H queries over a
-/// single session, reported as queries per hour. The paper's shape: TPC-H
+/// single session, reported as queries per hour and, per query, as modelled
+/// milliseconds (`query_ms`, keyed by query number). The paper's shape: TPC-H
 /// scans everything; the single server is I/O-bound while the cluster keeps
 /// data in memory and is CPU-bound, giving two orders of magnitude on 8+1.
 fn figure8(p: &Params, threads: usize) -> (String, [f64; 4]) {
@@ -329,6 +330,7 @@ fn figure8(p: &Params, threads: usize) -> (String, [f64; 4]) {
         let r = target.runner();
         let mut total_ms = 0.0;
         let mut slowest = (0u32, 0.0f64);
+        let mut query_ms = Vec::new();
         for n in tpch::queries::SUPPORTED {
             let q = tpch::queries::query(n).expect("supported query");
             r.run(&q).unwrap_or_else(|e| panic!("{}: q{n}: {e}", setup.name()));
@@ -337,17 +339,20 @@ fn figure8(p: &Params, threads: usize) -> (String, [f64; 4]) {
             if ms > slowest.1 {
                 slowest = (n, ms);
             }
+            query_ms.push(format!("\"{n}\": {ms:.2}"));
         }
         qph[i] = 18.0 * 3_600_000.0 / total_ms;
         rows.push(format!(
             "{{\"setup\": \"{}\", \"sim_data_mb\": {:.1}, \"total_ms\": {total_ms:.0}, \
-             \"qph\": {:.0}, \"vs_pg\": {:.1}, \"slowest_query\": {}, \"slowest_ms\": {:.0}}}",
+             \"qph\": {:.0}, \"vs_pg\": {:.1}, \"slowest_query\": {}, \"slowest_ms\": {:.0}, \
+             \"query_ms\": {{{}}}}}",
             setup.name(),
             mb(data),
             qph[i],
             qph[i] / qph[0].max(1e-9),
             slowest.0,
-            slowest.1
+            slowest.1,
+            query_ms.join(", ")
         ));
     }
     let json = format!(
