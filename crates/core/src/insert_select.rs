@@ -44,6 +44,7 @@ pub fn execute(
     };
     let meta = cluster.metadata.read_recursive();
     let target = meta.require_table(&ins.table)?.clone();
+    planner::refuse_key_assignment(&ins.table, planner::upsert_assignments(ins), &meta)?;
     if target.is_reference() {
         drop(meta);
         return Err(PgError::unsupported(

@@ -6,7 +6,11 @@
 //! hash-distributed table's rows are placed by its distribution column within
 //! its co-location group, a reference table is everywhere. They propagate
 //! through `key = key` equalities (`WHERE` and `ON` conjuncts) and through
-//! FROM-subquery outputs, wherever the subquery sits in the join tree. The
+//! FROM-subquery outputs, wherever the subquery sits in the join tree. A
+//! `WHERE key [NOT] IN (SELECT key …)` conjunct over a co-partitioned
+//! subquery is a join on the key too, and stays in place on every shard
+//! ([`CoPartitioned::semijoin`]); other subqueries over distributed relations
+//! need a subplan ([`subplans`]). The
 //! *judgement* read off them is one of four outcomes ([`Judgement`]); a
 //! refusal carries its [`Reason`] as data. The tiers only render it: the
 //! router takes `SingleBucket` (§3.5), pushdown takes `CoPartitioned`, the
@@ -15,6 +19,7 @@
 //! unsupported shape is `Reason`'s `Display`.
 
 use super::merge::{group_expr, is_aggregate_query};
+use super::rewrite::select_tables;
 use crate::metadata::{DistTable, Metadata};
 use pgmini::error::PgError;
 use pgmini::types::Datum;
@@ -80,8 +85,9 @@ pub enum Reason {
     /// An outer join preserves `replicated` against distributed relations:
     /// every shard would return its unmatched rows.
     OuterJoinPreservesReplicated { replicated: String },
-    /// An expression subquery reads distributed relations: shipped as is it
-    /// sees one shard, so its result has to be materialised first.
+    /// An expression subquery reads distributed relations and is not a
+    /// co-located semi-join: shipped as is it sees one shard, so its result
+    /// has to be materialised first.
     NeedsSubplan,
 }
 
@@ -166,6 +172,34 @@ impl CoPartitioned {
         self.group == target.colocation_id
             && matches!(sel.projection.get(feed),
                 Some(SelectItem::Expr { expr, .. }) if self.key.holds(expr))
+    }
+
+    /// The subquery of `conjunct`, a top-level `WHERE` conjunct of a level
+    /// judged to be this, when the conjunct is a *co-located semi-join*
+    /// `e [NOT] IN (sub)`: `e` holds the level's key, `sub` is co-partitioned
+    /// in the same group and needs no merge, and `sub`'s only output passes
+    /// its key through.
+    ///
+    /// Such a conjunct runs unchanged on every shard. Take an outer row whose
+    /// key is `v`: it lives on shard(`v`), and `sub`'s rows that output `v`
+    /// are exactly the rows `sub` returns on shard(`v`) — a key-grouped
+    /// aggregate's group lives there whole, and no LIMIT, OFFSET or DISTINCT
+    /// looks across shards. So `v` is in the global result of `sub` exactly
+    /// when it is in the result on shard(`v`). `NOT IN` keeps this because
+    /// neither side can be NULL: key columns come only from relations on no
+    /// null-supplying side, and a distribution column never holds NULL (an
+    /// insert refuses it, an update may not assign it).
+    fn semijoin<'s>(&self, conjunct: &'s Expr, meta: &Metadata) -> Option<&'s Select> {
+        let Expr::InSubquery { expr, subquery, .. } = conjunct else { return None };
+        let [item] = &subquery.projection[..] else { return None };
+        if !self.key.holds(expr) {
+            return None;
+        }
+        let Judgement::CoPartitioned(inner) = judge_select(subquery, meta) else { return None };
+        (inner.group == self.group
+            && inner.merge_need(subquery).is_none()
+            && inner.key.output(item).is_some())
+        .then_some(subquery)
     }
 }
 
@@ -496,19 +530,77 @@ impl<'a> LevelFacts<'a> {
 }
 
 /// Judge one SELECT on its own: are the relations of its FROM tree
-/// co-partitioned? Never `SingleBucket` — pinning is a property of the whole
-/// statement, which [`judge`] checks before it asks this.
+/// co-partitioned, and does every expression subquery run where it stands?
+/// Never `SingleBucket` — pinning is a property of the whole statement, which
+/// [`judge`] checks before it asks this.
 pub fn judge_select(sel: &Select, meta: &Metadata) -> Judgement {
-    let mut needs_subplan = false;
+    let (level, subplans) = judge_level(sel, meta);
+    if subplans.is_empty() {
+        level
+    } else {
+        Judgement::MustMove(Reason::NeedsSubplan)
+    }
+}
+
+/// The expression subqueries of `sel`'s own level (not of its FROM-subqueries,
+/// which are levels of their own) that need a subplan: every one over a
+/// distributed relation, except the level's co-located semi-joins
+/// ([`CoPartitioned::semijoin`]). A coordinator merge step may evaluate the
+/// projection and `HAVING`, and it cannot run a subquery, so there a subquery
+/// over reference tables is one too.
+pub fn subplans<'a>(sel: &'a Select, meta: &'a Metadata) -> Vec<&'a Select> {
+    let mut out = judge_level(sel, meta).1;
+    let merged = sel.projection.iter().filter_map(|p| match p {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        _ => None,
+    });
+    for e in merged.chain(&sel.having) {
+        for_each_subquery(e, &mut |q| {
+            if !out.iter().any(|s| std::ptr::eq(*s, q)) && !select_tables(q).is_empty() {
+                out.push(q);
+            }
+        });
+    }
+    out
+}
+
+/// The subqueries of a DML `WHERE` clause that need a subplan: every one over
+/// a distributed relation (a DML target's semi-joins are not pushed down).
+pub fn where_subplans<'a>(w: &'a Expr, meta: &Metadata) -> Vec<&'a Select> {
+    let mut out = Vec::new();
+    for_each_subquery(w, &mut |q| {
+        if reads_distributed(q, meta) {
+            out.push(q);
+        }
+    });
+    out
+}
+
+/// Does an expression subquery read a distributed relation? Shipped to a
+/// shard as it stands, it would see that shard's rows only.
+fn reads_distributed(q: &Select, meta: &Metadata) -> bool {
+    judge_select(q, meta) != Judgement::NoDistributedRelation
+}
+
+/// One level's co-location judgement, with its co-located semi-joins set
+/// aside, and the level's subqueries that need a subplan.
+fn judge_level<'a>(sel: &'a Select, meta: &'a Metadata) -> (Judgement, Vec<&'a Select>) {
+    let level = gather(sel, meta, true).co_partitioned(meta);
+    let mut semijoins = Vec::new();
+    if let (Judgement::CoPartitioned(cp), Some(w)) = (&level, &sel.where_clause) {
+        let mut conjuncts = Vec::new();
+        split_and(w, &mut conjuncts);
+        semijoins.extend(conjuncts.into_iter().filter_map(|c| cp.semijoin(c, meta)));
+    }
+    let mut subplans = Vec::new();
     for_each_level_expr(sel, &mut |e| {
         for_each_subquery(e, &mut |q| {
-            needs_subplan |= judge_select(q, meta) != Judgement::NoDistributedRelation;
+            if !semijoins.iter().any(|s| std::ptr::eq(*s, q)) && reads_distributed(q, meta) {
+                subplans.push(q);
+            }
         })
     });
-    if needs_subplan {
-        return Judgement::MustMove(Reason::NeedsSubplan);
-    }
-    gather(sel, meta, true).co_partitioned(meta)
+    (level, subplans)
 }
 
 /// Judge a whole statement: every level that names a distributed relation
@@ -868,5 +960,101 @@ mod tests {
             panic!("refused")
         };
         assert_eq!(cp.key, KeyColumns(vec![("o".into(), "w_id".into())]));
+    }
+
+    // ---- co-located semi-joins: what stays on the shards ----
+
+    /// `sql`'s top level: its judgement on its own, and how many of its
+    /// subqueries need a subplan.
+    fn level(sql: &str) -> (Judgement, usize) {
+        let m = two_groups();
+        let Statement::Select(sel) = parse(sql).unwrap() else { panic!("{sql}") };
+        (judge_select(&sel, &m), subplans(&sel, &m).len())
+    }
+
+    #[test]
+    fn colocated_semijoins_stay_on_the_shards() {
+        for sql in [
+            "SELECT * FROM orders WHERE w_id IN (SELECT w_id FROM lines WHERE o_id > 3)",
+            "SELECT * FROM orders o WHERE o.w_id NOT IN (SELECT l.w_id FROM lines l)",
+            "SELECT * FROM orders WHERE w_id IN (SELECT w_id AS k FROM lines)",
+            // an aggregate grouped by the key keeps each group on one shard
+            "SELECT * FROM orders WHERE o_id > 1 AND w_id IN \
+             (SELECT w_id FROM lines GROUP BY w_id HAVING count(*) > 2)",
+            // the key reached through a join on it
+            "SELECT * FROM orders o JOIN lines l ON o.w_id = l.w_id \
+             WHERE l.w_id IN (SELECT w_id FROM lines) AND o.w_id NOT IN (SELECT w_id FROM orders)",
+            // a reference table on the null-supplying side leaves the key alone
+            "SELECT * FROM orders o LEFT JOIN items i ON i.i_id = o.o_id \
+             WHERE o.w_id IN (SELECT w_id FROM lines)",
+            // inside a FROM-subquery, a level of its own
+            "SELECT x.w_id FROM (SELECT w_id FROM orders WHERE w_id IN (SELECT w_id FROM lines)) x",
+        ] {
+            let (judged, subplans) = level(sql);
+            assert!(matches!(judged, Judgement::CoPartitioned(_)), "`{sql}` judged {judged:?}");
+            assert_eq!(subplans, 0, "`{sql}`");
+        }
+        // so does a semi-join in an INSERT..SELECT source
+        let Judgement::CoPartitioned(cp) = infer(
+            "INSERT INTO lines SELECT * FROM orders WHERE w_id IN (SELECT w_id FROM lines)",
+        ) else {
+            panic!("refused")
+        };
+        assert_eq!(cp.anchor, "lines");
+    }
+
+    #[test]
+    fn other_subqueries_over_distributed_tables_need_a_subplan() {
+        for sql in [
+            // the reference table's column is only called like the key
+            "SELECT * FROM orders o JOIN items i ON o.o_id = i.i_id \
+             WHERE i.w_id IN (SELECT w_id FROM lines)",
+            // the null-supplying side of an outer join reads NULL on every shard
+            "SELECT * FROM orders o LEFT JOIN lines l ON o.w_id = l.w_id \
+             WHERE l.w_id NOT IN (SELECT w_id FROM lines)",
+            // the subquery's result spans shards
+            "SELECT * FROM orders WHERE w_id IN (SELECT w_id FROM lines ORDER BY w_id LIMIT 3)",
+            "SELECT * FROM orders WHERE w_id IN (SELECT DISTINCT w_id FROM lines)",
+            "SELECT * FROM orders WHERE w_id IN (SELECT max(w_id) FROM lines GROUP BY o_id)",
+            // the subquery does not output its key, or the outer side is no key
+            "SELECT * FROM orders WHERE w_id IN (SELECT o_id FROM lines)",
+            "SELECT * FROM orders WHERE o_id IN (SELECT w_id FROM lines)",
+            // not a top-level conjunct
+            "SELECT * FROM orders WHERE o_id = 1 OR w_id IN (SELECT w_id FROM lines)",
+            "SELECT * FROM orders WHERE NOT (w_id IN (SELECT w_id FROM lines))",
+            // another co-location group
+            "SELECT * FROM orders WHERE w_id IN (SELECT w_id FROM stock)",
+            // EXISTS and scalar subqueries, and subqueries outside WHERE
+            "SELECT * FROM orders WHERE EXISTS (SELECT w_id FROM lines)",
+            "SELECT * FROM orders WHERE w_id = (SELECT max(w_id) FROM lines)",
+            "SELECT w_id IN (SELECT w_id FROM lines) FROM orders",
+        ] {
+            assert_eq!(level(sql), (Judgement::MustMove(Reason::NeedsSubplan), 1), "`{sql}`");
+        }
+        assert!(matches!(
+            refusal("SELECT * FROM orders WHERE w_id IN (SELECT w_id FROM stock)"),
+            Reason::NotColocated { .. }
+        ));
+        // a DML target's semi-joins are not pushed down
+        let Statement::Delete(d) =
+            parse("DELETE FROM orders WHERE w_id IN (SELECT w_id FROM lines)").unwrap()
+        else {
+            panic!()
+        };
+        assert_eq!(where_subplans(d.where_clause.as_ref().unwrap(), &meta()).len(), 1);
+    }
+
+    #[test]
+    fn reference_subqueries_run_first_only_where_the_coordinator_merges() {
+        let (judged, subplans) =
+            level("SELECT * FROM orders WHERE o_id IN (SELECT i_id FROM items)");
+        assert!(matches!(judged, Judgement::CoPartitioned(_)));
+        assert_eq!(subplans, 0, "a WHERE subquery over a reference table runs on the shards");
+        let (judged, subplans) = level(
+            "SELECT o_id, count(*) FROM orders GROUP BY o_id \
+             HAVING count(*) > (SELECT count(*) FROM items)",
+        );
+        assert!(matches!(judged, Judgement::CoPartitioned(_)));
+        assert_eq!(subplans, 1, "the merge step evaluates HAVING");
     }
 }

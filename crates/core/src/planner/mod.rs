@@ -17,7 +17,9 @@ use crate::metadata::{Metadata, NodeId, PartitionMethod, ShardId};
 use analysis::{judge, Judgement, Reason};
 use merge::MergePlan;
 use pgmini::error::{ErrorCode, PgError, PgResult};
-use sqlparse::ast::{Expr, InsertSource, Statement};
+use sqlparse::ast::{
+    Assignment, ConflictAction, Expr, Insert, InsertSource, OnConflict, Statement,
+};
 use std::sync::Arc;
 
 /// Which planner produced a plan (exposed via EXPLAIN and used by the
@@ -147,6 +149,11 @@ pub fn plan_statement(
         )));
     }
 
+    match stmt {
+        Statement::Update(u) => refuse_key_assignment(&u.table, &u.assignments, meta)?,
+        Statement::Insert(ins) => refuse_key_assignment(&ins.table, upsert_assignments(ins), meta)?,
+        _ => {}
+    }
     // writes to reference tables replicate to every placement
     if let Some(plan) = try_reference_write(stmt, meta)? {
         return Ok(Some(plan));
@@ -188,6 +195,32 @@ pub fn plan_statement(
         "could not create a distributed plan for this query (complex non-co-located \
          or correlated shapes are not supported)",
     ))
+}
+
+/// Refuse assignments to a hash-distributed table's distribution column
+/// (`UPDATE .. SET`, `ON CONFLICT DO UPDATE SET`), as Citus does: the row
+/// would stay in the shard its old value hashes to, where a query on the new
+/// value never looks. It also keeps the column free of NULLs, which a
+/// pushed-down `NOT IN` semi-join relies on. A refused shape never enters the
+/// plan cache, so a cache hit needs no check of its own.
+pub(crate) fn refuse_key_assignment(
+    table: &str,
+    assignments: &[Assignment],
+    meta: &Metadata,
+) -> PgResult<()> {
+    let key = meta.table(table).and_then(|dt| dt.dist_column.as_ref()).map(|(col, _)| col);
+    if assignments.iter().any(|a| Some(&a.column) == key) {
+        return Err(PgError::unsupported("modifying the partition value of rows is not allowed"));
+    }
+    Ok(())
+}
+
+/// The `ON CONFLICT DO UPDATE SET` assignments of an insert.
+pub(crate) fn upsert_assignments(ins: &Insert) -> &[Assignment] {
+    match &ins.on_conflict {
+        Some(OnConflict { action: ConflictAction::Update(assignments), .. }) => assignments,
+        _ => &[],
+    }
 }
 
 /// Plan with one specific tier instead of the usual lowest-overhead-first
@@ -500,7 +533,7 @@ fn try_reference_write(stmt: &Statement, meta: &Metadata) -> PgResult<Option<Dis
     // a simple replicated write
     if let Statement::Insert(ins) = stmt {
         if let InsertSource::Query(sel) = &ins.source {
-            let inner = rewrite::collect_tables(&Statement::Select(sel.clone()));
+            let inner = rewrite::select_tables(sel);
             if inner.iter().any(|t| {
                 meta.table(t).is_some_and(|x| !x.is_reference())
             }) {

@@ -7,13 +7,15 @@
 //! include the distribution column, aggregates are split into worker partials
 //! plus a coordinator merge step ([`super::merge`]).
 //!
-//! WHERE-clause subqueries over distributed tables become *subplans*: they
-//! are planned recursively, executed first, and their results substituted as
-//! constants — citrus's intermediate results.
+//! A subquery stays in the shipped query when the co-location judgement says
+//! it runs correctly on each shard: over reference tables only, or a
+//! co-located semi-join (`key IN (SELECT key …)`). The other subqueries over
+//! distributed tables become *subplans*: they are planned recursively,
+//! executed first, and their results substituted as constants — citrus's
+//! intermediate results.
 
-use super::analysis::{judge, judge_select, CoPartitioned, Judgement, MergeNeed};
+use super::analysis::{self, judge, judge_select, CoPartitioned, Judgement, MergeNeed};
 use super::merge::{expr_u64, is_aggregate_query, split_aggregation};
-use super::rewrite;
 use super::{bucket_task, DistPlan, Merge, PlannerKind, SortCol, SubplanExecutor, Task};
 use crate::metadata::{Metadata, NodeId};
 use pgmini::error::{ErrorCode, PgError, PgResult};
@@ -32,7 +34,9 @@ pub fn try_pushdown(
 ) -> PgResult<Option<DistPlan>> {
     match stmt {
         Statement::Select(sel) => {
-            let (sel, used_subplans) = resolve_subplans_select(sel, meta, subplans)?;
+            let mut resolver = Resolver { meta, subplans, used: false };
+            let sel = resolver.select(sel)?;
+            let used_subplans = resolver.used;
             match judge_select(&sel, meta) {
                 // subplan resolution may leave only reference tables behind
                 // (e.g. a reference-table query filtered by a distributed
@@ -57,8 +61,9 @@ pub fn try_pushdown(
             }
         }
         Statement::Update(_) | Statement::Delete(_) => {
-            let (stmt, used_subplans) = resolve_subplans_dml(stmt, meta, subplans)?;
-            plan_multi_shard_dml(&stmt, meta, used_subplans).map(Some)
+            let mut resolver = Resolver { meta, subplans, used: false };
+            let stmt = resolver.dml(stmt)?;
+            plan_multi_shard_dml(&stmt, meta, resolver.used).map(Some)
         }
         Statement::Insert(ins) => match &ins.source {
             InsertSource::Values(rows) if rows.len() > 1 => {
@@ -72,97 +77,146 @@ pub fn try_pushdown(
 
 // ---------------- subplans (intermediate results) ----------------
 
-/// Replace WHERE/HAVING subqueries that reference distributed tables with
-/// their materialised results (scalar constant / IN-list). Returns the
-/// rewritten select and whether any subplan ran.
-fn resolve_subplans_select(
-    sel: &Select,
-    meta: &Metadata,
-    subplans: &mut dyn SubplanExecutor,
-) -> PgResult<(Select, bool)> {
-    let mut out = sel.clone();
-    let mut used = false;
-    resolve_select_in_place(&mut out, meta, subplans, &mut used)?;
-    Ok((out, used))
+/// Materialises the subqueries the judgement lists as needing a subplan
+/// ([`analysis::subplans`], [`analysis::where_subplans`]): each runs first as
+/// a distributed query of its own, and its result replaces it as constants
+/// (scalar, IN-list or boolean). Every other subquery stays in place and
+/// runs on the shards.
+struct Resolver<'p> {
+    meta: &'p Metadata,
+    subplans: &'p mut dyn SubplanExecutor,
+    /// Whether any subplan ran.
+    used: bool,
 }
 
-/// Resolve distributed subqueries everywhere they can appear: WHERE, HAVING,
-/// the projection, and recursively inside FROM-subqueries and JOIN
-/// conditions.
-fn resolve_select_in_place(
-    sel: &mut Select,
-    meta: &Metadata,
-    subplans: &mut dyn SubplanExecutor,
-    used: &mut bool,
-) -> PgResult<()> {
-    if let Some(w) = &sel.where_clause {
-        sel.where_clause = Some(resolve_expr(w, meta, subplans, used)?);
+impl Resolver<'_> {
+    /// One level and, recursively, its FROM-subqueries. Subplans run in
+    /// clause order: WHERE, HAVING, the projection, then FROM.
+    fn select(&mut self, sel: &Select) -> PgResult<Select> {
+        let needed = analysis::subplans(sel, self.meta);
+        Ok(Select {
+            where_clause: sel.where_clause.as_ref().map(|w| self.expr(w, &needed)).transpose()?,
+            having: sel.having.as_ref().map(|h| self.expr(h, &needed)).transpose()?,
+            projection: sel
+                .projection
+                .iter()
+                .map(|item| match item {
+                    SelectItem::Expr { expr: e, alias } => {
+                        Ok(SelectItem::Expr { expr: self.expr(e, &needed)?, alias: alias.clone() })
+                    }
+                    other => Ok(other.clone()),
+                })
+                .collect::<PgResult<_>>()?,
+            from: sel.from.iter().map(|f| self.table_ref(f, &needed)).collect::<PgResult<_>>()?,
+            distinct: sel.distinct,
+            group_by: sel.group_by.clone(),
+            order_by: sel.order_by.clone(),
+            limit: sel.limit.clone(),
+            offset: sel.offset.clone(),
+            for_update: sel.for_update,
+        })
     }
-    if let Some(h) = &sel.having {
-        sel.having = Some(resolve_expr(h, meta, subplans, used)?);
-    }
-    for item in &mut sel.projection {
-        if let sqlparse::ast::SelectItem::Expr { expr, .. } = item {
-            *expr = resolve_expr(expr, meta, subplans, used)?;
-        }
-    }
-    for f in &mut sel.from {
-        resolve_table_ref(f, meta, subplans, used)?;
-    }
-    Ok(())
-}
 
-fn resolve_table_ref(
-    t: &mut TableRef,
-    meta: &Metadata,
-    subplans: &mut dyn SubplanExecutor,
-    used: &mut bool,
-) -> PgResult<()> {
-    match t {
-        TableRef::Table { .. } => Ok(()),
-        TableRef::Subquery { query, .. } => {
-            resolve_select_in_place(query, meta, subplans, used)
-        }
-        TableRef::Join { left, right, on, .. } => {
-            resolve_table_ref(left, meta, subplans, used)?;
-            resolve_table_ref(right, meta, subplans, used)?;
-            if let Some(c) = on {
-                *on = Some(resolve_expr(c, meta, subplans, used)?);
+    /// A FROM item: subqueries are levels of their own, ON conditions belong
+    /// to the level whose `needed` list is passed.
+    fn table_ref(&mut self, t: &TableRef, needed: &[&Select]) -> PgResult<TableRef> {
+        Ok(match t {
+            TableRef::Table { .. } => t.clone(),
+            TableRef::Subquery { query, alias } => {
+                TableRef::Subquery { query: Box::new(self.select(query)?), alias: alias.clone() }
             }
-            Ok(())
-        }
+            TableRef::Join { left, right, kind, on } => TableRef::Join {
+                left: Box::new(self.table_ref(left, needed)?),
+                right: Box::new(self.table_ref(right, needed)?),
+                kind: *kind,
+                on: on.as_ref().map(|c| self.expr(c, needed)).transpose()?,
+            },
+        })
     }
-}
 
-fn resolve_subplans_dml(
-    stmt: &Statement,
-    meta: &Metadata,
-    subplans: &mut dyn SubplanExecutor,
-) -> PgResult<(Statement, bool)> {
-    let mut used = false;
-    let out = match stmt {
-        Statement::Update(u) => {
-            let mut u2 = (**u).clone();
-            if let Some(w) = &u2.where_clause {
-                u2.where_clause = Some(resolve_expr(w, meta, subplans, &mut used)?);
+    /// An UPDATE or DELETE with its `WHERE` subplans resolved.
+    fn dml(&mut self, stmt: &Statement) -> PgResult<Statement> {
+        Ok(match stmt {
+            Statement::Update(u) => {
+                let mut u2 = (**u).clone();
+                u2.where_clause = self.where_clause(&u.where_clause)?;
+                Statement::Update(Box::new(u2))
             }
-            Statement::Update(Box::new(u2))
-        }
-        Statement::Delete(d) => {
-            let mut d2 = (**d).clone();
-            if let Some(w) = &d2.where_clause {
-                d2.where_clause = Some(resolve_expr(w, meta, subplans, &mut used)?);
+            Statement::Delete(d) => {
+                let mut d2 = (**d).clone();
+                d2.where_clause = self.where_clause(&d.where_clause)?;
+                Statement::Delete(Box::new(d2))
             }
-            Statement::Delete(Box::new(d2))
-        }
-        other => other.clone(),
-    };
-    Ok((out, used))
-}
+            other => other.clone(),
+        })
+    }
 
-fn subquery_has_citrus_tables(sel: &Select, meta: &Metadata) -> bool {
-    let tables = rewrite::collect_tables(&Statement::Select(Box::new(sel.clone())));
-    tables.iter().any(|t| meta.is_citrus_table(t))
+    fn where_clause(&mut self, w: &Option<Expr>) -> PgResult<Option<Expr>> {
+        w.as_ref().map(|w| self.expr(w, &analysis::where_subplans(w, self.meta))).transpose()
+    }
+
+    /// Run an uncorrelated subplan; correlation surfaces as an unresolvable
+    /// column on the workers, reported as the unsupported-feature error Citus
+    /// 9.5 raises for correlated subqueries.
+    fn run(&mut self, sel: &Select) -> PgResult<Vec<pgmini::types::Row>> {
+        self.used = true;
+        self.subplans.run_distributed_subquery(sel).map_err(|e| {
+            if e.code == ErrorCode::UndefinedColumn {
+                PgError::unsupported(format!(
+                    "correlated subqueries are not supported ({})",
+                    e.message
+                ))
+            } else {
+                e
+            }
+        })
+    }
+
+    /// `e` with the subqueries in `needed` replaced by their results.
+    fn expr(&mut self, e: &Expr, needed: &[&Select]) -> PgResult<Expr> {
+        let is_needed = |q: &Select| needed.iter().any(|n| std::ptr::eq(*n, q));
+        Ok(match e {
+            Expr::ScalarSubquery(q) if is_needed(q) => {
+                let rows = self.run(q)?;
+                match rows.len() {
+                    0 => Expr::Literal(Literal::Null),
+                    1 => datum_expr(&rows[0][0]),
+                    _ => {
+                        return Err(PgError::new(
+                            ErrorCode::Syntax,
+                            "more than one row returned by a subquery used as an expression",
+                        ))
+                    }
+                }
+            }
+            Expr::InSubquery { expr, subquery, negated } if is_needed(subquery) => {
+                let rows = self.run(subquery)?;
+                let inner = self.expr(expr, needed)?;
+                if rows.is_empty() {
+                    Expr::Literal(Literal::Bool(*negated))
+                } else {
+                    Expr::InList {
+                        expr: Box::new(inner),
+                        list: rows.iter().map(|r| datum_expr(&r[0])).collect(),
+                        negated: *negated,
+                    }
+                }
+            }
+            Expr::Exists { subquery, negated } if is_needed(subquery) => {
+                let rows = self.run(subquery)?;
+                Expr::Literal(Literal::Bool((!rows.is_empty()) != *negated))
+            }
+            Expr::Binary { left, op, right } => Expr::Binary {
+                left: Box::new(self.expr(left, needed)?),
+                op: *op,
+                right: Box::new(self.expr(right, needed)?),
+            },
+            Expr::Unary { op, expr } => {
+                Expr::Unary { op: *op, expr: Box::new(self.expr(expr, needed)?) }
+            }
+            other => other.clone(),
+        })
+    }
 }
 
 fn datum_expr(d: &Datum) -> Expr {
@@ -173,79 +227,6 @@ fn datum_expr(d: &Datum) -> Expr {
         Datum::Float(v) => Expr::Literal(Literal::Float(*v)),
         other => Expr::Literal(Literal::String(other.to_text())),
     }
-}
-
-/// Run an uncorrelated subplan; correlation surfaces as an unresolvable
-/// column on the workers, reported as the unsupported-feature error Citus
-/// 9.5 raises for correlated subqueries.
-fn run_subplan(
-    sel: &Select,
-    subplans: &mut dyn SubplanExecutor,
-) -> PgResult<Vec<pgmini::types::Row>> {
-    subplans.run_distributed_subquery(sel).map_err(|e| {
-        if e.code == ErrorCode::UndefinedColumn {
-            PgError::unsupported(format!(
-                "correlated subqueries are not supported ({})",
-                e.message
-            ))
-        } else {
-            e
-        }
-    })
-}
-
-fn resolve_expr(
-    e: &Expr,
-    meta: &Metadata,
-    subplans: &mut dyn SubplanExecutor,
-    used: &mut bool,
-) -> PgResult<Expr> {
-    Ok(match e {
-        Expr::ScalarSubquery(q) if subquery_has_citrus_tables(q, meta) => {
-            let rows = run_subplan(q, subplans)?;
-            *used = true;
-            match rows.len() {
-                0 => Expr::Literal(Literal::Null),
-                1 => datum_expr(&rows[0][0]),
-                _ => {
-                    return Err(PgError::new(
-                        ErrorCode::Syntax,
-                        "more than one row returned by a subquery used as an expression",
-                    ))
-                }
-            }
-        }
-        Expr::InSubquery { expr, subquery, negated }
-            if subquery_has_citrus_tables(subquery, meta) =>
-        {
-            let rows = run_subplan(subquery, subplans)?;
-            *used = true;
-            let inner = resolve_expr(expr, meta, subplans, used)?;
-            if rows.is_empty() {
-                Expr::Literal(Literal::Bool(*negated))
-            } else {
-                Expr::InList {
-                    expr: Box::new(inner),
-                    list: rows.iter().map(|r| datum_expr(&r[0])).collect(),
-                    negated: *negated,
-                }
-            }
-        }
-        Expr::Exists { subquery, negated } if subquery_has_citrus_tables(subquery, meta) => {
-            let rows = run_subplan(subquery, subplans)?;
-            *used = true;
-            Expr::Literal(Literal::Bool((!rows.is_empty()) != *negated))
-        }
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(resolve_expr(left, meta, subplans, used)?),
-            op: *op,
-            right: Box::new(resolve_expr(right, meta, subplans, used)?),
-        },
-        Expr::Unary { op, expr } => {
-            Expr::Unary { op: *op, expr: Box::new(resolve_expr(expr, meta, subplans, used)?) }
-        }
-        other => other.clone(),
-    })
 }
 
 // ---------------- SELECT planning ----------------

@@ -37,6 +37,13 @@ pub fn collect_tables(stmt: &Statement) -> Vec<String> {
     out
 }
 
+/// Every base table name a SELECT references, at any depth.
+pub fn select_tables(sel: &Select) -> Vec<String> {
+    let mut out = Vec::new();
+    collect_select(sel, &mut out);
+    out
+}
+
 fn push_unique(out: &mut Vec<String>, name: &str) {
     if !out.iter().any(|n| n == name) {
         out.push(name.to_string());

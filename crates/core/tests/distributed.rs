@@ -219,7 +219,7 @@ fn multi_shard_dml_and_subplans() {
     // multi-shard UPDATE (no dist filter) with 2PC in autocommit
     let r = s.execute("UPDATE orders SET amount = amount + 1 WHERE order_id = 1").unwrap();
     assert_eq!(r.affected(), 20);
-    // subplan: IN (distributed subquery)
+    // a co-located semi-join runs on every shard: IN over the key
     let r = s
         .execute(
             "SELECT count(*) FROM orders WHERE tenant_id IN \
@@ -227,6 +227,45 @@ fn multi_shard_dml_and_subplans() {
         )
         .unwrap();
     assert_eq!(r.rows()[0][0], Datum::Int(5));
+    // subplan: IN over a non-key column of a distributed subquery
+    let r = s
+        .execute(
+            "SELECT count(*) FROM orders WHERE order_id IN \
+             (SELECT tenant_id FROM tenants WHERE name = 'tenant-3')",
+        )
+        .unwrap();
+    assert_eq!(r.rows()[0][0], Datum::Int(20));
+}
+
+/// Demonstrator: a row whose distribution column is assigned a new value
+/// stays in the shard its old value hashes to, where a query on the new value
+/// never looks. Citus refuses the assignment (0A000); so does every write
+/// that assigns it here — UPDATE, upsert and INSERT .. SELECT upsert — and
+/// every row stays where its key finds it.
+#[test]
+fn distribution_column_assignments_are_refused() {
+    let c = small_cluster(2);
+    let mut s = c.session().unwrap();
+    s.execute("CREATE TABLE t (k bigint PRIMARY KEY, v bigint)").unwrap();
+    s.execute("SELECT create_distributed_table('t', 'k')").unwrap();
+    s.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30), (4, 40)").unwrap();
+    for sql in [
+        "UPDATE t SET k = 99 WHERE k = 1",
+        "UPDATE t SET v = 0, k = NULL",
+        "INSERT INTO t VALUES (2, 0) ON CONFLICT (k) DO UPDATE SET k = 98",
+        "INSERT INTO t SELECT k, v FROM t ON CONFLICT (k) DO UPDATE SET k = excluded.k + 100",
+    ] {
+        let e = s.execute(sql).unwrap_err();
+        assert_eq!(e.code, ErrorCode::FeatureNotSupported, "{sql}: {e:?}");
+        assert!(e.message.contains("partition value"), "{sql}: {e:?}");
+    }
+    for k in 1..=4i64 {
+        let r = s.execute(&format!("SELECT v FROM t WHERE k = {k}")).unwrap();
+        assert_eq!(r.rows(), &[vec![Datum::Int(k * 10)]], "key {k} is found on its shard");
+    }
+    assert!(s.execute("SELECT * FROM t WHERE k = 99").unwrap().rows().is_empty());
+    // the other columns still update
+    assert_eq!(s.execute("UPDATE t SET v = 7 WHERE k = 1").unwrap().affected(), 1);
 }
 
 #[test]

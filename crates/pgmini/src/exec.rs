@@ -381,6 +381,12 @@ pub fn run_plan_node(ctx: &mut ExecCtx, node: &PlanNode) -> PgResult<Vec<Row>> {
         }
         PlanNode::Join { left, right, kind, hash_keys, on, left_arity, right_arity } => {
             let lrows = run_plan_node(ctx, left)?;
+            // nothing to join: like PostgreSQL's hash join, skip the inner
+            // input unless its unmatched rows are part of the result
+            if lrows.is_empty() && matches!(kind, JoinKind::Inner | JoinKind::Cross | JoinKind::Left)
+            {
+                return Ok(Vec::new());
+            }
             let rrows = run_plan_node(ctx, right)?;
             join_rows(ctx, lrows, rrows, *kind, hash_keys, on, *left_arity, *right_arity)
         }
@@ -852,4 +858,34 @@ fn finish_select(
     }
     let names = plan.names[..plan.visible].to_vec();
     Ok((names, result_rows))
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::engine::Engine;
+    use crate::types::Datum;
+
+    #[test]
+    fn an_empty_outer_input_skips_the_inner_one() {
+        let e = Engine::new_default();
+        let mut s = e.session().unwrap();
+        s.execute("CREATE TABLE a (k bigint, v bigint)").unwrap();
+        s.execute("CREATE TABLE b (k bigint, w bigint)").unwrap();
+        s.execute("INSERT INTO a VALUES (1, 1)").unwrap();
+        for k in 0..500 {
+            s.execute(&format!("INSERT INTO b VALUES ({k}, {k})")).unwrap();
+        }
+        s.execute("SELECT * FROM a WHERE a.v = 9").unwrap();
+        let outer_only = s.last_cost().pages_read;
+        for join in ["JOIN b ON a.k = b.k", "LEFT JOIN b ON a.k = b.k", "CROSS JOIN b"] {
+            let q = format!("SELECT * FROM a {join} WHERE a.v = 9");
+            assert!(s.execute(&q).unwrap().rows().is_empty(), "{q}");
+            assert_eq!(s.last_cost().pages_read, outer_only, "{q} charged the inner table");
+        }
+        // a RIGHT join's result holds the inner rows: it still reads them
+        let q = "SELECT b.k, a.v FROM a RIGHT JOIN b ON a.k = b.k AND a.v = 9 WHERE b.k < 2";
+        let rows = s.execute(q).unwrap().into_rows();
+        assert_eq!(rows, vec![vec![Datum::Int(0), Datum::Null], vec![Datum::Int(1), Datum::Null]]);
+        assert!(s.last_cost().pages_read > outer_only);
+    }
 }

@@ -184,9 +184,10 @@ const RELATIONS: [(&str, &str, &str); 10] = [
 ];
 
 /// Decode a SELECT with two integer output columns: 1–3 relations joined in
-/// either spelling on key or non-key columns, an optional filter (pin, IN
-/// over a distributed subquery), one of four projection/GROUP BY shapes, an
-/// optional ORDER BY .. LIMIT.
+/// either spelling on key or non-key columns, an optional filter (a pin, or
+/// `IN` / `NOT IN` over a distributed subquery that may be a co-located
+/// semi-join, key-grouped with a `HAVING`, or cut by a `LIMIT`), one of four
+/// projection/GROUP BY shapes, an optional ORDER BY .. LIMIT.
 fn generated_select(p: &mut Picks) -> String {
     let mut rels: Vec<(&str, &str, &str)> = Vec::new();
     for _ in 0..1 + p.pick(3) {
@@ -214,7 +215,7 @@ fn generated_select(p: &mut Picks) -> String {
         }
     }
     let (a, b) = (rels[p.pick(rels.len())], rels[p.pick(rels.len())]);
-    match p.pick(5) {
+    match p.pick(8) {
         0 => conditions.push(format!("{}.tenant_id = {}", a.1, 1 + p.pick(6))),
         1 => conditions.push(format!(
             "{}.tenant_id IN (SELECT tenant_id FROM tenants WHERE tenant_id < 8)",
@@ -223,6 +224,19 @@ fn generated_select(p: &mut Picks) -> String {
         2 => conditions.push(format!(
             "{}.{} IN (SELECT order_id FROM orders WHERE amount > 100)",
             b.1, b.2
+        )),
+        3 => conditions.push(format!(
+            "{}.tenant_id NOT IN (SELECT tenant_id FROM orders WHERE amount > 150)",
+            a.1
+        )),
+        4 => conditions.push(format!(
+            "{}.tenant_id IN (SELECT tenant_id FROM orders GROUP BY tenant_id \
+             HAVING sum(amount) > 300)",
+            a.1
+        )),
+        5 => conditions.push(format!(
+            "{}.tenant_id IN (SELECT tenant_id FROM orders ORDER BY amount LIMIT 7)",
+            a.1
         )),
         _ => {}
     }

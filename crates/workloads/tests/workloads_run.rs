@@ -226,6 +226,67 @@ fn tpch_all_supported_queries_match_local() {
     }
 }
 
+/// Counts the subplans a planning pass asks for and answers each with no rows.
+struct CountSubplans(usize);
+
+impl citrus::planner::SubplanExecutor for CountSubplans {
+    fn run_distributed_subquery(
+        &mut self,
+        _sel: &sqlparse::ast::Select,
+    ) -> pgmini::error::PgResult<Vec<pgmini::types::Row>> {
+        self.0 += 1;
+        Ok(Vec::new())
+    }
+}
+
+/// Q4, Q18 and Q21 filter `orders` or `lineitem` by `key IN (SELECT
+/// l_orderkey …)`: co-located semi-joins, planned as one pushdown whose every
+/// task runs the subquery against its own bucket's `lineitem` shard. Q22's
+/// `c_custkey NOT IN (SELECT o_custkey FROM orders)` filters a reference table
+/// and still runs its subquery first, as a subplan.
+#[test]
+fn tpch_colocated_semijoins_push_down() {
+    use citrus::metadata::NodeId;
+    use citrus::planner::{plan_statement, rewrite, PlannerKind};
+    use sqlparse::ast::{Expr, Statement};
+
+    let c = cluster(3, 8);
+    let mut dist = cluster_runner(&c);
+    for s in tpch::schema_statements().into_iter().chain(tpch::distribution_statements()) {
+        dist.run(&s).unwrap();
+    }
+    let meta = c.metadata.read();
+    let lineitem = meta.table("lineitem").unwrap();
+    let plan = |n: u32, subplans: &mut CountSubplans| {
+        let stmt = sqlparse::parse(&tpch::queries::query(n).unwrap()).unwrap();
+        plan_statement(&stmt, &meta, NodeId(0), subplans).unwrap().unwrap()
+    };
+    for n in [4, 18, 21] {
+        let mut subplans = CountSubplans(0);
+        let p = plan(n, &mut subplans);
+        assert_eq!((p.kind, p.used_subplans, subplans.0), (PlannerKind::Pushdown, false, 0), "q{n}");
+        assert_eq!(p.tasks.len(), 8, "q{n}");
+        for task in &p.tasks {
+            let (_, bucket) = task.group.unwrap();
+            let shard = meta.shard(lineitem.shards[bucket]).unwrap().physical_name();
+            let Statement::Select(sel) = &*task.stmt else { panic!("q{n}: {:?}", task.stmt) };
+            let mut semijoins = Vec::new();
+            sel.where_clause.as_ref().unwrap().walk(&mut |e| {
+                if let Expr::InSubquery { subquery, .. } = e {
+                    semijoins.push(rewrite::select_tables(subquery));
+                }
+            });
+            assert!(!semijoins.is_empty(), "q{n} lost its semi-join");
+            for tables in semijoins {
+                assert_eq!(tables, vec![shard.clone()], "q{n} bucket {bucket}");
+            }
+        }
+    }
+    let mut subplans = CountSubplans(0);
+    let p = plan(22, &mut subplans);
+    assert!(p.used_subplans && subplans.0 == 1, "q22 runs its NOT IN subquery first");
+}
+
 /// Round floats for comparison (aggregation order differs across shards).
 fn rounded(rows: &[Vec<Datum>]) -> Vec<Vec<String>> {
     rows.iter()

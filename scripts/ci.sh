@@ -6,13 +6,15 @@
 #
 #   1. release build of the whole workspace
 #   2. full test suite (quiet). The root manifest's `default-members` is the
-#      whole workspace, so this one command runs every suite (~557 tests):
+#      whole workspace, so this one command runs every suite (~566 tests):
 #      fault injection, parallel-executor equivalence, the pipelining /
 #      wire-round wall, trace goldens + the differential oracle, the
 #      co-location judgement's soundness proptest
 #      (`judged_safe_statements_match_the_oracle` in
 #      crates/workloads/tests/insert_select_oracle.rs: generated joins,
-#      subqueries and INSERT..SELECTs are refused or equal the oracle), the
+#      subqueries and INSERT..SELECTs are refused or equal the oracle; its
+#      IN / NOT IN subqueries exercise the co-located semi-join rule, which
+#      leaves `key IN (SELECT key ..)` in place on every shard), the
 #      vectorized wall, the replay wall (crates/pgmini/tests/replay.rs: a
 #      shard copy plus catch-up from random cut points, and a restore, each
 #      equal the source by row id and index probes), rebalancer crash drills
@@ -39,7 +41,9 @@
 #      five workloads at --seconds 1: `dtxn_wire` and `tpcc` through the
 #      commit protocol, with and without real wire time; `ycsb_a`, which runs
 #      almost entirely from the workers' warm plan caches; `tpch` and `rta`,
-#      the two that plan pushdowns, subplans and an INSERT..SELECT. No timing
+#      the two that plan pushdowns and an INSERT..SELECT (`tpch` plans one
+#      subplan, Q22's NOT IN under a reference table; Q4, Q18 and Q21 are
+#      co-located semi-joins and push down whole). No timing
 #      is gated; the run must pass its correctness check with no failed
 #      operation
 #
