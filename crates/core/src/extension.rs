@@ -264,7 +264,7 @@ impl CitrusExtension {
         self.sessions.lock().get_mut(&sid).and_then(|s| s.last_dist.take())
     }
 
-    /// Record a cost computed outside the planner-hook path (COPY).
+    /// Record a cost computed outside the planner-hook path (procedures).
     pub fn record_external_cost(&self, sid: u64, cost: DistCost) {
         self.sessions.lock().entry(sid).or_default().last_dist = Some(cost);
     }
@@ -401,13 +401,82 @@ impl CitrusExtension {
         result.map(Some)
     }
 
+    /// Run one distributed statement of `session` with the bookkeeping every
+    /// statement shares: a fresh cost record, a trace root when `trace`, and
+    /// a procedure body's cost capture. `Ok(None)`: the statement was not
+    /// distributed after all.
+    fn statement(
+        &self,
+        cluster: &Arc<Cluster>,
+        session: &mut Session,
+        trace: bool,
+        sql: impl FnOnce() -> String,
+        run: impl FnOnce(&mut Session, &mut SessionState) -> PgResult<Option<QueryResult>>,
+    ) -> PgResult<Option<QueryResult>> {
+        let sid = session.id();
+        let mut state = self.take_state(sid);
+        state.stmt_cost = DistCost::default();
+        if trace {
+            state.trace = Some(crate::trace::Span::new("statement").with("sql", sql()));
+        }
+        let result = run(session, &mut state);
+        let stmt_cost = std::mem::take(&mut state.stmt_cost);
+        if let Some(cap) = &mut state.capture {
+            cap.add(&stmt_cost);
+        }
+        if let Some(mut root) = state.trace.take() {
+            match &result {
+                // not distributed after all: nothing worth recording
+                Ok(None) => {}
+                outcome => {
+                    match outcome {
+                        Ok(Some(QueryResult::Rows { rows, .. })) => root.set("rows", rows.len()),
+                        Ok(Some(QueryResult::Affected(n))) => root.set("affected", n),
+                        Err(e) => root.set("error", format!("{:?}", e.code)),
+                        _ => {}
+                    }
+                    root.set("elapsed_ms", crate::trace::fmt_ms(stmt_cost.elapsed_ms));
+                    state.last_trace = Some(root.clone());
+                    cluster.tracer.record_statement(root);
+                }
+            }
+        }
+        state.last_dist = Some(stmt_cost);
+        self.put_state(sid, state);
+        result
+    }
+
+    /// Distributed COPY into `table` (§3.8): one write statement of
+    /// `session`, run inside its transaction. Returns the rows loaded.
+    pub(crate) fn copy(
+        &self,
+        session: &mut Session,
+        table: &str,
+        columns: &[String],
+        rows: Vec<Row>,
+    ) -> PgResult<u64> {
+        let cluster = self.cluster()?;
+        if !cluster.metadata.read_recursive().is_citrus_table(table) {
+            // plain local table: the engine's own COPY
+            return session.copy_rows(table, columns, rows);
+        }
+        let sql = || sqlparse::deparse(&crate::copy::statement(table, columns));
+        let loaded = session.run_as_statement(|session| {
+            self.statement(&cluster, session, cluster.tracer.enabled(), sql, |session, state| {
+                crate::copy::execute(self, session, state, table, columns, rows).map(Some)
+            })
+        })?;
+        Ok(loaded.map_or(0, |r| r.affected()))
+    }
+
     /// Plan-cache hit/miss counters and size for this node's extension.
     pub fn plan_cache_stats(&self) -> planner::cache::PlanCacheStats {
         self.plan_cache.stats()
     }
 
-    /// Execute a plan, wrapping multi-node writes in an (implicit) 2PC
-    /// transaction when in autocommit mode.
+    /// Execute a plan. In autocommit mode a write of more than one task runs
+    /// in an implicit transaction, so it commits all or nothing (through 2PC
+    /// when it wrote on more than one node).
     pub fn execute_plan_with_txn(
         &self,
         session: &mut Session,
@@ -415,9 +484,7 @@ impl CitrusExtension {
         plan: &DistPlan,
     ) -> PgResult<QueryResult> {
         let cluster = self.cluster()?;
-        let multi_node_write =
-            plan.is_write && executor::write_nodes(&plan.tasks).len() > 1;
-        let autocommit_wrap = !session.in_transaction() && multi_node_write;
+        let autocommit_wrap = !session.in_transaction() && plan.is_write && plan.tasks.len() > 1;
         if autocommit_wrap {
             session.ensure_xid()?;
         }
@@ -647,7 +714,6 @@ impl CitrusExtension {
         // second phase: COMMIT PREPARED, best effort (recovery finishes any
         // that fail, §3.7.2)
         let pending = std::mem::take(&mut state.pending_prepared);
-        let mut finished_numbers: Vec<u64> = Vec::new();
         // second-phase round: every COMMIT PREPARED goes out before any
         // reply is awaited
         let mut round = WireRound::new();
@@ -675,16 +741,8 @@ impl CitrusExtension {
                 }
                 // the commit record has served its purpose
                 let _ = session.execute_local(&commit_record_delete(&gid));
-                if let Some((_, n)) = parse_gid(&gid) {
-                    finished_numbers.push(n);
-                }
             }
         }
-        let mut active = self.active_txn_numbers.lock();
-        for n in finished_numbers {
-            active.remove(&n);
-        }
-        drop(active);
         if let Some(d) = state.dist_txn.take() {
             self.active_txn_numbers.lock().remove(&d.number);
         }
@@ -859,42 +917,11 @@ impl Extension for CitrusExtension {
                 return None;
             }
         }
-        let sid = session.id();
-        let mut state = self.take_state(sid);
-        state.stmt_cost = DistCost::default();
-        if cluster.tracer.enabled() {
-            state.trace =
-                Some(crate::trace::Span::new("statement").with("sql", sqlparse::deparse(stmt)));
-        }
-        let result = self.plan_and_execute(session, stmt, &mut state);
-        let stmt_cost = std::mem::take(&mut state.stmt_cost);
-        if let Some(cap) = &mut state.capture {
-            cap.add(&stmt_cost);
-        }
-        if let Some(mut root) = state.trace.take() {
-            match &result {
-                // not distributed after all: nothing worth recording
-                Ok(None) => {}
-                outcome => {
-                    match outcome {
-                        Ok(Some(QueryResult::Rows { rows, .. })) => root.set("rows", rows.len()),
-                        Ok(Some(QueryResult::Affected(n))) => root.set("affected", n),
-                        Err(e) => root.set("error", format!("{:?}", e.code)),
-                        _ => {}
-                    }
-                    root.set("elapsed_ms", crate::trace::fmt_ms(stmt_cost.elapsed_ms));
-                    state.last_trace = Some(root.clone());
-                    cluster.tracer.record_statement(root);
-                }
-            }
-        }
-        state.last_dist = Some(stmt_cost);
-        self.put_state(sid, state);
-        match result {
-            Ok(Some(r)) => Some(Ok(r)),
-            Ok(None) => None,
-            Err(e) => Some(Err(e)),
-        }
+        let sql = || sqlparse::deparse(stmt);
+        self.statement(&cluster, session, cluster.tracer.enabled(), sql, |session, state| {
+            self.plan_and_execute(session, stmt, state)
+        })
+        .transpose()
     }
 
     fn utility_hook(
@@ -936,22 +963,13 @@ impl Extension for CitrusExtension {
                     }
                     return None;
                 }
+                if options.analyze {
+                    return Some(self.explain_analyze(&cluster, session, inner));
+                }
                 let mut state = self.take_state(sid);
-                let r = self.explain(session, *options, inner, &mut state);
+                let r = self.explain(session, inner, &mut state);
                 self.put_state(sid, state);
                 Some(r)
-            }
-            Statement::Copy(c) => {
-                let is_citrus = {
-                    let meta = cluster.metadata.read_recursive();
-                    meta.is_citrus_table(&c.table)
-                };
-                if !is_citrus {
-                    return None;
-                }
-                Some(Err(PgError::unsupported(
-                    "COPY to a distributed table: use ClientSession::copy (the data path)",
-                )))
             }
             Statement::CreateRollup(cr) => {
                 if self.node != NodeId(0) {
@@ -1006,19 +1024,14 @@ impl Extension for CitrusExtension {
 
 impl CitrusExtension {
     /// Distributed EXPLAIN (§3.5): renders the plan — tier, shard pruning,
-    /// task list — without executing. `EXPLAIN ANALYZE` executes instead and
-    /// attaches the statement's deterministic trace tree.
+    /// task list — without executing.
     fn explain(
         &self,
         session: &mut Session,
-        options: sqlparse::ast::ExplainOptions,
         inner: &Statement,
         state: &mut SessionState,
     ) -> PgResult<QueryResult> {
         let cluster = self.cluster()?;
-        if options.analyze {
-            return self.explain_analyze(&cluster, session, inner, state);
-        }
         let plan = {
             let meta = cluster.metadata.read_recursive();
             let mut env = PlannerEnv { ext: self, session, state };
@@ -1038,33 +1051,18 @@ impl CitrusExtension {
         cluster: &Arc<Cluster>,
         session: &mut Session,
         inner: &Statement,
-        state: &mut SessionState,
     ) -> PgResult<QueryResult> {
-        state.stmt_cost = DistCost::default();
-        state.trace =
-            Some(crate::trace::Span::new("statement").with("sql", sqlparse::deparse(inner)));
-        let result = self.plan_and_execute(session, inner, state);
-        let stmt_cost = std::mem::take(&mut state.stmt_cost);
-        let root = state.trace.take();
-        state.last_dist = Some(stmt_cost.clone());
-        match result? {
-            Some(r) => {
-                let mut root =
-                    root.ok_or_else(|| PgError::internal("trace vanished during analyze"))?;
-                match &r {
-                    QueryResult::Rows { rows, .. } => root.set("rows", rows.len()),
-                    QueryResult::Affected(n) => root.set("affected", n),
-                    QueryResult::Empty => {}
-                }
-                root.set("elapsed_ms", crate::trace::fmt_ms(stmt_cost.elapsed_ms));
-                state.last_trace = Some(root.clone());
-                cluster.tracer.record_statement(root.clone());
-                let lines: Vec<String> =
-                    root.render().lines().map(str::to_string).collect();
-                Ok(plan_rows(lines))
-            }
-            None => Err(PgError::internal("explain on non-distributed statement")),
+        let sql = || sqlparse::deparse(inner);
+        let ran = self.statement(cluster, session, true, sql, |session, state| {
+            self.plan_and_execute(session, inner, state)
+        })?;
+        if ran.is_none() {
+            return Err(PgError::internal("explain on non-distributed statement"));
         }
+        let root = self
+            .last_trace(session.id())
+            .ok_or_else(|| PgError::internal("trace vanished during analyze"))?;
+        Ok(plan_rows(root.render().lines().map(str::to_string).collect()))
     }
 
     /// Rebuild the stat relations' backing tables from the live registries.

@@ -4,7 +4,7 @@
 
 use citrus::cluster::{Cluster, ClusterConfig};
 use citrus::metadata::NodeId;
-use netsim::fault::{FaultKind, FaultOp, FaultPlan, FaultRule};
+use netsim::fault::{FaultKind, FaultOp, FaultPhase, FaultPlan, FaultRule};
 use pgmini::error::ErrorCode;
 use pgmini::types::Datum;
 use std::sync::Arc;
@@ -370,56 +370,91 @@ fn unreplicated_read_surfaces_connection_failure() {
     assert_eq!(c.task_retry_count(), c.config.task_retries as u64);
 }
 
-/// Distributed COPY is not atomic (DESIGN.md §14), so what a mid-COPY fault
-/// leaves behind must at least be deterministic: shard batches stream in
-/// bucket-index order, and failing the k-th `copy` message leaves exactly
-/// the k-1 lowest non-empty buckets loaded — on every cluster.
+/// `t` with no rows, and a session, on a cluster of `workers` (0 = every
+/// shard on the coordinator, so every COPY batch runs locally).
+fn empty_table(workers: u32) -> (Arc<Cluster>, citrus::cluster::ClientSession) {
+    let c = cluster_with(workers);
+    let mut s = c.session().unwrap();
+    s.execute("CREATE TABLE t (k bigint PRIMARY KEY, v bigint)").unwrap();
+    s.execute("SELECT create_distributed_table('t', 'k')").unwrap();
+    (c, s)
+}
+
+fn forty_rows() -> Vec<Vec<Datum>> {
+    (0..40i64).map(|k| vec![Datum::Int(k), Datum::Int(1)]).collect()
+}
+
+fn row_count(s: &mut citrus::cluster::ClientSession) -> i64 {
+    s.execute("SELECT count(*) FROM t").unwrap().rows()[0][0].as_i64().unwrap()
+}
+
+/// The COPY atomicity drill: a COPY is one write statement, so a fault at
+/// any shard boundary leaves zero rows or all of them. Failing the k-th
+/// `copy` message, before it runs or after it ran, leaves no rows for every
+/// k, on two workers and on 0+1 where every batch is local. (A COPY that
+/// autocommits each batch keeps the k-1 batches before the fault.)
 #[test]
-fn mid_copy_fault_leaves_the_lowest_buckets_loaded() {
-    const FAIL_AT: u64 = 6;
-    let loaded_buckets = || {
-        let mut cfg = ClusterConfig::default();
-        cfg.shard_count = 32;
-        let c = Cluster::new(cfg);
-        for _ in 0..2 {
-            c.add_worker().unwrap();
-        }
-        let mut s = c.session().unwrap();
-        s.execute("CREATE TABLE t (k bigint PRIMARY KEY, v bigint)").unwrap();
-        s.execute("SELECT create_distributed_table('t', 'k')").unwrap();
-        let bucket_of = |k: i64| {
-            c.metadata.read().shard_index_for_value("t", &Datum::Int(k)).unwrap()
+fn copy_fault_at_any_shard_boundary_leaves_no_rows() {
+    for workers in [2, 0] {
+        let (c, mut s) = empty_table(workers);
+        let batches = {
+            let meta = c.metadata.read();
+            let mut buckets: Vec<usize> = (0..40)
+                .map(|k| meta.shard_index_for_value("t", &Datum::Int(k)).unwrap())
+                .collect();
+            buckets.sort();
+            buckets.dedup();
+            buckets.len() as u64
         };
-        let mut with_rows: Vec<usize> = (0..200).map(bucket_of).collect();
-        with_rows.sort();
-        with_rows.dedup();
-        assert!(with_rows.len() > 2 * FAIL_AT as usize, "rows spread over many shards");
+        for phase in [FaultPhase::Before, FaultPhase::After] {
+            for k in 1..=batches {
+                let inj = c.install_faults(
+                    FaultPlan::new().with(
+                        FaultRule::new(FaultOp::Statement, FaultKind::Error)
+                            .with_tag("copy")
+                            .at(phase)
+                            .after(k - 1),
+                    ),
+                    0,
+                );
+                s.copy("t", &[], forty_rows()).unwrap_err();
+                assert_eq!(inj.fired(), 1, "{workers} workers, {phase:?}, k = {k}");
+                c.clear_faults();
+                assert_eq!(row_count(&mut s), 0, "{workers} workers, {phase:?}, k = {k}");
+            }
+        }
+        assert_eq!(s.copy("t", &[], forty_rows()).unwrap(), 40);
+        assert_eq!(row_count(&mut s), 40, "{workers} workers: the unfaulted COPY loads all");
+    }
+}
 
-        c.install_faults(
-            FaultPlan::new().with(
-                FaultRule::new(FaultOp::Statement, FaultKind::Error)
-                    .with_tag("copy")
-                    .after(FAIL_AT - 1),
-            ),
-            0,
-        );
-        let rows = (0..200i64).map(|k| vec![Datum::Int(k), Datum::Int(1)]).collect();
-        s.copy("t", &[], rows).unwrap_err();
-        c.clear_faults();
+/// A COPY over two workers commits through 2PC, so its in-doubt windows
+/// settle like any write's: a participant that crashes after PREPARE leaves
+/// no commit record and recovery rolls the COPY back everywhere; a lost
+/// COMMIT PREPARED leaves the record and recovery commits the rest of it.
+#[test]
+fn copy_in_doubt_recovers_to_all_rows_or_none() {
+    let (c, mut s) = empty_table(2);
+    let w1 = NodeId(1);
+    let crash = FaultRule::crash_after(w1.0, "prepare_transaction");
+    let inj = c.install_faults(FaultPlan::new().with(crash), 0);
+    let err = s.copy("t", &[], forty_rows()).unwrap_err();
+    assert_eq!(err.code, ErrorCode::ConnectionFailure);
+    assert_eq!(inj.fired(), 1);
+    assert_eq!(commit_records(&mut s), 0);
+    citrus::ha::heal_node(&c, w1).unwrap();
+    let stats = citrus::recovery::recover_once(&c).unwrap();
+    assert_eq!(stats.rolled_back, 1, "no commit record: recovery aborts");
+    assert_eq!(row_count(&mut s), 0);
 
-        let mut loaded: Vec<usize> = (0..200i64)
-            .filter(|k| {
-                let r = s.execute(&format!("SELECT count(*) FROM t WHERE k = {k}")).unwrap();
-                r.rows()[0][0] == Datum::Int(1)
-            })
-            .map(bucket_of)
-            .collect();
-        loaded.sort();
-        loaded.dedup();
-        assert_eq!(loaded, with_rows[..FAIL_AT as usize - 1], "lowest buckets first");
-        loaded
-    };
-    assert_eq!(loaded_buckets(), loaded_buckets());
+    let inj =
+        c.install_faults(FaultPlan::new().with(FaultRule::stmt_error(w1.0, "commit_prepared")), 0);
+    assert_eq!(s.copy("t", &[], forty_rows()).unwrap(), 40);
+    assert_eq!(inj.fired(), 1);
+    assert_eq!(commit_records(&mut s), 1);
+    let stats = citrus::recovery::recover_once(&c).unwrap();
+    assert_eq!(stats.committed, 1, "commit record present: recovery commits");
+    assert_eq!(row_count(&mut s), 40);
 }
 
 /// Latency faults charge the virtual clock without failing anything.

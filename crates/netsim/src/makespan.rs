@@ -5,7 +5,7 @@
 //! below by (a) the longest single connection timeline (tasks on a connection
 //! serialize) and (b) total work divided by the node's cores (a 16-core node
 //! cannot run 32 task-streams at full speed). The cluster-level elapsed time
-//! is the max over nodes — plus whatever the coordinator spends merging.
+//! is the max over nodes.
 
 /// Elapsed time on one node given per-connection busy times and core count.
 pub fn node_makespan(per_connection_ms: &[f64], cores: u32) -> f64 {
@@ -17,29 +17,9 @@ pub fn node_makespan(per_connection_ms: &[f64], cores: u32) -> f64 {
     longest.max(total / cores.max(1) as f64)
 }
 
-/// Cluster-level elapsed time: max over nodes, plus serial coordinator work.
-pub fn cluster_makespan(node_times_ms: &[f64], coordinator_ms: f64) -> f64 {
-    node_times_ms.iter().cloned().fold(0.0_f64, f64::max) + coordinator_ms.max(0.0)
-}
-
-/// Greedy longest-processing-time assignment of task durations onto `k`
-/// connections; returns per-connection busy times. This mirrors how the
-/// adaptive executor spreads a task queue over its connection pool.
-pub fn assign_lpt(task_ms: &[f64], k: usize) -> Vec<f64> {
-    let k = k.max(1);
-    let mut sorted: Vec<f64> = task_ms.to_vec();
-    sorted.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-    let mut lanes = vec![0.0_f64; k.min(sorted.len().max(1))];
-    for t in sorted {
-        // place on the least-loaded lane
-        let (idx, _) = lanes
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .expect("lanes non-empty");
-        lanes[idx] += t;
-    }
-    lanes
+/// Cluster-level elapsed time: the slowest node.
+pub fn cluster_makespan(node_times_ms: &[f64]) -> f64 {
+    node_times_ms.iter().cloned().fold(0.0_f64, f64::max)
 }
 
 #[cfg(test)]
@@ -48,37 +28,24 @@ mod tests {
 
     #[test]
     fn single_connection_serializes() {
-        let lanes = assign_lpt(&[10.0, 20.0, 30.0], 1);
-        assert_eq!(lanes, vec![60.0]);
-        assert!((node_makespan(&lanes, 16) - 60.0).abs() < 1e-9);
+        assert!((node_makespan(&[60.0], 16) - 60.0).abs() < 1e-9);
     }
 
     #[test]
     fn many_connections_bounded_by_cores() {
-        // 32 tasks of 10ms over 32 connections on a 16-core node: 20ms
-        let lanes = assign_lpt(&vec![10.0; 32], 32);
-        assert_eq!(lanes.len(), 32);
-        let ms = node_makespan(&lanes, 16);
+        // 32 connections of 10ms on a 16-core node: 20ms
+        let ms = node_makespan(&[10.0; 32], 16);
         assert!((ms - 20.0).abs() < 1e-9, "{ms}");
     }
 
     #[test]
-    fn lpt_balances() {
-        let lanes = assign_lpt(&[5.0, 5.0, 5.0, 5.0, 10.0, 10.0], 2);
-        // LPT: 10+5+5 vs 10+5+5
-        assert!((lanes[0] - 20.0).abs() < 1e-9 && (lanes[1] - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cluster_adds_coordinator_merge() {
-        let t = cluster_makespan(&[30.0, 40.0, 25.0], 5.0);
-        assert!((t - 45.0).abs() < 1e-9);
-        assert_eq!(cluster_makespan(&[], 5.0), 5.0);
+    fn cluster_waits_for_the_slowest_node() {
+        assert!((cluster_makespan(&[30.0, 40.0, 25.0]) - 40.0).abs() < 1e-9);
+        assert_eq!(cluster_makespan(&[]), 0.0);
     }
 
     #[test]
     fn empty_inputs() {
         assert_eq!(node_makespan(&[], 16), 0.0);
-        assert_eq!(assign_lpt(&[], 4).iter().sum::<f64>(), 0.0);
     }
 }

@@ -78,6 +78,48 @@ fn insert_select_strategies_match_oracle() {
     assert!(m.reads_checked >= 4 && m.writes_checked >= 53);
 }
 
+/// Demonstrator: the repartition and pull-to-coordinator strategies load
+/// inside the statement's transaction, so ROLLBACK undoes them. A load that
+/// autocommits per shard batch, or an `ON CONFLICT` load of one autocommit
+/// upsert per row, keeps its rows.
+#[test]
+fn rolled_back_insert_select_loads_leave_nothing() {
+    let (c, mut m) = mirror(2);
+    m.run("CREATE TABLE a (k bigint, v bigint)").unwrap();
+    m.run("SELECT create_distributed_table('a', 'k')").unwrap();
+    m.run("CREATE TABLE b (k bigint, v bigint)").unwrap();
+    m.run("SELECT create_distributed_table('b', 'k', 'a')").unwrap();
+    m.run("CREATE TABLE agg (v bigint PRIMARY KEY, total bigint)").unwrap();
+    m.run("SELECT create_distributed_table('agg', 'v')").unwrap();
+    for k in 0..10i64 {
+        m.run(&format!("INSERT INTO a VALUES ({k}, {})", k % 3)).unwrap();
+    }
+    m.run("INSERT INTO agg VALUES (0, -1), (1, -1)").unwrap();
+
+    m.run("BEGIN").unwrap();
+    let r = m.run("INSERT INTO b (k, v) SELECT v + 100, k FROM a").unwrap();
+    assert_eq!(r.affected(), 10);
+    assert_eq!(strategy(&c, &mut m), Some(InsertSelectStrategy::Repartition));
+    m.run("ROLLBACK").unwrap();
+    let r = m.run("SELECT count(*) FROM b").unwrap();
+    assert_eq!(r.rows()[0][0], pgmini::types::Datum::Int(0));
+
+    let upsert = "INSERT INTO agg (v, total) SELECT v, sum(k) FROM a GROUP BY v \
+                  ON CONFLICT (v) DO UPDATE SET total = excluded.total";
+    let before = m.run("SELECT v, total FROM agg ORDER BY v").unwrap();
+    m.run("BEGIN").unwrap();
+    assert_eq!(m.run(upsert).unwrap().affected(), 3);
+    assert_eq!(strategy(&c, &mut m), Some(InsertSelectStrategy::PullToCoordinator));
+    m.run("SELECT v, total FROM agg ORDER BY v").unwrap();
+    m.run("ROLLBACK").unwrap();
+    let after = m.run("SELECT v, total FROM agg ORDER BY v").unwrap();
+    assert_eq!(after.rows(), before.rows());
+    // committed, the per-bucket upserts equal the oracle's
+    assert_eq!(m.run(upsert).unwrap().affected(), 3);
+    m.run("SELECT v, total FROM agg ORDER BY v").unwrap();
+    assert!(m.divergence.is_none(), "divergence: {:?}", m.divergence);
+}
+
 /// The schema the co-location judgement's demonstrators run on: `tenants`,
 /// `orders` and `sink` co-located on `tenant_id` (20 tenants × 5 orders), and
 /// a reference table `tags` with a column named like the key.

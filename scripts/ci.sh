@@ -6,8 +6,11 @@
 #
 #   1. release build of the whole workspace
 #   2. full test suite (quiet). The root manifest's `default-members` is the
-#      whole workspace, so this one command runs every suite (~566 tests):
-#      fault injection, parallel-executor equivalence, the pipelining /
+#      whole workspace, so this one command runs every suite (~570 tests):
+#      fault injection (including the COPY atomicity drill,
+#      `copy_fault_at_any_shard_boundary_leaves_no_rows` in
+#      crates/core/tests/faults.rs: a fault on any shard batch, on two
+#      workers and on 0+1, leaves no rows), parallel-executor equivalence, the pipelining /
 #      wire-round wall, trace goldens + the differential oracle, the
 #      co-location judgement's soundness proptest
 #      (`judged_safe_statements_match_the_oracle` in
