@@ -29,6 +29,8 @@ pub enum ErrorCode {
     QueryCanceled,
     /// 25xxx — invalid transaction state (e.g. COMMIT PREPARED of unknown gid).
     InvalidTransactionState,
+    /// 25001 — the command cannot run inside a transaction block.
+    ActiveSqlTransaction,
     /// 0A000 — feature not supported (e.g. correlated subqueries on shards).
     FeatureNotSupported,
     /// 22012 — division by zero.
@@ -60,6 +62,7 @@ impl ErrorCode {
             ErrorCode::SerializationFailure => "40001",
             ErrorCode::QueryCanceled => "57014",
             ErrorCode::InvalidTransactionState => "25000",
+            ErrorCode::ActiveSqlTransaction => "25001",
             ErrorCode::FeatureNotSupported => "0A000",
             ErrorCode::DivisionByZero => "22012",
             ErrorCode::InvalidText => "22P02",
