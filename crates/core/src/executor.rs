@@ -1138,12 +1138,10 @@ fn run_prep_step(
         PrepStep::Repartition { temp_prefix, partition_col, bucket_nodes, .. } => {
             // hash-partition rows over equal ranges, like shard pruning does
             let n = bucket_nodes.len().max(1);
-            let width = (u32::MAX as u64 + 1) / n as u64;
             let mut buckets: Vec<Vec<Row>> = vec![Vec::new(); n];
             for row in rows {
                 let h = crate::metadata::dist_hash(&row[*partition_col]);
-                let idx = ((h as u64) / width).min(n as u64 - 1) as usize;
-                buckets[idx].push(row);
+                buckets[crate::metadata::bucket_of(h, n)].push(row);
             }
             for (i, (node, bucket_rows)) in bucket_nodes.iter().zip(buckets).enumerate() {
                 let table = format!("{temp_prefix}_{i}");
