@@ -116,6 +116,8 @@ pub struct Metrics {
     /// Prepared transactions finished by the recovery daemon.
     pub recovery_commits: AtomicU64,
     pub recovery_rollbacks: AtomicU64,
+    /// Commit records deleted by recovery's sweep, their only deleter.
+    pub commit_records_swept: AtomicU64,
     /// Shard-group moves journaled by the rebalancer (§3.4).
     pub moves_started: AtomicU64,
     /// Moves that ran their whole five-phase protocol to `done`.

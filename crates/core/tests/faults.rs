@@ -139,6 +139,63 @@ fn crash_between_prepare_and_commit_prepared_rolls_back() {
     assert_eq!(v_of(&mut s, k2), 1);
 }
 
+/// The commit record's lifecycle with a participant held prepared: the
+/// record outlives a pass that cannot reach the prepared worker, and the
+/// pass after the heal commits the gid and sweeps the record.
+#[test]
+fn commit_record_outlives_an_unreachable_prepared_participant() {
+    let c = dist_table_cluster(2);
+    let (w1, w2) = (NodeId(1), NodeId(2));
+    let (k1, k2) = (key_on_node(&c, w1), key_on_node(&c, w2));
+    let mut s = c.session().unwrap();
+    let split = citrus::interleave::freeze_commit_prepared(&c, w1);
+    s.execute("BEGIN").unwrap();
+    s.execute(&format!("UPDATE t SET v = 300 WHERE k = {k1}")).unwrap();
+    s.execute(&format!("UPDATE t SET v = 300 WHERE k = {k2}")).unwrap();
+    s.execute("COMMIT").unwrap();
+    let gids = split.frozen_gids();
+    assert_eq!(gids.len(), 1);
+    c.clear_faults();
+    let (_, number) = citrus::extension::parse_gid(&gids[0]).unwrap();
+    let r = s.execute("SELECT number FROM pg_dist_transaction").unwrap();
+    assert_eq!(r.rows(), [vec![Datum::Int(number as i64)]], "one record names the transaction");
+
+    citrus::ha::crash_node(&c, w1).unwrap();
+    let stats = citrus::recovery::recover_once(&c).unwrap();
+    assert_eq!((stats.committed, stats.unreachable_nodes, stats.swept), (0, 1, 0));
+    assert_eq!(commit_records(&mut s), 1, "the prepared half may still need it");
+
+    citrus::ha::heal_node(&c, w1).unwrap();
+    let stats = citrus::recovery::recover_once(&c).unwrap();
+    assert_eq!((stats.committed, stats.unreachable_nodes, stats.swept), (1, 0, 1));
+    assert_eq!(commit_records(&mut s), 0);
+    assert_eq!(v_of(&mut s, k1), 300);
+    assert_eq!(v_of(&mut s, k2), 300);
+}
+
+/// A healthy 2PC writes one commit record whatever its participant count,
+/// in one local statement, and keeps it: one recovery pass removes it.
+#[test]
+fn healthy_two_pc_leaves_one_record_until_a_pass() {
+    let c = traced_dist_cluster(2);
+    let mut s = c.session().unwrap();
+    let k2 = key_on_node(&c, NodeId(2));
+    s.execute("BEGIN").unwrap();
+    s.execute("UPDATE t SET v = 5").unwrap();
+    s.execute(&format!("UPDATE t SET v = 6 WHERE k = {k2}")).unwrap();
+    s.execute("COMMIT").unwrap();
+    let trace = c.tracer.last_statement().expect("commit traced");
+    assert!(trace.find_all("2pc.prepare").len() >= 2, "{}", trace.render());
+    assert_eq!(trace.find_all("2pc.record").len(), 1, "{}", trace.render());
+    assert_eq!(commit_records(&mut s), 1);
+
+    let stats = citrus::recovery::recover_once(&c).unwrap();
+    assert_eq!((stats.committed, stats.rolled_back, stats.swept), (0, 0, 1));
+    assert_eq!(commit_records(&mut s), 0);
+    let stats = citrus::recovery::recover_once(&c).unwrap();
+    assert_eq!(stats, Default::default(), "nothing left to sweep");
+}
+
 /// A connection that died under a commit-protocol message is a broken
 /// socket and must not go back to the session's pool: after the worker is
 /// promoted, the same session's next write to it succeeds first try (writes
