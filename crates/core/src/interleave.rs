@@ -18,7 +18,7 @@
 //! every node but one.
 //!
 //! A second session now reads whatever the anomaly test wants to observe.
-//! [`SplitCommit::release`] disarms the fault and runs one recovery pass,
+//! [`Frozen::release`] disarms the fault and runs one recovery pass,
 //! which finishes the frozen `COMMIT PREPARED` and restores atomicity.
 //!
 //! The freeze is deterministic (an `always()` rule addressed by statement
@@ -32,15 +32,30 @@ use netsim::fault::{FaultKind, FaultOp, FaultPlan, FaultRule};
 use pgmini::error::PgResult;
 use std::sync::Arc;
 
-/// A distributed commit held open between its `COMMIT PREPARED` steps.
-/// Created by [`freeze_commit_prepared`]; dropped or [`released`]
-/// explicitly.
+/// A protocol step swallowed on one victim node: a distributed commit held
+/// open between its `COMMIT PREPARED` steps ([`freeze_commit_prepared`]) or
+/// a DDL propagation stopped mid-fan-out ([`freeze_ddl`]). Dropped or
+/// [`released`] explicitly.
 ///
-/// [`released`]: SplitCommit::release
-pub struct SplitCommit {
+/// [`released`]: Frozen::release
+pub struct Frozen {
     cluster: Arc<Cluster>,
-    /// Node whose `COMMIT PREPARED` steps are being swallowed.
+    /// Node whose steps are being swallowed.
     pub victim: NodeId,
+}
+
+/// Arm the fabric so every statement tagged `tag` sent to `victim` fails.
+/// Replaces any fault plan currently installed on the cluster.
+fn freeze(cluster: &Arc<Cluster>, victim: NodeId, tag: &str, label: &str) -> Frozen {
+    let plan = FaultPlan::new().with(
+        FaultRule::new(FaultOp::Statement, FaultKind::Error)
+            .on_node(victim.0)
+            .with_tag(tag)
+            .always()
+            .labeled(label),
+    );
+    cluster.install_faults(plan, 0);
+    Frozen { cluster: cluster.clone(), victim }
 }
 
 /// Arm the fabric so every `COMMIT PREPARED` sent to `victim` fails, then
@@ -49,63 +64,28 @@ pub struct SplitCommit {
 /// applied everywhere except `victim`.
 ///
 /// Replaces any fault plan currently installed on the cluster.
-pub fn freeze_commit_prepared(cluster: &Arc<Cluster>, victim: NodeId) -> SplitCommit {
-    let plan = FaultPlan::new().with(
-        FaultRule::new(FaultOp::Statement, FaultKind::Error)
-            .on_node(victim.0)
-            .with_tag("commit_prepared")
-            .always()
-            .labeled("interleave.freeze_commit_prepared"),
-    );
-    cluster.install_faults(plan, 0);
-    SplitCommit { cluster: cluster.clone(), victim }
-}
-
-/// A DDL propagation frozen mid-fan-out: the statement's shard tasks error
-/// on one victim node, leaving the propagation stopped *between* its steps
-/// (generation bumped, pre-fence run, some placements applied) — the window
-/// the MX escalation drills interleave open transactions into. Created by
-/// [`freeze_ddl`].
-pub struct FrozenDdl {
-    cluster: Arc<Cluster>,
-    /// Node whose shard-level DDL steps are being swallowed.
-    pub victim: NodeId,
+pub fn freeze_commit_prepared(cluster: &Arc<Cluster>, victim: NodeId) -> Frozen {
+    freeze(cluster, victim, "commit_prepared", "interleave.freeze_commit_prepared")
 }
 
 /// Arm the fabric so every statement with `tag` (`"create_index"`,
 /// `"truncate"`, `"drop_table"`) sent to `victim` fails, freezing any DDL
-/// propagation at that node's step. The coordinator-side metadata effects
-/// (generation bump, plan-cache invalidation, pre-fencing) have already
-/// happened by the time the freeze bites, so fenced MX sessions observe the
-/// bump while the DDL itself is still incomplete — the precise window the
-/// generation fence exists for.
+/// propagation at that node's step: generation bumped, pre-fence run, some
+/// placements applied — the window the MX escalation drills interleave open
+/// transactions into. The coordinator-side metadata effects (generation
+/// bump, plan-cache invalidation, pre-fencing) have already happened by the
+/// time the freeze bites, so fenced MX sessions observe the bump while the
+/// DDL itself is still incomplete — the precise window the generation fence
+/// exists for. The caller re-issues the DDL after the release.
 ///
 /// Replaces any fault plan currently installed on the cluster.
-pub fn freeze_ddl(cluster: &Arc<Cluster>, victim: NodeId, tag: &str) -> FrozenDdl {
-    let plan = FaultPlan::new().with(
-        FaultRule::new(FaultOp::Statement, FaultKind::Error)
-            .on_node(victim.0)
-            .with_tag(tag)
-            .always()
-            .labeled("interleave.freeze_ddl"),
-    );
-    cluster.install_faults(plan, 0);
-    FrozenDdl { cluster: cluster.clone(), victim }
+pub fn freeze_ddl(cluster: &Arc<Cluster>, victim: NodeId, tag: &str) -> Frozen {
+    freeze(cluster, victim, tag, "interleave.freeze_ddl")
 }
 
-impl FrozenDdl {
-    /// Disarm the freeze and run one recovery pass (settling any 2PC halves
-    /// the aborted propagation left in doubt). The caller re-issues the DDL
-    /// to complete it.
-    pub fn release(self) -> PgResult<RecoveryStats> {
-        self.cluster.clear_faults();
-        recover_once(&self.cluster)
-    }
-}
-
-impl SplitCommit {
-    /// Gids still prepared on the victim node — the halves the freeze is
-    /// holding open (empty until a commit actually hits the freeze).
+impl Frozen {
+    /// Gids still prepared on the victim node — the halves a commit freeze
+    /// is holding open (empty until a commit actually hits the freeze).
     pub fn frozen_gids(&self) -> Vec<String> {
         self.cluster
             .node(self.victim)
@@ -113,9 +93,10 @@ impl SplitCommit {
             .unwrap_or_default()
     }
 
-    /// Disarm the freeze and run one 2PC recovery pass, finishing the frozen
-    /// `COMMIT PREPARED` steps. Returns the pass's stats so tests can assert
-    /// exactly what was recovered.
+    /// Disarm the freeze and run one 2PC recovery pass, finishing frozen
+    /// `COMMIT PREPARED` steps (and settling any 2PC halves an aborted DDL
+    /// propagation left in doubt). Returns the pass's stats so tests can
+    /// assert exactly what was recovered.
     pub fn release(self) -> PgResult<RecoveryStats> {
         self.cluster.clear_faults();
         recover_once(&self.cluster)

@@ -43,23 +43,14 @@ pub fn start(cluster: &Arc<Cluster>) -> MaintenanceDaemon {
         },
     );
     let weak3 = weak2.clone();
-    let weak4 = weak2.clone();
+    // 2PC recovery (the only deleter of commit records), then crashed shard
+    // moves (abort before `switched`, roll forward after), on one cadence
     let recovery_worker = BackgroundWorker::spawn(
-        "citrus-2pc-recovery",
+        "citrus-recovery",
         cluster.config.recovery_interval,
         move || {
             if let Some(c) = weak2.upgrade() {
                 let _ = crate::recovery::recover_once(&c);
-            }
-        },
-    );
-    // settle crashed shard moves (abort before `switched`, roll forward
-    // after) on the same cadence as 2PC recovery
-    let move_worker = BackgroundWorker::spawn(
-        "citrus-move-recovery",
-        cluster.config.recovery_interval,
-        move || {
-            if let Some(c) = weak3.upgrade() {
                 let _ = crate::rebalancer::recover_moves(&c);
             }
         },
@@ -69,12 +60,12 @@ pub fn start(cluster: &Arc<Cluster>) -> MaintenanceDaemon {
         "citrus-rollup-maintenance",
         cluster.config.recovery_interval,
         move || {
-            if let Some(c) = weak4.upgrade() {
+            if let Some(c) = weak3.upgrade() {
                 let _ = crate::rollup::refresh_all(&c);
             }
         },
     );
     MaintenanceDaemon {
-        workers: vec![deadlock_worker, recovery_worker, move_worker, rollup_worker],
+        workers: vec![deadlock_worker, recovery_worker, rollup_worker],
     }
 }

@@ -45,7 +45,7 @@ fn keys_on_two_nodes(c: &Arc<Cluster>) -> (i64, i64, citrus::NodeId) {
 /// handle and the two keys: the cluster sits in the half-applied window.
 fn transfer_under_frozen_commit(
     c: &Arc<Cluster>,
-) -> (citrus::interleave::SplitCommit, i64, i64) {
+) -> (citrus::interleave::Frozen, i64, i64) {
     let mut s = c.session().unwrap();
     s.execute("CREATE TABLE pairs (k bigint PRIMARY KEY, v bigint)").unwrap();
     s.execute("SELECT create_distributed_table('pairs', 'k')").unwrap();
