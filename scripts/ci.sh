@@ -10,7 +10,11 @@
 #      fault injection (including the COPY atomicity drill,
 #      `copy_fault_at_any_shard_boundary_leaves_no_rows` in
 #      crates/core/tests/faults.rs: a fault on any shard batch, on two
-#      workers and on 0+1, leaves no rows), parallel-executor equivalence, the pipelining /
+#      workers and on 0+1, leaves no rows; and next to it the commit-record
+#      sweep drill, `commit_record_outlives_an_unreachable_prepared_participant`:
+#      a pass that cannot reach a prepared participant keeps the record, the
+#      pass after the heal commits the gid and sweeps it), parallel-executor
+#      equivalence, the pipelining /
 #      wire-round wall, trace goldens + the differential oracle, the
 #      co-location judgement's soundness proptest
 #      (`judged_safe_statements_match_the_oracle` in
