@@ -287,6 +287,57 @@ fn tpch_colocated_semijoins_push_down() {
     assert!(p.used_subplans && subplans.0 == 1, "q22 runs its NOT IN subquery first");
 }
 
+/// The worker's `EXPLAIN` of `stmt`, one line per row.
+fn explain(s: &mut pgmini::session::Session, stmt: &sqlparse::ast::Statement) -> Vec<String> {
+    let explain = sqlparse::ast::Statement::Explain {
+        options: Default::default(),
+        inner: Box::new(stmt.clone()),
+    };
+    let rows = s.execute_local(&explain).unwrap_or_else(|e| panic!("EXPLAIN {stmt:?}: {e}"));
+    rows.into_rows().into_iter().map(|r| r[0].as_str().unwrap().to_string()).collect()
+}
+
+/// Every FROM list of the 18 TPC-H queries is connected by its join
+/// predicates, so no plan of theirs may contain a cross join: neither one
+/// engine's nor a worker's for the first task of the distributed plan.
+#[test]
+fn tpch_join_plans_have_no_cross_join() {
+    use citrus::metadata::NodeId;
+    use citrus::planner::plan_statement;
+
+    let sf = 0.002;
+    let mut local = local_runner();
+    for s in tpch::schema_statements() {
+        local.run(&s).unwrap();
+    }
+    tpch::gen::load(&mut local, sf, 5).unwrap();
+    let c = cluster(3, 8);
+    let mut dist = cluster_runner(&c);
+    for s in tpch::schema_statements().into_iter().chain(tpch::distribution_statements()) {
+        dist.run(&s).unwrap();
+    }
+    tpch::gen::load(&mut dist, sf, 5).unwrap();
+
+    let mut crossed = Vec::new();
+    for n in tpch::queries::SUPPORTED {
+        let q = sqlparse::parse(&tpch::queries::query(n).unwrap()).unwrap();
+        let one_engine = explain(&mut local.session, &q);
+        let plan = {
+            let meta = c.metadata.read();
+            plan_statement(&q, &meta, NodeId(0), &mut CountSubplans(0)).unwrap().unwrap()
+        };
+        let task = plan.tasks.first().unwrap_or_else(|| panic!("q{n} has no task"));
+        let engine = c.node(task.node).unwrap().engine();
+        let worker = explain(&mut engine.session().unwrap(), &task.stmt);
+        for (side, lines) in [("one engine", one_engine), ("worker", worker)] {
+            if lines.iter().any(|l| l.contains("Cross Join")) {
+                crossed.push(format!("q{n} ({side}):\n  {}", lines.join("\n  ")));
+            }
+        }
+    }
+    assert!(crossed.is_empty(), "cross joins in connected FROM lists:\n{}", crossed.join("\n"));
+}
+
 /// Round floats for comparison (aggregation order differs across shards).
 fn rounded(rows: &[Vec<Datum>]) -> Vec<Vec<String>> {
     rows.iter()
