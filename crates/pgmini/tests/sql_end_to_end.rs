@@ -464,3 +464,33 @@ fn concurrent_counter_updates_are_serialized_by_row_locks() {
     let r = s.execute("SELECT n FROM c WHERE id = 1").unwrap();
     assert_eq!(r.rows()[0][0], Datum::Int(200), "all 200 increments must survive");
 }
+
+/// NaN is one value, equal to itself and above every other number, as in
+/// PostgreSQL: it groups, counts, sorts and joins as that one value.
+#[test]
+fn nan_is_one_value_above_every_number() {
+    let e = Engine::new_default();
+    let mut s = e.session().unwrap();
+    s.execute("CREATE TABLE t (x float)").unwrap();
+    s.execute("CREATE TABLE u (y float)").unwrap();
+    s.execute("INSERT INTO t VALUES (1.0), ('NaN'), (2.0), ('NaN'), (0.5)").unwrap();
+    s.execute("INSERT INTO u VALUES (1.0)").unwrap();
+    let show = |rows: Vec<Vec<Datum>>| -> Vec<String> {
+        rows.iter()
+            .map(|r| r.iter().map(Datum::to_text).collect::<Vec<_>>().join(","))
+            .collect()
+    };
+
+    let groups = s.query("SELECT x, count(*) FROM t GROUP BY x").unwrap();
+    assert_eq!(show(groups), ["0.5,1", "1,1", "2,1", "NaN,2"]);
+    let distinct = s.query("SELECT count(DISTINCT x) FROM t").unwrap();
+    assert_eq!(show(distinct), ["4"]);
+    let sorted = s.query("SELECT x FROM t ORDER BY x").unwrap();
+    assert_eq!(show(sorted), ["0.5", "1", "2", "NaN", "NaN"]);
+    let joined = s.query("SELECT t.x, u.y FROM t JOIN u ON t.x = u.y").unwrap();
+    assert_eq!(show(joined), ["1,1"]);
+    let nan_join = s.query("SELECT count(*) FROM t a JOIN t b ON a.x = b.x").unwrap();
+    assert_eq!(show(nan_join), ["7"], "each NaN joins both NaNs");
+    let above = s.query("SELECT count(*) FROM t WHERE x > 1e300").unwrap();
+    assert_eq!(show(above), ["2"]);
+}
