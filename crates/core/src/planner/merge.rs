@@ -17,12 +17,11 @@ use pgmini::cost::CostModel;
 use pgmini::error::{ErrorCode, PgError, PgResult};
 use pgmini::expr::{bind, eval, ColumnRef, EvalCtx, RowScope};
 use pgmini::session::QueryResult;
-use pgmini::types::{Datum, Row, SortKey};
+use pgmini::types::{Datum, KeyTable, Row};
 use sqlparse::ast::{
     BinaryOp, Expr, FuncCall, Literal, OrderByItem, Select, SelectItem, TypeName,
 };
 use sqlparse::deparse_expr;
-use std::collections::BTreeMap;
 
 /// How one partial-aggregate column combines across shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -399,19 +398,20 @@ fn rewrite_to_final(
 /// filter, sort, limit. Returns (rows, merge CPU work units).
 pub fn execute_merge(plan: &MergePlan, worker_rows: Vec<Row>) -> PgResult<(Vec<Row>, u64)> {
     let work = worker_rows.len() as u64;
-    // group and combine
-    let mut groups: BTreeMap<SortKey, Vec<Datum>> = BTreeMap::new();
+    // group and combine: a slot per group key, its partials side by side in
+    // `accs`, combined in arrival order
+    let width = plan.partials.len();
+    let mut groups = KeyTable::new(plan.group_cols);
+    let mut accs: Vec<Datum> = Vec::new();
     for row in worker_rows {
-        if row.len() < plan.group_cols + plan.partials.len() {
+        if row.len() < plan.group_cols + width {
             return Err(PgError::internal("merge row arity mismatch"));
         }
-        let key = SortKey(row[..plan.group_cols].to_vec());
-        let incoming = &row[plan.group_cols..plan.group_cols + plan.partials.len()];
-        match groups.get_mut(&key) {
-            None => {
-                groups.insert(key, incoming.to_vec());
-            }
-            Some(acc) => {
+        let incoming = &row[plan.group_cols..plan.group_cols + width];
+        match groups.insert(&row[..plan.group_cols]) {
+            (_, true) => accs.extend_from_slice(incoming),
+            (slot, false) => {
+                let acc = &mut accs[slot * width..(slot + 1) * width];
                 for ((a, b), combine) in acc.iter_mut().zip(incoming).zip(&plan.partials) {
                     *a = combine_datum(a, b, *combine)?;
                 }
@@ -422,7 +422,8 @@ pub fn execute_merge(plan: &MergePlan, worker_rows: Vec<Row>) -> PgResult<(Vec<R
     // one all-NULL/0 row; workers always return at least one partial row per
     // shard for global aggregates, so groups is only empty with zero shards
     if groups.is_empty() && plan.group_cols == 0 {
-        groups.insert(SortKey(vec![]), vec![Datum::Null; plan.partials.len()]);
+        groups.insert(&[]);
+        accs.resize(width, Datum::Null);
     }
 
     // final projection scope: __g.c0.. then __p.c0..
@@ -441,10 +442,11 @@ pub fn execute_merge(plan: &MergePlan, worker_rows: Vec<Row>) -> PgResult<(Vec<R
         plan.having.as_ref().map(|h| bind(h, &scope)).transpose()?;
     let ctx = EvalCtx::default();
 
+    // groups leave in key order
     let mut out: Vec<Row> = Vec::with_capacity(groups.len());
-    for (key, acc) in groups {
-        let mut merged = key.0;
-        merged.extend(acc);
+    for slot in groups.sorted_slots() {
+        let mut merged = groups.key(slot).to_vec();
+        merged.extend_from_slice(&accs[slot * width..(slot + 1) * width]);
         if let Some(h) = &bound_having {
             if !matches!(eval(h, &merged, &ctx)?, Datum::Bool(true)) {
                 continue;
@@ -556,8 +558,8 @@ pub fn apply(merge: &Merge, results: Vec<QueryResult>, model: &CostModel) -> PgR
             let projected = arity.saturating_sub(*appended);
             let visible = if *visible == usize::MAX { projected } else { *visible };
             if *distinct {
-                let mut seen = std::collections::BTreeSet::new();
-                rows.retain(|r| seen.insert(SortKey(r[..visible.min(r.len())].to_vec())));
+                let mut seen = KeyTable::new(visible.min(arity));
+                rows.retain(|r| seen.insert(&r[..visible.min(arity)]).1);
             }
             let sort: Vec<(usize, bool)> = sort
                 .iter()
@@ -663,7 +665,7 @@ mod tests {
         ];
         let (out, _) = execute_merge(&s.merge, rows).unwrap();
         assert_eq!(out.len(), 2);
-        // BTreeMap ordering: eu before us
+        // groups leave in key order: eu before us
         assert_eq!(out[0], vec![Datum::from_text("eu"), Datum::Int(8), Datum::Int(0), Datum::Int(9)]);
         assert_eq!(out[1], vec![Datum::from_text("us"), Datum::Int(2), Datum::Int(7), Datum::Int(8)]);
     }

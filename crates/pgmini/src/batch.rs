@@ -17,7 +17,7 @@
 
 use crate::error::{PgError, PgResult};
 use crate::expr::{apply_binary, apply_unary, kleene_combine, BExpr, EvalCtx};
-use crate::types::{text_ops, Datum, SortKey};
+use crate::types::{text_ops, Datum};
 use sqlparse::ast::BinaryOp;
 use std::cmp::Ordering;
 
@@ -302,7 +302,7 @@ pub fn eval_batch<'a>(
                 let vv = v.get(i);
                 out[i] = if vv.is_null() {
                     Datum::Null
-                } else if set.contains(&SortKey(vec![vv.clone()])) {
+                } else if set.contains(std::slice::from_ref(vv)) {
                     Datum::Bool(!*negated)
                 } else if *has_null {
                     Datum::Null

@@ -166,7 +166,7 @@ pub enum BExpr {
     InList { expr: Box<BExpr>, list: Vec<BExpr>, negated: bool },
     /// Large constant IN-lists compile to a set probe (subplan results can
     /// contain thousands of values; linear scans would dominate runtime).
-    InSet { expr: Box<BExpr>, set: std::sync::Arc<std::collections::BTreeSet<crate::types::SortKey>>, has_null: bool, negated: bool },
+    InSet { expr: Box<BExpr>, set: std::sync::Arc<crate::types::KeyTable>, has_null: bool, negated: bool },
     IsNull { expr: Box<BExpr>, negated: bool },
     Case {
         operand: Option<Box<BExpr>>,
@@ -280,14 +280,14 @@ pub fn bind(expr: &Expr, scope: &RowScope) -> PgResult<BExpr> {
             if bound.len() > sqlparse::shape::FOLDED_IN_LIST && bound.iter().all(BExpr::is_const)
             {
                 let ctx = EvalCtx::default();
-                let mut set = std::collections::BTreeSet::new();
+                let mut set = crate::types::KeyTable::new(1);
                 let mut has_null = false;
                 for b in &bound {
                     let v = eval(b, &vec![], &ctx)?;
                     if v.is_null() {
                         has_null = true;
                     } else {
-                        set.insert(crate::types::SortKey(vec![v]));
+                        set.insert(&[v]);
                     }
                 }
                 BExpr::InSet {
@@ -427,7 +427,7 @@ pub fn eval(e: &BExpr, row: &Row, ctx: &EvalCtx) -> PgResult<Datum> {
             if v.is_null() {
                 return Ok(Datum::Null);
             }
-            let hit = set.contains(&crate::types::SortKey(vec![v]));
+            let hit = set.contains(std::slice::from_ref(&v));
             if hit {
                 Ok(Datum::Bool(!*negated))
             } else if *has_null {

@@ -1,33 +1,53 @@
-//! A memory budget for the write path, checked by counting.
+//! A memory budget for the query and write paths, checked by counting.
 //!
-//! This binary's allocator counts live bytes (allocated − freed) and bytes
-//! requested, so the file holds exactly one `#[test]`: nothing else may share
-//! the counters. What an update retains after VACUUM is its WAL records, the
-//! new heap version's row spine and the one string it wrote; every other
-//! column is shared with the version before it.
+//! This binary's allocator counts, per thread, live bytes (allocated −
+//! freed), bytes requested and allocation calls, so each test reads only what
+//! its own statements allocate while the others run beside it. What an update
+//! retains after VACUUM is its WAL records, the new heap version's row spine
+//! and the one string it wrote; every other column is shared with the version
+//! before it. A hash join allocates the rows it emits, and a grouping the
+//! groups it finds: neither allocates per candidate pair or per input row.
 
 use pgmini::engine::Engine;
 use pgmini::types::Datum;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::cell::Cell;
 
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-static REQUESTED: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn live() -> isize {
+    LIVE.with(Cell::get)
+}
+
+fn requested() -> usize {
+    REQUESTED.with(Cell::get)
+}
+
+fn allocs() -> usize {
+    ALLOCS.with(Cell::get)
+}
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counters are side effects only.
+// `GlobalAlloc` contract; the counters are side effects only, and their
+// thread-locals are const-initialised without a destructor, so reaching them
+// allocates nothing (`try_with` covers a thread that is being torn down).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
+        let _ = LIVE.try_with(|c| c.set(c.get() + layout.size() as isize));
+        let _ = REQUESTED.try_with(|c| c.set(c.get() + layout.size()));
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
         // SAFETY: same layout the caller passed, as `alloc` requires
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        let _ = LIVE.try_with(|c| c.set(c.get() - layout.size() as isize));
         // SAFETY: `ptr` came from `System.alloc` with this layout
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -90,14 +110,14 @@ fn updates_retain_pointers_and_a_point_read_copies_no_text() {
     }
     s.execute("VACUUM usertable").unwrap();
 
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = live();
     for n in 0..UPDATES {
         update(&mut s, FIELDS + n);
         if (n + 1) % 1_000 == 0 {
             s.execute("VACUUM usertable").unwrap();
         }
     }
-    let retained = (LIVE.load(Ordering::Relaxed) - before) as f64 / UPDATES as f64;
+    let retained = (live() - before) as f64 / UPDATES as f64;
     assert!(
         retained <= BUDGET_PER_UPDATE,
         "an update retains {retained:.0} bytes, over the budget of {BUDGET_PER_UPDATE:.0}"
@@ -113,9 +133,9 @@ fn updates_retain_pointers_and_a_point_read_copies_no_text() {
     let mut read_bytes = |id: u64| {
         let sql = format!("SELECT * FROM usertable WHERE ycsb_key = '{}'", key(id));
         s.execute(&sql).unwrap(); // warm
-        let before = REQUESTED.load(Ordering::Relaxed);
+        let before = requested();
         let result = s.execute(&sql).unwrap();
-        let requested = REQUESTED.load(Ordering::Relaxed) - before;
+        let requested = requested() - before;
         let text: usize = result.rows()[0].iter().map(|d| d.as_str().unwrap().len()).sum();
         (requested, text)
     };
@@ -128,4 +148,52 @@ fn updates_retain_pointers_and_a_point_read_copies_no_text() {
          requested {small_req}"
     );
     println!("retained {retained:.0} B/update; a point read requests {small_req} B");
+}
+
+/// Allocation calls per row of `sql`'s input, measured on a warm second run.
+fn allocs_per_row(s: &mut pgmini::session::Session, sql: &str, rows: usize) -> f64 {
+    s.execute(sql).unwrap();
+    let before = allocs();
+    s.execute(sql).unwrap();
+    (allocs() - before) as f64 / rows as f64
+}
+
+/// Every one of the 2 000 × 20 pairs matches the hash key and the residual
+/// `ON` rejects them all. A probe row costs its own scan copy and nothing per
+/// candidate pair (the parent commit copied each pair before testing it:
+/// 20 allocations per probe row and more).
+#[test]
+fn a_join_allocates_only_the_rows_it_emits() {
+    const PROBE: usize = 2_000;
+    let e = Engine::new_default();
+    let mut s = e.session().unwrap();
+    s.execute("CREATE TABLE probe (k bigint, v bigint)").unwrap();
+    s.execute("CREATE TABLE build (k bigint, w bigint)").unwrap();
+    let rows = |n: usize, sign: i64| {
+        (0..n).map(|i| vec![Datum::Int(1), Datum::Int(sign * i as i64)]).collect()
+    };
+    s.copy_rows("probe", &[], rows(PROBE, 1)).unwrap();
+    s.copy_rows("build", &[], rows(20, -1)).unwrap();
+    let sql = "SELECT probe.v, build.w FROM probe JOIN build \
+               ON probe.k = build.k AND probe.v < build.w";
+    assert!(s.query(sql).unwrap().is_empty());
+    let per_row = allocs_per_row(&mut s, sql, PROBE);
+    assert!(per_row < 3.0, "the join made {per_row:.2} allocations per probe row");
+    println!("a rejecting join makes {per_row:.2} allocations per probe row");
+}
+
+/// 10 000 rows into 4 groups: a row costs its scan copy, not a key.
+#[test]
+fn a_group_by_allocates_per_group_not_per_row() {
+    const ROWS: usize = 10_000;
+    let e = Engine::new_default();
+    let mut s = e.session().unwrap();
+    s.execute("CREATE TABLE t (g bigint, v bigint)").unwrap();
+    let rows = (0..ROWS as i64).map(|i| vec![Datum::Int(i % 4), Datum::Int(i)]).collect();
+    s.copy_rows("t", &[], rows).unwrap();
+    let sql = "SELECT g, count(*), sum(v) FROM t GROUP BY g";
+    assert_eq!(s.query(sql).unwrap().len(), 4);
+    let per_row = allocs_per_row(&mut s, sql, ROWS);
+    assert!(per_row < 1.2, "GROUP BY made {per_row:.2} allocations per input row");
+    println!("GROUP BY makes {per_row:.2} allocations per input row");
 }
