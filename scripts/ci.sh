@@ -29,16 +29,23 @@
 #      `tpch_join_plans_have_no_cross_join` in
 #      crates/workloads/tests/workloads_run.rs: no EXPLAIN of the 18 TPC-H
 #      queries, on one engine or on a worker, contains a cross join; and
-#      the pinned TPC-H answer digests in tpch_answers.rs), the
+#      the pinned TPC-H answer digests in tpch_answers.rs), the keyed-operator
+#      referee (`keyed_operators_match_the_brute_force_referee` in
+#      crates/pgmini/tests/hash_key_referee.rs: hash joins of every kind,
+#      GROUP BY, count(DISTINCT), SELECT DISTINCT and a folded IN list over
+#      NULL, duplicate, Int/Float, NaN and text-date/timestamp keys equal a
+#      nested-loop evaluation row for row, order included), the
 #      vectorized wall, the replay wall (crates/pgmini/tests/replay.rs: a
 #      shard copy plus catch-up from random cut points, and a restore, each
 #      equal the source by row id and index probes), rebalancer crash drills
 #      (every live placement carries the shell's indexes), the
 #      snapshot-isolation anomaly wall, MX fence drills, the rollup recompute
 #      differential, the seeded sim chaos corpus, the memory budget
-#      (crates/pgmini/tests/memory_budget.rs: a counting allocator, its own
-#      binary; an update may retain at most 1.2 KB once vacuumed and a point
-#      read copies no text) and the figure gate. There is no filter to
+#      (crates/pgmini/tests/memory_budget.rs: a per-thread counting
+#      allocator, its own binary; an update may retain at most 1.2 KB once
+#      vacuumed, a point read copies no text, and the allocation lock: a hash
+#      join whose residual rejects every pair makes under 3 allocations per
+#      probe row, a GROUP BY under 1.2 per input row) and the figure gate. There is no filter to
 #      skip one by. The figure gate (crates/bench/tests/figures.rs) runs the
 #      `figures`, `workloads`, `columnar` and `rollup` benches at smoke scale
 #      in-process and requires their reports to equal the five goldens in
