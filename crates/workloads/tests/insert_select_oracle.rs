@@ -198,48 +198,55 @@ impl Picks<'_> {
     }
 }
 
-/// A FROM item as `(sql, alias, second column)`; every item has a
-/// `tenant_id` column, which only in some of them is the distribution key.
-const RELATIONS: [(&str, &str, &str); 10] = [
-    ("orders o", "o", "order_id"),
-    ("tenants t", "t", "tenant_id"),
+/// A FROM item as `(sql, alias, second column, column count)`; every item
+/// has a `tenant_id` column, which only in some of them is the distribution
+/// key.
+const RELATIONS: [(&str, &str, &str, usize); 10] = [
+    ("orders o", "o", "order_id", 3),
+    ("tenants t", "t", "tenant_id", 2),
     // reference table: its tenant_id is not a key
-    ("tags g", "g", "tag_id"),
+    ("tags g", "g", "tag_id", 2),
     // second co-location group, distributed on device_id
-    ("devices d", "d", "device_id"),
-    ("(SELECT tenant_id, count(*) AS n FROM orders GROUP BY tenant_id) x", "x", "n"),
-    ("(SELECT order_id AS tenant_id, count(*) AS n FROM orders GROUP BY order_id) x", "x", "n"),
-    ("(SELECT tenant_id, order_id AS n FROM orders ORDER BY 1, 2 LIMIT 3) x", "x", "n"),
-    ("(SELECT DISTINCT tenant_id, order_id AS n FROM orders) x", "x", "n"),
+    ("devices d", "d", "device_id", 2),
+    ("(SELECT tenant_id, count(*) AS n FROM orders GROUP BY tenant_id) x", "x", "n", 2),
+    ("(SELECT order_id AS tenant_id, count(*) AS n FROM orders GROUP BY order_id) x", "x", "n", 2),
+    ("(SELECT tenant_id, order_id AS n FROM orders ORDER BY 1, 2 LIMIT 3) x", "x", "n", 2),
+    ("(SELECT DISTINCT tenant_id, order_id AS n FROM orders) x", "x", "n", 2),
     (
         "(SELECT o2.tenant_id, g2.tenant_id AS n FROM orders o2 \
          JOIN tags g2 ON o2.order_id = g2.tag_id) x",
         "x",
         "n",
+        2,
     ),
     (
         "(SELECT g2.tenant_id, count(*) AS n FROM orders o2 \
          JOIN tags g2 ON o2.order_id = g2.tag_id GROUP BY g2.tenant_id) x",
         "x",
         "n",
+        2,
     ),
 ];
 
-/// Decode a SELECT with two integer output columns: 1–3 relations joined in
-/// either spelling on key or non-key columns, an optional filter (a pin, or
-/// `IN` / `NOT IN` over a distributed subquery that may be a co-located
-/// semi-join, key-grouped with a `HAVING`, or cut by a `LIMIT`), one of four
-/// projection/GROUP BY shapes, an optional ORDER BY .. LIMIT.
-fn generated_select(p: &mut Picks) -> String {
-    let mut rels: Vec<(&str, &str, &str)> = Vec::new();
+/// Decode a SELECT: 1–3 relations joined in either spelling on key or
+/// non-key columns, an optional filter (a pin, or `IN` / `NOT IN` over a
+/// distributed subquery that may be a co-located semi-join, key-grouped with
+/// a `HAVING`, or cut by a `LIMIT`), one of four projection/GROUP BY shapes
+/// with two integer output columns or (outside an INSERT) `SELECT *`, and an
+/// optional ORDER BY .. LIMIT [OFFSET]. Its sort keys may start with a
+/// qualified column, an expression or a key outside the select list, in
+/// either direction; every output column follows as a tie-breaker, so the
+/// visible rows are deterministic. Returns the SQL and whether it is ordered.
+fn generated_select(p: &mut Picks, insert: bool) -> (String, bool) {
+    let mut rels: Vec<(&str, &str, &str, usize)> = Vec::new();
     for _ in 0..1 + p.pick(3) {
         // plain tables twice as often as subqueries
-        let r = RELATIONS[[0, 0, 0, 1, 1, 2, 2, 3, 4, 4, 5, 6, 7, 8, 9][p.pick(15)]];
+        let r = RELATIONS[[0, 0, 0, 1, 1, 2, 2, 3, 3, 3, 4, 4, 5, 6, 7, 8, 9][p.pick(17)]];
         if !rels.iter().any(|x| x.1 == r.1) {
             rels.push(r);
         }
     }
-    let col = |p: &mut Picks, r: &(&str, &str, &str)| {
+    let col = |p: &mut Picks, r: &(&str, &str, &str, usize)| {
         format!("{}.{}", r.1, if p.pick(3) == 0 { r.2 } else { "tenant_id" })
     };
     let join_syntax = p.pick(2) == 0;
@@ -287,20 +294,43 @@ fn generated_select(p: &mut Picks) -> String {
     } else {
         format!(" WHERE {}", conditions.join(" AND "))
     };
-    let body = match p.pick(4) {
+    let c = rels[p.pick(rels.len())];
+    let shape = p.pick(if insert { 4 } else { 5 });
+    let body = match shape {
         0 => format!("SELECT {}.tenant_id, {}.{} FROM {from}{filter}", a.1, b.1, b.2),
         1 => format!(
             "SELECT {0}.tenant_id, count(*) FROM {from}{filter} GROUP BY {0}.tenant_id",
             a.1
         ),
         2 => format!("SELECT count(*), sum({}.{}) FROM {from}{filter}", b.1, b.2),
-        _ => format!("SELECT {0}.{1}, count(*) FROM {from}{filter} GROUP BY {0}.{1}", b.1, b.2),
+        3 => format!("SELECT {0}.{1}, count(*) FROM {from}{filter} GROUP BY {0}.{1}", b.1, b.2),
+        _ => format!("SELECT * FROM {from}{filter}"),
     };
-    if p.pick(4) == 0 {
-        format!("{body} ORDER BY 1, 2 LIMIT 5")
-    } else {
-        body
+    if p.pick(4) != 0 {
+        return (body, false);
     }
+    // a leading key the select list names by qualifier, an expression, or a
+    // key the select list does not hold, valid for the body's grouping
+    let lead = match (shape, p.pick(4)) {
+        (_, 0) => None,
+        (0 | 1, 1) => Some(format!("{}.tenant_id", a.1)),
+        (0, 2) => Some(format!("{}.{} + {}.tenant_id", b.1, b.2, a.1)),
+        (4, 1) => Some(format!("{}.tenant_id", c.1)),
+        (4, 2) => Some(format!("{}.{} * -1", c.1, c.2)),
+        (0 | 4, _) => Some(format!("{}.{}", c.1, c.2)),
+        (3, 1) => Some(format!("{}.{}", b.1, b.2)),
+        (1 | 3, 2) => Some("count(*) * -1".to_string()),
+        (2, 1) => Some("count(*)".to_string()),
+        (2, 2) => Some(format!("min({}.tenant_id) + 1", a.1)),
+        _ => Some(format!("sum({}.{})", c.1, c.2)),
+    };
+    let width = if shape == 4 { rels.iter().map(|r| r.3).sum() } else { 2 };
+    let mut keys: Vec<String> = (1..=width).map(|i| i.to_string()).collect();
+    if let Some(lead) = lead {
+        keys.insert(0, format!("{lead}{}", [" DESC", ""][p.pick(2)]));
+    }
+    let offset = ["", "", " OFFSET 1", " OFFSET 3"][p.pick(4)];
+    (format!("{body} ORDER BY {} LIMIT 5{offset}", keys.join(", ")), true)
 }
 
 fn sorted_rows(r: &QueryResult) -> Vec<String> {
@@ -313,7 +343,7 @@ fn sorted_rows(r: &QueryResult) -> Vec<String> {
 fn check_generated(m: &mut MirrorRunner, picks: &[u8]) -> Result<bool, TestCaseError> {
     let mut p = Picks(picks.iter());
     let insert = p.pick(3) == 0;
-    let select = generated_select(&mut p);
+    let (select, ordered) = generated_select(&mut p, insert);
     if !insert {
         let dist = match m.dist.run(&select) {
             Ok(r) => r,
@@ -326,7 +356,11 @@ fn check_generated(m: &mut MirrorRunner, picks: &[u8]) -> Result<bool, TestCaseE
             TestCaseError::fail(format!("oracle refuses generated `{select}`: {e:?}"))
         })?;
         prop_assert_eq!(dist.columns(), oracle.columns(), "column names of `{}`", select);
-        prop_assert_eq!(sorted_rows(&dist), sorted_rows(&oracle), "rows of `{}`", select);
+        if ordered {
+            prop_assert_eq!(dist.rows(), oracle.rows(), "rows of `{}`, in order", select);
+        } else {
+            prop_assert_eq!(sorted_rows(&dist), sorted_rows(&oracle), "rows of `{}`", select);
+        }
         return Ok(true);
     }
     // the mirror compares affected counts and every read below
@@ -364,7 +398,7 @@ fn judged_safe_statements_match_the_oracle() {
     }
     let cases = 400;
     let mut runner = TestRunner::new(ProptestConfig::with_cases(cases), "judgement_soundness");
-    let choices = prop::collection::vec(any::<u8>(), 24);
+    let choices = prop::collection::vec(any::<u8>(), 32);
     let (mut accepted, mut refused) = (0, 0);
     while let Some(mut rng) = runner.next_case() {
         let result = check_generated(&mut m, &choices.generate(&mut rng));
