@@ -11,12 +11,12 @@
 //! results need to be broadcast or re-partitioned" of §3.5.
 
 use super::analysis::{judge_select, CoPartitioned, Judgement, KeyColumns, MergeNeed, Reason};
-use super::merge::{expr_u64, is_aggregate_query, split_aggregation};
+use super::merge::{is_aggregate_query, split_aggregation, split_concat};
 use super::rewrite;
-use super::{bucket_task, DistPlan, Merge, PlannerKind, SortCol, SubplanExecutor, Task};
+use super::{bucket_task, DistPlan, PlannerKind, SubplanExecutor, Task};
 use crate::metadata::{Metadata, NodeId};
 use pgmini::error::{PgError, PgResult};
-use sqlparse::ast::{Expr, Literal, Select, SelectItem, Statement, TableRef};
+use sqlparse::ast::{Select, SelectItem, Statement, TableRef};
 
 /// Environment the join-order planner needs beyond metadata.
 pub trait JoinOrderEnv: SubplanExecutor {
@@ -276,18 +276,17 @@ fn plan_repartition(
     ];
 
     // per-bucket tasks: query with both tables renamed to the bucket temps
-    let (worker_template, merge) = if is_aggregate_query(sel) {
-        let split = split_aggregation(sel, &KeyColumns::default())
-            .map_err(|e| PgError::unsupported(format!("repartitioned aggregate: {}", e.message)))?;
-        (split.worker_query, Merge::GroupAgg(Box::new(split.merge)))
+    let split = if is_aggregate_query(sel) {
+        split_aggregation(sel, &KeyColumns::default())
+            .map_err(|e| PgError::unsupported(format!("repartitioned aggregate: {}", e.message)))?
     } else {
-        (sel.clone(), concat_merge(sel)?)
+        split_concat(sel)?
     };
     let mut tasks = Vec::with_capacity(bucket_count);
     for (i, node) in bucket_nodes.iter().enumerate() {
         let a_temp = format!("citrus_repart_a_{a_name}_{i}");
         let b_temp = format!("citrus_repart_b_{b_name}_{i}");
-        let rewritten = rewrite::rewrite_select(&worker_template, &|n| {
+        let rewritten = rewrite::rewrite_select(&split.worker, &|n| {
             if n == a_name {
                 Some(a_temp.clone())
             } else if n == b_name {
@@ -304,44 +303,11 @@ fn plan_repartition(
     Ok(DistPlan {
         kind: PlannerKind::JoinOrder,
         tasks,
-        merge,
+        merge: split.merge,
         is_write: false,
         used_subplans: true,
         prep,
     })
-}
-
-/// Concatenate the task results, then re-sort / limit / de-duplicate.
-fn concat_merge(sel: &Select) -> PgResult<Merge> {
-    Ok(Merge::Concat {
-        sort: resolve_simple_sort(sel)?,
-        limit: sel.limit.as_ref().and_then(expr_u64),
-        offset: sel.offset.as_ref().and_then(expr_u64),
-        distinct: sel.distinct,
-        visible: sel.projection.len(),
-        appended: 0,
-    })
-}
-
-fn resolve_simple_sort(sel: &Select) -> PgResult<Vec<(SortCol, bool)>> {
-    let mut out = Vec::new();
-    for ob in &sel.order_by {
-        match &ob.expr {
-            Expr::Literal(Literal::Int(n)) if *n >= 1 => {
-                out.push((SortCol::Index((*n as usize) - 1), ob.desc));
-            }
-            Expr::Column { table: None, name } => {
-                if let Some(i) = sel.projection.iter().position(|p| {
-                    matches!(p, SelectItem::Expr { alias: Some(a), .. } if a == name)
-                        || matches!(p, SelectItem::Expr { expr: Expr::Column { name: n2, .. }, .. } if n2 == name)
-                }) {
-                    out.push((SortCol::Index(i), ob.desc));
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(out)
 }
 
 /// Build per-anchor-bucket tasks from a main query whose moved tables were
@@ -353,20 +319,19 @@ fn finish_fanout_plan(
     prep: Vec<PrepStep>,
     stays: &CoPartitioned,
 ) -> PgResult<DistPlan> {
-    let (worker_template, merge) = if stays.merge_need(main) == Some(MergeNeed::Aggregate) {
-        let split = split_aggregation(main, &stays.key)?;
-        (split.worker_query, Merge::GroupAgg(Box::new(split.merge)))
+    let split = if stays.merge_need(main) == Some(MergeNeed::Aggregate) {
+        split_aggregation(main, &stays.key)?
     } else {
-        (main.clone(), concat_merge(main)?)
+        split_concat(main)?
     };
-    let worker = Statement::Select(Box::new(worker_template));
+    let worker = Statement::Select(Box::new(split.worker));
     let tasks: Vec<Task> = (0..anchor.shards.len())
         .map(|b| bucket_task(meta, anchor, b, &worker, false))
         .collect::<PgResult<_>>()?;
     Ok(DistPlan {
         kind: PlannerKind::JoinOrder,
         tasks,
-        merge,
+        merge: split.merge,
         is_write: false,
         used_subplans: true,
         prep,

@@ -15,7 +15,6 @@ pub mod rewrite;
 
 use crate::metadata::{DistTable, Metadata, NodeId, PartitionMethod, ShardId};
 use analysis::{judge, Judgement, Reason};
-use merge::MergePlan;
 use pgmini::error::{ErrorCode, PgError, PgResult};
 use pgmini::types::{Datum, Row};
 use sqlparse::ast::{
@@ -132,8 +131,10 @@ pub enum Merge {
         /// Hidden `__ordN` sort columns appended after the projection.
         appended: usize,
     },
-    /// Combine partial aggregates (see [`merge::MergePlan`]).
-    GroupAgg(Box<MergePlan>),
+    /// Combine partial aggregates: pgmini's finish stage whose aggregate
+    /// stage groups the task rows on their leading key columns and combines
+    /// each partial column (see [`merge::split_aggregation`]).
+    GroupAgg(Box<pgmini::plan::FinishStage>),
     /// Sum DML row counts.
     AffectedSum,
     /// Reference-table write: every placement ran it; report one count.

@@ -7,13 +7,13 @@
 
 use crate::buffer::BufferKey;
 use crate::catalog::TableId;
-use crate::cost::SimCost;
+use crate::cost::{CostModel, SimCost};
 use crate::engine::Engine;
 use crate::error::{PgError, PgResult};
 use crate::expr::{eval, BExpr, EvalCtx};
 use crate::index::IndexStore;
 use crate::lock::{LockKey, LockMode};
-use crate::plan::{AggCall, AggKind, IndexProbe, PlanNode, SelectPlan};
+use crate::plan::{AggCall, AggKind, FinishStage, IndexProbe, PlanNode, SelectPlan};
 use crate::storage::TableStore;
 use crate::txn::{Snapshot, Xid, INVALID_XID};
 use crate::types::{Datum, KeyTable, Row};
@@ -790,12 +790,13 @@ fn try_vectorized_agg(
 /// Execute a planned SELECT end to end, returning (column names, rows).
 pub fn run_select_plan(ctx: &mut ExecCtx, plan: &SelectPlan) -> PgResult<(Vec<String>, Vec<Row>)> {
     let model = ctx.model();
+    let finish = &plan.finish;
     // Tier B fused vectorized aggregation, when the shape allows it
     if let (Some(stage), None, true) =
-        (&plan.agg, plan.for_update, ctx.engine.config.vectorized)
+        (&finish.agg, plan.for_update, ctx.engine.config.vectorized)
     {
-        if let Some(mid_rows) = try_vectorized_agg(ctx, stage, &plan.input)? {
-            return finish_select(ctx, plan, mid_rows);
+        if let Some(groups) = try_vectorized_agg(ctx, stage, &plan.input)? {
+            return finish.run_grouped(groups, &ctx.eval_ctx, &mut ctx.cost, &model);
         }
     }
     // FOR UPDATE uses the locking scan path
@@ -826,96 +827,106 @@ pub fn run_select_plan(ctx: &mut ExecCtx, plan: &SelectPlan) -> PgResult<(Vec<St
     } else {
         run_plan_node(ctx, &plan.input)?
     };
-
-    // aggregation
-    let mid_rows: Vec<Row> = match &plan.agg {
-        None => input_rows,
-        Some(stage) => {
-            let mut groups = Groups::new(stage);
-            let mut key: Row = Vec::with_capacity(stage.group.len());
-            for row in &input_rows {
-                eval_into(&stage.group, row, &ctx.eval_ctx, &mut key)?;
-                for (st, call) in groups.states(&key).iter_mut().zip(&stage.calls) {
-                    let arg = match &call.arg {
-                        None => None,
-                        Some(a) => Some(eval(a, row, &ctx.eval_ctx)?),
-                    };
-                    st.update(arg)?;
-                }
-            }
-            ctx.cost.add_tuples(&model, input_rows.len() as u64);
-            groups.finish()
-        }
-    };
-
-    finish_select(ctx, plan, mid_rows)
+    finish.run(input_rows, &ctx.eval_ctx, &mut ctx.cost, &model)
 }
 
-/// HAVING → projection → DISTINCT → ORDER BY → OFFSET/LIMIT, shared by the
-/// volcano and fused-vectorized aggregation paths.
-fn finish_select(
-    ctx: &mut ExecCtx,
-    plan: &SelectPlan,
-    mid_rows: Vec<Row>,
-) -> PgResult<(Vec<String>, Vec<Row>)> {
-    let model = ctx.model();
-    // HAVING
-    let mut result_rows = Vec::new();
-    for row in mid_rows {
-        if passes(&plan.having, &row, &ctx.eval_ctx)? {
-            // projection (incl. hidden order-by columns)
-            let projected: Row = plan
-                .projection
-                .iter()
-                .map(|p| eval(p, &row, &ctx.eval_ctx))
-                .collect::<PgResult<_>>()?;
-            result_rows.push(projected);
-        }
-    }
-    ctx.cost.add_tuples(&model, result_rows.len() as u64);
-
-    // DISTINCT
-    if plan.distinct {
-        let mut seen = KeyTable::new(plan.visible);
-        result_rows.retain(|r| seen.insert(&r[..plan.visible]).1);
-    }
-
-    // ORDER BY
-    if !plan.order_by.is_empty() {
-        result_rows.sort_by(|a, b| {
-            for (idx, desc) in &plan.order_by {
-                let ord = a[*idx].total_cmp(&b[*idx]);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
+impl FinishStage {
+    /// Aggregate `rows` when the stage has an aggregate, then finish them:
+    /// HAVING → projection → DISTINCT → ORDER BY → OFFSET/LIMIT → drop the
+    /// hidden ORDER BY columns. Returns (column names, rows) and charges the
+    /// work to `cost`.
+    pub fn run(
+        &self,
+        rows: Vec<Row>,
+        ctx: &EvalCtx,
+        cost: &mut SimCost,
+        model: &CostModel,
+    ) -> PgResult<(Vec<String>, Vec<Row>)> {
+        let groups = match &self.agg {
+            None => rows,
+            Some(stage) => {
+                let mut groups = Groups::new(stage);
+                let mut key: Row = Vec::with_capacity(stage.group.len());
+                for row in &rows {
+                    eval_into(&stage.group, row, ctx, &mut key)?;
+                    for (st, call) in groups.states(&key).iter_mut().zip(&stage.calls) {
+                        let arg = match &call.arg {
+                            None => None,
+                            Some(a) => Some(eval(a, row, ctx)?),
+                        };
+                        st.update(arg)?;
+                    }
                 }
+                cost.add_tuples(model, rows.len() as u64);
+                groups.finish()
             }
-            std::cmp::Ordering::Equal
-        });
-        ctx.cost.add_cpu(
-            model.cpu_tuple_ms * result_rows.len() as f64
-                * (result_rows.len().max(2) as f64).log2(),
-        );
+        };
+        self.run_grouped(groups, ctx, cost, model)
     }
 
-    // OFFSET / LIMIT
-    let row_count = |e: &BExpr| -> PgResult<usize> {
-        Ok(eval(e, &Vec::new(), &ctx.eval_ctx)?.as_i64()?.max(0) as usize)
-    };
-    if let Some(off) = &plan.offset {
-        let off = row_count(off)?.min(result_rows.len());
-        result_rows.drain(..off);
-    }
-    if let Some(lim) = &plan.limit {
-        result_rows.truncate(row_count(lim)?);
-    }
+    /// [`FinishStage::run`] past the aggregate stage, over rows already
+    /// grouped (the fused vectorized scan aggregates as it scans).
+    fn run_grouped(
+        &self,
+        groups: Vec<Row>,
+        ctx: &EvalCtx,
+        cost: &mut SimCost,
+        model: &CostModel,
+    ) -> PgResult<(Vec<String>, Vec<Row>)> {
+        // HAVING
+        let mut result_rows = Vec::new();
+        for row in groups {
+            if passes(&self.having, &row, ctx)? {
+                // projection (incl. hidden order-by columns)
+                let projected: Row =
+                    self.projection.iter().map(|p| eval(p, &row, ctx)).collect::<PgResult<_>>()?;
+                result_rows.push(projected);
+            }
+        }
+        cost.add_tuples(model, result_rows.len() as u64);
 
-    // hide order-by helper columns
-    for r in &mut result_rows {
-        r.truncate(plan.visible);
+        // DISTINCT
+        if self.distinct {
+            let mut seen = KeyTable::new(self.visible);
+            result_rows.retain(|r| seen.insert(&r[..self.visible]).1);
+        }
+
+        // ORDER BY
+        if !self.order_by.is_empty() {
+            result_rows.sort_by(|a, b| {
+                for (idx, desc) in &self.order_by {
+                    let ord = a[*idx].total_cmp(&b[*idx]);
+                    let ord = if *desc { ord.reverse() } else { ord };
+                    if ord != std::cmp::Ordering::Equal {
+                        return ord;
+                    }
+                }
+                std::cmp::Ordering::Equal
+            });
+            cost.add_cpu(
+                model.cpu_tuple_ms * result_rows.len() as f64
+                    * (result_rows.len().max(2) as f64).log2(),
+            );
+        }
+
+        // OFFSET / LIMIT
+        let row_count = |e: &BExpr| -> PgResult<usize> {
+            Ok(eval(e, &Vec::new(), ctx)?.as_i64()?.max(0) as usize)
+        };
+        if let Some(off) = &self.offset {
+            let off = row_count(off)?.min(result_rows.len());
+            result_rows.drain(..off);
+        }
+        if let Some(lim) = &self.limit {
+            result_rows.truncate(row_count(lim)?);
+        }
+
+        // hide order-by helper columns
+        for r in &mut result_rows {
+            r.truncate(self.visible);
+        }
+        Ok((self.names[..self.visible].to_vec(), result_rows))
     }
-    let names = plan.names[..plan.visible].to_vec();
-    Ok((names, result_rows))
 }
 
 #[cfg(test)]

@@ -611,10 +611,10 @@ impl Session {
             let cat = self.engine.catalog.read();
             plan.input.describe(&cat, &mut lines, 0);
         }
-        if plan.agg.is_some() {
+        if plan.finish.agg.is_some() {
             lines.insert(0, "HashAggregate".to_string());
         }
-        if !plan.order_by.is_empty() {
+        if !plan.finish.order_by.is_empty() {
             lines.insert(0, "Sort".to_string());
         }
         Ok(QueryResult::Rows {
