@@ -73,8 +73,8 @@ fn crud_loop(plan_cache: bool, iters: usize) -> CrudStats {
     }
 }
 
-/// Virtual time is deterministic: a cache hit charges `cached_plan_ms`
-/// (0.02) instead of a full `dist_plan_ms` (0.2) pass, so warm must beat
+/// Virtual time is deterministic: a cache hit charges `CACHED_PLAN_MS`
+/// (0.02) instead of a full `DIST_PLAN_MS` (0.2) pass, so warm must beat
 /// cold exactly, every run.
 #[test]
 fn warm_cache_beats_cold_on_the_virtual_clock() {

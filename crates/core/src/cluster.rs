@@ -30,22 +30,10 @@ pub struct ClusterConfig {
     pub shard_count: u32,
     /// Template for per-node engines.
     pub engine: EngineConfig,
-    /// Reserve this many backend slots per node for superuser/maintenance;
-    /// the shared connection limit is `max_connections - reserve`.
-    pub connection_reserve: u32,
-    /// Slow-start interval of the adaptive executor, in virtual ms (§3.6.1).
-    pub slow_start_interval_ms: f64,
     /// Real-time interval of the distributed deadlock detector daemon.
     pub deadlock_detection_interval: std::time::Duration,
     /// Real-time interval of the 2PC recovery daemon.
     pub recovery_interval: std::time::Duration,
-    /// Times the executor re-attempts an idempotent read task after a
-    /// connection failure (writes are never retried).
-    pub task_retries: u32,
-    /// First retry backoff in virtual ms; doubles per attempt.
-    pub retry_backoff_ms: f64,
-    /// Cap on the exponential retry backoff, in virtual ms.
-    pub retry_backoff_cap_ms: f64,
     /// Real OS threads the adaptive executor fans independent read tasks
     /// across (§3.6). `1` keeps the fan-out inline on the session thread;
     /// results are deterministic and identical at any setting. Defaults to
@@ -60,12 +48,6 @@ pub struct ClusterConfig {
     /// fan-out can overlap. `0` (default) keeps the fabric purely
     /// virtual-time; benches set it to measure wall-clock wire cost honestly.
     pub real_rtt_us: u64,
-    /// Virtual ms one full distributed planning pass costs the coordinator
-    /// (table classification, tier cascade, shard pruning, rewrite).
-    pub dist_plan_ms: f64,
-    /// Virtual ms a plan-cache hit costs instead: only the shard-pruning
-    /// step of the cached tier is recomputed (§3.5.1).
-    pub cached_plan_ms: f64,
     /// Record a deterministic span tree per distributed statement (see
     /// [`crate::trace`]). Metrics counters are always on; span trees are
     /// gated here because they clone statement text and task detail.
@@ -105,24 +87,15 @@ impl Default for ClusterConfig {
         ClusterConfig {
             shard_count: 32,
             engine: EngineConfig::default(),
-            connection_reserve: 10,
-            slow_start_interval_ms: 10.0,
             // the paper polls every 2s; tests shrink this
             deadlock_detection_interval: std::time::Duration::from_millis(100),
             recovery_interval: std::time::Duration::from_millis(200),
-            task_retries: 2,
-            retry_backoff_ms: 10.0,
-            retry_backoff_cap_ms: 80.0,
             executor_threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
                 .min(16),
             plan_cache: true,
             real_rtt_us: 0,
-            // ~4x the local base_plan_ms: distributed planning adds metadata
-            // classification, the tier cascade, and per-shard rewrites
-            dist_plan_ms: 0.2,
-            cached_plan_ms: 0.02,
             tracing: false,
             pipeline: true,
             local_execution: true,
@@ -131,6 +104,10 @@ impl Default for ClusterConfig {
         }
     }
 }
+
+/// Backend slots per node reserved for superuser and maintenance work: the
+/// shared connection limit is `max_connections - CONNECTION_RESERVE`.
+pub const CONNECTION_RESERVE: u32 = 10;
 
 /// One server in the cluster. The engine is swappable so HA failover can
 /// promote a standby in place.
@@ -357,7 +334,7 @@ impl Cluster {
 
     /// Shared connection limit for a target node.
     pub fn connection_limit(&self) -> u32 {
-        self.config.engine.max_connections.saturating_sub(self.config.connection_reserve)
+        self.config.engine.max_connections.saturating_sub(CONNECTION_RESERVE)
     }
 
     /// Current tracked internal connections to `node`.
@@ -1139,7 +1116,6 @@ mod tests {
     fn shared_connection_limit_enforced() {
         let mut cfg = ClusterConfig::default();
         cfg.engine.max_connections = 12;
-        cfg.connection_reserve = 10;
         let c = Cluster::new(cfg);
         let w = c.add_worker().unwrap();
         let c1 = c.connect(w).unwrap();

@@ -43,6 +43,15 @@ pub const STAT_ACTIVITY_TABLE: &str = "citus_stat_activity";
 /// `citrus_shard_moves` whenever a SELECT references it.
 pub const REBALANCE_STATUS_TABLE: &str = "citus_rebalance_status";
 
+/// Virtual ms one full distributed planning pass costs the coordinator
+/// (table classification, tier cascade, shard pruning, rewrite): about 4x
+/// the local `base_plan_ms`.
+const DIST_PLAN_MS: f64 = 0.2;
+
+/// Virtual ms a plan-cache hit costs instead: only the shard-pruning step of
+/// the cached tier is recomputed (§3.5.1).
+const CACHED_PLAN_MS: f64 = 0.02;
+
 /// The extension instance installed on one node.
 pub struct CitrusExtension {
     cluster: Weak<Cluster>,
@@ -319,7 +328,7 @@ impl CitrusExtension {
                 }
             }
         }
-        let mut planning_ms = cluster.config.dist_plan_ms;
+        let mut planning_ms = DIST_PLAN_MS;
         state.last_cache_hit = false;
         state.last_retries = 0;
         let shape = planner::cache::shape_hash(stmt);
@@ -343,7 +352,7 @@ impl CitrusExtension {
                         planner::cache::CachedTier::Router => planner::try_router(stmt, &meta)?,
                     };
                     if cached.is_some() {
-                        planning_ms = cluster.config.cached_plan_ms;
+                        planning_ms = CACHED_PLAN_MS;
                         state.last_cache_hit = true;
                     }
                 }

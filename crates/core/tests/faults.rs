@@ -424,7 +424,7 @@ fn unreplicated_read_surfaces_connection_failure() {
     citrus::ha::crash_node(&c, NodeId(1)).unwrap();
     let err = s.execute("SELECT count(*) FROM t").unwrap_err();
     assert_eq!(err.code, ErrorCode::ConnectionFailure);
-    assert_eq!(c.task_retry_count(), c.config.task_retries as u64);
+    assert_eq!(c.task_retry_count(), citrus::executor::TASK_RETRIES as u64);
 }
 
 /// `t` with no rows, and a session, on a cluster of `workers` (0 = every
