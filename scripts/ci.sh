@@ -6,7 +6,7 @@
 #
 #   1. release build of the whole workspace
 #   2. full test suite (quiet). The root manifest's `default-members` is the
-#      whole workspace, so this one command runs every suite (~570 tests):
+#      whole workspace, so this one command runs every suite (~590 tests):
 #      fault injection (including the COPY atomicity drill,
 #      `copy_fault_at_any_shard_boundary_leaves_no_rows` in
 #      crates/core/tests/faults.rs: a fault on any shard batch, on two
@@ -21,8 +21,14 @@
 #      crates/workloads/tests/insert_select_oracle.rs: generated joins,
 #      subqueries and INSERT..SELECTs are refused or equal the oracle; its
 #      IN / NOT IN subqueries exercise the co-located semi-join rule, which
-#      leaves `key IN (SELECT key ..)` in place on every shard), the
-#      join-order walls (the brute-force referee proptest
+#      leaves `key IN (SELECT key ..)` in place on every shard, and its
+#      ORDER BY .. LIMIT tails, led by a qualified column, an expression or
+#      a key outside the select list, with an optional OFFSET or a
+#      `SELECT *` body, must match row for row in order), the join-order
+#      merge demonstrator (`join_order_merges_like_one_node` in
+#      crates/core/tests/distributed.rs: seven repartition-join shapes equal
+#      one engine's rows in order), the join-order walls (the brute-force
+#      referee proptest
 #      `inner_joins_match_the_brute_force_referee` in
 #      crates/pgmini/tests/join_order_referee.rs: generated 3-5-table inner
 #      joins in random FROM order equal a product-and-filter evaluation;
