@@ -62,6 +62,8 @@ fn total_batches(d: &DistCost) -> u64 {
 
 /// The differential workload: scans, filters, partial aggregates, group-bys
 /// (on and off the distribution column), CASE arithmetic, reference joins,
+/// filters and an aggregate argument with no batch kernel (a function call:
+/// the scan selects its rows row by row even with `vectorized` on),
 /// appends, an append-only violation, and a runtime error.
 fn workload() -> Vec<&'static str> {
     vec![
@@ -74,6 +76,9 @@ fn workload() -> Vec<&'static str> {
         "SELECT r.label, count(*) FROM m JOIN r ON m.label = r.label \
          GROUP BY r.label ORDER BY 1",
         "SELECT a FROM m WHERE k = 7",
+        "SELECT count(*), sum(a) FROM m WHERE abs(a) > 3",
+        "SELECT label, count(*) FROM m WHERE upper(label) = 'L1' GROUP BY label ORDER BY 1",
+        "SELECT sum(abs(a)) FROM m",
         "INSERT INTO m VALUES (500, 1, 2.0, 'l1'), (501, 2, 3.0, 'l2')",
         "SELECT count(*) FROM m",
         "UPDATE m SET a = 0 WHERE k = 7",
@@ -159,7 +164,8 @@ fn costs_and_traces_thread_invariant_in_both_modes() {
 }
 
 /// The vectorized path actually runs: batch counts show up in the cost
-/// accounting, and turning it off drops them to zero.
+/// accounting, a filter with no kernel selects row by row and books none,
+/// and turning the path off drops them to zero.
 #[test]
 fn batch_counters_flow_through_distributed_costs() {
     let c = cluster(1, true);
@@ -167,6 +173,8 @@ fn batch_counters_flow_through_distributed_costs() {
     s.execute("SELECT count(*), sum(a) FROM m").unwrap();
     let batched = total_batches(&s.last_dist_cost());
     assert!(batched > 0, "columnar aggregate reported no batches");
+    s.execute("SELECT count(*), sum(a) FROM m WHERE abs(a) > 3").unwrap();
+    assert_eq!(total_batches(&s.last_dist_cost()), 0, "kernel-less filter counted batches");
 
     let c = cluster(1, false);
     let mut s = setup(&c);
