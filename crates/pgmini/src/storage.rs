@@ -365,41 +365,11 @@ impl ColumnarStore {
             && self.stripes.read().iter().any(|s| s.seq == seq)
     }
 
-    /// Scan visible rows, materialising only `projection` columns (others
-    /// come back as NULL) — the columnar I/O advantage.
-    pub fn scan_visible(
-        &self,
-        txns: &TxnManager,
-        snap: &Snapshot,
-        projection: Option<&[usize]>,
-        mut f: impl FnMut(Row),
-    ) {
-        let stripes = self.stripes.read();
-        for s in stripes.iter() {
-            if !stripe_visible(txns, snap, s.xmin) {
-                continue;
-            }
-            for r in 0..s.rows {
-                let row: Row = match projection {
-                    None => s.columns.iter().map(|col| col[r].clone()).collect(),
-                    Some(cols) => {
-                        let mut row =
-                            vec![crate::types::Datum::Null; s.columns.len()];
-                        for &c in cols {
-                            row[c] = s.columns[c][r].clone();
-                        }
-                        row
-                    }
-                };
-                f(row);
-            }
-        }
-    }
-
     /// Walk visible stripes without materialising rows: `f(seq, rows,
-    /// columns)` sees the raw column vectors. This is the batched-execution
-    /// entry point — the executor slices these into `ColumnBatch`es that
-    /// borrow only the columns it was asked for.
+    /// columns)` sees the raw column vectors. This is the store's one read
+    /// primitive: the executor's stripe walk slices these into
+    /// `ColumnBatch`es that borrow only the columns it was asked for, and
+    /// the row copies below are built on it.
     pub fn for_each_visible_stripe(
         &self,
         txns: &TxnManager,
@@ -467,14 +437,16 @@ impl TableStore {
     /// Shard moves and create_distributed_table row migration use this so
     /// columnar shell tables relocate like heap ones.
     pub fn scan_visible_rows(&self, txns: &TxnManager, snap: &Snapshot) -> Vec<Row> {
-        let mut out = Vec::new();
         match self {
             TableStore::Heap(h) => {
-                h.scan_visible(txns, snap, |t| out.push(t.data.clone()))
+                let mut out = Vec::new();
+                h.scan_visible(txns, snap, |t| out.push(t.data.clone()));
+                out
             }
-            TableStore::Columnar(c) => c.scan_visible(txns, snap, None, |r| out.push(r)),
+            TableStore::Columnar(c) => {
+                c.visible_stripe_rows(txns, snap).into_iter().flat_map(|(_, rows)| rows).collect()
+            }
         }
-        out
     }
 
     pub fn live_estimate(&self) -> u64 {
@@ -646,11 +618,13 @@ mod tests {
         tm.commit(x1);
         let snap = tm.snapshot(INVALID_XID);
         let mut rows = Vec::new();
-        col.scan_visible(&tm, &snap, Some(&[0]), |r| rows.push(r));
+        col.for_each_visible_stripe(&tm, &snap, |_, n, columns| {
+            let batch = crate::batch::ColumnBatch::from_stripe(columns, 0, n, &[0]);
+            rows.extend(batch.take_rows(&[0]));
+        });
         assert_eq!(rows, vec![vec![Datum::Int(1), Datum::Null]]);
-        let mut full = Vec::new();
-        col.scan_visible(&tm, &snap, None, |r| full.push(r));
-        assert_eq!(full[0][1], Datum::from_text("a"));
+        let full = col.visible_stripe_rows(&tm, &snap);
+        assert_eq!(full[0].1[0][1], Datum::from_text("a"));
     }
 
     #[test]
@@ -659,13 +633,9 @@ mod tests {
         let col = ColumnarStore::default();
         let x1 = tm.begin();
         col.append(x1, vec![row(1)], 1).unwrap();
-        let mut n = 0;
-        col.scan_visible(&tm, &tm.snapshot(INVALID_XID), None, |_| n += 1);
-        assert_eq!(n, 0);
+        assert!(col.visible_stripe_rows(&tm, &tm.snapshot(INVALID_XID)).is_empty());
         // own snapshot sees it
-        let mut n = 0;
-        col.scan_visible(&tm, &tm.snapshot(x1), None, |_| n += 1);
-        assert_eq!(n, 1);
+        assert_eq!(col.visible_stripe_rows(&tm, &tm.snapshot(x1)), vec![(1, vec![row(1)])]);
     }
 
     #[test]
