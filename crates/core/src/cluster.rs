@@ -810,6 +810,9 @@ pub struct MxSession {
     pending_begin: bool,
     /// Node that executed the last statement (cost attribution).
     last: NodeId,
+    /// The last statement ran on no node (a deferred `BEGIN`, or the end of
+    /// an empty block): its cost record is empty.
+    ran_nowhere: bool,
     /// Statements that ran on a non-coordinator node.
     pub routed: u64,
     /// Statements that escalated to the coordinator.
@@ -837,6 +840,7 @@ impl Cluster {
             pinned: None,
             pending_begin: false,
             last: NodeId(0),
+            ran_nowhere: false,
             routed: 0,
             escalated: 0,
             txn_generation: None,
@@ -893,12 +897,14 @@ impl MxSession {
                 // defer: the transaction starts on whatever node the first
                 // routed statement lands on
                 self.pending_begin = true;
+                self.ran_nowhere = true;
                 return Ok(QueryResult::Empty);
             }
             Statement::Commit | Statement::Rollback => {
                 if self.pending_begin {
                     // empty block: BEGIN was never sent anywhere
                     self.pending_begin = false;
+                    self.ran_nowhere = true;
                     return Ok(QueryResult::Empty);
                 }
                 if matches!(stmt, Statement::Commit) {
@@ -922,6 +928,7 @@ impl MxSession {
                     ));
                 }
                 self.last = node;
+                self.ran_nowhere = false;
                 let (_, sess) = self.sessions.get_mut(&node).expect("live session");
                 // a SerializationFailure here means the engine fenced the
                 // transaction off (force-abort already counted at the
@@ -993,6 +1000,7 @@ impl MxSession {
             }
         }
         self.last = node;
+        self.ran_nowhere = false;
         Ok(result)
     }
 
@@ -1084,11 +1092,11 @@ impl MxSession {
     }
 
     /// Distributed cost of the last statement, as booked on the node that
-    /// executed it.
+    /// executed it; empty when it ran on no node.
     pub fn last_dist_cost(&mut self) -> crate::cost::DistCost {
         match self.sessions.get_mut(&self.last) {
-            Some((_, s)) => s.last_dist_cost(),
-            None => crate::cost::DistCost::default(),
+            Some((_, s)) if !self.ran_nowhere => s.last_dist_cost(),
+            _ => crate::cost::DistCost::default(),
         }
     }
 

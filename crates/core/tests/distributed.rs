@@ -496,6 +496,27 @@ fn rolled_back_copy_leaves_no_rows() {
     assert_eq!(count(&mut s, "SELECT count(*) FROM t"), 0);
 }
 
+/// Demonstrator: a routed session's deferred `BEGIN`, and the end of an
+/// empty block, run on no node, so their cost record is empty rather than
+/// the statement's before them. A COPY that carries the `BEGIN` reports its
+/// own cost.
+#[test]
+fn deferred_begin_reports_an_empty_cost() {
+    let (c, _) = kv_cluster(2);
+    let mut mx = c.mx_session();
+    let empty = citrus::cost::DistCost::default();
+    mx.copy("t", &[], kv_rows(10)).unwrap();
+    assert_ne!(mx.last_dist_cost(), empty, "a COPY costs something");
+    mx.execute("BEGIN").unwrap();
+    assert_eq!(mx.last_dist_cost(), empty, "a deferred BEGIN reported a cost");
+    mx.execute("COMMIT").unwrap();
+    assert_eq!(mx.last_dist_cost(), empty, "an empty block's COMMIT reported a cost");
+    mx.execute("BEGIN").unwrap();
+    mx.copy("t", &[], vec![vec![Datum::Int(10), Datum::Int(1)]]).unwrap();
+    assert_ne!(mx.last_dist_cost(), empty, "a COPY carrying BEGIN reported no cost");
+    mx.execute("ROLLBACK").unwrap();
+}
+
 /// Demonstrator: the metadata change of `create_distributed_table` does not
 /// roll back, so inside a transaction block it refuses a table with rows
 /// (25001) rather than move the rows in a transaction a ROLLBACK undoes.
