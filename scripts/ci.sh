@@ -41,7 +41,15 @@
 #      GROUP BY, count(DISTINCT), SELECT DISTINCT and a folded IN list over
 #      NULL, duplicate, Int/Float, NaN and text-date/timestamp keys equal a
 #      nested-loop evaluation row for row, order included), the
-#      vectorized wall, the replay wall (crates/pgmini/tests/replay.rs: a
+#      vectorized wall (crates/core/tests/executor_vectorized.rs:
+#      vectorized == volcano on every input, kernel-less ones included: two
+#      filters with a function call, which a vectorized engine selects row
+#      by row and books no batches for, and `sum(abs(a))`, whose argument
+#      sends the aggregate to the volcano path), the MX cost demonstrator
+#      (`deferred_begin_reports_an_empty_cost` in
+#      crates/core/tests/distributed.rs: a routed session's deferred BEGIN
+#      and the end of an empty block report an empty cost record, a COPY
+#      carrying the BEGIN its own), the replay wall (crates/pgmini/tests/replay.rs: a
 #      shard copy plus catch-up from random cut points, and a restore, each
 #      equal the source by row id and index probes), rebalancer crash drills
 #      (every live placement carries the shell's indexes), the
