@@ -208,8 +208,8 @@ pub fn split_aggregation(sel: &Select, key: &KeyColumns) -> PgResult<Split> {
         names,
         distinct: sel.distinct,
         order_by: sort,
-        limit: sel.limit.as_ref().and_then(expr_u64).map(row_count),
-        offset: sel.offset.as_ref().and_then(expr_u64).map(row_count),
+        limit: sel.limit.as_ref().map(fold_row_count).transpose()?.map(row_count),
+        offset: sel.offset.as_ref().map(fold_row_count).transpose()?.map(row_count),
     };
     Ok(Split { worker, merge: Merge::GroupAgg(Box::new(finish)) })
 }
@@ -263,8 +263,8 @@ pub fn split_concat(sel: &Select) -> PgResult<Split> {
         };
         sort.push((col, ob.desc));
     }
-    let limit = sel.limit.as_ref().and_then(expr_u64);
-    let offset = sel.offset.as_ref().and_then(expr_u64);
+    let limit = sel.limit.as_ref().map(fold_row_count).transpose()?;
+    let offset = sel.offset.as_ref().map(fold_row_count).transpose()?;
     worker.limit = limit.map(|l| Expr::int((l + offset.unwrap_or(0)) as i64));
     worker.offset = None;
     let merge = Merge::Concat { sort, limit, offset, distinct: sel.distinct, visible, appended };
@@ -276,12 +276,14 @@ fn row_count(n: u64) -> BExpr {
     BExpr::Const(Datum::Int(n as i64))
 }
 
-/// A non-negative integer literal (LIMIT / OFFSET operands).
-pub fn expr_u64(e: &Expr) -> Option<u64> {
-    match e {
-        Expr::Literal(Literal::Int(n)) if *n >= 0 => Some(*n as u64),
-        _ => None,
+/// A LIMIT or OFFSET operand folded to a row count at plan time, as the
+/// finish stage evaluates it. Its subqueries must have run as subplans.
+fn fold_row_count(e: &Expr) -> PgResult<u64> {
+    if e.contains_subquery() {
+        return Err(PgError::unsupported("a subquery in LIMIT or OFFSET of this query"));
     }
+    let bound = bind(e, &RowScope::default())?;
+    Ok(pgmini::exec::row_count(&bound, &EvalCtx::default())? as u64)
 }
 
 fn normal_key(e: &Expr) -> String {

@@ -854,15 +854,12 @@ impl FinishStage {
         }
 
         // OFFSET / LIMIT
-        let row_count = |e: &BExpr| -> PgResult<usize> {
-            Ok(eval(e, &Vec::new(), ctx)?.as_i64()?.max(0) as usize)
-        };
         if let Some(off) = &self.offset {
-            let off = row_count(off)?.min(result_rows.len());
+            let off = row_count(off, ctx)?.min(result_rows.len());
             result_rows.drain(..off);
         }
         if let Some(lim) = &self.limit {
-            result_rows.truncate(row_count(lim)?);
+            result_rows.truncate(row_count(lim, ctx)?);
         }
 
         // hide order-by helper columns
@@ -871,6 +868,12 @@ impl FinishStage {
         }
         Ok((self.names[..self.visible].to_vec(), result_rows))
     }
+}
+
+/// The row count a LIMIT or OFFSET operand, bound over no columns, stands
+/// for: a negative count is zero.
+pub fn row_count(e: &BExpr, ctx: &EvalCtx) -> PgResult<usize> {
+    Ok(eval(e, &Vec::new(), ctx)?.as_i64()?.max(0) as usize)
 }
 
 #[cfg(test)]
