@@ -18,11 +18,11 @@ use super::analysis::{self, judge, judge_select, CoPartitioned, Judgement, Merge
 use super::merge::{is_aggregate_query, split_aggregation, split_concat, Split};
 use super::{bucket_task, DistPlan, Merge, PlannerKind, SubplanExecutor, Task};
 use crate::metadata::{Metadata, NodeId};
-use pgmini::error::{ErrorCode, PgError, PgResult};
-use pgmini::types::Datum;
-use sqlparse::ast::{
-    Expr, Insert, InsertSource, Literal, Select, SelectItem, Statement, TableRef,
-};
+use pgmini::error::{PgError, PgResult};
+use sqlparse::ast::{Expr, Insert, InsertSource, Select, Statement};
+use sqlparse::shape::{self, Nested, VisitMut};
+use std::borrow::Cow;
+use std::ptr;
 
 /// Try to plan a multi-shard statement by pushdown. Assumes all distributed
 /// tables referenced share one colocation group (judged by the caller).
@@ -33,210 +33,104 @@ pub fn try_pushdown(
     subplans: &mut dyn SubplanExecutor,
 ) -> PgResult<Option<DistPlan>> {
     match stmt {
-        Statement::Select(sel) => {
-            let mut resolver = Resolver { meta, subplans, used: false };
-            let sel = resolver.select(sel)?;
-            let used_subplans = resolver.used;
-            match judge_select(&sel, meta) {
-                // subplan resolution may leave only reference tables behind
-                // (e.g. a reference-table query filtered by a distributed
-                // subquery); delegate the remainder to the local replica
-                Judgement::NoDistributedRelation => {
-                    let mut plan = super::reference_read_plan(
-                        &Statement::Select(Box::new(sel)),
-                        meta,
-                        self_node,
-                    )?;
-                    plan.used_subplans = used_subplans;
-                    Ok(Some(plan))
-                }
-                Judgement::CoPartitioned(cp) => {
-                    plan_select(&sel, meta, &cp, used_subplans).map(Some)
-                }
-                // the violation names itself (the "Citus does not support X" UX)
-                Judgement::MustMove(reason) => Err(reason.into()),
-                Judgement::SingleBucket(_) => {
-                    Err(PgError::internal("a SELECT judged on its own pins no bucket"))
-                }
-            }
-        }
-        Statement::Update(_) | Statement::Delete(_) => {
-            let mut resolver = Resolver { meta, subplans, used: false };
-            let stmt = resolver.dml(stmt)?;
-            plan_multi_shard_dml(&stmt, meta, resolver.used).map(Some)
-        }
-        Statement::Insert(ins) => match &ins.source {
-            InsertSource::Values(rows) if rows.len() > 1 => {
-                plan_multi_row_insert(ins, rows.iter().cloned(), meta).map(Some)
-            }
-            _ => Ok(None),
-        },
-        _ => Ok(None),
+        Statement::Select(_) | Statement::Update(_) | Statement::Delete(_) => {}
+        Statement::Insert(ins) if matches!(ins.source, InsertSource::Values(_)) => {}
+        _ => return Ok(None),
     }
+    let (stmt, used_subplans) = resolve(stmt, meta, subplans)?;
+    let plan = match &*stmt {
+        Statement::Select(sel) => match judge_select(sel, meta) {
+            // subplan resolution may leave only reference tables behind
+            // (e.g. a reference-table query filtered by a distributed
+            // subquery); delegate the remainder to the local replica
+            Judgement::NoDistributedRelation => super::reference_read_plan(&stmt, meta, self_node)?,
+            Judgement::CoPartitioned(cp) => plan_select(sel, meta, &cp)?,
+            // the violation names itself (the "Citus does not support X" UX)
+            Judgement::MustMove(reason) => return Err(reason.into()),
+            Judgement::SingleBucket(_) => {
+                return Err(PgError::internal("a SELECT judged on its own pins no bucket"))
+            }
+        },
+        Statement::Insert(ins) => {
+            let InsertSource::Values(rows) = &ins.source else { return Ok(None) };
+            plan_multi_row_insert(ins, rows.iter().cloned(), meta)?
+        }
+        _ => plan_multi_shard_dml(&stmt, meta)?,
+    };
+    Ok(Some(DistPlan { used_subplans, ..plan }))
 }
 
 // ---------------- subplans (intermediate results) ----------------
 
-/// Materialises the subqueries the judgement lists as needing a subplan
-/// ([`analysis::subplans`], [`analysis::where_subplans`]): each runs first as
-/// a distributed query of its own, and its result replaces it as constants
-/// (scalar, IN-list or boolean). Every other subquery stays in place and
-/// runs on the shards.
+/// `stmt` with the subqueries the judgement lists as needing a subplan
+/// materialised ([`analysis::subplans`] for each SELECT level,
+/// [`analysis::dml_subplans`] for a DML statement's own clauses), and whether
+/// any ran. Each runs first as a distributed query of its own, in walk
+/// order, and pgmini's inliner replaces it by its result; every other
+/// subquery stays in place and runs on the shards.
+fn resolve<'s>(
+    stmt: &'s Statement,
+    meta: &Metadata,
+    subplans: &mut dyn SubplanExecutor,
+) -> PgResult<(Cow<'s, Statement>, bool)> {
+    // a DML statement's own clauses are its only level
+    if !matches!(stmt, Statement::Select(_)) && analysis::dml_subplans(stmt, meta).is_empty() {
+        return Ok((Cow::Borrowed(stmt), false));
+    }
+    let mut out = stmt.clone();
+    let needed = match &out {
+        Statement::Select(sel) => analysis::subplans(sel, meta),
+        dml => analysis::dml_subplans(dml, meta),
+    };
+    let needed = needed.into_iter().map(ptr::from_ref).collect();
+    let mut resolver = Resolver { meta, subplans, needed, used: false, error: None };
+    shape::walk_mut(&mut out, &mut resolver);
+    match resolver.error {
+        Some(e) => Err(e),
+        None => Ok((Cow::Owned(out), resolver.used)),
+    }
+}
+
+/// The walk of [`resolve`]. A FROM-subquery is a level of its own and adds
+/// its subplans on the way in; an expression subquery is a subplan or stays,
+/// and is not walked into either way. Subqueries are told apart by address:
+/// the walk moves no `SELECT`, and inlining only drops the ones it ran.
 struct Resolver<'p> {
     meta: &'p Metadata,
     subplans: &'p mut dyn SubplanExecutor,
+    /// The subqueries to run, of every level entered so far.
+    needed: Vec<*const Select>,
     /// Whether any subplan ran.
     used: bool,
+    error: Option<PgError>,
 }
 
-impl Resolver<'_> {
-    /// One level and, recursively, its FROM-subqueries. Subplans run in
-    /// clause order: WHERE, HAVING, the projection, then FROM.
-    fn select(&mut self, sel: &Select) -> PgResult<Select> {
-        let needed = analysis::subplans(sel, self.meta);
-        Ok(Select {
-            where_clause: sel.where_clause.as_ref().map(|w| self.expr(w, &needed)).transpose()?,
-            having: sel.having.as_ref().map(|h| self.expr(h, &needed)).transpose()?,
-            projection: sel
-                .projection
-                .iter()
-                .map(|item| match item {
-                    SelectItem::Expr { expr: e, alias } => {
-                        Ok(SelectItem::Expr { expr: self.expr(e, &needed)?, alias: alias.clone() })
-                    }
-                    other => Ok(other.clone()),
-                })
-                .collect::<PgResult<_>>()?,
-            from: sel.from.iter().map(|f| self.table_ref(f, &needed)).collect::<PgResult<_>>()?,
-            distinct: sel.distinct,
-            group_by: sel.group_by.clone(),
-            order_by: sel.order_by.clone(),
-            limit: sel.limit.clone(),
-            offset: sel.offset.clone(),
-            for_update: sel.for_update,
-        })
-    }
-
-    /// A FROM item: subqueries are levels of their own, ON conditions belong
-    /// to the level whose `needed` list is passed.
-    fn table_ref(&mut self, t: &TableRef, needed: &[&Select]) -> PgResult<TableRef> {
-        Ok(match t {
-            TableRef::Table { .. } => t.clone(),
-            TableRef::Subquery { query, alias } => {
-                TableRef::Subquery { query: Box::new(self.select(query)?), alias: alias.clone() }
+impl VisitMut for Resolver<'_> {
+    fn nested(&mut self, n: Nested<&mut Select, &mut Expr>) -> bool {
+        match n {
+            Nested::From(q) | Nested::Source(q) => {
+                let level = analysis::subplans(q, self.meta);
+                self.needed.extend(level.into_iter().map(ptr::from_ref));
+                true
             }
-            TableRef::Join { left, right, kind, on } => TableRef::Join {
-                left: Box::new(self.table_ref(left, needed)?),
-                right: Box::new(self.table_ref(right, needed)?),
-                kind: *kind,
-                on: on.as_ref().map(|c| self.expr(c, needed)).transpose()?,
-            },
-        })
-    }
-
-    /// An UPDATE or DELETE with its `WHERE` subplans resolved.
-    fn dml(&mut self, stmt: &Statement) -> PgResult<Statement> {
-        Ok(match stmt {
-            Statement::Update(u) => {
-                let mut u2 = (**u).clone();
-                u2.where_clause = self.where_clause(&u.where_clause)?;
-                Statement::Update(Box::new(u2))
-            }
-            Statement::Delete(d) => {
-                let mut d2 = (**d).clone();
-                d2.where_clause = self.where_clause(&d.where_clause)?;
-                Statement::Delete(Box::new(d2))
-            }
-            other => other.clone(),
-        })
-    }
-
-    fn where_clause(&mut self, w: &Option<Expr>) -> PgResult<Option<Expr>> {
-        w.as_ref().map(|w| self.expr(w, &analysis::where_subplans(w, self.meta))).transpose()
-    }
-
-    /// Run an uncorrelated subplan; correlation surfaces as an unresolvable
-    /// column on the workers, reported as the unsupported-feature error Citus
-    /// 9.5 raises for correlated subqueries.
-    fn run(&mut self, sel: &Select) -> PgResult<Vec<pgmini::types::Row>> {
-        self.used = true;
-        self.subplans.run_distributed_subquery(sel).map_err(|e| {
-            if e.code == ErrorCode::UndefinedColumn {
-                PgError::unsupported(format!(
-                    "correlated subqueries are not supported ({})",
-                    e.message
-                ))
-            } else {
-                e
-            }
-        })
-    }
-
-    /// `e` with the subqueries in `needed` replaced by their results.
-    fn expr(&mut self, e: &Expr, needed: &[&Select]) -> PgResult<Expr> {
-        let is_needed = |q: &Select| needed.iter().any(|n| std::ptr::eq(*n, q));
-        Ok(match e {
-            Expr::ScalarSubquery(q) if is_needed(q) => {
-                let rows = self.run(q)?;
-                match rows.len() {
-                    0 => Expr::Literal(Literal::Null),
-                    1 => datum_expr(&rows[0][0]),
-                    _ => {
-                        return Err(PgError::new(
-                            ErrorCode::Syntax,
-                            "more than one row returned by a subquery used as an expression",
-                        ))
+            Nested::Expr(e, clause) => {
+                let Some(q) = e.subquery() else { return false };
+                if self.error.is_none() && self.needed.contains(&ptr::from_ref(q)) {
+                    self.used = true;
+                    let rows = self.subplans.run_distributed_subquery(q);
+                    if let Err(err) = pgmini::plan::inline(e, clause, rows) {
+                        self.error = Some(err);
                     }
                 }
+                false
             }
-            Expr::InSubquery { expr, subquery, negated } if is_needed(subquery) => {
-                let rows = self.run(subquery)?;
-                let inner = self.expr(expr, needed)?;
-                if rows.is_empty() {
-                    Expr::Literal(Literal::Bool(*negated))
-                } else {
-                    Expr::InList {
-                        expr: Box::new(inner),
-                        list: rows.iter().map(|r| datum_expr(&r[0])).collect(),
-                        negated: *negated,
-                    }
-                }
-            }
-            Expr::Exists { subquery, negated } if is_needed(subquery) => {
-                let rows = self.run(subquery)?;
-                Expr::Literal(Literal::Bool((!rows.is_empty()) != *negated))
-            }
-            Expr::Binary { left, op, right } => Expr::Binary {
-                left: Box::new(self.expr(left, needed)?),
-                op: *op,
-                right: Box::new(self.expr(right, needed)?),
-            },
-            Expr::Unary { op, expr } => {
-                Expr::Unary { op: *op, expr: Box::new(self.expr(expr, needed)?) }
-            }
-            other => other.clone(),
-        })
-    }
-}
-
-fn datum_expr(d: &Datum) -> Expr {
-    match d {
-        Datum::Null => Expr::Literal(Literal::Null),
-        Datum::Bool(b) => Expr::Literal(Literal::Bool(*b)),
-        Datum::Int(v) => Expr::Literal(Literal::Int(*v)),
-        Datum::Float(v) => Expr::Literal(Literal::Float(*v)),
-        other => Expr::Literal(Literal::String(other.to_text())),
+        }
     }
 }
 
 // ---------------- SELECT planning ----------------
 
-fn plan_select(
-    sel: &Select,
-    meta: &Metadata,
-    cp: &CoPartitioned,
-    used_subplans: bool,
-) -> PgResult<DistPlan> {
+fn plan_select(sel: &Select, meta: &Metadata, cp: &CoPartitioned) -> PgResult<DistPlan> {
     // anchor table for placements
     let anchor = meta.require_table(&cp.anchor)?.clone();
     // shard pruning from the level's constraints
@@ -248,8 +142,7 @@ fn plan_select(
 
     let read_plan = |split: Split| -> PgResult<DistPlan> {
         let tasks = select_tasks(split.worker, meta, &anchor, &buckets)?;
-        let plan = DistPlan::of(PlannerKind::Pushdown, tasks, split.merge, false);
-        Ok(DistPlan { used_subplans, ..plan })
+        Ok(DistPlan::of(PlannerKind::Pushdown, tasks, split.merge, false))
     };
 
     // Columnar anchors prefer the aggregate split even when the GROUP BY
@@ -282,11 +175,7 @@ fn select_tasks(
 
 // ---------------- multi-shard DML ----------------
 
-fn plan_multi_shard_dml(
-    stmt: &Statement,
-    meta: &Metadata,
-    used_subplans: bool,
-) -> PgResult<DistPlan> {
+fn plan_multi_shard_dml(stmt: &Statement, meta: &Metadata) -> PgResult<DistPlan> {
     let table = match stmt {
         Statement::Update(u) => &u.table,
         Statement::Delete(d) => &d.table,
@@ -301,8 +190,7 @@ fn plan_multi_shard_dml(
     };
     let tasks: PgResult<Vec<Task>> =
         buckets.into_iter().map(|b| bucket_task(meta, &dt, b, stmt, true)).collect();
-    let plan = DistPlan::of(PlannerKind::Pushdown, tasks?, Merge::AffectedSum, true);
-    Ok(DistPlan { used_subplans, ..plan })
+    Ok(DistPlan::of(PlannerKind::Pushdown, tasks?, Merge::AffectedSum, true))
 }
 
 /// One insert per target shard: the rows of a multi-row `VALUES` list, or

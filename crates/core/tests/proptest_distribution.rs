@@ -55,20 +55,50 @@ proptest! {
 
     /// Statement rewriting preserves parseability: rewrite → deparse → parse
     /// never fails, and rewriting with the identity map is the identity.
+    /// A subquery over a second table sits in one clause of the statement:
+    /// both tables are collected, and both are renamed wherever they sit.
     #[test]
     fn rewrite_preserves_parseability(
         table in "[a-z]{1,8}",
+        other in "[a-z]{1,8}",
         col in "[a-z]{1,8}",
         key in any::<i32>(),
+        clause in 0..12usize,
     ) {
-        let sql = format!("SELECT {col} FROM {table} WHERE {col} = {key}");
+        // suffixed, so that no name is a keyword and the two tables differ
+        let (table, other, col) = (format!("{table}_a"), format!("{other}_b"), format!("{col}_c"));
+        let sub = format!("(SELECT max({col}) FROM {other})");
+        let point = format!("SELECT {col} FROM {table} WHERE {col} = {key}");
+        let sql = match clause {
+            0 => format!("SELECT {col}, {sub} FROM {table} WHERE {col} = {key}"),
+            1 => format!("{point} AND {col} IN (SELECT {col} FROM {other})"),
+            2 => format!("{point} GROUP BY {col}, {sub}"),
+            3 => format!("{point} GROUP BY {col} HAVING count(*) > {sub}"),
+            4 => format!("{point} ORDER BY {sub}"),
+            5 => format!("{point} LIMIT {sub}"),
+            6 => format!("{point} OFFSET {sub}"),
+            7 => format!("SELECT {col} FROM {table} JOIN (SELECT {col} AS x FROM {other}) AS s \
+                          ON {col} = s.x"),
+            8 => format!("SELECT l.{col} FROM {table} AS l JOIN {table} AS r ON l.{col} = {sub}"),
+            9 => format!("UPDATE {table} SET {col} = {sub} WHERE {col} = {key}"),
+            10 => format!("INSERT INTO {table} VALUES ({key}, {sub})"),
+            _ => format!("INSERT INTO {table} VALUES ({key}) ON CONFLICT ({col}) \
+                          DO UPDATE SET {col} = {sub}"),
+        };
         let stmt = sqlparse::parse(&sql).unwrap();
+        let tables = rewrite::collect_tables(&stmt);
+        prop_assert!(tables.contains(&table) && tables.contains(&other), "{sql}: {tables:?}");
         let same = rewrite::rewrite_statement(&stmt, &|_| None);
         prop_assert_eq!(&same, &stmt);
         let renamed = rewrite::rewrite_statement(&stmt, &|n| Some(format!("{n}_102008")));
         let text = sqlparse::deparse(&renamed);
-        let expected = format!("{table}_102008");
-        prop_assert!(text.contains(&expected));
+        for name in [&table, &other] {
+            for place in ["FROM", "JOIN", "INTO", "UPDATE"] {
+                let named = text.matches(&format!("{place} {name}")).count();
+                let renamed = text.matches(&format!("{place} {name}_102008")).count();
+                prop_assert_eq!(named, renamed, "{} {} not renamed in {}", place, name, text);
+            }
+        }
         sqlparse::parse(&text).unwrap();
     }
 

@@ -14,7 +14,7 @@
 use crate::catalog::{IndexId, IndexMethod, TableMeta};
 use crate::error::{ErrorCode, PgError, PgResult};
 use crate::exec::{
-    build_select_plan, passes, run_select_plan, scan_table, CtxSubquery, EngineCatalogView,
+    build_select_plan, passes, run_select_plan, scan_table, EngineCatalogView,
     ExecCtx,
 };
 use crate::expr::{bind, eval, BExpr, ColumnRef, RowScope};
@@ -578,19 +578,15 @@ fn log_new_version(
     Ok(())
 }
 
-/// Plan the target scan of an UPDATE/DELETE: the WHERE clause (subqueries
-/// flattened by running them through the select path) bound as the scan's
-/// filter, over an index when one applies.
+/// Plan the target scan of an UPDATE/DELETE: the WHERE clause bound as the
+/// scan's filter, over an index when one applies.
 fn plan_targets(
     ctx: &mut ExecCtx,
     meta: &TableMeta,
     scope: &RowScope,
     where_clause: &Option<Expr>,
 ) -> PgResult<TargetScan> {
-    let filter = where_clause
-        .as_ref()
-        .map(|w| bind(&crate::plan::flatten_for_dml(w, &mut CtxSubquery { ctx })?, scope))
-        .transpose()?;
+    let filter = where_clause.as_ref().map(|w| bind(w, scope)).transpose()?;
     let mut node = PlanNode::SeqScan { table: meta.id, filter, cols: None };
     choose_access_paths(&mut node, &EngineCatalogView { engine: ctx.engine })?;
     match node {

@@ -179,7 +179,7 @@ impl Encoder {
     }
 }
 
-impl shape::Visit for Encoder {
+impl shape::Visit<'_> for Encoder {
     // a statement past the bound is planned as written: stop collecting
     fn byte(&mut self, b: u8) {
         if self.skeleton.len() <= MAX_SKELETON {
@@ -228,6 +228,12 @@ fn plan(ctx: &mut ExecCtx, stmt: &Statement) -> PgResult<StmtPlan> {
 pub fn prepare(ctx: &mut ExecCtx, stmt: &Statement) -> PgResult<Arc<StmtPlan>> {
     let (enc, facts) = Encoder::of(stmt);
     if !cacheable(stmt, &facts, &enc.skeleton) {
+        if facts.nested_select {
+            // subqueries run first and leave their results behind
+            let mut flat = stmt.clone();
+            crate::plan::inline_subqueries(&mut flat, &mut exec::CtxSubquery { ctx })?;
+            return Ok(Arc::new(plan(ctx, &flat)?));
+        }
         return Ok(Arc::new(plan(ctx, stmt)?));
     }
     let engine: &Engine = ctx.engine;

@@ -135,6 +135,36 @@ fn subqueries_in_from_and_where() {
     assert_eq!(r.rows()[0][0], Datum::from_text("globex"));
 }
 
+/// An uncorrelated subquery runs once, before planning, in every clause; an
+/// integer standing for one in ORDER BY or GROUP BY is a constant, no
+/// ordinal, as in PostgreSQL.
+#[test]
+fn subqueries_in_every_clause() {
+    let e = engine_with_orders();
+    let mut s = e.session().unwrap();
+    let three = "(SELECT count(*) FROM customers)";
+    for (sql, expected) in [
+        (format!("SELECT o_id FROM orders ORDER BY {three}, o_id DESC LIMIT 1"), vec![13]),
+        (format!("SELECT c_id, count(*) FROM orders GROUP BY c_id, {three} ORDER BY 1"), vec![1, 2, 3]),
+        (format!("SELECT o_id FROM orders ORDER BY 1 LIMIT {three} - 1 OFFSET {three} - 2"), vec![11, 12]),
+        (format!("SELECT o_id FROM orders WHERE c_id = coalesce({three}, 0)"), vec![13]),
+        (format!("SELECT o_id FROM orders WHERE c_id = 1 AND {three} IN (SELECT c_id FROM orders)"), vec![10, 11]),
+    ] {
+        assert_eq!(ints(&s.execute(&sql).unwrap()), expected, "{sql}");
+    }
+    s.execute(&format!("UPDATE orders SET c_id = {three} WHERE o_id = 10")).unwrap();
+    s.execute(&format!("INSERT INTO orders VALUES ({three} + 11, {three}, 1.0, NULL)")).unwrap();
+    let upsert = "INSERT INTO orders VALUES (14, 1, 0.0, NULL) ON CONFLICT (o_id) DO UPDATE";
+    s.execute(&format!("{upsert} SET c_id = {three} - 1")).unwrap();
+    let r = s.execute("SELECT o_id FROM orders WHERE c_id = 3 ORDER BY 1").unwrap();
+    assert_eq!(ints(&r), vec![10, 13]);
+    let r = s.execute("SELECT c_id FROM orders WHERE o_id = 14").unwrap();
+    assert_eq!(ints(&r), vec![2]);
+    let two = "(SELECT c_id, name FROM customers WHERE c_id = 1)";
+    let e = s.execute(&format!("SELECT o_id FROM orders WHERE c_id = {two}"));
+    assert_eq!(e.unwrap_err().code, ErrorCode::Syntax, "a subquery returns one column");
+}
+
 #[test]
 fn dml_update_delete_with_index() {
     let e = engine_with_orders();

@@ -109,22 +109,6 @@ pub enum TableRef {
 }
 
 impl TableRef {
-    /// Collect the base table names referenced anywhere under this item.
-    pub fn base_tables<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            TableRef::Table { name, .. } => out.push(name),
-            TableRef::Subquery { query, .. } => {
-                for f in &query.from {
-                    f.base_tables(out);
-                }
-            }
-            TableRef::Join { left, right, .. } => {
-                left.base_tables(out);
-                right.base_tables(out);
-            }
-        }
-    }
-
     /// The name this item is visible as (alias, or the table name itself).
     pub fn visible_name(&self) -> Option<&str> {
         match self {
@@ -241,6 +225,26 @@ impl Expr {
                     a.walk(f);
                 }
             }
+        }
+    }
+
+    /// The `SELECT` of a scalar, `IN` or `EXISTS` subquery.
+    pub fn subquery(&self) -> Option<&Select> {
+        match self {
+            Expr::InSubquery { subquery, .. }
+            | Expr::Exists { subquery, .. }
+            | Expr::ScalarSubquery(subquery) => Some(subquery),
+            _ => None,
+        }
+    }
+
+    /// [`Expr::subquery`], to rewrite.
+    pub fn subquery_mut(&mut self) -> Option<&mut Select> {
+        match self {
+            Expr::InSubquery { subquery, .. }
+            | Expr::Exists { subquery, .. }
+            | Expr::ScalarSubquery(subquery) => Some(subquery),
+            _ => None,
         }
     }
 
