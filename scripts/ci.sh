@@ -27,7 +27,18 @@
 #      `SELECT *` body, must match row for row in order), the join-order
 #      merge demonstrator (`join_order_merges_like_one_node` in
 #      crates/core/tests/distributed.rs: seven repartition-join shapes equal
-#      one engine's rows in order), the join-order walls (the brute-force
+#      one engine's rows in order), the one-walk demonstrator
+#      (`every_clause_plans_like_one_node` in the same file: a subquery in
+#      WHERE under a function call, the select list, GROUP BY, ORDER BY,
+#      LIMIT, OFFSET, UPDATE SET, INSERT VALUES or ON CONFLICT SET gives one
+#      engine's rows, count or SQLSTATE, or a 0A000 refusal, never XX000 or
+#      a worker's 42P01) and the shape walk's two proptests
+#      (`bind_params_undoes_lift` in crates/sqlparse/tests/proptest_roundtrip.rs:
+#      binding the walk's literals after `lift` gives back the statement;
+#      `rewrite_preserves_parseability` in
+#      crates/core/tests/proptest_distribution.rs: a subquery over a second
+#      table in any of twelve clauses is collected and renamed), the
+#      join-order walls (the brute-force
 #      referee proptest
 #      `inner_joins_match_the_brute_force_referee` in
 #      crates/pgmini/tests/join_order_referee.rs: generated 3-5-table inner
