@@ -245,8 +245,8 @@ pub(crate) fn missing_param(n: usize) -> PgError {
 }
 
 /// Bind a parsed expression against `scope`. `$n` binds to slot `n - 1`,
-/// valued at evaluation time. Subqueries must have been flattened by the
-/// planner before binding.
+/// valued at evaluation time. Subqueries must have been inlined
+/// ([`crate::plan::inline_subqueries`]) before binding.
 pub fn bind(expr: &Expr, scope: &RowScope) -> PgResult<BExpr> {
     Ok(match expr {
         Expr::Literal(l) => BExpr::Const(literal_datum(l)),
@@ -338,7 +338,7 @@ pub fn bind(expr: &Expr, scope: &RowScope) -> PgResult<BExpr> {
         }
         Expr::InSubquery { .. } | Expr::Exists { .. } | Expr::ScalarSubquery(_) => {
             return Err(PgError::internal(
-                "subquery reached the binder; the planner must flatten subqueries first",
+                "subquery reached the binder; the planner must inline subqueries first",
             ))
         }
     })
