@@ -495,7 +495,6 @@ impl Cluster {
             session,
             in_txn_block: false,
             used_for_writes: false,
-            assigned_groups: Vec::new(),
             fault_scope: scope.to_string(),
             snapshot_token: None,
         })
@@ -517,9 +516,6 @@ pub struct WorkerConn {
     pub in_txn_block: bool,
     /// The remote transaction performed writes (2PC candidate).
     pub used_for_writes: bool,
-    /// Co-located shard groups this connection has accessed in the current
-    /// transaction (placement-connection affinity, §3.6.1).
-    pub assigned_groups: Vec<u32>,
     /// Scope string passed to the fault injector for operations on this
     /// connection (the executor sets it to the current task's shard set;
     /// `""` for unscoped fabric work).

@@ -48,12 +48,6 @@ pub struct ExecutorOutput {
     pub columns: Vec<String>,
     pub rows: Vec<Row>,
     pub affected: u64,
-    pub cost: DistCost,
-    /// Peak virtual connections used on any single node (slow-start stats).
-    pub peak_connections: usize,
-    /// Read-task attempts that failed with a connection error and were
-    /// re-tried (on the same node or a surviving placement).
-    pub retries: u64,
 }
 
 /// Per-(node, slot) key of a pooled connection.
@@ -399,14 +393,7 @@ fn execute_plan_inner(
     }
     state.stmt_cost.add(&cost);
 
-    Ok(ExecutorOutput {
-        columns: merged.columns,
-        rows: merged.rows,
-        affected: merged.affected,
-        cost,
-        peak_connections: schedule.peak_connections,
-        retries: tasks.retries,
-    })
+    Ok(ExecutorOutput { columns: merged.columns, rows: merged.rows, affected: merged.affected })
 }
 
 /// Run phase: execute every task of the plan, one [`TaskOutcome`] per task in
@@ -614,8 +601,6 @@ fn task_span(
 /// Virtual elapsed time of a statement's task phase.
 struct Schedule {
     elapsed_ms: f64,
-    /// Peak virtual connections used on any single node.
-    peak_connections: usize,
     /// `pool` trace spans for slow-start growth, in NodeId order for
     /// determinism; empty unless the statement is traced.
     pools: Vec<Span>,
@@ -639,7 +624,6 @@ fn schedule_nodes(
     let connect_ms = cluster.config.engine.cost.connect_ms;
     let limit = cluster.connection_limit() as usize;
     let mut node_times = Vec::with_capacity(node_durations.len());
-    let mut peak_connections = 0usize;
     let mut grown: Vec<(NodeId, String)> = Vec::new();
     for (node, durations) in node_durations {
         let pooled = state.virtual_lanes.get(node).copied().unwrap_or(1);
@@ -659,7 +643,6 @@ fn schedule_nodes(
             grown.push((*node, format!("{existing}->{lanes}")));
         }
         node_times.push(t);
-        peak_connections = peak_connections.max(lanes);
     }
     grown.sort();
     let pools = grown
@@ -668,7 +651,7 @@ fn schedule_nodes(
             Span::new("pool").with("node", node_label(cluster, node)).with("lanes", lanes)
         })
         .collect();
-    Schedule { elapsed_ms: makespan::cluster_makespan(&node_times), peak_connections, pools }
+    Schedule { elapsed_ms: makespan::cluster_makespan(&node_times), pools }
 }
 
 /// A statement's wire exchanges: what it is charged and what its trace shows.
