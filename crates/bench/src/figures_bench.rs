@@ -294,7 +294,7 @@ fn figure6(p: &Params, threads: usize) -> (String, [f64; 4]) {
             .map(|(_, c)| c.elapsed_ms)
             .collect();
         let nodes = target.data_nodes();
-        let solved = solve_closed_loop(&mean(&samples), &nodes, 16, clients, think_ms);
+        let solved = solve_closed_loop(&mean(&samples), &nodes, clients, think_ms);
         nopm[i] = solved.throughput_per_sec * 60.0 * 0.45;
         rows.push(format!(
             "{{\"setup\": \"{}\", \"sim_data_mb\": {:.1}, \"nopm\": {:.0}, \"vs_pg\": {:.2}, \
@@ -462,7 +462,7 @@ fn figure9(p: &Params, threads: usize) -> (String, [[f64; 2]; 2]) {
                 let _ = driver.run(r);
             }
             let demand = mean(&sample(r, p.twopc_samples, |r| driver.run(r)));
-            let solved = solve_closed_loop(&demand, &target.data_nodes(), 16, clients, 0.0);
+            let solved = solve_closed_loop(&demand, &target.data_nodes(), clients, 0.0);
             tps[i][arm] = solved.throughput_per_sec;
             arms.push(format!(
                 "{{\"tps\": {:.0}, \"resp_ms\": {:.3}, \"net_ms\": {:.3}, \"bottleneck\": \"{}\"}}",
@@ -519,7 +519,7 @@ fn figure10(p: &Params, threads: usize) -> (String, [f64; 4]) {
             let per_node = p.ycsb_samples / nodes.len() as u64;
             samples.extend(sample(runner.as_mut(), per_node, |r| driver.run(r)));
         }
-        let solved = solve_closed_loop(&mean(&samples), &nodes, 16, clients, 0.0);
+        let solved = solve_closed_loop(&mean(&samples), &nodes, clients, 0.0);
         ops[i] = solved.throughput_per_sec;
         rows.push(format!(
             "{{\"setup\": \"{}\", \"sim_data_mb\": {:.2}, \"ops_s\": {:.0}, \"vs_pg\": {:.2}, \

@@ -25,6 +25,7 @@ use citrus::cluster::{Cluster, ClusterConfig};
 use citrus::cost::DistCost;
 use citrus::metadata::NodeId;
 use netsim::mva::{self, Station};
+use pgmini::cost::CORES;
 use pgmini::engine::{Engine, EngineConfig};
 use std::sync::Arc;
 use workloads::runner::{ClusterRunner, LocalRunner, SqlRunner};
@@ -237,12 +238,11 @@ impl Target {
 
 /// Solve the closed-loop model for a mean per-transaction demand.
 ///
-/// Stations: per node a `cores`-core CPU and a disk; network latency and
+/// Stations: per node a [`CORES`]-core CPU and a disk; network latency and
 /// client think time are delays.
 pub fn solve_closed_loop(
     demand: &DistCost,
     nodes: &[u32],
-    cores: u32,
     clients: u32,
     think_ms: f64,
 ) -> mva::MvaResult {
@@ -251,7 +251,7 @@ pub fn solve_closed_loop(
         let (cpu, io) =
             demand.per_node.get(&NodeId(node)).map_or((0.0, 0.0), |c| (c.cpu_ms, c.io_ms));
         if cpu > 0.0 {
-            stations.push(Station::queueing(&format!("cpu{node}"), cpu, cores));
+            stations.push(Station::queueing(&format!("cpu{node}"), cpu, CORES));
         }
         if io > 0.0 {
             stations.push(Station::queueing(&format!("disk{node}"), io, 1));
@@ -300,7 +300,7 @@ mod tests {
         sum.add(&record(&[(2, 2.0, 0.0), (1, 4.0, 3.0)], 1.5, 8.5));
         let d = sum.mean(2);
         assert_eq!(d, record(&[(1, 3.0, 2.0), (2, 1.0, 0.0)], 1.0, 6.0));
-        let r = solve_closed_loop(&d, &[1, 2], 16, 64, 0.0);
+        let r = solve_closed_loop(&d, &[1, 2], 64, 0.0);
         assert!(r.throughput_per_sec > 0.0);
         // disk on node 1 is the bottleneck: 2ms demand, 1 server -> <=500/s
         assert!(r.throughput_per_sec <= 501.0);

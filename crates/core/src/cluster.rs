@@ -704,15 +704,6 @@ impl WorkerConn {
     pub fn session_mut(&mut self) -> &mut Session {
         &mut self.session
     }
-
-    pub fn rtt_ms(&self) -> f64 {
-        self.cluster.config.engine.cost.net_rtt_ms
-    }
-
-    /// Connection-establishment cost in virtual ms (fork + auth).
-    pub fn connect_cost_ms(&self) -> f64 {
-        self.cluster.config.engine.cost.connect_ms
-    }
 }
 
 impl Drop for WorkerConn {

@@ -12,7 +12,7 @@ use crate::executor::SessionState;
 use crate::extension::CitrusExtension;
 use crate::metadata::{Metadata, PartitionMethod};
 use crate::planner::{self, DistPlan, Merge, PlannerKind, Task};
-use pgmini::cost::SimCost;
+use pgmini::cost::{SimCost, CPU_TUPLE_MS, NET_TUPLE_MS};
 use pgmini::error::PgResult;
 use pgmini::session::{QueryResult, Session};
 use pgmini::types::Row;
@@ -80,12 +80,11 @@ pub(crate) fn execute(
     rows: Vec<Row>,
 ) -> PgResult<QueryResult> {
     let cluster = ext.cluster()?;
-    let model = cluster.config.engine.cost;
-    let parse_ms = model.cpu_tuple_ms * 60.0 * rows.len() as f64;
+    let parse_ms = CPU_TUPLE_MS * 60.0 * rows.len() as f64;
     let plan = plan(&cluster.metadata.read_recursive(), table, columns, rows)?;
     let shipped: usize = plan.tasks.iter().filter_map(Task::copy_batch).map(|(_, r)| r.len()).sum();
     state.stmt_cost.add_node(ext.node, &SimCost { cpu_ms: parse_ms, ..SimCost::ZERO });
     state.stmt_cost.elapsed_ms += parse_ms;
-    state.stmt_cost.net_ms += shipped as f64 * model.net_tuple_ms;
+    state.stmt_cost.net_ms += shipped as f64 * NET_TUPLE_MS;
     ext.execute_plan_with_txn(session, state, &plan)
 }

@@ -19,7 +19,7 @@
 
 use super::analysis::KeyColumns;
 use super::{Merge, SortCol};
-use pgmini::cost::{CostModel, SimCost};
+use pgmini::cost::{SimCost, CPU_TUPLE_MS};
 use pgmini::error::{ErrorCode, PgError, PgResult};
 use pgmini::expr::{bind, BExpr, ColumnRef, EvalCtx, RowScope};
 use pgmini::plan::{AggCall, AggKind, AggStage, FinishStage};
@@ -498,7 +498,7 @@ fn concat_rows(results: Vec<QueryResult>) -> (Vec<String>, Vec<Row>) {
 }
 
 /// Combine a statement's task results (in task order) as `merge` prescribes.
-pub fn apply(merge: &Merge, results: Vec<QueryResult>, model: &CostModel) -> PgResult<Merged> {
+pub fn apply(merge: &Merge, results: Vec<QueryResult>) -> PgResult<Merged> {
     let mut out = Merged { columns: Vec::new(), rows: Vec::new(), affected: 0, cpu_ms: 0.0 };
     match merge {
         Merge::PassThrough => match results.into_iter().next() {
@@ -538,14 +538,14 @@ pub fn apply(merge: &Merge, results: Vec<QueryResult>, model: &CostModel) -> PgR
                 limit: limit.map(row_count),
                 offset: offset.map(row_count),
             };
-            (out.columns, out.rows) = finish_rows(&finish, rows, model)?;
-            out.cpu_ms = model.cpu_tuple_ms * rows_in as f64;
+            (out.columns, out.rows) = finish_rows(&finish, rows)?;
+            out.cpu_ms = CPU_TUPLE_MS * rows_in as f64;
         }
         Merge::GroupAgg(finish) => {
             let rows = concat_rows(results).1;
             let rows_in = rows.len();
-            (out.columns, out.rows) = finish_rows(finish, rows, model)?;
-            out.cpu_ms = model.cpu_tuple_ms * (rows_in + out.rows.len()) as f64;
+            (out.columns, out.rows) = finish_rows(finish, rows)?;
+            out.cpu_ms = CPU_TUPLE_MS * (rows_in + out.rows.len()) as f64;
         }
     }
     Ok(out)
@@ -553,12 +553,8 @@ pub fn apply(merge: &Merge, results: Vec<QueryResult>, model: &CostModel) -> PgR
 
 /// Run pgmini's finish stage over task rows. The merge's CPU is charged by
 /// [`apply`]'s own formula, not by the stage's per-step charges.
-fn finish_rows(
-    finish: &FinishStage,
-    rows: Vec<Row>,
-    model: &CostModel,
-) -> PgResult<(Vec<String>, Vec<Row>)> {
-    finish.run(rows, &EvalCtx::default(), &mut SimCost::default(), model)
+fn finish_rows(finish: &FinishStage, rows: Vec<Row>) -> PgResult<(Vec<String>, Vec<Row>)> {
+    finish.run(rows, &EvalCtx::default(), &mut SimCost::default())
 }
 
 #[cfg(test)]
@@ -596,7 +592,7 @@ mod tests {
         let width = rows.first().map_or(0, Vec::len);
         let columns = (0..width).map(|i| format!("c{i}")).collect();
         let results = vec![QueryResult::Rows { columns, rows }];
-        apply(&s.merge, results, &CostModel::default()).unwrap().rows
+        apply(&s.merge, results).unwrap().rows
     }
 
     #[test]
@@ -746,11 +742,10 @@ mod tests {
             rows_of(&["k", "v", "__ord0"], vec![vec![1, 10, 5], vec![2, 20, 9]]),
             rows_of(&["k", "v", "__ord0"], vec![vec![3, 30, 7]]),
         ];
-        let model = CostModel::default();
-        let merged = apply(&merge, results, &model).unwrap();
+        let merged = apply(&merge, results).unwrap();
         assert_eq!(merged.columns, ["k", "v"]);
         assert_eq!(ints(&merged), [[2, 20], [3, 30], [1, 10]]);
-        assert_eq!(merged.cpu_ms, model.cpu_tuple_ms * 3.0, "one tuple charge per worker row");
+        assert_eq!(merged.cpu_ms, CPU_TUPLE_MS * 3.0, "one tuple charge per worker row");
     }
 
     #[test]
@@ -760,17 +755,15 @@ mod tests {
             rows_of(&["k", "__ord0"], vec![vec![2, 100], vec![1, 101]]),
             rows_of(&["k", "__ord0"], vec![vec![2, 102]]),
         ];
-        let model = CostModel::default();
-        let merged = apply(&merge, results, &model).unwrap();
+        let merged = apply(&merge, results).unwrap();
         assert_eq!(ints(&merged), [[1], [2]], "rows differing only in a hidden column collapse");
-        assert_eq!(merged.cpu_ms, model.cpu_tuple_ms * 3.0, "charged before de-duplication");
+        assert_eq!(merged.cpu_ms, CPU_TUPLE_MS * 3.0, "charged before de-duplication");
     }
 
     #[test]
     fn concat_offset_past_the_end_and_limit_zero_return_no_rows() {
         let results =
             || vec![rows_of(&["k"], vec![vec![1], vec![2]]), rows_of(&["k"], vec![vec![3]])];
-        let model = CostModel::default();
         let window = |offset, limit| Merge::Concat {
             sort: Vec::new(),
             limit,
@@ -780,11 +773,11 @@ mod tests {
             appended: 0,
         };
         for (offset, limit) in [(Some(7), None), (None, Some(0)), (Some(3), Some(5))] {
-            let merged = apply(&window(offset, limit), results(), &model).unwrap();
+            let merged = apply(&window(offset, limit), results()).unwrap();
             assert!(merged.rows.is_empty(), "offset {offset:?} limit {limit:?}");
             assert_eq!(merged.columns, ["k"]);
         }
-        let merged = apply(&window(Some(1), Some(1)), results(), &model).unwrap();
+        let merged = apply(&window(Some(1), Some(1)), results()).unwrap();
         assert_eq!(ints(&merged), [[2]], "offset, then limit");
     }
 
@@ -793,7 +786,7 @@ mod tests {
         let merge = concat(vec![(SortCol::Appended(0), false)], false, usize::MAX, 1);
         let results =
             vec![rows_of(&["k", "v", "__ord0"], vec![]), rows_of(&["a", "b", "c"], vec![])];
-        let merged = apply(&merge, results, &CostModel::default()).unwrap();
+        let merged = apply(&merge, results).unwrap();
         assert_eq!(merged.columns, ["k", "v"], "wildcard arity falls back to the column list");
         assert!(merged.rows.is_empty());
         assert_eq!((merged.affected, merged.cpu_ms), (0, 0.0));
@@ -803,14 +796,13 @@ mod tests {
     fn write_merges_count_once_or_sum() {
         // a reference-table write runs on every placement but reports one count
         let results = || vec![QueryResult::Affected(3), QueryResult::Affected(3)];
-        let model = CostModel::default();
-        let first = apply(&Merge::AffectedFirst, results(), &model).unwrap();
-        let sum = apply(&Merge::AffectedSum, results(), &model).unwrap();
+        let first = apply(&Merge::AffectedFirst, results()).unwrap();
+        let sum = apply(&Merge::AffectedSum, results()).unwrap();
         assert_eq!((first.affected, sum.affected), (3, 6));
         assert_eq!((first.cpu_ms, sum.cpu_ms), (0.0, 0.0));
         assert!(first.rows.is_empty() && first.columns.is_empty());
-        assert_eq!(apply(&Merge::AffectedFirst, Vec::new(), &model).unwrap().affected, 0);
-        let passed = apply(&Merge::PassThrough, vec![QueryResult::Affected(4)], &model).unwrap();
+        assert_eq!(apply(&Merge::AffectedFirst, Vec::new()).unwrap().affected, 0);
+        let passed = apply(&Merge::PassThrough, vec![QueryResult::Affected(4)]).unwrap();
         assert_eq!(passed.affected, 4);
     }
 
@@ -821,10 +813,9 @@ mod tests {
             rows_of(&["region", "count"], vec![vec![1, 2], vec![2, 5]]),
             rows_of(&["region", "count"], vec![vec![1, 3]]),
         ];
-        let model = CostModel::default();
-        let merged = apply(&s.merge, results, &model).unwrap();
+        let merged = apply(&s.merge, results).unwrap();
         assert_eq!(ints(&merged), [[1, 5], [2, 5]]);
         assert_eq!(merged.columns, ["region", "count"]);
-        assert_eq!(merged.cpu_ms, model.cpu_tuple_ms * (3.0 + 2.0));
+        assert_eq!(merged.cpu_ms, CPU_TUPLE_MS * (3.0 + 2.0));
     }
 }

@@ -86,7 +86,7 @@ pub fn register_delegated_procedure(
                     .join(", ");
                 let (result, cost) =
                     conn.execute(&format!("SELECT {proc_name}({arg_list})"))?;
-                let rtt = conn.rtt_ms();
+                let rtt = pgmini::cost::NET_RTT_MS;
                 // the worker-side wrapper folded the body's cost into the
                 // remote session cost; attribute it to the owning node
                 let mut dist = crate::cost::DistCost::default();

@@ -22,6 +22,7 @@
 use citrus::cluster::{Cluster, ClusterConfig};
 use citrus::metadata::NodeId;
 use netsim::fault::{FaultKind, FaultOp, FaultPlan, FaultRule};
+use pgmini::cost::{CONNECT_MS, NET_RTT_MS};
 use pgmini::error::ErrorCode;
 use pgmini::session::QueryResult;
 use pgmini::types::Datum;
@@ -539,8 +540,7 @@ fn a_statement_mixing_local_and_remote_writes_is_one_round() {
         let nodes: Vec<u32> = cost.per_node.keys().map(|n| n.0).collect();
         assert_eq!(nodes, [1, 2]);
         // BEGIN's round trip plus the statement's, and one connect
-        let model = c.config.engine.cost;
-        assert_eq!(cost.net_ms, model.connect_ms + 2.0 * model.net_rtt_ms);
+        assert_eq!(cost.net_ms, CONNECT_MS + 2.0 * NET_RTT_MS);
         let trace = c.tracer.last_statement().expect("statement trace recorded");
         assert_eq!(trace.field("wire"), Some("exchange"));
         let where_ran: Vec<(&str, bool)> = trace

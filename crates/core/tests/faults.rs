@@ -5,6 +5,7 @@
 use citrus::cluster::{Cluster, ClusterConfig};
 use citrus::metadata::NodeId;
 use netsim::fault::{FaultKind, FaultOp, FaultPhase, FaultPlan, FaultRule};
+use pgmini::cost::{CONNECT_MS, NET_RTT_MS};
 use pgmini::error::ErrorCode;
 use pgmini::types::Datum;
 use std::sync::Arc;
@@ -407,8 +408,7 @@ fn local_replica_failover_books_one_task_on_the_survivor() {
             "work is booked on the surviving placement only"
         );
         // one connect, the retry's backoff, one statement round trip
-        let model = c.config.engine.cost;
-        assert_eq!(cost.net_ms, model.connect_ms + 10.0 + model.net_rtt_ms);
+        assert_eq!(cost.net_ms, CONNECT_MS + 10.0 + NET_RTT_MS);
         assert_eq!(c.clock.now_micros() - clock_before, 10_000, "backoff on the virtual clock");
         (trace.render(), format!("{:?}", cost.elapsed_ms))
     };

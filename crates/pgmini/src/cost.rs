@@ -9,53 +9,40 @@
 /// Simulated page size, matching PostgreSQL's 8 KiB.
 pub const PAGE_SIZE: u64 = 8192;
 
-/// Cost-model constants, tunable per engine instance.
-#[derive(Debug, Clone, Copy)]
-pub struct CostModel {
-    /// CPU time to process one tuple through one operator (ms).
-    pub cpu_tuple_ms: f64,
-    /// CPU time per operator/expression evaluation step on a tuple (ms).
-    pub cpu_operator_ms: f64,
-    /// CPU time for one B-tree descent (ms).
-    pub index_descend_ms: f64,
-    /// Time to read one 8 KiB page from disk at the configured IOPS (ms).
-    pub page_io_ms: f64,
-    /// CPU time to parse + plan a trivial statement (ms); complex planners
-    /// add their own overhead on top.
-    pub base_plan_ms: f64,
-    /// One network round trip between any two nodes (ms).
-    pub net_rtt_ms: f64,
-    /// Cost to establish a new backend connection: process fork + auth (ms).
-    pub connect_ms: f64,
-    /// Per-tuple cost of sending a row over the wire (ms).
-    pub net_tuple_ms: f64,
-    /// Fixed dispatch cost of one vectorized kernel invocation over a batch
-    /// (ms). Charged once per kernel per batch, independent of batch fill.
-    pub batch_kernel_ms: f64,
-    /// Per-value cost inside a vectorized kernel (ms). Tight loop over a
-    /// column vector: no per-tuple interpreter dispatch, so this sits far
-    /// below `cpu_tuple_ms`.
-    pub batch_value_ms: f64,
-}
+// Cost-model constants. The paper measures one machine shape, so these are
+// fixed: every engine and every benchmark charges the same prices.
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            cpu_tuple_ms: 0.0005,
-            cpu_operator_ms: 0.0001,
-            index_descend_ms: 0.02,
-            // 7500 IOPS network-attached disk, as in the paper's setup.
-            page_io_ms: 1000.0 / 7500.0,
-            base_plan_ms: 0.05,
-            // same-datacenter round trip
-            net_rtt_ms: 0.5,
-            connect_ms: 15.0,
-            net_tuple_ms: 0.0005,
-            batch_kernel_ms: 0.004,
-            batch_value_ms: 0.00002,
-        }
-    }
-}
+/// Simulated CPU cores per node (parallel task streams the node can run at
+/// full speed). The paper's VMs have 16 vcpus.
+pub const CORES: u32 = 16;
+/// Simulated memory per node in bytes (the buffer pool's default capacity).
+/// Paper: 64 GB.
+pub const MEM_BYTES: u64 = 64 * 1024 * 1024 * 1024;
+/// CPU time to process one tuple through one operator (ms).
+pub const CPU_TUPLE_MS: f64 = 0.0005;
+/// CPU time per operator/expression evaluation step on a tuple (ms).
+pub const CPU_OPERATOR_MS: f64 = 0.0001;
+/// CPU time for one B-tree descent (ms).
+pub const INDEX_DESCEND_MS: f64 = 0.02;
+/// Time to read one 8 KiB page from a 7500 IOPS network-attached disk, as
+/// in the paper's setup (ms).
+pub const PAGE_IO_MS: f64 = 1000.0 / 7500.0;
+/// CPU time to parse + plan a trivial statement (ms); complex planners
+/// add their own overhead on top.
+pub const BASE_PLAN_MS: f64 = 0.05;
+/// One same-datacenter network round trip between any two nodes (ms).
+pub const NET_RTT_MS: f64 = 0.5;
+/// Cost to establish a new backend connection: process fork + auth (ms).
+pub const CONNECT_MS: f64 = 15.0;
+/// Per-tuple cost of sending a row over the wire (ms).
+pub const NET_TUPLE_MS: f64 = 0.0005;
+/// Fixed dispatch cost of one vectorized kernel invocation over a batch
+/// (ms). Charged once per kernel per batch, independent of batch fill.
+pub const BATCH_KERNEL_MS: f64 = 0.004;
+/// Per-value cost inside a vectorized kernel (ms). Tight loop over a
+/// column vector: no per-tuple interpreter dispatch, so this sits far
+/// below `CPU_TUPLE_MS`.
+pub const BATCH_VALUE_MS: f64 = 0.00002;
 
 /// Accumulated simulated resource consumption for one statement or task.
 ///
@@ -77,8 +64,6 @@ pub struct SimCost {
     pub page_misses: u64,
     /// Tuples processed by executor operators.
     pub rows_processed: u64,
-    /// Network round trips incurred.
-    pub net_rtts: u64,
     /// Column batches processed by vectorized kernels (0 on the volcano
     /// path); surfaces in EXPLAIN ANALYZE / trace spans as `batches=N`.
     pub batches: u64,
@@ -92,7 +77,6 @@ impl SimCost {
         pages_read: 0,
         page_misses: 0,
         rows_processed: 0,
-        net_rtts: 0,
         batches: 0,
     };
 
@@ -108,7 +92,6 @@ impl SimCost {
         self.pages_read += other.pages_read;
         self.page_misses += other.page_misses;
         self.rows_processed += other.rows_processed;
-        self.net_rtts += other.net_rtts;
         self.batches += other.batches;
     }
 
@@ -116,30 +99,24 @@ impl SimCost {
         self.cpu_ms += ms;
     }
 
-    pub fn add_rtt(&mut self, model: &CostModel, count: u64) {
-        self.net_rtts += count;
-        self.net_ms += model.net_rtt_ms * count as f64;
-    }
-
     /// Account `rows` tuples flowing through one operator.
-    pub fn add_tuples(&mut self, model: &CostModel, rows: u64) {
+    pub fn add_tuples(&mut self, rows: u64) {
         self.rows_processed += rows;
-        self.cpu_ms += model.cpu_tuple_ms * rows as f64;
+        self.cpu_ms += CPU_TUPLE_MS * rows as f64;
     }
 
     /// Account a buffer-pool access of `pages` pages, `misses` of which hit disk.
-    pub fn add_pages(&mut self, model: &CostModel, pages: u64, misses: u64) {
+    pub fn add_pages(&mut self, pages: u64, misses: u64) {
         self.pages_read += pages;
         self.page_misses += misses;
-        self.io_ms += model.page_io_ms * misses as f64;
+        self.io_ms += PAGE_IO_MS * misses as f64;
     }
 
     /// Account `kernels` vectorized kernel invocations touching `values`
     /// vector lanes in total. Deliberately does NOT bump `rows_processed` —
     /// callers account scanned tuples once per scan, not once per kernel.
-    pub fn add_kernels(&mut self, model: &CostModel, kernels: u64, values: u64) {
-        self.cpu_ms +=
-            model.batch_kernel_ms * kernels as f64 + model.batch_value_ms * values as f64;
+    pub fn add_kernels(&mut self, kernels: u64, values: u64) {
+        self.cpu_ms += BATCH_KERNEL_MS * kernels as f64 + BATCH_VALUE_MS * values as f64;
     }
 }
 
@@ -175,15 +152,13 @@ mod tests {
 
     #[test]
     fn cost_accumulation() {
-        let m = CostModel::default();
         let mut c = SimCost::ZERO;
-        c.add_tuples(&m, 1000);
-        c.add_pages(&m, 100, 40);
-        c.add_rtt(&m, 2);
+        c.add_tuples(1000);
+        c.add_pages(100, 40);
+        c.net_ms += 2.0 * NET_RTT_MS;
         assert_eq!(c.rows_processed, 1000);
         assert_eq!(c.pages_read, 100);
         assert_eq!(c.page_misses, 40);
-        assert_eq!(c.net_rtts, 2);
         assert!(c.cpu_ms > 0.0 && c.io_ms > 0.0 && c.net_ms > 0.0);
         let total = c.total_ms();
         assert!((total - (c.cpu_ms + c.io_ms + c.net_ms)).abs() < 1e-9);
@@ -191,7 +166,6 @@ mod tests {
 
     #[test]
     fn default_io_matches_7500_iops() {
-        let m = CostModel::default();
-        assert!((m.page_io_ms - 0.1333).abs() < 0.001);
+        assert!((PAGE_IO_MS - 0.1333).abs() < 0.001);
     }
 }

@@ -12,6 +12,7 @@
 //! committed version before modification (the EvalPlanQual dance).
 
 use crate::catalog::{Column, IndexId, IndexMethod, TableMeta};
+use crate::cost::INDEX_DESCEND_MS;
 use crate::error::{ErrorCode, PgError, PgResult};
 use crate::exec::{
     build_select_plan, passes, run_select_plan, scan_table, EngineCatalogView,
@@ -171,7 +172,7 @@ fn row_exists_with(
         } else {
             b.get_prefix(values)
         };
-        ctx.cost.add_cpu(ctx.engine.config.cost.index_descend_ms);
+        ctx.cost.add_cpu(INDEX_DESCEND_MS);
         for rid in rids {
             let matched = heap.with_visible_version(&ctx.engine.txns, &ctx.snap, rid, |v| {
                 cols.iter()
@@ -196,7 +197,7 @@ fn row_exists_with(
             found = true;
         }
     });
-    ctx.cost.add_tuples(&ctx.engine.config.cost, heap.live_estimate());
+    ctx.cost.add_tuples(heap.live_estimate());
     Ok(found)
 }
 

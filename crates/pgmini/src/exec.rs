@@ -10,7 +10,7 @@ use crate::batch::{
 };
 use crate::buffer::BufferKey;
 use crate::catalog::TableId;
-use crate::cost::{CostModel, SimCost};
+use crate::cost::{SimCost, CPU_TUPLE_MS, INDEX_DESCEND_MS};
 use crate::engine::Engine;
 use crate::error::{PgError, PgResult};
 use crate::expr::{eval, BExpr, EvalCtx};
@@ -38,10 +38,6 @@ impl<'e> ExecCtx<'e> {
     pub fn new(engine: &'e Arc<Engine>, snap: Snapshot, xid: Xid, seed: u64) -> Self {
         let eval_ctx = EvalCtx::new(seed, crate::expr::NOW_MICROS);
         ExecCtx { engine, snap, xid, eval_ctx, cost: SimCost::ZERO }
-    }
-
-    fn model(&self) -> crate::cost::CostModel {
-        self.engine.config.cost
     }
 }
 
@@ -159,11 +155,10 @@ fn scan_columnar(
     consumer_kernels: u64,
     mut consume: impl FnMut(&ColumnBatch<'_>, &[usize], &EvalCtx) -> PgResult<()>,
 ) -> PgResult<()> {
-    let model = ctx.model();
     let all_cols: Vec<usize> = (0..meta.columns.len()).collect();
     let refs: &[usize] = cols.unwrap_or(&all_cols);
     let (pages, misses) = columnar_scan_io(&ctx.engine.buffer, meta, col.live_estimate(), refs);
-    ctx.cost.add_pages(&model, pages, misses);
+    ctx.cost.add_pages(pages, misses);
     let by_kernel = ctx.engine.config.vectorized && filter.as_ref().is_none_or(supports_batch);
     let ectx = &ctx.eval_ctx;
     let mut row: Row = Vec::new();
@@ -204,10 +199,10 @@ fn scan_columnar(
     if by_kernel {
         let kernels_per_batch = 1 + filter.as_ref().map_or(0, kernel_count) + consumer_kernels;
         ctx.cost.batches += batches;
-        ctx.cost.add_kernels(&model, kernels_per_batch * batches, scanned);
+        ctx.cost.add_kernels(kernels_per_batch * batches, scanned);
         ctx.cost.rows_processed += scanned;
     } else {
-        ctx.cost.add_tuples(&model, scanned);
+        ctx.cost.add_tuples(scanned);
     }
     Ok(())
 }
@@ -228,14 +223,13 @@ pub fn scan_table<T>(
 ) -> PgResult<Vec<T>> {
     let meta = ctx.engine.table_meta_by_id(table)?;
     let store = ctx.engine.store(table)?;
-    let model = ctx.model();
     let mut out = Vec::new();
     match index {
         None => match &*store {
             TableStore::Heap(heap) => {
                 let pages = ctx.engine.table_pages(&meta);
                 let misses = ctx.engine.buffer.scan(BufferKey::Table(table.0), pages);
-                ctx.cost.add_pages(&model, pages, misses);
+                ctx.cost.add_pages(pages, misses);
                 let mut scanned = 0u64;
                 let mut err = None;
                 heap.scan_visible(&ctx.engine.txns, &ctx.snap, |t| {
@@ -252,7 +246,7 @@ pub fn scan_table<T>(
                 if let Some(e) = err {
                     return Err(e);
                 }
-                ctx.cost.add_tuples(&model, scanned);
+                ctx.cost.add_tuples(scanned);
             }
             TableStore::Columnar(col) => {
                 scan_columnar(ctx, &meta, col, filter, cols, 0, |batch, sel, _| {
@@ -273,7 +267,7 @@ pub fn scan_table<T>(
                         .map(|v| eval(v, &vec![], &ctx.eval_ctx))
                         .collect::<PgResult<_>>()?;
                     let imeta = ctx.engine.index_meta(iid)?;
-                    ctx.cost.add_cpu(model.index_descend_ms);
+                    ctx.cost.add_cpu(INDEX_DESCEND_MS);
                     // page touches of a B-tree descent: modelled at the
                     // *full-size* index depth (a few levels) rather than the
                     // scaled-down one, so sharded and unsharded layouts pay
@@ -282,7 +276,7 @@ pub fn scan_table<T>(
                     let ipages = (b.len() / 200).max(1);
                     let misses =
                         ctx.engine.buffer.point_read(BufferKey::Index(iid.0), ipages, touched);
-                    ctx.cost.add_pages(&model, touched, misses);
+                    ctx.cost.add_pages(touched, misses);
                     if key.len() == imeta.exprs.len() {
                         b.get_eq(&key)
                     } else {
@@ -298,7 +292,7 @@ pub fn scan_table<T>(
                         .as_ref()
                         .map(|(e, i)| Ok::<_, PgError>((eval(e, &vec![], &ctx.eval_ctx)?, *i)))
                         .transpose()?;
-                    ctx.cost.add_cpu(model.index_descend_ms);
+                    ctx.cost.add_cpu(INDEX_DESCEND_MS);
                     b.range_first_col(
                         lo.as_ref().map(|(d, i)| (d, *i)),
                         hi.as_ref().map(|(d, i)| (d, *i)),
@@ -306,7 +300,7 @@ pub fn scan_table<T>(
                 }
                 (IndexStore::Gin(g), IndexProbe::LikePattern { pattern, .. }) => {
                     let p = eval(pattern, &vec![], &ctx.eval_ctx)?;
-                    ctx.cost.add_cpu(model.index_descend_ms * 3.0);
+                    ctx.cost.add_cpu(INDEX_DESCEND_MS * 3.0);
                     match g.candidates_for_like(&p.to_text()) {
                         Some(ids) => ids,
                         None => {
@@ -330,14 +324,14 @@ pub fn scan_table<T>(
             for row_id in row_ids {
                 let misses =
                     ctx.engine.buffer.point_read(BufferKey::Table(table.0), table_pages, 1);
-                ctx.cost.add_pages(&model, 1, misses);
+                ctx.cost.add_pages(1, misses);
                 let kept =
                     heap.with_visible_version(&ctx.engine.txns, &ctx.snap, row_id, |row| {
                         passes(filter, row, &ctx.eval_ctx)
                             .map(|ok| ok.then(|| keep(row_id, Cow::Borrowed(row))))
                     });
                 if let Some(kept) = kept {
-                    ctx.cost.add_tuples(&model, 1);
+                    ctx.cost.add_tuples(1);
                     out.extend(kept?);
                 }
             }
@@ -356,7 +350,7 @@ pub fn run_plan_node(ctx: &mut ExecCtx, node: &PlanNode) -> PgResult<Vec<Row>> {
             scan_table(ctx, *table, Some((*index, probe)), filter, None, |_, r| r.into_owned())
         }
         PlanNode::Materialized { rows, .. } => {
-            ctx.cost.add_tuples(&ctx.model(), rows.len() as u64);
+            ctx.cost.add_tuples(rows.len() as u64);
             Ok(rows.clone())
         }
         PlanNode::Filter { input, pred } => {
@@ -367,7 +361,7 @@ pub fn run_plan_node(ctx: &mut ExecCtx, node: &PlanNode) -> PgResult<Vec<Row>> {
                     out.push(r);
                 }
             }
-            ctx.cost.add_tuples(&ctx.model(), out.len() as u64);
+            ctx.cost.add_tuples(out.len() as u64);
             Ok(out)
         }
         PlanNode::Join { left, right, kind, hash_keys, on, left_arity, right_arity } => {
@@ -398,7 +392,6 @@ fn join_rows(
     left_arity: usize,
     right_arity: usize,
 ) -> PgResult<Vec<Row>> {
-    let model = ctx.model();
     let mut out = Vec::new();
     let mut pair = PairTest { on, scratch: Vec::new() };
     let right_nulls = vec![Datum::Null; right_arity];
@@ -427,7 +420,7 @@ fn join_rows(
                     }
                 }
             }
-            ctx.cost.add_tuples(&model, rrows.len() as u64);
+            ctx.cost.add_tuples(rrows.len() as u64);
             let mut right_matched = vec![false; rrows.len()];
             for l in &lrows {
                 eval_into(lkeys, l, &ctx.eval_ctx, &mut key)?;
@@ -458,7 +451,7 @@ fn join_rows(
                     }
                 }
             }
-            ctx.cost.add_tuples(&model, lrows.len() as u64 + out.len() as u64);
+            ctx.cost.add_tuples(lrows.len() as u64 + out.len() as u64);
         }
         None => {
             if matches!(kind, JoinKind::Right | JoinKind::Full) {
@@ -480,7 +473,7 @@ fn join_rows(
                 }
             }
             ctx.cost
-                .add_tuples(&model, (lrows.len() * rrows.len().max(1)) as u64);
+                .add_tuples((lrows.len() * rrows.len().max(1)) as u64);
         }
     }
     Ok(out)
@@ -733,14 +726,13 @@ fn try_vectorized_agg(
 
 /// Execute a planned SELECT end to end, returning (column names, rows).
 pub fn run_select_plan(ctx: &mut ExecCtx, plan: &SelectPlan) -> PgResult<(Vec<String>, Vec<Row>)> {
-    let model = ctx.model();
     let finish = &plan.finish;
     // Tier B fused vectorized aggregation, when the shape allows it
     if let (Some(stage), None, true) =
         (&finish.agg, plan.for_update, ctx.engine.config.vectorized)
     {
         if let Some(groups) = try_vectorized_agg(ctx, stage, &plan.input)? {
-            return finish.run_grouped(groups, &ctx.eval_ctx, &mut ctx.cost, &model);
+            return finish.run_grouped(groups, &ctx.eval_ctx, &mut ctx.cost);
         }
     }
     // FOR UPDATE uses the locking scan path
@@ -771,7 +763,7 @@ pub fn run_select_plan(ctx: &mut ExecCtx, plan: &SelectPlan) -> PgResult<(Vec<St
     } else {
         run_plan_node(ctx, &plan.input)?
     };
-    finish.run(input_rows, &ctx.eval_ctx, &mut ctx.cost, &model)
+    finish.run(input_rows, &ctx.eval_ctx, &mut ctx.cost)
 }
 
 impl FinishStage {
@@ -784,7 +776,6 @@ impl FinishStage {
         rows: Vec<Row>,
         ctx: &EvalCtx,
         cost: &mut SimCost,
-        model: &CostModel,
     ) -> PgResult<(Vec<String>, Vec<Row>)> {
         let groups = match &self.agg {
             None => rows,
@@ -801,11 +792,11 @@ impl FinishStage {
                         st.update(arg)?;
                     }
                 }
-                cost.add_tuples(model, rows.len() as u64);
+                cost.add_tuples(rows.len() as u64);
                 groups.finish()
             }
         };
-        self.run_grouped(groups, ctx, cost, model)
+        self.run_grouped(groups, ctx, cost)
     }
 
     /// [`FinishStage::run`] past the aggregate stage, over rows already
@@ -815,7 +806,6 @@ impl FinishStage {
         groups: Vec<Row>,
         ctx: &EvalCtx,
         cost: &mut SimCost,
-        model: &CostModel,
     ) -> PgResult<(Vec<String>, Vec<Row>)> {
         // HAVING
         let mut result_rows = Vec::new();
@@ -827,7 +817,7 @@ impl FinishStage {
                 result_rows.push(projected);
             }
         }
-        cost.add_tuples(model, result_rows.len() as u64);
+        cost.add_tuples(result_rows.len() as u64);
 
         // DISTINCT
         if self.distinct {
@@ -848,7 +838,7 @@ impl FinishStage {
                 std::cmp::Ordering::Equal
             });
             cost.add_cpu(
-                model.cpu_tuple_ms * result_rows.len() as f64
+                CPU_TUPLE_MS * result_rows.len() as f64
                     * (result_rows.len().max(2) as f64).log2(),
             );
         }

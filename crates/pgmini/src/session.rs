@@ -4,7 +4,7 @@
 //! transaction state, routes statements through the extension hooks (the
 //! interception points of §3.1), and accounts simulated cost per statement.
 
-use crate::cost::SimCost;
+use crate::cost::{SimCost, BASE_PLAN_MS};
 use crate::dml;
 use crate::engine::Engine;
 use crate::error::{ErrorCode, PgError, PgResult};
@@ -486,7 +486,7 @@ impl Session {
         };
         let seed = self.id.wrapping_mul(0x9E37_79B9).wrapping_add(self.stmt_counter);
         let mut ctx = ExecCtx::new(&self.engine, snap, xid, seed);
-        ctx.cost.add_cpu(self.engine.config.cost.base_plan_ms);
+        ctx.cost.add_cpu(BASE_PLAN_MS);
         ctx
     }
 
