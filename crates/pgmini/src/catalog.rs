@@ -153,16 +153,24 @@ impl Catalog {
             .iter()
             .position(|c| c.primary_key)
             .map(|i| vec![i]);
+        let positions = |names: &[String]| -> PgResult<Vec<usize>> {
+            names
+                .iter()
+                .map(|name| {
+                    columns
+                        .iter()
+                        .position(|c| &c.name == name)
+                        .ok_or_else(|| PgError::undefined_column(name))
+                })
+                .collect()
+        };
         for con in &stmt.constraints {
-            if let TableConstraint::PrimaryKey(cols) = con {
-                let mut idxs = Vec::new();
-                for name in cols {
-                    let i = columns.iter().position(|c| &c.name == name).ok_or_else(|| {
-                        PgError::undefined_column(name)
-                    })?;
-                    idxs.push(i);
+            match con {
+                TableConstraint::PrimaryKey(cols) => primary_key = Some(positions(cols)?),
+                TableConstraint::Unique(cols) => {
+                    positions(cols)?;
                 }
-                primary_key = Some(idxs);
+                TableConstraint::ForeignKey { .. } => {}
             }
         }
         let storage = match stmt.using.as_deref() {
