@@ -75,6 +75,12 @@ fn propagate_create_index(
     state: &mut SessionState,
     ci: &CreateIndex,
 ) -> PgResult<QueryResult> {
+    if ci.unique {
+        let meta = cluster.metadata.read_recursive();
+        if let Some((column, _)) = meta.table(&ci.table).and_then(|t| t.dist_column.as_ref()) {
+            crate::table_mgmt::check_unique_key(&ci.table, &ci.columns, column)?;
+        }
+    }
     // apply to the local shell first so future shards inherit the index
     session.execute_local(&Statement::CreateIndex(Box::new(ci.clone())))?;
     // propagated DDL is a metadata change: bump the generation so every

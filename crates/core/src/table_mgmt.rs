@@ -16,7 +16,7 @@ use pgmini::error::{ErrorCode, PgError, PgResult};
 use pgmini::session::Session;
 use pgmini::txn::INVALID_XID;
 use pgmini::types::Row;
-use sqlparse::ast::{CreateIndex, CreateTable, Statement, TableConstraint};
+use sqlparse::ast::{CreateIndex, CreateTable, Expr, Statement, TableConstraint};
 use std::sync::Arc;
 
 /// Validate + auto-colocation: pick the colocation group for a new table.
@@ -91,6 +91,12 @@ pub fn create_distributed_table(
             format!("cannot distribute \"{table}\", which has rows, inside a transaction block"),
         ));
     }
+    for iid in &shell.indexes {
+        let index = engine.index_meta(*iid)?;
+        if index.unique {
+            check_unique_key(table, &index.exprs, dist_column)?;
+        }
+    }
     let shard_count = cluster.config.shard_count;
     let (mut colocation_id, align_with) = resolve_colocation(
         cluster,
@@ -134,6 +140,19 @@ pub fn create_distributed_table(
     // move any existing rows into the shards, then empty the shell
     move_existing_rows(cluster, session, table, &shell)?;
     Ok(())
+}
+
+/// Refuse a unique key of a distributed table that does not include its
+/// distribution column as a plain column: each shard could only enforce it
+/// over its own rows. Citus refuses the same keys with the same SQLSTATE.
+pub(crate) fn check_unique_key(table: &str, key: &[Expr], dist_column: &str) -> PgResult<()> {
+    if key.iter().any(|e| matches!(e, Expr::Column { name, .. } if name == dist_column)) {
+        return Ok(());
+    }
+    Err(PgError::unsupported(format!(
+        "cannot create constraint on \"{table}\": distributed relations cannot have UNIQUE \
+         or PRIMARY KEY constraints that do not include the distribution column \"{dist_column}\""
+    )))
 }
 
 /// Per-FK info resolved at validation time.
