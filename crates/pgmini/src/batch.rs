@@ -31,7 +31,7 @@ pub const BATCH_CAPACITY: usize = 1024;
 /// columns the plan references (the projection-pushdown contract,
 /// regression-tested in exec.rs), and borrows the stripe's vector: the only
 /// values cloned out of a stripe are those of the rows that survive the
-/// filter ([`ColumnBatch::take_rows`]).
+/// filter ([`ColumnBatch::gather`]).
 pub struct ColumnBatch<'s> {
     pub len: usize,
     cols: Vec<Option<&'s [Datum]>>,
@@ -67,17 +67,12 @@ impl<'s> ColumnBatch<'s> {
         matches!(self.cols.get(i), Some(Some(_)))
     }
 
-    /// Row `r`'s values in column order, NULL for the columns the batch
-    /// does not expose.
-    pub(crate) fn values(&self, r: usize) -> impl Iterator<Item = Datum> + '_ {
-        self.cols.iter().map(move |c| c.map_or(Datum::Null, |v| v[r].clone()))
-    }
-
-    /// Materialise selected rows back into row form (padding unreferenced
-    /// columns with NULL), for handing off to the volcano operators above
-    /// the scan.
-    pub fn take_rows(&self, sel: &[usize]) -> Vec<crate::types::Row> {
-        sel.iter().map(|&r| self.values(r).collect()).collect()
+    /// Gather row `r` into `row`, reusing its allocation: its values in
+    /// column order, NULL for the columns the batch does not expose. The
+    /// executor's row source lends this row to the operators above the scan.
+    pub fn gather(&self, r: usize, row: &mut crate::types::Row) {
+        row.clear();
+        row.extend(self.cols.iter().map(|c| c.map_or(Datum::Null, |v| v[r].clone())));
     }
 }
 
@@ -586,8 +581,9 @@ mod tests {
         assert!(!batch.has_col(1) && !batch.has_col(2));
         assert!(batch.col(2).is_err());
         // row hand-off pads the untouched columns with NULL
-        let out = batch.take_rows(&[3]);
-        assert_eq!(out, vec![vec![Datum::Int(40), Datum::Null, Datum::Null]]);
+        let mut out = Vec::new();
+        batch.gather(3, &mut out);
+        assert_eq!(out, vec![Datum::Int(40), Datum::Null, Datum::Null]);
     }
 
     /// A node over constants is computed once per batch, and only when a

@@ -617,7 +617,7 @@ impl TargetScan {
     /// re-read under a fresh snapshot once locked, so none is copied here.
     fn run(&self, ctx: &mut ExecCtx, meta: &TableMeta) -> PgResult<Vec<u64>> {
         let index = self.index.as_ref().map(|(id, probe)| (*id, probe));
-        scan_table(ctx, meta.id, index, &self.filter, None, |row_id, _| row_id)
+        scan_table(ctx, meta.id, index, &self.filter)
     }
 }
 

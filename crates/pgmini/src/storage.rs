@@ -118,7 +118,8 @@ impl HeapStore {
         snap: &Snapshot,
         mut f: F,
     ) {
-        let inner = self.inner.read();
+        // recursive: a self-join scans the heap again inside this scan
+        let inner = self.inner.read_recursive();
         for t in &inner.tuples {
             if !t.is_dead() && tuple_visible(txns, snap, t.xmin, t.xmax()) {
                 f(t);
@@ -135,7 +136,8 @@ impl HeapStore {
         row_id: u64,
         f: impl FnOnce(&Row) -> R,
     ) -> Option<R> {
-        let inner = self.inner.read();
+        // recursive: `f` may run a pipeline that reads this heap again
+        let inner = self.inner.read_recursive();
         let slots = inner.versions.get(&row_id)?;
         // newest first: at most one version is visible to a snapshot
         for &slot in slots.iter().rev() {
@@ -385,7 +387,8 @@ impl ColumnarStore {
         snap: &Snapshot,
         mut f: impl FnMut(u64, usize, &[Vec<crate::types::Datum>]),
     ) {
-        let stripes = self.stripes.read();
+        // recursive: a self-join scans the stripes again inside this walk
+        let stripes = self.stripes.read_recursive();
         for s in stripes.iter() {
             if stripe_visible(txns, snap, s.xmin) {
                 f(s.seq, s.rows, &s.columns);
@@ -629,7 +632,9 @@ mod tests {
         let mut rows = Vec::new();
         col.for_each_visible_stripe(&tm, &snap, |_, n, columns| {
             let batch = crate::batch::ColumnBatch::from_stripe(columns, 0, n, &[0]);
-            rows.extend(batch.take_rows(&[0]));
+            let mut row = Vec::new();
+            batch.gather(0, &mut row);
+            rows.push(row);
         });
         assert_eq!(rows, vec![vec![Datum::Int(1), Datum::Null]]);
         let full = col.visible_stripe_rows(&tm, &snap);
