@@ -88,7 +88,15 @@
 #      allocator, its own binary; an update may retain at most 1.2 KB once
 #      vacuumed, a point read copies no text, and the allocation lock: a hash
 #      join whose residual rejects every pair makes under 3 allocations per
-#      probe row, a GROUP BY under 1.2 per input row) and the figure gate. There is no filter to
+#      probe row, a GROUP BY under 1.2 per input row, and over rows that
+#      carry text `a_summed_join_copies_no_outer_row` and
+#      `a_filtered_count_copies_no_row` stay under 0.2 per row: the pipelined
+#      executor copies only build sides and the rows that leave it), the
+#      pipeline's edge tests in crates/pgmini/src/exec.rs (an empty first
+#      join reads nothing after it, RIGHT and FULL joins over an empty outer
+#      side return every inner row, a nested-loop LEFT join over an empty
+#      inner side pads with NULLs, and a self-join, heap and columnar, builds
+#      inside its own probe scan) and the figure gate. There is no filter to
 #      skip one by. The figure gate (crates/bench/tests/figures.rs) runs the
 #      `figures`, `workloads`, `columnar` and `rollup` benches at smoke scale
 #      in-process and requires their reports to equal the five goldens in
@@ -98,7 +106,11 @@
 #      mode-on == mode-off. The fifth golden, BENCH_figures_smoke.json (the
 #      paper's Tables 1-3 and Figures 6-10), re-blesses with
 #      `cargo run --release -p citrus-bench --bin figures_bench -- --smoke`,
-#      the others with `... --bin <name>_bench -- --smoke`
+#      the others with `... --bin <name>_bench -- --smoke`. The benchmark
+#      crate is a package of its own, outside the workspace, so its 17 unit
+#      tests run in a second command (among them
+#      `the_manifest_in_the_repository_is_the_generated_one`: BENCHMARK.json
+#      is what `benchmark --manifest` prints)
 #   3. the whole workspace must compile warning-free, every target included
 #      (tests, examples, binaries and the Criterion files, which no other
 #      step builds)
@@ -131,6 +143,7 @@ cargo build --release
 
 echo "==> [2/4] cargo test -q (whole workspace; sim chaos corpus: ${SIM_SEEDS} seeds)"
 CITRUS_SIM_SEEDS="$SIM_SEEDS" cargo test -q
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "==> [3/4] warnings-as-errors check of every workspace target"
 RUSTFLAGS="-Dwarnings" cargo check --workspace --all-targets
