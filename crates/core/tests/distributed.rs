@@ -848,6 +848,56 @@ fn repartition_join_elapsed_covers_its_temp_table_loads() {
     assert!(cost.elapsed_ms >= floor, "elapsed {} ms < {floor} ms: {cost:?}", cost.elapsed_ms);
 }
 
+/// A temp-table load sends its CREATE TABLE and its COPY in one wire round,
+/// and the statement waits for it: a repartition join pays one round per
+/// load beyond the exchanges its task batches trace, and its elapsed time
+/// holds every load's round trip on top of its subplans' and its own.
+#[test]
+fn a_temp_table_load_is_one_wire_round_on_the_elapsed_path() {
+    use std::sync::atomic::Ordering;
+    let c = small_cluster(4);
+    c.tracer.set_enabled(true);
+    let mut s = c.session().unwrap();
+    s.execute("CREATE TABLE big (k bigint, v bigint)").unwrap();
+    s.execute("CREATE TABLE small_t (v bigint, label text)").unwrap();
+    s.execute("SELECT create_distributed_table('big', 'k')").unwrap();
+    s.execute("SELECT create_distributed_table('small_t', 'v', 'none')").unwrap();
+    let rows = |n: i64, row: fn(i64) -> String| (0..n).map(row).collect::<Vec<_>>().join(", ");
+    s.execute(&format!("INSERT INTO big VALUES {}", rows(100, |i| format!("({i}, {i})"))))
+        .unwrap();
+    s.execute(&format!("INSERT INTO small_t VALUES {}", rows(60, |v| format!("({v}, 'l')"))))
+        .unwrap();
+    let q = "SELECT count(*) FROM big b JOIN small_t s ON b.v = s.v";
+    // each repartition bucket is a temp table of its own on one worker
+    let explain = s.execute(&format!("EXPLAIN (DISTRIBUTED) {q}")).unwrap();
+    let mut temps: Vec<String> = explain
+        .rows()
+        .iter()
+        .flat_map(|r| r[0].to_text().split(' ').map(str::to_string).collect::<Vec<_>>())
+        .filter(|w| w.starts_with("citrus_repart_"))
+        .collect();
+    temps.sort();
+    temps.dedup();
+    let loads = temps.len() as u64;
+    assert!(loads >= 2, "not a repartition join: {:?}", explain.rows());
+
+    s.execute(q).unwrap(); // warm the connection pool: the run below connects nowhere
+    let before = c.metrics.wire_rounds.load(Ordering::Relaxed);
+    assert_eq!(s.execute(q).unwrap().rows()[0][0], Datum::Int(60));
+    let paid = c.metrics.wire_rounds.load(Ordering::Relaxed) - before;
+    let trace = c.tracer.last_statement().expect("statement trace recorded");
+    let exchanges: u64 = trace
+        .find_all("batch")
+        .iter()
+        .map(|b| b.field("exchanges").unwrap().parse::<u64>().unwrap())
+        .sum();
+    assert_eq!(paid, exchanges + loads, "{loads} loads: {}", trace.render());
+    let waits = loads + trace.find_all("subplan").len() as u64 + 1;
+    let floor = waits as f64 * NET_RTT_MS;
+    let cost = s.last_dist_cost();
+    assert!(cost.elapsed_ms >= floor, "elapsed {} ms < {floor} ms: {cost:?}", cost.elapsed_ms);
+}
+
 /// What one statement gave: rows, an affected count, or a SQLSTATE.
 #[derive(Debug, PartialEq)]
 enum Outcome {
