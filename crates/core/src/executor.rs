@@ -1172,15 +1172,19 @@ fn create_and_load(
         constraints: Vec::new(),
         using: None,
     }));
-    let loaded = conn.execute_stmt(&create).and_then(|_| {
-        // moving intermediate results costs network transfer time
-        cost.net_ms += NET_RTT_MS + rows.len() as f64 * NET_TUPLE_MS;
-        conn.copy_rows(&mut WireRound::new(), table, &[], rows)
-    });
+    // the CREATE TABLE and the COPY travel as one wire round, which moves
+    // the intermediate rows: its round trip and their transfer elapse
+    // before the statement's tasks can start
+    let wire_ms = NET_RTT_MS + rows.len() as f64 * NET_TUPLE_MS;
+    let mut round = WireRound::new();
+    let loaded = conn
+        .execute_in(&mut round, &create)
+        .and_then(|_| conn.copy_rows(&mut round, table, &[], rows));
     state.checkin(key, conn, None);
     let (_, remote_cost) = loaded?;
+    cost.net_ms += wire_ms;
     cost.add_node(node, &remote_cost);
-    cost.elapsed_ms += remote_cost.total_ms();
+    cost.elapsed_ms += wire_ms + remote_cost.total_ms();
     state.temp_tables.push((node, table.to_string()));
     Ok(())
 }

@@ -193,7 +193,7 @@ statement{sql=SELECT count(*), sum(v) FROM t tier=Logical Pushdown cache=miss pl
 ";
 
 const TRACE_JOIN_ORDER: &str = "\
-statement{sql=SELECT s.label, count(*) FROM big b JOIN small_t s ON b.v = s.v GROUP BY s.label ORDER BY 1 tier=Logical Join Order cache=miss planning_ms=0.200 tasks=8 subplans=1 wire=exchange rows=4 elapsed_ms=2.898}
+statement{sql=SELECT s.label, count(*) FROM big b JOIN small_t s ON b.v = s.v GROUP BY s.label ORDER BY 1 tier=Logical Join Order cache=miss planning_ms=0.200 tasks=8 subplans=1 wire=exchange rows=4 elapsed_ms=3.902}
   subplan{tier=Logical Pushdown cache=miss planning_ms=0.200 tasks=8 wire=exchange}
     task{index=0 node=worker-1 shards=s102025 service_ms=0.184}
     task{index=1 node=worker-2 shards=s102026 service_ms=0.050}
