@@ -1335,6 +1335,67 @@ fn merged_aggregates_answer_with_select_list_names() {
     assert_eq!(r.rows()[0].len(), 2);
 }
 
+/// Rows under their column names, or a refusal's SQLSTATE and message.
+type Answer = Result<(Vec<String>, Vec<Vec<Datum>>), (&'static str, String)>;
+
+fn answer(r: pgmini::error::PgResult<pgmini::session::QueryResult>) -> Answer {
+    r.map(|q| (q.columns().to_vec(), q.into_rows())).map_err(|e| (e.code.sqlstate(), e.message))
+}
+
+/// The coordinator's partial/final split answers an aggregate query as one
+/// engine does, on a heap and on a columnar anchor: DISTINCT aggregates over
+/// the key combine by their kind (a max of maxima, not a sum), HAVING takes
+/// any predicate over aggregates, ORDER BY may sort by an aggregate outside
+/// the select list, and a misplaced ordinal or a bare column is refused with
+/// one engine's SQLSTATE and message.
+#[test]
+fn aggregate_splits_answer_like_one_node() {
+    let c = small_cluster(2);
+    let mut s = c.session().unwrap();
+    let local = pgmini::engine::Engine::new_default();
+    let mut ls = local.session().unwrap();
+    for (table, using) in [("t", ""), ("col", " USING columnar")] {
+        let ddl = format!("CREATE TABLE {table} (k bigint, v bigint, w text){using}");
+        s.execute(&ddl).unwrap();
+        ls.execute(&ddl).unwrap();
+        s.execute(&format!("SELECT create_distributed_table('{table}', 'k')")).unwrap();
+        let rows: Vec<String> = (1..=40).map(|k| format!("({k}, {}, 'x{}')", k % 3, k % 5)).collect();
+        let insert = format!("INSERT INTO {table} VALUES {}", rows.join(", "));
+        s.execute(&insert).unwrap();
+        ls.execute(&insert).unwrap();
+    }
+    let mut differ = Vec::new();
+    let mut statements = 0;
+    for table in ["t", "col"] {
+        for sql in [
+            "SELECT min(DISTINCT k), max(DISTINCT k), avg(DISTINCT k) FROM {t}",
+            "SELECT count(DISTINCT k), sum(DISTINCT k), avg(k) FROM {t}",
+            "SELECT v, min(DISTINCT k), max(DISTINCT k), avg(DISTINCT k) FROM {t} \
+             GROUP BY v ORDER BY v",
+            "SELECT v, count(*) FROM {t} GROUP BY v HAVING count(*) IN (14, 15) ORDER BY v",
+            "SELECT v, count(*) FROM {t} GROUP BY v HAVING count(*) BETWEEN 12 AND 13 ORDER BY v",
+            "SELECT v, max(w) FROM {t} GROUP BY v HAVING max(w) LIKE 'x4' ORDER BY v",
+            "SELECT v, count(*) FROM {t} GROUP BY v ORDER BY sum(k) DESC",
+            "SELECT v, count(*) FROM {t} GROUP BY 0",
+            "SELECT v, count(*) FROM {t} GROUP BY v ORDER BY 3",
+            "SELECT v, w, count(*) FROM {t} GROUP BY v",
+        ] {
+            let sql = sql.replace("{t}", table);
+            let (dist, one) = (answer(s.execute(&sql)), answer(ls.execute(&sql)));
+            if dist != one {
+                differ.push(format!("{sql}\n  cluster:    {dist:?}\n  one engine: {one:?}"));
+            }
+            statements += 1;
+        }
+    }
+    assert!(
+        differ.is_empty(),
+        "{} of {statements} statements differ:\n{}",
+        differ.len(),
+        differ.join("\n")
+    );
+}
+
 // ---------------- closing a session releases what it pooled ----------------
 
 /// `t(k, v)` distributed on `k` over two workers, rows k = 0..40.
