@@ -18,10 +18,10 @@
 //! §3.8 strategy from the source `SELECT`'s outcome, and the error text of an
 //! unsupported shape is `Reason`'s `Display`.
 
-use super::merge::{group_expr, is_aggregate_query};
 use super::rewrite::select_tables;
 use crate::metadata::{DistTable, Metadata};
 use pgmini::error::PgError;
+use pgmini::plan::{group_expr, is_aggregate_query};
 use pgmini::types::Datum;
 use sqlparse::ast::{
     BinaryOp, Expr, JoinKind, Select, SelectItem, Statement, TableRef,
@@ -158,7 +158,7 @@ impl CoPartitioned {
     /// Why `sel`, a level judged to be this, still needs a coordinator merge.
     pub fn merge_need(&self, sel: &Select) -> Option<MergeNeed> {
         let grouped_by_key =
-            sel.group_by.iter().filter_map(|g| group_expr(sel, g)).any(|g| self.key.holds(g));
+            sel.group_by.iter().filter_map(|g| group_expr(sel, g).ok()).any(|g| self.key.holds(g));
         if is_aggregate_query(sel) && !grouped_by_key {
             Some(MergeNeed::Aggregate)
         } else if sel.limit.is_some() || sel.offset.is_some() || sel.distinct {

@@ -11,11 +11,12 @@
 //! results need to be broadcast or re-partitioned" of §3.5.
 
 use super::analysis::{judge_select, CoPartitioned, Judgement, KeyColumns, MergeNeed, Reason};
-use super::merge::{is_aggregate_query, split_aggregation, split_concat};
+use super::merge::{split_aggregation, split_concat};
 use super::rewrite;
 use super::{bucket_task, DistPlan, PlannerKind, SubplanExecutor, Task};
 use crate::metadata::{Metadata, NodeId};
 use pgmini::error::{PgError, PgResult};
+use pgmini::plan::is_aggregate_query;
 use sqlparse::ast::{Select, SelectItem, Statement, TableRef};
 
 /// Environment the join-order planner needs beyond metadata.

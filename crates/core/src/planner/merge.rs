@@ -8,7 +8,9 @@
 //! include the distribution column: workers produce *partial* aggregates per
 //! shard, and the coordinator combines them, `count → sum of counts`,
 //! `sum → sum`, `min/max → min/max`, `avg → sum/count recomposed at the end`
-//! (the Figure 5 call flow).
+//! (the Figure 5 call flow). The calls workers compute, and what runs over
+//! their combined values, come from pgmini's own aggregate extraction
+//! ([`pgmini::plan::aggregation`]).
 //!
 //! [`apply`] is the single entry point for the merge step: every [`Merge`]
 //! policy — pass-through, DML counts, concatenate, partial-aggregate combine —
@@ -21,14 +23,11 @@ use super::analysis::KeyColumns;
 use super::{Merge, SortCol};
 use pgmini::cost::{SimCost, CPU_TUPLE_MS};
 use pgmini::error::{ErrorCode, PgError, PgResult};
-use pgmini::expr::{bind, BExpr, ColumnRef, EvalCtx, RowScope};
+use pgmini::expr::{bind, BExpr, EvalCtx, RowScope};
 use pgmini::plan::{AggCall, AggKind, AggStage, FinishStage};
 use pgmini::session::QueryResult;
 use pgmini::types::{Datum, Row};
-use sqlparse::ast::{
-    BinaryOp, Expr, FuncCall, Literal, OrderByItem, Select, SelectItem, TypeName,
-};
-use sqlparse::deparse_expr;
+use sqlparse::ast::{Expr, Literal, Select, SelectItem};
 
 /// A SELECT split for a fan-out: the query each task runs, and how the
 /// coordinator finishes the task rows.
@@ -38,176 +37,63 @@ pub struct Split {
     pub merge: Merge,
 }
 
-fn group_ref(i: usize) -> Expr {
-    Expr::Column { table: Some("__g".into()), name: format!("c{i}") }
-}
-
-fn partial_ref(j: usize) -> Expr {
-    Expr::Column { table: Some("__p".into()), name: format!("c{j}") }
-}
-
-/// Is this function call an aggregate?
-fn agg_kind(f: &FuncCall) -> Option<&'static str> {
-    match (f.name.as_str(), f.star) {
-        ("count", _) => Some("count"),
-        ("sum", false) => Some("sum"),
-        ("avg", false) => Some("avg"),
-        ("min", false) => Some("min"),
-        ("max", false) => Some("max"),
-        _ => None,
-    }
-}
-
-/// Does the query aggregate — a GROUP BY, or an aggregate call in the select
-/// list or HAVING? The one test every tier asks.
-pub fn is_aggregate_query(sel: &Select) -> bool {
-    let calls_aggregate = |e: &Expr| {
-        let mut found = false;
-        e.walk(&mut |x| found |= matches!(x, Expr::Func(f) if agg_kind(f).is_some()));
-        found
-    };
-    !sel.group_by.is_empty()
-        || sel.having.as_ref().is_some_and(calls_aggregate)
-        || sel
-            .projection
-            .iter()
-            .any(|p| matches!(p, SelectItem::Expr { expr, .. } if calls_aggregate(expr)))
-}
-
-/// The expression a GROUP BY item stands for: ordinals point into the select
-/// list (`None` when they point outside it).
-pub fn group_expr<'a>(sel: &'a Select, g: &'a Expr) -> Option<&'a Expr> {
-    let Expr::Literal(Literal::Int(n)) = g else { return Some(g) };
-    match (*n as usize).checked_sub(1).and_then(|i| sel.projection.get(i)) {
-        Some(SelectItem::Expr { expr, .. }) => Some(expr),
-        _ => None,
-    }
-}
-
 /// Split a top-level SELECT into a worker partial query and a
-/// [`Merge::GroupAgg`] that combines the partials. `key` names the columns
-/// holding the distribution key at this level (used to validate
-/// `count(DISTINCT ..)`).
+/// [`Merge::GroupAgg`] that combines the partials. Both halves come from
+/// pgmini's one aggregate extraction, with `avg` split into a sum and a
+/// count: workers group and run its calls per shard, and the coordinator
+/// combines each call by its kind (a count or a sum as a sum, a min or a
+/// max as itself), then runs the same HAVING, select list and ORDER BY over
+/// the combined row as one engine. `key` names the columns holding the
+/// distribution key at this level: a DISTINCT call combines only over them,
+/// each value living on one shard.
 pub fn split_aggregation(sel: &Select, key: &KeyColumns) -> PgResult<Split> {
-    // resolve GROUP BY ordinals against the projection
-    let mut group_exprs: Vec<Expr> = Vec::new();
-    for g in &sel.group_by {
-        match group_expr(sel, g) {
-            Some(expr) => group_exprs.push(expr.clone()),
-            None => {
-                return Err(PgError::new(
-                    ErrorCode::Syntax,
-                    format!("GROUP BY position {} is not in the select list", deparse_expr(g)),
-                ))
-            }
-        }
+    if sel.projection.iter().any(|p| !matches!(p, SelectItem::Expr { .. })) {
+        return Err(PgError::unsupported("wildcard in a merged aggregate query"));
     }
-    let group_keys: Vec<String> = group_exprs.iter().map(normal_key).collect();
-
-    // rewrite projection: collect partial aggregate calls
-    let mut partial_items: Vec<(Expr, AggKind)> = Vec::new();
-    let mut partial_keys: Vec<String> = Vec::new();
-    let mut final_exprs: Vec<Expr> = Vec::new();
-    let mut names: Vec<Option<String>> = Vec::new();
-    for item in &sel.projection {
-        let SelectItem::Expr { expr, alias } = item else {
-            return Err(PgError::unsupported("wildcard in a merged aggregate query"));
-        };
-        final_exprs.push(rewrite_to_final(
-            expr,
-            &group_keys,
-            &mut partial_items,
-            &mut partial_keys,
-            key,
-        )?);
-        names.push(alias.clone());
-    }
-    let visible = final_exprs.len();
-    let having = sel
-        .having
-        .as_ref()
-        .map(|h| rewrite_to_final(h, &group_keys, &mut partial_items, &mut partial_keys, key))
-        .transpose()?;
-
-    // ORDER BY → indexes into final projection (appending hidden columns)
-    let mut sort: Vec<(usize, bool)> = Vec::new();
-    for OrderByItem { expr, desc } in &sel.order_by {
-        let idx = match expr {
-            Expr::Literal(Literal::Int(n)) => {
-                (*n as usize).checked_sub(1).filter(|i| *i < visible).ok_or_else(|| {
-                    PgError::new(ErrorCode::Syntax, "ORDER BY position out of range")
-                })?
-            }
-            Expr::Column { table: None, name }
-                if names.iter().any(|a| a.as_deref() == Some(name)) =>
-            {
-                names.iter().position(|a| a.as_deref() == Some(name.as_str())).expect("checked")
-            }
-            other => {
-                let rewritten = rewrite_to_final(
-                    other,
-                    &group_keys,
-                    &mut partial_items,
-                    &mut partial_keys,
-                    key,
-                )?;
-                if let Some(i) = final_exprs.iter().position(|e| e == &rewritten) {
-                    i
-                } else {
-                    final_exprs.push(rewritten);
-                    names.push(None);
-                    final_exprs.len() - 1
-                }
-            }
-        };
-        sort.push((idx, *desc));
+    let agg = pgmini::plan::aggregation(sel, &RowScope::default(), true)?;
+    if agg.calls.iter().any(|c| c.distinct && !c.arg.as_ref().is_some_and(|a| key.holds(a))) {
+        return Err(PgError::unsupported(
+            "DISTINCT aggregates on non-distribution columns require repartitioning",
+        ));
     }
 
-    // build the worker query: group keys then partial aggregates
+    // the worker query: group keys, then one partial per call
     let mut worker = Select::empty();
     worker.from = sel.from.clone();
     worker.where_clause = sel.where_clause.clone();
-    for (i, g) in group_exprs.iter().enumerate() {
-        worker
-            .projection
-            .push(SelectItem::Expr { expr: g.clone(), alias: Some(format!("g{i}")) });
-    }
-    for (j, (p, _)) in partial_items.iter().enumerate() {
-        worker
-            .projection
-            .push(SelectItem::Expr { expr: p.clone(), alias: Some(format!("p{j}")) });
-    }
-    worker.group_by = group_exprs;
+    let groups = agg.groups.iter().enumerate().map(|(i, g)| (g.clone(), format!("g{i}")));
+    let partials = agg.calls.iter().enumerate().map(|(j, c)| (c.to_expr(), format!("p{j}")));
+    worker.projection = groups
+        .chain(partials)
+        .map(|(expr, alias)| SelectItem::Expr { expr, alias: Some(alias) })
+        .collect();
+    worker.group_by = agg.groups;
 
-    // the merge: each partial combines as an aggregate over the task rows;
-    // final expressions see `__g.c{i}` for group key i, then `__p.c{j}` for
-    // combined partial j, the aggregate stage's output row
-    let groups = group_keys.len();
-    let agg = AggStage {
-        group: (0..groups).map(BExpr::Col).collect(),
-        calls: partial_items
-            .iter()
-            .enumerate()
-            .map(|(j, (_, kind))| AggCall {
-                kind: *kind,
-                arg: Some(BExpr::Col(groups + j)),
-                distinct: false,
-            })
-            .collect(),
-    };
-    let mut cols: Vec<ColumnRef> =
-        (0..groups).map(|i| ColumnRef::new(Some("__g"), &format!("c{i}"))).collect();
-    cols.extend((0..partial_items.len()).map(|j| ColumnRef::new(Some("__p"), &format!("c{j}"))));
-    let scope = RowScope { cols };
-    let names = pgmini::plan::derive_output_names(sel);
+    // the merge: an aggregate stage over the task rows, whose output row is
+    // the one the extraction's HAVING, projection and ORDER BY read
+    let groups = worker.group_by.len();
+    let calls = agg
+        .calls
+        .iter()
+        .enumerate()
+        .map(|(j, c)| AggCall {
+            kind: match c.kind {
+                AggKind::CountStar | AggKind::Count | AggKind::Sum => AggKind::Sum,
+                AggKind::Min | AggKind::Max => c.kind,
+                AggKind::Avg => unreachable!("avg is extracted as a sum and a count"),
+            },
+            arg: Some(BExpr::Col(groups + j)),
+            distinct: false,
+        })
+        .collect();
     let finish = FinishStage {
-        agg: Some(agg),
-        having: having.map(|h| bind(&h, &scope)).transpose()?,
-        projection: final_exprs.iter().map(|e| bind(e, &scope)).collect::<PgResult<_>>()?,
-        visible: names.len(),
-        names,
+        agg: Some(AggStage { group: (0..groups).map(BExpr::Col).collect(), calls }),
+        having: agg.having,
+        projection: agg.projection,
+        names: agg.output.names,
+        visible: agg.output.visible,
         distinct: sel.distinct,
-        order_by: sort,
+        order_by: agg.output.order_by,
         limit: sel.limit.as_ref().map(fold_row_count).transpose()?.map(row_count),
         offset: sel.offset.as_ref().map(fold_row_count).transpose()?.map(row_count),
     };
@@ -243,7 +129,12 @@ pub fn split_concat(sel: &Select) -> PgResult<Split> {
                 .checked_sub(1)
                 .filter(|i| *i < visible.min(1 << 20))
                 .map(SortCol::Index)
-                .ok_or_else(|| PgError::new(ErrorCode::Syntax, "ORDER BY position out of range"))?,
+                .ok_or_else(|| {
+                    PgError::new(
+                        ErrorCode::Syntax,
+                        format!("ORDER BY position {n} is not in the select list"),
+                    )
+                })?,
             // plan-time projection positions are only row positions when
             // there is no wildcard to expand between them
             Expr::Column { table: None, name } if !has_wildcard => {
@@ -284,178 +175,6 @@ fn fold_row_count(e: &Expr) -> PgResult<u64> {
     }
     let bound = bind(e, &RowScope::default())?;
     Ok(pgmini::exec::row_count(&bound, &EvalCtx::default())? as u64)
-}
-
-fn normal_key(e: &Expr) -> String {
-    match e {
-        Expr::Column { name, .. } => format!("col:{name}"),
-        other => deparse_expr(other),
-    }
-}
-
-/// Register a partial aggregate item; returns its column index.
-fn push_partial(
-    items: &mut Vec<(Expr, AggKind)>,
-    keys: &mut Vec<String>,
-    expr: Expr,
-    combine: AggKind,
-) -> usize {
-    let key = deparse_expr(&expr);
-    if let Some(i) = keys.iter().position(|k| k == &key) {
-        return i;
-    }
-    items.push((expr, combine));
-    keys.push(key);
-    items.len() - 1
-}
-
-/// Rewrite an expression into the final (merge-side) form, collecting the
-/// partial aggregates the workers must produce.
-fn rewrite_to_final(
-    e: &Expr,
-    group_keys: &[String],
-    partials: &mut Vec<(Expr, AggKind)>,
-    partial_keys: &mut Vec<String>,
-    key: &KeyColumns,
-) -> PgResult<Expr> {
-    if let Some(i) = group_keys.iter().position(|k| k == &normal_key(e)) {
-        return Ok(group_ref(i));
-    }
-    if let Expr::Func(f) = e {
-        if let Some(kind) = agg_kind(f) {
-            if f.distinct {
-                // DISTINCT aggregates only push down when the argument is the
-                // distribution column (each value lives on exactly one shard)
-                if !f.args.first().is_some_and(|arg| key.holds(arg)) {
-                    return Err(PgError::unsupported(
-                        "DISTINCT aggregates on non-distribution columns require repartitioning",
-                    ));
-                }
-                let idx = push_partial(partials, partial_keys, e.clone(), AggKind::Sum);
-                return Ok(partial_ref(idx));
-            }
-            return Ok(match kind {
-                "count" | "sum" => {
-                    let idx = push_partial(partials, partial_keys, e.clone(), AggKind::Sum);
-                    partial_ref(idx)
-                }
-                "min" => {
-                    let idx = push_partial(partials, partial_keys, e.clone(), AggKind::Min);
-                    partial_ref(idx)
-                }
-                "max" => {
-                    let idx = push_partial(partials, partial_keys, e.clone(), AggKind::Max);
-                    partial_ref(idx)
-                }
-                "avg" => {
-                    // avg(x) = sum(x)::float / nullif(count(x), 0)
-                    let arg = f.args[0].clone();
-                    let sum_idx = push_partial(
-                        partials,
-                        partial_keys,
-                        Expr::Func(FuncCall::new("sum", vec![arg.clone()])),
-                        AggKind::Sum,
-                    );
-                    let count_idx = push_partial(
-                        partials,
-                        partial_keys,
-                        Expr::Func(FuncCall::new("count", vec![arg])),
-                        AggKind::Sum,
-                    );
-                    Expr::bin(
-                        Expr::Cast {
-                            expr: Box::new(partial_ref(sum_idx)),
-                            ty: TypeName::Float,
-                        },
-                        BinaryOp::Div,
-                        Expr::Func(FuncCall::new(
-                            "nullif",
-                            vec![partial_ref(count_idx), Expr::int(0)],
-                        )),
-                    )
-                }
-                _ => unreachable!("agg_kind covers these"),
-            });
-        }
-    }
-    // recurse structurally; bare columns that are neither group keys nor
-    // inside aggregates are an error (same rule PostgreSQL enforces)
-    Ok(match e {
-        Expr::Column { .. } => {
-            return Err(PgError::new(
-                ErrorCode::Syntax,
-                format!(
-                    "column {} must appear in the GROUP BY clause or be used in an aggregate",
-                    deparse_expr(e)
-                ),
-            ))
-        }
-        Expr::Literal(_) | Expr::Param(_) => e.clone(),
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(rewrite_to_final(expr, group_keys, partials, partial_keys, key)?),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(rewrite_to_final(left, group_keys, partials, partial_keys, key)?),
-            op: *op,
-            right: Box::new(rewrite_to_final(
-                right,
-                group_keys,
-                partials,
-                partial_keys,
-                key,
-            )?),
-        },
-        Expr::Cast { expr, ty } => Expr::Cast {
-            expr: Box::new(rewrite_to_final(expr, group_keys, partials, partial_keys, key)?),
-            ty: *ty,
-        },
-        Expr::Case { operand, branches, else_result } => Expr::Case {
-            operand: operand
-                .as_ref()
-                .map(|o| {
-                    rewrite_to_final(o, group_keys, partials, partial_keys, key)
-                        .map(Box::new)
-                })
-                .transpose()?,
-            branches: branches
-                .iter()
-                .map(|(w, t)| {
-                    Ok((
-                        rewrite_to_final(w, group_keys, partials, partial_keys, key)?,
-                        rewrite_to_final(t, group_keys, partials, partial_keys, key)?,
-                    ))
-                })
-                .collect::<PgResult<_>>()?,
-            else_result: else_result
-                .as_ref()
-                .map(|x| {
-                    rewrite_to_final(x, group_keys, partials, partial_keys, key)
-                        .map(Box::new)
-                })
-                .transpose()?,
-        },
-        Expr::Func(f) => Expr::Func(FuncCall {
-            name: f.name.clone(),
-            args: f
-                .args
-                .iter()
-                .map(|a| rewrite_to_final(a, group_keys, partials, partial_keys, key))
-                .collect::<PgResult<_>>()?,
-            distinct: f.distinct,
-            star: f.star,
-        }),
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(rewrite_to_final(expr, group_keys, partials, partial_keys, key)?),
-            negated: *negated,
-        },
-        other => {
-            return Err(PgError::unsupported(format!(
-                "expression over aggregates not supported in merge step: {}",
-                deparse_expr(other)
-            )))
-        }
-    })
 }
 
 /// A statement's answer after the coordinator merge step.
@@ -621,6 +340,13 @@ mod tests {
         let out = merge_rows(&s, rows);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0][0], Datum::Float(6.0));
+        // avg(DISTINCT key) splits the same way, DISTINCT kept on both calls
+        let s = split("SELECT avg(DISTINCT w_id) AS a FROM t");
+        let text = deparse(&Statement::Select(Box::new(s.worker.clone())));
+        assert!(text.contains("sum(DISTINCT w_id)"), "{text}");
+        assert!(text.contains("count(DISTINCT w_id)"), "{text}");
+        assert_eq!(partials(&s), vec![AggKind::Sum, AggKind::Sum]);
+        assert_eq!(stage(&s).names, ["a"]);
     }
 
     #[test]
@@ -682,6 +408,14 @@ mod tests {
             panic!()
         };
         assert!(split_aggregation(&sel, &w_id()).is_ok());
+        // each DISTINCT partial combines by its kind: a min of minima, not a sum
+        let s = split("SELECT count(DISTINCT w_id), min(DISTINCT w_id), max(DISTINCT w_id) FROM t");
+        assert_eq!(partials(&s), vec![AggKind::Sum, AggKind::Min, AggKind::Max]);
+        let rows = vec![
+            vec![Datum::Int(2), Datum::Int(3), Datum::Int(8)],
+            vec![Datum::Int(4), Datum::Int(1), Datum::Int(5)],
+        ];
+        assert_eq!(merge_rows(&s, rows), vec![vec![Datum::Int(6), Datum::Int(1), Datum::Int(8)]]);
     }
 
     #[test]
@@ -691,7 +425,9 @@ mod tests {
         else {
             panic!()
         };
-        assert!(split_aggregation(&sel, &KeyColumns::default()).is_err());
+        let err = split_aggregation(&sel, &KeyColumns::default()).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Syntax);
+        assert!(err.message.contains("must appear in the GROUP BY clause"), "{err:?}");
     }
 
     #[test]
@@ -699,6 +435,13 @@ mod tests {
         let s = split("SELECT region, count(*) FROM t GROUP BY 1 ORDER BY 2 DESC");
         assert_eq!(group_cols(&s), 1);
         assert_eq!(stage(&s).order_by, vec![(1, true)]);
+        // an aggregate outside the select list sorts as a hidden column,
+        // its partial after those of the select list and HAVING
+        let s = split(
+            "SELECT region, count(*) FROM t GROUP BY 1 HAVING max(x) IN (1, 2) ORDER BY sum(x)",
+        );
+        assert_eq!(partials(&s), vec![AggKind::Sum, AggKind::Max, AggKind::Sum]);
+        assert_eq!((stage(&s).visible, stage(&s).order_by.clone()), (2, vec![(2, false)]));
     }
 
     #[test]

@@ -133,7 +133,10 @@ pub enum Merge {
     },
     /// Combine partial aggregates: pgmini's finish stage whose aggregate
     /// stage groups the task rows on their leading key columns and combines
-    /// each partial column (see [`merge::split_aggregation`]).
+    /// each partial column by its call's kind (a count or sum as a sum, a
+    /// min or max as itself, DISTINCT or not). Its HAVING, projection and
+    /// ORDER BY are those of pgmini's own aggregate extraction
+    /// ([`pgmini::plan::aggregation`]); see [`merge::split_aggregation`].
     GroupAgg(Box<pgmini::plan::FinishStage>),
     /// Sum DML row counts.
     AffectedSum,

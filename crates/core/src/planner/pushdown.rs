@@ -15,10 +15,11 @@
 //! intermediate results.
 
 use super::analysis::{self, judge, judge_select, CoPartitioned, Judgement, MergeNeed};
-use super::merge::{is_aggregate_query, split_aggregation, split_concat, Split};
+use super::merge::{split_aggregation, split_concat, Split};
 use super::{bucket_task, DistPlan, Merge, PlannerKind, SubplanExecutor, Task};
 use crate::metadata::{Metadata, NodeId};
 use pgmini::error::{PgError, PgResult};
+use pgmini::plan::is_aggregate_query;
 use sqlparse::ast::{Expr, Insert, InsertSource, Select, Statement};
 use sqlparse::shape::{self, Nested, VisitMut};
 use std::borrow::Cow;

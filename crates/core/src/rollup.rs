@@ -1261,8 +1261,7 @@ fn pick_extreme(kind: AggKind, a: Datum, b: Datum) -> Datum {
 /// quiescence.
 fn recount_sql(def: &RollupDef, agg: &AggCol, keys: &[Datum]) -> PgResult<String> {
     let func = match agg.kind {
-        AggKind::Min => "min",
-        AggKind::Max => "max",
+        AggKind::Min | AggKind::Max => agg.kind.name(),
         _ => return Err(PgError::internal("recount is only for min/max")),
     };
     let arg = agg

@@ -47,14 +47,38 @@ impl AggKind {
             _ => return None,
         })
     }
+
+    /// The function a call of this kind names.
+    pub fn name(self) -> &'static str {
+        match self {
+            AggKind::CountStar | AggKind::Count => "count",
+            AggKind::Sum => "sum",
+            AggKind::Avg => "avg",
+            AggKind::Min => "min",
+            AggKind::Max => "max",
+        }
+    }
 }
 
-/// One aggregate call, with its argument bound over the raw input scope.
+/// One aggregate call. Its argument is bound over the raw input scope once
+/// planned; as [`aggregation`] extracts it, it is still an [`Expr`].
 #[derive(Debug, Clone)]
-pub struct AggCall {
+pub struct AggCall<A = BExpr> {
     pub kind: AggKind,
-    pub arg: Option<BExpr>,
+    pub arg: Option<A>,
     pub distinct: bool,
+}
+
+impl AggCall<Expr> {
+    /// The call as SQL.
+    pub fn to_expr(&self) -> Expr {
+        Expr::Func(FuncCall {
+            name: self.kind.name().to_string(),
+            args: self.arg.iter().cloned().collect(),
+            distinct: self.distinct,
+            star: self.kind == AggKind::CountStar,
+        })
+    }
 }
 
 /// How an index is probed.
@@ -253,160 +277,29 @@ pub fn plan_select(
         node = PlanNode::Filter { input: Box::new(node), pred: bound };
     }
 
-    // 3. aggregate extraction
-    let has_agg = sel.projection.iter().any(|p| match p {
-        SelectItem::Expr { expr, .. } => contains_agg(expr),
-        _ => false,
-    }) || sel.having.as_ref().is_some_and(contains_agg)
-        || !sel.group_by.is_empty();
-
-    // resolve GROUP BY ordinals
-    let mut group_exprs: Vec<Expr> = Vec::new();
-    for g in &sel.group_by {
-        match g {
-            Expr::Literal(Literal::Int(n)) => {
-                let idx = (*n as usize).checked_sub(1).ok_or_else(|| {
-                    PgError::new(ErrorCode::Syntax, "GROUP BY position must be >= 1")
-                })?;
-                match sel.projection.get(idx) {
-                    Some(SelectItem::Expr { expr, .. }) => group_exprs.push(expr.clone()),
-                    _ => {
-                        return Err(PgError::new(
-                            ErrorCode::Syntax,
-                            format!("GROUP BY position {n} is not in the select list"),
-                        ))
-                    }
-                }
-            }
-            other => group_exprs.push(other.clone()),
-        }
-    }
-
-    // 4. build projection + names (and order-by hidden columns)
-    let mut out_exprs: Vec<Expr> = Vec::new();
-    let mut names: Vec<String> = Vec::new();
-    for item in &sel.projection {
-        match item {
-            SelectItem::Wildcard => {
-                for c in &written.cols {
-                    out_exprs.push(Expr::Column {
-                        table: c.qualifier.clone(),
-                        name: c.name.clone(),
-                    });
-                    names.push(c.name.clone());
-                }
-            }
-            SelectItem::QualifiedWildcard(q) => {
-                let mut found = false;
-                for c in &written.cols {
-                    if c.qualifier.as_deref() == Some(q.as_str()) {
-                        out_exprs.push(Expr::Column {
-                            table: c.qualifier.clone(),
-                            name: c.name.clone(),
-                        });
-                        names.push(c.name.clone());
-                        found = true;
-                    }
-                }
-                if !found {
-                    return Err(PgError::undefined_table(q));
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                names.push(alias.clone().unwrap_or_else(|| default_name(expr)));
-                out_exprs.push(expr.clone());
-            }
-        }
-    }
-    let visible = out_exprs.len();
-
-    // ORDER BY: resolve ordinals/aliases, add hidden projection columns
-    let mut order_by: Vec<(usize, bool)> = Vec::new();
-    for ob in &sel.order_by {
-        let idx = match &ob.expr {
-            Expr::Literal(Literal::Int(n)) => {
-                let i = (*n as usize).checked_sub(1).filter(|i| *i < visible).ok_or_else(
-                    || {
-                        PgError::new(
-                            ErrorCode::Syntax,
-                            format!("ORDER BY position {n} is not in the select list"),
-                        )
-                    },
-                )?;
-                i
-            }
-            Expr::Column { table: None, name } if names.contains(name) => {
-                names.iter().position(|n| n == name).expect("contains checked")
-            }
-            other => {
-                // reuse an identical projection expression when present
-                if let Some(i) = out_exprs.iter().position(|e| exprs_equal(e, other)) {
-                    i
-                } else {
-                    out_exprs.push(other.clone());
-                    names.push("?order?".to_string());
-                    out_exprs.len() - 1
-                }
-            }
-        };
-        order_by.push((idx, ob.desc));
-    }
-
-    // 5. bind projection/having, splitting around aggregation
-    let (agg, projection, having) = if has_agg {
-        let mut calls: Vec<AggCall> = Vec::new();
-        let mut call_keys: Vec<String> = Vec::new();
-        // rewrite each output expr: aggs → __agg.N, group exprs → __grp.N
-        let group_keys: Vec<String> = group_exprs.iter().map(normal_key).collect();
-        let rewritten: Vec<Expr> = out_exprs
-            .iter()
-            .map(|e| rewrite_agg(e, &group_keys, &mut calls, &mut call_keys, &scope))
-            .collect::<PgResult<_>>()?;
-        let having_rewritten = sel
-            .having
-            .as_ref()
-            .map(|h| rewrite_agg(h, &group_keys, &mut calls, &mut call_keys, &scope))
-            .transpose()?;
-        // post-agg scope: __grp.g0..  then __agg.a0..
-        let mut post_cols: Vec<ColumnRef> = (0..group_exprs.len())
-            .map(|i| ColumnRef::new(Some("__grp"), &format!("g{i}")))
-            .collect();
-        post_cols
-            .extend((0..calls.len()).map(|i| ColumnRef::new(Some("__agg"), &format!("a{i}"))));
-        let post_scope = RowScope { cols: post_cols };
-        let projection: Vec<BExpr> = rewritten
-            .iter()
-            .map(|e| {
-                bind(e, &post_scope).map_err(|err| {
-                    if err.code == ErrorCode::UndefinedColumn {
-                        PgError::new(
-                            ErrorCode::Syntax,
-                            format!(
-                                "column must appear in the GROUP BY clause or be used in \
-                                 an aggregate function ({})",
-                                err.message
-                            ),
-                        )
-                    } else {
-                        err
-                    }
-                })
+    // 3. the select list, over the input rows or around an aggregate stage
+    let (agg, having, projection, output) = if is_aggregate_query(sel) {
+        let a = aggregation(sel, written, false)?;
+        let calls = a
+            .calls
+            .into_iter()
+            .map(|c| {
+                let arg = c.arg.map(|e| bind(&e, &scope)).transpose()?;
+                Ok(AggCall { kind: c.kind, arg, distinct: c.distinct })
             })
             .collect::<PgResult<_>>()?;
-        let having = having_rewritten.map(|h| bind(&h, &post_scope)).transpose()?;
-        let group: Vec<BExpr> =
-            group_exprs.iter().map(|g| bind(g, &scope)).collect::<PgResult<_>>()?;
-        (Some(AggStage { group, calls }), projection, having)
+        let group = a.groups.iter().map(|g| bind(g, &scope)).collect::<PgResult<_>>()?;
+        (Some(AggStage { group, calls }), a.having, a.projection, a.output)
     } else {
         if sel.having.is_some() {
             return Err(PgError::new(ErrorCode::Syntax, "HAVING requires aggregation"));
         }
-        let projection: Vec<BExpr> =
-            out_exprs.iter().map(|e| bind(e, &scope)).collect::<PgResult<_>>()?;
-        (None, projection, None)
+        let (exprs, output) = output_list(sel, written)?;
+        let projection = exprs.iter().map(|e| bind(e, &scope)).collect::<PgResult<_>>()?;
+        (None, None, projection, output)
     };
 
-    // 6. FOR UPDATE target
+    // 4. FOR UPDATE target
     let for_update = if sel.for_update {
         match &sel.from[..] {
             [TableRef::Table { name, .. }] => Some(cat.table_meta(name)?.id),
@@ -424,7 +317,7 @@ pub fn plan_select(
     let limit = sel.limit.as_ref().map(|e| bind(e, &no_columns)).transpose()?;
     let offset = sel.offset.as_ref().map(|e| bind(e, &no_columns)).transpose()?;
 
-    // 7. projection pushdown: record on each base-table scan the set of
+    // 5. projection pushdown: record on each base-table scan the set of
     // columns the query references anywhere. The FOR UPDATE path re-reads
     // whole rows under locks, so it keeps full materialization.
     if for_update.is_none() {
@@ -445,10 +338,10 @@ pub fn plan_select(
             agg,
             having,
             projection,
-            names,
-            visible,
+            names: output.names,
+            visible: output.visible,
             distinct: sel.distinct,
-            order_by,
+            order_by: output.order_by,
             limit,
             offset,
         },
@@ -596,130 +489,283 @@ fn normal_key(e: &Expr) -> String {
     }
 }
 
-fn contains_agg(e: &Expr) -> bool {
-    let mut found = false;
-    e.walk(&mut |x| {
-        if let Expr::Func(f) = x {
-            if AggKind::resolve(&f.name, f.star).is_some() {
-                found = true;
-            }
-        }
-    });
-    found
+/// Does the query aggregate: a GROUP BY, or an aggregate call in the select
+/// list or HAVING? The one test one engine's planner and every distributed
+/// planner tier ask.
+pub fn is_aggregate_query(sel: &Select) -> bool {
+    let calls_aggregate = |e: &Expr| {
+        let mut found = false;
+        e.walk(&mut |x| {
+            found |= matches!(x, Expr::Func(f) if AggKind::resolve(&f.name, f.star).is_some())
+        });
+        found
+    };
+    !sel.group_by.is_empty()
+        || sel.having.as_ref().is_some_and(calls_aggregate)
+        || sel
+            .projection
+            .iter()
+            .any(|p| matches!(p, SelectItem::Expr { expr, .. } if calls_aggregate(expr)))
 }
 
-/// Replace aggregate calls and group-key subtrees with references into the
-/// post-aggregation scope, collecting the aggregate calls.
-fn rewrite_agg(
-    e: &Expr,
-    group_keys: &[String],
-    calls: &mut Vec<AggCall>,
-    call_keys: &mut Vec<String>,
-    raw_scope: &RowScope,
-) -> PgResult<Expr> {
-    // whole expression is a group key?
-    if let Some(i) = group_keys.iter().position(|k| k == &normal_key(e)) {
-        return Ok(Expr::Column { table: Some("__grp".into()), name: format!("g{i}") });
+/// The expression a GROUP BY item stands for: an integer constant is an
+/// ordinal into the select list.
+pub fn group_expr<'a>(sel: &'a Select, g: &'a Expr) -> PgResult<&'a Expr> {
+    let Expr::Literal(Literal::Int(n)) = g else { return Ok(g) };
+    let idx = (*n as usize)
+        .checked_sub(1)
+        .ok_or_else(|| PgError::new(ErrorCode::Syntax, "GROUP BY position must be >= 1"))?;
+    match sel.projection.get(idx) {
+        Some(SelectItem::Expr { expr, .. }) => Ok(expr),
+        _ => Err(PgError::new(
+            ErrorCode::Syntax,
+            format!("GROUP BY position {n} is not in the select list"),
+        )),
     }
-    if let Expr::Func(f) = e {
-        if let Some(kind) = AggKind::resolve(&f.name, f.star) {
-            let key = deparse_expr(e);
-            let idx = if let Some(i) = call_keys.iter().position(|k| k == &key) {
-                i
-            } else {
-                let arg = match kind {
-                    AggKind::CountStar => None,
-                    _ => {
-                        let a = f.args.first().ok_or_else(|| {
-                            PgError::new(ErrorCode::Syntax, "aggregate needs an argument")
-                        })?;
-                        Some(bind(a, raw_scope)?)
+}
+
+/// A select list's output columns and sort order. Its expressions carry
+/// the ORDER BY keys outside the list as hidden trailing columns.
+#[derive(Debug)]
+pub struct Output {
+    pub names: Vec<String>,
+    /// The number of columns the query returns; hidden ones follow.
+    pub visible: usize,
+    /// (column index, descending)
+    pub order_by: Vec<(usize, bool)>,
+}
+
+/// The select list's expressions, wildcards expanded over `written` (the
+/// FROM scope in written order), then ORDER BY resolved: an ordinal or an
+/// output name picks a column, an expression equal to one reuses it, and
+/// any other key becomes a hidden column.
+fn output_list(sel: &Select, written: &RowScope) -> PgResult<(Vec<Expr>, Output)> {
+    let mut exprs: Vec<Expr> = Vec::new();
+    let mut names: Vec<String> = Vec::new();
+    for item in &sel.projection {
+        match item {
+            SelectItem::Wildcard => {
+                for c in &written.cols {
+                    exprs.push(Expr::Column { table: c.qualifier.clone(), name: c.name.clone() });
+                    names.push(c.name.clone());
+                }
+            }
+            SelectItem::QualifiedWildcard(q) => {
+                let mut found = false;
+                for c in &written.cols {
+                    if c.qualifier.as_deref() == Some(q.as_str()) {
+                        exprs.push(Expr::Column {
+                            table: c.qualifier.clone(),
+                            name: c.name.clone(),
+                        });
+                        names.push(c.name.clone());
+                        found = true;
                     }
-                };
-                calls.push(AggCall { kind, arg, distinct: f.distinct });
-                call_keys.push(key);
-                calls.len() - 1
-            };
-            return Ok(Expr::Column { table: Some("__agg".into()), name: format!("a{idx}") });
+                }
+                if !found {
+                    return Err(PgError::undefined_table(q));
+                }
+            }
+            SelectItem::Expr { expr, alias } => {
+                names.push(alias.clone().unwrap_or_else(|| default_name(expr)));
+                exprs.push(expr.clone());
+            }
         }
     }
-    // otherwise recurse structurally
-    Ok(match e {
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(rewrite_agg(expr, group_keys, calls, call_keys, raw_scope)?),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(rewrite_agg(left, group_keys, calls, call_keys, raw_scope)?),
-            op: *op,
-            right: Box::new(rewrite_agg(right, group_keys, calls, call_keys, raw_scope)?),
-        },
-        Expr::Cast { expr, ty } => Expr::Cast {
-            expr: Box::new(rewrite_agg(expr, group_keys, calls, call_keys, raw_scope)?),
-            ty: *ty,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(rewrite_agg(expr, group_keys, calls, call_keys, raw_scope)?),
-            negated: *negated,
-        },
-        Expr::Like { expr, pattern, negated, case_insensitive } => Expr::Like {
-            expr: Box::new(rewrite_agg(expr, group_keys, calls, call_keys, raw_scope)?),
-            pattern: Box::new(rewrite_agg(
-                pattern, group_keys, calls, call_keys, raw_scope,
-            )?),
-            negated: *negated,
-            case_insensitive: *case_insensitive,
-        },
-        Expr::Between { expr, low, high, negated } => Expr::Between {
-            expr: Box::new(rewrite_agg(expr, group_keys, calls, call_keys, raw_scope)?),
-            low: Box::new(rewrite_agg(low, group_keys, calls, call_keys, raw_scope)?),
-            high: Box::new(rewrite_agg(high, group_keys, calls, call_keys, raw_scope)?),
-            negated: *negated,
-        },
-        Expr::InList { expr, list, negated } => Expr::InList {
-            expr: Box::new(rewrite_agg(expr, group_keys, calls, call_keys, raw_scope)?),
-            list: list
-                .iter()
-                .map(|x| rewrite_agg(x, group_keys, calls, call_keys, raw_scope))
-                .collect::<PgResult<_>>()?,
-            negated: *negated,
-        },
-        Expr::Case { operand, branches, else_result } => Expr::Case {
-            operand: operand
-                .as_ref()
-                .map(|o| {
-                    rewrite_agg(o, group_keys, calls, call_keys, raw_scope).map(Box::new)
-                })
-                .transpose()?,
-            branches: branches
-                .iter()
-                .map(|(w, t)| {
-                    Ok((
-                        rewrite_agg(w, group_keys, calls, call_keys, raw_scope)?,
-                        rewrite_agg(t, group_keys, calls, call_keys, raw_scope)?,
-                    ))
-                })
-                .collect::<PgResult<_>>()?,
-            else_result: else_result
-                .as_ref()
-                .map(|x| {
-                    rewrite_agg(x, group_keys, calls, call_keys, raw_scope).map(Box::new)
-                })
-                .transpose()?,
-        },
-        Expr::Func(f) => Expr::Func(FuncCall {
-            name: f.name.clone(),
-            args: f
-                .args
-                .iter()
-                .map(|a| rewrite_agg(a, group_keys, calls, call_keys, raw_scope))
-                .collect::<PgResult<_>>()?,
-            distinct: f.distinct,
-            star: f.star,
-        }),
-        // leaves
-        other => other.clone(),
-    })
+    let visible = exprs.len();
+    let mut order_by: Vec<(usize, bool)> = Vec::new();
+    for ob in &sel.order_by {
+        let idx = match &ob.expr {
+            Expr::Literal(Literal::Int(n)) => {
+                (*n as usize).checked_sub(1).filter(|i| *i < visible).ok_or_else(|| {
+                    PgError::new(
+                        ErrorCode::Syntax,
+                        format!("ORDER BY position {n} is not in the select list"),
+                    )
+                })?
+            }
+            Expr::Column { table: None, name } if names.contains(name) => {
+                names.iter().position(|n| n == name).expect("contains checked")
+            }
+            other => match exprs.iter().position(|e| exprs_equal(e, other)) {
+                Some(i) => i,
+                None => {
+                    exprs.push(other.clone());
+                    names.push("?order?".to_string());
+                    exprs.len() - 1
+                }
+            },
+        };
+        order_by.push((idx, ob.desc));
+    }
+    Ok((exprs, Output { names, visible, order_by }))
+}
+
+/// An aggregate query split around its aggregate stage. This one extraction
+/// plans the query for one engine ([`plan_select`] binds the calls over its
+/// input rows) and for the coordinator's merge (workers compute the calls
+/// per shard, the coordinator combines them). Either way the stages after
+/// the aggregate read one row per group: the group keys, then one column per
+/// call.
+#[derive(Debug)]
+pub struct Aggregation {
+    /// GROUP BY expressions, ordinals resolved.
+    pub groups: Vec<Expr>,
+    /// The distinct aggregate calls, numbered in order of first use: the
+    /// select list, HAVING, then ORDER BY keys outside the select list.
+    pub calls: Vec<AggCall<Expr>>,
+    /// HAVING over the aggregate stage's output row.
+    pub having: Option<BExpr>,
+    /// The select list and hidden ORDER BY keys over the same row.
+    pub projection: Vec<BExpr>,
+    pub output: Output,
+}
+
+/// Extract `sel`'s aggregation (see [`Aggregation`]); `sel` must be an
+/// [`is_aggregate_query`]. With `split_avg`, each `avg(x)` is extracted as
+/// `sum(x)::float / nullif(count(x), 0)`, DISTINCT carried to both calls, so
+/// that every call combines from per-shard partials.
+pub fn aggregation(sel: &Select, written: &RowScope, split_avg: bool) -> PgResult<Aggregation> {
+    let groups: Vec<Expr> =
+        sel.group_by.iter().map(|g| group_expr(sel, g).cloned()).collect::<PgResult<_>>()?;
+    let (exprs, output) = output_list(sel, written)?;
+    let mut ex = Extraction {
+        group_keys: groups.iter().map(normal_key).collect(),
+        calls: Vec::new(),
+        call_keys: Vec::new(),
+        split_avg,
+    };
+    let (listed, hidden) = exprs.split_at(output.visible);
+    let mut rewritten: Vec<Expr> = listed.iter().map(|e| ex.rewrite(e)).collect::<PgResult<_>>()?;
+    let having = sel.having.as_ref().map(|h| ex.rewrite(h)).transpose()?;
+    for e in hidden {
+        rewritten.push(ex.rewrite(e)?);
+    }
+    // the aggregate stage's output row: __grp.g0.. then __agg.a0..
+    let mut cols: Vec<ColumnRef> =
+        (0..groups.len()).map(|i| ColumnRef::new(Some("__grp"), &format!("g{i}"))).collect();
+    cols.extend((0..ex.calls.len()).map(|i| ColumnRef::new(Some("__agg"), &format!("a{i}"))));
+    let post = RowScope { cols };
+    let projection = rewritten
+        .iter()
+        .map(|e| {
+            bind(e, &post).map_err(|err| {
+                if err.code == ErrorCode::UndefinedColumn {
+                    PgError::new(
+                        ErrorCode::Syntax,
+                        format!(
+                            "column must appear in the GROUP BY clause or be used in \
+                             an aggregate function ({})",
+                            err.message
+                        ),
+                    )
+                } else {
+                    err
+                }
+            })
+        })
+        .collect::<PgResult<_>>()?;
+    let having = having.map(|h| bind(&h, &post)).transpose()?;
+    Ok(Aggregation { groups, calls: ex.calls, having, projection, output })
+}
+
+/// The aggregate calls collected while rewriting expressions over an
+/// aggregate stage's output.
+struct Extraction {
+    group_keys: Vec<String>,
+    calls: Vec<AggCall<Expr>>,
+    call_keys: Vec<String>,
+    split_avg: bool,
+}
+
+impl Extraction {
+    /// Replace aggregate calls and group-key subtrees of `e` with references
+    /// into the aggregate stage's output row, collecting the calls.
+    fn rewrite(&mut self, e: &Expr) -> PgResult<Expr> {
+        if let Some(i) = self.group_keys.iter().position(|k| k == &normal_key(e)) {
+            return Ok(Expr::Column { table: Some("__grp".into()), name: format!("g{i}") });
+        }
+        if let Expr::Func(f) = e {
+            if let Some(kind) = AggKind::resolve(&f.name, f.star) {
+                if kind == AggKind::Avg && self.split_avg {
+                    let part = |name: &str| {
+                        let call = FuncCall::new(name, f.args.clone());
+                        Expr::Func(FuncCall { distinct: f.distinct, ..call })
+                    };
+                    let nonzero_count = FuncCall::new("nullif", vec![part("count"), Expr::int(0)]);
+                    return self.rewrite(&Expr::bin(
+                        Expr::Cast { expr: Box::new(part("sum")), ty: TypeName::Float },
+                        BinaryOp::Div,
+                        Expr::Func(nonzero_count),
+                    ));
+                }
+                let key = deparse_expr(e);
+                let idx = match self.call_keys.iter().position(|k| k == &key) {
+                    Some(i) => i,
+                    None => {
+                        let arg = match kind {
+                            AggKind::CountStar => None,
+                            _ => Some(f.args.first().cloned().ok_or_else(|| {
+                                PgError::new(ErrorCode::Syntax, "aggregate needs an argument")
+                            })?),
+                        };
+                        self.calls.push(AggCall { kind, arg, distinct: f.distinct });
+                        self.call_keys.push(key);
+                        self.calls.len() - 1
+                    }
+                };
+                return Ok(Expr::Column { table: Some("__agg".into()), name: format!("a{idx}") });
+            }
+        }
+        // otherwise recurse structurally
+        Ok(match e {
+            Expr::Unary { op, expr } => Expr::Unary { op: *op, expr: self.boxed(expr)? },
+            Expr::Binary { left, op, right } => {
+                Expr::Binary { left: self.boxed(left)?, op: *op, right: self.boxed(right)? }
+            }
+            Expr::Cast { expr, ty } => Expr::Cast { expr: self.boxed(expr)?, ty: *ty },
+            Expr::IsNull { expr, negated } => {
+                Expr::IsNull { expr: self.boxed(expr)?, negated: *negated }
+            }
+            Expr::Like { expr, pattern, negated, case_insensitive } => Expr::Like {
+                expr: self.boxed(expr)?,
+                pattern: self.boxed(pattern)?,
+                negated: *negated,
+                case_insensitive: *case_insensitive,
+            },
+            Expr::Between { expr, low, high, negated } => Expr::Between {
+                expr: self.boxed(expr)?,
+                low: self.boxed(low)?,
+                high: self.boxed(high)?,
+                negated: *negated,
+            },
+            Expr::InList { expr, list, negated } => Expr::InList {
+                expr: self.boxed(expr)?,
+                list: list.iter().map(|x| self.rewrite(x)).collect::<PgResult<_>>()?,
+                negated: *negated,
+            },
+            Expr::Case { operand, branches, else_result } => Expr::Case {
+                operand: operand.as_deref().map(|o| self.boxed(o)).transpose()?,
+                branches: branches
+                    .iter()
+                    .map(|(w, t)| Ok((self.rewrite(w)?, self.rewrite(t)?)))
+                    .collect::<PgResult<_>>()?,
+                else_result: else_result.as_deref().map(|x| self.boxed(x)).transpose()?,
+            },
+            Expr::Func(f) => Expr::Func(FuncCall {
+                name: f.name.clone(),
+                args: f.args.iter().map(|a| self.rewrite(a)).collect::<PgResult<_>>()?,
+                distinct: f.distinct,
+                star: f.star,
+            }),
+            // leaves
+            other => other.clone(),
+        })
+    }
+
+    fn boxed(&mut self, e: &Expr) -> PgResult<Box<Expr>> {
+        self.rewrite(e).map(Box::new)
+    }
 }
 
 /// Replace every expression subquery of `stmt` by its result, inner ones
