@@ -56,14 +56,38 @@ type Op = (u8, i64, i64);
 fn op_sql(op: &Op, index: usize) -> (String, bool /* ordered */, bool /* write */) {
     let (kind, a, b) = *op;
     let key = a.rem_euclid(2 * SEED_ROWS);
-    match kind % 7 {
+    // bands of `v / 50` span shards, so their partial aggregates must combine
+    let low = b.rem_euclid(4);
+    match kind % 10 {
         0 => (format!("INSERT INTO t VALUES ({}, {b})", 100 + index as i64), false, true),
         1 => (format!("UPDATE t SET v = {b} WHERE k = {key}"), false, true),
         2 => (format!("DELETE FROM t WHERE k = {key}"), false, true),
         3 => (format!("SELECT v FROM t WHERE k = {key}"), false, false),
         4 => ("SELECT count(*), sum(v) FROM t".to_string(), false, false),
         5 => ("SELECT v, count(*) AS n FROM t GROUP BY v".to_string(), false, false),
-        _ => ("SELECT k, v FROM t ORDER BY k LIMIT 5".to_string(), true, false),
+        6 => ("SELECT k, v FROM t ORDER BY k LIMIT 5".to_string(), true, false),
+        7 => (
+            "SELECT v / 50, max(DISTINCT k), avg(DISTINCT k) FROM t GROUP BY v / 50".to_string(),
+            false,
+            false,
+        ),
+        8 => (
+            format!(
+                "SELECT v / 50, count(*) FROM t GROUP BY v / 50 \
+                 HAVING count(*) BETWEEN {low} AND {}",
+                low + key % 4
+            ),
+            false,
+            false,
+        ),
+        _ => (
+            format!(
+                "SELECT v / 50, count(*) FROM t GROUP BY v / 50 ORDER BY sum(k), 1 LIMIT {}",
+                1 + low
+            ),
+            true,
+            false,
+        ),
     }
 }
 
@@ -169,7 +193,7 @@ proptest! {
     #[test]
     fn distributed_matches_single_node_oracle(
         seed in any::<u64>(),
-        ops in prop::collection::vec((0..7u8, 0..64i64, -50..50i64), 1..10),
+        ops in prop::collection::vec((0..10u8, 0..64i64, -50..50i64), 1..10),
     ) {
         for threads in [1usize, 8] {
             run_case(threads, seed, &ops)?;
