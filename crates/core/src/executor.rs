@@ -1177,14 +1177,16 @@ fn create_and_load(
     // before the statement's tasks can start
     let wire_ms = NET_RTT_MS + rows.len() as f64 * NET_TUPLE_MS;
     let mut round = WireRound::new();
-    let loaded = conn
-        .execute_in(&mut round, &create)
-        .and_then(|_| conn.copy_rows(&mut round, table, &[], rows));
+    let loaded = conn.execute_in(&mut round, &create).and_then(|(_, create_cost)| {
+        let (_, copy_cost) = conn.copy_rows(&mut round, table, &[], rows)?;
+        Ok((create_cost, copy_cost))
+    });
     state.checkin(key, conn, None);
-    let (_, remote_cost) = loaded?;
+    let (create_cost, copy_cost) = loaded?;
     cost.net_ms += wire_ms;
-    cost.add_node(node, &remote_cost);
-    cost.elapsed_ms += wire_ms + remote_cost.total_ms();
+    cost.add_node(node, &create_cost);
+    cost.add_node(node, &copy_cost);
+    cost.elapsed_ms += wire_ms + create_cost.total_ms() + copy_cost.total_ms();
     state.temp_tables.push((node, table.to_string()));
     Ok(())
 }
