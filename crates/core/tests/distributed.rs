@@ -1344,7 +1344,9 @@ fn answer(r: pgmini::error::PgResult<pgmini::session::QueryResult>) -> Answer {
 
 /// The coordinator's partial/final split answers an aggregate query as one
 /// engine does, on a heap and on a columnar anchor: DISTINCT aggregates over
-/// the key combine by their kind (a max of maxima, not a sum), HAVING takes
+/// the key combine by their kind (a max of maxima, not a sum), a DISTINCT
+/// min or max off the key combines as the plain one (DISTINCT moves no
+/// extreme), HAVING takes
 /// any predicate over aggregates, ORDER BY may sort by an aggregate outside
 /// the select list, and a misplaced ordinal or a bare column is refused with
 /// one engine's SQLSTATE and message.
@@ -1372,6 +1374,8 @@ fn aggregate_splits_answer_like_one_node() {
             "SELECT count(DISTINCT k), sum(DISTINCT k), avg(k) FROM {t}",
             "SELECT v, min(DISTINCT k), max(DISTINCT k), avg(DISTINCT k) FROM {t} \
              GROUP BY v ORDER BY v",
+            "SELECT max(DISTINCT w), min(DISTINCT v) FROM {t}",
+            "SELECT v, min(DISTINCT w), max(DISTINCT w) FROM {t} GROUP BY v ORDER BY v",
             "SELECT v, count(*) FROM {t} GROUP BY v HAVING count(*) IN (14, 15) ORDER BY v",
             "SELECT v, count(*) FROM {t} GROUP BY v HAVING count(*) BETWEEN 12 AND 13 ORDER BY v",
             "SELECT v, max(w) FROM {t} GROUP BY v HAVING max(w) LIKE 'x4' ORDER BY v",
