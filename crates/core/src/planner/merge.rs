@@ -44,14 +44,21 @@ pub struct Split {
 /// combines each call by its kind (a count or a sum as a sum, a min or a
 /// max as itself), then runs the same HAVING, select list and ORDER BY over
 /// the combined row as one engine. `key` names the columns holding the
-/// distribution key at this level: a DISTINCT call combines only over them,
-/// each value living on one shard.
+/// distribution key at this level: a DISTINCT count, sum or avg combines
+/// only over them, each value living on one shard.
 pub fn split_aggregation(sel: &Select, key: &KeyColumns) -> PgResult<Split> {
     if sel.projection.iter().any(|p| !matches!(p, SelectItem::Expr { .. })) {
         return Err(PgError::unsupported("wildcard in a merged aggregate query"));
     }
     let agg = pgmini::plan::aggregation(sel, &RowScope::default(), true)?;
-    if agg.calls.iter().any(|c| c.distinct && !c.arg.as_ref().is_some_and(|a| key.holds(a))) {
+    // DISTINCT moves no minimum or maximum, and a min or max of per-shard
+    // extremes is exact, so only the other DISTINCT calls need the key
+    let off_key = |c: &AggCall<Expr>| !c.arg.as_ref().is_some_and(|a| key.holds(a));
+    if agg
+        .calls
+        .iter()
+        .any(|c| c.distinct && !matches!(c.kind, AggKind::Min | AggKind::Max) && off_key(c))
+    {
         return Err(PgError::unsupported(
             "DISTINCT aggregates on non-distribution columns require repartitioning",
         ));
