@@ -1,14 +1,25 @@
-//! Vectorized batched execution over columnar stripes.
+//! Vectorized batched execution over typed columnar stripes.
 //!
-//! A [`ColumnBatch`] is a fixed-capacity slice of a columnar stripe:
-//! borrowed column-major `[Datum]` slices for the *referenced* columns only,
-//! plus a selection (list of live row indices) produced by the filter kernel.
-//! Expression kernels ([`eval_batch`]) evaluate a whole batch per call,
-//! sharing the scalar cores (`apply_unary` / `apply_binary` /
-//! `kleene_combine`) with the row-at-a-time interpreter so both paths
-//! produce identical values — and, for statements that fail, identical
-//! error codes (see DESIGN.md's determinism argument for the one caveat:
-//! *which* of several failing rows reports first).
+//! A [`ColumnBatch`] is a run of up to [`BATCH_CAPACITY`] rows of one
+//! stripe that exposes the *referenced* columns only, as typed slices
+//! ([`ColumnSlice`]: `i64` / `f64` arrays, dictionary codes, a validity
+//! bitmap). Two kinds of kernel evaluate a whole batch per call:
+//!
+//! * [`filter_batch`] writes a predicate's selection vector. A comparison
+//!   whose operands are typed (a column, a constant, computed numbers) tests
+//!   the slices in place, and one of a number or timestamp column with a
+//!   constant runs as a loop over the column's array; AND narrows the
+//!   selection and OR widens it, evaluating each side for exactly the rows
+//!   the row-at-a-time interpreter would;
+//! * [`eval_batch`] computes values. Arithmetic over numbers runs on `i64` /
+//!   `f64` lanes. Every other expression runs the scalar cores
+//!   (`apply_unary` / `apply_binary` / `kleene_combine` / `apply_like`) on
+//!   `Datum` lanes built from the typed columns.
+//!
+//! Both share the scalar semantics, so they produce the interpreter's values
+//! and, for statements that fail, its error codes (see DESIGN.md's
+//! determinism argument for the one caveat: *which* of several failing rows
+//! reports first).
 //!
 //! The kernels deliberately exclude `BExpr::Func`: `random()` draws from
 //! the statement RNG in row order (order-sensitive by construction), and
@@ -16,9 +27,11 @@
 //! whose filter contains one selects its rows one at a time, and an
 //! aggregate over one runs on the volcano path.
 
-use crate::error::{PgError, PgResult};
-use crate::expr::{apply_binary, apply_unary, kleene_combine, BExpr, EvalCtx};
-use crate::types::{text_ops, Datum};
+use crate::error::{ErrorCode, PgError, PgResult};
+use crate::expr::{apply_binary, apply_like, apply_unary, kleene_combine, BExpr, EvalCtx};
+use crate::stripe::{ColumnSlice, Slice, Stripe};
+use crate::types::datum::float_cmp;
+use crate::types::{time, Datum, DatumRef};
 use sqlparse::ast::BinaryOp;
 use std::cmp::Ordering;
 
@@ -29,33 +42,33 @@ pub const BATCH_CAPACITY: usize = 1024;
 
 /// One batch of rows in column-major layout. `cols[c]` is `Some` only for
 /// columns the plan references (the projection-pushdown contract,
-/// regression-tested in exec.rs), and borrows the stripe's vector: the only
-/// values cloned out of a stripe are those of the rows that survive the
-/// filter ([`ColumnBatch::gather`]).
+/// regression-tested in exec.rs), and borrows the stripe's arrays: the only
+/// values built out of a stripe are those of the rows that survive the
+/// filter ([`ColumnBatch::gather`]) and the lanes a kernel computes.
 pub struct ColumnBatch<'s> {
     pub len: usize,
-    cols: Vec<Option<&'s [Datum]>>,
+    cols: Vec<Option<ColumnSlice<'s>>>,
 }
 
 impl<'s> ColumnBatch<'s> {
-    /// Rows `[lo, lo+len)` of a stripe's column vectors as a batch exposing
-    /// only the `referenced` columns.
+    /// Rows `[lo, lo+len)` of `stripe` as a batch exposing only the
+    /// `referenced` columns.
     pub fn from_stripe(
-        stripe_columns: &'s [Vec<Datum>],
+        stripe: &'s Stripe,
         lo: usize,
         len: usize,
         referenced: &[usize],
     ) -> ColumnBatch<'s> {
-        let mut cols = vec![None; stripe_columns.len()];
+        let mut cols = vec![None; stripe.columns().len()];
         for &c in referenced {
-            cols[c] = Some(&stripe_columns[c][lo..lo + len]);
+            cols[c] = Some(stripe.columns()[c].slice(lo, len));
         }
         ColumnBatch { len, cols }
     }
 
-    pub fn col(&self, i: usize) -> PgResult<&'s [Datum]> {
+    pub fn col(&self, i: usize) -> PgResult<ColumnSlice<'s>> {
         match self.cols.get(i) {
-            Some(Some(v)) => Ok(v),
+            Some(Some(v)) => Ok(*v),
             _ => Err(PgError::internal(format!(
                 "batch kernel referenced unmaterialized column {i}"
             ))),
@@ -72,28 +85,163 @@ impl<'s> ColumnBatch<'s> {
     /// executor's row source lends this row to the operators above the scan.
     pub fn gather(&self, r: usize, row: &mut crate::types::Row) {
         row.clear();
-        row.extend(self.cols.iter().map(|c| c.map_or(Datum::Null, |v| v[r].clone())));
+        row.extend(self.cols.iter().map(|c| c.map_or(Datum::Null, |v| v.get(r).to_datum())));
     }
 }
 
-/// A kernel result: one value per batch row. `Const` and `Ref` avoid
-/// cloning whole vectors for the trivial cases; `Owned` lanes outside the
-/// evaluated selection hold NULL and must not be read.
+/// A kernel result: one value per batch row. `Const` and `Col` read
+/// without building lanes; `Int` and `Float` are computed numbers; `Owned`
+/// lanes hold any value. Lanes outside the evaluated selection read as NULL
+/// and must not be read.
 #[derive(Debug)]
 pub enum BVec<'a> {
     Const(Datum),
-    Ref(&'a [Datum]),
+    Col(ColumnSlice<'a>),
+    Int(Lanes<i64>),
+    Float(Lanes<f64>),
     Owned(Vec<Datum>),
 }
 
+/// Computed numbers, one per batch row: `valid[i]` is false for NULL.
+#[derive(Debug)]
+pub struct Lanes<T> {
+    vals: Vec<T>,
+    valid: Vec<bool>,
+}
+
 impl BVec<'_> {
-    pub fn get(&self, i: usize) -> &Datum {
+    /// Lane `i`, borrowed.
+    #[inline]
+    pub fn get(&self, i: usize) -> DatumRef<'_> {
         match self {
-            BVec::Const(d) => d,
-            BVec::Ref(v) => &v[i],
-            BVec::Owned(v) => &v[i],
+            BVec::Const(d) => d.view(),
+            BVec::Col(c) => c.get(i),
+            BVec::Int(l) if l.valid[i] => DatumRef::Int(l.vals[i]),
+            BVec::Float(l) if l.valid[i] => DatumRef::Float(l.vals[i]),
+            BVec::Int(_) | BVec::Float(_) => DatumRef::Null,
+            BVec::Owned(v) => v[i].view(),
         }
     }
+
+    /// This vector as arithmetic operands, when it holds numbers only.
+    fn num(&self) -> Option<Num<'_>> {
+        Some(match self {
+            BVec::Const(Datum::Int(v)) => Num::IntConst(*v),
+            BVec::Const(Datum::Float(v)) => Num::FloatConst(*v),
+            BVec::Col(c) => match c.values {
+                Slice::Int(v) => Num::Int(v, Valid::Col(*c)),
+                Slice::Float(v) => Num::Float(v, Valid::Col(*c)),
+                _ => return None,
+            },
+            BVec::Int(l) => Num::Int(&l.vals, Valid::Flags(&l.valid)),
+            BVec::Float(l) => Num::Float(&l.vals, Valid::Flags(&l.valid)),
+            _ => return None,
+        })
+    }
+}
+
+/// Which lanes of a number operand are not NULL.
+#[derive(Clone, Copy)]
+enum Valid<'v> {
+    Col(ColumnSlice<'v>),
+    Flags(&'v [bool]),
+}
+
+/// An arithmetic operand: a run of `i64` or `f64` lanes, or a constant.
+#[derive(Clone, Copy)]
+enum Num<'v> {
+    Int(&'v [i64], Valid<'v>),
+    Float(&'v [f64], Valid<'v>),
+    IntConst(i64),
+    FloatConst(f64),
+}
+
+impl Num<'_> {
+    fn is_int(self) -> bool {
+        matches!(self, Num::Int(..) | Num::IntConst(_))
+    }
+
+    #[inline]
+    fn valid(self, i: usize) -> bool {
+        match self {
+            Num::Int(_, v) | Num::Float(_, v) => match v {
+                Valid::Col(c) => !c.is_null(i),
+                Valid::Flags(f) => f[i],
+            },
+            Num::IntConst(_) | Num::FloatConst(_) => true,
+        }
+    }
+
+    /// Lane `i` of an integer operand.
+    #[inline]
+    fn int(self, i: usize) -> i64 {
+        match self {
+            Num::Int(v, _) => v[i],
+            Num::IntConst(c) => c,
+            Num::Float(..) | Num::FloatConst(_) => unreachable!("int mode takes integers"),
+        }
+    }
+
+    /// Lane `i` as a float, as `Datum::as_f64` reads it.
+    #[inline]
+    fn float(self, i: usize) -> f64 {
+        match self {
+            Num::Int(v, _) => v[i] as f64,
+            Num::Float(v, _) => v[i],
+            Num::IntConst(c) => c as f64,
+            Num::FloatConst(c) => c,
+        }
+    }
+}
+
+fn division_by_zero() -> PgError {
+    PgError::new(ErrorCode::DivisionByZero, "division by zero")
+}
+
+/// `l op r` over the selected lanes of two number operands, as
+/// `apply_binary` computes each lane: NULL when either side is NULL, integer
+/// arithmetic (wrapping) when both sides are integers, else float.
+fn arith(op: BinaryOp, l: Num, r: Num, len: usize, sel: &[usize]) -> PgResult<BVec<'static>> {
+    let mut valid = vec![false; len];
+    if l.is_int() && r.is_int() {
+        let mut vals = vec![0i64; len];
+        for &i in sel {
+            if !(l.valid(i) && r.valid(i)) {
+                continue;
+            }
+            let (a, b) = (l.int(i), r.int(i));
+            vals[i] = match op {
+                BinaryOp::Add => a.wrapping_add(b),
+                BinaryOp::Sub => a.wrapping_sub(b),
+                BinaryOp::Mul => a.wrapping_mul(b),
+                BinaryOp::Div if b == 0 => return Err(division_by_zero()),
+                BinaryOp::Div => a / b,
+                BinaryOp::Mod if b == 0 => return Err(division_by_zero()),
+                BinaryOp::Mod => a % b,
+                _ => unreachable!("arith takes arithmetic operators"),
+            };
+            valid[i] = true;
+        }
+        return Ok(BVec::Int(Lanes { vals, valid }));
+    }
+    let mut vals = vec![0f64; len];
+    for &i in sel {
+        if !(l.valid(i) && r.valid(i)) {
+            continue;
+        }
+        let (a, b) = (l.float(i), r.float(i));
+        vals[i] = match op {
+            BinaryOp::Add => a + b,
+            BinaryOp::Sub => a - b,
+            BinaryOp::Mul => a * b,
+            BinaryOp::Div | BinaryOp::Mod if b == 0.0 => return Err(division_by_zero()),
+            BinaryOp::Div => a / b,
+            BinaryOp::Mod => a % b,
+            _ => unreachable!("arith takes arithmetic operators"),
+        };
+        valid[i] = true;
+    }
+    Ok(BVec::Float(Lanes { vals, valid }))
 }
 
 /// True when `e` can be evaluated by the batch kernels with results (and
@@ -162,14 +310,14 @@ fn owned(len: usize) -> Vec<Datum> {
 /// still raises nothing — and stays a `Const`.
 pub fn eval_batch<'a>(
     e: &'a BExpr,
-    batch: &'a ColumnBatch,
+    batch: &ColumnBatch<'a>,
     sel: &[usize],
     ctx: &EvalCtx,
 ) -> PgResult<BVec<'a>> {
     Ok(match e {
         BExpr::Const(d) => BVec::Const(d.clone()),
         BExpr::Param(_) => BVec::Const(crate::expr::eval(e, &Vec::new(), ctx)?),
-        BExpr::Col(i) => BVec::Ref(batch.col(*i)?),
+        BExpr::Col(i) => BVec::Col(batch.col(*i)?),
         BExpr::Unary { op, expr } => {
             let v = eval_batch(expr, batch, sel, ctx)?;
             if let (BVec::Const(d), Some(_)) = (&v, sel.first()) {
@@ -177,7 +325,7 @@ pub fn eval_batch<'a>(
             }
             let mut out = owned(batch.len);
             for &i in sel {
-                out[i] = apply_unary(*op, v.get(i).clone())?;
+                out[i] = apply_unary(*op, v.get(i).to_datum())?;
             }
             BVec::Owned(out)
         }
@@ -188,9 +336,9 @@ pub fn eval_batch<'a>(
                 // decide the result evaluate the right side — same rows a
                 // volcano scan would evaluate it for (same division-by-zero
                 // behaviour on the pruned side).
-                let decided = |d: &Datum| match op {
-                    BinaryOp::And => matches!(d, Datum::Bool(false)),
-                    _ => matches!(d, Datum::Bool(true)),
+                let decided = |d: DatumRef| match op {
+                    BinaryOp::And => matches!(d, DatumRef::Bool(false)),
+                    _ => matches!(d, DatumRef::Bool(true)),
                 };
                 let need: Vec<usize> =
                     sel.iter().copied().filter(|&i| !decided(l.get(i))).collect();
@@ -199,9 +347,9 @@ pub fn eval_batch<'a>(
                 for &i in sel {
                     let lv = l.get(i);
                     out[i] = if decided(lv) {
-                        lv.clone()
+                        lv.to_datum()
                     } else {
-                        kleene_combine(*op, lv.clone(), r.get(i).clone())
+                        kleene_combine(*op, lv.to_datum(), r.get(i).to_datum())
                     };
                 }
                 BVec::Owned(out)
@@ -211,9 +359,16 @@ pub fn eval_batch<'a>(
                 if let (BVec::Const(a), BVec::Const(b), Some(_)) = (&l, &r, sel.first()) {
                     return Ok(BVec::Const(apply_binary(*op, a.clone(), b.clone())?));
                 }
+                let arithmetic = matches!(
+                    op,
+                    BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod
+                );
+                if let (true, Some(a), Some(b)) = (arithmetic, l.num(), r.num()) {
+                    return arith(*op, a, b, batch.len, sel);
+                }
                 let mut out = owned(batch.len);
                 for &i in sel {
-                    out[i] = apply_binary(*op, l.get(i).clone(), r.get(i).clone())?;
+                    out[i] = apply_binary(*op, l.get(i).to_datum(), r.get(i).to_datum())?;
                 }
                 BVec::Owned(out)
             }
@@ -223,14 +378,7 @@ pub fn eval_batch<'a>(
             let p = eval_batch(pattern, batch, sel, ctx)?;
             let mut out = owned(batch.len);
             for &i in sel {
-                let (vv, pv) = (v.get(i), p.get(i));
-                out[i] = if vv.is_null() || pv.is_null() {
-                    Datum::Null
-                } else {
-                    let hit =
-                        text_ops::like_match(&vv.to_text(), &pv.to_text(), *case_insensitive);
-                    Datum::Bool(hit != *negated)
-                };
+                out[i] = apply_like(v.get(i), p.get(i), *negated, *case_insensitive);
             }
             BVec::Owned(out)
         }
@@ -291,10 +439,10 @@ pub fn eval_batch<'a>(
             let v = eval_batch(expr, batch, sel, ctx)?;
             let mut out = owned(batch.len);
             for &i in sel {
-                let vv = v.get(i);
+                let vv = v.get(i).to_datum();
                 out[i] = if vv.is_null() {
                     Datum::Null
-                } else if set.contains(std::slice::from_ref(vv)) {
+                } else if set.contains(std::slice::from_ref(&vv)) {
                     Datum::Bool(!*negated)
                 } else if *has_null {
                     Datum::Null
@@ -330,7 +478,7 @@ pub fn eval_batch<'a>(
                 for &i in &rem {
                     let matched = match &op_v {
                         Some(v) => v.get(i).sql_cmp(w.get(i)) == Some(Ordering::Equal),
-                        None => matches!(w.get(i), Datum::Bool(true)),
+                        None => matches!(w.get(i), DatumRef::Bool(true)),
                     };
                     if matched {
                         taken.push(i);
@@ -342,7 +490,7 @@ pub fn eval_batch<'a>(
                     // untaken branches never evaluate (lazy CASE semantics)
                     let t = eval_batch(then, batch, &taken, ctx)?;
                     for &i in &taken {
-                        out[i] = t.get(i).clone();
+                        out[i] = t.get(i).to_datum();
                     }
                 }
                 rem = still;
@@ -351,7 +499,7 @@ pub fn eval_batch<'a>(
                 if let Some(e) = else_result {
                     let ev = eval_batch(e, batch, &rem, ctx)?;
                     for &i in &rem {
-                        out[i] = ev.get(i).clone();
+                        out[i] = ev.get(i).to_datum();
                     }
                 }
                 // no ELSE → lanes stay NULL, which is the scalar semantics
@@ -362,11 +510,11 @@ pub fn eval_batch<'a>(
             let v = eval_batch(expr, batch, sel, ctx)?;
             // a typed literal (`date '1995-03-15'`) is a cast of a constant
             if let (BVec::Const(d), Some(_)) = (&v, sel.first()) {
-                return Ok(BVec::Const(d.clone().cast_to(*ty)?));
+                return Ok(BVec::Const(d.cast_to(*ty)?));
             }
             let mut out = owned(batch.len);
             for &i in sel {
-                out[i] = v.get(i).clone().cast_to(*ty)?;
+                out[i] = v.get(i).to_datum().cast_to(*ty)?;
             }
             BVec::Owned(out)
         }
@@ -378,16 +526,212 @@ pub fn eval_batch<'a>(
     })
 }
 
-/// The filter kernel: evaluate `pred` over the selection and keep rows
-/// where it is strictly TRUE.
+/// The filter kernel: the rows of `sel` where `pred` is strictly TRUE, in
+/// ascending order. Each subexpression runs for the rows the row-at-a-time
+/// interpreter runs it for, or for rows that make no difference, so the
+/// same statements fail: OR tries its right side on the rows its left did
+/// not select; AND tries its right side on the rows its left selected when
+/// that side fails on no row, or only in a constant part (the interpreter
+/// also tries it where the left is NULL, which raises nothing new while a
+/// selected row tries it too). Any other predicate is computed by
+/// [`eval_batch`] and its TRUE lanes kept.
 pub fn filter_batch(
     pred: &BExpr,
     batch: &ColumnBatch,
     sel: &[usize],
     ctx: &EvalCtx,
 ) -> PgResult<Vec<usize>> {
+    match pred {
+        BExpr::Binary { op: BinaryOp::And, left, right } if failure(right) != Fails::OnRows => {
+            let kept = filter_batch(left, batch, sel, ctx)?;
+            if kept.is_empty() && failure(right) == Fails::OnConstants {
+                // whether the interpreter reaches the right side now turns
+                // on rows whose left side is NULL
+                return true_lanes(pred, batch, sel, ctx);
+            }
+            filter_batch(right, batch, &kept, ctx)
+        }
+        BExpr::Binary { op: BinaryOp::Or, left, right } => {
+            let l = filter_batch(left, batch, sel, ctx)?;
+            let rest = minus(sel, &l);
+            let r = filter_batch(right, batch, &rest, ctx)?;
+            Ok(union(&l, &r))
+        }
+        BExpr::Binary { op, left, right } if op.is_comparison() => {
+            let l = eval_batch(left, batch, sel, ctx)?;
+            let r = eval_batch(right, batch, sel, ctx)?;
+            Ok(compare(*op, &l, &r, sel))
+        }
+        BExpr::Between { expr, low, high, negated: false } => {
+            let v = eval_batch(expr, batch, sel, ctx)?;
+            let lo = eval_batch(low, batch, sel, ctx)?;
+            let hi = eval_batch(high, batch, sel, ctx)?;
+            let above = compare(BinaryOp::Ge, &v, &lo, sel);
+            Ok(compare(BinaryOp::Le, &v, &hi, &above))
+        }
+        _ => true_lanes(pred, batch, sel, ctx),
+    }
+}
+
+/// The rows of `sel` where [`eval_batch`] computes `pred` TRUE.
+fn true_lanes(
+    pred: &BExpr,
+    batch: &ColumnBatch,
+    sel: &[usize],
+    ctx: &EvalCtx,
+) -> PgResult<Vec<usize>> {
     let v = eval_batch(pred, batch, sel, ctx)?;
-    Ok(sel.iter().copied().filter(|&i| matches!(v.get(i), Datum::Bool(true))).collect())
+    Ok(sel.iter().copied().filter(|&i| matches!(v.get(i), DatumRef::Bool(true))).collect())
+}
+
+/// Where evaluating an expression can raise an error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Fails {
+    /// Nowhere: column reads, constants, parameter slots (bound before the
+    /// statement runs) and the tests over them (a comparison never fails).
+    Never,
+    /// In a part that reads no column, so alike on every row that runs it.
+    OnConstants,
+    /// In a part that reads the row.
+    OnRows,
+}
+
+fn failure(e: &BExpr) -> Fails {
+    let tests = |parts: &mut dyn Iterator<Item = &BExpr>| parts.map(failure).max();
+    match e {
+        BExpr::Const(_) | BExpr::Param(_) | BExpr::Col(_) => Fails::Never,
+        BExpr::Binary { op, left, right }
+            if op.is_comparison() || matches!(op, BinaryOp::And | BinaryOp::Or) =>
+        {
+            failure(left).max(failure(right))
+        }
+        BExpr::Between { expr, low, high, .. } => {
+            tests(&mut [&**expr, low, high].into_iter()).unwrap_or(Fails::Never)
+        }
+        BExpr::InList { expr, list, .. } => {
+            failure(expr).max(tests(&mut list.iter()).unwrap_or(Fails::Never))
+        }
+        BExpr::IsNull { expr, .. } | BExpr::InSet { expr, .. } => failure(expr),
+        BExpr::Like { expr, pattern, .. } => failure(expr).max(failure(pattern)),
+        _ if e.is_const() => Fails::OnConstants,
+        _ => Fails::OnRows,
+    }
+}
+
+/// The rows of sorted `all` not in sorted `some`.
+fn minus(all: &[usize], some: &[usize]) -> Vec<usize> {
+    let mut j = 0;
+    all.iter()
+        .copied()
+        .filter(|&i| {
+            while j < some.len() && some[j] < i {
+                j += 1;
+            }
+            !(j < some.len() && some[j] == i)
+        })
+        .collect()
+}
+
+/// The sorted union of two disjoint sorted selections.
+fn union(a: &[usize], b: &[usize]) -> Vec<usize> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// The orderings for which `op` holds, one bit each (`Less`, `Equal`,
+/// `Greater` from the low bit up).
+fn holds_mask(op: BinaryOp) -> u8 {
+    match op {
+        BinaryOp::Eq => 0b010,
+        BinaryOp::Neq => 0b101,
+        BinaryOp::Lt => 0b001,
+        BinaryOp::Le => 0b011,
+        BinaryOp::Gt => 0b100,
+        BinaryOp::Ge => 0b110,
+        _ => unreachable!("a comparison operator"),
+    }
+}
+
+#[inline]
+fn holds(mask: u8, ord: Ordering) -> bool {
+    mask >> (ord as i8 + 1) & 1 == 1
+}
+
+/// `op` with its operands swapped: `a op b` is `b (mirror op) a`.
+fn mirror(op: BinaryOp) -> BinaryOp {
+    match op {
+        BinaryOp::Lt => BinaryOp::Gt,
+        BinaryOp::Le => BinaryOp::Ge,
+        BinaryOp::Gt => BinaryOp::Lt,
+        BinaryOp::Ge => BinaryOp::Le,
+        other => other,
+    }
+}
+
+/// The lanes of `sel` where `l op r` is TRUE: [`DatumRef::sql_cmp`] holds
+/// (NULL and incomparable lanes are not TRUE). A number or timestamp column
+/// against a constant compares its array in place.
+fn compare(op: BinaryOp, l: &BVec, r: &BVec, sel: &[usize]) -> Vec<usize> {
+    let by_column = match (l, r) {
+        (BVec::Col(c), BVec::Const(k)) => column_vs_const(op, c, k, sel),
+        (BVec::Const(k), BVec::Col(c)) => column_vs_const(mirror(op), c, k, sel),
+        _ => None,
+    };
+    by_column.unwrap_or_else(|| {
+        let mask = holds_mask(op);
+        sel.iter()
+            .copied()
+            .filter(|&i| l.get(i).sql_cmp(r.get(i)).is_some_and(|o| holds(mask, o)))
+            .collect()
+    })
+}
+
+/// `column op constant` over a number or timestamp column, or `None` for
+/// other operand types. The constant is read as `sql_cmp` reads it against
+/// the column's type: an integer against floats as a float, text against
+/// timestamps as the timestamp it parses to (none: no lane is TRUE).
+fn column_vs_const(op: BinaryOp, c: &ColumnSlice, k: &Datum, sel: &[usize]) -> Option<Vec<usize>> {
+    let mask = holds_mask(op);
+    fn keep(
+        sel: &[usize],
+        c: &ColumnSlice,
+        mask: u8,
+        ord: impl Fn(usize) -> Ordering,
+    ) -> Vec<usize> {
+        if c.all_valid() {
+            sel.iter().copied().filter(|&i| holds(mask, ord(i))).collect()
+        } else {
+            sel.iter().copied().filter(|&i| !c.is_null(i) && holds(mask, ord(i))).collect()
+        }
+    }
+    Some(match (c.values, k) {
+        (_, Datum::Null) => Vec::new(),
+        (Slice::Int(v), Datum::Int(b)) => keep(sel, c, mask, |i| v[i].cmp(b)),
+        (Slice::Int(v), Datum::Float(b)) => keep(sel, c, mask, |i| float_cmp(v[i] as f64, *b)),
+        (Slice::Float(v), Datum::Int(b)) => {
+            let b = *b as f64;
+            keep(sel, c, mask, |i| float_cmp(v[i], b))
+        }
+        (Slice::Float(v), Datum::Float(b)) => keep(sel, c, mask, |i| float_cmp(v[i], *b)),
+        (Slice::Timestamp(v), Datum::Timestamp(b)) => keep(sel, c, mask, |i| v[i].cmp(b)),
+        (Slice::Timestamp(v), Datum::Text(s)) => match time::parse_timestamp(s) {
+            Some(b) => keep(sel, c, mask, |i| v[i].cmp(&b)),
+            None => Vec::new(),
+        },
+        _ => return None,
+    })
 }
 
 /// Columns referenced by `e`, accumulated into `out`.
@@ -460,13 +804,14 @@ mod tests {
         ]
     }
 
-    fn to_columns(rows: &[Row]) -> Vec<Vec<Datum>> {
-        (0..rows[0].len()).map(|c| rows.iter().map(|r| r[c].clone()).collect()).collect()
+    fn to_columns(rows: &[Row]) -> Stripe {
+        use sqlparse::ast::TypeName;
+        Stripe::from_rows(rows.to_vec(), &[TypeName::Int, TypeName::Float, TypeName::Text]).unwrap()
     }
 
-    fn to_batch(columns: &[Vec<Datum>]) -> ColumnBatch<'_> {
-        let all: Vec<usize> = (0..columns.len()).collect();
-        ColumnBatch::from_stripe(columns, 0, columns[0].len(), &all)
+    fn to_batch(stripe: &Stripe) -> ColumnBatch<'_> {
+        let all: Vec<usize> = (0..stripe.columns().len()).collect();
+        ColumnBatch::from_stripe(stripe, 0, stripe.rows(), &all)
     }
 
     /// Every supported expression evaluates identically per-row and batched.
@@ -502,7 +847,7 @@ mod tests {
             let v = eval_batch(&e, &batch, &sel, &ctx).unwrap();
             for (i, row) in rows.iter().enumerate() {
                 let scalar = eval(&e, row, &ctx).unwrap();
-                assert_eq!(v.get(i), &scalar, "{src} row {i}");
+                assert_eq!(v.get(i).to_datum(), scalar, "{src} row {i}");
             }
         }
     }
@@ -526,7 +871,7 @@ mod tests {
         // excluding row 3 the expression evaluates cleanly
         let v = eval_batch(&e, &batch, &[0, 1, 2], &ctx).unwrap();
         for i in 0..3 {
-            assert_eq!(v.get(i), &eval(&e, &rows[i], &ctx).unwrap());
+            assert_eq!(v.get(i).to_datum(), eval(&e, &rows[i], &ctx).unwrap());
         }
     }
 
@@ -545,8 +890,8 @@ mod tests {
         let batch = to_batch(&columns);
         let sel: Vec<usize> = (0..rows.len()).collect();
         let v = eval_batch(&e, &batch, &sel, &EvalCtx::default()).unwrap();
-        assert_eq!(v.get(2), &Datum::Int(0));
-        assert_eq!(v.get(3), &Datum::Int(40));
+        assert_eq!(v.get(2).to_datum(), Datum::Int(0));
+        assert_eq!(v.get(3).to_datum(), Datum::Int(40));
     }
 
     #[test]
@@ -572,10 +917,7 @@ mod tests {
     #[test]
     fn unreferenced_columns_never_materialize() {
         let rows = rows();
-        let arity = rows[0].len();
-        let columns: Vec<Vec<Datum>> = (0..arity)
-            .map(|c| rows.iter().map(|r| r[c].clone()).collect())
-            .collect();
+        let columns = to_columns(&rows);
         let batch = ColumnBatch::from_stripe(&columns, 0, rows.len(), &[0]);
         assert!(batch.has_col(0));
         assert!(!batch.has_col(1) && !batch.has_col(2));

@@ -23,6 +23,7 @@ use crate::index::{IndexKey, IndexStore};
 use crate::lock::{LockKey, LockMode};
 use crate::plan::{choose_access_paths, IndexProbe, PlanNode, SelectPlan};
 use crate::storage::{HeapStore, TableStore};
+use crate::stripe::Stripe;
 use crate::txn::{Snapshot, INVALID_XID};
 use crate::types::{Datum, Row};
 use crate::wal::WalRecord;
@@ -439,8 +440,10 @@ fn insert_rows(
         let rows: Vec<Row> =
             rows.into_iter().map(|values| target.complete(ctx, values)).collect::<PgResult<_>>()?;
         let n = rows.len() as u64;
+        let types: Vec<_> = meta.columns.iter().map(|c| c.ty).collect();
+        let stripe = Arc::new(Stripe::from_rows(rows, &types)?);
         let seq = columnar.new_seq();
-        let rec = WalRecord::ColumnarAppend { xid: ctx.xid, table: meta.id, seq, rows };
+        let rec = WalRecord::ColumnarAppend { xid: ctx.xid, table: meta.id, seq, stripe };
         ctx.engine.write(meta, &store, rec, None, Some(&mut ctx.cost))?;
         return Ok(n);
     }

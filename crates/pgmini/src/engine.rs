@@ -464,14 +464,14 @@ impl Engine {
                 let heap = store.heap()?;
                 heap.insert_version(*row_id, *xid, row.clone());
                 heap.adjust_live(1);
-                self.index_and_charge(meta, Some(*row_id), row, cost)?;
+                self.index_and_charge(meta, *row_id, row, cost)?;
             }
             WalRecord::Update { xid, row_id, new_row, .. } => {
                 if !expire(*row_id, *xid)? {
                     return Ok(false);
                 }
                 store.heap()?.insert_version(*row_id, *xid, new_row.clone());
-                self.index_and_charge(meta, Some(*row_id), new_row, cost)?;
+                self.index_and_charge(meta, *row_id, new_row, cost)?;
             }
             WalRecord::Delete { xid, row_id, .. } => {
                 if !expire(*row_id, *xid)? {
@@ -482,12 +482,12 @@ impl Engine {
                     cost.add_tuples(1);
                 }
             }
-            WalRecord::ColumnarAppend { xid, seq, rows, .. } => {
-                store.columnar()?.append_with_seq(*xid, *seq, rows.clone(), meta.columns.len())?;
+            WalRecord::ColumnarAppend { xid, seq, stripe, .. } => {
+                store.columnar()?.append_with_seq(*xid, *seq, stripe.clone(), meta.columns.len())?;
                 // a stripe's rows have no index entries, only their charge
                 if let Some(cost) = cost {
-                    for row in rows {
-                        self.index_and_charge(meta, None, row, Some(&mut *cost))?;
+                    for _ in 0..stripe.rows() {
+                        charge_row(cost);
                     }
                 }
             }
@@ -497,21 +497,20 @@ impl Engine {
         Ok(true)
     }
 
-    /// Enter `row` in every index of `meta` under `row_id` (none for a stripe
-    /// row) and charge `cost` for the write: the tuple, its WAL record, then
+    /// Enter `row` in every index of `meta` under `row_id` and charge `cost`
+    /// for the write: the tuple and its WAL record ([`charge_row`]), then
     /// each index in turn, a GIN index one posting per trigram of its text
     /// whether or not its predicate admits the row (trigram entries dominate
     /// ingest cost, the effect Figure 7(a) measures).
     fn index_and_charge(
         &self,
         meta: &TableMeta,
-        row_id: Option<u64>,
+        row_id: u64,
         row: &Row,
         mut cost: Option<&mut SimCost>,
     ) -> PgResult<()> {
         if let Some(cost) = cost.as_deref_mut() {
-            cost.add_tuples(1);
-            cost.add_cpu(CPU_TUPLE_MS); // WAL record
+            charge_row(cost);
         }
         for iid in &meta.indexes {
             let imeta = self.index_meta(*iid)?;
@@ -522,7 +521,7 @@ impl Engine {
                     IndexKey::Gin(grams) => CPU_OPERATOR_MS * 4.0 * grams.len() as f64,
                 });
             }
-            if let (Some(row_id), true) = (row_id, admitted) {
+            if admitted {
                 self.index_store(*iid)?.insert(key, row_id);
             }
         }
@@ -668,7 +667,7 @@ impl Engine {
             WalRecord::Update { row_id, .. } | WalRecord::Delete { row_id, .. } => {
                 (!store.heap()?.contains(*row_id), 1)
             }
-            WalRecord::ColumnarAppend { seq, rows, .. } => {
+            WalRecord::ColumnarAppend { seq, stripe, .. } => {
                 // a table switched to columnar after creation (set_columnar)
                 // replays its CREATE TABLE as heap; its first stripe proves
                 // the switch happened while it was empty
@@ -676,7 +675,7 @@ impl Engine {
                     self.set_columnar(&meta.name)?;
                     store = self.store(table)?;
                 }
-                (store.columnar()?.has_seq(*seq), rows.len() as u64)
+                (store.columnar()?.has_seq(*seq), stripe.rows() as u64)
             }
             other => {
                 return Err(PgError::internal(format!("redo of a non-data record: {other:?}")))
@@ -726,11 +725,16 @@ impl Engine {
                     row: t.data.clone(),
                 })
             }),
-            TableStore::Columnar(columnar) => records.extend(
-                columnar.visible_stripe_rows(&src.txns, &snap).into_iter().map(|(seq, rows)| {
-                    WalRecord::ColumnarAppend { xid: INVALID_XID, table: src_table, seq, rows }
-                }),
-            ),
+            TableStore::Columnar(columnar) => {
+                columnar.for_each_visible_stripe(&src.txns, &snap, |seq, stripe| {
+                    records.push(WalRecord::ColumnarAppend {
+                        xid: INVALID_XID,
+                        table: src_table,
+                        seq,
+                        stripe: stripe.clone(),
+                    })
+                })
+            }
         }
         self.redo_committed(records.iter().map(|rec| (dst_table, rec)))
     }
@@ -854,6 +858,12 @@ impl Engine {
         }
         Ok(engine)
     }
+}
+
+/// The write of one row, heap or stripe: its tuple, then its WAL record.
+fn charge_row(cost: &mut SimCost) {
+    cost.add_tuples(1);
+    cost.add_cpu(CPU_TUPLE_MS);
 }
 
 #[cfg(test)]

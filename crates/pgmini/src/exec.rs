@@ -32,7 +32,7 @@ use crate::lock::{LockKey, LockMode};
 use crate::plan::{AggCall, AggKind, AggStage, FinishStage, IndexProbe, PlanNode, SelectPlan};
 use crate::storage::{ColumnarStore, TableStore};
 use crate::txn::{Snapshot, Xid, INVALID_XID};
-use crate::types::{Datum, KeyTable, Row};
+use crate::types::{Datum, DatumRef, KeyTable, Row};
 use sqlparse::ast::JoinKind;
 use std::sync::Arc;
 
@@ -263,11 +263,11 @@ fn scan_columnar(
     };
     let (mut scanned, mut batches) = (0u64, 0u64);
     let mut err = None;
-    col.for_each_visible_stripe(&ctx.engine.txns, &ctx.snap, |_seq, nrows, columns| {
-        let mut lo = 0;
+    col.for_each_visible_stripe(&ctx.engine.txns, &ctx.snap, |_seq, stripe| {
+        let (nrows, mut lo) = (stripe.rows(), 0);
         while lo < nrows && err.is_none() {
             let len = (nrows - lo).min(BATCH_CAPACITY);
-            let batch = ColumnBatch::from_stripe(columns, lo, len, refs);
+            let batch = ColumnBatch::from_stripe(stripe, lo, len, refs);
             err = select(&batch).and_then(|sel| consume(&batch, &sel, ectx)).err();
             batches += 1;
             scanned += len as u64;
@@ -683,62 +683,49 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, value: Option<Datum>) -> PgResult<()> {
-        match self.kind {
-            AggKind::CountStar => {
-                self.count += 1;
+    /// Fold one value in: `None` for `count(*)`, which counts the row.
+    fn update(&mut self, value: Option<DatumRef>) -> PgResult<()> {
+        if self.kind == AggKind::CountStar {
+            self.count += 1;
+            return Ok(());
+        }
+        let Some(v) = value.filter(|v| !v.is_null()) else { return Ok(()) };
+        if let Some(set) = &mut self.distinct {
+            if !set.insert(&[v.to_datum()]).1 {
                 return Ok(());
             }
-            _ => {
-                let Some(v) = value else { return Ok(()) };
-                if v.is_null() {
-                    return Ok(());
-                }
-                if let Some(set) = &mut self.distinct {
-                    if !set.insert(std::slice::from_ref(&v)).1 {
-                        return Ok(());
+        }
+        match self.kind {
+            AggKind::Count => self.count += 1,
+            AggKind::Sum | AggKind::Avg => {
+                self.count += 1;
+                match v {
+                    DatumRef::Int(x) => {
+                        self.sum_i = self.sum_i.wrapping_add(x);
+                        self.sum_f += x as f64;
                     }
-                }
-                match self.kind {
-                    AggKind::Count => self.count += 1,
-                    AggKind::Sum | AggKind::Avg => {
-                        self.count += 1;
-                        match &v {
-                            Datum::Int(x) => {
-                                self.sum_i = self.sum_i.wrapping_add(*x);
-                                self.sum_f += *x as f64;
-                            }
-                            _ => {
-                                self.float_mode = true;
-                                self.sum_f += v.as_f64()?;
-                            }
-                        }
+                    DatumRef::Float(x) => {
+                        self.float_mode = true;
+                        self.sum_f += x;
                     }
-                    AggKind::Min => {
-                        let take = match &self.minmax {
-                            None => true,
-                            Some(cur) => {
-                                v.sql_cmp(cur) == Some(std::cmp::Ordering::Less)
-                            }
-                        };
-                        if take {
-                            self.minmax = Some(v);
-                        }
+                    _ => {
+                        self.float_mode = true;
+                        self.sum_f += v.to_datum().as_f64()?;
                     }
-                    AggKind::Max => {
-                        let take = match &self.minmax {
-                            None => true,
-                            Some(cur) => {
-                                v.sql_cmp(cur) == Some(std::cmp::Ordering::Greater)
-                            }
-                        };
-                        if take {
-                            self.minmax = Some(v);
-                        }
-                    }
-                    AggKind::CountStar => unreachable!(),
                 }
             }
+            AggKind::Min | AggKind::Max => {
+                let wanted = match self.kind {
+                    AggKind::Min => std::cmp::Ordering::Less,
+                    _ => std::cmp::Ordering::Greater,
+                };
+                let take =
+                    self.minmax.as_ref().is_none_or(|cur| v.sql_cmp(cur.view()) == Some(wanted));
+                if take {
+                    self.minmax = Some(v.to_datum());
+                }
+            }
+            AggKind::CountStar => unreachable!("counted above"),
         }
         Ok(())
     }
@@ -802,7 +789,8 @@ impl<'s> Groups<'s> {
         eval_into(&self.stage.group, row, ctx, &mut self.key)?;
         let stage = self.stage;
         for (st, call) in self.key_states().iter_mut().zip(&stage.calls) {
-            st.update(call.arg.as_ref().map(|a| eval(a, row, ctx)).transpose()?)?;
+            let value = call.arg.as_ref().map(|a| eval(a, row, ctx)).transpose()?;
+            st.update(value.as_ref().map(Datum::view))?;
         }
         self.rows += 1;
         Ok(())
@@ -832,10 +820,12 @@ impl<'s> Groups<'s> {
 }
 
 /// Tier B: fused batched scan→filter→aggregate over a columnar base table.
-/// Group keys and aggregate inputs are evaluated as kernels over the column
-/// vectors of each batch — rows are never materialized. Returns `None` when
-/// vectorization is off or the plan shape or an expression doesn't qualify
-/// (the pipeline runs).
+/// Group keys and aggregate inputs are evaluated as kernels over the typed
+/// columns of each batch — rows are never materialized — and each aggregate
+/// folds its lanes over the selection in row order (a global aggregate one
+/// call at a time, a grouped one row by row into the row's group). Returns
+/// `None` when vectorization is off or the plan shape or an expression
+/// doesn't qualify (the pipeline runs).
 fn try_vectorized_agg<'s>(
     ctx: &mut ExecCtx,
     stage: &'s AggStage,
@@ -873,11 +863,22 @@ fn try_vectorized_agg<'s>(
             .iter()
             .map(|c| c.arg.as_ref().map(|a| eval_batch(a, batch, selected, ectx)).transpose())
             .collect::<PgResult<_>>()?;
+        if gvecs.is_empty() {
+            if !selected.is_empty() {
+                groups.key.clear();
+                for (st, av) in groups.key_states().iter_mut().zip(&avecs) {
+                    for &i in selected {
+                        st.update(av.as_ref().map(|v| v.get(i)))?;
+                    }
+                }
+            }
+            return Ok(());
+        }
         for &i in selected {
             groups.key.clear();
-            groups.key.extend(gvecs.iter().map(|v| v.get(i).clone()));
+            groups.key.extend(gvecs.iter().map(|v| v.get(i).to_datum()));
             for (st, av) in groups.key_states().iter_mut().zip(&avecs) {
-                st.update(av.as_ref().map(|v| v.get(i).clone()))?;
+                st.update(av.as_ref().map(|v| v.get(i)))?;
             }
         }
         Ok(())

@@ -6,7 +6,7 @@
 //! evaluates per row with SQL's three-valued logic.
 
 use crate::error::{ErrorCode, PgError, PgResult};
-use crate::types::{datum::splitmix64, hash_bytes, text_ops, time, Datum, Json, Row};
+use crate::types::{datum::splitmix64, hash_bytes, text_ops, time, Datum, DatumRef, Json, Row};
 use sqlparse::ast::{BinaryOp, Expr, Literal, TypeName, UnaryOp};
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -384,11 +384,7 @@ pub fn eval(e: &BExpr, row: &Row, ctx: &EvalCtx) -> PgResult<Datum> {
         BExpr::Like { expr, pattern, negated, case_insensitive } => {
             let v = eval(expr, row, ctx)?;
             let p = eval(pattern, row, ctx)?;
-            if v.is_null() || p.is_null() {
-                return Ok(Datum::Null);
-            }
-            let hit = text_ops::like_match(&v.to_text(), &p.to_text(), *case_insensitive);
-            Ok(Datum::Bool(hit != *negated))
+            Ok(apply_like(v.view(), p.view(), *negated, *case_insensitive))
         }
         BExpr::Between { expr, low, high, negated } => {
             let v = eval(expr, row, ctx)?;
@@ -488,6 +484,18 @@ pub(crate) fn apply_unary(op: UnaryOp, v: Datum) -> PgResult<Datum> {
             other => Ok(Datum::Bool(!other.as_bool()?)),
         },
     }
+}
+
+/// Scalar core of `[NOT] [I]LIKE`, shared with the batch kernels: NULL when
+/// either side is NULL; text matches as it is, any other value by its text
+/// form.
+pub(crate) fn apply_like(v: DatumRef, p: DatumRef, negated: bool, case_insensitive: bool) -> Datum {
+    let hit = match (v, p) {
+        (DatumRef::Null, _) | (_, DatumRef::Null) => return Datum::Null,
+        (DatumRef::Text(t), DatumRef::Text(pat)) => text_ops::like_match(t, pat, case_insensitive),
+        _ => text_ops::like_match(&v.to_datum().to_text(), &p.to_datum().to_text(), case_insensitive),
+    };
+    Datum::Bool(hit != negated)
 }
 
 /// Kleene combination for AND/OR once both operand values are known. The

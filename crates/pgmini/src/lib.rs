@@ -34,6 +34,7 @@ pub mod plan;
 pub mod plancache;
 pub mod session;
 pub mod storage;
+pub mod stripe;
 pub mod txn;
 pub mod types;
 pub mod wal;

@@ -3,11 +3,13 @@
 //! requires for data-warehousing workloads).
 
 use crate::error::{ErrorCode, PgError, PgResult};
+use crate::stripe::Stripe;
 use crate::txn::{tuple_visible, Snapshot, TxStatus, TxnManager, Xid, INVALID_XID};
 use crate::types::Row;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One heap tuple version. `data` is immutable while the version is live;
 /// updates append a new version sharing the same `row_id`.
@@ -295,21 +297,20 @@ impl HeapStore {
 
 /// Append-only column store. Updates and deletes are unsupported, matching
 /// the paper's note that the columnar path is for analytical append-mostly
-/// data.
+/// data. Each write appends one immutable [`Stripe`], shared with the WAL
+/// record that logged it.
 pub struct ColumnarStore {
-    stripes: RwLock<Vec<ColumnarStripe>>,
+    stripes: RwLock<Vec<StoredStripe>>,
     live_estimate: AtomicI64,
     next_seq: AtomicU64,
 }
 
-struct ColumnarStripe {
+struct StoredStripe {
     /// Stable stripe sequence number (per table). WAL records carry it so
     /// replay and shard-move catch-up can deduplicate stripes.
     seq: u64,
     xmin: Xid,
-    rows: usize,
-    /// columns[c][r] = value of column c in row r of this stripe.
-    columns: Vec<Vec<crate::types::Datum>>,
+    stripe: Arc<Stripe>,
 }
 
 impl Default for ColumnarStore {
@@ -338,27 +339,20 @@ impl ColumnarStore {
         self.next_seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Append a batch of rows as stripe `seq`: a new one, or the source's
-    /// under WAL replay and shard-move copy, which keep stripe identity.
+    /// Append `stripe` as stripe `seq`: a new one, or the source's under WAL
+    /// replay and shard-move copy, which keep stripe identity.
     pub fn append_with_seq(
         &self,
         xid: Xid,
         seq: u64,
-        rows: Vec<Row>,
+        stripe: Arc<Stripe>,
         column_count: usize,
     ) -> PgResult<()> {
-        if rows.iter().any(|r| r.len() != column_count) {
+        if stripe.columns().len() != column_count {
             return Err(PgError::internal("columnar append: row arity mismatch"));
         }
-        let n = rows.len();
-        let mut columns: Vec<Vec<crate::types::Datum>> =
-            (0..column_count).map(|_| Vec::with_capacity(n)).collect();
-        for row in rows {
-            for (c, v) in row.into_iter().enumerate() {
-                columns[c].push(v);
-            }
-        }
-        self.stripes.write().push(ColumnarStripe { seq, xmin: xid, rows: n, columns });
+        let n = stripe.rows();
+        self.stripes.write().push(StoredStripe { seq, xmin: xid, stripe });
         self.live_estimate.fetch_add(n as i64, Ordering::Relaxed);
         // keep locally-generated seqs ahead of replayed ones
         let next = self.next_seq.load(Ordering::Relaxed);
@@ -376,36 +370,29 @@ impl ColumnarStore {
             && self.stripes.read().iter().any(|s| s.seq == seq)
     }
 
-    /// Walk visible stripes without materialising rows: `f(seq, rows,
-    /// columns)` sees the raw column vectors. This is the store's one read
-    /// primitive: the executor's stripe walk slices these into
-    /// `ColumnBatch`es that borrow only the columns it was asked for, and
-    /// the row copies below are built on it.
+    /// Walk visible stripes without materialising rows: `f(seq, stripe)`.
+    /// This is the store's one read primitive: the executor's stripe walk
+    /// slices each stripe into `ColumnBatch`es that borrow only the columns
+    /// it was asked for, and the copies below are built on it.
     pub fn for_each_visible_stripe(
         &self,
         txns: &TxnManager,
         snap: &Snapshot,
-        mut f: impl FnMut(u64, usize, &[Vec<crate::types::Datum>]),
+        mut f: impl FnMut(u64, &Arc<Stripe>),
     ) {
         // recursive: a self-join scans the stripes again inside this walk
         let stripes = self.stripes.read_recursive();
         for s in stripes.iter() {
             if stripe_visible(txns, snap, s.xmin) {
-                f(s.seq, s.rows, &s.columns);
+                f(s.seq, &s.stripe);
             }
         }
     }
 
-    /// Visible stripes as `(seq, rows)` pairs — the stripe-wise copy used by
-    /// shard moves, which must keep stripe identity for catch-up dedup.
+    /// Visible stripes as `(seq, rows)` pairs.
     pub fn visible_stripe_rows(&self, txns: &TxnManager, snap: &Snapshot) -> Vec<(u64, Vec<Row>)> {
         let mut out = Vec::new();
-        self.for_each_visible_stripe(txns, snap, |seq, rows, columns| {
-            let materialized: Vec<Row> = (0..rows)
-                .map(|r| columns.iter().map(|col| col[r].clone()).collect())
-                .collect();
-            out.push((seq, materialized));
-        });
+        self.for_each_visible_stripe(txns, snap, |seq, stripe| out.push((seq, stripe.to_rows())));
         out
     }
 
@@ -456,7 +443,9 @@ impl TableStore {
                 out
             }
             TableStore::Columnar(c) => {
-                c.visible_stripe_rows(txns, snap).into_iter().flat_map(|(_, rows)| rows).collect()
+                let mut out = Vec::new();
+                c.for_each_visible_stripe(txns, snap, |_, stripe| out.extend(stripe.to_rows()));
+                out
             }
         }
     }
@@ -621,17 +610,23 @@ mod tests {
         assert_eq!(heap.vacuum(&tm, tm.oldest_active_xid()).len(), 1);
     }
 
+    fn stripe(rows: Vec<Row>, types: &[sqlparse::ast::TypeName]) -> Arc<Stripe> {
+        Arc::new(Stripe::from_rows(rows, types).unwrap())
+    }
+
     #[test]
     fn columnar_append_and_projection() {
+        use sqlparse::ast::TypeName;
         let tm = TxnManager::default();
         let col = ColumnarStore::default();
         let x1 = tm.begin();
-        col.append_with_seq(x1, 1, vec![vec![Datum::Int(1), Datum::from_text("a")]], 2).unwrap();
+        let rows = vec![vec![Datum::Int(1), Datum::from_text("a")]];
+        col.append_with_seq(x1, 1, stripe(rows, &[TypeName::Int, TypeName::Text]), 2).unwrap();
         tm.commit(x1);
         let snap = tm.snapshot(INVALID_XID);
         let mut rows = Vec::new();
-        col.for_each_visible_stripe(&tm, &snap, |_, n, columns| {
-            let batch = crate::batch::ColumnBatch::from_stripe(columns, 0, n, &[0]);
+        col.for_each_visible_stripe(&tm, &snap, |_, stripe| {
+            let batch = crate::batch::ColumnBatch::from_stripe(stripe, 0, stripe.rows(), &[0]);
             let mut row = Vec::new();
             batch.gather(0, &mut row);
             rows.push(row);
@@ -646,10 +641,13 @@ mod tests {
         let tm = TxnManager::default();
         let col = ColumnarStore::default();
         let x1 = tm.begin();
-        col.append_with_seq(x1, 1, vec![row(1)], 1).unwrap();
+        let int = [sqlparse::ast::TypeName::Int];
+        col.append_with_seq(x1, 1, stripe(vec![row(1)], &int), 1).unwrap();
         assert!(col.visible_stripe_rows(&tm, &tm.snapshot(INVALID_XID)).is_empty());
         // own snapshot sees it
         assert_eq!(col.visible_stripe_rows(&tm, &tm.snapshot(x1)), vec![(1, vec![row(1)])]);
+        // a stripe of another width is refused
+        assert!(col.append_with_seq(x1, 2, stripe(vec![row(1)], &int), 2).is_err());
     }
 
     #[test]

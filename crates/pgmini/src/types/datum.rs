@@ -193,29 +193,19 @@ impl Datum {
     /// SQL comparison: NULL compares as unknown (`None`); numerics compare
     /// across Int/Float, NaN as PostgreSQL orders it (`float_cmp`).
     pub fn sql_cmp(&self, other: &Datum) -> Option<Ordering> {
-        match (self, other) {
-            (Datum::Null, _) | (_, Datum::Null) => None,
-            (Datum::Int(a), Datum::Int(b)) => Some(a.cmp(b)),
-            (Datum::Int(a), Datum::Float(b)) => Some(float_cmp(*a as f64, *b)),
-            (Datum::Float(a), Datum::Int(b)) => Some(float_cmp(*a, *b as f64)),
-            (Datum::Float(a), Datum::Float(b)) => Some(float_cmp(*a, *b)),
-            (Datum::Bool(a), Datum::Bool(b)) => Some(a.cmp(b)),
-            (Datum::Text(a), Datum::Text(b)) => Some(a.cmp(b)),
-            (Datum::Timestamp(a), Datum::Timestamp(b)) => Some(a.cmp(b)),
-            (Datum::Timestamp(a), Datum::Text(b)) => {
-                time::parse_timestamp(b).map(|bt| a.cmp(&bt))
-            }
-            (Datum::Text(a), Datum::Timestamp(b)) => {
-                time::parse_timestamp(a).map(|at| at.cmp(b))
-            }
-            (Datum::Json(a), Datum::Json(b)) => {
-                if a == b {
-                    Some(Ordering::Equal)
-                } else {
-                    Some(a.to_string().cmp(&b.to_string()))
-                }
-            }
-            _ => None,
+        self.view().sql_cmp(other.view())
+    }
+
+    /// This value as a [`DatumRef`], its payload borrowed.
+    pub fn view(&self) -> DatumRef<'_> {
+        match self {
+            Datum::Null => DatumRef::Null,
+            Datum::Bool(b) => DatumRef::Bool(*b),
+            Datum::Int(v) => DatumRef::Int(*v),
+            Datum::Float(v) => DatumRef::Float(*v),
+            Datum::Text(s) => DatumRef::Text(s),
+            Datum::Json(j) => DatumRef::Json(j),
+            Datum::Timestamp(t) => DatumRef::Timestamp(*t),
         }
     }
 
@@ -272,9 +262,71 @@ impl Datum {
     }
 }
 
+/// A value lent without building a [`Datum`]: what a typed columnar stripe
+/// hands its readers, and a `Datum` seen through [`Datum::view`]. Comparing
+/// two of them is [`Datum::sql_cmp`] itself, so a kernel reading typed
+/// columns compares exactly as the row-at-a-time interpreter does.
+#[derive(Debug, Clone, Copy)]
+pub enum DatumRef<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Text(&'a Arc<str>),
+    Json(&'a Arc<Json>),
+    Timestamp(i64),
+}
+
+impl DatumRef<'_> {
+    pub fn is_null(self) -> bool {
+        matches!(self, DatumRef::Null)
+    }
+
+    /// The owned value: a text or JSON payload is shared, not copied.
+    pub fn to_datum(self) -> Datum {
+        match self {
+            DatumRef::Null => Datum::Null,
+            DatumRef::Bool(b) => Datum::Bool(b),
+            DatumRef::Int(v) => Datum::Int(v),
+            DatumRef::Float(v) => Datum::Float(v),
+            DatumRef::Text(s) => Datum::Text(s.clone()),
+            DatumRef::Json(j) => Datum::Json(j.clone()),
+            DatumRef::Timestamp(t) => Datum::Timestamp(t),
+        }
+    }
+
+    /// [`Datum::sql_cmp`] over borrowed values.
+    pub fn sql_cmp(self, other: DatumRef<'_>) -> Option<Ordering> {
+        match (self, other) {
+            (DatumRef::Null, _) | (_, DatumRef::Null) => None,
+            (DatumRef::Int(a), DatumRef::Int(b)) => Some(a.cmp(&b)),
+            (DatumRef::Int(a), DatumRef::Float(b)) => Some(float_cmp(a as f64, b)),
+            (DatumRef::Float(a), DatumRef::Int(b)) => Some(float_cmp(a, b as f64)),
+            (DatumRef::Float(a), DatumRef::Float(b)) => Some(float_cmp(a, b)),
+            (DatumRef::Bool(a), DatumRef::Bool(b)) => Some(a.cmp(&b)),
+            (DatumRef::Text(a), DatumRef::Text(b)) => Some(a.cmp(b)),
+            (DatumRef::Timestamp(a), DatumRef::Timestamp(b)) => Some(a.cmp(&b)),
+            (DatumRef::Timestamp(a), DatumRef::Text(b)) => {
+                time::parse_timestamp(b).map(|bt| a.cmp(&bt))
+            }
+            (DatumRef::Text(a), DatumRef::Timestamp(b)) => {
+                time::parse_timestamp(a).map(|at| at.cmp(&b))
+            }
+            (DatumRef::Json(a), DatumRef::Json(b)) => {
+                if a == b {
+                    Some(Ordering::Equal)
+                } else {
+                    Some(a.to_string().cmp(&b.to_string()))
+                }
+            }
+            _ => None,
+        }
+    }
+}
+
 /// PostgreSQL's float order: NaN equals NaN and sorts above every number;
 /// `-0.0` equals `0.0`.
-fn float_cmp(a: f64, b: f64) -> Ordering {
+pub(crate) fn float_cmp(a: f64, b: f64) -> Ordering {
     a.partial_cmp(&b).unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
 }
 

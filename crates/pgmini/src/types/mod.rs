@@ -7,6 +7,6 @@ pub mod key_table;
 pub mod text_ops;
 pub mod time;
 
-pub use datum::{hash_bytes, hash_row, splitmix64, Datum, Row, SortKey};
+pub use datum::{hash_bytes, hash_row, splitmix64, Datum, DatumRef, Row, SortKey};
 pub use json::Json;
 pub use key_table::KeyTable;

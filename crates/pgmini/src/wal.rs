@@ -7,11 +7,14 @@
 
 use crate::catalog::TableId;
 use crate::error::{ErrorCode, PgError, PgResult};
+use crate::stripe::Stripe;
 use crate::types::{Datum, Json, Row};
 use crate::txn::Xid;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use parking_lot::Mutex;
+use sqlparse::ast::TypeName;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Log sequence number: index into the record stream.
 pub type Lsn = u64;
@@ -30,8 +33,9 @@ pub enum WalRecord {
     Delete { xid: Xid, table: TableId, row_id: u64, row: Row },
     /// Append-only columnar stripe write. `seq` is the stripe's stable
     /// sequence number, which shard-move catch-up uses to deduplicate
-    /// stripes present in both the copy snapshot and the WAL delta.
-    ColumnarAppend { xid: Xid, table: TableId, seq: u64, rows: Vec<Row> },
+    /// stripes present in both the copy snapshot and the WAL delta. The
+    /// stripe is the image the table's store holds, not a copy of it.
+    ColumnarAppend { xid: Xid, table: TableId, seq: u64, stripe: Arc<Stripe> },
     Commit { xid: Xid },
     Abort { xid: Xid },
     /// First phase of 2PC: the transaction's fate is now externally decided.
@@ -202,8 +206,9 @@ pub struct TableChanges {
 /// consumer's change *ordinal* (count of committed changes consumed) stays
 /// valid across crash-restore even though raw LSNs do not.
 ///
-/// `ColumnarAppend` stripes decode to one [`Change::Insert`] per row —
-/// columnar tables are append-only, so old images never arise. A slice that
+/// `ColumnarAppend` stripes decode to one [`Change::Insert`] per row, built
+/// here from the stripe: columnar tables are append-only, so old images
+/// never arise. A slice that
 /// starts at a previous horizon is self-contained (see [`fates`]).
 pub fn decode_table_changes(records: &[WalRecord], base_lsn: Lsn, table: TableId) -> TableChanges {
     let fate = fates(records);
@@ -220,8 +225,8 @@ pub fn decode_table_changes(records: &[WalRecord], base_lsn: Lsn, table: TableId
                     .changes
                     .push(Change::Update { old: old_row.clone(), new: new_row.clone() }),
                 WalRecord::Delete { row, .. } => out.changes.push(Change::Delete(row.clone())),
-                WalRecord::ColumnarAppend { rows, .. } => {
-                    out.changes.extend(rows.iter().cloned().map(Change::Insert))
+                WalRecord::ColumnarAppend { stripe, .. } => {
+                    out.changes.extend(stripe.to_rows().into_iter().map(Change::Insert))
                 }
                 _ => unreachable!(),
             },
@@ -318,6 +323,16 @@ fn get_row(buf: &mut Bytes) -> PgResult<Row> {
     Ok(row)
 }
 
+/// A stripe column's type on the wire: its index here.
+const TYPE_TAGS: [TypeName; 6] = [
+    TypeName::Bool,
+    TypeName::Int,
+    TypeName::Float,
+    TypeName::Text,
+    TypeName::Json,
+    TypeName::Timestamp,
+];
+
 fn corrupt() -> PgError {
     PgError::new(ErrorCode::Internal, "corrupt WAL record")
 }
@@ -381,14 +396,21 @@ pub fn encode_record(rec: &WalRecord) -> Bytes {
             buf.put_u8(11);
             put_str(&mut buf, sql);
         }
-        WalRecord::ColumnarAppend { xid, table, seq, rows } => {
+        WalRecord::ColumnarAppend { xid, table, seq, stripe } => {
+            // the column types, then the rows: decoding rebuilds the same
+            // stripe from them
             buf.put_u8(12);
             buf.put_u64(*xid);
             buf.put_u32(table.0);
             buf.put_u64(*seq);
-            buf.put_u32(rows.len() as u32);
-            for row in rows {
-                put_row(&mut buf, row);
+            let types = stripe.types();
+            buf.put_u32(types.len() as u32);
+            for ty in types {
+                buf.put_u8(TYPE_TAGS.iter().position(|t| *t == ty).expect("every type") as u8);
+            }
+            buf.put_u32(stripe.rows() as u32);
+            for r in 0..stripe.rows() {
+                put_row(&mut buf, &stripe.row(r));
             }
         }
     }
@@ -435,12 +457,16 @@ pub fn decode_record(mut buf: Bytes) -> PgResult<WalRecord> {
             let xid = buf.get_u64();
             let table = TableId(buf.get_u32());
             let seq = buf.get_u64();
+            let types = (0..buf.get_u32())
+                .map(|_| TYPE_TAGS.get(buf.get_u8() as usize).copied().ok_or_else(corrupt))
+                .collect::<PgResult<Vec<_>>>()?;
             let n = buf.get_u32() as usize;
             let mut rows = Vec::with_capacity(n);
             for _ in 0..n {
                 rows.push(get_row(&mut buf)?);
             }
-            WalRecord::ColumnarAppend { xid, table, seq, rows }
+            let stripe = Arc::new(Stripe::from_rows(rows, &types).map_err(|_| corrupt())?);
+            WalRecord::ColumnarAppend { xid, table, seq, stripe }
         }
         _ => return Err(corrupt()),
     })
@@ -449,6 +475,10 @@ pub fn decode_record(mut buf: Bytes) -> PgResult<WalRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn stripe(rows: Vec<Row>, types: &[TypeName]) -> Arc<Stripe> {
+        Arc::new(Stripe::from_rows(rows, types).unwrap())
+    }
 
     fn sample_records() -> Vec<WalRecord> {
         vec![
@@ -486,7 +516,10 @@ mod tests {
                 xid: 7,
                 table: TableId(4),
                 seq: 2,
-                rows: vec![vec![Datum::Int(1), Datum::from_text("x")], vec![Datum::Int(2), Datum::Null]],
+                stripe: stripe(
+                    vec![vec![Datum::Int(1), Datum::from_text("x")], vec![Datum::Int(2), Datum::Null]],
+                    &[TypeName::Int, TypeName::Text],
+                ),
             },
         ]
     }
@@ -616,7 +649,7 @@ mod tests {
                 xid: 5,
                 table: TableId(4),
                 seq: 0,
-                rows: vec![vec![Datum::Int(1)], vec![Datum::Int(2)]],
+                stripe: stripe(vec![vec![Datum::Int(1)], vec![Datum::Int(2)]], &[TypeName::Int]),
             },
             WalRecord::Commit { xid: 5 },
         ];
