@@ -293,27 +293,41 @@ fn explain_surfaces_the_vectorized_path() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random scan/filter/aggregate workloads over a columnar table observe
+    /// Random scan/filter/aggregate workloads over a columnar table with
+    /// NULL in every column, NaN, timestamps and repeated text observe
     /// identical results with vectorization on and off.
     #[test]
     fn random_columnar_workloads_mode_invariant(
-        ops in prop::collection::vec((0usize..7, 0i64..40), 1..10),
+        cells in prop::collection::vec((0i64..40, 0usize..8), 30..90),
+        ops in prop::collection::vec((0usize..14, 0i64..40), 1..10),
     ) {
+        const TEXT: [&str; 8] = ["''", "'MAIL'", "'SHIP'", "'air'", "'héllo'", "'MAIL'", "NULL", "'SHIP'"];
+        let rows: Vec<String> = cells
+            .iter()
+            .enumerate()
+            .map(|(k, (x, pick))| {
+                let a = if x % 9 == 0 { "NULL".to_string() } else { (x % 7).to_string() };
+                let b = match x % 13 {
+                    0 => "'NaN'::float".to_string(),
+                    1 => "NULL".to_string(),
+                    2 => "-0.0".to_string(),
+                    _ => format!("{}.25", x % 11),
+                };
+                let t = match x % 10 {
+                    0 => "NULL".to_string(),
+                    d => format!("timestamp '2020-01-{:02}'", d * 3),
+                };
+                format!("({k}, {a}, {b}, {t}, {})", TEXT[*pick])
+            })
+            .collect();
         let run = |vectorized: bool| {
             let c = cluster(1, vectorized);
             let mut s = c.session().unwrap();
-            s.execute("CREATE TABLE m (k bigint, a bigint, b float) USING columnar")
+            s.execute("CREATE TABLE m (k bigint, a bigint, b float, t timestamp, s text) USING columnar")
                 .unwrap();
             s.execute("SELECT create_distributed_table('m', 'k')").unwrap();
-            for chunk in 0..3i64 {
-                let rows: Vec<String> = (0..30i64)
-                    .map(|i| {
-                        let k = chunk * 30 + i;
-                        format!("({k}, {}, {}.25)", k % 7, k % 11)
-                    })
-                    .collect();
-                s.execute(&format!("INSERT INTO m VALUES {}", rows.join(", ")))
-                    .unwrap();
+            for chunk in rows.chunks(30) {
+                s.execute(&format!("INSERT INTO m VALUES {}", chunk.join(", "))).unwrap();
             }
             let mut out = Vec::new();
             for (op, x) in &ops {
@@ -321,10 +335,20 @@ proptest! {
                     0 => format!("SELECT count(*) FROM m WHERE a > {}", x % 7),
                     1 => format!("SELECT sum(a), min(b) FROM m WHERE k < {x}"),
                     2 => format!("SELECT a, count(*) FROM m WHERE b > {}.0 GROUP BY a ORDER BY 1", x % 11),
-                    3 => format!("SELECT k, a FROM m WHERE k = {x}"),
-                    4 => format!("INSERT INTO m VALUES ({}, 1, 0.5)", 1000 + x),
+                    3 => format!("SELECT k, a, b, t, s FROM m WHERE k = {x}"),
+                    4 => format!("INSERT INTO m VALUES ({}, 1, 0.5, NULL, 'air')", 1000 + x),
                     5 => format!("SELECT avg(b) FROM m WHERE a BETWEEN {} AND {}", x % 5, x % 5 + 3),
-                    _ => format!("SELECT count(*) FROM m WHERE 1 / (a - {}) >= 0", x % 7),
+                    6 => format!("SELECT count(*) FROM m WHERE 1 / (a - {}) >= 0", x % 7),
+                    7 => "SELECT s, count(*), sum(a), min(b), max(t) FROM m GROUP BY s ORDER BY 1".into(),
+                    8 => format!("SELECT count(*) FROM m WHERE s IN ('MAIL', 'SHIP', 'x{x}')"),
+                    9 => "SELECT k, s FROM m WHERE s LIKE '%A%' OR s ILIKE 'H_LLO' ORDER BY k".into(),
+                    10 => format!(
+                        "SELECT count(*), min(t), max(t) FROM m WHERE t < '2020-01-{:02}'",
+                        x % 28 + 1
+                    ),
+                    11 => format!("SELECT t, count(*) FROM m WHERE b > {} GROUP BY t ORDER BY 1", x % 11),
+                    12 => "SELECT count(*) FROM m WHERE s NOT LIKE 'M%' AND a IS NULL".into(),
+                    _ => format!("SELECT sum(b), avg(b), count(s) FROM m WHERE s = 'air' OR k < {x}"),
                 };
                 out.push(match s.execute(&sql) {
                     Ok(r) => format!("ok:{:?}/{}", r.rows(), r.affected()),

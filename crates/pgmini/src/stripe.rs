@@ -110,12 +110,14 @@ impl Column {
             mut f: impl FnMut(&'a Datum) -> Option<T>,
             mismatch: impl Fn(&Datum) -> PgError,
         ) -> PgResult<Vec<T>> {
-            rows.iter()
-                .map(|row| match &row[c] {
-                    Datum::Null => Ok(T::default()),
-                    d => f(d).ok_or_else(|| mismatch(d)),
-                })
-                .collect()
+            let mut out = Vec::with_capacity(rows.len());
+            for row in rows {
+                out.push(match &row[c] {
+                    Datum::Null => T::default(),
+                    d => f(d).ok_or_else(|| mismatch(d))?,
+                });
+            }
+            Ok(out)
         }
         let values = match ty {
             TypeName::Bool => Values::Bool(typed(

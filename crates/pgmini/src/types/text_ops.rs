@@ -2,39 +2,61 @@
 //! GIN index (the pg_trgm stand-in used by the real-time analytics benchmark).
 
 /// Match `text` against a SQL LIKE pattern (`%` any run, `_` any one char).
+/// When both strings are ASCII the match walks bytes, folding ASCII case for
+/// ILIKE; otherwise it walks chars. Only an ILIKE over non-ASCII text
+/// allocates, to lowercase both sides.
 pub fn like_match(text: &str, pattern: &str, case_insensitive: bool) -> bool {
-    if case_insensitive {
-        let t = text.to_lowercase();
-        let p = pattern.to_lowercase();
-        like_inner(&t.chars().collect::<Vec<_>>(), &p.chars().collect::<Vec<_>>())
+    if text.is_ascii() && pattern.is_ascii() {
+        like_bytes(text.as_bytes(), pattern.as_bytes(), case_insensitive)
+    } else if case_insensitive {
+        like_chars(&text.to_lowercase(), &pattern.to_lowercase())
     } else {
-        like_inner(&text.chars().collect::<Vec<_>>(), &pattern.chars().collect::<Vec<_>>())
+        like_chars(text, pattern)
     }
 }
 
-/// Iterative two-pointer LIKE matcher (linear for patterns with one `%` run,
-/// no pathological backtracking).
-fn like_inner(text: &[char], pat: &[char]) -> bool {
+/// Iterative two-pointer LIKE matcher over ASCII bytes (linear for patterns
+/// with one `%` run, no pathological backtracking).
+fn like_bytes(text: &[u8], pat: &[u8], fold_case: bool) -> bool {
+    let same = |a: u8, b: u8| if fold_case { a.eq_ignore_ascii_case(&b) } else { a == b };
     let (mut t, mut p) = (0usize, 0usize);
     let (mut star_p, mut star_t) = (usize::MAX, 0usize);
     while t < text.len() {
-        if p < pat.len() && (pat[p] == '_' || (pat[p] != '%' && pat[p] == text[t])) {
-            t += 1;
-            p += 1;
-        } else if p < pat.len() && pat[p] == '%' {
-            star_p = p;
-            star_t = t;
-            p += 1;
-        } else if star_p != usize::MAX {
-            // backtrack: let the last % absorb one more character
-            p = star_p + 1;
-            star_t += 1;
-            t = star_t;
-        } else {
-            return false;
+        match pat.get(p) {
+            Some(b'_') => (t, p) = (t + 1, p + 1),
+            Some(b'%') => (star_p, star_t, p) = (p, t, p + 1),
+            Some(&c) if same(c, text[t]) => (t, p) = (t + 1, p + 1),
+            // backtrack: let the last % absorb one more byte
+            _ if star_p != usize::MAX => (p, star_t, t) = (star_p + 1, star_t + 1, star_t + 1),
+            _ => return false,
         }
     }
-    while p < pat.len() && pat[p] == '%' {
+    while pat.get(p) == Some(&b'%') {
+        p += 1;
+    }
+    p == pat.len()
+}
+
+/// [`like_bytes`] stepping by chars: the positions are byte offsets at char
+/// boundaries.
+fn like_chars(text: &str, pat: &str) -> bool {
+    let at = |s: &str, i: usize| s[i..].chars().next();
+    let (mut t, mut p) = (0usize, 0usize);
+    let (mut star_p, mut star_t) = (usize::MAX, 0usize);
+    while let Some(tc) = at(text, t) {
+        match at(pat, p) {
+            Some('_') => (t, p) = (t + tc.len_utf8(), p + 1),
+            Some('%') => (star_p, star_t, p) = (p, t, p + 1),
+            Some(pc) if pc == tc => (t, p) = (t + tc.len_utf8(), p + pc.len_utf8()),
+            // backtrack: let the last % absorb one more char
+            _ if star_p != usize::MAX => {
+                star_t += at(text, star_t).map_or(1, char::len_utf8);
+                (p, t) = (star_p + 1, star_t);
+            }
+            _ => return false,
+        }
+    }
+    while at(pat, p) == Some('%') {
         p += 1;
     }
     p == pat.len()
@@ -113,6 +135,66 @@ mod tests {
     fn ilike_folds_case() {
         assert!(like_match("PostgreSQL", "%postgres%", true));
         assert!(!like_match("PostgreSQL", "%postgres%", false));
+    }
+
+    #[test]
+    fn like_walks_non_ascii_text_by_chars() {
+        assert!(like_match("héllo", "h_llo", false));
+        assert!(like_match("日本語テキスト", "%語_キ%", false));
+        assert!(!like_match("日本語", "__", false));
+        assert!(like_match("ÉCOLE", "%cole", true));
+        assert!(like_match("straße", "STRA%", true));
+    }
+
+    /// The definition of LIKE, by recursion over chars: the reference both
+    /// walks are held to.
+    fn like_reference(text: &[char], pat: &[char]) -> bool {
+        match pat.split_first() {
+            None => text.is_empty(),
+            Some(('%', rest)) => (0..=text.len()).any(|k| like_reference(&text[k..], rest)),
+            Some((&c, rest)) => text
+                .split_first()
+                .is_some_and(|(&t, tail)| (c == '_' || c == t) && like_reference(tail, rest)),
+        }
+    }
+
+    /// Random patterns with `_` and `%` runs over small alphabets: the byte
+    /// walk and the char walk agree on ASCII text, and the char walk agrees
+    /// with the definition on ASCII and non-ASCII text alike.
+    #[test]
+    fn byte_and_char_walks_agree_on_random_patterns() {
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        let ascii = ['a', 'b', 'A'];
+        let wide = ['a', 'é', '日', 'ß'];
+        for round in 0..4_000 {
+            let alphabet: &[char] = if round % 2 == 0 { &ascii } else { &wide };
+            let text: String = (0..next(8)).map(|_| alphabet[next(alphabet.len())]).collect();
+            let pat: String = (0..next(7))
+                .map(|_| match next(5) {
+                    0 => '%',
+                    1 => '_',
+                    _ => alphabet[next(alphabet.len())],
+                })
+                .collect();
+            let (tc, pc): (Vec<char>, Vec<char>) = (text.chars().collect(), pat.chars().collect());
+            let want = like_reference(&tc, &pc);
+            assert_eq!(like_chars(&text, &pat), want, "{text:?} LIKE {pat:?}");
+            assert_eq!(like_match(&text, &pat, false), want, "{text:?} LIKE {pat:?}");
+            if text.is_ascii() && pat.is_ascii() {
+                assert_eq!(like_bytes(text.as_bytes(), pat.as_bytes(), false), want);
+                let folded = like_reference(
+                    &text.to_lowercase().chars().collect::<Vec<_>>(),
+                    &pat.to_lowercase().chars().collect::<Vec<_>>(),
+                );
+                assert_eq!(like_match(&text, &pat, true), folded, "{text:?} ILIKE {pat:?}");
+            }
+        }
     }
 
     #[test]
