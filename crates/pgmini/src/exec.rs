@@ -704,10 +704,6 @@ impl AggState {
                         self.sum_i = self.sum_i.wrapping_add(x);
                         self.sum_f += x as f64;
                     }
-                    DatumRef::Float(x) => {
-                        self.float_mode = true;
-                        self.sum_f += x;
-                    }
                     _ => {
                         self.float_mode = true;
                         self.sum_f += v.to_datum().as_f64()?;

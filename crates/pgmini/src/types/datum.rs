@@ -197,6 +197,7 @@ impl Datum {
     }
 
     /// This value as a [`DatumRef`], its payload borrowed.
+    #[inline]
     pub fn view(&self) -> DatumRef<'_> {
         match self {
             Datum::Null => DatumRef::Null,
@@ -278,11 +279,13 @@ pub enum DatumRef<'a> {
 }
 
 impl DatumRef<'_> {
+    #[inline]
     pub fn is_null(self) -> bool {
         matches!(self, DatumRef::Null)
     }
 
     /// The owned value: a text or JSON payload is shared, not copied.
+    #[inline]
     pub fn to_datum(self) -> Datum {
         match self {
             DatumRef::Null => Datum::Null,
