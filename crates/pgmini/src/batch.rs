@@ -9,8 +9,8 @@
 //!   whose operands are typed (a column, a constant, computed numbers) tests
 //!   the slices in place, and one of a number or timestamp column with a
 //!   constant runs as a loop over the column's array; AND narrows the
-//!   selection and OR widens it, evaluating each side for exactly the rows
-//!   the row-at-a-time interpreter would;
+//!   selection and OR widens it, each side running where the row-at-a-time
+//!   interpreter would run it, or where running it changes nothing;
 //! * [`eval_batch`] computes values. Arithmetic over numbers runs on `i64` /
 //!   `f64` lanes. Every other expression runs the scalar cores
 //!   (`apply_unary` / `apply_binary` / `kleene_combine` / `apply_like`) on

@@ -49,15 +49,17 @@ impl Stripe {
     /// its column shares that entry, and the duplicate is dropped with the
     /// rows.
     pub fn from_rows(rows: Vec<Row>, types: &[TypeName]) -> PgResult<Stripe> {
-        if rows.iter().any(|r| r.len() != types.len()) {
-            return Err(PgError::internal("columnar append: row arity mismatch"));
+        let mut columns: Vec<Builder> =
+            types.iter().map(|ty| Builder::new(*ty, rows.len())).collect();
+        for (r, row) in rows.iter().enumerate() {
+            if row.len() != types.len() {
+                return Err(PgError::internal("columnar append: row arity mismatch"));
+            }
+            for (column, d) in columns.iter_mut().zip(row) {
+                column.push(r, d)?;
+            }
         }
-        let columns = types
-            .iter()
-            .enumerate()
-            .map(|(c, ty)| Column::build(&rows, c, *ty))
-            .collect::<PgResult<_>>()?;
-        Ok(Stripe { rows: rows.len(), columns })
+        Ok(Stripe { rows: rows.len(), columns: columns.into_iter().map(Builder::finish).collect() })
     }
 
     pub fn rows(&self) -> usize {
@@ -85,114 +87,90 @@ impl Stripe {
     }
 }
 
-impl Column {
-    fn build(rows: &[Row], c: usize, ty: TypeName) -> PgResult<Column> {
-        let mut valid = vec![0u64; rows.len().div_ceil(64)];
-        let mut nulls = false;
-        for (r, row) in rows.iter().enumerate() {
-            if row[c].is_null() {
-                nulls = true;
-            } else {
-                valid[r / 64] |= 1 << (r % 64);
-            }
-        }
-        let mismatch = |d: &Datum| {
-            PgError::internal(format!(
-                "columnar append: {:?} value in a {} column",
-                d.type_name(),
-                ty.as_str()
-            ))
-        };
-        // one typed value per row, the zero of its type in a NULL row
-        fn typed<'a, T: Default>(
-            rows: &'a [Row],
-            c: usize,
-            mut f: impl FnMut(&'a Datum) -> Option<T>,
-            mismatch: impl Fn(&Datum) -> PgError,
-        ) -> PgResult<Vec<T>> {
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                out.push(match &row[c] {
-                    Datum::Null => T::default(),
-                    d => f(d).ok_or_else(|| mismatch(d))?,
-                });
-            }
-            Ok(out)
-        }
+/// A column of a stripe being built, one row at a time.
+struct Builder {
+    ty: TypeName,
+    valid: Vec<u64>,
+    nulls: bool,
+    values: Values,
+    /// Text entries by value, once the dictionary outgrows a linear search.
+    seen: HashMap<Arc<str>, u32>,
+}
+
+/// Dictionary entries a text value is looked for among one by one, before
+/// the column switches to a hash map: the size of the low-cardinality
+/// columns of the warehousing schema.
+const LINEAR_DICT: usize = 16;
+
+impl Builder {
+    fn new(ty: TypeName, rows: usize) -> Builder {
         let values = match ty {
-            TypeName::Bool => Values::Bool(typed(
-                rows,
-                c,
-                |d| match d {
-                    Datum::Bool(b) => Some(*b),
-                    _ => None,
-                },
-                mismatch,
-            )?),
-            TypeName::Int => Values::Int(typed(
-                rows,
-                c,
-                |d| match d {
-                    Datum::Int(v) => Some(*v),
-                    _ => None,
-                },
-                mismatch,
-            )?),
-            TypeName::Float => Values::Float(typed(
-                rows,
-                c,
-                |d| match d {
-                    Datum::Float(v) => Some(*v),
-                    _ => None,
-                },
-                mismatch,
-            )?),
-            TypeName::Timestamp => Values::Timestamp(typed(
-                rows,
-                c,
-                |d| match d {
-                    Datum::Timestamp(t) => Some(*t),
-                    _ => None,
-                },
-                mismatch,
-            )?),
-            TypeName::Text => {
-                let mut dict: Vec<Arc<str>> = Vec::new();
-                let mut seen: HashMap<&str, u32> = HashMap::new();
-                let codes = typed(
-                    rows,
-                    c,
-                    |d| match d {
-                        Datum::Text(s) => Some(*seen.entry(&**s).or_insert_with(|| {
-                            dict.push(s.clone());
-                            (dict.len() - 1) as u32
-                        })),
-                        _ => None,
-                    },
-                    mismatch,
-                )?;
-                Values::Text { dict, codes }
-            }
-            TypeName::Json => {
-                let mut dict: Vec<Arc<Json>> = Vec::new();
-                let codes = typed(
-                    rows,
-                    c,
-                    |d| match d {
-                        Datum::Json(j) => {
-                            dict.push(j.clone());
-                            Some((dict.len() - 1) as u32)
-                        }
-                        _ => None,
-                    },
-                    mismatch,
-                )?;
-                Values::Json { dict, codes }
-            }
+            TypeName::Bool => Values::Bool(Vec::with_capacity(rows)),
+            TypeName::Int => Values::Int(Vec::with_capacity(rows)),
+            TypeName::Float => Values::Float(Vec::with_capacity(rows)),
+            TypeName::Timestamp => Values::Timestamp(Vec::with_capacity(rows)),
+            TypeName::Text => Values::Text { dict: Vec::new(), codes: Vec::with_capacity(rows) },
+            TypeName::Json => Values::Json { dict: Vec::new(), codes: Vec::with_capacity(rows) },
         };
-        Ok(Column { valid: nulls.then_some(valid), values })
+        let valid = vec![0u64; rows.div_ceil(64)];
+        Builder { ty, valid, nulls: false, values, seen: HashMap::new() }
     }
 
+    /// Append row `r`'s value: the zero of the column's type when it is NULL.
+    fn push(&mut self, r: usize, d: &Datum) -> PgResult<()> {
+        if d.is_null() {
+            self.nulls = true;
+        } else {
+            self.valid[r / 64] |= 1 << (r % 64);
+        }
+        match (&mut self.values, d) {
+            (Values::Bool(v), Datum::Bool(b)) => v.push(*b),
+            (Values::Bool(v), Datum::Null) => v.push(false),
+            (Values::Int(v), Datum::Int(x)) => v.push(*x),
+            (Values::Float(v), Datum::Float(x)) => v.push(*x),
+            (Values::Int(v) | Values::Timestamp(v), Datum::Null) => v.push(0),
+            (Values::Float(v), Datum::Null) => v.push(0.0),
+            (Values::Timestamp(v), Datum::Timestamp(t)) => v.push(*t),
+            (Values::Text { dict, codes }, Datum::Text(s)) => {
+                let found = if dict.len() <= LINEAR_DICT {
+                    dict.iter().position(|e| e == s).map(|c| c as u32)
+                } else {
+                    if self.seen.is_empty() {
+                        self.seen.extend(dict.iter().cloned().zip(0..));
+                    }
+                    self.seen.get(&**s).copied()
+                };
+                codes.push(found.unwrap_or_else(|| {
+                    dict.push(s.clone());
+                    let code = (dict.len() - 1) as u32;
+                    if !self.seen.is_empty() {
+                        self.seen.insert(s.clone(), code);
+                    }
+                    code
+                }));
+            }
+            (Values::Json { dict, codes }, Datum::Json(j)) => {
+                dict.push(j.clone());
+                codes.push((dict.len() - 1) as u32);
+            }
+            (Values::Text { codes, .. } | Values::Json { codes, .. }, Datum::Null) => codes.push(0),
+            (_, d) => {
+                return Err(PgError::internal(format!(
+                    "columnar append: {:?} value in a {} column",
+                    d.type_name(),
+                    self.ty.as_str()
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Column {
+        Column { valid: self.nulls.then_some(self.valid), values: self.values }
+    }
+}
+
+impl Column {
     fn type_name(&self) -> TypeName {
         match self.values {
             Values::Bool(_) => TypeName::Bool,
@@ -313,6 +291,18 @@ mod tests {
             let want = if r % 3 == 0 { Datum::Null } else { Datum::Int(r) };
             assert_eq!(run.get(i).to_datum(), want);
         }
+    }
+
+    /// Past the linear search's reach the dictionary still keeps each
+    /// distinct text once.
+    #[test]
+    fn a_large_dictionary_keeps_each_text_once() {
+        let rows: Vec<Row> =
+            (0..200).map(|i| vec![Datum::from_text(&format!("v{}", i * 7 % 40))]).collect();
+        let stripe = Stripe::from_rows(rows.clone(), &[TypeName::Text]).unwrap();
+        assert_eq!(stripe.to_rows(), rows);
+        let Values::Text { dict, .. } = &stripe.columns[0].values else { unreachable!() };
+        assert_eq!(dict.len(), 40);
     }
 
     #[test]
