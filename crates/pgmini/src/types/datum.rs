@@ -299,6 +299,7 @@ impl DatumRef<'_> {
     }
 
     /// [`Datum::sql_cmp`] over borrowed values.
+    #[inline]
     pub fn sql_cmp(self, other: DatumRef<'_>) -> Option<Ordering> {
         match (self, other) {
             (DatumRef::Null, _) | (_, DatumRef::Null) => None,
