@@ -193,7 +193,12 @@ impl Datum {
     /// SQL comparison: NULL compares as unknown (`None`); numerics compare
     /// across Int/Float, NaN as PostgreSQL orders it (`float_cmp`).
     pub fn sql_cmp(&self, other: &Datum) -> Option<Ordering> {
-        self.view().sql_cmp(other.view())
+        // the pairs index and grouping keys compare most, without the view
+        match (self, other) {
+            (Datum::Int(a), Datum::Int(b)) => Some(a.cmp(b)),
+            (Datum::Text(a), Datum::Text(b)) => Some(a.cmp(b)),
+            _ => self.view().sql_cmp(other.view()),
+        }
     }
 
     /// This value as a [`DatumRef`], its payload borrowed.
