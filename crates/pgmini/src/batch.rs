@@ -401,37 +401,31 @@ pub fn eval_batch<'a>(
         }
         BExpr::InList { expr, list, negated } => {
             let v = eval_batch(expr, batch, sel, ctx)?;
-            let items: Vec<BVec> = list
-                .iter()
-                .map(|item| eval_batch(item, batch, sel, ctx))
-                .collect::<PgResult<_>>()?;
             let mut out = owned(batch.len);
-            for &i in sel {
-                let vv = v.get(i);
-                out[i] = if vv.is_null() {
-                    Datum::Null
-                } else {
-                    let mut saw_null = false;
-                    let mut hit = false;
-                    for item in &items {
-                        let iv = item.get(i);
-                        match vv.sql_cmp(iv) {
-                            Some(Ordering::Equal) => {
-                                hit = true;
-                                break;
-                            }
-                            None if iv.is_null() => saw_null = true,
-                            _ => {}
-                        }
+            // Rows still undecided: like the interpreter, an item runs only
+            // on the non-NULL rows no earlier item matched, so an item that
+            // fails raises only where a volcano scan reaches it.
+            let mut rem: Vec<usize> =
+                sel.iter().copied().filter(|&i| !v.get(i).is_null()).collect();
+            for &i in &rem {
+                out[i] = Datum::Bool(*negated);
+            }
+            for item in list {
+                if rem.is_empty() {
+                    break;
+                }
+                let iv = eval_batch(item, batch, &rem, ctx)?;
+                rem.retain(|&i| match v.get(i).sql_cmp(iv.get(i)) {
+                    Some(Ordering::Equal) => {
+                        out[i] = Datum::Bool(!*negated);
+                        false
                     }
-                    if hit {
-                        Datum::Bool(!*negated)
-                    } else if saw_null {
-                        Datum::Null
-                    } else {
-                        Datum::Bool(*negated)
+                    None if iv.get(i).is_null() => {
+                        out[i] = Datum::Null;
+                        true
                     }
-                };
+                    _ => true,
+                });
             }
             BVec::Owned(out)
         }
@@ -531,10 +525,10 @@ pub fn eval_batch<'a>(
 /// interpreter runs it for, or for rows that make no difference, so the
 /// same statements fail: OR tries its right side on the rows its left did
 /// not select; AND tries its right side on the rows its left selected when
-/// that side fails on no row, or only in a constant part (the interpreter
-/// also tries it where the left is NULL, which raises nothing new while a
-/// selected row tries it too). Any other predicate is computed by
-/// [`eval_batch`] and its TRUE lanes kept.
+/// that side fails on no row, or only in a constant part that runs wherever
+/// the side runs (the interpreter also tries it where the left is NULL,
+/// which raises nothing new while a selected row tries it too). Any other
+/// predicate is computed by [`eval_batch`] and its TRUE lanes kept.
 pub fn filter_batch(
     pred: &BExpr,
     batch: &ColumnBatch,
@@ -590,26 +584,36 @@ enum Fails {
     /// Nowhere: column reads, constants, parameter slots (bound before the
     /// statement runs) and the tests over them (a comparison never fails).
     Never,
-    /// In a part that reads no column, so alike on every row that runs it.
+    /// In a part that reads no column and runs on every row the expression
+    /// runs on, so alike on each of them.
     OnConstants,
-    /// In a part that reads the row.
+    /// In a part that reads the row, or that only some rows run.
     OnRows,
 }
 
 fn failure(e: &BExpr) -> Fails {
     let tests = |parts: &mut dyn Iterator<Item = &BExpr>| parts.map(failure).max();
+    // a part the interpreter runs only on the rows `gate` leaves undecided
+    let behind = |gate: &BExpr, f: Fails| {
+        if f == Fails::OnConstants && !gate.is_const() {
+            Fails::OnRows
+        } else {
+            f
+        }
+    };
     match e {
         BExpr::Const(_) | BExpr::Param(_) | BExpr::Col(_) => Fails::Never,
-        BExpr::Binary { op, left, right }
-            if op.is_comparison() || matches!(op, BinaryOp::And | BinaryOp::Or) =>
-        {
+        BExpr::Binary { op, left, right } if op.is_comparison() => {
             failure(left).max(failure(right))
+        }
+        BExpr::Binary { op: BinaryOp::And | BinaryOp::Or, left, right } => {
+            failure(left).max(behind(left, failure(right)))
         }
         BExpr::Between { expr, low, high, .. } => {
             tests(&mut [&**expr, low, high].into_iter()).unwrap_or(Fails::Never)
         }
         BExpr::InList { expr, list, .. } => {
-            failure(expr).max(tests(&mut list.iter()).unwrap_or(Fails::Never))
+            failure(expr).max(behind(e, tests(&mut list.iter()).unwrap_or(Fails::Never)))
         }
         BExpr::IsNull { expr, .. } | BExpr::InSet { expr, .. } => failure(expr),
         BExpr::Like { expr, pattern, .. } => failure(expr).max(failure(pattern)),

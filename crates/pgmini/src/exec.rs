@@ -817,9 +817,9 @@ impl<'s> Groups<'s> {
 
 /// Tier B: fused batched scan→filter→aggregate over a columnar base table.
 /// Group keys and aggregate inputs are evaluated as kernels over the typed
-/// columns of each batch — rows are never materialized — and each aggregate
-/// folds its lanes over the selection in row order (a global aggregate one
-/// call at a time, a grouped one row by row into the row's group). Returns
+/// columns of each batch — rows are never materialized — and the aggregates
+/// fold their lanes over the selection row by row, as the pipeline does (a
+/// global aggregate into its one group, looked up once per batch). Returns
 /// `None` when vectorization is off or the plan shape or an expression
 /// doesn't qualify (the pipeline runs).
 fn try_vectorized_agg<'s>(
@@ -862,8 +862,9 @@ fn try_vectorized_agg<'s>(
         if gvecs.is_empty() {
             if !selected.is_empty() {
                 groups.key.clear();
-                for (st, av) in groups.key_states().iter_mut().zip(&avecs) {
-                    for &i in selected {
+                let states = groups.key_states();
+                for &i in selected {
+                    for (st, av) in states.iter_mut().zip(&avecs) {
                         st.update(av.as_ref().map(|v| v.get(i)))?;
                     }
                 }

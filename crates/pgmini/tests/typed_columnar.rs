@@ -71,12 +71,12 @@ fn loaded() -> (Arc<Engine>, Session) {
     (e, s)
 }
 
-/// A statement's answer, or its SQLSTATE, as text: `{:?}` shows NaN and
-/// -0.0 as themselves, where `==` would call NaN unequal to itself.
+/// A statement's answer, or its SQLSTATE and message, as text: `{:?}` shows
+/// NaN and -0.0 as themselves, where `==` would call NaN unequal to itself.
 fn answer(s: &mut Session, sql: &str) -> String {
     match s.execute(sql) {
         Ok(r) => format!("{:?}", r.into_rows()),
-        Err(e) => format!("error {}", e.code.sqlstate()),
+        Err(e) => format!("error {}: {}", e.code.sqlstate(), e.message),
     }
 }
 
@@ -106,9 +106,16 @@ fn a_columnar_table_answers_like_a_heap_table() {
         "SELECT k FROM {t} WHERE k % 3 = 0 AND f / 0.5 > 1 ORDER BY k",
         "SELECT k FROM {t} WHERE k > 1000 AND 1 / (k - k) > 0",
         "SELECT k FROM {t} WHERE k < 50 AND 10 / (k - 20) > 0 ORDER BY k",
+        // the constant division runs only on rows whose `i > 0` is NULL
+        "SELECT k FROM {t} WHERE i > 0 AND (k > 0 OR 1 / 0 > 0) ORDER BY k",
+        // an IN item runs only on rows no earlier item matched
+        "SELECT k FROM {t} WHERE k < 1 AND k IN (0, 1 / 0)",
+        "SELECT k FROM {t} WHERE k IN (0, 1 / 0)",
         "SELECT count(*), count(i), sum(i), sum(f), avg(f), min(f), max(f) FROM {t}",
         "SELECT min(i), max(i), min(ts), max(ts), min(s), max(u), count(j) FROM {t}",
         "SELECT sum(i), avg(k) FROM {t} WHERE f > -1",
+        // `u` is NULL and `s` is '' on row 0: the error names that ''
+        "SELECT sum(u), sum(s) FROM {t}",
         "SELECT s, count(*), sum(k), min(f), max(ts) FROM {t} GROUP BY s ORDER BY s",
         "SELECT b, count(DISTINCT s), sum(f) FROM {t} GROUP BY b ORDER BY b",
         "SELECT f, count(*) FROM {t} GROUP BY f ORDER BY f",
