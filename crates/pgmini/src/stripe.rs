@@ -93,14 +93,9 @@ struct Builder {
     valid: Vec<u64>,
     nulls: bool,
     values: Values,
-    /// Text entries by value, once the dictionary outgrows a linear search.
+    /// A text column's dictionary codes by value.
     seen: HashMap<Arc<str>, u32>,
 }
-
-/// Dictionary entries a text value is looked for among one by one, before
-/// the column switches to a hash map: the size of the low-cardinality
-/// columns of the warehousing schema.
-const LINEAR_DICT: usize = 16;
 
 impl Builder {
     fn new(ty: TypeName, rows: usize) -> Builder {
@@ -132,22 +127,16 @@ impl Builder {
             (Values::Float(v), Datum::Null) => v.push(0.0),
             (Values::Timestamp(v), Datum::Timestamp(t)) => v.push(*t),
             (Values::Text { dict, codes }, Datum::Text(s)) => {
-                let found = if dict.len() <= LINEAR_DICT {
-                    dict.iter().position(|e| e == s).map(|c| c as u32)
-                } else {
-                    if self.seen.is_empty() {
-                        self.seen.extend(dict.iter().cloned().zip(0..));
-                    }
-                    self.seen.get(&**s).copied()
-                };
-                codes.push(found.unwrap_or_else(|| {
-                    dict.push(s.clone());
-                    let code = (dict.len() - 1) as u32;
-                    if !self.seen.is_empty() {
+                let code = match self.seen.get(&**s) {
+                    Some(&code) => code,
+                    None => {
+                        dict.push(s.clone());
+                        let code = (dict.len() - 1) as u32;
                         self.seen.insert(s.clone(), code);
+                        code
                     }
-                    code
-                }));
+                };
+                codes.push(code);
             }
             (Values::Json { dict, codes }, Datum::Json(j)) => {
                 dict.push(j.clone());
@@ -293,8 +282,7 @@ mod tests {
         }
     }
 
-    /// Past the linear search's reach the dictionary still keeps each
-    /// distinct text once.
+    /// A column of many repeated texts keeps each distinct one once.
     #[test]
     fn a_large_dictionary_keeps_each_text_once() {
         let rows: Vec<Row> =
