@@ -389,7 +389,8 @@ impl ColumnarStore {
         }
     }
 
-    /// Visible stripes as `(seq, rows)` pairs.
+    /// Visible stripes as `(seq, rows)` pairs. Only tests call it now: the
+    /// engine's own readers walk [`Self::for_each_visible_stripe`].
     pub fn visible_stripe_rows(&self, txns: &TxnManager, snap: &Snapshot) -> Vec<(u64, Vec<Row>)> {
         let mut out = Vec::new();
         self.for_each_visible_stripe(txns, snap, |seq, stripe| out.push((seq, stripe.to_rows())));
