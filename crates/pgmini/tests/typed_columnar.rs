@@ -124,6 +124,16 @@ fn a_columnar_table_answers_like_a_heap_table() {
          WHERE a.k < 12 AND b.k < 30 ORDER BY 1, 2",
         "SELECT a.k, h.u FROM {t} a JOIN h ON a.ts = h.ts AND a.i = h.i WHERE a.k < 40 \
          ORDER BY 1, 2",
+        // `i64::MIN % -1` is 0; the rest overflow on `i64::MIN` and raise 22003
+        "SELECT k, i % -1 FROM {t} ORDER BY k",
+        "SELECT sum(i % -1), sum(k % -1) FROM {t}",
+        "SELECT k FROM {t} WHERE i % -1 <> 0",
+        "SELECT k, i / -1 FROM {t} ORDER BY k",
+        "SELECT k FROM {t} WHERE i / -1 > 0 ORDER BY k",
+        "SELECT sum(i / -1) FROM {t}",
+        "SELECT k, -i FROM {t} ORDER BY k",
+        "SELECT sum(-i) FROM {t}",
+        "SELECT k, abs(i) FROM {t} ORDER BY k",
     ];
     let mut differ = Vec::new();
     for sql in statements {
@@ -134,6 +144,19 @@ fn a_columnar_table_answers_like_a_heap_table() {
         }
     }
     assert!(differ.is_empty(), "{} statements differ:\n{}", differ.len(), differ.join("\n"));
+    for sql in [
+        "SELECT k, i / -1 FROM {t} ORDER BY k",
+        "SELECT k FROM {t} WHERE i / -1 > 0 ORDER BY k",
+        "SELECT sum(i / -1) FROM {t}",
+        "SELECT k, -i FROM {t} ORDER BY k",
+        "SELECT sum(-i) FROM {t}",
+        "SELECT k, abs(i) FROM {t} ORDER BY k",
+    ] {
+        for t in ["h", "c"] {
+            let got = answer(&mut s, &sql.replace("{t}", t));
+            assert_eq!(got, "error 22003: bigint out of range", "{sql} on {t}");
+        }
+    }
 }
 
 /// `table`'s rows in key order, as text.
