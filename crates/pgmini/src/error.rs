@@ -35,6 +35,8 @@ pub enum ErrorCode {
     FeatureNotSupported,
     /// 22012 — division by zero.
     DivisionByZero,
+    /// 22003 — numeric value out of range (a bigint result that does not fit).
+    NumericValueOutOfRange,
     /// 22P02 — invalid text representation (bad cast input).
     InvalidText,
     /// 53300 — too many connections.
@@ -65,6 +67,7 @@ impl ErrorCode {
             ErrorCode::ActiveSqlTransaction => "25001",
             ErrorCode::FeatureNotSupported => "0A000",
             ErrorCode::DivisionByZero => "22012",
+            ErrorCode::NumericValueOutOfRange => "22003",
             ErrorCode::InvalidText => "22P02",
             ErrorCode::TooManyConnections => "53300",
             ErrorCode::ConnectionFailure => "08006",
