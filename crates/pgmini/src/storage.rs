@@ -389,14 +389,6 @@ impl ColumnarStore {
         }
     }
 
-    /// Visible stripes as `(seq, rows)` pairs. Only tests call it now: the
-    /// engine's own readers walk [`Self::for_each_visible_stripe`].
-    pub fn visible_stripe_rows(&self, txns: &TxnManager, snap: &Snapshot) -> Vec<(u64, Vec<Row>)> {
-        let mut out = Vec::new();
-        self.for_each_visible_stripe(txns, snap, |seq, stripe| out.push((seq, stripe.to_rows())));
-        out
-    }
-
     pub fn live_estimate(&self) -> u64 {
         self.live_estimate.load(Ordering::Relaxed).max(0) as u64
     }
@@ -615,6 +607,13 @@ mod tests {
         Arc::new(Stripe::from_rows(rows, types).unwrap())
     }
 
+    /// The visible stripes as `(seq, rows)` pairs.
+    fn stripe_rows(col: &ColumnarStore, tm: &TxnManager, snap: &Snapshot) -> Vec<(u64, Vec<Row>)> {
+        let mut out = Vec::new();
+        col.for_each_visible_stripe(tm, snap, |seq, stripe| out.push((seq, stripe.to_rows())));
+        out
+    }
+
     #[test]
     fn columnar_append_and_projection() {
         use sqlparse::ast::TypeName;
@@ -633,7 +632,7 @@ mod tests {
             rows.push(row);
         });
         assert_eq!(rows, vec![vec![Datum::Int(1), Datum::Null]]);
-        let full = col.visible_stripe_rows(&tm, &snap);
+        let full = stripe_rows(&col, &tm, &snap);
         assert_eq!(full[0].1[0][1], Datum::from_text("a"));
     }
 
@@ -644,9 +643,9 @@ mod tests {
         let x1 = tm.begin();
         let int = [sqlparse::ast::TypeName::Int];
         col.append_with_seq(x1, 1, stripe(vec![row(1)], &int), 1).unwrap();
-        assert!(col.visible_stripe_rows(&tm, &tm.snapshot(INVALID_XID)).is_empty());
+        assert!(stripe_rows(&col, &tm, &tm.snapshot(INVALID_XID)).is_empty());
         // own snapshot sees it
-        assert_eq!(col.visible_stripe_rows(&tm, &tm.snapshot(x1)), vec![(1, vec![row(1)])]);
+        assert_eq!(stripe_rows(&col, &tm, &tm.snapshot(x1)), vec![(1, vec![row(1)])]);
         // a stripe of another width is refused
         assert!(col.append_with_seq(x1, 2, stripe(vec![row(1)], &int), 2).is_err());
     }

@@ -127,7 +127,10 @@ fn state(e: &Engine) -> State {
         assert!(!twice, "row id {} visible twice", tuple.row_id);
     });
     let c = e.store(e.table_meta("c").unwrap().id).unwrap();
-    let mut stripes = c.columnar().unwrap().visible_stripe_rows(&e.txns, &snap);
+    let mut stripes = Vec::new();
+    c.columnar().unwrap().for_each_visible_stripe(&e.txns, &snap, |seq, stripe| {
+        stripes.push((seq, stripe.to_rows()));
+    });
     stripes.sort_by_key(|(seq, _)| *seq);
     let mut probes = Vec::new();
     for (col, iid) in t.indexes.iter().enumerate() {
