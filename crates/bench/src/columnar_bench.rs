@@ -31,9 +31,7 @@ struct Arm {
 }
 
 fn run_arm(vectorized: bool, sf: f64, reps: u64) -> Arm {
-    let mut cfg = ClusterConfig::default();
-    cfg.shard_count = 16;
-    cfg.executor_threads = 4;
+    let mut cfg = ClusterConfig { shard_count: 16, executor_threads: 4, ..ClusterConfig::default() };
     cfg.engine.vectorized = vectorized;
     let cluster = Cluster::new(cfg);
     for _ in 0..4 {

@@ -57,9 +57,7 @@ const DEFINING_QUERY: &str = "SELECT day, count(*) AS n, sum(amount) AS total, \
 
 fn run_arm(incremental: bool, base_rows: u64, batch: u64, rounds: u64) -> Arm {
     let rows_per_day = (base_rows / 40).max(25);
-    let mut cfg = ClusterConfig::default();
-    cfg.shard_count = 16;
-    cfg.executor_threads = 4;
+    let cfg = ClusterConfig { shard_count: 16, executor_threads: 4, ..ClusterConfig::default() };
     let cluster = Cluster::new(cfg);
     for _ in 0..4 {
         cluster.add_worker().unwrap();

@@ -108,7 +108,7 @@ pub fn try_join_order(
     for (name, alias) in &dist {
         sizes.push((name.clone(), alias.clone(), env.table_row_count(name)?));
     }
-    sizes.sort_by(|a, b| b.2.cmp(&a.2));
+    sizes.sort_by_key(|s| std::cmp::Reverse(s.2));
     let (anchor_name, anchor_alias, anchor_rows) = sizes[0].clone();
     let anchor = meta.require_table(&anchor_name)?.clone();
 

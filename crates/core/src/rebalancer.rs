@@ -44,6 +44,11 @@ use std::sync::Arc;
 pub const MOVE_PHASE_TAGS: [&str; 5] =
     ["move_create", "move_copy", "move_catchup", "move_switch", "move_drop"];
 
+/// A custom policy's cost of a shard of the given size.
+pub type ShardCost = Box<dyn Fn(&crate::metadata::Shard, u64) -> f64 + Send + Sync>;
+/// A custom policy's test of whether a shard may be placed on a node.
+pub type PlacementConstraint = Box<dyn Fn(&crate::metadata::Shard, NodeId) -> bool + Send + Sync>;
+
 /// Balancing policy.
 pub enum RebalanceStrategy {
     /// Equal shard counts per worker (the default).
@@ -52,9 +57,9 @@ pub enum RebalanceStrategy {
     ByDiskSize,
     /// Custom policy: shard cost, node capacity, and a placement constraint.
     Custom {
-        cost: Box<dyn Fn(&crate::metadata::Shard, u64) -> f64 + Send + Sync>,
+        cost: ShardCost,
         capacity: Box<dyn Fn(NodeId) -> f64 + Send + Sync>,
-        constraint: Box<dyn Fn(&crate::metadata::Shard, NodeId) -> bool + Send + Sync>,
+        constraint: PlacementConstraint,
     },
 }
 

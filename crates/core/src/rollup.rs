@@ -1180,6 +1180,9 @@ fn sum_state(agg: &AggCol, s_i: i64, s_f: f64) -> Datum {
 /// old non-null count was positive), `d.inserted`/`d.retracted` the batch
 /// candidates, and `d.ds_i`/`d.ds_f` the post-merge sums. Returns the datum
 /// and whether a distributed recount was issued.
+// the group's keys, stored value, delta and counts are separate inputs of
+// one computation; a struct bundling them would have no other use
+#[allow(clippy::too_many_arguments)]
 fn agg_value(
     sess: &mut ClientSession,
     def: &RollupDef,

@@ -70,17 +70,15 @@ pub fn solve(stations: &[Station], clients: u32, think_ms: f64) -> MvaResult {
     struct Xformed {
         demand: f64,
         is_delay: bool,
-        /// index of the original station (for utilisation reporting)
-        origin: usize,
     }
     let mut xs: Vec<Xformed> = Vec::new();
     let mut extra_delay = think_ms.max(0.0);
-    for (i, s) in stations.iter().enumerate() {
+    for s in stations {
         match s.kind {
-            StationKind::Delay => xs.push(Xformed { demand: s.demand_ms, is_delay: true, origin: i }),
+            StationKind::Delay => xs.push(Xformed { demand: s.demand_ms, is_delay: true }),
             StationKind::Queueing => {
                 let c = s.servers as f64;
-                xs.push(Xformed { demand: s.demand_ms / c, is_delay: false, origin: i });
+                xs.push(Xformed { demand: s.demand_ms / c, is_delay: false });
                 if s.servers > 1 {
                     extra_delay += s.demand_ms * (c - 1.0) / c;
                 }
@@ -122,7 +120,6 @@ pub fn solve(stations: &[Station], clients: u32, think_ms: f64) -> MvaResult {
         .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
         .map(|(s, _)| s.name.clone())
         .unwrap_or_default();
-    let _ = &xs.iter().map(|x| x.origin).count();
 
     MvaResult {
         clients,

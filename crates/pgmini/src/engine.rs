@@ -276,7 +276,7 @@ impl Engine {
             if let Some((ref_table, ref_col)) = &c.references {
                 let ref_cols =
                     if ref_col.is_empty() { vec![] } else { vec![ref_col.clone()] };
-                cat.add_foreign_key(id, &[c.name.clone()], ref_table, &ref_cols)?;
+                cat.add_foreign_key(id, std::slice::from_ref(&c.name), ref_table, &ref_cols)?;
             }
         }
         for con in &stmt.constraints {

@@ -293,7 +293,7 @@ impl TxnManager {
                     .iter()
                     .find(|(_, &x)| x == xid)
                     .and_then(|(gid, _)| clock.decided(gid))
-                    .map_or(false, |c| c <= token)
+                    .is_some_and(|c| c <= token)
             }
             Some(TxStatus::InProgress) | Some(TxStatus::Aborted) => false,
         }

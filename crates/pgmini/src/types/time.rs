@@ -46,7 +46,7 @@ pub fn parse_timestamp(text: &str) -> Option<i64> {
     }
     let mut micros = days_from_civil(y, m, d) * MICROS_PER_DAY;
     if let Some(t) = time_part {
-        let t = t.trim_end_matches(|c: char| c == 'Z' || c == 'z');
+        let t = t.trim_end_matches(['Z', 'z']);
         let (hms, frac) = match t.split_once('.') {
             Some((a, b)) => (a, Some(b)),
             None => (t, None),

@@ -98,8 +98,8 @@ impl SimConfig {
             executor_threads: 2,
             faults: true,
             tracing: false,
-            mx_routing: seed % 2 == 0,
-            snapshot_isolation: seed % 2 == 0,
+            mx_routing: seed.is_multiple_of(2),
+            snapshot_isolation: seed.is_multiple_of(2),
             mx_ddl_interleave: false,
             rollups: seed % 2 == 1,
         }
@@ -423,7 +423,7 @@ impl MirrorRunner {
 impl SqlRunner for MirrorRunner {
     fn run(&mut self, sql: &str) -> PgResult<QueryResult> {
         if let Some(d) = &self.divergence {
-            return Err(PgError::internal(&format!("sim divergence (earlier): {d}")));
+            return Err(PgError::internal(format!("sim divergence (earlier): {d}")));
         }
         let class = classify(sql);
         if let StmtClass::DistOnly = class {
@@ -470,7 +470,7 @@ impl SqlRunner for MirrorRunner {
 
     fn copy(&mut self, table: &str, columns: &[String], rows: Vec<Row>) -> PgResult<u64> {
         if let Some(d) = &self.divergence {
-            return Err(PgError::internal(&format!("sim divergence (earlier): {d}")));
+            return Err(PgError::internal(format!("sim divergence (earlier): {d}")));
         }
         let n_dist = self.dist.copy(table, columns, rows.clone())?;
         let n_oracle = match self.oracle.copy(table, columns, rows) {
@@ -907,12 +907,13 @@ fn chaos_plan(cfg: &SimConfig) -> FaultPlan {
 }
 
 fn build_cluster(cfg: &SimConfig) -> Arc<Cluster> {
-    let mut cc = ClusterConfig::default();
-    cc.shard_count = cfg.shard_count;
-    cc.executor_threads = cfg.executor_threads;
-    cc.tracing = cfg.tracing;
-    cc.snapshot_isolation = cfg.snapshot_isolation;
-    let c = Cluster::new(cc);
+    let c = Cluster::new(ClusterConfig {
+        shard_count: cfg.shard_count,
+        executor_threads: cfg.executor_threads,
+        tracing: cfg.tracing,
+        snapshot_isolation: cfg.snapshot_isolation,
+        ..ClusterConfig::default()
+    });
     for _ in 0..cfg.workers {
         c.add_worker().expect("add worker");
     }
@@ -1506,7 +1507,7 @@ fn bench_arm(
         r.run(&gharchive::rollup_definition())?;
         state.gh_rollup = true;
     }
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xBE4C_11);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x00BE_4C11);
     let mut metered = MeteredRunner::new(r);
     for _ in 0..units {
         run_unit(&mut metered, &mut state, pattern, scales, &mut rng)?;

@@ -21,7 +21,8 @@
 #   3. the whole workspace must compile warning-free, every target included
 #      (tests, examples, binaries and the Criterion files, which no other
 #      step builds), and so must the benchmark package, which sits outside
-#      the workspace
+#      the workspace; the workspace's library code must also pass clippy
+#      with no warning (test targets stay outside that gate)
 #   4. the wall-clock benchmark (benchmark/, see BENCHMARK.json) for all
 #      five workloads at --seconds 1: `dtxn_wire` and `tpcc` through the
 #      commit protocol, with and without real wire time; `ycsb_a`, which runs
@@ -53,9 +54,10 @@ echo "==> [2/4] cargo test -q (whole workspace; sim chaos corpus: ${SIM_SEEDS} s
 CITRUS_SIM_SEEDS="$SIM_SEEDS" cargo test -q
 cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
-echo "==> [3/4] warnings-as-errors check of every workspace target and the benchmark"
+echo "==> [3/4] warnings-as-errors check of every workspace target and the benchmark, clippy on library code"
 RUSTFLAGS="-Dwarnings" cargo check --workspace --all-targets
 RUSTFLAGS="-Dwarnings" cargo check --offline --manifest-path benchmark/Cargo.toml --all-targets
+cargo clippy --workspace --lib -- -D warnings
 
 echo "==> [4/4] wall-clock benchmark: all five workloads, correctness only"
 for workload in dtxn_wire tpcc ycsb_a tpch rta; do
