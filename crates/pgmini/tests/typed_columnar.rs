@@ -222,3 +222,53 @@ fn columnar_rows_survive_replay_a_move_and_decoding() {
         }
     });
 }
+
+/// The exact charges of an aggregate over columnar table `c`, for each way
+/// its input can reach the groups: a batch fold (a kernel filter, kernel keys
+/// and arguments), a kernel filter under a kernel-less argument, a
+/// kernel-less filter, a global aggregate without a filter, an empty
+/// selection and a join. The statements run in order on one engine, so each
+/// one's buffer-pool hits follow from the ones before it.
+#[test]
+fn columnar_aggregate_charges_are_pinned() {
+    let (_e, mut s) = loaded();
+    let cases = [
+        (
+            "SELECT s, count(*), sum(k), max(f + 1) FROM c WHERE k > 10 GROUP BY s",
+            "SimCost { cpu_ms: 0.14200000000000002, io_ms: 0.5333333333333333, net_ms: 0.0, pages_read: 4, page_misses: 4, rows_processed: 304, batches: 3 }",
+        ),
+        (
+            "SELECT sum(abs(k)), count(*) FROM c WHERE k > 10",
+            "SimCost { cpu_ms: 0.22499999999999998, io_ms: 0.0, net_ms: 0.0, pages_read: 1, page_misses: 0, rows_processed: 590, batches: 3 }",
+        ),
+        (
+            "SELECT s, count(*), sum(k) FROM c WHERE abs(k) > 3 GROUP BY s",
+            "SimCost { cpu_ms: 0.35, io_ms: 0.0, net_ms: 0.0, pages_read: 3, page_misses: 0, rows_processed: 600, batches: 0 }",
+        ),
+        (
+            "SELECT count(*), sum(f), min(ts), max(k * 2) FROM c",
+            "SimCost { cpu_ms: 0.1285, io_ms: 0.13333333333333333, net_ms: 0.0, pages_read: 3, page_misses: 1, rows_processed: 301, batches: 3 }",
+        ),
+        (
+            "SELECT count(*), sum(k) FROM c WHERE k > 1000",
+            "SimCost { cpu_ms: 0.10450000000000001, io_ms: 0.0, net_ms: 0.0, pages_read: 1, page_misses: 0, rows_processed: 301, batches: 3 }",
+        ),
+        (
+            "SELECT s, count(*) FROM c WHERE k > 1000 GROUP BY s",
+            "SimCost { cpu_ms: 0.10400000000000001, io_ms: 0.0, net_ms: 0.0, pages_read: 3, page_misses: 0, rows_processed: 300, batches: 3 }",
+        ),
+        (
+            "SELECT count(*), sum(a.k) FROM c a JOIN h ON a.k = h.k WHERE a.k < 50",
+            "SimCost { cpu_ms: 0.4555, io_ms: 2.0, net_ms: 0.0, pages_read: 16, page_misses: 15, rows_processed: 1051, batches: 3 }",
+        ),
+    ];
+    let mut differ = Vec::new();
+    for (sql, want) in cases {
+        s.execute(sql).unwrap();
+        let got = format!("{:?}", s.last_cost());
+        if got != want {
+            differ.push(format!("{sql}\n  want: {want}\n  got:  {got}"));
+        }
+    }
+    assert!(differ.is_empty(), "{} charges differ:\n{}", differ.len(), differ.join("\n"));
+}
