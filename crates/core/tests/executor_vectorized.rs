@@ -18,7 +18,9 @@ fn cluster(threads: usize, vectorized: bool) -> Arc<Cluster> {
     let mut cfg = ClusterConfig::default();
     cfg.shard_count = 16;
     cfg.executor_threads = threads;
-    cfg.engine.vectorized = vectorized;
+    if !vectorized {
+        cfg.engine = pgmini::engine::EngineConfig::volcano();
+    }
     let c = Cluster::new(cfg);
     for _ in 0..2 {
         c.add_worker().unwrap();
@@ -193,7 +195,9 @@ fn columnar_io_charged_per_referenced_column() {
         let mut cfg = ClusterConfig::default();
         cfg.shard_count = 4;
         cfg.executor_threads = 1;
-        cfg.engine.vectorized = vectorized;
+        if !vectorized {
+            cfg.engine = pgmini::engine::EngineConfig::volcano();
+        }
         let c = Cluster::new(cfg);
         c.add_worker().unwrap();
         c.add_worker().unwrap();

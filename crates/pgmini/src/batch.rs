@@ -32,7 +32,7 @@
 //! the statement RNG in row order (order-sensitive by construction), and
 //! the other builtins don't appear in scan-bound warehouse filters. A scan
 //! whose filter contains one selects its rows one at a time, and an
-//! aggregate over one runs on the volcano path.
+//! aggregate over one folds rows, not batches (`exec::Groups`).
 
 use crate::error::{PgError, PgResult};
 use crate::expr::{apply_binary, eval, float_arith, int_arith, BExpr, EvalCtx};
@@ -232,7 +232,7 @@ fn arith(op: BinaryOp, l: Num, r: Num, len: usize, sel: &[usize]) -> PgResult<BV
 /// error codes) identical to the row-at-a-time interpreter.
 pub fn supports_batch(e: &BExpr) -> bool {
     // random() is order-sensitive (statement RNG); the other builtins
-    // simply don't earn a kernel — fall back to volcano.
+    // simply don't earn a kernel: their rows go through the interpreter.
     !matches!(e, BExpr::Func { .. }) && e.children().all(supports_batch)
 }
 

@@ -64,8 +64,8 @@ pub struct SimCost {
     pub page_misses: u64,
     /// Tuples processed by executor operators.
     pub rows_processed: u64,
-    /// Column batches processed by vectorized kernels (0 on the volcano
-    /// path); surfaces in EXPLAIN ANALYZE / trace spans as `batches=N`.
+    /// Column batches processed by vectorized kernels (0 where no kernel
+    /// ran); surfaces in EXPLAIN ANALYZE / trace spans as `batches=N`.
     pub batches: u64,
 }
 

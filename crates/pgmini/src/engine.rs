@@ -38,10 +38,18 @@ pub struct EngineConfig {
     pub name: String,
     /// Maximum concurrent sessions (PostgreSQL's process-per-connection cap).
     pub max_connections: u32,
-    /// Use batched (vectorized) kernels for columnar scans when the plan
-    /// allows it; `false` forces the tuple-at-a-time volcano path everywhere
-    /// (the differential tests run both and compare).
-    pub vectorized: bool,
+    /// `false` only in [`EngineConfig::volcano`].
+    pub(crate) vectorized: bool,
+}
+
+impl EngineConfig {
+    /// The row-at-a-time reference, for the differential tests and
+    /// `columnar_bench`'s volcano arm only: the interpreter selects and
+    /// consumes each columnar batch one row at a time, and no kernel runs.
+    #[doc(hidden)]
+    pub fn volcano() -> EngineConfig {
+        EngineConfig { vectorized: false, ..EngineConfig::default() }
+    }
 }
 
 impl Default for EngineConfig {
