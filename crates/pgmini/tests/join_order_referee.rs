@@ -1,7 +1,9 @@
 //! Brute-force referee for multi-table inner joins.
 //!
 //! Generates 3–5 tiny tables (NULLs included), a WHERE clause of equality,
-//! range, IN-list and `OR` conjuncts over them, and a random FROM order, then
+//! range, IN-list, `IS [NOT] NULL` and `OR` conjuncts over them (an `OR`
+//! branch may be a conjunction over several tables, as in TPC-H Q19), and a
+//! random FROM order, then
 //! compares the engine's result multiset with a product-and-filter evaluation
 //! written here under SQL's three-valued logic. `SELECT *` also pins the
 //! output column order to the written FROM order, whatever order the planner
@@ -27,6 +29,8 @@ enum Atom {
 enum Cond {
     Cmp(Atom, &'static str, Atom),
     In(Atom, Vec<i64>),
+    IsNull(Atom, bool),
+    And(Box<Cond>, Box<Cond>),
     Or(Box<Cond>, Box<Cond>),
 }
 
@@ -46,6 +50,10 @@ fn cond_sql(c: &Cond) -> String {
             let list: Vec<String> = list.iter().map(i64::to_string).collect();
             format!("{} IN ({})", atom_sql(*a), list.join(", "))
         }
+        Cond::IsNull(a, negated) => {
+            format!("{} IS {}NULL", atom_sql(*a), if *negated { "NOT " } else { "" })
+        }
+        Cond::And(l, r) => format!("({} AND {})", cond_sql(l), cond_sql(r)),
         Cond::Or(l, r) => format!("({} OR {})", cond_sql(l), cond_sql(r)),
     }
 }
@@ -69,6 +77,12 @@ fn eval(c: &Cond, rows: &[[Option<i64>; 2]]) -> Option<bool> {
             })
         }
         Cond::In(a, list) => Some(list.contains(&value(*a)?)),
+        Cond::IsNull(a, negated) => Some(value(*a).is_none() != *negated),
+        Cond::And(l, r) => match (eval(l, rows), eval(r, rows)) {
+            (Some(false), _) | (_, Some(false)) => Some(false),
+            (Some(true), Some(true)) => Some(true),
+            _ => None,
+        },
         Cond::Or(l, r) => match (eval(l, rows), eval(r, rows)) {
             (Some(true), _) | (_, Some(true)) => Some(true),
             (Some(false), Some(false)) => Some(false),
@@ -87,14 +101,58 @@ fn arb_leaf() -> impl Strategy<Value = Cond> {
         3 => (col.clone(), col.clone()).prop_map(|(l, r)| Cond::Cmp(l, "=", r)),
         1 => (col.clone(), op.clone(), col.clone()).prop_map(|(l, op, r)| Cond::Cmp(l, op, r)),
         2 => (col.clone(), op, konst).prop_map(|(l, op, r)| Cond::Cmp(l, op, r)),
-        1 => (col, prop::collection::vec(0..4i64, 1..3)).prop_map(|(a, l)| Cond::In(a, l)),
+        1 => (col.clone(), prop::collection::vec(0..4i64, 1..3)).prop_map(|(a, l)| Cond::In(a, l)),
+        1 => (col, any::<bool>()).prop_map(|(a, negated)| Cond::IsNull(a, negated)),
     ]
+}
+
+/// `op` over two or more conditions, left-deep.
+fn fold(op: fn(Box<Cond>, Box<Cond>) -> Cond, conds: Vec<Cond>) -> Cond {
+    let mut it = conds.into_iter();
+    let first = it.next().expect("at least one condition");
+    it.fold(first, |acc, c| op(Box::new(acc), Box::new(c)))
+}
+
+/// An `OR` branch: one leaf, or a conjunction of leaves that may span tables
+/// and may itself hold an `OR` of leaves.
+fn arb_branch() -> impl Strategy<Value = Cond> {
+    let or_leaves = (arb_leaf(), arb_leaf()).prop_map(|(l, r)| Cond::Or(Box::new(l), Box::new(r)));
+    let part = prop_oneof![4 => arb_leaf(), 1 => or_leaves];
+    prop_oneof![
+        1 => arb_leaf(),
+        2 => prop::collection::vec(part, 2..4).prop_map(|cs| fold(Cond::And, cs)),
+    ]
+}
+
+/// A leaf on table `t` alone: a comparison with a constant, an IN list or
+/// IS [NOT] NULL.
+fn arb_leaf_on(t: usize) -> impl Strategy<Value = Cond> {
+    let col = (0..2usize).prop_map(move |c| Atom::Col(t, c));
+    let op = (0..OPS.len()).prop_map(|i| OPS[i]);
+    prop_oneof![
+        2 => (col.clone(), op, (0..4i64).prop_map(Atom::Const))
+            .prop_map(|(l, op, r)| Cond::Cmp(l, op, r)),
+        1 => (col.clone(), prop::collection::vec(0..4i64, 1..3)).prop_map(|(a, l)| Cond::In(a, l)),
+        1 => (col, any::<bool>()).prop_map(|(a, negated)| Cond::IsNull(a, negated)),
+    ]
+}
+
+/// Q19's shape: an OR whose every branch restricts the same two tables, each
+/// by a leaf on it alone, and may add a leaf of any shape.
+fn arb_restricting_or() -> impl Strategy<Value = Cond> {
+    (0..MAX_TABLES, 0..MAX_TABLES).prop_flat_map(|(t, u)| {
+        let branch = (arb_leaf_on(t), arb_leaf_on(u), prop::option::of(arb_leaf()))
+            .prop_map(|(a, b, extra)| fold(Cond::And, [a, b].into_iter().chain(extra).collect()));
+        prop::collection::vec(branch, 2..4).prop_map(|cs| fold(Cond::Or, cs))
+    })
 }
 
 fn arb_cond() -> impl Strategy<Value = Cond> {
     prop_oneof![
         4 => arb_leaf(),
         1 => (arb_leaf(), arb_leaf()).prop_map(|(l, r)| Cond::Or(Box::new(l), Box::new(r))),
+        2 => prop::collection::vec(arb_branch(), 2..4).prop_map(|cs| fold(Cond::Or, cs)),
+        2 => arb_restricting_or(),
     ]
 }
 
@@ -107,6 +165,8 @@ fn clamp(c: Cond, k: usize) -> Cond {
     match c {
         Cond::Cmp(l, op, r) => Cond::Cmp(atom(l), op, atom(r)),
         Cond::In(a, list) => Cond::In(atom(a), list),
+        Cond::IsNull(a, negated) => Cond::IsNull(atom(a), negated),
+        Cond::And(l, r) => Cond::And(Box::new(clamp(*l, k)), Box::new(clamp(*r, k))),
         Cond::Or(l, r) => Cond::Or(Box::new(clamp(*l, k)), Box::new(clamp(*r, k))),
     }
 }
