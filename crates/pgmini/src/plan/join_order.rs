@@ -1,7 +1,9 @@
-//! The join-order estimate: each FROM unit's rows after its own conjuncts,
-//! each join conjunct's selectivity, and the greedy left-deep order that
-//! `plan_select` builds a multi-unit FROM list in.
+//! The join-order estimate: each FROM unit's rows after its own conjuncts
+//! and the restrictions derived from cross-table ORs, each join conjunct's
+//! selectivity, and the greedy left-deep order that `plan_select` builds a
+//! multi-unit FROM list in.
 
+use super::or_restrictions::Derived;
 use super::{cross_join, node_qualifiers, referenced_qualifiers, PlanNode, PlannerCatalog};
 use crate::error::PgResult;
 use crate::expr::RowScope;
@@ -86,6 +88,7 @@ fn is_unique_column(e: &Expr, unit: &PlanNode, cat: &dyn PlannerCatalog) -> bool
 pub(super) fn join_in_size_order(
     units: Vec<(PlanNode, RowScope)>,
     conjuncts: &[Expr],
+    derived: &[Derived],
     written: &RowScope,
     cat: &dyn PlannerCatalog,
 ) -> PgResult<(PlanNode, RowScope)> {
@@ -102,12 +105,21 @@ pub(super) fn join_in_size_order(
     };
     let base: Vec<f64> = units.iter().map(|(n, _)| unit_rows(n, cat)).collect();
     let mut rows = base.clone();
+    // a restriction derived from an OR already cuts its table's rows, so
+    // the OR itself counts only the rest: its selectivity is divided by its
+    // restrictions' (PostgreSQL's `consider_new_or_clause`), at most 1
+    let mut counted = vec![1.0; conjuncts.len()];
+    for d in derived {
+        counted[d.of] *= selectivity(&d.expr);
+    }
+    let restrictions = derived.iter().map(|d| (&d.expr, 1.0));
     let mut edges: Vec<JoinEdge> = Vec::new();
-    for c in conjuncts {
+    for (c, counted) in conjuncts.iter().zip(counted).chain(restrictions) {
+        let own = || (selectivity(c) / counted).min(1.0);
         let us = units_of(c)?;
         match us[..] {
             [] => {}
-            [u] => rows[u] *= selectivity(c),
+            [u] => rows[u] *= own(),
             _ => {
                 // `a.x = b.y` matches one in `distinct`: the rows of a table
                 // whose unique column a side is (each row of the other side
@@ -130,7 +142,7 @@ pub(super) fn join_in_size_order(
                     }
                     _ => None,
                 };
-                let sel = distinct.map_or_else(|| selectivity(c), |d| 1.0 / d.max(1.0));
+                let sel = distinct.map_or_else(own, |d| 1.0 / d.max(1.0));
                 edges.push(JoinEdge { units: us, sel });
             }
         }

@@ -535,3 +535,77 @@ fn nan_is_one_value_above_every_number() {
     let above = s.query("SELECT count(*) FROM t WHERE x > 1e300").unwrap();
     assert_eq!(show(above), ["2"]);
 }
+
+/// Three tables for the restrictions a cross-table OR implies: t1's row
+/// with k = 9 has b = 0 and joins no t2 row.
+fn engine_for_or_restrictions() -> std::sync::Arc<Engine> {
+    let e = Engine::new_default();
+    let mut s = e.session().unwrap();
+    s.execute_script(
+        "CREATE TABLE t1 (k bigint, a bigint, b bigint);
+         CREATE TABLE t2 (k bigint, c bigint);
+         CREATE TABLE t3 (x bigint);
+         INSERT INTO t1 VALUES (1, 4, 2), (2, 6, 3), (9, 1, 0);
+         INSERT INTO t2 VALUES (1, 1), (2, 2), (3, 1);
+         INSERT INTO t3 VALUES (1), (2), (3);",
+    )
+    .unwrap();
+    drop(s);
+    e
+}
+
+/// The scan lines of `sql`'s plan that carry a filter.
+fn filtered_scans(s: &mut pgmini::session::Session, sql: &str) -> Vec<String> {
+    let plan = s.query(&format!("EXPLAIN {sql}")).unwrap();
+    plan.iter()
+        .map(|r| r[0].to_text().trim().to_string())
+        .filter(|l| l.contains("(filtered)"))
+        .collect()
+}
+
+/// A branch conjunct that can raise an error is not copied to its table's
+/// scan: `t1.a / t1.b > 0` would raise 22012 on t1's row with b = 0, which
+/// the written statement never tests because that row joins nothing. Only
+/// t2 gets a derived restriction.
+#[test]
+fn or_restrictions_copy_no_conjunct_that_can_raise() {
+    let e = engine_for_or_restrictions();
+    let mut s = e.session().unwrap();
+    let err = s.query("SELECT count(*) FROM t1 WHERE a / b > 0").unwrap_err();
+    assert_eq!(err.code, ErrorCode::DivisionByZero);
+    let sql = "SELECT t1.k, t2.c FROM t1, t2 WHERE t1.k = t2.k \
+               AND ((t1.a / t1.b > 0 AND t2.c = 1) OR (t1.a = 6 AND t2.c = 2)) ORDER BY 1";
+    let rows = s.query(sql).unwrap();
+    assert_eq!(rows, [[Datum::Int(1), Datum::Int(1)], [Datum::Int(2), Datum::Int(2)]]);
+    let scans = filtered_scans(&mut s, sql);
+    assert!(matches!(&scans[..], [t2] if t2.starts_with("Seq Scan on t2")), "{scans:?}");
+}
+
+/// A volatile call is not copied: `random()` stays in the OR, drawn as
+/// written, and the branch holding it restricts t1 by nothing else.
+#[test]
+fn or_restrictions_copy_no_volatile_call() {
+    let e = engine_for_or_restrictions();
+    let mut s = e.session().unwrap();
+    let sql = "SELECT t1.k FROM t1, t2 WHERE t1.k = t2.k \
+               AND ((t1.b < random() + 10 AND t2.c = 1) OR (t1.a = 6 AND t2.c = 2)) ORDER BY 1";
+    let rows = s.query(sql).unwrap();
+    assert_eq!(rows, [[Datum::Int(1)], [Datum::Int(2)]]);
+    let scans = filtered_scans(&mut s, sql);
+    assert!(matches!(&scans[..], [t2] if t2.starts_with("Seq Scan on t2")), "{scans:?}");
+}
+
+/// An OR over the null-extended side of a LEFT JOIN: the restriction it
+/// implies on t2 must not filter t2's scan, where it would turn t1's row
+/// with k = 2 into a null-extended row that passes `t2.c IS NULL`.
+#[test]
+fn or_restrictions_stay_off_the_null_extended_side() {
+    let e = engine_for_or_restrictions();
+    let mut s = e.session().unwrap();
+    let sql = "SELECT t1.k, t3.x FROM t1 LEFT JOIN t2 ON t1.k = t2.k, t3 \
+               WHERE (t2.c = 1 AND t3.x = 1) OR (t2.c IS NULL AND t3.x = 2) ORDER BY 1";
+    let rows = s.query(sql).unwrap();
+    assert_eq!(rows, [[Datum::Int(1), Datum::Int(1)], [Datum::Int(9), Datum::Int(2)]]);
+    let scans = filtered_scans(&mut s, sql);
+    assert!(matches!(&scans[..], [t3] if t3.starts_with("Seq Scan on t3")), "{scans:?}");
+}

@@ -338,6 +338,52 @@ fn tpch_join_plans_have_no_cross_join() {
     assert!(crossed.is_empty(), "cross joins in connected FROM lists:\n{}", crossed.join("\n"));
 }
 
+/// Q19's OR and Q7's OR each restrict every table they name in every
+/// branch, so each of those tables is scanned with a filter derived from the
+/// OR, before any join: `part` and `lineitem` in Q19, both `nation` aliases
+/// in Q7. Where a filter goes does not depend on the data, so no rows are
+/// loaded.
+#[test]
+fn tpch_cross_table_ors_filter_each_table_scan() {
+    use citrus::metadata::NodeId;
+    use citrus::planner::plan_statement;
+
+    let mut local = local_runner();
+    for s in tpch::schema_statements() {
+        local.run(&s).unwrap();
+    }
+    let c = cluster(3, 8);
+    let mut dist = cluster_runner(&c);
+    for s in tpch::schema_statements().into_iter().chain(tpch::distribution_statements()) {
+        dist.run(&s).unwrap();
+    }
+    let filtered = |lines: &[String], table: &str| {
+        let scan = format!("Seq Scan on {table}");
+        lines.iter().filter(|l| l.contains(&scan) && l.contains("(filtered)")).count()
+    };
+    for (n, tables) in [(19, &[("part", 1), ("lineitem", 1)][..]), (7, &[("nation", 2)][..])] {
+        let q = sqlparse::parse(&tpch::queries::query(n).unwrap()).unwrap();
+        let one_engine = explain(&mut local.session, &q);
+        let plan = {
+            let meta = c.metadata.read();
+            plan_statement(&q, &meta, NodeId(0), &mut CountSubplans(0)).unwrap().unwrap()
+        };
+        let task = plan.tasks.first().unwrap_or_else(|| panic!("q{n} has no task"));
+        let engine = c.node(task.node).unwrap().engine();
+        let worker = explain(&mut engine.session().unwrap(), &task.stmt);
+        for (side, lines) in [("one engine", one_engine), ("worker", worker)] {
+            for &(table, scans) in tables {
+                assert_eq!(
+                    filtered(&lines, table),
+                    scans,
+                    "q{n} ({side}) filtered scans on {table}:\n  {}",
+                    lines.join("\n  ")
+                );
+            }
+        }
+    }
+}
+
 /// Round floats for comparison (aggregation order differs across shards).
 fn rounded(rows: &[Vec<Datum>]) -> Vec<Vec<String>> {
     rows.iter()
