@@ -12,11 +12,10 @@ use crate::lexer::{lex, Op, Token, TokenKind};
 
 /// Parse a single SQL statement (a trailing semicolon is allowed).
 pub fn parse(sql: &str) -> Result<Statement, ParseError> {
-    let mut stmts = parse_many(sql)?;
-    match stmts.len() {
-        1 => Ok(stmts.pop().expect("len checked")),
-        0 => Err(ParseError::at(0, "empty statement")),
-        _ => Err(ParseError::at(0, "expected a single statement")),
+    match <[Statement; 1]>::try_from(parse_many(sql)?) {
+        Ok([stmt]) => Ok(stmt),
+        Err(stmts) if stmts.is_empty() => Err(ParseError::at(0, "empty statement")),
+        Err(_) => Err(ParseError::at(0, "expected a single statement")),
     }
 }
 
