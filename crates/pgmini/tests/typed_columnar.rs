@@ -5,7 +5,7 @@
 //! every column type, NaN, ±0.0, `i64::MIN` / `i64::MAX`, timestamps, empty
 //! text, repeated and unique text, booleans and JSON.
 
-use pgmini::engine::Engine;
+use pgmini::engine::{Engine, EngineConfig};
 use pgmini::session::Session;
 use pgmini::types::{Datum, Json, Row};
 use pgmini::wal::{decode_record, decode_table_changes, encode_record, Change, WalRecord};
@@ -59,7 +59,12 @@ fn rows(keys: std::ops::Range<i64>) -> Vec<Row> {
 /// An engine with heap table `h` and columnar table `c`, both loaded with
 /// `rows(0..300)` in three COPYs (three stripes of `c`).
 fn loaded() -> (Arc<Engine>, Session) {
-    let e = Engine::new_default();
+    loaded_with(EngineConfig::default())
+}
+
+/// [`loaded`]'s tables on an engine of `config`.
+fn loaded_with(config: EngineConfig) -> (Arc<Engine>, Session) {
+    let e = Engine::new(config);
     let mut s = e.session().unwrap();
     s.execute(&format!("CREATE TABLE h {COLUMNS}")).unwrap();
     s.execute(&format!("CREATE TABLE c {COLUMNS} USING columnar")).unwrap();
@@ -268,6 +273,87 @@ fn columnar_aggregate_charges_are_pinned() {
         let got = format!("{:?}", s.last_cost());
         if got != want {
             differ.push(format!("{sql}\n  want: {want}\n  got:  {got}"));
+        }
+    }
+    assert!(differ.is_empty(), "{} charges differ:\n{}", differ.len(), differ.join("\n"));
+}
+
+/// Hash joins whose outer side is a scan of columnar table `c`: each
+/// statement's plan probes with `c`, its rows equal the row-at-a-time
+/// engine's, and its exact charges are pinned. The cases cover the four join
+/// kinds, NULL keys (`i`, `s`), two-column keys, a key that is not a plain
+/// column, a residual `ON` and a scan filter that selects nothing, so the
+/// inner side is never built. The statements run in order on one engine, so
+/// each one's buffer-pool hits follow from the ones before it.
+#[test]
+fn columnar_probe_charges_are_pinned() {
+    let (_e, mut s) = loaded();
+    let (_v, mut volcano) = loaded_with(EngineConfig::volcano());
+    let cases = [
+        (
+            "SELECT c.k, h.u FROM c JOIN h ON c.k = h.k WHERE h.k % 7 = 0 ORDER BY 1",
+            "SimCost { cpu_ms: 0.5491646922260952, io_ms: 2.1333333333333333, net_ms: 0.0, pages_read: 16, page_misses: 16, rows_processed: 1029, batches: 3 }",
+        ),
+        (
+            "SELECT count(*), sum(c.k), sum(h.k) FROM c JOIN h ON c.i = h.i WHERE h.k < 60",
+            "SimCost { cpu_ms: 2.5705000000000005, io_ms: 0.13333333333333333, net_ms: 0.0, pages_read: 17, page_misses: 1, rows_processed: 5305, batches: 3 }",
+        ),
+        (
+            "SELECT c.k, h.k FROM c JOIN h ON c.i = h.i AND c.s = h.s \
+             WHERE h.k < 40 AND c.k < 80 ORDER BY 1, 2",
+            "SimCost { cpu_ms: 1.604378413201406, io_ms: 0.26666666666666666, net_ms: 0.0, pages_read: 19, page_misses: 2, rows_processed: 1244, batches: 3 }",
+        ),
+        (
+            "SELECT c.k, h.k FROM c JOIN h ON c.k = h.k AND c.f < h.f + 1 \
+             WHERE h.k < 90 ORDER BY 1, 2",
+            "SimCost { cpu_ms: 0.669, io_ms: 0.13333333333333333, net_ms: 0.0, pages_read: 17, page_misses: 1, rows_processed: 1118, batches: 3 }",
+        ),
+        (
+            "SELECT c.k, h.k FROM c JOIN h ON c.k + 1 = h.k WHERE h.k < 30 ORDER BY 1, 2",
+            "SimCost { cpu_ms: 0.48244072442934977, io_ms: 0.0, net_ms: 0.0, pages_read: 16, page_misses: 0, rows_processed: 988, batches: 3 }",
+        ),
+        (
+            "SELECT c.k, h.u FROM c LEFT JOIN h ON c.s = h.s AND h.k < 3 \
+             WHERE c.k < 20 ORDER BY 1, 2",
+            "SimCost { cpu_ms: 0.45321928094887365, io_ms: 0.0, net_ms: 0.0, pages_read: 18, page_misses: 0, rows_processed: 960, batches: 3 }",
+        ),
+        (
+            "SELECT c.k, h.k FROM c RIGHT JOIN h ON c.i = h.i AND c.ts = h.ts \
+             WHERE h.k < 25 ORDER BY 1, 2",
+            "SimCost { cpu_ms: 0.8532639251168272, io_ms: 0.13333333333333333, net_ms: 0.0, pages_read: 18, page_misses: 1, rows_processed: 1141, batches: 3 }",
+        ),
+        (
+            "SELECT c.k, h.k, c.u FROM c FULL JOIN h ON c.k = h.i \
+             WHERE c.k IS NULL OR c.k < 10 ORDER BY 1, 2",
+            "SimCost { cpu_ms: 2.033723035582761, io_ms: 0.26666666666666666, net_ms: 0.0, pages_read: 18, page_misses: 2, rows_processed: 2240, batches: 3 }",
+        ),
+        (
+            "SELECT count(*), sum(h.k) FROM c JOIN h ON c.k = h.k WHERE c.k > 1000",
+            "SimCost { cpu_ms: 0.0805, io_ms: 0.0, net_ms: 0.0, pages_read: 1, page_misses: 0, rows_processed: 301, batches: 3 }",
+        ),
+        (
+            "SELECT c.k, h.k FROM c LEFT JOIN h ON c.k = h.k WHERE c.k > 1000",
+            "SimCost { cpu_ms: 0.08, io_ms: 0.0, net_ms: 0.0, pages_read: 1, page_misses: 0, rows_processed: 300, batches: 3 }",
+        ),
+    ];
+    let mut differ = Vec::new();
+    for (sql, want) in cases {
+        let plan: Vec<String> = s
+            .query(&format!("EXPLAIN {sql}"))
+            .unwrap()
+            .iter()
+            .map(|r| r[0].to_text().trim().to_string())
+            .collect();
+        let join = plan.iter().position(|l| l.ends_with(" Join")).unwrap_or(plan.len());
+        assert!(
+            plan.get(join + 1).is_some_and(|l| l.starts_with("Seq Scan on c")),
+            "{sql}: c is not the probe side\n{plan:#?}"
+        );
+        let got = answer(&mut s, sql);
+        assert_eq!(got, answer(&mut volcano, sql), "{sql}");
+        let cost = format!("{:?}", s.last_cost());
+        if cost != want {
+            differ.push(format!("{sql}\n  rows: {got}\n  want: {want}\n  got:  {cost}"));
         }
     }
     assert!(differ.is_empty(), "{} charges differ:\n{}", differ.len(), differ.join("\n"));
