@@ -8,7 +8,7 @@ use crate::txn::{tuple_visible, Snapshot, TxStatus, TxnManager, Xid, INVALID_XID
 use crate::types::Row;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// One heap tuple version. `data` is immutable while the version is live;
@@ -19,12 +19,23 @@ pub struct HeapTuple {
     pub row_id: u64,
     pub xmin: Xid,
     xmax: AtomicU64,
-    /// Tombstone set by vacuum. The slot itself stays, so slot numbers (the
-    /// version chains' indexes) and `slot_count()` page math do not shift;
-    /// the row image is freed: a dead slot's `data` is the empty row.
-    dead: std::sync::atomic::AtomicBool,
+    /// [`DEAD`] and [`XMIN_COMMITTED`], one byte where a `bool` was.
+    flags: AtomicU8,
     pub data: Row,
 }
+
+/// Tombstone set by vacuum. The slot itself stays, so slot numbers (the
+/// version chains' indexes) and `slot_count()` page math do not shift; the
+/// row image is freed: a dead slot's `data` is the empty row.
+const DEAD: u8 = 1;
+
+/// PostgreSQL's `HEAP_XMIN_COMMITTED` hint: a visibility check found `xmin`
+/// committed, so later checks need not ask the transaction manager. A commit
+/// is final, so the hint never goes stale. It is set only by a check that
+/// read the committed status itself, never for the reader's own xid (which
+/// may still abort), and it answers only whether `xmin` committed: a
+/// snapshot that was taken while `xmin` ran still treats it as running.
+const XMIN_COMMITTED: u8 = 2;
 
 impl HeapTuple {
     pub fn xmax(&self) -> Xid {
@@ -32,7 +43,34 @@ impl HeapTuple {
     }
 
     pub fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::Acquire)
+        self.flags.load(Ordering::Acquire) & DEAD != 0
+    }
+
+    /// [`tuple_visible`] for this version, and not dead. A version with no
+    /// deleter whose xmin is hinted committed answers from `snap` alone: it
+    /// is visible unless `snap` treats `xmin` as running. Every other check
+    /// is `tuple_visible`'s, and one that proves `xmin` committed sets the
+    /// hint. A token snapshot (`as_of`) asks the commit clock and never reads
+    /// or sets the hint.
+    fn visible(&self, txns: &TxnManager, snap: &Snapshot) -> bool {
+        let flags = self.flags.load(Ordering::Acquire);
+        if flags & DEAD != 0 {
+            return false;
+        }
+        let xmax = self.xmax();
+        if xmax != INVALID_XID || snap.as_of.is_some() {
+            return tuple_visible(txns, snap, self.xmin, xmax);
+        }
+        if flags & XMIN_COMMITTED != 0 {
+            return !snap.considers_running(self.xmin);
+        }
+        let visible = tuple_visible(txns, snap, self.xmin, INVALID_XID);
+        // visible with no deleter, and not the reader's own insert: the
+        // check found xmin committed
+        if visible && self.xmin != snap.my_xid {
+            self.flags.fetch_or(XMIN_COMMITTED, Ordering::Release);
+        }
+        visible
     }
 }
 
@@ -97,7 +135,7 @@ impl HeapStore {
             row_id,
             xmin: xid,
             xmax: AtomicU64::new(INVALID_XID),
-            dead: std::sync::atomic::AtomicBool::new(false),
+            flags: AtomicU8::new(0),
             data,
         });
         inner.versions.entry(row_id).or_default().push(slot);
@@ -123,7 +161,7 @@ impl HeapStore {
         // recursive: a self-join scans the heap again inside this scan
         let inner = self.inner.read_recursive();
         for t in &inner.tuples {
-            if !t.is_dead() && tuple_visible(txns, snap, t.xmin, t.xmax()) {
+            if t.visible(txns, snap) {
                 f(t);
             }
         }
@@ -144,7 +182,7 @@ impl HeapStore {
         // newest first: at most one version is visible to a snapshot
         for &slot in slots.iter().rev() {
             let t = &inner.tuples[slot as usize];
-            if !t.is_dead() && tuple_visible(txns, snap, t.xmin, t.xmax()) {
+            if t.visible(txns, snap) {
                 return Some(f(&t.data));
             }
         }
@@ -178,10 +216,7 @@ impl HeapStore {
             .ok_or_else(|| PgError::internal("expire: unknown row id"))?;
         for &slot in slots.iter().rev() {
             let t = &inner.tuples[slot as usize];
-            if t.is_dead() {
-                continue;
-            }
-            if !tuple_visible(txns, snap, t.xmin, t.xmax()) {
+            if !t.visible(txns, snap) {
                 continue;
             }
             // try to claim the version
@@ -271,7 +306,7 @@ impl HeapStore {
                     && txns.status(xmax) == TxStatus::Committed
             };
             if dead {
-                t.dead.store(true, Ordering::Release);
+                t.flags.fetch_or(DEAD, Ordering::Release);
                 reclaimed.push((t.row_id, std::mem::take(&mut t.data)));
             }
         }
@@ -601,6 +636,92 @@ mod tests {
         heap.insert(x1, row(1));
         tm.abort(x1);
         assert_eq!(heap.vacuum(&tm, tm.oldest_active_xid()).len(), 1);
+    }
+
+    /// Whether each version of the heap's tuples carries the committed-xmin
+    /// hint, in slot order.
+    fn hints(heap: &HeapStore) -> Vec<bool> {
+        let inner = heap.inner.read();
+        inner.tuples.iter().map(|t| t.flags.load(Ordering::Acquire) & XMIN_COMMITTED != 0).collect()
+    }
+
+    /// How many of the heap's versions `snap` sees.
+    fn seen(heap: &HeapStore, tm: &TxnManager, snap: &Snapshot) -> usize {
+        let mut n = 0;
+        heap.scan_visible(tm, snap, |_| n += 1);
+        n
+    }
+
+    #[test]
+    fn a_snapshot_from_before_the_commit_ignores_the_hint() {
+        let tm = TxnManager::default();
+        let heap = HeapStore::default();
+        let x1 = tm.begin();
+        heap.insert(x1, row(1));
+        let before = tm.snapshot(INVALID_XID);
+        tm.commit(x1);
+        assert_eq!(hints(&heap), [false]);
+        assert_eq!(seen(&heap, &tm, &tm.snapshot(INVALID_XID)), 1);
+        assert_eq!(hints(&heap), [true]);
+        // x1 ran when `before` was taken: still invisible to it
+        assert_eq!(seen(&heap, &tm, &before), 0);
+        assert_eq!(heap.visible_version(&tm, &before, 1), None);
+        assert_eq!(heap.visible_version(&tm, &tm.snapshot(INVALID_XID), 1), Some(row(1)));
+        // a deleter takes the slow path again, hint or not
+        let x2 = tm.begin();
+        assert_eq!(heap.expire(&tm, &tm.snapshot(x2), 1, x2).unwrap(), ExpireOutcome::Expired);
+        tm.commit(x2);
+        assert_eq!(seen(&heap, &tm, &tm.snapshot(INVALID_XID)), 0);
+    }
+
+    #[test]
+    fn own_prepared_and_aborted_xmins_are_never_hinted() {
+        let tm = TxnManager::default();
+        let heap = HeapStore::default();
+        // the reader's own insert: visible to it, and it may still abort
+        let own = tm.begin();
+        heap.insert(own, row(1));
+        assert_eq!(seen(&heap, &tm, &tm.snapshot(own)), 1);
+        assert_eq!(hints(&heap), [false]);
+        tm.abort(own);
+        assert_eq!(seen(&heap, &tm, &tm.snapshot(INVALID_XID)), 0);
+        // a prepared xmin: invisible, unhinted, until COMMIT PREPARED
+        let prepared = tm.begin();
+        heap.insert(prepared, row(2));
+        tm.prepare(prepared, "g").unwrap();
+        assert_eq!(seen(&heap, &tm, &tm.snapshot(INVALID_XID)), 0);
+        // an aborted xmin, read by a snapshot taken after the abort
+        let aborted = tm.begin();
+        heap.insert(aborted, row(3));
+        tm.abort(aborted);
+        assert_eq!(seen(&heap, &tm, &tm.snapshot(INVALID_XID)), 0);
+        assert_eq!(hints(&heap), [false, false, false]);
+        tm.finish_prepared("g", true).unwrap();
+        assert_eq!(seen(&heap, &tm, &tm.snapshot(INVALID_XID)), 1);
+        assert_eq!(hints(&heap), [false, true, false]);
+    }
+
+    #[test]
+    fn token_snapshots_ignore_the_hint() {
+        let tm = TxnManager::default();
+        let heap = HeapStore::default();
+        let x1 = tm.begin();
+        heap.insert(x1, row(1));
+        let token = tm.commit_clock().now();
+        tm.commit(x1);
+        assert_eq!(seen(&heap, &tm, &tm.snapshot(INVALID_XID)), 1);
+        assert_eq!(hints(&heap), [true]);
+        // the token predates the commit: the commit clock says no
+        assert_eq!(seen(&heap, &tm, &tm.snapshot_at(INVALID_XID, token)), 0);
+        let after = tm.commit_clock().now();
+        assert_eq!(seen(&heap, &tm, &tm.snapshot_at(INVALID_XID, after)), 1);
+    }
+
+    /// The tombstone and the hint share one byte: a tuple is no bigger than
+    /// its fields.
+    #[test]
+    fn the_hint_does_not_grow_a_tuple() {
+        assert_eq!(std::mem::size_of::<HeapTuple>(), 56);
     }
 
     fn stripe(rows: Vec<Row>, types: &[sqlparse::ast::TypeName]) -> Arc<Stripe> {
