@@ -227,6 +227,48 @@ fn a_summed_join_copies_no_outer_row() {
     println!("a summed join makes {per_row:.3} allocations per outer row");
 }
 
+/// 10 000 rows of a columnar outer probe a 100-row build side and every key
+/// misses: the batch probe reads each key from the typed column and copies
+/// no row, so it allocates per batch, never per probe row. Beside it, a heap
+/// join whose build rows carry a text column the statement never reads: a
+/// build row costs its own spine, and its text stays in the heap.
+#[test]
+fn a_columnar_probe_that_misses_copies_no_row() {
+    const OUTER: usize = 10_000;
+    let e = Engine::new_default();
+    let mut s = e.session().unwrap();
+    s.execute("CREATE TABLE probe (k bigint, v bigint, s text) USING columnar").unwrap();
+    s.execute("CREATE TABLE build (k bigint, v bigint, s text)").unwrap();
+    let missing: Vec<Vec<Datum>> = text_rows(OUTER, 100)
+        .into_iter()
+        .map(|mut r| {
+            r[0] = Datum::Int(1_000 + r[1].as_i64().unwrap() % 100);
+            r
+        })
+        .collect();
+    s.copy_rows("probe", &[], missing).unwrap();
+    s.copy_rows("build", &[], text_rows(100, 100)).unwrap();
+    let sql = "SELECT count(*), sum(build.v) FROM probe JOIN build ON probe.k = build.k";
+    let plan: Vec<String> =
+        s.query(&format!("EXPLAIN {sql}")).unwrap().iter().map(|r| r[0].to_text()).collect();
+    let join = plan.iter().position(|l| l.ends_with(" Join")).unwrap();
+    assert!(plan[join + 1].trim().starts_with("Seq Scan on probe"), "{plan:#?}");
+    assert_eq!(s.query(sql).unwrap(), vec![vec![Datum::Int(0), Datum::Null]]);
+    let per_row = allocs_per_row(&mut s, sql, OUTER);
+    assert!(per_row < 0.05, "the missing probe made {per_row:.3} allocations per probe row");
+    println!("a columnar probe that misses makes {per_row:.4} allocations per probe row");
+
+    s.execute("CREATE TABLE heap_probe (k bigint, v bigint, s text)").unwrap();
+    s.copy_rows("heap_probe", &[], text_rows(OUTER, 100)).unwrap();
+    let sql = "SELECT count(*) FROM heap_probe p JOIN build ON p.k = build.k";
+    assert_eq!(s.query(sql).unwrap(), vec![vec![Datum::Int(OUTER as i64)]]);
+    let per_build_row = allocs_per_row(&mut s, sql, 100);
+    println!(
+        "a heap join whose build rows carry an unread text makes {per_build_row:.2} \
+         allocations per build row"
+    );
+}
+
 /// A filtered count over 10 000 rows copies none of them.
 #[test]
 fn a_filtered_count_copies_no_row() {
