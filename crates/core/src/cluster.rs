@@ -19,6 +19,7 @@ use pgmini::error::{ErrorCode, PgError, PgResult};
 use pgmini::session::{QueryResult, Session};
 use pgmini::types::Row;
 use sqlparse::ast::Statement;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -865,12 +866,14 @@ impl MxSession {
     fn session_for(&mut self, node: NodeId) -> PgResult<&mut ClientSession> {
         if !self.cached_live(node) {
             self.sessions.remove(&node);
-            let n = self.cluster.node(node)?;
-            let engine = n.engine();
-            let sess = self.cluster.session_on(node)?;
-            self.sessions.insert(node, (engine, sess));
         }
-        Ok(&mut self.sessions.get_mut(&node).expect("just inserted").1)
+        let slot = match self.sessions.entry(node) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => {
+                slot.insert((self.cluster.node(node)?.engine(), self.cluster.session_on(node)?))
+            }
+        };
+        Ok(&mut slot.1)
     }
 
     pub fn execute(&mut self, sql: &str) -> PgResult<QueryResult> {
@@ -903,7 +906,8 @@ impl MxSession {
                 let was_pinned = self.pinned.is_some();
                 let node = self.pinned.take().unwrap_or(self.last);
                 self.clear_txn_fence();
-                if !self.cached_live(node) {
+                let live = self.cached_live(node);
+                let Some((_, sess)) = self.sessions.get_mut(&node).filter(|_| live) else {
                     if !was_pinned || matches!(stmt, Statement::Rollback) {
                         // stray txn control, or the transaction died with
                         // its node — nothing left to roll back
@@ -913,10 +917,9 @@ impl MxSession {
                         ErrorCode::ConnectionFailure,
                         format!("node {} lost before commit", node.0),
                     ));
-                }
+                };
                 self.last = node;
                 self.ran_nowhere = false;
-                let (_, sess) = self.sessions.get_mut(&node).expect("live session");
                 // a SerializationFailure here means the engine fenced the
                 // transaction off (force-abort already counted at the
                 // deciding site); the guard rolled it back cleanly

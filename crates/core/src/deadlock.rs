@@ -220,21 +220,18 @@ fn find_cycle(adj: &HashMap<GraphNode, Vec<GraphNode>>) -> Option<Vec<GraphNode>
         }
         // DFS with an explicit stack carrying the current path
         let mut path: Vec<GraphNode> = Vec::new();
-        let mut on_path: HashSet<GraphNode> = HashSet::new();
         let mut stack: Vec<(GraphNode, usize)> = vec![(start, 0)];
         while let Some(&mut (node, ref mut next_child)) = stack.last_mut() {
             if *next_child == 0 {
                 path.push(node);
-                on_path.insert(node);
                 visited.insert(node);
             }
             let children = adj.get(&node).map(Vec::as_slice).unwrap_or(&[]);
             if *next_child < children.len() {
                 let child = children[*next_child];
                 *next_child += 1;
-                if on_path.contains(&child) {
+                if let Some(pos) = path.iter().position(|n| *n == child) {
                     // found a cycle: the path suffix from `child`
-                    let pos = path.iter().position(|n| *n == child).expect("on path");
                     return Some(path[pos..].to_vec());
                 }
                 if !visited.contains(&child) {
@@ -243,7 +240,6 @@ fn find_cycle(adj: &HashMap<GraphNode, Vec<GraphNode>>) -> Option<Vec<GraphNode>
             } else {
                 stack.pop();
                 path.pop();
-                on_path.remove(&node);
             }
         }
     }

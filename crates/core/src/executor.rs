@@ -242,10 +242,9 @@ pub fn slow_start_schedule(
         // earliest available existing lane
         let (best_idx, best_free) = lanes
             .iter()
+            .copied()
             .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, t)| (i, *t))
-            .expect("lane 0 exists");
+            .fold((0, f64::INFINITY), |best, (i, t)| if t < best.1 { (i, t) } else { best });
         let finish_existing = best_free + d;
         // a (k+1)-th lane becomes permissible at t = (k - cached)·interval
         // (n(t) grows by one per tick beyond the cached pool), and takes
@@ -435,7 +434,7 @@ fn run_tasks(
     for (task, scope) in work {
         outcomes.push(if !ctx.is_local(task) {
             if retryable {
-                fanned.next().expect("one fan-out outcome per remote task")
+                fanned.next().ok_or_else(|| PgError::internal("a remote task left no outcome"))?
             } else {
                 run_conn_task(ctx, state, task, scope, &mut round, cost)?
             }
@@ -449,7 +448,7 @@ fn run_tasks(
                     // or surfaces the error once attempts run out
                     let mut outcome = fan_out_read_tasks(ctx, state, &[(task, scope)], cost)?
                         .pop()
-                        .expect("one fallback outcome for one task");
+                        .ok_or_else(|| PgError::internal("a retried task left no outcome"))?;
                     outcome.retries += 1;
                     outcome
                 }
@@ -835,13 +834,16 @@ struct TaskResume {
     target: NodeId,
 }
 
-/// One pass of a read task: finished, failed for good, or paused because
-/// finishing would mean failing over to *another* node's engine (see
-/// `fan_out_read_tasks` — cross-node work is replayed sequentially so each
-/// engine sees a thread-count-independent access order).
+/// A read task run to its end: its outcome, or its error with the counters
+/// of its last attempt.
+type TaskEnd = Result<TaskOutcome, (PgError, TaskResume)>;
+
+/// One pass of a read task: ended, or paused because finishing would mean
+/// failing over to *another* node's engine (see `fan_out_read_tasks` —
+/// cross-node work is replayed sequentially so each engine sees a
+/// thread-count-independent access order).
 enum TaskRun {
-    Done(TaskOutcome),
-    Failed(PgError, TaskResume),
+    Ended(TaskEnd),
     Deferred(TaskResume),
 }
 
@@ -849,9 +851,9 @@ enum TaskRun {
 /// with capped exponential backoff on connection failures, fail over to a
 /// surviving placement when the target node is down. Runs to completion on
 /// any thread; never touches the virtual clock or shared counters (the
-/// post-pass owns those, in task order). With `defer_failover`, the task
-/// pauses instead of switching nodes. `round` is the wire round of the node
-/// batch the task belongs to.
+/// post-pass owns those, in task order). The task pauses instead of
+/// switching nodes. `round` is the wire round of the node batch the task
+/// belongs to.
 /// Times the executor re-attempts an idempotent read task after a connection
 /// failure (writes are never retried).
 pub const TASK_RETRIES: u32 = 2;
@@ -866,10 +868,9 @@ fn run_read_task(
     task: &Task,
     scope: &str,
     resume: TaskResume,
-    defer_failover: bool,
     round: &mut WireRound,
 ) -> TaskRun {
-    let TaskResume { mut attempt, mut retries, mut backoff_ms, mut target } = resume;
+    let TaskResume { mut attempt, mut retries, mut backoff_ms, target } = resume;
     loop {
         attempt += 1;
         let pooled = pool.lock().get_mut(&target).and_then(Vec::pop);
@@ -886,14 +887,14 @@ fn run_read_task(
                 }
                 match out {
                     Ok((result, cost)) => {
-                        return TaskRun::Done(TaskOutcome {
+                        return TaskRun::Ended(Ok(TaskOutcome {
                             result,
                             cost,
                             target,
                             retries,
                             backoff_ms,
                             local: false,
-                        });
+                        }));
                     }
                     Err(e) => e,
                 }
@@ -901,7 +902,7 @@ fn run_read_task(
             Err(e) => e,
         };
         if !is_connection_failure(&err) || attempt > TASK_RETRIES {
-            return TaskRun::Failed(err, TaskResume { attempt, retries, backoff_ms, target });
+            return TaskRun::Ended(Err((err, TaskResume { attempt, retries, backoff_ms, target })));
         }
         retries += 1;
         // the batch's exchange died with the failure: the retry replays
@@ -910,10 +911,7 @@ fn run_read_task(
         backoff_ms += (RETRY_BACKOFF_MS * (1u64 << (attempt - 1).min(16)) as f64)
             .min(RETRY_BACKOFF_CAP_MS);
         if let Some(alt) = surviving_placement(ctx.cluster, task, target) {
-            if defer_failover {
-                return TaskRun::Deferred(TaskResume { attempt, retries, backoff_ms, target: alt });
-            }
-            target = alt;
+            return TaskRun::Deferred(TaskResume { attempt, retries, backoff_ms, target: alt });
         }
     }
 }
@@ -981,7 +979,7 @@ fn fan_out_read_tasks(
                 let (task, scope) = tasks[i];
                 let fresh =
                     TaskResume { attempt: 0, retries: 0, backoff_ms: 0.0, target: task.node };
-                let run = run_read_task(ctx, &pool, task, scope, fresh, true, &mut round);
+                let run = run_read_task(ctx, &pool, task, scope, fresh, &mut round);
                 runs.lock().push((i, run));
             }
         }
@@ -996,15 +994,18 @@ fn fan_out_read_tasks(
     runs.sort_unstable_by_key(|(i, _)| *i);
 
     // Phase 2 — deferred cross-node failovers replay sequentially in task
-    // order, so the surviving node's engine also sees a deterministic order.
-    let runs: Vec<TaskRun> = runs
+    // order, so the surviving node's engine also sees a deterministic order;
+    // a task resumed on a survivor that fails over again resumes again.
+    let ends: Vec<TaskEnd> = runs
         .into_iter()
-        .map(|(i, run)| match run {
-            TaskRun::Deferred(resume) => {
-                let (task, scope) = tasks[i];
-                run_read_task(ctx, &pool, task, scope, resume, false, &mut WireRound::new())
+        .map(|(i, mut run)| loop {
+            match run {
+                TaskRun::Ended(end) => break end,
+                TaskRun::Deferred(resume) => {
+                    let (task, scope) = tasks[i];
+                    run = run_read_task(ctx, &pool, task, scope, resume, &mut WireRound::new());
+                }
             }
-            finished => finished,
         })
         .collect();
 
@@ -1026,22 +1027,21 @@ fn fan_out_read_tasks(
     // account: tasks before the first failure completed (their retries and
     // backoff count), the failing task gave up after its own, and later
     // tasks never ran
-    let mut outcomes = Vec::with_capacity(runs.len());
+    let mut outcomes = Vec::with_capacity(ends.len());
     let (mut retries, mut backoff_ms, mut failure) = (0u64, 0.0f64, None);
-    for run in runs {
-        match run {
-            TaskRun::Done(outcome) => {
+    for end in ends {
+        match end {
+            Ok(outcome) => {
                 retries += outcome.retries;
                 backoff_ms += outcome.backoff_ms;
                 outcomes.push(outcome);
             }
-            TaskRun::Failed(err, at) => {
+            Err((err, at)) => {
                 retries += at.retries;
                 backoff_ms += at.backoff_ms;
                 failure = Some(err);
                 break;
             }
-            TaskRun::Deferred(_) => unreachable!("defer_failover=false never defers"),
         }
     }
     cluster.clock.advance_micros((backoff_ms * 1000.0) as u64);

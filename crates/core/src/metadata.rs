@@ -143,6 +143,13 @@ impl Metadata {
         })
     }
 
+    /// The physical name of reference table `name`'s one shard: what a
+    /// statement that reads it on a placement names instead.
+    pub fn reference_shard_name(&self, name: &str) -> Option<String> {
+        let t = self.table(name).filter(|t| t.is_reference())?;
+        self.shards.get(t.shards.first()?).map(Shard::physical_name)
+    }
+
     pub fn shard(&self, id: ShardId) -> PgResult<&Shard> {
         self.shards
             .get(&id)

@@ -293,9 +293,7 @@ fn plan_repartition(
             } else if n == b_name {
                 Some(b_temp.clone())
             } else {
-                meta.table(n).filter(|t| t.is_reference()).map(|t| {
-                    meta.shard(t.shards[0]).expect("reference shard").physical_name()
-                })
+                meta.reference_shard_name(n)
             }
         });
         let stmt = std::sync::Arc::new(Statement::Select(Box::new(rewritten)));

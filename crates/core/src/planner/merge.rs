@@ -83,16 +83,15 @@ pub fn split_aggregation(sel: &Select, key: &KeyColumns) -> PgResult<Split> {
         .calls
         .iter()
         .enumerate()
-        .map(|(j, c)| AggCall {
-            kind: match c.kind {
+        .map(|(j, c)| {
+            let kind = match c.kind {
                 AggKind::CountStar | AggKind::Count | AggKind::Sum => AggKind::Sum,
                 AggKind::Min | AggKind::Max => c.kind,
-                AggKind::Avg => unreachable!("avg is extracted as a sum and a count"),
-            },
-            arg: Some(BExpr::Col(groups + j)),
-            distinct: false,
+                AggKind::Avg => return Err(PgError::internal("avg left whole by the extraction")),
+            };
+            Ok(AggCall { kind, arg: Some(BExpr::Col(groups + j)), distinct: false })
         })
-        .collect();
+        .collect::<PgResult<_>>()?;
     let finish = FinishStage {
         agg: Some(AggStage { group: (0..groups).map(BExpr::Col).collect(), calls }),
         having: agg.having,

@@ -595,13 +595,9 @@ fn try_reference_write(stmt: &Statement, meta: &Metadata) -> PgResult<Option<Dis
         return Err(PgError::unsupported("writing a reference table from a distributed table"));
     }
     let shard = meta.shard(dt.shards[0])?;
-    let map = |n: &str| -> Option<String> {
-        meta.table(n).map(|t| {
-            meta.shard(t.shards[0]).expect("reference shard").physical_name()
-        })
-    };
     // one rewritten AST shared across all placements (no per-placement clone)
-    let rewritten = Arc::new(rewrite::rewrite_statement(stmt, &map));
+    let rewritten =
+        Arc::new(rewrite::rewrite_statement(stmt, &|n| meta.reference_shard_name(n)));
     let tasks: Vec<Task> = shard
         .placements
         .iter()
@@ -640,11 +636,7 @@ pub(crate) fn reference_read_plan(
             .first()
             .ok_or_else(|| PgError::internal("reference tables share no placement"))?,
     };
-    let map = |n: &str| -> Option<String> {
-        meta.table(n)
-            .map(|t| meta.shard(t.shards[0]).expect("reference shard").physical_name())
-    };
-    let stmt = Arc::new(rewrite::rewrite_statement(stmt, &map));
+    let stmt = Arc::new(rewrite::rewrite_statement(stmt, &|n| meta.reference_shard_name(n)));
     let task = Task::new(node, None, stmt, false, shards);
     Ok(DistPlan::of(PlannerKind::Router, vec![task], Merge::PassThrough, false))
 }

@@ -385,9 +385,12 @@ pub fn parse_definition(
         let SelectItem::Expr { expr, alias } = item else {
             return Err(bad("ROLLUP projections cannot use * wildcards".into()));
         };
-        match expr {
-            Expr::Func(f) if AggKind::resolve(&f.name, f.star).is_some() => {
-                let kind = AggKind::resolve(&f.name, f.star).unwrap();
+        let agg = match expr {
+            Expr::Func(f) => AggKind::resolve(&f.name, f.star).map(|kind| (f, kind)),
+            _ => None,
+        };
+        match agg {
+            Some((f, kind)) => {
                 if f.distinct {
                     return Err(bad(format!(
                         "{}(DISTINCT ...) cannot be incrementally maintained",
@@ -395,8 +398,8 @@ pub fn parse_definition(
                     )));
                 }
                 let arg = match (kind, f.args.as_slice()) {
-                    (AggKind::CountStar, []) => None,
-                    (AggKind::CountStar, _) => unreachable!("count(*) parses with no args"),
+                    // count(*) parses with no argument
+                    (AggKind::CountStar, _) => None,
                     (_, [a]) => Some(a.clone()),
                     _ => {
                         return Err(bad(format!(
@@ -426,7 +429,7 @@ pub fn parse_definition(
                     s_idx: None,
                 });
             }
-            _ => {
+            None => {
                 // a group key: must be structurally equal to a GROUP BY item
                 let pos = query
                     .group_by

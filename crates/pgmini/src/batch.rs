@@ -35,11 +35,10 @@
 //! aggregate over one folds rows, not batches (`exec::Groups`).
 
 use crate::error::{PgError, PgResult};
-use crate::expr::{apply_binary, eval, float_arith, int_arith, BExpr, EvalCtx};
+use crate::expr::{apply_binary, eval, float_arith, holds, int_arith, Arith, BExpr, BinOp, Cmp, EvalCtx};
 use crate::stripe::{ColumnSlice, Slice, Stripe};
 use crate::types::datum::float_cmp;
 use crate::types::{time, Datum, DatumRef};
-use sqlparse::ast::BinaryOp;
 use std::cmp::Ordering;
 
 /// Rows per batch. 1024 keeps a batch's referenced columns comfortably in
@@ -165,40 +164,40 @@ enum Num<'v> {
     FloatConst(f64),
 }
 
+impl Valid<'_> {
+    #[inline]
+    fn at(self, i: usize) -> bool {
+        match self {
+            Valid::Col(c) => !c.is_null(i),
+            Valid::Flags(f) => f[i],
+        }
+    }
+}
+
 impl Num<'_> {
     fn is_int(self) -> bool {
         matches!(self, Num::Int(..) | Num::IntConst(_))
     }
 
+    /// Lane `i` of an integer operand; `None` where it is NULL or the
+    /// operand holds floats.
     #[inline]
-    fn valid(self, i: usize) -> bool {
+    fn int(self, i: usize) -> Option<i64> {
         match self {
-            Num::Int(_, v) | Num::Float(_, v) => match v {
-                Valid::Col(c) => !c.is_null(i),
-                Valid::Flags(f) => f[i],
-            },
-            Num::IntConst(_) | Num::FloatConst(_) => true,
+            Num::Int(v, valid) => valid.at(i).then(|| v[i]),
+            Num::IntConst(c) => Some(c),
+            Num::Float(..) | Num::FloatConst(_) => None,
         }
     }
 
-    /// Lane `i` of an integer operand.
+    /// Lane `i` as a float, as `Datum::as_f64` reads it; `None` where NULL.
     #[inline]
-    fn int(self, i: usize) -> i64 {
+    fn float(self, i: usize) -> Option<f64> {
         match self {
-            Num::Int(v, _) => v[i],
-            Num::IntConst(c) => c,
-            Num::Float(..) | Num::FloatConst(_) => unreachable!("int mode takes integers"),
-        }
-    }
-
-    /// Lane `i` as a float, as `Datum::as_f64` reads it.
-    #[inline]
-    fn float(self, i: usize) -> f64 {
-        match self {
-            Num::Int(v, _) => v[i] as f64,
-            Num::Float(v, _) => v[i],
-            Num::IntConst(c) => c as f64,
-            Num::FloatConst(c) => c,
+            Num::Int(v, valid) => valid.at(i).then(|| v[i] as f64),
+            Num::Float(v, valid) => valid.at(i).then(|| v[i]),
+            Num::IntConst(c) => Some(c as f64),
+            Num::FloatConst(c) => Some(c),
         }
     }
 }
@@ -206,13 +205,13 @@ impl Num<'_> {
 /// `l op r` over the selected lanes of two number operands, each lane as
 /// [`int_arith`] (both sides integers) or [`float_arith`] computes it; NULL
 /// when either side is NULL.
-fn arith(op: BinaryOp, l: Num, r: Num, len: usize, sel: &[usize]) -> PgResult<BVec<'static>> {
+fn arith(op: Arith, l: Num, r: Num, len: usize, sel: &[usize]) -> PgResult<BVec<'static>> {
     let mut valid = vec![false; len];
     if l.is_int() && r.is_int() {
         let mut vals = vec![0i64; len];
         for &i in sel {
-            if l.valid(i) && r.valid(i) {
-                vals[i] = int_arith(op, l.int(i), r.int(i))?;
+            if let (Some(a), Some(b)) = (l.int(i), r.int(i)) {
+                vals[i] = int_arith(op, a, b)?;
                 valid[i] = true;
             }
         }
@@ -220,8 +219,8 @@ fn arith(op: BinaryOp, l: Num, r: Num, len: usize, sel: &[usize]) -> PgResult<BV
     }
     let mut vals = vec![0f64; len];
     for &i in sel {
-        if l.valid(i) && r.valid(i) {
-            vals[i] = float_arith(op, l.float(i), r.float(i))?;
+        if let (Some(a), Some(b)) = (l.float(i), r.float(i)) {
+            vals[i] = float_arith(op, a, b)?;
             valid[i] = true;
         }
     }
@@ -265,7 +264,7 @@ pub fn eval_batch<'a>(
             Some(_) => BVec::Const(eval(e, &Vec::new(), ctx)?),
             None => BVec::Const(Datum::Null),
         },
-        BExpr::Binary { op, left, right } if is_arithmetic(*op) => {
+        BExpr::Binary { op: BinOp::Arith(op), left, right } => {
             let l = eval_batch(left, batch, sel, ctx)?;
             let r = eval_batch(right, batch, sel, ctx)?;
             if let (Some(a), Some(b)) = (l.num(), r.num()) {
@@ -273,7 +272,7 @@ pub fn eval_batch<'a>(
             }
             let mut out = owned(batch.len);
             for &i in sel {
-                out[i] = apply_binary(*op, l.get(i).to_datum(), r.get(i).to_datum())?;
+                out[i] = apply_binary(BinOp::Arith(*op), l.get(i).to_datum(), r.get(i).to_datum())?;
             }
             BVec::Owned(out)
         }
@@ -335,10 +334,6 @@ pub fn eval_batch<'a>(
     })
 }
 
-fn is_arithmetic(op: BinaryOp) -> bool {
-    matches!(op, BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod)
-}
-
 fn owned(len: usize) -> Vec<Datum> {
     vec![Datum::Null; len]
 }
@@ -359,7 +354,7 @@ pub fn filter_batch(
     ctx: &EvalCtx,
 ) -> PgResult<Vec<usize>> {
     match pred {
-        BExpr::Binary { op: BinaryOp::And, left, right } if failure(right) != Fails::OnRows => {
+        BExpr::Binary { op: BinOp::And, left, right } if failure(right) != Fails::OnRows => {
             let kept = filter_batch(left, batch, sel, ctx)?;
             if kept.is_empty() && failure(right) == Fails::OnConstants {
                 // whether the interpreter reaches the right side now turns
@@ -368,13 +363,13 @@ pub fn filter_batch(
             }
             filter_batch(right, batch, &kept, ctx)
         }
-        BExpr::Binary { op: BinaryOp::Or, left, right } => {
+        BExpr::Binary { op: BinOp::Or, left, right } => {
             let l = filter_batch(left, batch, sel, ctx)?;
             let rest = minus(sel, &l);
             let r = filter_batch(right, batch, &rest, ctx)?;
             Ok(union(&l, &r))
         }
-        BExpr::Binary { op, left, right } if op.is_comparison() => {
+        BExpr::Binary { op: BinOp::Cmp(op), left, right } => {
             let l = eval_batch(left, batch, sel, ctx)?;
             let r = eval_batch(right, batch, sel, ctx)?;
             Ok(compare(*op, &l, &r, sel))
@@ -383,8 +378,8 @@ pub fn filter_batch(
             let v = eval_batch(expr, batch, sel, ctx)?;
             let lo = eval_batch(low, batch, sel, ctx)?;
             let hi = eval_batch(high, batch, sel, ctx)?;
-            let above = compare(BinaryOp::Ge, &v, &lo, sel);
-            Ok(compare(BinaryOp::Le, &v, &hi, &above))
+            let above = compare(Cmp::Ge, &v, &lo, sel);
+            Ok(compare(Cmp::Le, &v, &hi, &above))
         }
         _ => true_lanes(pred, batch, sel, ctx),
     }
@@ -415,7 +410,7 @@ enum Fails {
 }
 
 fn failure(e: &BExpr) -> Fails {
-    let worst = |parts: &mut dyn Iterator<Item = &BExpr>| parts.map(failure).max();
+    let worst = |parts: &mut dyn Iterator<Item = &BExpr>| parts.map(failure).max().unwrap_or(Fails::Never);
     // a part the interpreter runs only on the rows `gate` leaves undecided
     let behind = |gate: &BExpr, f: Fails| {
         if f == Fails::OnConstants && !gate.is_const() {
@@ -426,16 +421,15 @@ fn failure(e: &BExpr) -> Fails {
     };
     match e {
         BExpr::Const(_) | BExpr::Param(_) | BExpr::Col(_) => Fails::Never,
-        BExpr::Binary { op: BinaryOp::And | BinaryOp::Or, left, right } => {
+        BExpr::Binary { op: BinOp::And | BinOp::Or, left, right } => {
             failure(left).max(behind(left, failure(right)))
         }
-        BExpr::InList { expr, list, .. } => {
-            failure(expr).max(behind(e, worst(&mut list.iter()).unwrap_or(Fails::Never)))
-        }
-        BExpr::Binary { op, .. } if op.is_comparison() => worst(&mut e.children()).unwrap(),
-        BExpr::Between { .. } | BExpr::IsNull { .. } | BExpr::InSet { .. } | BExpr::Like { .. } => {
-            worst(&mut e.children()).unwrap()
-        }
+        BExpr::InList { expr, list, .. } => failure(expr).max(behind(e, worst(&mut list.iter()))),
+        BExpr::Binary { op: BinOp::Cmp(_), .. }
+        | BExpr::Between { .. }
+        | BExpr::IsNull { .. }
+        | BExpr::InSet { .. }
+        | BExpr::Like { .. } => worst(&mut e.children()),
         _ if e.is_const() => Fails::OnConstants,
         _ => Fails::OnRows,
     }
@@ -473,47 +467,17 @@ fn union(a: &[usize], b: &[usize]) -> Vec<usize> {
     out
 }
 
-/// The orderings for which `op` holds, one bit each (`Less`, `Equal`,
-/// `Greater` from the low bit up).
-fn holds_mask(op: BinaryOp) -> u8 {
-    match op {
-        BinaryOp::Eq => 0b010,
-        BinaryOp::Neq => 0b101,
-        BinaryOp::Lt => 0b001,
-        BinaryOp::Le => 0b011,
-        BinaryOp::Gt => 0b100,
-        BinaryOp::Ge => 0b110,
-        _ => unreachable!("a comparison operator"),
-    }
-}
-
-#[inline]
-fn holds(mask: u8, ord: Ordering) -> bool {
-    mask >> (ord as i8 + 1) & 1 == 1
-}
-
-/// `op` with its operands swapped: `a op b` is `b (mirror op) a`.
-fn mirror(op: BinaryOp) -> BinaryOp {
-    match op {
-        BinaryOp::Lt => BinaryOp::Gt,
-        BinaryOp::Le => BinaryOp::Ge,
-        BinaryOp::Gt => BinaryOp::Lt,
-        BinaryOp::Ge => BinaryOp::Le,
-        other => other,
-    }
-}
-
 /// The lanes of `sel` where `l op r` is TRUE: [`DatumRef::sql_cmp`] holds
 /// (NULL and incomparable lanes are not TRUE). A number or timestamp column
 /// against a constant compares its array in place.
-fn compare(op: BinaryOp, l: &BVec, r: &BVec, sel: &[usize]) -> Vec<usize> {
+fn compare(op: Cmp, l: &BVec, r: &BVec, sel: &[usize]) -> Vec<usize> {
     let by_column = match (l, r) {
         (BVec::Col(c), BVec::Const(k)) => column_vs_const(op, c, k, sel),
-        (BVec::Const(k), BVec::Col(c)) => column_vs_const(mirror(op), c, k, sel),
+        (BVec::Const(k), BVec::Col(c)) => column_vs_const(op.mirror(), c, k, sel),
         _ => None,
     };
     by_column.unwrap_or_else(|| {
-        let mask = holds_mask(op);
+        let mask = op.mask();
         sel.iter()
             .copied()
             .filter(|&i| l.get(i).sql_cmp(r.get(i)).is_some_and(|o| holds(mask, o)))
@@ -525,8 +489,8 @@ fn compare(op: BinaryOp, l: &BVec, r: &BVec, sel: &[usize]) -> Vec<usize> {
 /// other operand types. The constant is read as `sql_cmp` reads it against
 /// the column's type: an integer against floats as a float, text against
 /// timestamps as the timestamp it parses to (none: no lane is TRUE).
-fn column_vs_const(op: BinaryOp, c: &ColumnSlice, k: &Datum, sel: &[usize]) -> Option<Vec<usize>> {
-    let mask = holds_mask(op);
+fn column_vs_const(op: Cmp, c: &ColumnSlice, k: &Datum, sel: &[usize]) -> Option<Vec<usize>> {
+    let mask = op.mask();
     fn keep(
         sel: &[usize],
         c: &ColumnSlice,

@@ -19,7 +19,9 @@ pub struct BackgroundWorker {
 
 impl BackgroundWorker {
     /// Spawn a worker that runs `body` every `interval` until stopped.
-    /// The body also runs once immediately at startup.
+    /// The body also runs once immediately at startup. A worker whose thread
+    /// the system cannot start never runs (its tick count stays 0), as
+    /// PostgreSQL carries on when it cannot register a background worker.
     pub fn spawn(
         name: &str,
         interval: Duration,
@@ -51,8 +53,8 @@ impl BackgroundWorker {
                     }
                 }
             })
-            .expect("spawn bgworker thread");
-        BackgroundWorker { name: name.to_string(), stop, handle: Some(handle), ticks }
+            .ok();
+        BackgroundWorker { name: name.to_string(), stop, handle, ticks }
     }
 
     pub fn name(&self) -> &str {

@@ -299,21 +299,18 @@ impl Catalog {
 
     /// Register an implicit unique index backing a primary key / UNIQUE
     /// column; returns the synthesised index id.
-    pub fn create_pkey_index(&mut self, table: TableId, cols: &[usize]) -> IndexId {
-        let meta = self.tables.get(&table).expect("pkey on known table");
-        let name = format!("{}_pkey_{}", meta.name, self.next_index);
-        let exprs = cols
-            .iter()
-            .map(|&i| Expr::col(&meta.columns[i].name))
-            .collect();
+    pub fn create_pkey_index(&mut self, table: TableId, cols: &[usize]) -> PgResult<IndexId> {
         let id = IndexId(self.next_index);
+        let meta = self.table_mut(table)?;
+        meta.indexes.push(id);
+        let name = format!("{}_pkey_{}", meta.name, id.0);
+        let exprs = cols.iter().map(|&i| Expr::col(&meta.columns[i].name)).collect();
         self.next_index += 1;
         self.indexes_by_name.insert(name.clone(), id);
         let meta =
             IndexMeta { id, name, table, method: IndexMethod::BTree, exprs, unique: true, predicate: None };
         self.indexes.insert(id, Arc::new(meta));
-        self.table_mut(table).expect("pkey on known table").indexes.push(id);
-        id
+        Ok(id)
     }
 
     pub fn drop_table(&mut self, name: &str) -> PgResult<Arc<TableMeta>> {
@@ -327,8 +324,8 @@ impl Catalog {
                 ));
             }
         }
+        let meta = self.tables.remove(&id).ok_or_else(|| PgError::undefined_table(name))?;
         self.tables_by_name.remove(name);
-        let meta = self.tables.remove(&id).expect("mapped id exists");
         for idx in &meta.indexes {
             if let Some(im) = self.indexes.remove(idx) {
                 self.indexes_by_name.remove(&im.name);

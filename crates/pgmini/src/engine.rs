@@ -252,7 +252,7 @@ impl Engine {
         self.stores.write().insert(id, Arc::new(store));
         // primary key index
         if let Some(pk) = cat.table(id)?.primary_key.clone() {
-            let iid = cat.create_pkey_index(id, &pk);
+            let iid = cat.create_pkey_index(id, &pk)?;
             self.index_stores
                 .write()
                 .insert(iid, Arc::new(IndexStore::BTree(BTreeIndex::default())));
@@ -274,7 +274,7 @@ impl Engine {
             _ => None,
         }));
         for u in uniques {
-            let iid = cat.create_pkey_index(id, &u);
+            let iid = cat.create_pkey_index(id, &u)?;
             self.index_stores
                 .write()
                 .insert(iid, Arc::new(IndexStore::BTree(BTreeIndex::default())));
@@ -331,7 +331,7 @@ impl Engine {
         for (row_id, row) in rows {
             let (key, admitted) = self.index_key(&tmeta, &imeta, &row, false)?;
             if admitted {
-                store.insert(key, row_id);
+                store.insert(key, row_id)?;
             }
         }
         self.catalog_changed();
@@ -530,7 +530,7 @@ impl Engine {
                 });
             }
             if admitted {
-                self.index_store(*iid)?.insert(key, row_id);
+                self.index_store(*iid)?.insert(key, row_id)?;
             }
         }
         Ok(())
@@ -551,7 +551,7 @@ impl Engine {
                 let imeta = self.index_meta(*iid)?;
                 let (key, admitted) = self.index_key(&meta, &imeta, row, false)?;
                 if admitted {
-                    self.index_store(*iid)?.remove(&key, *row_id);
+                    self.index_store(*iid)?.remove(&key, *row_id)?;
                 }
             }
         }

@@ -160,7 +160,7 @@ pub enum BExpr {
     Param(usize),
     Col(usize),
     Unary { op: UnaryOp, expr: Box<BExpr> },
-    Binary { op: BinaryOp, left: Box<BExpr>, right: Box<BExpr> },
+    Binary { op: BinOp, left: Box<BExpr>, right: Box<BExpr> },
     Like { expr: Box<BExpr>, pattern: Box<BExpr>, negated: bool, case_insensitive: bool },
     Between { expr: Box<BExpr>, low: Box<BExpr>, high: Box<BExpr>, negated: bool },
     InList { expr: Box<BExpr>, list: Vec<BExpr>, negated: bool },
@@ -175,6 +175,96 @@ pub enum BExpr {
     },
     Cast { expr: Box<BExpr>, ty: TypeName },
     Func { f: Builtin, args: Vec<BExpr> },
+}
+
+/// A bound binary operator. The arithmetic and the comparison operators
+/// each have a type of their own, so what computes one of them (the
+/// interpreter's `apply_binary`, the batch kernels) takes no other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BinOp {
+    Arith(Arith),
+    Cmp(Cmp),
+    And,
+    Or,
+    Concat,
+    JsonGet,
+    JsonGetText,
+}
+
+/// `+`, `-`, `*`, `/` and `%`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arith {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Mod,
+}
+
+/// `=`, `<>`, `<`, `<=`, `>` and `>=`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cmp {
+    Eq,
+    Neq,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+}
+
+impl From<BinaryOp> for BinOp {
+    fn from(op: BinaryOp) -> BinOp {
+        match op {
+            BinaryOp::Add => BinOp::Arith(Arith::Add),
+            BinaryOp::Sub => BinOp::Arith(Arith::Sub),
+            BinaryOp::Mul => BinOp::Arith(Arith::Mul),
+            BinaryOp::Div => BinOp::Arith(Arith::Div),
+            BinaryOp::Mod => BinOp::Arith(Arith::Mod),
+            BinaryOp::Eq => BinOp::Cmp(Cmp::Eq),
+            BinaryOp::Neq => BinOp::Cmp(Cmp::Neq),
+            BinaryOp::Lt => BinOp::Cmp(Cmp::Lt),
+            BinaryOp::Le => BinOp::Cmp(Cmp::Le),
+            BinaryOp::Gt => BinOp::Cmp(Cmp::Gt),
+            BinaryOp::Ge => BinOp::Cmp(Cmp::Ge),
+            BinaryOp::And => BinOp::And,
+            BinaryOp::Or => BinOp::Or,
+            BinaryOp::Concat => BinOp::Concat,
+            BinaryOp::JsonGet => BinOp::JsonGet,
+            BinaryOp::JsonGetText => BinOp::JsonGetText,
+        }
+    }
+}
+
+impl Cmp {
+    /// The orderings for which the operator holds, one bit each (`Less`,
+    /// `Equal`, `Greater` from the low bit up): [`holds`] reads it.
+    pub(crate) fn mask(self) -> u8 {
+        match self {
+            Cmp::Eq => 0b010,
+            Cmp::Neq => 0b101,
+            Cmp::Lt => 0b001,
+            Cmp::Le => 0b011,
+            Cmp::Gt => 0b100,
+            Cmp::Ge => 0b110,
+        }
+    }
+
+    /// The operator with its operands swapped: `a op b` is `b (mirror op) a`.
+    pub(crate) fn mirror(self) -> Cmp {
+        match self {
+            Cmp::Lt => Cmp::Gt,
+            Cmp::Le => Cmp::Ge,
+            Cmp::Gt => Cmp::Lt,
+            Cmp::Ge => Cmp::Le,
+            Cmp::Eq | Cmp::Neq => self,
+        }
+    }
+}
+
+/// Whether an operator of [`Cmp::mask`] `mask` holds for operands ordered `ord`.
+#[inline]
+pub(crate) fn holds(mask: u8, ord: Ordering) -> bool {
+    mask >> (ord as i8 + 1) & 1 == 1
 }
 
 impl BExpr {
@@ -273,7 +363,7 @@ pub fn bind(expr: &Expr, scope: &RowScope) -> PgResult<BExpr> {
             BExpr::Unary { op: *op, expr: Box::new(bind(expr, scope)?) }
         }
         Expr::Binary { left, op, right } => BExpr::Binary {
-            op: *op,
+            op: BinOp::from(*op),
             left: Box::new(bind(left, scope)?),
             right: Box::new(bind(right, scope)?),
         },
@@ -493,30 +583,37 @@ fn bigint_out_of_range() -> PgError {
 /// as a divergence); `/` overflows only on `i64::MIN / -1`, which raises
 /// 22003 as PostgreSQL does, and `i64::MIN % -1` is 0.
 #[inline]
-pub(crate) fn int_arith(op: BinaryOp, a: i64, b: i64) -> PgResult<i64> {
+pub(crate) fn int_arith(op: Arith, a: i64, b: i64) -> PgResult<i64> {
     match op {
-        BinaryOp::Add => Ok(a.wrapping_add(b)),
-        BinaryOp::Sub => Ok(a.wrapping_sub(b)),
-        BinaryOp::Mul => Ok(a.wrapping_mul(b)),
-        BinaryOp::Div | BinaryOp::Mod if b == 0 => Err(division_by_zero()),
-        BinaryOp::Div => a.checked_div(b).ok_or_else(bigint_out_of_range),
-        BinaryOp::Mod => Ok(a.wrapping_rem(b)),
-        _ => unreachable!("an arithmetic operator"),
+        Arith::Add => Ok(a.wrapping_add(b)),
+        Arith::Sub => Ok(a.wrapping_sub(b)),
+        Arith::Mul => Ok(a.wrapping_mul(b)),
+        Arith::Div | Arith::Mod if b == 0 => Err(division_by_zero()),
+        Arith::Div => a.checked_div(b).ok_or_else(bigint_out_of_range),
+        Arith::Mod => Ok(a.wrapping_rem(b)),
     }
 }
 
 /// `a op b` for two floats (an integer operand read as a float), shared
 /// like [`int_arith`].
 #[inline]
-pub(crate) fn float_arith(op: BinaryOp, a: f64, b: f64) -> PgResult<f64> {
+pub(crate) fn float_arith(op: Arith, a: f64, b: f64) -> PgResult<f64> {
     match op {
-        BinaryOp::Add => Ok(a + b),
-        BinaryOp::Sub => Ok(a - b),
-        BinaryOp::Mul => Ok(a * b),
-        BinaryOp::Div | BinaryOp::Mod if b == 0.0 => Err(division_by_zero()),
-        BinaryOp::Div => Ok(a / b),
-        BinaryOp::Mod => Ok(a % b),
-        _ => unreachable!("an arithmetic operator"),
+        Arith::Add => Ok(a + b),
+        Arith::Sub => Ok(a - b),
+        Arith::Mul => Ok(a * b),
+        Arith::Div | Arith::Mod if b == 0.0 => Err(division_by_zero()),
+        Arith::Div => Ok(a / b),
+        Arith::Mod => Ok(a % b),
+    }
+}
+
+/// A timestamp argument, cast as `::timestamp` casts it: its microseconds,
+/// or `None` for NULL (the one value the cast leaves no timestamp).
+fn timestamp_arg(d: Datum) -> PgResult<Option<i64>> {
+    match d.cast_to(TypeName::Timestamp)? {
+        Datum::Timestamp(t) => Ok(Some(t)),
+        _ => Ok(None),
     }
 }
 
@@ -556,26 +653,26 @@ fn apply_like(v: DatumRef, p: DatumRef, negated: bool, case_insensitive: bool) -
 
 /// Kleene combination for AND/OR once both operand values are known. The
 /// short-circuit cases (AND false / OR true) are subsumed by the match.
-fn kleene_combine(op: BinaryOp, l: Datum, r: Datum) -> Datum {
+fn kleene_combine(op: BinOp, l: Datum, r: Datum) -> Datum {
     match (op, l, r) {
-        (BinaryOp::And, Datum::Bool(a), Datum::Bool(b)) => Datum::Bool(a && b),
-        (BinaryOp::Or, Datum::Bool(a), Datum::Bool(b)) => Datum::Bool(a || b),
-        (BinaryOp::And, Datum::Null, Datum::Bool(false))
-        | (BinaryOp::And, Datum::Bool(false), Datum::Null) => Datum::Bool(false),
-        (BinaryOp::Or, Datum::Null, Datum::Bool(true))
-        | (BinaryOp::Or, Datum::Bool(true), Datum::Null) => Datum::Bool(true),
+        (BinOp::And, Datum::Bool(a), Datum::Bool(b)) => Datum::Bool(a && b),
+        (BinOp::Or, Datum::Bool(a), Datum::Bool(b)) => Datum::Bool(a || b),
+        (BinOp::And, Datum::Null, Datum::Bool(false))
+        | (BinOp::And, Datum::Bool(false), Datum::Null) => Datum::Bool(false),
+        (BinOp::Or, Datum::Null, Datum::Bool(true))
+        | (BinOp::Or, Datum::Bool(true), Datum::Null) => Datum::Bool(true),
         _ => Datum::Null,
     }
 }
 
-fn eval_binary(op: BinaryOp, left: &BExpr, right: &BExpr, row: &Row, ctx: &EvalCtx) -> PgResult<Datum> {
+fn eval_binary(op: BinOp, left: &BExpr, right: &BExpr, row: &Row, ctx: &EvalCtx) -> PgResult<Datum> {
     // AND/OR need Kleene logic with lazy-ish NULL handling
-    if matches!(op, BinaryOp::And | BinaryOp::Or) {
+    if matches!(op, BinOp::And | BinOp::Or) {
         let l = eval(left, row, ctx)?;
         // short-circuit
         match (op, &l) {
-            (BinaryOp::And, Datum::Bool(false)) => return Ok(Datum::Bool(false)),
-            (BinaryOp::Or, Datum::Bool(true)) => return Ok(Datum::Bool(true)),
+            (BinOp::And, Datum::Bool(false)) => return Ok(Datum::Bool(false)),
+            (BinOp::Or, Datum::Bool(true)) => return Ok(Datum::Bool(true)),
             _ => {}
         }
         let r = eval(right, row, ctx)?;
@@ -586,29 +683,29 @@ fn eval_binary(op: BinaryOp, left: &BExpr, right: &BExpr, row: &Row, ctx: &EvalC
     apply_binary(op, l, r)
 }
 
-/// Non-AND/OR binary evaluation on already-computed operand values;
-/// `batch::eval_batch` runs it on arithmetic operands that are not numbers.
-pub(crate) fn apply_binary(op: BinaryOp, l: Datum, r: Datum) -> PgResult<Datum> {
-    if op.is_comparison() {
-        return Ok(match l.sql_cmp(&r) {
-            None => Datum::Null,
-            Some(ord) => Datum::Bool(match op {
-                BinaryOp::Eq => ord == Ordering::Equal,
-                BinaryOp::Neq => ord != Ordering::Equal,
-                BinaryOp::Lt => ord == Ordering::Less,
-                BinaryOp::Le => ord != Ordering::Greater,
-                BinaryOp::Gt => ord == Ordering::Greater,
-                BinaryOp::Ge => ord != Ordering::Less,
-                _ => unreachable!("is_comparison covers these"),
-            }),
-        });
-    }
-    if l.is_null() || r.is_null() {
-        return Ok(Datum::Null);
+/// Binary evaluation on already-computed operand values (AND and OR by
+/// Kleene logic); `batch::eval_batch` runs it on arithmetic operands that
+/// are not numbers.
+pub(crate) fn apply_binary(op: BinOp, l: Datum, r: Datum) -> PgResult<Datum> {
+    match op {
+        BinOp::Cmp(c) => return Ok(l.sql_cmp(&r).map_or(Datum::Null, |o| Datum::Bool(holds(c.mask(), o)))),
+        BinOp::And | BinOp::Or => return Ok(kleene_combine(op, l, r)),
+        _ if l.is_null() || r.is_null() => return Ok(Datum::Null),
+        _ => {}
     }
     match op {
-        BinaryOp::Concat => Ok(Datum::text(format!("{}{}", l.to_text(), r.to_text()))),
-        BinaryOp::JsonGet | BinaryOp::JsonGetText => {
+        BinOp::Concat => Ok(Datum::text(format!("{}{}", l.to_text(), r.to_text()))),
+        BinOp::Arith(op) => match (l, r) {
+            // timestamp ± int days
+            (Datum::Timestamp(t), Datum::Int(d)) => match op {
+                Arith::Add => Ok(Datum::Timestamp(add_days(t, d))),
+                Arith::Sub => Ok(Datum::Timestamp(add_days(t, d.wrapping_neg()))),
+                _ => Err(PgError::new(ErrorCode::InvalidText, "unsupported timestamp arithmetic")),
+            },
+            (Datum::Int(a), Datum::Int(b)) => int_arith(op, a, b).map(Datum::Int),
+            (a, b) => float_arith(op, a.as_f64()?, b.as_f64()?).map(Datum::Float),
+        },
+        _ => {
             let parsed;
             let j: &Json = match &l {
                 Datum::Json(j) => j,
@@ -630,7 +727,7 @@ pub(crate) fn apply_binary(op: BinaryOp, l: Datum, r: Datum) -> PgResult<Datum> 
             Ok(match child {
                 None => Datum::Null,
                 Some(c) => {
-                    if op == BinaryOp::JsonGet {
+                    if op == BinOp::JsonGet {
                         Datum::json(c.clone())
                     } else if matches!(c, Json::Null) {
                         Datum::Null
@@ -640,27 +737,6 @@ pub(crate) fn apply_binary(op: BinaryOp, l: Datum, r: Datum) -> PgResult<Datum> 
                 }
             })
         }
-        BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod => {
-            // timestamp ± int days
-            if let (Datum::Timestamp(t), Datum::Int(d)) = (&l, &r) {
-                return Ok(match op {
-                    BinaryOp::Add => Datum::Timestamp(add_days(*t, *d)),
-                    BinaryOp::Sub => Datum::Timestamp(add_days(*t, d.wrapping_neg())),
-                    _ => {
-                        return Err(PgError::new(
-                            ErrorCode::InvalidText,
-                            "unsupported timestamp arithmetic",
-                        ))
-                    }
-                });
-            }
-            if let (Datum::Int(a), Datum::Int(b)) = (&l, &r) {
-                return int_arith(op, *a, *b).map(Datum::Int);
-            }
-            float_arith(op, l.as_f64()?, r.as_f64()?).map(Datum::Float)
-        }
-        BinaryOp::And | BinaryOp::Or | BinaryOp::Eq | BinaryOp::Neq | BinaryOp::Lt
-        | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge => unreachable!("handled above"),
     }
 }
 
@@ -772,13 +848,12 @@ fn eval_func(f: Builtin, args: &[BExpr], row: &Row, ctx: &EvalCtx) -> PgResult<D
                 return x.checked_abs().map(Datum::Int).ok_or_else(bigint_out_of_range);
             }
             let x = a.as_f64()?;
-            Ok(match f {
-                Builtin::Floor => Datum::Float(x.floor()),
-                Builtin::Ceil => Datum::Float(x.ceil()),
-                Builtin::Abs => Datum::Float(x.abs()),
-                Builtin::Sqrt => Datum::Float(x.sqrt()),
-                _ => unreachable!(),
-            })
+            Ok(Datum::Float(match f {
+                Builtin::Floor => x.floor(),
+                Builtin::Ceil => x.ceil(),
+                Builtin::Abs => x.abs(),
+                _ => x.sqrt(),
+            }))
         }
         Builtin::Round => {
             let a = v(0)?;
@@ -812,7 +887,7 @@ fn eval_func(f: Builtin, args: &[BExpr], row: &Row, ctx: &EvalCtx) -> PgResult<D
             if bb == 0 {
                 return Err(division_by_zero());
             }
-            int_arith(BinaryOp::Mod, a.as_i64()?, bb).map(Datum::Int)
+            int_arith(Arith::Mod, a.as_i64()?, bb).map(Datum::Int)
         }
         Builtin::Coalesce => {
             for a in args {
@@ -857,61 +932,25 @@ fn eval_func(f: Builtin, args: &[BExpr], row: &Row, ctx: &EvalCtx) -> PgResult<D
             }
             Ok(best.unwrap_or(Datum::Null))
         }
-        Builtin::DateTrunc => {
+        Builtin::DateTrunc | Builtin::Extract => {
             arity(2)?;
-            let field = v(0)?;
-            let ts = v(1)?.cast_to(TypeName::Timestamp)?;
-            match ts {
-                Datum::Null => Ok(Datum::Null),
-                Datum::Timestamp(t) => {
-                    let out = time::date_trunc(&field.to_text(), t).ok_or_else(|| {
-                        PgError::new(
-                            ErrorCode::InvalidParameter,
-                            format!("unknown date_trunc field {}", field.to_text()),
-                        )
-                    })?;
-                    Ok(Datum::Timestamp(out))
-                }
-                _ => unreachable!("cast_to Timestamp"),
-            }
+            let field = v(0)?.to_text();
+            let Some(t) = timestamp_arg(v(1)?)? else { return Ok(Datum::Null) };
+            let (name, out) = match f {
+                Builtin::DateTrunc => ("date_trunc", time::date_trunc(&field, t).map(Datum::Timestamp)),
+                _ => ("extract", time::extract(&field, t).map(Datum::Float)),
+            };
+            out.ok_or_else(|| {
+                PgError::new(ErrorCode::InvalidParameter, format!("unknown {name} field {field}"))
+            })
         }
-        Builtin::Extract => {
+        Builtin::DateAddDays | Builtin::DateAddMonths => {
             arity(2)?;
-            let field = v(0)?;
-            let ts = v(1)?.cast_to(TypeName::Timestamp)?;
-            match ts {
-                Datum::Null => Ok(Datum::Null),
-                Datum::Timestamp(t) => {
-                    let out = time::extract(&field.to_text(), t).ok_or_else(|| {
-                        PgError::new(
-                            ErrorCode::InvalidParameter,
-                            format!("unknown extract field {}", field.to_text()),
-                        )
-                    })?;
-                    Ok(Datum::Float(out))
-                }
-                _ => unreachable!("cast_to Timestamp"),
-            }
-        }
-        Builtin::DateAddDays => {
-            arity(2)?;
-            let ts = v(0)?.cast_to(TypeName::Timestamp)?;
-            let days = v(1)?;
-            match (ts, days) {
-                (Datum::Timestamp(t), Datum::Int(d)) => {
-                    Ok(Datum::Timestamp(add_days(t, d)))
-                }
-                _ => Ok(Datum::Null),
-            }
-        }
-        Builtin::DateAddMonths => {
-            arity(2)?;
-            let ts = v(0)?.cast_to(TypeName::Timestamp)?;
-            let months = v(1)?;
-            match (ts, months) {
-                (Datum::Timestamp(t), Datum::Int(m)) => Ok(Datum::Timestamp(time::add_months(t, m))),
-                _ => Ok(Datum::Null),
-            }
+            Ok(match (timestamp_arg(v(0)?)?, v(1)?) {
+                (Some(t), Datum::Int(d)) if f == Builtin::DateAddDays => Datum::Timestamp(add_days(t, d)),
+                (Some(t), Datum::Int(m)) => Datum::Timestamp(time::add_months(t, m)),
+                _ => Datum::Null,
+            })
         }
         Builtin::JsonbArrayLength => {
             arity(1)?;

@@ -3,6 +3,7 @@
 //! re-check visibility and key match against the heap, so stale entries are
 //! harmless until vacuum removes them.
 
+use crate::error::{PgError, PgResult};
 use crate::types::{text_ops, Datum, SortKey};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -205,20 +206,22 @@ pub(crate) enum IndexKey {
 }
 
 impl IndexStore {
-    pub(crate) fn insert(&self, key: IndexKey, row_id: u64) {
+    pub(crate) fn insert(&self, key: IndexKey, row_id: u64) -> PgResult<()> {
         match (self, key) {
             (IndexStore::BTree(b), IndexKey::BTree(key)) => b.insert(key, row_id),
             (IndexStore::Gin(g), IndexKey::Gin(grams)) => g.insert(&grams, row_id),
-            _ => unreachable!("an index's keys follow its method"),
+            _ => return Err(PgError::internal("an index's keys follow its method")),
         }
+        Ok(())
     }
 
-    pub(crate) fn remove(&self, key: &IndexKey, row_id: u64) {
+    pub(crate) fn remove(&self, key: &IndexKey, row_id: u64) -> PgResult<()> {
         match (self, key) {
             (IndexStore::BTree(b), IndexKey::BTree(key)) => b.remove(key, row_id),
             (IndexStore::Gin(g), IndexKey::Gin(grams)) => g.remove(grams, row_id),
-            _ => unreachable!("an index's keys follow its method"),
+            _ => return Err(PgError::internal("an index's keys follow its method")),
         }
+        Ok(())
     }
 
     pub fn len(&self) -> u64 {

@@ -108,15 +108,14 @@ struct LockState {
     dist: HashMap<Xid, DistTxnId>,
 }
 
-impl LockState {
+impl LockEntry {
     /// Can `xid` acquire `mode` on the entry right now?
-    fn grantable(&self, entry: &LockEntry, xid: Xid, mode: LockMode) -> bool {
-        entry
-            .holders
-            .iter()
-            .all(|&(h, hmode)| h == xid || !mode.conflicts(hmode))
+    fn grantable(&self, xid: Xid, mode: LockMode) -> bool {
+        self.holders.iter().all(|&(h, hmode)| h == xid || !mode.conflicts(hmode))
     }
+}
 
+impl LockState {
     /// Holders of `key` that conflict with `xid` wanting `mode`.
     fn conflicting_holders(&self, key: &LockKey, xid: Xid, mode: LockMode) -> Vec<Xid> {
         self.locks
@@ -227,28 +226,21 @@ impl LockManager {
     /// deadlock detector's kill path).
     pub fn acquire(&self, xid: Xid, key: LockKey, mode: LockMode) -> PgResult<()> {
         let mut s = self.state.lock();
+        let entry = s.locks.entry(key).or_default();
         // fast path incl. reentrant acquisition
-        if let Some(entry) = s.locks.get(&key) {
-            if let Some(&(_, held)) = entry.holders.iter().find(|&&(h, _)| h == xid) {
-                if held == LockMode::Exclusive || mode == LockMode::Shared {
-                    return Ok(());
-                }
-                // shared → exclusive upgrade handled below
+        if let Some(&(_, held)) = entry.holders.iter().find(|&&(h, _)| h == xid) {
+            if held == LockMode::Exclusive || mode == LockMode::Shared {
+                return Ok(());
             }
+            // shared → exclusive upgrade handled below
         }
-        s.locks.entry(key).or_default();
-        let can_grant = {
-            let entry = s.locks.get(&key).expect("just inserted");
-            s.grantable(entry, xid, mode)
-        };
-        if can_grant {
-            let entry = s.locks.get_mut(&key).expect("present");
+        if entry.grantable(xid, mode) {
             upgrade_or_add(entry, xid, mode);
             s.held.entry(xid).or_default().push(key);
             return Ok(());
         }
         // slow path: enqueue and wait
-        s.locks.get_mut(&key).expect("present").waiters.push((xid, mode));
+        entry.waiters.push((xid, mode));
         s.waiting_on.insert(xid, key);
         s.waiting_since.insert(xid, std::time::Instant::now());
         let cancel = s.cancel.get(&xid).cloned();
@@ -282,11 +274,7 @@ impl LockManager {
                 }
             }
             // grant?
-            let grantable = s
-                .locks
-                .get(&key)
-                .map(|e| s.grantable(e, xid, mode))
-                .unwrap_or(true);
+            let grantable = s.locks.get(&key).is_none_or(|e| e.grantable(xid, mode));
             if grantable {
                 let entry = s.locks.entry(key).or_default();
                 entry.waiters.retain(|&(x, _)| x != xid);

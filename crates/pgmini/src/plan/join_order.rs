@@ -5,7 +5,7 @@
 
 use super::or_restrictions::Derived;
 use super::{cross_join, node_qualifiers, referenced_qualifiers, PlanNode, PlannerCatalog};
-use crate::error::PgResult;
+use crate::error::{PgError, PgResult};
 use crate::expr::RowScope;
 use sqlparse::ast::{BinaryOp, Expr};
 
@@ -156,28 +156,26 @@ pub(super) fn join_in_size_order(
     let chain = (0..units.len())
         .map(|first| greedy_chain(first, &rows, &edges))
         .min_by(|a, b| intermediate(a).total_cmp(&intermediate(b)))
-        .expect("at least two units");
+        .unwrap_or_default();
     let mut slots: Vec<Option<(PlanNode, RowScope)>> = units.into_iter().map(Some).collect();
-    let mut take = |u: usize| slots[u].take().expect("each unit joins once");
-    let (first, mut acc_rows) = chain[0];
-    let mut acc = take(first);
-    for &(next, out_rows) in &chain[1..] {
-        let unit = take(next);
-        acc = if acc_rows < rows[next] { cross_join(unit, acc) } else { cross_join(acc, unit) };
-        acc_rows = out_rows;
+    let mut acc: Option<((PlanNode, RowScope), f64)> = None;
+    for (next, out_rows) in chain {
+        let unit = slots[next].take().ok_or_else(|| PgError::internal("a FROM unit joins twice"))?;
+        acc = Some(match acc {
+            None => (unit, out_rows),
+            Some((acc, acc_rows)) if acc_rows < rows[next] => (cross_join(unit, acc), out_rows),
+            Some((acc, _)) => (cross_join(acc, unit), out_rows),
+        });
     }
-    Ok(acc)
+    acc.map(|(acc, _)| acc).ok_or_else(|| PgError::internal("a join of no FROM units"))
 }
 
 /// The greedy join order from unit `first`: each unit in the order it joins,
 /// with the estimated rows of the result once it has joined (the first
 /// unit's own rows for the first).
 fn greedy_chain(first: usize, rows: &[f64], edges: &[JoinEdge]) -> Vec<(usize, f64)> {
-    let smallest = |pool: &[usize]| -> usize {
-        *pool
-            .iter()
-            .min_by(|a, b| rows[**a].total_cmp(&rows[**b]).then(a.cmp(b)))
-            .expect("a unit remains")
+    let smallest = |pool: &[usize]| -> Option<usize> {
+        pool.iter().copied().min_by(|a, b| rows[*a].total_cmp(&rows[*b]).then(a.cmp(b)))
     };
     // the edges that become join conditions when `u` joins `joined`
     let closing = |u: usize, joined: &[usize]| -> Vec<&JoinEdge> {
@@ -192,15 +190,17 @@ fn greedy_chain(first: usize, rows: &[f64], edges: &[JoinEdge]) -> Vec<(usize, f
     let mut joined = vec![first];
     let mut chain = vec![(first, rows[first])];
     let mut acc_rows = rows[first];
-    while !remaining.is_empty() {
+    loop {
         let connected: Vec<usize> =
             remaining.iter().copied().filter(|&u| !closing(u, &joined).is_empty()).collect();
-        let next = smallest(if connected.is_empty() { &remaining } else { &connected });
+        let Some(next) = smallest(if connected.is_empty() { &remaining } else { &connected })
+        else {
+            return chain;
+        };
         let sel: f64 = closing(next, &joined).iter().map(|e| e.sel).product();
         acc_rows = (acc_rows * rows[next] * sel).max(1.0);
         chain.push((next, acc_rows));
         remaining.retain(|&u| u != next);
         joined.push(next);
     }
-    chain
 }

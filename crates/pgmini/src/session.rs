@@ -608,24 +608,25 @@ impl Session {
 
     /// FROM-less SELECT whose projection calls registered UDFs.
     fn try_udf_select(&mut self, sel: &sqlparse::ast::Select) -> PgResult<Option<QueryResult>> {
-        let has_udf = sel.projection.iter().any(|item| {
-            matches!(item, SelectItem::Expr { expr: Expr::Func(f), .. }
-                if self.engine.udf(&f.name).is_some())
-        });
-        if !has_udf {
+        let udfs: Vec<_> = (sel.projection.iter())
+            .map(|item| match item {
+                SelectItem::Expr { expr: Expr::Func(f), .. } => self.engine.udf(&f.name),
+                _ => None,
+            })
+            .collect();
+        if udfs.iter().all(Option::is_none) {
             return Ok(None);
         }
         let mut columns = Vec::new();
         let mut row = Vec::new();
         let scope = RowScope::default();
         let ectx = crate::expr::EvalCtx::default();
-        for item in &sel.projection {
+        for (item, udf) in sel.projection.iter().zip(udfs) {
             let SelectItem::Expr { expr, alias } = item else {
                 return Err(PgError::unsupported("wildcard in UDF select"));
             };
-            match expr {
-                Expr::Func(f) if self.engine.udf(&f.name).is_some() => {
-                    let udf = self.engine.udf(&f.name).expect("checked");
+            match (expr, udf) {
+                (Expr::Func(f), Some(udf)) => {
                     let args: Vec<Datum> = f
                         .args
                         .iter()
@@ -637,7 +638,7 @@ impl Session {
                     columns.push(alias.clone().unwrap_or_else(|| f.name.clone()));
                     row.push(udf(self, &args)?);
                 }
-                other => {
+                (other, _) => {
                     let b = bind(other, &scope)?;
                     columns.push(alias.clone().unwrap_or_else(|| "?column?".to_string()));
                     row.push(eval(&b, &vec![], &ectx)?);

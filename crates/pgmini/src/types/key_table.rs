@@ -107,6 +107,9 @@ impl KeyTable {
         }
     }
 
+    // A bucket holds a slot as a `u32`: a table of 2^32 keys does not fit
+    // in memory before it overflows one.
+    #[allow(clippy::expect_used)]
     fn place(&mut self, hash: u64, slot: usize) {
         let mask = self.buckets.len() - 1;
         let mut at = hash as usize & mask;

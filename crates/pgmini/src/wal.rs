@@ -228,7 +228,8 @@ pub fn decode_table_changes(records: &[WalRecord], base_lsn: Lsn, table: TableId
                 WalRecord::ColumnarAppend { stripe, .. } => {
                     out.changes.extend(stripe.to_rows().into_iter().map(Change::Insert))
                 }
-                _ => unreachable!(),
+                // no other record has a table
+                _ => {}
             },
             Some(Fate::Aborted) => {}
             // in flight or prepared-undecided: the horizon
@@ -323,12 +324,13 @@ fn get_row(buf: &mut Bytes) -> PgResult<Row> {
     Ok(row)
 }
 
-/// A stripe column's type on the wire: its index here.
+/// A stripe column's type on the wire: its index here, which is its
+/// discriminant (`TypeName`'s declaration order; `type_tags_are_discriminants`).
 const TYPE_TAGS: [TypeName; 6] = [
-    TypeName::Bool,
     TypeName::Int,
     TypeName::Float,
     TypeName::Text,
+    TypeName::Bool,
     TypeName::Json,
     TypeName::Timestamp,
 ];
@@ -406,7 +408,7 @@ pub fn encode_record(rec: &WalRecord) -> Bytes {
             let types = stripe.types();
             buf.put_u32(types.len() as u32);
             for ty in types {
-                buf.put_u8(TYPE_TAGS.iter().position(|t| *t == ty).expect("every type") as u8);
+                buf.put_u8(ty as u8);
             }
             buf.put_u32(stripe.rows() as u32);
             for r in 0..stripe.rows() {
@@ -522,6 +524,13 @@ mod tests {
                 ),
             },
         ]
+    }
+
+    #[test]
+    fn type_tags_are_discriminants() {
+        for (i, ty) in TYPE_TAGS.iter().enumerate() {
+            assert_eq!(*ty as usize, i, "{ty:?}");
+        }
     }
 
     #[test]

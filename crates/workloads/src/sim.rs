@@ -38,6 +38,7 @@ use pgmini::session::QueryResult;
 use pgmini::types::{Datum, Row};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 // ---------------- configuration ----------------
@@ -497,17 +498,18 @@ impl SqlRunner for MirrorRunner {
 
 // ---------------- workload units ----------------
 
-/// Per-pattern driver state that survives across the schedule's Txn events.
-struct WorkloadState {
-    tpcc: Option<TpccDriver>,
-    ycsb: Option<YcsbDriver>,
-    gh: Option<gharchive::EventGenerator>,
-    tpch_next: usize,
-    /// Serve analytics dashboard reads from the incrementally maintained
-    /// commit rollup instead of re-aggregating `push_commits`. Only the
-    /// distributed bench arm sets this; the chaos sim and the single-node
+/// One pattern's driver state, surviving across the schedule's Txn events.
+enum Driver {
+    Tpcc(TpccDriver),
+    Ycsb(YcsbDriver),
+    /// The analytics ingest stream (day 2, distinct from the day-1 load).
+    /// `rollup` serves dashboard reads from the incrementally maintained
+    /// commit rollup instead of re-aggregating `push_commits`; only the
+    /// distributed bench arm sets it, the chaos sim and the single-node
     /// mirror keep the raw aggregate.
-    gh_rollup: bool,
+    Analytics { events: gharchive::EventGenerator, rollup: bool },
+    /// The position in the round of supported TPC-H queries.
+    Tpch { next: usize },
 }
 
 fn setup_pattern(
@@ -566,67 +568,56 @@ fn setup_pattern(
     Ok(())
 }
 
-fn make_state(patterns: &[Pattern], scales: &SimScales, seed: u64) -> WorkloadState {
-    let mut st =
-        WorkloadState { tpcc: None, ycsb: None, gh: None, tpch_next: 0, gh_rollup: false };
-    for p in patterns {
-        match p {
-            Pattern::MultiTenant => {
-                st.tpcc = Some(TpccDriver::new(scales.tpcc.clone(), seed ^ 0x7139));
-            }
+impl Driver {
+    fn new(pattern: Pattern, scales: &SimScales, seed: u64) -> Driver {
+        match pattern {
+            Pattern::MultiTenant => Driver::Tpcc(TpccDriver::new(scales.tpcc.clone(), seed ^ 0x7139)),
             Pattern::HighPerformanceCrud => {
-                st.ycsb = Some(YcsbDriver::new(scales.ycsb.clone(), seed ^ 0x9c5b));
+                Driver::Ycsb(YcsbDriver::new(scales.ycsb.clone(), seed ^ 0x9c5b))
             }
-            Pattern::RealTimeAnalytics => {
-                // day 2: the chaos ingest stream, distinct from the day-1 load
-                st.gh = Some(gharchive::EventGenerator::new(2, seed ^ 0x11d7));
-            }
-            Pattern::DataWarehousing => {}
+            Pattern::RealTimeAnalytics => Driver::Analytics {
+                events: gharchive::EventGenerator::new(2, seed ^ 0x11d7),
+                rollup: false,
+            },
+            Pattern::DataWarehousing => Driver::Tpch { next: 0 },
         }
     }
-    st
-}
 
-/// Run one workload unit of `pattern` through the runner.
-fn run_unit(
-    r: &mut dyn SqlRunner,
-    state: &mut WorkloadState,
-    pattern: Pattern,
-    scales: &SimScales,
-    rng: &mut StdRng,
-) -> PgResult<()> {
-    match pattern {
-        Pattern::MultiTenant => {
-            let d = state.tpcc.as_mut().expect("tpcc driver");
-            let kind = d.next_kind();
-            d.run(r, kind)?;
-        }
-        Pattern::HighPerformanceCrud => {
-            state.ycsb.as_mut().expect("ycsb driver").run(r)?;
-        }
-        Pattern::RealTimeAnalytics => match rng.random_range(0..4u32) {
-            0 | 1 => {
-                if state.gh_rollup {
-                    r.run(&gharchive::rollup_dashboard_query())?;
-                } else {
-                    r.run(&gharchive::dashboard_query())?;
+    /// Run one workload unit of the driver's pattern through the runner.
+    fn run_unit(&mut self, r: &mut dyn SqlRunner, scales: &SimScales, rng: &mut StdRng) -> PgResult<()> {
+        match self {
+            Driver::Tpcc(d) => {
+                let kind = d.next_kind();
+                d.run(r, kind)?;
+            }
+            Driver::Ycsb(d) => {
+                d.run(r)?;
+            }
+            Driver::Analytics { events, rollup } => match rng.random_range(0..4u32) {
+                0 | 1 => {
+                    if *rollup {
+                        r.run(&gharchive::rollup_dashboard_query())?;
+                    } else {
+                        r.run(&gharchive::dashboard_query())?;
+                    }
                 }
+                2 => {
+                    r.copy("github_events", &[], events.batch(scales.gh_batch))?;
+                }
+                _ => {
+                    r.run(&gharchive::transformation_query())?;
+                }
+            },
+            Driver::Tpch { next } => {
+                let q = tpch::queries::SUPPORTED[*next % tpch::queries::SUPPORTED.len()];
+                *next += 1;
+                let sql = tpch::queries::query(q)
+                    .ok_or_else(|| PgError::internal(format!("TPC-H Q{q} has no text")))?;
+                r.run(&sql)?;
             }
-            2 => {
-                let batch = state.gh.as_mut().expect("gh generator").batch(scales.gh_batch);
-                r.copy("github_events", &[], batch)?;
-            }
-            _ => {
-                r.run(&gharchive::transformation_query())?;
-            }
-        },
-        Pattern::DataWarehousing => {
-            let q = tpch::queries::SUPPORTED[state.tpch_next % tpch::queries::SUPPORTED.len()];
-            state.tpch_next += 1;
-            r.run(&tpch::queries::query(q).expect("supported query"))?;
         }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Differential checks of the final state, per pattern.
@@ -906,7 +897,7 @@ fn chaos_plan(cfg: &SimConfig) -> FaultPlan {
         )
 }
 
-fn build_cluster(cfg: &SimConfig) -> Arc<Cluster> {
+fn build_cluster(cfg: &SimConfig) -> PgResult<Arc<Cluster>> {
     let c = Cluster::new(ClusterConfig {
         shard_count: cfg.shard_count,
         executor_threads: cfg.executor_threads,
@@ -915,9 +906,9 @@ fn build_cluster(cfg: &SimConfig) -> Arc<Cluster> {
         ..ClusterConfig::default()
     });
     for _ in 0..cfg.workers {
-        c.add_worker().expect("add worker");
+        c.add_worker()?;
     }
-    c
+    Ok(c)
 }
 
 fn apply_corruption(c: &Arc<Cluster>, kind: CorruptKind) -> Result<(), String> {
@@ -1150,7 +1141,7 @@ pub fn run_schedule(cfg: &SimConfig, events: &[SimEvent]) -> Result<SimReport, S
     let primary = patterns[0];
     let scales = SimScales::default();
 
-    let cluster = build_cluster(cfg);
+    let cluster = build_cluster(cfg).map_err(|e| fail(0, format!("{e:?}")))?;
     let oracle = Engine::new_default();
     let local = LocalRunner { session: oracle.session().map_err(|e| fail(0, format!("{e:?}")))? };
     let mut mirror = if cfg.mx_routing {
@@ -1201,7 +1192,7 @@ pub fn run_schedule(cfg: &SimConfig, events: &[SimEvent]) -> Result<SimReport, S
     if cfg.faults {
         injectors.push(cluster.install_faults(chaos_plan(cfg), cfg.seed));
     }
-    let mut state = make_state(&patterns, &scales, cfg.seed);
+    let mut drivers: HashMap<Pattern, Driver> = HashMap::new();
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x041B_0B0E_5EED);
     let mut report = SimReport::default();
 
@@ -1209,7 +1200,9 @@ pub fn run_schedule(cfg: &SimConfig, events: &[SimEvent]) -> Result<SimReport, S
         match *ev {
             SimEvent::Txn { pattern } => {
                 report.txns_attempted += 1;
-                match run_unit(&mut mirror, &mut state, pattern, &scales, &mut rng) {
+                let driver =
+                    drivers.entry(pattern).or_insert_with(|| Driver::new(pattern, &scales, cfg.seed));
+                match driver.run_unit(&mut mirror, &scales, &mut rng) {
                     Ok(()) => {}
                     Err(e) if e.code == ErrorCode::ConnectionFailure => {
                         report.txns_failed += 1;
@@ -1497,20 +1490,20 @@ fn bench_arm(
     units: u64,
 ) -> PgResult<ArmStats> {
     setup_pattern(r, pattern, scales, distributed, seed)?;
-    let mut state = make_state(&[pattern], scales, seed);
-    if distributed && pattern == Pattern::RealTimeAnalytics {
+    let mut driver = Driver::new(pattern, scales, seed);
+    if let (true, Driver::Analytics { rollup, .. }) = (distributed, &mut driver) {
         // The distributed arm serves the dashboard from an incrementally
         // maintained rollup (DESIGN.md §12) — the deployment shape the paper
         // describes for real-time analytics. The single-node mirror keeps
         // the raw per-read aggregate a lone PostgreSQL would run. The unit
         // stream is otherwise identical (same rng, same draws).
         r.run(&gharchive::rollup_definition())?;
-        state.gh_rollup = true;
+        *rollup = true;
     }
     let mut rng = StdRng::seed_from_u64(seed ^ 0x00BE_4C11);
     let mut metered = MeteredRunner::new(r);
     for _ in 0..units {
-        run_unit(&mut metered, &mut state, pattern, scales, &mut rng)?;
+        driver.run_unit(&mut metered, scales, &mut rng)?;
     }
     let virtual_ms = metered.demand.elapsed_ms;
     Ok(ArmStats {
@@ -1577,7 +1570,7 @@ fn bench_pattern_mode(
     cfg.shard_count = shard_count;
     cfg.executor_threads = executor_threads;
     cfg.snapshot_isolation = snapshot_isolation;
-    let cluster = build_cluster(&cfg);
+    let cluster = build_cluster(&cfg)?;
     // The distributed arm runs MX-routed (§2.3): tenant transactions pin to
     // their placement's worker and bypass the coordinator, cross-shard
     // shapes escalate. This is the deployment shape the paper benchmarks.
