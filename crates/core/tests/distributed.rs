@@ -1623,3 +1623,22 @@ fn from_subquery_inside_a_join_tree_is_judged() {
         assert_eq!(sorted_ints(&r), (1..=20).map(|t| vec![t, 5]).collect::<Vec<_>>(), "{sql}");
     }
 }
+
+/// A derived table over `*` of a distributed table keeps every column its
+/// subquery returns, under the subquery's own output names.
+#[test]
+fn derived_table_keeps_every_wildcard_column() {
+    let c = small_cluster(2);
+    let mut s = c.session().unwrap();
+    s.execute("CREATE TABLE t (k bigint, v bigint)").unwrap();
+    s.execute("SELECT create_distributed_table('t', 'k')").unwrap();
+    s.execute("INSERT INTO t VALUES (1, 10), (2, 20)").unwrap();
+    let row = |vals: &[i64]| vals.iter().map(|v| Datum::Int(*v)).collect::<Vec<_>>();
+    let r = s.execute("SELECT * FROM (SELECT * FROM t) s ORDER BY 1").unwrap();
+    assert_eq!(r.rows(), [row(&[1, 10]), row(&[2, 20])]);
+    let r = s.execute("SELECT * FROM (SELECT k, * FROM t WHERE k = 2) s").unwrap();
+    assert_eq!(r.rows(), [row(&[2, 2, 20])]);
+    let r = s.execute("SELECT s.v FROM (SELECT * FROM t) s ORDER BY 1").unwrap();
+    let v: Vec<_> = r.rows().iter().map(|r| r[0].clone()).collect();
+    assert_eq!(v, [Datum::Int(10), Datum::Int(20)]);
+}

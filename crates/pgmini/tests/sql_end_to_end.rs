@@ -609,3 +609,20 @@ fn or_restrictions_stay_off_the_null_extended_side() {
     let scans = filtered_scans(&mut s, sql);
     assert!(matches!(&scans[..], [t3] if t3.starts_with("Seq Scan on t3")), "{scans:?}");
 }
+
+/// A derived table over `*` keeps every column its subquery returns, under
+/// the subquery's own output names.
+#[test]
+fn derived_table_keeps_every_wildcard_column() {
+    let e = Engine::new_default();
+    let mut s = e.session().unwrap();
+    s.execute("CREATE TABLE t (k bigint, v bigint)").unwrap();
+    s.execute("INSERT INTO t VALUES (1, 10), (2, 20)").unwrap();
+    let row = |vals: &[i64]| vals.iter().map(|v| Datum::Int(*v)).collect::<Vec<_>>();
+    let r = s.execute("SELECT * FROM (SELECT * FROM t) s ORDER BY 1").unwrap();
+    assert_eq!(r.rows(), [row(&[1, 10]), row(&[2, 20])]);
+    let r = s.execute("SELECT * FROM (SELECT k, * FROM t WHERE k = 2) s").unwrap();
+    assert_eq!(r.rows(), [row(&[2, 2, 20])]);
+    let r = s.execute("SELECT s.v FROM (SELECT * FROM t) s ORDER BY 1").unwrap();
+    assert_eq!(ints(&r), vec![10, 20]);
+}
