@@ -9,8 +9,7 @@
 //! multi-client throughput and latency. Single-session figures (7, 8) report
 //! the virtual elapsed time directly.
 //!
-//! Every number this crate writes to a file is virtual time (the Criterion
-//! files under `benches/` print wall time and write nothing). The four
+//! Every number this crate writes to a file is virtual time. The four
 //! `*_bench` modules hold the bodies of the binaries of the same name as
 //! functions from a [`Scale`] to the report text, so `tests/figures.rs` can
 //! hold the smoke scale to its goldens inside `cargo test`. Wall-clock
