@@ -12,6 +12,8 @@ pub enum ErrorCode {
     UndefinedTable,
     /// 42703 — column does not exist.
     UndefinedColumn,
+    /// 42702 — a column reference matches more than one column.
+    AmbiguousColumn,
     /// 42P07 — relation already exists.
     DuplicateObject,
     /// 23505 — unique constraint violation.
@@ -56,6 +58,7 @@ impl ErrorCode {
             ErrorCode::Syntax => "42601",
             ErrorCode::UndefinedTable => "42P01",
             ErrorCode::UndefinedColumn => "42703",
+            ErrorCode::AmbiguousColumn => "42702",
             ErrorCode::DuplicateObject => "42P07",
             ErrorCode::UniqueViolation => "23505",
             ErrorCode::ForeignKeyViolation => "23503",
