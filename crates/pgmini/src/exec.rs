@@ -861,7 +861,6 @@ struct AggState {
     sum_f: f64,
     float_mode: bool,
     minmax: Option<Datum>,
-    distinct: Option<KeyTable>,
 }
 
 impl AggState {
@@ -873,7 +872,6 @@ impl AggState {
             sum_f: 0.0,
             float_mode: false,
             minmax: None,
-            distinct: call.distinct.then(|| KeyTable::new(1)),
         }
     }
 
@@ -884,11 +882,6 @@ impl AggState {
             return Ok(());
         }
         let Some(v) = value.filter(|v| !v.is_null()) else { return Ok(()) };
-        if let Some(set) = &mut self.distinct {
-            if !set.insert(&[v.to_datum()]).1 {
-                return Ok(());
-            }
-        }
         match self.kind {
             AggKind::CountStar | AggKind::Count => self.count += 1,
             AggKind::Sum | AggKind::Avg => {
@@ -950,6 +943,9 @@ struct Groups<'s> {
     ctx: &'s EvalCtx,
     keys: KeyTable,
     states: Vec<AggState>,
+    /// Per call, for a DISTINCT one, the values each group has folded in: one
+    /// table keyed by (where the group's states start, value).
+    seen: Vec<Option<KeyTable>>,
     /// The key of the row being folded, in a reused row.
     key: Row,
     /// Rows folded in one at a time.
@@ -968,7 +964,19 @@ impl<'s> Groups<'s> {
             .clone()
             .all(|e| e.is_none_or(supports_batch))
             .then(|| exprs.map(|e| 1 + e.map_or(0, kernel_count)).sum());
-        Groups { stage, ctx, keys, states: Vec::new(), key, rows: 0, kernels }
+        let seen = stage.calls.iter().map(|c| c.distinct.then(|| KeyTable::new(2))).collect();
+        Groups { stage, ctx, keys, states: Vec::new(), seen, key, rows: 0, kernels }
+    }
+
+    /// Fold `value` into call `i`'s state of the group whose states start at
+    /// `at`; a DISTINCT call folds each non-NULL value once per group.
+    fn update(&mut self, at: usize, i: usize, value: Option<DatumRef>) -> PgResult<()> {
+        if let (Some(seen), Some(v)) = (&mut self.seen[i], value.filter(|v| !v.is_null())) {
+            if !seen.insert(&[Datum::Int(at as i64), v.to_datum()]).1 {
+                return Ok(());
+            }
+        }
+        self.states[at + i].update(value)
     }
 
     /// Where in `states` the states of the group whose key is in `self.key`
@@ -1012,9 +1020,9 @@ impl Sink for Groups<'_> {
         let ctx = self.ctx;
         eval_into(&self.stage.group, row, ctx, &mut self.key)?;
         let (stage, at) = (self.stage, self.states_at());
-        for (st, call) in self.states[at..].iter_mut().zip(&stage.calls) {
+        for (i, call) in stage.calls.iter().enumerate() {
             let value = call.arg.as_ref().map(|a| eval(a, row, ctx)).transpose()?;
-            st.update(value.as_ref().map(Datum::view))?;
+            self.update(at, i, value.as_ref().map(Datum::view))?;
         }
         self.rows += 1;
         Ok(())
@@ -1054,8 +1062,8 @@ impl BatchSink for Groups<'_> {
                 self.key.extend(keys.iter().map(|v| v.get(i).to_datum()));
                 at = self.states_at();
             }
-            for (st, a) in self.states[at..].iter_mut().zip(&args) {
-                st.update(a.as_ref().map(|v| v.get(i)))?;
+            for (call, a) in args.iter().enumerate() {
+                self.update(at, call, a.as_ref().map(|v| v.get(i)))?;
             }
         }
         Ok(())
@@ -1064,8 +1072,9 @@ impl BatchSink for Groups<'_> {
 
 /// Execute a planned SELECT end to end, returning (column names, rows). The
 /// FROM/WHERE input runs as one pipeline whose rows, or a columnar scan's
-/// batches, an aggregate folds straight into its groups; without one they
-/// are collected for the rest of the finish stage.
+/// batches, an aggregate folds straight into its groups; without one each
+/// row is projected as the pipeline lends it, and only the projected row is
+/// kept for the rest of the finish stage.
 pub fn run_select_plan(ctx: &mut ExecCtx, plan: &SelectPlan) -> PgResult<(Vec<String>, Vec<Row>)> {
     let finish = &plan.finish;
     if let Some(table) = plan.for_update {
@@ -1073,13 +1082,12 @@ pub fn run_select_plan(ctx: &mut ExecCtx, plan: &SelectPlan) -> PgResult<(Vec<St
         return finish.run(rows, &ctx.eval_ctx, &mut ctx.cost);
     }
     let Some(stage) = &finish.agg else {
-        let mut rows = Vec::new();
+        let (mut rows, eval_ctx) = (Vec::new(), &ctx.eval_ctx);
         let booking = produce(ctx, &plan.input, &mut |_, row: &Row| {
-            rows.push(row.clone());
-            Ok(())
+            finish.project(row, eval_ctx, &mut rows)
         })?;
         booking.book(&mut ctx.cost);
-        return finish.run_grouped(rows, &ctx.eval_ctx, &mut ctx.cost);
+        return finish.finish_projected(rows, &ctx.eval_ctx, &mut ctx.cost);
     };
     let mut groups = Groups::new(stage, &ctx.eval_ctx);
     produce(ctx, &plan.input, &mut groups)?.book(&mut ctx.cost);
@@ -1147,16 +1155,34 @@ impl FinishStage {
         ctx: &EvalCtx,
         cost: &mut SimCost,
     ) -> PgResult<(Vec<String>, Vec<Row>)> {
-        // HAVING
-        let mut result_rows = Vec::new();
-        for row in groups {
-            if passes(&self.having, &row, ctx)? {
-                // projection (incl. hidden order-by columns)
-                let projected: Row =
-                    self.projection.iter().map(|p| eval(p, &row, ctx)).collect::<PgResult<_>>()?;
-                result_rows.push(projected);
-            }
+        let mut projected = Vec::new();
+        for row in &groups {
+            self.project(row, ctx, &mut projected)?;
         }
+        self.finish_projected(projected, ctx, cost)
+    }
+
+    /// HAVING, then the projection (hidden ORDER BY columns included) of one
+    /// grouped row, pushed onto `out` when the row passes.
+    fn project(&self, row: &Row, ctx: &EvalCtx, out: &mut Vec<Row>) -> PgResult<()> {
+        if passes(&self.having, row, ctx)? {
+            let mut projected = Vec::with_capacity(self.projection.len());
+            for p in &self.projection {
+                projected.push(eval(p, row, ctx)?);
+            }
+            out.push(projected);
+        }
+        Ok(())
+    }
+
+    /// The rest of the stage over projected rows: DISTINCT → ORDER BY →
+    /// OFFSET/LIMIT → drop the hidden ORDER BY columns.
+    fn finish_projected(
+        &self,
+        mut result_rows: Vec<Row>,
+        ctx: &EvalCtx,
+        cost: &mut SimCost,
+    ) -> PgResult<(Vec<String>, Vec<Row>)> {
         cost.add_tuples(result_rows.len() as u64);
 
         // DISTINCT
