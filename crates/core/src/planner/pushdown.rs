@@ -107,6 +107,10 @@ struct Resolver<'p> {
 }
 
 impl VisitMut for Resolver<'_> {
+    fn rewrites_values(&mut self) -> bool {
+        false
+    }
+
     fn nested(&mut self, n: Nested<&mut Select, &mut Expr>) -> bool {
         match n {
             Nested::From(q) | Nested::Source(q) => {

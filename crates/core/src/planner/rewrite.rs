@@ -42,6 +42,10 @@ pub fn select_tables(sel: &Select) -> Vec<String> {
 struct Rename<'m>(&'m dyn Fn(&str) -> Option<String>);
 
 impl VisitMut for Rename<'_> {
+    fn rewrites_values(&mut self) -> bool {
+        false
+    }
+
     fn table(&mut self, name: &mut String, alias: Option<&mut Option<String>>) {
         if let Some(physical) = (self.0)(name) {
             let logical = std::mem::replace(name, physical);

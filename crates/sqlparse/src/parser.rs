@@ -943,7 +943,7 @@ impl Parser {
                         }
                     }
                     self.expect_op(Op::RParen)?;
-                    left = Expr::InList { expr: Box::new(left), list, negated };
+                    left = Expr::InList { expr: Box::new(left), list: list.into(), negated };
                 }
                 continue;
             }
